@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .feasibility import Constraint, Polyhedron, Relation
 from .linalg import (
@@ -29,6 +28,7 @@ from .linalg import (
     solve_square,
     transpose,
 )
+from .memo import scoped_cache
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ class TorusData:
         return tuple(row[i] for row in self.basis)
 
 
-@lru_cache(maxsize=None)
+@scoped_cache
 def torus_data(arr: Arrangement) -> TorusData:
     """Kernel lattice and moment level of an arrangement.
 
@@ -172,7 +172,7 @@ def reorient(arr: Arrangement, eps) -> Arrangement:
     return Arrangement(arr.n, normals, lifts, name=arr.name)
 
 
-@lru_cache(maxsize=None)
+@scoped_cache
 def is_regular(arr: Arrangement) -> bool:
     """Every linearly independent n-subset of normals is a lattice basis."""
     for subset in itertools.combinations(range(arr.d), arr.n):
@@ -183,7 +183,7 @@ def is_regular(arr: Arrangement) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@scoped_cache
 def is_simple(arr: Arrangement) -> bool:
     """Every k hyperplanes that meet do so in codimension exactly k.
 

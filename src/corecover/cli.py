@@ -31,9 +31,10 @@ from .formats import (
 )
 from .quotient import (
     BOUNDED,
+    DEFAULT_MAX_COVER_D,
+    EMPTY,
     chart_complement,
     extended_core,
-    theta_cpt,
     verify_covering,
     verify_density,
 )
@@ -88,18 +89,52 @@ def _cmd_check(args):
     return 0 if (regular and simple) else 1
 
 
-def _cmd_core(args):
-    arr = _load_arrangement(args.file)
+def _core_payload(arr, args):
     components = extended_core(arr, force=args.force, max_d=_max_d())
-    payload = {
+    return {
         "components": [
-            _component_json(c) for c in components if c.classification != "empty"
+            _component_json(c) for c in components if c.classification != EMPTY
         ],
         "theta_cpt_count": sum(
             1 for c in components if c.classification == BOUNDED and c.dimension == arr.n
         ),
     }
-    _emit(payload)
+
+
+def _cover_payload(arr, args):
+    report = verify_covering(arr, force=args.force, max_d=_max_d())
+    return {
+        "covered": report.covered,
+        "witness_count": len(report.witness),
+        "counterexamples": [format_pattern(p) for p in report.counterexamples],
+    }
+
+
+def _density_results(arr):
+    return {
+        format_sign_vector(eps): verify_density(arr, eps)
+        for eps in all_sign_vectors(arr.d)
+    }
+
+
+def _complement_payload(arr, args):
+    eps = parse_sign_vector(args.chart, arr.d)
+    report = chart_complement(arr, eps, force=args.force, max_d=_max_d())
+    return {
+        "chart": format_sign_vector(eps),
+        "excluded_patterns": [format_pattern(p) for p in report.excluded_patterns],
+        "all_in_extended_core": report.all_in_extended_core,
+        "max_state_dim": report.max_state_dim,
+        "component_breakdown": {
+            format_sign_vector(k): [format_pattern(p) for p in v]
+            for k, v in report.component_breakdown.items()
+        },
+    }
+
+
+def _cmd_core(args):
+    arr = _load_arrangement(args.file)
+    _emit(_core_payload(arr, args))
     return 0
 
 
@@ -124,26 +159,19 @@ def _cmd_stability(args):
 
 def _cmd_cover(args):
     arr = _load_arrangement(args.file)
-    report = verify_covering(arr, force=args.force, max_d=_max_d())
-    payload = {
-        "covered": report.covered,
-        "witness_count": len(report.witness),
-        "counterexamples": [format_pattern(p) for p in report.counterexamples],
-    }
+    payload = _cover_payload(arr, args)
     _emit(payload)
-    return 0 if report.covered else 1
+    return 0 if payload["covered"] else 1
 
 
 def _cmd_density(args):
     arr = _load_arrangement(args.file)
-    results = {}
     limit = _max_d()
-    if arr.d > (12 if limit is None else limit) and not args.force:
+    if arr.d > (DEFAULT_MAX_COVER_D if limit is None else limit) and not args.force:
         raise GuardError(
             f"density sweeps 2^d sign vectors; d = {arr.d} exceeds the guard, pass --force"
         )
-    for eps in all_sign_vectors(arr.d):
-        results[format_sign_vector(eps)] = verify_density(arr, eps)
+    results = _density_results(arr)
     payload = {"density": results, "all_hold": all(results.values())}
     _emit(payload)
     return 0 if payload["all_hold"] else 1
@@ -151,19 +179,7 @@ def _cmd_density(args):
 
 def _cmd_complement(args):
     arr = _load_arrangement(args.file)
-    eps = parse_sign_vector(args.chart, arr.d)
-    report = chart_complement(arr, eps, force=args.force, max_d=_max_d())
-    payload = {
-        "chart": format_sign_vector(eps),
-        "excluded_patterns": [format_pattern(p) for p in report.excluded_patterns],
-        "all_in_extended_core": report.all_in_extended_core,
-        "max_state_dim": report.max_state_dim,
-        "component_breakdown": {
-            format_sign_vector(k): [format_pattern(p) for p in v]
-            for k, v in report.component_breakdown.items()
-        },
-    }
-    _emit(payload)
+    _emit(_complement_payload(arr, args))
     return 0
 
 
@@ -191,42 +207,16 @@ def _cmd_report(args):
     }
     negative = not smooth
     if smooth:
-        components = extended_core(arr, force=args.force, max_d=_max_d())
-        compact = theta_cpt(arr, force=args.force, max_d=_max_d())
-        payload["core"] = {
-            "components": [
-                _component_json(c) for c in components if c.classification != "empty"
-            ],
-            "theta_cpt_count": len(compact),
-        }
-        if compact:
-            cover = verify_covering(arr, force=args.force, max_d=_max_d())
-            payload["covering"] = {
-                "covered": cover.covered,
-                "witness_count": len(cover.witness),
-                "counterexamples": [format_pattern(p) for p in cover.counterexamples],
-            }
-            negative = negative or not cover.covered
+        payload["core"] = _core_payload(arr, args)
+        if payload["core"]["theta_cpt_count"]:
+            payload["covering"] = _cover_payload(arr, args)
+            negative = negative or not payload["covering"]["covered"]
         else:
             payload["covering"] = None
-        density = {}
-        for eps in all_sign_vectors(arr.d):
-            density[format_sign_vector(eps)] = verify_density(arr, eps)
-        payload["density"] = density
-        negative = negative or not all(density.values())
+        payload["density"] = _density_results(arr)
+        negative = negative or not all(payload["density"].values())
         if args.chart is not None:
-            eps = parse_sign_vector(args.chart, arr.d)
-            comp = chart_complement(arr, eps, force=args.force, max_d=_max_d())
-            payload["complement"] = {
-                "chart": format_sign_vector(eps),
-                "excluded_patterns": [format_pattern(p) for p in comp.excluded_patterns],
-                "all_in_extended_core": comp.all_in_extended_core,
-                "max_state_dim": comp.max_state_dim,
-                "component_breakdown": {
-                    format_sign_vector(k): [format_pattern(p) for p in v]
-                    for k, v in comp.component_breakdown.items()
-                },
-            }
+            payload["complement"] = _complement_payload(arr, args)
     else:
         payload["core"] = None
         payload["covering"] = None

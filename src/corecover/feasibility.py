@@ -6,15 +6,20 @@ elimination, with two refinements:
 
 * variables covered by an equality constraint are removed by exact Gaussian
   pivoting instead of inequality pairing (same projection, far fewer rows);
-* every derived row carries the multiplier vector that produced it from the
-  input constraints, so each verdict ships with a proof object: a rational
-  point for feasible systems, a Farkas-style multiplier vector reproducing a
-  contradiction for infeasible ones.
+* every verdict ships with a proof object: a rational point for feasible
+  systems, a Farkas-style multiplier vector reproducing a contradiction for
+  infeasible ones.
+
+Rows are integer: each input constraint is scaled to integer coefficients and
+every derived row is divided by its content, so elimination runs on Python
+ints only. A derived row records how it was made (its two parent rows with
+their integer factors, and the sign and divisor of its normalization) rather
+than its multipliers over the input constraints. Those multipliers are rebuilt
+in exact rationals only for the row that proves infeasibility.
 
 Strict inequalities are handled natively: a combined row is strict exactly
-when a strict row participates with a positive multiplier. All arithmetic is
-integer after clearing denominators; witnesses are reconstructed in exact
-rationals.
+when a strict row participates with a positive multiplier. Witnesses are
+reconstructed in exact rationals.
 """
 
 from __future__ import annotations
@@ -134,59 +139,64 @@ def verify_certificate(poly: Polyhedron, cert: Certificate) -> bool:
 
 
 class _Row:
-    """Integer constraint row plus its provenance over the input constraints."""
+    """Integer constraint row with a lazy derivation from the input constraints.
 
-    __slots__ = ("coeffs", "const", "rel", "prov")
+    The row equals ``mul / div`` times its base: input constraint ``src`` when
+    ``src`` is an index, else ``ca * row_a + cb * row_b`` for
+    ``src = (row_a, ca, row_b, cb)``. Only the row that proves infeasibility
+    has its multipliers over the input rebuilt (:func:`_multipliers`).
+    """
 
-    def __init__(self, coeffs, const, rel, prov):
+    __slots__ = ("coeffs", "const", "rel", "src", "mul", "div")
+
+    def __init__(self, coeffs, const, rel, src, mul, div):
         self.coeffs = coeffs
         self.const = const
         self.rel = rel
-        self.prov = prov
+        self.src = src
+        self.mul = mul
+        self.div = div
 
 
-def _normalized(coeffs, const, rel, prov):
-    g = 0
-    for x in coeffs:
-        g = gcd(g, abs(x))
-    g = gcd(g, abs(const))
+def _normalized(coeffs, const, rel, src, mul):
+    """Divide out the content and orient equalities; ``mul`` scales ``src``."""
+    g = gcd(*coeffs, const)
     if g > 1:
         coeffs = tuple(x // g for x in coeffs)
-        const = const // g
-        scale = Fraction(1, g)
-        prov = {i: m * scale for i, m in prov.items()}
+        const //= g
+    else:
+        g = 1
     if rel is Relation.EQ:
-        lead = next((x for x in coeffs if x != 0), const)
+        lead = next((x for x in coeffs if x), const)
         if lead < 0:
             coeffs = tuple(-x for x in coeffs)
             const = -const
-            prov = {i: -m for i, m in prov.items()}
-    return _Row(coeffs, const, rel, prov)
+            mul = -mul
+    return _Row(coeffs, const, rel, src, mul, g)
+
+
+def _ratio(x):
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 def _integerize(con: Constraint, index: int) -> _Row:
-    scale = 1
-    for x in con.coeffs:
-        scale = lcm(scale, Fraction(x).denominator)
-    scale = lcm(scale, Fraction(con.constant).denominator)
-    coeffs = tuple(int(Fraction(x) * scale) for x in con.coeffs)
-    const = int(Fraction(con.constant) * scale)
-    return _normalized(coeffs, const, con.relation, {index: Fraction(scale)})
+    pairs = [_ratio(x) for x in con.coeffs]
+    num, den = _ratio(con.constant)
+    scale = lcm(den, *(d for _, d in pairs))
+    coeffs = tuple(n * (scale // d) for n, d in pairs)
+    return _normalized(coeffs, num * (scale // den), con.relation, index, scale)
 
 
 def _combine(row_a: _Row, ca: int, row_b: _Row, cb: int, rel: Relation) -> _Row:
     coeffs = tuple(ca * x + cb * y for x, y in zip(row_a.coeffs, row_b.coeffs))
     const = ca * row_a.const + cb * row_b.const
-    prov = {i: ca * m for i, m in row_a.prov.items()}
-    for i, m in row_b.prov.items():
-        prov[i] = prov.get(i, 0) + cb * m
-    prov = {i: m for i, m in prov.items() if m != 0}
-    return _normalized(coeffs, const, rel, prov)
+    return _normalized(coeffs, const, rel, (row_a, ca, row_b, cb), 1)
 
 
-def _is_trivial(row: _Row) -> bool:
-    if any(x != 0 for x in row.coeffs):
-        return False
+def _holds_constant(row: _Row) -> bool:
+    """Truth of a row whose coefficients are all zero."""
     if row.rel is Relation.GE:
         return row.const >= 0
     if row.rel is Relation.GT:
@@ -194,31 +204,25 @@ def _is_trivial(row: _Row) -> bool:
     return row.const == 0
 
 
-def _is_contradiction(row: _Row) -> bool:
-    return all(x == 0 for x in row.coeffs) and not _is_trivial(row)
-
-
 def _dedup(rows):
     """Drop trivially true rows and keep only the tightest of parallel rows.
 
     Only single-row dominance is removed (same coefficient vector, weaker
-    bound). One contradiction row is retained if present. Deterministic:
-    first-seen order is preserved.
+    bound). One contradiction row is retained if present, as the last row.
+    Deterministic: first-seen order is preserved.
     """
     out = {}
     contradiction = None
     for row in rows:
-        if _is_trivial(row):
-            continue
-        if _is_contradiction(row):
-            if contradiction is None:
+        if not any(row.coeffs):
+            if contradiction is None and not _holds_constant(row):
                 contradiction = row
             continue
         if row.rel is Relation.EQ:
-            key = (Relation.EQ, row.coeffs, row.const)
+            key = ("=", row.coeffs, row.const)
             out.setdefault(key, row)
             continue
-        key = (Relation.GE, row.coeffs)
+        key = (">=", row.coeffs)
         kept = out.get(key)
         if kept is None:
             out[key] = row
@@ -275,15 +279,52 @@ def _eliminate_column(rows, j):
     return _dedup(out)
 
 
-def _find_contradiction(rows):
-    return next((r for r in rows if _is_contradiction(r)), None)
+def _contradiction(rows):
+    """The contradiction row of a :func:`_dedup` result, or None."""
+    if rows and not any(rows[-1].coeffs):
+        return rows[-1]
+    return None
+
+
+def _multipliers(row: _Row) -> dict:
+    """Exact multipliers over the input constraints that reproduce ``row``.
+
+    ``row`` is a linear combination of its ancestors in the derivation DAG.
+    Its weight is pushed down the DAG with parents before children, so every
+    ancestor is visited once and carries a single rational weight.
+    """
+    order = []
+    seen = set()
+
+    def visit(r):
+        if id(r) in seen:
+            return
+        seen.add(id(r))
+        if not isinstance(r.src, int):
+            visit(r.src[0])
+            visit(r.src[2])
+        order.append(r)
+
+    visit(row)
+    weight = {id(row): Fraction(1)}
+    mults = {}
+    for r in reversed(order):
+        w = weight.pop(id(r)) * Fraction(r.mul, r.div)
+        if isinstance(r.src, int):
+            mults[r.src] = w
+        else:
+            row_a, ca, row_b, cb = r.src
+            weight[id(row_a)] = weight.get(id(row_a), 0) + ca * w
+            weight[id(row_b)] = weight.get(id(row_b), 0) + cb * w
+    return mults
 
 
 def _infeasible_certificate(row: _Row, ncons: int) -> Certificate:
-    sign = 1
+    prov = _multipliers(row)
+    zero = Fraction(0)
+    mults = tuple(prov.get(i, zero) for i in range(ncons))
     if row.rel is Relation.EQ and row.const > 0:
-        sign = -1
-    mults = tuple(sign * row.prov.get(i, Fraction(0)) for i in range(ncons))
+        mults = tuple(-m for m in mults)
     return Certificate(False, multipliers=mults)
 
 
@@ -296,7 +337,9 @@ def _choose_value(rows, j, point):
         if a == 0:
             continue
         rest = row.const + sum(
-            row.coeffs[k] * point[k] for k in range(j + 1, len(row.coeffs))
+            row.coeffs[k] * point[k]
+            for k in range(j + 1, len(row.coeffs))
+            if row.coeffs[k]
         )
         bound = Fraction(-rest, a)
         if row.rel is Relation.EQ:
@@ -323,14 +366,14 @@ def is_feasible(poly: Polyhedron) -> Certificate:
     """Exact feasibility of a rational constraint system, with certificate."""
     ncons = len(poly.constraints)
     rows = _dedup(_integerize(c, i) for i, c in enumerate(poly.constraints))
-    bad = _find_contradiction(rows)
+    bad = _contradiction(rows)
     if bad is not None:
         return _infeasible_certificate(bad, ncons)
     stages = []
     for j in range(poly.dim):
         stages.append(rows)
         rows = _eliminate_column(rows, j)
-        bad = _find_contradiction(rows)
+        bad = _contradiction(rows)
         if bad is not None:
             return _infeasible_certificate(bad, ncons)
     point = [Fraction(0)] * poly.dim

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .arrangement import (
     Arrangement,
@@ -27,6 +26,7 @@ from .arrangement import (
 )
 from .errors import GuardError
 from .feasibility import Polyhedron, affine_dimension, is_bounded, is_feasible
+from .memo import scoped_cache
 from .stability import (
     NO_BOTH_ALPHABET,
     FULL_ALPHABET,
@@ -112,7 +112,7 @@ def _check_guard(arr: Arrangement, force: bool, max_d: int | None, default: int,
         )
 
 
-@lru_cache(maxsize=None)
+@scoped_cache
 def _extended_core_cached(arr: Arrangement) -> tuple:
     components = []
     for eps in all_sign_vectors(arr.d):

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 
 from .arrangement import Arrangement, TorusData, check_sign_vector
 from .feasibility import (
@@ -35,6 +34,7 @@ from .feasibility import (
     is_feasible,
 )
 from .linalg import rank, unit_vector
+from .memo import scoped_cache
 
 
 class Status(Enum):
@@ -183,7 +183,7 @@ def toric_semistable_geometric(arr: Arrangement, support) -> StabilityVerdict:
     return hk_semistable_geometric(arr, support_pattern(arr.d, support))
 
 
-@lru_cache(maxsize=None)
+@scoped_cache
 def _cone_contains(td: TorusData, signed_indices) -> bool:
     gens = tuple(
         tuple(sign * x for x in td.generator(i)) for i, sign in signed_indices
@@ -210,7 +210,7 @@ def chart_semistable(td: TorusData, eps, pattern) -> bool:
     return _cone_contains(td, chart_active(eps, pattern))
 
 
-@lru_cache(maxsize=None)
+@scoped_cache
 def _realizable_both_set(td: TorusData, both) -> bool:
     if not both:
         return True

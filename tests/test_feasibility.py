@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -244,3 +246,84 @@ class TestBoundedImpliesFiniteVertices:
         cert = is_feasible(cone)
         assert cert.feasible and all(x == 0 for x in cert.point)
         assert enumerate_vertices(p)
+
+
+# pinned certificates -------------------------------------------------------
+
+# SHA-256 over the reprs of the certificates of mixed_population(1968, 1200),
+# one per line. Any change to a witness point, a multiplier or the Fraction
+# form of either changes it.
+POPULATION_DIGEST = "ae98705c9a657920186b1bf218e8b01e2072a7fbe79c084f54fb7ac66b80f63b"
+
+# A bounded region cut by 19 half-spaces, two of them parallel to others,
+# and a half-space that misses it: 3-D, 20 rows, no equalities, so every
+# variable is removed by pairing.
+DEEP_ROWS = (
+    ((1, 2, 0), F(2)),
+    ((-3, -1, 3), F(7, 3)),
+    ((3, -1, 2), F(2)),
+    ((0, 0, 3), F(5)),
+    ((-1, 0, 3), F(3)),
+    ((-2, -2, -1), F(2, 3)),
+    ((-1, 0, 3), F(5)),
+    ((-1, -3, 2), F(3)),
+    ((2, -1, 3), F(2)),
+    ((-3, -2, 2), F(1)),
+    ((-1, -2, 2), F(7)),
+    ((-1, -2, 3), F(2, 3)),
+    ((2, 0, -2), F(4)),
+    ((0, -1, 0), F(7, 2)),
+    ((2, -3, 2), F(5)),
+    ((-1, 1, -1), F(9, 2)),
+    ((-2, 0, 1), F(3)),
+    ((-1, 0, 2), F(7)),
+    ((0, 0, 3), F(1)),
+    ((2, -1, 3), F(-40)),
+)
+
+
+def mixed_population(seed, count):
+    """Random GE/EQ/GT systems in dimensions 1-4 with int and Fraction entries."""
+    rng = random.Random(seed)
+    relations = (Relation.GE, Relation.EQ, Relation.GT)
+
+    def number(bound):
+        if rng.random() < 0.5:
+            return rng.randint(-bound, bound)
+        return F(rng.randint(-2 * bound, 2 * bound), rng.choice((2, 3, 4, 6)))
+
+    systems = []
+    for _ in range(count):
+        dim = rng.randint(1, 4)
+        cons = tuple(
+            Constraint(tuple(number(4) for _ in range(dim)), rng.choice(relations), number(6))
+            for _ in range(rng.randint(0, 8))
+        )
+        systems.append(Polyhedron(dim, cons))
+    return systems
+
+
+class TestPinnedCertificates:
+    def test_population_digest(self):
+        digest = hashlib.sha256()
+        verdicts = set()
+        for p in mixed_population(1968, 1200):
+            cert = is_feasible(p)
+            assert verify_certificate(p, cert)
+            verdicts.add(cert.feasible)
+            digest.update(repr(cert).encode() + b"\n")
+        assert verdicts == {True, False}
+        assert digest.hexdigest() == POPULATION_DIGEST
+
+    def test_deep_pairing(self):
+        p = poly(3, *(ge(u, b) for u, b in DEEP_ROWS))
+        cert = is_feasible(p)
+        assert not cert.feasible
+        assert verify_certificate(p, cert)
+        assert cert.multipliers == (
+            F(9, 91), F(0), F(0), F(0), F(0),
+            F(15, 182), F(0), F(0), F(0), F(3, 910),
+            F(0), F(0), F(3, 364), F(0), F(0),
+            F(3, 455), F(0), F(0), F(0), F(3, 91),
+        )
+        assert all(type(m) is Fraction for m in cert.multipliers)
