@@ -129,11 +129,6 @@ class TorusData:
         return self.d - self.m
 
     @property
-    def A(self) -> tuple:
-        """The m x d relation matrix (rows are the kernel basis vectors)."""
-        return self.basis
-
-    @property
     def iota_basis(self) -> tuple:
         """The d x m embedding matrix (columns are the kernel basis vectors)."""
         return transpose(self.basis, ncols=self.d)

@@ -6,9 +6,8 @@ positive result, 1 for a verified negative result (not smooth, unstable,
 covering counterexample, density failure), 2 for input or usage errors.
 
 The exhaustive sweeps are guarded by a hyperplane-count limit; ``--force``
-lifts the guards and the environment variable ``CORECOVER_MAX_D`` overrides
-the limit with an integer. ``--seed`` is accepted for randomized self-checks
-but every shipped command is deterministic, so it currently has no effect.
+lifts every guard and the environment variable ``CORECOVER_MAX_D`` overrides
+the limit with an integer.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import os
 import sys
 
 from .arrangement import all_sign_vectors, is_regular, is_simple, torus_data
-from .errors import GuardError, ParseError
+from .errors import ParseError
 from .feasibility import enumerate_vertices
 from .formats import (
     format_pattern,
@@ -33,6 +32,7 @@ from .quotient import (
     BOUNDED,
     DEFAULT_MAX_COVER_D,
     EMPTY,
+    _check_guard,
     chart_complement,
     extended_core,
     verify_covering,
@@ -166,11 +166,7 @@ def _cmd_cover(args):
 
 def _cmd_density(args):
     arr = _load_arrangement(args.file)
-    limit = _max_d()
-    if arr.d > (DEFAULT_MAX_COVER_D if limit is None else limit) and not args.force:
-        raise GuardError(
-            f"density sweeps 2^d sign vectors; d = {arr.d} exceeds the guard, pass --force"
-        )
+    _check_guard(arr, args.force, _max_d(), DEFAULT_MAX_COVER_D, "density sweep")
     results = _density_results(arr)
     payload = {"density": results, "all_hold": all(results.values())}
     _emit(payload)
@@ -234,12 +230,6 @@ def build_parser():
     common.add_argument(
         "--force", action="store_true", help="lift the exponential enumeration guards"
     )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed for randomized self-checks (current commands are deterministic)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", parents=[common], help="smoothness report")
@@ -289,9 +279,6 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (ParseError, GuardError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,8 +4,8 @@
 class GuardError(ValueError):
     """An enumeration guard was exceeded.
 
-    Raised by operations whose cost grows exponentially in the number of
-    hyperplanes or constraints. Pass ``force=True`` (or ``--force`` on the
+    Raised before any work by operations whose cost grows exponentially in
+    the number of hyperplanes. Pass ``force=True`` (or ``--force`` on the
     command line) to run anyway, or raise the limit via the documented
     environment variable.
     """

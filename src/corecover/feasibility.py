@@ -30,7 +30,6 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import GuardError
 from .linalg import lin_solve, rank as mat_rank, solve_square, unit_vector
 
 
@@ -247,6 +246,8 @@ def _eliminate_column(rows, j):
     (its multiplier may take either sign); otherwise classical
     Fourier-Motzkin pairing with positive multipliers is applied. Either way
     a point satisfies the output iff it extends to a point of the input.
+    The first combined row that is a false constant ends the step and is
+    returned alone: it proves the input, hence the projection, empty.
     """
     pivot = next(
         (r for r in rows if r.rel is Relation.EQ and r.coeffs[j] != 0), None
@@ -263,7 +264,10 @@ def _eliminate_column(rows, j):
                 continue
             a = abs(pj)
             b = -rj if pj > 0 else rj
-            out.append(_combine(r, a, pivot, b, r.rel))
+            row = _combine(r, a, pivot, b, r.rel)
+            if not any(row.coeffs) and not _holds_constant(row):
+                return [row]
+            out.append(row)
         return _dedup(out)
     out = [r for r in rows if r.coeffs[j] == 0]
     pos = [r for r in rows if r.coeffs[j] > 0]
@@ -275,7 +279,10 @@ def _eliminate_column(rows, j):
                 if (p.rel is Relation.GT or q.rel is Relation.GT)
                 else Relation.GE
             )
-            out.append(_combine(p, -q.coeffs[j], q, p.coeffs[j], rel))
+            row = _combine(p, -q.coeffs[j], q, p.coeffs[j], rel)
+            if not any(row.coeffs) and not _holds_constant(row):
+                return [row]
+            out.append(row)
     return _dedup(out)
 
 
@@ -481,26 +488,15 @@ def cone_member(generators, strict: bool, target) -> Certificate:
     return is_feasible(cone_system(tuple(generators), strict, tuple(target)))
 
 
-MAX_ENUM_DIM = 4
-MAX_ENUM_CONSTRAINTS = 16
-
-
-def _check_enum_guard(poly: Polyhedron):
-    if poly.dim > MAX_ENUM_DIM or len(poly.constraints) > MAX_ENUM_CONSTRAINTS:
-        raise GuardError(
-            "enumeration oracle is exponential by design: requires "
-            f"dim <= {MAX_ENUM_DIM} and at most {MAX_ENUM_CONSTRAINTS} constraints"
-        )
-
-
 def enumerate_vertices(poly: Polyhedron) -> list:
-    """All basic feasible points of a small polyhedron (testing oracle).
+    """All basic feasible points of a polyhedron, sorted.
 
     Every ``dim``-subset of constraints with a unique common solution
-    contributes that solution when it satisfies the whole system. Guarded to
-    stay at desk scale.
+    contributes that solution when it satisfies the whole system. That is
+    C(k, dim) square solves for k constraints: for a chamber of ``d``
+    hyperplanes at most ``2^d``, the same order as the chamber sweep that
+    produced it, so callers guard the sweep rather than this function.
     """
-    _check_enum_guard(poly)
     points = set()
     cons = poly.constraints
     for subset in itertools.combinations(range(len(cons)), poly.dim):
@@ -521,7 +517,6 @@ def feasible_by_enumeration(poly: Polyhedron) -> bool:
     particular solution of each is exact. Strict inequalities are not
     supported here; the elimination engine covers those with certificates.
     """
-    _check_enum_guard(poly)
     if any(c.relation is Relation.GT for c in poly.constraints):
         raise ValueError("enumeration oracle supports closed systems only")
     cons = poly.constraints

@@ -104,11 +104,12 @@ def _require_smooth(arr: Arrangement):
 
 
 def _check_guard(arr: Arrangement, force: bool, max_d: int | None, default: int, what: str):
+    """The one exponential guard, shared by the sweeps, the CLI and render."""
     limit = default if max_d is None else max_d
     if arr.d > limit and not force:
         raise GuardError(
             f"{what} enumerates exponentially many cases for d = {arr.d} > {limit}; "
-            "pass force=True to run anyway"
+            "pass force=True (--force on the command line) to run anyway"
         )
 
 

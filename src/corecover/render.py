@@ -4,9 +4,10 @@ All geometry is computed in exact rationals; numbers are only rounded at the
 final formatting step with a fixed-point integer rule, so identical input
 yields byte-identical SVG on every platform. The viewport is the bounding box
 of the pairwise intersection points padded by twenty percent (a drawing
-heuristic with no mathematical content). Bounded nonempty chambers are
-shaded, normals are drawn as arrows at the line midpoints, hyperplanes are
-labeled H1..Hd.
+heuristic with no mathematical content). Bounded two-dimensional chambers,
+as the extended core classifies them, are shaded; that sweep shares the
+``d <= 12`` guard of the quotient sweeps. Normals are drawn as arrows at the
+line midpoints, hyperplanes are labeled H1..Hd.
 """
 
 from __future__ import annotations
@@ -15,14 +16,9 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .arrangement import Arrangement, all_sign_vectors, chamber
-from .errors import GuardError
-from .feasibility import (
-    affine_dimension,
-    enumerate_vertices,
-    is_bounded,
-    is_feasible,
-)
+from .arrangement import Arrangement
+from .feasibility import enumerate_vertices
+from .quotient import BOUNDED, DEFAULT_MAX_COVER_D, _check_guard, _extended_core_cached
 
 SIZE = 560
 MARGIN = 40
@@ -32,8 +28,6 @@ CHAMBER_FILL = "#c9d7f2"
 LINE_COLOR = "#1a1a1a"
 ARROW_COLOR = "#7a7a7a"
 AXIS_COLOR = "#1a1a1a"
-
-MAX_RENDER_D = 12
 
 
 def _fmt(value) -> str:
@@ -56,10 +50,7 @@ def render_svg(arr: Arrangement, force: bool = False) -> str:
     if arr.n == 1:
         return _render_line(arr)
     if arr.n == 2:
-        if arr.d > MAX_RENDER_D and not force:
-            raise GuardError(
-                f"rendering shades 2^d chambers; d = {arr.d} > {MAX_RENDER_D}, pass force=True"
-            )
+        _check_guard(arr, force, None, DEFAULT_MAX_COVER_D, "rendering")
         return _render_plane(arr)
     raise ValueError("rendering supports n <= 2")
 
@@ -200,13 +191,10 @@ def _render_plane(arr: Arrangement) -> str:
 
     parts = _svg_header(SIZE, SIZE)
 
-    for eps in all_sign_vectors(arr.d):
-        region = chamber(arr, eps)
-        if not is_feasible(region).feasible:
+    for component in _extended_core_cached(arr):
+        if component.classification != BOUNDED or component.dimension != 2:
             continue
-        if affine_dimension(region) != 2 or not is_bounded(region):
-            continue
-        vertices = _sort_polygon(enumerate_vertices(region))
+        vertices = _sort_polygon(enumerate_vertices(component.chamber))
         coords = " ".join(
             f"{_fmt(sx)},{_fmt(sy)}" for sx, sy in (to_screen(v) for v in vertices)
         )

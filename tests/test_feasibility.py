@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from corecover import (
     Constraint,
-    GuardError,
     Polyhedron,
     Relation,
     affine_dimension,
@@ -213,11 +212,19 @@ class TestEnumerateVertices:
     def test_infeasible(self):
         assert enumerate_vertices(poly(1, ge((1,), -1), ge((-1,)))) == []
 
-    def test_guard(self):
-        with pytest.raises(GuardError):
-            enumerate_vertices(poly(5))
-        with pytest.raises(GuardError):
-            enumerate_vertices(poly(1, *[ge((1,), k) for k in range(17)]))
+    def test_simplex_dim_5(self):
+        # x_i >= 0 and sum x_i <= 1: the standard 5-simplex
+        facets = [ge(tuple(int(k == i) for k in range(5))) for i in range(5)]
+        simplex = poly(5, *facets, ge((-1,) * 5, 1))
+        assert enumerate_vertices(simplex) == [
+            tuple(F(0) for _ in range(5)),
+            *sorted((tuple(F(int(k == i)) for k in range(5)) for i in range(5))),
+        ]
+
+    def test_seventeen_constraints(self):
+        # x >= -k for k = 0..15 and x <= 3: the segment [0, 3]
+        segment = poly(1, *[ge((1,), k) for k in range(16)], ge((-1,), 3))
+        assert enumerate_vertices(segment) == [(F(0),), (F(3),)]
 
 
 class TestCertificates:
@@ -327,3 +334,24 @@ class TestPinnedCertificates:
             F(3, 455), F(0), F(0), F(0), F(3, 91),
         )
         assert all(type(m) is Fraction for m in cert.multipliers)
+
+    def test_early_contradiction(self):
+        # 5-D, 7 rows: pairing every row of the last stage would take minutes;
+        # the step stops at the first false constant row it combines.
+        p = poly(
+            5,
+            gt((1, 1, 3, 4, 1), -1),
+            ge((-1, 0, 1, -2, 3), -3),
+            ge((-4, -2, 2, 4, -2), -4),
+            ge((-2, 3, 3, -2, -4), F(4, 3)),
+            gt((1, 2, -4, -4, -1), F(-7, 3)),
+            gt((3, -4, -1, -1, -3), 7),
+            ge((-2, 1, -3, 1, -3), F(1, 2)),
+        )
+        cert = is_feasible(p)
+        assert not cert.feasible
+        assert verify_certificate(p, cert)
+        assert cert.multipliers == (
+            F(6363, 4700), F(4533, 2350), F(0), F(393, 4700),
+            F(1983, 4700), F(2151, 2350), F(57, 47),
+        )

@@ -1,4 +1,8 @@
+import contextlib
+import hashlib
+import io
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -29,6 +33,12 @@ HIRZ_DOC = {
     "dim": 2,
     "normals": [[1, 0], [0, 1], [-1, -1], [0, -1]],
     "lifts": ["1", "1", "1", "1"],
+}
+# x_i >= 0 and x_1 + ... + x_5 <= 1: a smooth arrangement in 5-D
+SIMPLEX5_DOC = {
+    "dim": 5,
+    "normals": [[int(k == i) for k in range(5)] for i in range(5)] + [[-1] * 5],
+    "lifts": ["0"] * 5 + ["1"],
 }
 
 
@@ -257,9 +267,32 @@ class TestCli:
         code = main(["cover", write(tmp_path, A2_DOC), "--force"])
         assert code == 0
 
-    def test_seed_flag_accepted(self, tmp_path, capsys):
+    def test_seed_flag_rejected(self, tmp_path, capsys):
         code = main(["cover", write(tmp_path, A2_DOC), "--seed", "7"])
+        assert code == 2
+
+    def test_density_guard(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CORECOVER_MAX_D", "2")
+        assert main(["density", write(tmp_path, A2_DOC)]) == 2
+        assert "density sweep" in capsys.readouterr().err
+        assert main(["density", write(tmp_path, A2_DOC), "--force"]) == 0
+
+    def test_simplex_dim_5_core(self, tmp_path, capsys):
+        code = main(["core", write(tmp_path, SIMPLEX5_DOC)])
+        out = json.loads(capsys.readouterr().out)
         assert code == 0
+        assert out["theta_cpt_count"] == 1
+        (bounded,) = [c for c in out["components"] if c["classification"] == "bounded"]
+        assert bounded["eps"] == "+" * 6
+        unit = [["1" if k == i else "0" for k in range(5)] for i in range(5)]
+        assert bounded["vertices"] == [["0"] * 5] + sorted(unit)
+
+    def test_simplex_dim_5_report(self, tmp_path, capsys):
+        code = main(["report", write(tmp_path, SIMPLEX5_DOC)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["covering"]["covered"]
+        assert all(out["density"].values()) and len(out["density"]) == 64
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["check", "/nonexistent/arr.json"]) == 2
@@ -289,3 +322,40 @@ class TestCli:
         for path in sorted(pathlib.Path("fixtures").glob("*.json")):
             arr = parse_arrangement(path.read_bytes())
             assert arr.d >= arr.n
+
+
+FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _fixture_runs(d):
+    """Every command with its options; three charts for complement and report."""
+    charts = ("+" * d, "-" * d, "+-" * (d // 2) + "+" * (d % 2))
+    runs = [["check"], ["core"], ["cover"], ["density"], ["render"]]
+    runs += [["stability", "--pattern", c * d] for c in "zw0*"]
+    runs += [["complement", "--chart", c] for c in charts]
+    runs += [["report", "--chart", c] for c in charts]
+    return runs
+
+
+class TestPinnedOutput:
+    # SHA-256 of stdout and exit code (and the SVG file for render) for every
+    # command on every fixture, recorded before the vertex-enumeration guard
+    # and the renderer's own chamber classification were folded into the
+    # quotient layer.
+    DIGEST = "6ef657654b26f738f19532f3e6d979e57bf2ace5455f6163efbca2e35babeb4b"
+
+    def test_fixture_stdout_digest(self, tmp_path):
+        svg = tmp_path / "pin.svg"
+        digest = hashlib.sha256()
+        for path in sorted(FIXTURE_DIR.glob("*.json")):
+            arr = parse_arrangement(path.read_bytes())
+            for command, *options in _fixture_runs(arr.d):
+                if command == "render":
+                    options = ["-o", str(svg)]
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = main([command, str(path), *options])
+                if command == "render":
+                    options = [svg.read_text()]
+                digest.update(repr((path.name, command, options, code, out.getvalue())).encode())
+        assert digest.hexdigest() == self.DIGEST

@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from corecover import Arrangement, render_svg
+from corecover import Arrangement, GuardError, render_svg
 
 
 class TestRenderPlane:
@@ -42,3 +44,24 @@ class TestRenderErrors:
         arr = Arrangement(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))
         with pytest.raises(ValueError, match="n <= 2"):
             render_svg(arr)
+
+    def test_hyperplane_count_guard(self):
+        normals = tuple((1, k) for k in range(13))
+        arr = Arrangement(2, normals, tuple(range(13)))
+        with pytest.raises(GuardError, match="rendering"):
+            render_svg(arr)
+
+
+class TestPinnedSvg:
+    # SHA-256 of render_svg over the 2-D fixtures and a non-smooth
+    # arrangement (three lines through the origin cut by a fourth), recorded
+    # before shading read the chamber classification of the quotient layer.
+    DIGEST = "325242b43d114f9a839cc1826553cd252e14d2b35cbbea29764d6b308acd0a3d"
+
+    def test_svg_digest(self, hirzebruch, triangle_pair, trivial_product):
+        diagonal = Arrangement(2, ((1, 0), (0, 1), (-1, -1)), (1, 1, 1))
+        triple_point = Arrangement(2, ((1, 0), (0, 1), (-1, -1), (1, -1)), (0, 0, 1, 0))
+        digest = hashlib.sha256()
+        for arr in (diagonal, hirzebruch, triangle_pair, trivial_product, triple_point):
+            digest.update(render_svg(arr).encode())
+        assert digest.hexdigest() == self.DIGEST
