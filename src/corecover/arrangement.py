@@ -18,10 +18,10 @@ from fractions import Fraction
 
 from .feasibility import Constraint, Polyhedron, Relation
 from .linalg import (
+    _eliminate,
     det,
     is_primitive,
     kernel_lattice,
-    lin_solve,
     mat_vec,
     primitive_scale,
     rank,
@@ -183,17 +183,18 @@ def is_simple(arr: Arrangement) -> bool:
     """Every k hyperplanes that meet do so in codimension exactly k.
 
     Subsets are scanned up to size n + 1; a violating larger subset always
-    contains a violating subset of size at most n + 1.
+    contains a violating subset of size at most n + 1. One elimination of the
+    augmented system per subset decides both whether the hyperplanes meet (no
+    nonzero right-hand side below the pivots) and their codimension (the
+    pivot count).
     """
     for size in range(2, min(arr.d, arr.n + 1) + 1):
         for subset in itertools.combinations(range(arr.d), size):
-            mat = [arr.normals[i] for i in subset]
-            rhs = [-arr.lifts[i] for i in subset]
-            if lin_solve(mat, rhs) is None:
-                continue
-            if size > arr.n:
-                return False
-            if rank(mat) != size:
+            rows, pivots, _ = _eliminate(
+                [arr.normals[i] for i in subset], [-arr.lifts[i] for i in subset]
+            )
+            meet = all(row[arr.n] == 0 for row in rows[len(pivots):])
+            if meet and len(pivots) != size:
                 return False
     return True
 
@@ -235,23 +236,15 @@ def solution_space(td: TorusData) -> SolutionSpace:
     """Parametrize the level set of the relation system.
 
     The projection coordinates are the lexicographically first subset on
-    which the homogeneous part projects bijectively.
+    which the homogeneous part projects bijectively: the pivot columns of
+    the (independent) basis rows.
     """
     basis = kernel_lattice(td.basis, ncols=td.d)
-    nfree = len(basis)
-    coords = None
-    for subset in itertools.combinations(range(td.d), nfree):
-        square = [[row[t] for t in subset] for row in basis]
-        if det(square) != 0:
-            coords = subset
-            break
-    if coords is None:
-        raise ValueError("degenerate projection: no valid coordinate subset")
     return SolutionSpace(
         torus=td,
         particular=td.lifts,
         homogeneous_basis=basis,
-        projection_coords=coords,
+        projection_coords=tuple(_eliminate(basis)[1]),
     )
 
 

@@ -5,16 +5,14 @@ print JSON to standard output. Exit codes: 0 for success or a verified
 positive result, 1 for a verified negative result (not smooth, unstable,
 covering counterexample, density failure), 2 for input or usage errors.
 
-The exhaustive sweeps are guarded by a hyperplane-count limit; ``--force``
-lifts every guard and the environment variable ``CORECOVER_MAX_D`` overrides
-the limit with an integer.
+The exhaustive sweeps are guarded by fixed hyperplane-count limits;
+``--force`` lifts every guard.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .arrangement import all_sign_vectors, is_regular, is_simple, torus_data
@@ -41,8 +39,6 @@ from .quotient import (
 from .render import render_svg
 from .stability import hk_semistable_numeric, pattern_realizable
 
-GUARD_ENV_VAR = "CORECOVER_MAX_D"
-
 
 def _load_arrangement(path):
     try:
@@ -50,16 +46,6 @@ def _load_arrangement(path):
             return parse_arrangement(handle.read())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
-
-
-def _max_d():
-    raw = os.environ.get(GUARD_ENV_VAR)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"{GUARD_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def _emit(payload):
@@ -90,7 +76,7 @@ def _cmd_check(args):
 
 
 def _core_payload(arr, args):
-    components = extended_core(arr, force=args.force, max_d=_max_d())
+    components = extended_core(arr, force=args.force)
     return {
         "components": [
             _component_json(c) for c in components if c.classification != EMPTY
@@ -102,7 +88,7 @@ def _core_payload(arr, args):
 
 
 def _cover_payload(arr, args):
-    report = verify_covering(arr, force=args.force, max_d=_max_d())
+    report = verify_covering(arr, force=args.force)
     return {
         "covered": report.covered,
         "witness_count": len(report.witness),
@@ -119,7 +105,7 @@ def _density_results(arr):
 
 def _complement_payload(arr, args):
     eps = parse_sign_vector(args.chart, arr.d)
-    report = chart_complement(arr, eps, force=args.force, max_d=_max_d())
+    report = chart_complement(arr, eps, force=args.force)
     return {
         "chart": format_sign_vector(eps),
         "excluded_patterns": [format_pattern(p) for p in report.excluded_patterns],
@@ -166,7 +152,7 @@ def _cmd_cover(args):
 
 def _cmd_density(args):
     arr = _load_arrangement(args.file)
-    _check_guard(arr, args.force, _max_d(), DEFAULT_MAX_COVER_D, "density sweep")
+    _check_guard(arr, args.force, DEFAULT_MAX_COVER_D, "density sweep")
     results = _density_results(arr)
     payload = {"density": results, "all_hold": all(results.values())}
     _emit(payload)

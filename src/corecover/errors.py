@@ -5,9 +5,8 @@ class GuardError(ValueError):
     """An enumeration guard was exceeded.
 
     Raised before any work by operations whose cost grows exponentially in
-    the number of hyperplanes. Pass ``force=True`` (or ``--force`` on the
-    command line) to run anyway, or raise the limit via the documented
-    environment variable.
+    the number of hyperplanes. The limits are fixed; pass ``force=True`` (or
+    ``--force`` on the command line) to run anyway.
     """
 
 

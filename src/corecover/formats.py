@@ -22,7 +22,7 @@ from .arrangement import Arrangement
 from .errors import ParseError
 from .stability import Status
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 _PATTERN_CHARS = {
     "z": Status.Z,
@@ -36,7 +36,7 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" in lowest terms with q > 0."""
     if not isinstance(text, str):
         raise ParseError("rational values must be strings")
-    match = _RATIONAL_RE.match(text)
+    match = _RATIONAL_RE.fullmatch(text)
     if not match:
         raise ParseError(f"malformed rational {text!r}")
     num = int(match.group(1))

@@ -2,18 +2,16 @@
 
 Matrices are immutable tuples of row tuples, vectors are plain tuples.
 Integer work (Hermite normal form, saturated kernels, primitivity) stays in
-arbitrary precision integers; rational work uses fractions.Fraction. There is
-no floating point anywhere in this module: every downstream verdict is an
-exact feasibility question and rounding would corrupt it.
+arbitrary precision integers; rational work uses fractions.Fraction, and one
+forward Gaussian elimination answers rank, determinant and both solvers.
+There is no floating point anywhere in this module: every downstream verdict
+is an exact feasibility question and rounding would corrupt it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-IntVector = tuple
-IntMatrix = tuple
 
 
 def as_matrix(rows) -> tuple:
@@ -159,27 +157,51 @@ def kernel_lattice(mat, ncols: int | None = None) -> tuple:
     return canon
 
 
-def rank(mat) -> int:
-    """Exact rank over the rationals."""
+def _eliminate(mat, rhs=None) -> tuple:
+    """Forward Gaussian elimination over the rationals.
+
+    Returns ``(rows, pivots, sign)``: the rows in echelon form (with ``rhs``
+    appended as a last column when given), the pivot column of each of the
+    first ``len(pivots)`` rows, and the sign of the row permutation. The
+    pivot columns are the lexicographically first independent columns.
+    """
     rows = [[Fraction(x) for x in r] for r in mat]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
+    ncols = len(rows[0]) if rows else 0
+    if rhs is not None:
+        rows = [row + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    sign = 1
     for col in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
         src = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if src is None:
             continue
-        rows[r], rows[src] = rows[src], rows[r]
-        piv = rows[r][col]
-        for i in range(r + 1, len(rows)):
-            if rows[i][col] != 0:
-                f = rows[i][col] / piv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+        if src != r:
+            rows[r], rows[src] = rows[src], rows[r]
+            sign = -sign
+        top = rows[r]
+        for row in rows[r + 1:]:
+            if row[col] != 0:
+                f = row[col] / top[col]
+                row[col:] = [x - f * y for x, y in zip(row[col:], top[col:])]
+        pivots.append(col)
+    return rows, pivots, sign
+
+
+def _back_substitute(rows, pivots, ncols: int) -> tuple:
+    """Solve the pivot rows of an augmented echelon form, free variables 0."""
+    solution = [Fraction(0)] * ncols
+    for row, col in zip(reversed(rows[: len(pivots)]), reversed(pivots)):
+        rest = sum(row[j] * solution[j] for j in range(col + 1, ncols))
+        solution[col] = (row[ncols] - rest) / row[col]
+    return tuple(solution)
+
+
+def rank(mat) -> int:
+    """Exact rank over the rationals."""
+    return len(_eliminate(mat)[1])
 
 
 def det(mat) -> Fraction:
@@ -187,43 +209,22 @@ def det(mat) -> Fraction:
     n = len(mat)
     if any(len(r) != n for r in mat):
         raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return Fraction(1)
-    rows = [[Fraction(x) for x in r] for r in mat]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        src = next((i for i in range(col, n) if rows[i][col] != 0), None)
-        if src is None:
-            return Fraction(0)
-        if src != col:
-            rows[col], rows[src] = rows[src], rows[col]
-            sign = -sign
-        piv = rows[col][col]
-        result *= piv
-        for i in range(col + 1, n):
-            if rows[i][col] != 0:
-                f = rows[i][col] / piv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-    return sign * result
+    rows, pivots, sign = _eliminate(mat)
+    if len(pivots) < n:
+        return Fraction(0)
+    result = Fraction(sign)
+    for i in range(n):
+        result *= rows[i][i]
+    return result
 
 
 def solve_square(mat, rhs) -> tuple | None:
     """Unique rational solution of a square system, or None if singular."""
     n = len(mat)
-    rows = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(mat, rhs)]
-    for col in range(n):
-        src = next((i for i in range(col, n) if rows[i][col] != 0), None)
-        if src is None:
-            return None
-        rows[col], rows[src] = rows[src], rows[col]
-        piv = rows[col][col]
-        rows[col] = [x / piv for x in rows[col]]
-        for i in range(n):
-            if i != col and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-    return tuple(rows[i][n] for i in range(n))
+    rows, pivots, _ = _eliminate(mat, rhs)
+    if len(pivots) < n:
+        return None
+    return _back_substitute(rows, pivots, n)
 
 
 def lin_solve(mat, rhs) -> tuple | None:
@@ -235,28 +236,7 @@ def lin_solve(mat, rhs) -> tuple | None:
     if not mat:
         return ()
     ncols = len(mat[0])
-    rows = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(mat, rhs)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        src = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if src is None:
-            continue
-        rows[r], rows[src] = rows[src], rows[r]
-        piv = rows[r][col]
-        rows[r] = [x / piv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rows[i][ncols] != 0:
-            return None
-    solution = [Fraction(0)] * ncols
-    for row_idx, col in pivots:
-        solution[col] = rows[row_idx][ncols]
-    return tuple(solution)
+    rows, pivots, _ = _eliminate(mat, rhs)
+    if any(row[ncols] != 0 for row in rows[len(pivots):]):
+        return None
+    return _back_substitute(rows, pivots, ncols)

@@ -103,9 +103,8 @@ def _require_smooth(arr: Arrangement):
         raise ValueError("arrangement is not smooth")
 
 
-def _check_guard(arr: Arrangement, force: bool, max_d: int | None, default: int, what: str):
+def _check_guard(arr: Arrangement, force: bool, limit: int, what: str):
     """The one exponential guard, shared by the sweeps, the CLI and render."""
-    limit = default if max_d is None else max_d
     if arr.d > limit and not force:
         raise GuardError(
             f"{what} enumerates exponentially many cases for d = {arr.d} > {limit}; "
@@ -129,14 +128,14 @@ def _extended_core_cached(arr: Arrangement) -> tuple:
     return tuple(components)
 
 
-def extended_core(arr: Arrangement, force: bool = False, max_d: int | None = None) -> tuple:
+def extended_core(arr: Arrangement, force: bool = False) -> tuple:
     """All 2^d chamber strata, each classified exactly."""
     _require_smooth(arr)
-    _check_guard(arr, force, max_d, DEFAULT_MAX_COVER_D, "extended core")
+    _check_guard(arr, force, DEFAULT_MAX_COVER_D, "extended core")
     return _extended_core_cached(arr)
 
 
-def core(arr: Arrangement, force: bool = False, max_d: int | None = None) -> tuple:
+def core(arr: Arrangement, force: bool = False) -> tuple:
     """The compact part: bounded nonempty full-dimensional chambers.
 
     For simple arrangements nonempty chambers are automatically
@@ -144,29 +143,29 @@ def core(arr: Arrangement, force: bool = False, max_d: int | None = None) -> tup
     """
     return tuple(
         c
-        for c in extended_core(arr, force=force, max_d=max_d)
+        for c in extended_core(arr, force=force)
         if c.classification == BOUNDED and c.dimension == arr.n
     )
 
 
-def theta_cpt(arr: Arrangement, force: bool = False, max_d: int | None = None) -> tuple:
-    return tuple(c.eps for c in core(arr, force=force, max_d=max_d))
+def theta_cpt(arr: Arrangement, force: bool = False) -> tuple:
+    return tuple(c.eps for c in core(arr, force=force))
 
 
-def core_empty_criterion(arr: Arrangement, force: bool = False, max_d: int | None = None) -> CoreEmptyReport:
+def core_empty_criterion(arr: Arrangement, force: bool = False) -> CoreEmptyReport:
     """Compare core emptiness against the split-factor criterion.
 
     Both sides are computed independently; disagreement is reported, never
     reconciled silently.
     """
     _require_smooth(arr)
-    bounded_exists = len(core(arr, force=force, max_d=max_d)) > 0
+    bounded_exists = len(core(arr, force=force)) > 0
     trivial = trivial_factors(arr)
     agree = (not bounded_exists) == (len(trivial) > 0)
     return CoreEmptyReport(bounded_exists, trivial, agree)
 
 
-def verify_covering(arr: Arrangement, force: bool = False, max_d: int | None = None) -> CoverReport:
+def verify_covering(arr: Arrangement, force: bool = False) -> CoverReport:
     """Sweep all BOTH-free patterns and witness each semistable one in a
     compact chart.
 
@@ -175,9 +174,9 @@ def verify_covering(arr: Arrangement, force: bool = False, max_d: int | None = N
     statement. Requires a nonempty core.
     """
     _require_smooth(arr)
-    _check_guard(arr, force, max_d, DEFAULT_MAX_COVER_D, "covering sweep")
+    _check_guard(arr, force, DEFAULT_MAX_COVER_D, "covering sweep")
     td = torus_data(arr)
-    compact = theta_cpt(arr, force=force, max_d=max_d)
+    compact = theta_cpt(arr, force=force)
     if not compact:
         raise ValueError("covering theorem hypothesis violated: empty core")
     witness = {}
@@ -198,7 +197,7 @@ def verify_covering(arr: Arrangement, force: bool = False, max_d: int | None = N
     )
 
 
-def adjacency_lemma_check(arr: Arrangement, force: bool = False, max_d: int | None = None) -> bool:
+def adjacency_lemma_check(arr: Arrangement, force: bool = False) -> bool:
     """Key step of the covering proof, checked exhaustively.
 
     Whenever a pattern's state set meets a compact chamber, the pattern must
@@ -206,9 +205,9 @@ def adjacency_lemma_check(arr: Arrangement, force: bool = False, max_d: int | No
     a state set disjoint from the chamber.
     """
     _require_smooth(arr)
-    _check_guard(arr, force, max_d, DEFAULT_MAX_COVER_D, "adjacency sweep")
+    _check_guard(arr, force, DEFAULT_MAX_COVER_D, "adjacency sweep")
     td = torus_data(arr)
-    compact = core(arr, force=force, max_d=max_d)
+    compact = core(arr, force=force)
     for pattern in itertools.product(NO_BOTH_ALPHABET, repeat=arr.d):
         st = state_set(arr, pattern)
         if not is_feasible(st).feasible:
@@ -250,9 +249,7 @@ def _compatible_components(pattern):
     yield from itertools.product(*choices)
 
 
-def chart_complement(
-    arr: Arrangement, eps, force: bool = False, max_d: int | None = None
-) -> ComplementReport:
+def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementReport:
     """Pattern-level description of what one dense chart misses.
 
     Sweeps the full four-letter alphabet with realizability filtering and
@@ -261,7 +258,7 @@ def chart_complement(
     """
     _require_smooth(arr)
     eps = check_sign_vector(eps, arr.d)
-    _check_guard(arr, force, max_d, DEFAULT_MAX_COMPLEMENT_D, "complement sweep")
+    _check_guard(arr, force, DEFAULT_MAX_COMPLEMENT_D, "complement sweep")
     if not is_feasible(chamber(arr, eps)).feasible:
         raise ValueError("complement is defined for sign vectors with nonempty chamber")
     td = torus_data(arr)

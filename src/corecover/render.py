@@ -50,7 +50,7 @@ def render_svg(arr: Arrangement, force: bool = False) -> str:
     if arr.n == 1:
         return _render_line(arr)
     if arr.n == 2:
-        _check_guard(arr, force, None, DEFAULT_MAX_COVER_D, "rendering")
+        _check_guard(arr, force, DEFAULT_MAX_COVER_D, "rendering")
         return _render_plane(arr)
     raise ValueError("rendering supports n <= 2")
 

@@ -22,7 +22,7 @@ from corecover import (
     torus_data,
     trivial_factors,
 )
-from corecover.linalg import mat_vec, transpose
+from corecover.linalg import det, mat_vec, transpose
 from corecover.randgen import random_smooth_arrangement
 from corecover.stability import FULL_ALPHABET
 from util import brute_force_simple
@@ -211,6 +211,35 @@ class TestSolutionSpace:
         space = solution_space(torus_data(trivial_product))
         assert space.homogeneous_basis == ((1, 1, 0), (0, 0, 1))
         assert space.projection_coords == (0, 2)
+
+    def test_first_nonsingular_subset(self):
+        # reference oracle: scan C(d, n) coordinate subsets for a nonzero minor
+        rng = random.Random(577)
+        checked = 0
+        while checked < 300:
+            n = rng.randint(1, 3)
+            d = rng.randint(n, 6)
+            normals = []
+            for _ in range(d):
+                if normals and rng.random() < 0.4:
+                    # a parallel normal makes a leading coordinate subset singular
+                    sign = rng.choice((1, -1))
+                    normals.append(tuple(sign * x for x in rng.choice(normals)))
+                else:
+                    normals.append(tuple(rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n)))
+            try:
+                arr = Arrangement(n, tuple(normals), (0,) * d)
+            except ValueError:
+                continue
+            space = solution_space(torus_data(arr))
+            basis = space.homogeneous_basis
+            first = next(
+                subset
+                for subset in itertools.combinations(range(d), len(basis))
+                if det([[row[t] for t in subset] for row in basis]) != 0
+            )
+            assert space.projection_coords == first
+            checked += 1
 
 
 class TestQuotientReconstruction:

@@ -18,6 +18,8 @@ from corecover import (
     parse_sign_vector,
     serialize_arrangement,
 )
+import corecover.cli as cli
+import corecover.quotient as quotient
 from corecover.cli import main
 from corecover.stability import Status
 
@@ -53,7 +55,9 @@ class TestRationals:
         assert parse_rational("-1/2") == F(-1, 2)
         assert parse_rational("7") == F(7)
 
-    @pytest.mark.parametrize("bad", ["1/0", "1/-2", "2/4", "0.5", "", "1 /2", "+3"])
+    @pytest.mark.parametrize(
+        "bad", ["1/0", "1/-2", "2/4", "0.5", "", "1 /2", "+3", "1\n", "\u0661/2"]
+    )
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_rational(bad)
@@ -260,7 +264,8 @@ class TestCli:
         assert out["core"]["theta_cpt_count"] == 0
 
     def test_guard_env_var(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CORECOVER_MAX_D", "2")
+        # the limits are fixed; lower the module constant to trip the guard
+        monkeypatch.setattr(quotient, "DEFAULT_MAX_COVER_D", 2)
         code = main(["cover", write(tmp_path, A2_DOC)])
         assert code == 2
         capsys.readouterr()
@@ -272,7 +277,7 @@ class TestCli:
         assert code == 2
 
     def test_density_guard(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CORECOVER_MAX_D", "2")
+        monkeypatch.setattr(cli, "DEFAULT_MAX_COVER_D", 2)
         assert main(["density", write(tmp_path, A2_DOC)]) == 2
         assert "density sweep" in capsys.readouterr().err
         assert main(["density", write(tmp_path, A2_DOC), "--force"]) == 0

@@ -23,6 +23,7 @@ from corecover import (
     verify_covering,
     verify_density,
 )
+import corecover.quotient as quotient
 from corecover.randgen import random_sign_vector, random_smooth_arrangement
 from corecover.stability import Status, chart_semistable, full_pattern, hk_semistable_numeric
 
@@ -75,10 +76,11 @@ class TestExtendedCore:
         with pytest.raises(ValueError, match="not smooth"):
             extended_core(bad)
 
-    def test_guard(self, a2_resolution):
+    def test_guard(self, a2_resolution, monkeypatch):
+        monkeypatch.setattr(quotient, "DEFAULT_MAX_COVER_D", 2)
         with pytest.raises(GuardError):
-            extended_core(a2_resolution, max_d=2)
-        assert extended_core(a2_resolution, max_d=2, force=True)
+            extended_core(a2_resolution)
+        assert extended_core(a2_resolution, force=True)
 
 
 class TestCoreEmptyCriterion:
