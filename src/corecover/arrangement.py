@@ -128,11 +128,6 @@ class TorusData:
     def n(self) -> int:
         return self.d - self.m
 
-    @property
-    def iota_basis(self) -> tuple:
-        """The d x m embedding matrix (columns are the kernel basis vectors)."""
-        return transpose(self.basis, ncols=self.d)
-
     def generator(self, i: int) -> tuple:
         """Image of the i-th coordinate character in the dual of the subtorus."""
         return tuple(row[i] for row in self.basis)

@@ -6,7 +6,9 @@ positive result, 1 for a verified negative result (not smooth, unstable,
 covering counterexample, density failure), 2 for input or usage errors.
 
 The exhaustive sweeps are guarded by fixed hyperplane-count limits;
-``--force`` lifts every guard.
+``--force`` lifts every guard. Every input and guard is checked before any
+sweep starts: ``report --chart`` checks the chart, the complement guard and
+the chart's chamber before the core sweep.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 
 from .arrangement import all_sign_vectors, is_regular, is_simple, torus_data
 from .errors import ParseError
@@ -67,27 +70,37 @@ def _component_json(component):
     return data
 
 
-def _cmd_check(args):
-    arr = _load_arrangement(args.file)
+def _check(arr, args):
     regular = is_regular(arr)
     simple = is_simple(arr)
-    _emit({"regular": regular, "simple": simple, "smooth": regular and simple})
-    return 0 if (regular and simple) else 1
+    return {"regular": regular, "simple": simple, "smooth": regular and simple}
 
 
-def _core_payload(arr, args):
+def _core(arr, args):
     components = extended_core(arr, force=args.force)
-    return {
-        "components": [
-            _component_json(c) for c in components if c.classification != EMPTY
-        ],
-        "theta_cpt_count": sum(
-            1 for c in components if c.classification == BOUNDED and c.dimension == arr.n
-        ),
+    listed = [_component_json(c) for c in components if c.classification != EMPTY]
+    compact = sum(c["classification"] == BOUNDED and c["dimension"] == arr.n for c in listed)
+    return {"components": listed, "theta_cpt_count": compact}
+
+
+def _stability(arr, args):
+    pattern = parse_pattern(args.pattern, arr.d)
+    td = torus_data(arr)
+    realizable = pattern_realizable(td, pattern)
+    verdict = hk_semistable_numeric(td, pattern)
+    payload = {
+        "pattern": format_pattern(pattern),
+        "realizable": realizable,
+        "semistable": verdict.semistable,
     }
+    if verdict.semistable:
+        payload["witness"] = _point_json(verdict.certificate.point)
+    else:
+        payload["farkas"] = _point_json(verdict.certificate.multipliers)
+    return payload
 
 
-def _cover_payload(arr, args):
+def _cover(arr, args):
     report = verify_covering(arr, force=args.force)
     return {
         "covered": report.covered,
@@ -96,14 +109,13 @@ def _cover_payload(arr, args):
     }
 
 
-def _density_results(arr):
-    return {
-        format_sign_vector(eps): verify_density(arr, eps)
-        for eps in all_sign_vectors(arr.d)
-    }
+def _density(arr, args):
+    _check_guard(arr, args.force, DEFAULT_MAX_COVER_D, "density sweep")
+    results = {format_sign_vector(e): verify_density(arr, e) for e in all_sign_vectors(arr.d)}
+    return {"density": results, "all_hold": all(results.values())}
 
 
-def _complement_payload(arr, args):
+def _complement(arr, args):
     eps = parse_sign_vector(args.chart, arr.d)
     report = chart_complement(arr, eps, force=args.force)
     return {
@@ -118,93 +130,74 @@ def _complement_payload(arr, args):
     }
 
 
-def _cmd_core(args):
-    arr = _load_arrangement(args.file)
-    _emit(_core_payload(arr, args))
-    return 0
-
-
-def _cmd_stability(args):
-    arr = _load_arrangement(args.file)
-    pattern = parse_pattern(args.pattern, arr.d)
-    td = torus_data(arr)
-    realizable = pattern_realizable(td, pattern)
-    verdict = hk_semistable_numeric(td, pattern)
-    payload = {
-        "pattern": format_pattern(pattern),
-        "realizable": realizable,
-        "semistable": verdict.semistable,
-    }
-    if verdict.semistable:
-        payload["witness"] = _point_json(verdict.certificate.point)
-    else:
-        payload["farkas"] = _point_json(verdict.certificate.multipliers)
-    _emit(payload)
-    return 0 if verdict.semistable else 1
-
-
-def _cmd_cover(args):
-    arr = _load_arrangement(args.file)
-    payload = _cover_payload(arr, args)
-    _emit(payload)
-    return 0 if payload["covered"] else 1
-
-
-def _cmd_density(args):
-    arr = _load_arrangement(args.file)
-    _check_guard(arr, args.force, DEFAULT_MAX_COVER_D, "density sweep")
-    results = _density_results(arr)
-    payload = {"density": results, "all_hold": all(results.values())}
-    _emit(payload)
-    return 0 if payload["all_hold"] else 1
-
-
-def _cmd_complement(args):
-    arr = _load_arrangement(args.file)
-    _emit(_complement_payload(arr, args))
-    return 0
-
-
-def _cmd_render(args):
-    arr = _load_arrangement(args.file)
+def _render(arr, args):
     svg = render_svg(arr, force=args.force)
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(svg)
-    return 0
 
 
-def _cmd_report(args):
-    arr = _load_arrangement(args.file)
-    regular = is_regular(arr)
-    simple = is_simple(arr)
-    smooth = regular and simple
+def _report(arr, args):
+    smooth = _check(arr, args)
     td = torus_data(arr)
     payload = {
-        "smooth": {"regular": regular, "simple": simple},
+        "smooth": {"regular": smooth["regular"], "simple": smooth["simple"]},
         "torus": {
             "m": td.m,
             "alpha": [format_rational(a) for a in td.alpha],
             "kernel_basis": [list(row) for row in td.basis],
         },
+        "core": None,
+        "covering": None,
+        "density": None,
     }
-    negative = not smooth
-    if smooth:
-        payload["core"] = _core_payload(arr, args)
+    if smooth["smooth"]:
+        # parsing the chart, the strictest guard and the chamber check come
+        # before the first sweep; the complement key still comes last
+        complement = _complement(arr, args) if args.chart is not None else None
+        payload["core"] = _core(arr, args)
         if payload["core"]["theta_cpt_count"]:
-            payload["covering"] = _cover_payload(arr, args)
-            negative = negative or not payload["covering"]["covered"]
-        else:
-            payload["covering"] = None
-        payload["density"] = _density_results(arr)
-        negative = negative or not all(payload["density"].values())
-        if args.chart is not None:
-            payload["complement"] = _complement_payload(arr, args)
-    else:
-        payload["core"] = None
-        payload["covering"] = None
-        payload["density"] = None
-    _emit(payload)
-    return 1 if negative else 0
+            payload["covering"] = _cover(arr, args)
+        payload["density"] = _density(arr, args)["density"]
+        if complement is not None:
+            payload["complement"] = complement
+    return payload
+
+
+def _report_positive(payload):
+    if not all(payload["smooth"].values()):
+        return False
+    covering = payload["covering"]
+    return (covering is None or covering["covered"]) and all(payload["density"].values())
+
+
+# A command's builder maps (arr, args) to the payload to print (None prints
+# nothing); ``positive`` tells a verified positive payload (exit 0) from a
+# negative one (exit 1), and None means the command always exits 0.
+_Command = namedtuple("_Command", "build positive help arguments", defaults=((),))
+
+_COMMANDS = {
+    "check": _Command(_check, lambda p: p["smooth"], "smoothness report"),
+    "core": _Command(_core, None, "extended core and compact chambers"),
+    "stability": _Command(
+        _stability, lambda p: p["semistable"], "semistability of a support pattern",
+        [("--pattern", {"required": True, "help": "d characters over z w 0 *"})],
+    ),
+    "cover": _Command(_cover, lambda p: p["covered"], "verify the chart covering"),
+    "density": _Command(
+        _density, lambda p: p["all_hold"], "chart density dichotomy per sign vector"
+    ),
+    "complement": _Command(
+        _complement, None, "what one dense chart misses",
+        [("--chart", {"required": True, "help": "d characters over + -"})],
+    ),
+    "render": _Command(
+        _render, None, "deterministic SVG drawing", [("-o", "--output", {"required": True})]
+    ),
+    "report": _Command(
+        _report, _report_positive, "full JSON report",
+        [("--chart", {"default": None, "help": "optionally include a chart complement"})],
+    ),
+}
 
 
 def build_parser():
@@ -217,43 +210,11 @@ def build_parser():
         "--force", action="store_true", help="lift the exponential enumeration guards"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", parents=[common], help="smoothness report")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("core", parents=[common], help="extended core and compact chambers")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_core)
-
-    p = sub.add_parser("stability", parents=[common], help="semistability of a support pattern")
-    p.add_argument("file")
-    p.add_argument("--pattern", required=True, help="d characters over z w 0 *")
-    p.set_defaults(func=_cmd_stability)
-
-    p = sub.add_parser("cover", parents=[common], help="verify the chart covering")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_cover)
-
-    p = sub.add_parser("density", parents=[common], help="chart density dichotomy per sign vector")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_density)
-
-    p = sub.add_parser("complement", parents=[common], help="what one dense chart misses")
-    p.add_argument("file")
-    p.add_argument("--chart", required=True, help="d characters over + -")
-    p.set_defaults(func=_cmd_complement)
-
-    p = sub.add_parser("render", parents=[common], help="deterministic SVG drawing")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_render)
-
-    p = sub.add_parser("report", parents=[common], help="full JSON report")
-    p.add_argument("file")
-    p.add_argument("--chart", default=None, help="optionally include a chart complement")
-    p.set_defaults(func=_cmd_report)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        p.add_argument("file")
+        for *flags, keywords in command.arguments:
+            p.add_argument(*flags, **keywords)
     return parser
 
 
@@ -263,11 +224,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    command = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        payload = command.build(_load_arrangement(args.file), args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if payload is not None:
+        _emit(payload)
+    return 0 if command.positive is None or command.positive(payload) else 1
 
 
 if __name__ == "__main__":

@@ -40,11 +40,6 @@ def mat_vec(mat, vec) -> tuple:
     return tuple(sum(a * x for a, x in zip(row, vec)) for row in mat)
 
 
-def mat_mul(a, b) -> tuple:
-    bt = transpose(b) if b else ()
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
 def is_primitive(vec) -> bool:
     """True iff the gcd of the integer entries is 1. Undefined for zero."""
     if not vec or all(x == 0 for x in vec):
@@ -221,6 +216,8 @@ def det(mat) -> Fraction:
 def solve_square(mat, rhs) -> tuple | None:
     """Unique rational solution of a square system, or None if singular."""
     n = len(mat)
+    if any(len(r) != n for r in mat) or len(rhs) != n:
+        raise ValueError("solve_square requires an n x n matrix and n right-hand sides")
     rows, pivots, _ = _eliminate(mat, rhs)
     if len(pivots) < n:
         return None

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .arrangement import Arrangement, is_smooth
 from .feasibility import Constraint, Polyhedron, Relation
 from .quotient import core
-from .stability import FULL_ALPHABET, NO_BOTH_ALPHABET
+from .stability import FULL_ALPHABET
 
 # Direction families closed under the pairwise/triplewise unimodularity that
 # regularity demands. Signs are drawn separately.
@@ -31,15 +31,13 @@ def random_smooth_arrangement(
     n: int | None = None,
     d: int | None = None,
     max_d: int = 8,
-    min_d: int | None = None,
     require_core: bool = False,
-    max_attempts: int = 20000,
 ) -> Arrangement:
     """A random smooth arrangement, optionally with nonempty core."""
-    for _ in range(max_attempts):
+    for _ in range(20000):
         dim = n if n is not None else rng.choice((1, 2, 3))
-        lo = min_d if min_d is not None else (dim + 1 if require_core else dim)
-        size = d if d is not None else rng.randint(max(dim, lo), max(max_d, lo))
+        lo = dim + 1 if require_core else dim
+        size = d if d is not None else rng.randint(lo, max(max_d, lo))
         normals = tuple(
             tuple(rng.choice((1, -1)) * x for x in rng.choice(DIRECTIONS[dim]))
             for _ in range(size)
@@ -74,9 +72,8 @@ def random_closed_polyhedron(
     return Polyhedron(dim, tuple(cons))
 
 
-def random_pattern(rng, d: int, allow_both: bool = True) -> tuple:
-    alphabet = FULL_ALPHABET if allow_both else NO_BOTH_ALPHABET
-    return tuple(rng.choice(alphabet) for _ in range(d))
+def random_pattern(rng, d: int) -> tuple:
+    return tuple(rng.choice(FULL_ALPHABET) for _ in range(d))
 
 
 def random_sign_vector(rng, d: int) -> tuple:

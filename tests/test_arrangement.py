@@ -72,7 +72,6 @@ class TestTorusData:
         assert td.m == 2
         assert td.basis == ((1, 0, 1, -1), (0, 1, 0, 1))
         assert td.alpha == (F(1), F(2))
-        assert td.iota_basis == transpose(td.basis, ncols=4)
 
     def test_zero_kernel(self):
         arr = Arrangement(2, ((1, 0), (0, 1)), (3, 4))

@@ -255,6 +255,28 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and "complement" in out
 
+    @pytest.mark.parametrize(
+        "chart, complement_limit, message",
+        [
+            ("++", None, "length 2"),
+            ("+++", 2, "complement sweep"),
+            ("++-", None, "nonempty chamber"),
+        ],
+        ids=["chart length", "complement guard", "empty chamber"],
+    )
+    def test_report_checks_chart_before_sweeping(
+        self, tmp_path, capsys, monkeypatch, chart, complement_limit, message
+    ):
+        # a sweep would show as a miss, or as a hit if the scoped cache still
+        # holds this arrangement from an earlier test
+        if complement_limit is not None:
+            monkeypatch.setattr(quotient, "DEFAULT_MAX_COMPLEMENT_D", complement_limit)
+        before = quotient._extended_core_cached.cache_info()
+        code = main(["report", write(tmp_path, A2_DOC), f"--chart={chart}"])
+        after = quotient._extended_core_cached.cache_info()
+        assert code == 2 and message in capsys.readouterr().err
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
     def test_report_empty_core(self, tmp_path, capsys):
         doc = {"dim": 2, "normals": [[1, 0], [1, 0], [0, 1]], "lifts": ["0", "-1", "0"]}
         code = main(["report", write(tmp_path, doc)])

@@ -11,14 +11,13 @@ from corecover.linalg import (
     is_primitive,
     kernel_lattice,
     lin_solve,
-    mat_mul,
     mat_vec,
     primitive_scale,
     rank,
     solve_square,
     transpose,
 )
-from util import is_hnf_shape, row_reduce_lattice_membership
+from util import is_hnf_shape, mat_mul, row_reduce_lattice_membership
 
 # SHA-256 of rank/lin_solve (and det/solve_square when square) over
 # rational_systems(2718, 5000), recorded with the earlier implementation that
@@ -175,6 +174,15 @@ class TestRankDet:
     def test_det_requires_square(self):
         with pytest.raises(ValueError):
             det(((1, 2, 3), (4, 5, 6)))
+
+    @pytest.mark.parametrize(
+        "mat, rhs",
+        [(((1, 0, 0), (0, 1, 0)), (5, 6)), (((1, 0), (0, 1)), (5, 6, 7))],
+        ids=["non-square matrix", "rhs length"],
+    )
+    def test_solve_square_requires_square(self, mat, rhs):
+        with pytest.raises(ValueError):
+            solve_square(mat, rhs)
 
     @given(small_matrix(max_rows=4, max_cols=4))
     def test_rank_transpose_invariant(self, m):

@@ -12,6 +12,11 @@ from corecover import Relation
 from corecover.linalg import lin_solve, rank
 
 
+def mat_mul(a, b):
+    """Matrix product of tuple-of-tuples matrices (for ``U @ M == H``)."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
 def is_hnf_shape(matrix) -> bool:
     """Row HNF shape: pivots positive and strictly right-moving, entries
     above each pivot reduced into [0, pivot), zero rows last."""
