@@ -2,8 +2,10 @@
 """Randomized verification sweep.
 
 Samples smooth arrangements from a seed and runs the full battery on each:
-oracle equivalence on every BOTH-free pattern, covering, adjacency, density
-and the empty-core criterion. Prints one line per instance and a summary.
+oracle equivalence on every BOTH-free pattern, chart equivalence (the state
+set of each chart pattern against its numeric system, for every compact sign
+vector and every BOTH-free pattern), covering, adjacency, density and the
+empty-core criterion. Prints one line per instance and a summary.
 
 Usage: python scripts/random_sweep.py [--seed N] [--count N] [--max-d N]
 """
@@ -15,6 +17,7 @@ import time
 
 from corecover import (
     adjacency_lemma_check,
+    chart_semistable,
     core_empty_criterion,
     hk_semistable_geometric,
     hk_semistable_numeric,
@@ -25,20 +28,28 @@ from corecover import (
 )
 from corecover.arrangement import all_sign_vectors
 from corecover.randgen import random_smooth_arrangement
-from corecover.stability import NO_BOTH_ALPHABET
+from corecover.stability import NO_BOTH_ALPHABET, chart_pattern
 
 
 def check_instance(arr) -> dict:
     td = torus_data(arr)
+    patterns = list(itertools.product(NO_BOTH_ALPHABET, repeat=arr.d))
     equivalence = all(
         hk_semistable_numeric(td, p).semistable
         == hk_semistable_geometric(arr, p).semistable
-        for p in itertools.product(NO_BOTH_ALPHABET, repeat=arr.d)
+        for p in patterns
     )
     compact = theta_cpt(arr)
+    chart = all(
+        chart_semistable(arr, eps, p)
+        == hk_semistable_numeric(td, chart_pattern(eps, p)).semistable
+        for eps in compact
+        for p in patterns
+    )
     covered = verify_covering(arr).covered if compact else None
     return {
         "equivalence": equivalence,
+        "chart": chart,
         "covered": covered,
         "adjacency": adjacency_lemma_check(arr),
         "density": all(verify_density(arr, eps) for eps in all_sign_vectors(arr.d)),
@@ -64,7 +75,8 @@ def main() -> int:
         failures += not ok
         print(
             f"[{index:03d}] n={arr.n} d={arr.d} theta_cpt={result['theta_cpt']} "
-            f"equivalence={result['equivalence']} covered={result['covered']} "
+            f"equivalence={result['equivalence']} chart={result['chart']} "
+            f"covered={result['covered']} "
             f"adjacency={result['adjacency']} density={result['density']} "
             f"criterion={result['criterion_agrees']} {'ok' if ok else 'FAIL'}"
         )

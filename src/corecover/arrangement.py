@@ -5,9 +5,9 @@ in an ``n``-dimensional rational space, with primitive integer normals
 ``u_i``. It encodes a quotient construction: the normals define a surjection
 of lattices whose kernel is the acting subtorus, and the lifts determine the
 moment map level. This module builds that torus data, reorients arrangements,
-tests smoothness, enumerates chambers, and reconstructs an arrangement from
-its quotient data by cutting the affine solution space with coordinate
-hyperplanes.
+tests smoothness and reconstructs an arrangement from its quotient data by
+cutting the affine solution space with coordinate hyperplanes. Chambers are
+state sets of dense patterns and live in :mod:`corecover.stability`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .feasibility import Constraint, Polyhedron, Relation
 from .linalg import (
     _eliminate,
     det,
@@ -128,10 +127,6 @@ class TorusData:
     def n(self) -> int:
         return self.d - self.m
 
-    def generator(self, i: int) -> tuple:
-        """Image of the i-th coordinate character in the dual of the subtorus."""
-        return tuple(row[i] for row in self.basis)
-
 
 @scoped_cache
 def torus_data(arr: Arrangement) -> TorusData:
@@ -196,20 +191,6 @@ def is_simple(arr: Arrangement) -> bool:
 
 def is_smooth(arr: Arrangement) -> bool:
     return is_regular(arr) and is_simple(arr)
-
-
-def chamber(arr: Arrangement, eps) -> Polyhedron:
-    """The closed region ``{x : eps[i] * (<u_i, x> + lift_i) >= 0 for all i}``."""
-    eps = check_sign_vector(eps, arr.d)
-    cons = tuple(
-        Constraint(
-            tuple(e * x for x in u),
-            Relation.GE,
-            e * lift,
-        )
-        for e, u, lift in zip(eps, arr.normals, arr.lifts)
-    )
-    return Polyhedron(arr.n, cons)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ covering counterexample, density failure), 2 for input or usage errors.
 
 The exhaustive sweeps are guarded by fixed hyperplane-count limits;
 ``--force`` lifts every guard. Every input and guard is checked before any
-sweep starts: ``report --chart`` checks the chart, the complement guard and
-the chart's chamber before the core sweep.
+sweep starts: ``report --chart`` parses the chart first, then checks the
+complement guard and the chart's chamber before the core sweep.
 """
 
 from __future__ import annotations
@@ -137,6 +137,9 @@ def _render(arr, args):
 
 
 def _report(arr, args):
+    if args.chart is not None:
+        # a malformed chart is an input error on a non-smooth file too
+        parse_sign_vector(args.chart, arr.d)
     smooth = _check(arr, args)
     td = torus_data(arr)
     payload = {

@@ -455,39 +455,6 @@ def is_bounded(poly: Polyhedron) -> bool:
     return True
 
 
-def cone_system(generators, strict: bool, target) -> Polyhedron:
-    """The coefficient system for ``target = sum c_i * generators_i``.
-
-    Variables are the coefficients ``c_i``; they are constrained nonnegative
-    (strict: positive). Feasibility is exactly cone membership.
-    """
-    k = len(generators)
-    t = len(target)
-    for g in generators:
-        if len(g) != t:
-            raise ValueError("generator dimension mismatch")
-    cons = [
-        Constraint(
-            tuple(Fraction(g[j]) for g in generators),
-            Relation.EQ,
-            -Fraction(target[j]),
-        )
-        for j in range(t)
-    ]
-    sign_rel = Relation.GT if strict else Relation.GE
-    cons += [Constraint(unit_vector(k, i), sign_rel, Fraction(0)) for i in range(k)]
-    return Polyhedron(k, tuple(cons))
-
-
-def cone_member(generators, strict: bool, target) -> Certificate:
-    """Is ``target`` a nonnegative (strict: positive) combination of the generators?
-
-    The feasible witness is the coefficient vector; the infeasible witness is
-    a Farkas multiplier vector over the rows of :func:`cone_system`.
-    """
-    return is_feasible(cone_system(tuple(generators), strict, tuple(target)))
-
-
 def enumerate_vertices(poly: Polyhedron) -> list:
     """All basic feasible points of a polyhedron, sorted.
 

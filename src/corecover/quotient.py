@@ -4,7 +4,9 @@ Each sign vector ``eps`` reorients the arrangement and contributes a chamber
 ``Delta_eps``. The bounded nonempty full-dimensional chambers index the
 compact components of the core; the main verification sweeps every support
 pattern and confirms that each semistable one lands in the chart of some
-compact-core sign vector, so those charts cover the whole quotient.
+compact-core sign vector, so those charts cover the whole quotient. Patterns,
+charts and chambers are all decided as state sets in the arrangement's
+ambient space; only the density check also solves the numeric system.
 
 Everything is exhaustive and exact, guarded against exponential blowup by a
 hyperplane-count limit that can be forced off.
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from .arrangement import (
     Arrangement,
     all_sign_vectors,
-    chamber,
     check_sign_vector,
     is_smooth,
     torus_data,
@@ -31,8 +32,10 @@ from .stability import (
     NO_BOTH_ALPHABET,
     FULL_ALPHABET,
     Status,
+    chamber,
     chart_semistable,
     full_pattern,
+    hk_semistable_geometric,
     hk_semistable_numeric,
     pattern_realizable,
     state_set,
@@ -175,17 +178,16 @@ def verify_covering(arr: Arrangement, force: bool = False) -> CoverReport:
     """
     _require_smooth(arr)
     _check_guard(arr, force, DEFAULT_MAX_COVER_D, "covering sweep")
-    td = torus_data(arr)
     compact = theta_cpt(arr, force=force)
     if not compact:
         raise ValueError("covering theorem hypothesis violated: empty core")
     witness = {}
     counterexamples = []
     for pattern in itertools.product(NO_BOTH_ALPHABET, repeat=arr.d):
-        if not hk_semistable_numeric(td, pattern).semistable:
+        if not hk_semistable_geometric(arr, pattern).semistable:
             continue
         for eps in compact:
-            if chart_semistable(td, eps, pattern):
+            if chart_semistable(arr, eps, pattern):
                 witness[pattern] = eps
                 break
         else:
@@ -206,14 +208,13 @@ def adjacency_lemma_check(arr: Arrangement, force: bool = False) -> bool:
     """
     _require_smooth(arr)
     _check_guard(arr, force, DEFAULT_MAX_COVER_D, "adjacency sweep")
-    td = torus_data(arr)
     compact = core(arr, force=force)
     for pattern in itertools.product(NO_BOTH_ALPHABET, repeat=arr.d):
         st = state_set(arr, pattern)
         if not is_feasible(st).feasible:
             continue
         for component in compact:
-            if chart_semistable(td, component.eps, pattern):
+            if chart_semistable(arr, component.eps, pattern):
                 continue
             if is_feasible(st.intersect(component.chamber)).feasible:
                 return False
@@ -225,11 +226,12 @@ def verify_density(arr: Arrangement, eps) -> bool:
 
     The chart's dense pattern is semistable exactly when the chamber is
     nonempty; this function checks the equivalence on the given sign vector.
+    The two sides are decided by independent oracles: the dense pattern by
+    the numeric system in d variables, the chamber by its state set.
     """
     _require_smooth(arr)
     eps = check_sign_vector(eps, arr.d)
-    td = torus_data(arr)
-    chart_side = chart_semistable(td, eps, full_pattern(eps))
+    chart_side = hk_semistable_numeric(torus_data(arr), full_pattern(eps)).semistable
     chamber_side = is_feasible(chamber(arr, eps)).feasible
     return chart_side == chamber_side
 
@@ -266,11 +268,16 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
     for pattern in itertools.product(FULL_ALPHABET, repeat=arr.d):
         if not pattern_realizable(td, pattern):
             continue
-        if not hk_semistable_numeric(td, pattern).semistable:
+        if not hk_semistable_geometric(arr, pattern).semistable:
             continue
-        if chart_semistable(td, eps, pattern):
+        if chart_semistable(arr, eps, pattern):
             continue
         excluded.append(pattern)
+    return _complement_report(arr, eps, excluded)
+
+
+def _complement_report(arr: Arrangement, eps, excluded) -> ComplementReport:
+    """Summarise the excluded patterns of a chart sweep."""
     both_free = [p for p in excluded if Status.BOTH not in p]
     all_in_core = len(both_free) == len(excluded)
     if not all_in_core:

@@ -5,17 +5,19 @@ only through their support pattern: which of the paired coordinates
 ``(z_i, w_i)`` vanish. Two independent oracles decide semistability of a
 pattern at the moment level ``alpha``:
 
-* numeric: a cone membership / signed solvability condition in the dual of
-  the acting torus (for the toric case, ``alpha`` must be a nonnegative
-  combination of the support's characters; in general, the relation system
-  ``A x = alpha`` must admit a solution with ``x_i <= 0`` where ``z_i = 0``
-  and ``x_i >= 0`` where ``w_i = 0``);
+* numeric: signed solvability in the dual of the acting torus, d variables:
+  the relation system ``A x = alpha`` must admit a solution with
+  ``x_i >= 0`` where ``w_i = 0``, ``x_i <= 0`` where ``z_i = 0`` and
+  ``x_i = 0`` where both vanish (for a toric pattern this says that
+  ``alpha`` is a nonnegative combination of the support's characters);
 * geometric: nonemptiness of the state set, a polyhedron in the arrangement's
-  ambient space assembled from oriented half-spaces per coordinate.
+  ambient space (n variables) assembled from oriented half-spaces.
 
 That the two agree on every pattern is a theorem; the test suite checks it
-exhaustively on fixtures and randomized smooth arrangements. Each verdict
-carries the exact feasibility certificate of the system it solved.
+exhaustively on fixtures and randomized smooth arrangements. Production
+decides on the geometric side, in fewer variables; charts and chambers are
+state sets of single patterns. Each verdict carries the exact feasibility
+certificate of the system it solved.
 """
 
 from __future__ import annotations
@@ -25,14 +27,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .arrangement import Arrangement, TorusData, check_sign_vector
-from .feasibility import (
-    Certificate,
-    Constraint,
-    Polyhedron,
-    Relation,
-    cone_system,
-    is_feasible,
-)
+from .feasibility import Certificate, Constraint, Polyhedron, Relation, is_feasible
 from .linalg import rank, unit_vector
 from .memo import scoped_cache
 
@@ -111,22 +106,18 @@ def _sign_system(td: TorusData, pattern, strict: bool = False) -> Polyhedron:
 
 def toric_semistable_numeric(td: TorusData, support) -> StabilityVerdict:
     """Cone membership test: is alpha a nonnegative combination of the
-    characters indexed by the support?"""
-    support = check_support(support, td.d)
-    gens = tuple(td.generator(i) for i in sorted(support))
-    system = cone_system(gens, False, td.alpha)
-    cert = is_feasible(system)
-    return StabilityVerdict(cert.feasible, cert, system)
+    characters indexed by the support? This is the signed solvability test
+    of the support pattern (``x >= 0`` on the support, ``x = 0`` off it)."""
+    return hk_semistable_numeric(td, support_pattern(td.d, support))
 
 
 def toric_closed_orbit(td: TorusData, support) -> bool:
     """Strict cone membership; decides closedness of the orbit through a
     semistable point with the given support."""
-    support = check_support(support, td.d)
-    if not toric_semistable_numeric(td, support).semistable:
+    pattern = support_pattern(td.d, support)
+    if not hk_semistable_numeric(td, pattern).semistable:
         raise ValueError("closed-orbit test requires a semistable support")
-    gens = tuple(td.generator(i) for i in sorted(support))
-    return is_feasible(cone_system(gens, True, td.alpha)).feasible
+    return hk_closed_orbit(td, pattern)
 
 
 def hk_semistable_numeric(td: TorusData, pattern) -> StabilityVerdict:
@@ -184,30 +175,32 @@ def toric_semistable_geometric(arr: Arrangement, support) -> StabilityVerdict:
 
 
 @scoped_cache
-def _cone_contains(td: TorusData, signed_indices) -> bool:
-    gens = tuple(
-        tuple(sign * x for x in td.generator(i)) for i, sign in signed_indices
-    )
-    return is_feasible(cone_system(gens, False, td.alpha)).feasible
+def _cone_contains(arr: Arrangement, pattern) -> bool:
+    return is_feasible(state_set(arr, pattern)).feasible
 
 
-def chart_active(eps, pattern) -> tuple:
-    """Indices contributing to the chart cone: orientation +1 needs a live z,
-    orientation -1 a live w."""
-    return tuple(
-        (i, e)
-        for i, (e, status) in enumerate(zip(eps, pattern))
-        if (e == 1 and status in (Status.Z, Status.BOTH))
-        or (e == -1 and status in (Status.W, Status.BOTH))
-    )
+def chart_pattern(eps, pattern) -> tuple:
+    """The toric pattern a chart tests: Z where the orientation is +1 and z
+    is live, W where it is -1 and w is live, ZERO elsewhere."""
+    out = []
+    for e, status in zip(eps, pattern):
+        if e == 1 and status in (Status.Z, Status.BOTH):
+            out.append(Status.Z)
+        elif e == -1 and status in (Status.W, Status.BOTH):
+            out.append(Status.W)
+        else:
+            out.append(Status.ZERO)
+    return tuple(out)
 
 
-def chart_semistable(td: TorusData, eps, pattern) -> bool:
+def chart_semistable(arr: Arrangement, eps, pattern) -> bool:
     """Membership of a pattern in the chart of the reoriented arrangement:
-    alpha must lie in the cone of the active signed characters."""
-    eps = check_sign_vector(eps, td.d)
-    pattern = check_pattern(pattern, td.d)
-    return _cone_contains(td, chart_active(eps, pattern))
+    the toric state set of ``reorient(arr, eps)`` on the active coordinates
+    (equivalently: alpha lies in the cone of the active signed characters)
+    must be nonempty."""
+    eps = check_sign_vector(eps, arr.d)
+    pattern = check_pattern(pattern, arr.d)
+    return _cone_contains(arr, chart_pattern(eps, pattern))
 
 
 @scoped_cache
@@ -276,3 +269,9 @@ def full_pattern(eps) -> tuple:
     """The dense pattern of a chart: live z where the sign is +1, live w
     where it is -1."""
     return tuple(Status.Z if e == 1 else Status.W for e in eps)
+
+
+def chamber(arr: Arrangement, eps) -> Polyhedron:
+    """The closed region ``{x : eps[i] * (<u_i, x> + lift_i) >= 0 for all i}``:
+    the state set of the chart's dense pattern."""
+    return state_set(arr, full_pattern(check_sign_vector(eps, arr.d)))

@@ -146,7 +146,7 @@ def test_criterion_04_covering(hirzebruch, a2_resolution, triangle_pair, coverin
         )
         assert len(report.witness) == semistable
         for pattern, eps in report.witness.items():
-            assert chart_semistable(td, eps, pattern)
+            assert chart_semistable(arr, eps, pattern)
     for arr in covering_instances:
         report = verify_covering(arr)
         assert report.covered, (arr.n, arr.normals, arr.lifts)

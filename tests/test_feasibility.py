@@ -10,8 +10,6 @@ from corecover import (
     Polyhedron,
     Relation,
     affine_dimension,
-    cone_member,
-    cone_system,
     eliminate,
     enumerate_vertices,
     eq,
@@ -164,21 +162,25 @@ class TestIsBounded:
 
 
 class TestConeMember:
+    # Is the target a nonnegative (strict: positive) combination of the
+    # generators? One equality row per target coordinate, then c_i >= 0.
+
     def test_orthant(self):
-        cert = cone_member(((1, 0), (0, 1)), False, (3, 2))
+        cert = is_feasible(poly(2, eq((1, 0), -3), eq((0, 1), -2), ge((1, 0)), ge((0, 1))))
         assert cert.feasible
         assert cert.point == (F(3), F(2))
 
     def test_forced_negative(self):
-        system = cone_system(((1, 1), (0, 1)), False, (3, 2))
+        # generators (1, 1) and (0, 1), target (3, 2)
+        system = poly(2, eq((1, 0), -3), eq((1, 1), -2), ge((1, 0)), ge((0, 1)))
         cert = is_feasible(system)
         assert not cert.feasible
         assert verify_certificate(system, cert)
 
     def test_zero_target(self):
-        cert = cone_member(((1, 2), (-5, 1)), False, (0, 0))
-        assert cert.feasible
         gens = ((1, 2), (-5, 1))
+        cert = is_feasible(poly(2, eq((1, -5)), eq((2, 1)), ge((1, 0)), ge((0, 1))))
+        assert cert.feasible
         combined = tuple(
             sum(c * g[j] for c, g in zip(cert.point, gens)) for j in range(2)
         )
@@ -186,12 +188,12 @@ class TestConeMember:
         assert all(c >= 0 for c in cert.point)
 
     def test_strict_needs_positive(self):
-        assert not cone_member(((1,),), True, (0,)).feasible
-        assert cone_member(((1,),), False, (0,)).feasible
+        assert not is_feasible(poly(1, eq((1,)), gt((1,)))).feasible
+        assert is_feasible(poly(1, eq((1,)), ge((1,)))).feasible
 
     def test_no_generators(self):
-        assert cone_member((), False, (0, 0)).feasible
-        assert not cone_member((), False, (1, 0)).feasible
+        assert is_feasible(poly(0, eq(()), eq(()))).feasible
+        assert not is_feasible(poly(0, eq((), -1), eq(()))).feasible
 
 
 class TestEnumerateVertices:

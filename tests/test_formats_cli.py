@@ -277,6 +277,24 @@ class TestCli:
         assert code == 2 and message in capsys.readouterr().err
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
+    @pytest.mark.parametrize(
+        "chart, code, message",
+        [("xxx", 2, "position 1"), ("+", 2, "length 1"), ("+++", 1, "")],
+        ids=["bad character", "wrong length", "valid"],
+    )
+    def test_report_non_smooth_reads_chart(self, tmp_path, capsys, chart, code, message):
+        # two coincident points: regular but not simple
+        doc = {"dim": 1, "normals": [[-1], [1], [1]], "lifts": ["1", "-1", "0"]}
+        path = write(tmp_path, doc)
+        assert main(["report", path, f"--chart={chart}"]) == code
+        captured = capsys.readouterr()
+        assert message in captured.err
+        if code == 1:
+            assert json.loads(captured.out)["smooth"] == {"regular": True, "simple": False}
+        else:
+            assert main(["complement", path, f"--chart={chart}"]) == 2
+            assert message in capsys.readouterr().err
+
     def test_report_empty_core(self, tmp_path, capsys):
         doc = {"dim": 2, "normals": [[1, 0], [1, 0], [0, 1]], "lifts": ["0", "-1", "0"]}
         code = main(["report", write(tmp_path, doc)])

@@ -26,6 +26,7 @@ from corecover import (
 import corecover.quotient as quotient
 from corecover.randgen import random_sign_vector, random_smooth_arrangement
 from corecover.stability import Status, chart_semistable, full_pattern, hk_semistable_numeric
+from util import numeric_complement, numeric_covering
 
 F = Fraction
 Z, W, O, B = Status.Z, Status.W, Status.ZERO, Status.BOTH
@@ -143,11 +144,10 @@ class TestVerifyCovering:
             verify_covering(trivial_product)
 
     def test_witnesses_reverify(self, a2_resolution):
-        td = torus_data(a2_resolution)
         report = verify_covering(a2_resolution)
         for pattern, eps in report.witness.items():
             assert eps in theta_cpt(a2_resolution)
-            assert chart_semistable(td, eps, pattern)
+            assert chart_semistable(a2_resolution, eps, pattern)
 
     def test_deterministic(self, a2_resolution, hirzebruch):
         for arr in (a2_resolution, hirzebruch):
@@ -155,6 +155,25 @@ class TestVerifyCovering:
             assert chart_complement(arr, tuple(1 for _ in range(arr.d))) == chart_complement(
                 arr, tuple(1 for _ in range(arr.d))
             )
+
+
+class TestNumericOracle:
+    """The production sweeps decide on state sets; the numeric system in d
+    variables must give equal reports."""
+
+    def test_fixtures(self, hirzebruch, a2_resolution, triangle_pair):
+        for arr in (hirzebruch, a2_resolution, triangle_pair):
+            assert verify_covering(arr) == numeric_covering(arr)
+            for eps in theta_cpt(arr):
+                assert chart_complement(arr, eps) == numeric_complement(arr, eps)
+
+    def test_random(self):
+        rng = random.Random(6174)
+        for _ in range(20):
+            arr = random_smooth_arrangement(rng, max_d=6, require_core=True)
+            assert verify_covering(arr) == numeric_covering(arr)
+            eps = theta_cpt(arr)[0]
+            assert chart_complement(arr, eps) == numeric_complement(arr, eps)
 
 
 class TestAdjacencyLemma:
@@ -223,7 +242,7 @@ class TestChartComplement:
         report = chart_complement(a2_resolution, (1, 1, 1))
         for pattern in report.excluded_patterns:
             assert hk_semistable_numeric(td, pattern).semistable
-            assert not chart_semistable(td, (1, 1, 1), pattern)
+            assert not chart_semistable(a2_resolution, (1, 1, 1), pattern)
 
     def test_requires_nonempty_chamber(self, a2_resolution):
         with pytest.raises(ValueError, match="nonempty"):

@@ -30,7 +30,7 @@ from corecover import (
     verify_certificate,
 )
 from corecover.randgen import random_pattern, random_sign_vector, random_smooth_arrangement
-from corecover.stability import FULL_ALPHABET, NO_BOTH_ALPHABET, Status
+from corecover.stability import FULL_ALPHABET, NO_BOTH_ALPHABET, Status, chart_pattern
 
 F = Fraction
 Z, W, O, B = Status.Z, Status.W, Status.ZERO, Status.BOTH
@@ -160,26 +160,43 @@ class TestOracleEquivalence:
 
 class TestChart:
     def test_a2_examples(self, a2_resolution):
-        td = torus_data(a2_resolution)
-        assert chart_semistable(td, (1, -1, 1), (Z, W, O))
-        assert not chart_semistable(td, (1, 1, 1), (Z, W, O))
+        assert chart_semistable(a2_resolution, (1, -1, 1), (Z, W, O))
+        assert not chart_semistable(a2_resolution, (1, 1, 1), (Z, W, O))
 
     def test_all_both_compact_charts(self, hirzebruch, a2_resolution, triangle_pair):
         for arr in (hirzebruch, a2_resolution, triangle_pair):
-            td = torus_data(arr)
             pattern = tuple(B for _ in range(arr.d))
             for eps in theta_cpt(arr):
-                assert chart_semistable(td, eps, pattern)
+                assert chart_semistable(arr, eps, pattern)
 
     def test_monotone_in_both(self, hirzebruch):
-        td = torus_data(hirzebruch)
         rng = random.Random(4242)
         for _ in range(100):
             pattern = random_pattern(rng, 4)
             eps = random_sign_vector(rng, 4)
             widened = tuple(B for _ in pattern)
-            if chart_semistable(td, eps, pattern):
-                assert chart_semistable(td, eps, widened)
+            if chart_semistable(hirzebruch, eps, pattern):
+                assert chart_semistable(hirzebruch, eps, widened)
+
+    def test_matches_numeric_chart_pattern(self, hirzebruch, a2_resolution, triangle_pair):
+        # every sign vector and every pattern: the state set of the chart
+        # pattern against the numeric system of the same pattern
+        rng = random.Random(3141)
+        arrangements = [hirzebruch, a2_resolution, triangle_pair]
+        arrangements += [random_smooth_arrangement(rng, max_d=5) for _ in range(15)]
+        for arr in arrangements:
+            td = torus_data(arr)
+            numeric = {}
+            for eps in all_sign_vectors(arr.d):
+                for pattern in itertools.product(FULL_ALPHABET, repeat=arr.d):
+                    key = chart_pattern(eps, pattern)
+                    if key not in numeric:
+                        numeric[key] = hk_semistable_numeric(td, key).semistable
+                    assert chart_semistable(arr, eps, pattern) == numeric[key]
+
+    def test_chart_pattern(self):
+        assert chart_pattern((1, -1, 1, -1), (B, B, W, Z)) == (Z, W, O, O)
+        assert chart_pattern((1, -1), (O, O)) == (O, O)
 
 
 class TestRealizability:
@@ -255,16 +272,15 @@ class TestReorientationCovariance:
                     )
 
     def test_chart_covariance(self, a2_resolution):
-        td = torus_data(a2_resolution)
         rng = random.Random(2024)
         for _ in range(40):
             eps0 = random_sign_vector(rng, 3)
-            td_eps = torus_data(reorient(a2_resolution, eps0))
+            flipped = reorient(a2_resolution, eps0)
             pattern = random_pattern(rng, 3)
             chart = random_sign_vector(rng, 3)
             relabeled = tuple(c * e for c, e in zip(chart, eps0))
-            assert chart_semistable(td, relabeled, pattern) == chart_semistable(
-                td_eps, chart, reorient_pattern(pattern, eps0)
+            assert chart_semistable(a2_resolution, relabeled, pattern) == chart_semistable(
+                flipped, chart, reorient_pattern(pattern, eps0)
             )
 
 
@@ -281,8 +297,8 @@ class TestBothReduction:
                 assert B not in reduced
                 assert hk_semistable_numeric(td, reduced).semistable
                 for eps in all_sign_vectors(arr.d):
-                    if chart_semistable(td, eps, reduced):
-                        assert chart_semistable(td, eps, pattern)
+                    if chart_semistable(arr, eps, reduced):
+                        assert chart_semistable(arr, eps, pattern)
 
     def test_rejects_unstable(self, a2_resolution):
         td = torus_data(a2_resolution)

@@ -2,14 +2,25 @@
 
 These deliberately re-derive properties by different routes than the library
 (row reduction instead of the pinned HNF, full subset enumeration instead of
-the truncated simplicity scan, interval analysis instead of elimination), so
-agreement is meaningful."""
+the truncated simplicity scan, interval analysis instead of elimination, the
+numeric d-variable stability system instead of state sets), so agreement is
+meaningful."""
 
 import itertools
 from fractions import Fraction
 
-from corecover import Relation
+from corecover import (
+    ComplementReport,
+    CoverReport,
+    Relation,
+    hk_semistable_numeric,
+    pattern_realizable,
+    theta_cpt,
+    torus_data,
+)
 from corecover.linalg import lin_solve, rank
+from corecover.quotient import _complement_report
+from corecover.stability import FULL_ALPHABET, NO_BOTH_ALPHABET, chart_pattern
 
 
 def mat_mul(a, b):
@@ -121,3 +132,40 @@ def extension_exists(poly, var_index, partial_point) -> bool:
     if lower[0] == upper[0]:
         return not lower[1] and not upper[1]
     return False
+
+
+def numeric_chart_semistable(td, eps, pattern) -> bool:
+    """Chart membership decided numerically: is alpha in the cone of the
+    active signed characters?"""
+    return hk_semistable_numeric(td, chart_pattern(eps, pattern)).semistable
+
+
+def numeric_covering(arr) -> CoverReport:
+    """The covering sweep with every verdict taken from the numeric system."""
+    td = torus_data(arr)
+    compact = theta_cpt(arr)
+    witness = {}
+    counterexamples = []
+    for pattern in itertools.product(NO_BOTH_ALPHABET, repeat=arr.d):
+        if not hk_semistable_numeric(td, pattern).semistable:
+            continue
+        for eps in compact:
+            if numeric_chart_semistable(td, eps, pattern):
+                witness[pattern] = eps
+                break
+        else:
+            counterexamples.append(pattern)
+    return CoverReport(not counterexamples, witness, tuple(counterexamples))
+
+
+def numeric_complement(arr, eps) -> ComplementReport:
+    """The complement sweep with every verdict taken from the numeric system."""
+    td = torus_data(arr)
+    excluded = [
+        pattern
+        for pattern in itertools.product(FULL_ALPHABET, repeat=arr.d)
+        if pattern_realizable(td, pattern)
+        and hk_semistable_numeric(td, pattern).semistable
+        and not numeric_chart_semistable(td, eps, pattern)
+    ]
+    return _complement_report(arr, tuple(eps), excluded)
