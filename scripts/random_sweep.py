@@ -4,8 +4,10 @@
 Samples smooth arrangements from a seed and runs the full battery on each:
 oracle equivalence on every BOTH-free pattern, chart equivalence (the state
 set of each chart pattern against its numeric system, for every compact sign
-vector and every BOTH-free pattern), covering, adjacency, density and the
-empty-core criterion. Prints one line per instance and a summary.
+vector and every BOTH-free pattern), covering, adjacency, density, the
+empty-core criterion and full dimension of every nonempty chamber (which
+``core`` relies on without testing). Prints one line per instance and a
+summary.
 
 Usage: python scripts/random_sweep.py [--seed N] [--count N] [--max-d N]
 """
@@ -16,9 +18,12 @@ import random
 import time
 
 from corecover import (
+    EMPTY,
     adjacency_lemma_check,
+    affine_dimension,
     chart_semistable,
     core_empty_criterion,
+    extended_core,
     hk_semistable_geometric,
     hk_semistable_numeric,
     theta_cpt,
@@ -54,6 +59,11 @@ def check_instance(arr) -> dict:
         "adjacency": adjacency_lemma_check(arr),
         "density": all(verify_density(arr, eps) for eps in all_sign_vectors(arr.d)),
         "criterion_agrees": core_empty_criterion(arr).agree,
+        "chambers": all(
+            affine_dimension(c.chamber) == arr.n
+            for c in extended_core(arr)
+            if c.classification != EMPTY
+        ),
         "theta_cpt": len(compact),
     }
 
@@ -78,7 +88,8 @@ def main() -> int:
             f"equivalence={result['equivalence']} chart={result['chart']} "
             f"covered={result['covered']} "
             f"adjacency={result['adjacency']} density={result['density']} "
-            f"criterion={result['criterion_agrees']} {'ok' if ok else 'FAIL'}"
+            f"criterion={result['criterion_agrees']} chambers={result['chambers']} "
+            f"{'ok' if ok else 'FAIL'}"
         )
     elapsed = time.monotonic() - start
     print(f"{args.count} instances, {failures} failures, {elapsed:.1f}s")

@@ -59,11 +59,11 @@ def _point_json(point):
     return [format_rational(x) for x in point]
 
 
-def _component_json(component):
+def _component_json(component, n):
     data = {
         "eps": format_sign_vector(component.eps),
         "classification": component.classification,
-        "dimension": component.dimension,
+        "dimension": n,
     }
     if component.classification == BOUNDED:
         data["vertices"] = [_point_json(v) for v in enumerate_vertices(component.chamber)]
@@ -78,8 +78,8 @@ def _check(arr, args):
 
 def _core(arr, args):
     components = extended_core(arr, force=args.force)
-    listed = [_component_json(c) for c in components if c.classification != EMPTY]
-    compact = sum(c["classification"] == BOUNDED and c["dimension"] == arr.n for c in listed)
+    listed = [_component_json(c, arr.n) for c in components if c.classification != EMPTY]
+    compact = sum(c["classification"] == BOUNDED for c in listed)
     return {"components": listed, "theta_cpt_count": compact}
 
 

@@ -59,18 +59,6 @@ class Constraint:
         return value == 0
 
 
-def ge(coeffs, constant=0) -> Constraint:
-    return Constraint(tuple(coeffs), Relation.GE, constant)
-
-
-def gt(coeffs, constant=0) -> Constraint:
-    return Constraint(tuple(coeffs), Relation.GT, constant)
-
-
-def eq(coeffs, constant=0) -> Constraint:
-    return Constraint(tuple(coeffs), Relation.EQ, constant)
-
-
 @dataclass(frozen=True)
 class Polyhedron:
     dim: int

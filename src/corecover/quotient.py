@@ -1,12 +1,12 @@
 """Global structure of the quotient: core, covering, density, complements.
 
 Each sign vector ``eps`` reorients the arrangement and contributes a chamber
-``Delta_eps``. The bounded nonempty full-dimensional chambers index the
-compact components of the core; the main verification sweeps every support
-pattern and confirms that each semistable one lands in the chart of some
-compact-core sign vector, so those charts cover the whole quotient. Patterns,
-charts and chambers are all decided as state sets in the arrangement's
-ambient space; only the density check also solves the numeric system.
+``Delta_eps``. The bounded nonempty chambers index the compact components of
+the core; the main verification sweeps every support pattern and confirms
+that each semistable one lands in the chart of some compact-core sign vector,
+so those charts cover the whole quotient. Chambers, swept patterns and chart
+patterns are all BOTH-free state sets, each decided once per arrangement by
+one cached verdict; density and adjacency also solve the numeric system.
 
 Everything is exhaustive and exact, guarded against exponential blowup by a
 hyperplane-count limit that can be forced off.
@@ -32,7 +32,9 @@ from .stability import (
     NO_BOTH_ALPHABET,
     FULL_ALPHABET,
     Status,
+    _cone_contains,
     chamber,
+    chart_pattern,
     chart_semistable,
     full_pattern,
     hk_semistable_geometric,
@@ -51,12 +53,12 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True)
 class CoreComponent:
-    """One extended-core stratum: the chamber of a sign vector, classified."""
+    """One extended-core stratum: the chamber of a sign vector, classified
+    empty, bounded or unbounded; if nonempty it is n-dimensional (see core)."""
 
     eps: tuple
     chamber: Polyhedron
     classification: str
-    dimension: int
 
 
 @dataclass(frozen=True)
@@ -120,14 +122,13 @@ def _extended_core_cached(arr: Arrangement) -> tuple:
     components = []
     for eps in all_sign_vectors(arr.d):
         region = chamber(arr, eps)
-        dim = affine_dimension(region)
-        if dim < 0:
+        if not _cone_contains(arr, full_pattern(eps)):
             kind = EMPTY
         elif is_bounded(region):
             kind = BOUNDED
         else:
             kind = UNBOUNDED
-        components.append(CoreComponent(eps, region, kind, dim))
+        components.append(CoreComponent(eps, region, kind))
     return tuple(components)
 
 
@@ -139,16 +140,14 @@ def extended_core(arr: Arrangement, force: bool = False) -> tuple:
 
 
 def core(arr: Arrangement, force: bool = False) -> tuple:
-    """The compact part: bounded nonempty full-dimensional chambers.
+    """The compact part: the bounded nonempty chambers.
 
-    For simple arrangements nonempty chambers are automatically
-    full-dimensional; the dimension filter guards the degenerate case anyway.
+    They are n-dimensional with no further test. In a smooth arrangement the
+    hyperplanes through any point of a closed chamber have independent
+    normals, so some direction moves the point strictly inside all of them
+    at once: every nonempty chamber has interior points.
     """
-    return tuple(
-        c
-        for c in extended_core(arr, force=force)
-        if c.classification == BOUNDED and c.dimension == arr.n
-    )
+    return tuple(c for c in extended_core(arr, force=force) if c.classification == BOUNDED)
 
 
 def theta_cpt(arr: Arrangement, force: bool = False) -> tuple:
@@ -184,7 +183,7 @@ def verify_covering(arr: Arrangement, force: bool = False) -> CoverReport:
     witness = {}
     counterexamples = []
     for pattern in itertools.product(NO_BOTH_ALPHABET, repeat=arr.d):
-        if not hk_semistable_geometric(arr, pattern).semistable:
+        if not _cone_contains(arr, pattern):
             continue
         for eps in compact:
             if chart_semistable(arr, eps, pattern):
@@ -203,20 +202,22 @@ def adjacency_lemma_check(arr: Arrangement, force: bool = False) -> bool:
     """Key step of the covering proof, checked exhaustively.
 
     Whenever a pattern's state set meets a compact chamber, the pattern must
-    lie in that chamber's chart; equivalently a pattern outside the chart has
-    a state set disjoint from the chamber.
+    lie in that chamber's chart. The meeting is decided on the intersection,
+    the chart by the numeric system: the chart pattern's state set is that
+    same intersection, so deciding the chart on it would be a tautology.
     """
     _require_smooth(arr)
     _check_guard(arr, force, DEFAULT_MAX_COVER_D, "adjacency sweep")
     compact = core(arr, force=force)
+    td = torus_data(arr)
     for pattern in itertools.product(NO_BOTH_ALPHABET, repeat=arr.d):
-        st = state_set(arr, pattern)
-        if not is_feasible(st).feasible:
+        if not _cone_contains(arr, pattern):
             continue
+        st = state_set(arr, pattern)
         for component in compact:
-            if chart_semistable(arr, component.eps, pattern):
+            if not is_feasible(st.intersect(component.chamber)).feasible:
                 continue
-            if is_feasible(st.intersect(component.chamber)).feasible:
+            if not hk_semistable_numeric(td, chart_pattern(component.eps, pattern)).semistable:
                 return False
     return True
 
@@ -232,7 +233,7 @@ def verify_density(arr: Arrangement, eps) -> bool:
     _require_smooth(arr)
     eps = check_sign_vector(eps, arr.d)
     chart_side = hk_semistable_numeric(torus_data(arr), full_pattern(eps)).semistable
-    chamber_side = is_feasible(chamber(arr, eps)).feasible
+    chamber_side = _cone_contains(arr, full_pattern(eps))
     return chart_side == chamber_side
 
 
@@ -261,14 +262,19 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
     _require_smooth(arr)
     eps = check_sign_vector(eps, arr.d)
     _check_guard(arr, force, DEFAULT_MAX_COMPLEMENT_D, "complement sweep")
-    if not is_feasible(chamber(arr, eps)).feasible:
+    if not _cone_contains(arr, full_pattern(eps)):
         raise ValueError("complement is defined for sign vectors with nonempty chamber")
     td = torus_data(arr)
     excluded = []
     for pattern in itertools.product(FULL_ALPHABET, repeat=arr.d):
         if not pattern_realizable(td, pattern):
             continue
-        if not hk_semistable_geometric(arr, pattern).semistable:
+        if Status.BOTH in pattern:
+            # uncached: all 4^9 keys take about 50 MB, the 3^9 BOTH-free 3.6 MB
+            semistable = hk_semistable_geometric(arr, pattern).semistable
+        else:
+            semistable = _cone_contains(arr, pattern)
+        if not semistable:
             continue
         if chart_semistable(arr, eps, pattern):
             continue

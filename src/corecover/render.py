@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 
 from .arrangement import Arrangement
-from .feasibility import enumerate_vertices
+from .feasibility import affine_dimension, enumerate_vertices
 from .quotient import BOUNDED, DEFAULT_MAX_COVER_D, _check_guard, _extended_core_cached
 
 SIZE = 560
@@ -192,7 +192,8 @@ def _render_plane(arr: Arrangement) -> str:
     parts = _svg_header(SIZE, SIZE)
 
     for component in _extended_core_cached(arr):
-        if component.classification != BOUNDED or component.dimension != 2:
+        # the input need not be smooth, so a bounded chamber may be flat
+        if component.classification != BOUNDED or affine_dimension(component.chamber) != 2:
             continue
         vertices = _sort_polygon(enumerate_vertices(component.chamber))
         coords = " ".join(

@@ -16,8 +16,8 @@ pattern at the moment level ``alpha``:
 That the two agree on every pattern is a theorem; the test suite checks it
 exhaustively on fixtures and randomized smooth arrangements. Production
 decides on the geometric side, in fewer variables; charts and chambers are
-state sets of single patterns. Each verdict carries the exact feasibility
-certificate of the system it solved.
+state sets of single BOTH-free patterns, which share one cached verdict.
+Each public verdict carries the exact certificate of the system it solved.
 """
 
 from __future__ import annotations
@@ -176,6 +176,9 @@ def toric_semistable_geometric(arr: Arrangement, support) -> StabilityVerdict:
 
 @scoped_cache
 def _cone_contains(arr: Arrangement, pattern) -> bool:
+    """Is the state set of a BOTH-free pattern nonempty? The one cached
+    verdict behind chambers (dense patterns), charts (chart patterns) and
+    sweeps, at most 3^d entries per arrangement."""
     return is_feasible(state_set(arr, pattern)).feasible
 
 

@@ -12,15 +12,12 @@ from corecover import (
     affine_dimension,
     eliminate,
     enumerate_vertices,
-    eq,
     feasible_by_enumeration,
-    ge,
-    gt,
     is_bounded,
     is_feasible,
     verify_certificate,
 )
-from util import extension_exists
+from util import eq, extension_exists, ge, gt
 
 F = Fraction
 

@@ -11,12 +11,14 @@ from corecover import (
     GuardError,
     UNBOUNDED,
     adjacency_lemma_check,
+    affine_dimension,
     all_sign_vectors,
     chart_complement,
     core,
     core_empty_criterion,
     enumerate_vertices,
     extended_core,
+    format_pattern,
     reorient,
     theta_cpt,
     torus_data,
@@ -24,8 +26,15 @@ from corecover import (
     verify_density,
 )
 import corecover.quotient as quotient
+import corecover.stability as stability
 from corecover.randgen import random_sign_vector, random_smooth_arrangement
-from corecover.stability import Status, chart_semistable, full_pattern, hk_semistable_numeric
+from corecover.stability import (
+    StabilityVerdict,
+    Status,
+    chart_semistable,
+    full_pattern,
+    hk_semistable_numeric,
+)
 from util import numeric_complement, numeric_covering
 
 F = Fraction
@@ -53,7 +62,7 @@ class TestExtendedCore:
             (F(-1), F(2)),
             (F(0), F(1)),
         ]
-        assert all(c.dimension == 2 for c in compact)
+        assert all(affine_dimension(c.chamber) == 2 for c in compact)
 
     def test_triangle_pair_core(self, triangle_pair):
         compact = core(triangle_pair)
@@ -106,14 +115,14 @@ class TestCoreEmptyCriterion:
         assert disagreements == []
 
     def test_bounded_components_full_dimensional(self):
-        # simple arrangements admit no lower-dimensional nonempty chambers,
-        # so the dimension filter in core() never excludes anything
+        # smooth arrangements admit no lower-dimensional nonempty chambers,
+        # which is why core() keeps every bounded chamber untested
         rng = random.Random(112358)
         for _ in range(20):
             arr = random_smooth_arrangement(rng, max_d=5)
             for component in extended_core(arr):
-                if component.classification == BOUNDED:
-                    assert component.dimension == arr.n
+                if component.classification != EMPTY:
+                    assert affine_dimension(component.chamber) == arr.n
 
 
 class TestVerifyCovering:
@@ -176,10 +185,44 @@ class TestNumericOracle:
             assert chart_complement(arr, eps) == numeric_complement(arr, eps)
 
 
+class TestSharedVerdicts:
+    """Chambers, sweeps and charts read one cached verdict per BOTH-free
+    pattern, so a sweep after the complement solves no state set again."""
+
+    def test_sweeps_share_verdicts(self, hirzebruch, monkeypatch):
+        arr = hirzebruch
+        chart_complement(arr, (1, 1, 1, 1))
+        extended_core(arr)
+        calls = []
+        real = stability.is_feasible
+
+        def counting(poly):
+            calls.append(poly)
+            return real(poly)
+
+        monkeypatch.setattr(stability, "is_feasible", counting)
+        monkeypatch.setattr(quotient, "is_feasible", counting)
+        assert verify_covering(arr).covered
+        assert len(calls) == 0
+        assert all(verify_density(arr, eps) for eps in all_sign_vectors(arr.d))
+        # only the numeric side is solved, once per sign vector
+        assert len(calls) == 2**arr.d
+        assert stability._cone_contains.cache_info().currsize <= 3**arr.d
+
+
 class TestAdjacencyLemma:
     def test_fixtures(self, hirzebruch, a2_resolution, triangle_pair):
         for arr in (hirzebruch, a2_resolution, triangle_pair):
             assert adjacency_lemma_check(arr)
+
+    def test_chart_side_is_independent(self, a2_resolution, monkeypatch):
+        # a chart oracle that rejects everything must break the lemma: the
+        # chart side may not be read off the intersection it is checked on
+        def never(td, pattern):
+            return StabilityVerdict(False, None, None)
+
+        monkeypatch.setattr(quotient, "hk_semistable_numeric", never)
+        assert adjacency_lemma_check(a2_resolution) is False
 
     def test_random(self):
         rng = random.Random(8128)
@@ -222,6 +265,24 @@ class TestChartComplement:
             (O, Z, W, W),
             (O, Z, O, W),
         )
+
+    def test_triangle_pair_all_plus(self, triangle_pair):
+        """Criterion 10's counterevidence, pinned.
+
+        The all-plus chart of the triangle pair misses two BOTH patterns.
+        Hand check of ``*z*w``: the kernel vector (1, 0, -1, 0) of the
+        relation matrix is supported on {H1, H3}, so the pattern is
+        realizable; its state set is {x2 >= -1} ∩ {x2 >= 3} = {x2 >= 3}.
+        Its chart pattern ``zzz0`` asks the all-plus chamber (where x2 <= 2)
+        to meet H4 = {x2 = 3}, so the pattern lies outside the chart.
+        """
+        eps = (1, 1, 1, 1)
+        report = chart_complement(triangle_pair, eps)
+        assert [format_pattern(p) for p in report.excluded_patterns] == (
+            "zzww zzw0 wzzw wzz0 wzww wzw0 wz0w wz00 0zww 0zw0 *z*w *z*0".split()
+        )
+        assert report == numeric_complement(triangle_pair, eps)
+        assert not report.all_in_extended_core
 
     def test_triangle_chart_contains_both_patterns(self, hirzebruch):
         # the complement of the triangle chart genuinely contains patterns

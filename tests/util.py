@@ -4,13 +4,14 @@ These deliberately re-derive properties by different routes than the library
 (row reduction instead of the pinned HNF, full subset enumeration instead of
 the truncated simplicity scan, interval analysis instead of elimination, the
 numeric d-variable stability system instead of state sets), so agreement is
-meaningful."""
+meaningful. Also the constraint shorthands ``ge``, ``gt`` and ``eq``."""
 
 import itertools
 from fractions import Fraction
 
 from corecover import (
     ComplementReport,
+    Constraint,
     CoverReport,
     Relation,
     hk_semistable_numeric,
@@ -21,6 +22,18 @@ from corecover import (
 from corecover.linalg import lin_solve, rank
 from corecover.quotient import _complement_report
 from corecover.stability import FULL_ALPHABET, NO_BOTH_ALPHABET, chart_pattern
+
+
+def ge(coeffs, constant=0) -> Constraint:
+    return Constraint(tuple(coeffs), Relation.GE, constant)
+
+
+def gt(coeffs, constant=0) -> Constraint:
+    return Constraint(tuple(coeffs), Relation.GT, constant)
+
+
+def eq(coeffs, constant=0) -> Constraint:
+    return Constraint(tuple(coeffs), Relation.EQ, constant)
 
 
 def mat_mul(a, b):
