@@ -5,8 +5,10 @@ Samples smooth arrangements from a seed and runs the full battery on each:
 oracle equivalence on every BOTH-free pattern, chart equivalence (the state
 set of each chart pattern against its numeric system, for every compact sign
 vector and every BOTH-free pattern), covering, adjacency, density, the
-empty-core criterion and full dimension of every nonempty chamber (which
-``core`` relies on without testing). Prints one line per instance and a
+empty-core criterion, full dimension of every nonempty chamber (which
+``core`` relies on without testing) and the complement (``chart_complement``
+of every compact sign vector against a 4^d sweep of numeric verdicts with
+realizability from a rank test in R^d). Prints one line per instance and a
 summary.
 
 Usage: python scripts/random_sweep.py [--seed N] [--count N] [--max-d N]
@@ -21,6 +23,7 @@ from corecover import (
     EMPTY,
     adjacency_lemma_check,
     affine_dimension,
+    chart_complement,
     chart_semistable,
     core_empty_criterion,
     extended_core,
@@ -32,8 +35,40 @@ from corecover import (
     verify_density,
 )
 from corecover.arrangement import all_sign_vectors
+from corecover.linalg import rank, unit_vector
 from corecover.randgen import random_smooth_arrangement
-from corecover.stability import NO_BOTH_ALPHABET, chart_pattern
+from corecover.stability import FULL_ALPHABET, NO_BOTH_ALPHABET, Status, chart_pattern
+
+
+def rank_realizable(td, both) -> bool:
+    """No BOTH unit vector in the span of the relation rows and the other
+    unit vectors: the d-dimensional form of the realizability test."""
+    stack = list(td.basis) + [unit_vector(td.d, j) for j in range(td.d) if j not in both]
+    base = rank(stack)
+    return all(rank(stack + [unit_vector(td.d, i)]) > base for i in both)
+
+
+def numeric_excluded(td, compact) -> dict:
+    """Each compact sign vector's excluded patterns by the 4^d numeric sweep."""
+    realizable = {}
+    verdicts = {}
+
+    def semistable(pattern):
+        if pattern not in verdicts:
+            verdicts[pattern] = hk_semistable_numeric(td, pattern).semistable
+        return verdicts[pattern]
+
+    out = {eps: [] for eps in compact}
+    for pattern in itertools.product(FULL_ALPHABET, repeat=td.d):
+        both = tuple(i for i, s in enumerate(pattern) if s is Status.BOTH)
+        if both not in realizable:
+            realizable[both] = rank_realizable(td, both)
+        if not realizable[both] or not semistable(pattern):
+            continue
+        for eps in compact:
+            if not semistable(chart_pattern(eps, pattern)):
+                out[eps].append(pattern)
+    return {eps: tuple(excluded) for eps, excluded in out.items()}
 
 
 def check_instance(arr) -> dict:
@@ -52,10 +87,19 @@ def check_instance(arr) -> dict:
         for p in patterns
     )
     covered = verify_covering(arr).covered if compact else None
+    complement = (
+        all(
+            chart_complement(arr, eps).excluded_patterns == excluded
+            for eps, excluded in numeric_excluded(td, compact).items()
+        )
+        if compact
+        else None
+    )
     return {
         "equivalence": equivalence,
         "chart": chart,
         "covered": covered,
+        "complement": complement,
         "adjacency": adjacency_lemma_check(arr),
         "density": all(verify_density(arr, eps) for eps in all_sign_vectors(arr.d)),
         "criterion_agrees": core_empty_criterion(arr).agree,
@@ -86,7 +130,7 @@ def main() -> int:
         print(
             f"[{index:03d}] n={arr.n} d={arr.d} theta_cpt={result['theta_cpt']} "
             f"equivalence={result['equivalence']} chart={result['chart']} "
-            f"covered={result['covered']} "
+            f"covered={result['covered']} complement={result['complement']} "
             f"adjacency={result['adjacency']} density={result['density']} "
             f"criterion={result['criterion_agrees']} chambers={result['chambers']} "
             f"{'ok' if ok else 'FAIL'}"

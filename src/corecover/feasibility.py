@@ -8,7 +8,8 @@ elimination, with two refinements:
   pivoting instead of inequality pairing (same projection, far fewer rows);
 * every verdict ships with a proof object: a rational point for feasible
   systems, a Farkas-style multiplier vector reproducing a contradiction for
-  infeasible ones.
+  infeasible ones. The proof is built the first time it is read, so a
+  caller that needs only the verdict pays for the elimination alone.
 
 Rows are integer: each input constraint is scaled to integer coefficients and
 every derived row is divided by its content, so elimination runs on Python
@@ -25,7 +26,7 @@ reconstructed in exact rationals.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
@@ -83,7 +84,6 @@ class Polyhedron:
         return Polyhedron(self.dim, self.constraints + other.constraints)
 
 
-@dataclass(frozen=True)
 class Certificate:
     """Proof object for a feasibility verdict.
 
@@ -92,17 +92,78 @@ class Certificate:
     (infeasible case): nonnegative on inequalities, unrestricted on
     equalities, combining the constraints into ``0 >= positive`` or
     ``0 > 0``.
+
+    Immutable, compared and hashed by ``(feasible, point, multipliers)`` like
+    a frozen dataclass. A certificate returned by :func:`is_feasible` builds
+    its point or multipliers the first time either is read, from the
+    elimination it saved, and then drops that state: callers that only read
+    ``feasible`` never pay for the proof.
     """
 
-    feasible: bool
-    point: tuple | None = None
-    multipliers: tuple | None = None
+    __slots__ = ("feasible", "_point", "_multipliers", "_proof")
+
+    def __init__(self, feasible: bool, point: tuple | None = None, multipliers: tuple | None = None):
+        object.__setattr__(self, "feasible", feasible)
+        object.__setattr__(self, "_point", point)
+        object.__setattr__(self, "_multipliers", multipliers)
+        object.__setattr__(self, "_proof", None)
+
+    @classmethod
+    def _deferred(cls, feasible: bool, proof) -> "Certificate":
+        """A certificate whose point (feasible) or multipliers (infeasible)
+        is ``proof()``, called on first read."""
+        cert = cls(feasible)
+        object.__setattr__(cert, "_proof", proof)
+        return cert
+
+    def _build(self):
+        proof = self._proof
+        if proof is not None:
+            object.__setattr__(self, "_point" if self.feasible else "_multipliers", proof())
+            object.__setattr__(self, "_proof", None)
+
+    @property
+    def point(self) -> tuple | None:
+        self._build()
+        return self._point
+
+    @property
+    def multipliers(self) -> tuple | None:
+        self._build()
+        return self._multipliers
+
+    def _key(self) -> tuple:
+        return (self.feasible, self.point, self.multipliers)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(feasible={self.feasible!r}, "
+            f"point={self.point!r}, multipliers={self.multipliers!r})"
+        )
+
+    def __reduce__(self):
+        return (type(self), self._key())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def verify_certificate(poly: Polyhedron, cert: Certificate) -> bool:
     """Re-check a certificate by exact substitution. Never trusts the solver."""
     if cert.feasible:
-        return cert.point is not None and poly.contains(cert.point)
+        point = cert.point
+        return point is not None and len(point) == poly.dim and poly.contains(point)
     y = cert.multipliers
     if y is None or len(y) != len(poly.constraints):
         return False
@@ -315,12 +376,18 @@ def _multipliers(row: _Row) -> dict:
 
 
 def _infeasible_certificate(row: _Row, ncons: int) -> Certificate:
-    prov = _multipliers(row)
-    zero = Fraction(0)
-    mults = tuple(prov.get(i, zero) for i in range(ncons))
-    if row.rel is Relation.EQ and row.const > 0:
-        mults = tuple(-m for m in mults)
-    return Certificate(False, multipliers=mults)
+    """Infeasible verdict whose Farkas multipliers are rebuilt from ``row``
+    on first read."""
+
+    def farkas():
+        prov = _multipliers(row)
+        zero = Fraction(0)
+        mults = tuple(prov.get(i, zero) for i in range(ncons))
+        if row.rel is Relation.EQ and row.const > 0:
+            mults = tuple(-m for m in mults)
+        return mults
+
+    return Certificate._deferred(False, farkas)
 
 
 def _choose_value(rows, j, point):
@@ -357,8 +424,19 @@ def _choose_value(rows, j, point):
     return (lower[0] + upper[0]) / 2
 
 
+def _witness(stages) -> tuple:
+    """A feasible point, one coordinate per saved stage, last one first."""
+    point = [Fraction(0)] * len(stages)
+    for j in reversed(range(len(stages))):
+        point[j] = Fraction(_choose_value(stages[j], j, point))
+    return tuple(point)
+
+
 def is_feasible(poly: Polyhedron) -> Certificate:
-    """Exact feasibility of a rational constraint system, with certificate."""
+    """Exact feasibility of a rational constraint system, with certificate.
+
+    The verdict is decided here; the witness point or Farkas multipliers are
+    rebuilt from the saved stages or contradiction row when first read."""
     ncons = len(poly.constraints)
     rows = _dedup(_integerize(c, i) for i, c in enumerate(poly.constraints))
     bad = _contradiction(rows)
@@ -371,10 +449,7 @@ def is_feasible(poly: Polyhedron) -> Certificate:
         bad = _contradiction(rows)
         if bad is not None:
             return _infeasible_certificate(bad, ncons)
-    point = [Fraction(0)] * poly.dim
-    for j in reversed(range(poly.dim)):
-        point[j] = Fraction(_choose_value(stages[j], j, point))
-    return Certificate(True, point=tuple(point))
+    return Certificate._deferred(True, lambda: _witness(stages))
 
 
 def eliminate(poly: Polyhedron, var_index: int) -> Polyhedron:

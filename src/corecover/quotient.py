@@ -6,7 +6,9 @@ the core; the main verification sweeps every support pattern and confirms
 that each semistable one lands in the chart of some compact-core sign vector,
 so those charts cover the whole quotient. Chambers, swept patterns and chart
 patterns are all BOTH-free state sets, each decided once per arrangement by
-one cached verdict; density and adjacency also solve the numeric system.
+one cached verdict; a pattern with BOTH coordinates is semistable iff one of
+its Z/W resolutions is, so the complement sweep solves nothing new. Density
+and adjacency also solve the numeric system.
 
 Everything is exhaustive and exact, guarded against exponential blowup by a
 hyperplane-count limit that can be forced off.
@@ -33,13 +35,12 @@ from .stability import (
     FULL_ALPHABET,
     Status,
     _cone_contains,
+    _realizable_both_set,
     chamber,
     chart_pattern,
     chart_semistable,
     full_pattern,
-    hk_semistable_geometric,
     hk_semistable_numeric,
-    pattern_realizable,
     state_set,
 )
 
@@ -252,12 +253,36 @@ def _compatible_components(pattern):
     yield from itertools.product(*choices)
 
 
+def _semistable(arr: Arrangement, pattern) -> bool:
+    """Semistability of any pattern, read from the cached BOTH-free verdicts.
+
+    A BOTH coordinate constrains nothing, and its Z and W half-spaces cover
+    the ambient space, so the state set of a pattern is the union of the state
+    sets of its Z/W resolutions: it is nonempty iff one of theirs is.
+    """
+    both = [i for i, status in enumerate(pattern) if status is Status.BOTH]
+    resolved = list(pattern)
+    for signs in itertools.product((Status.Z, Status.W), repeat=len(both)):
+        for i, status in zip(both, signs):
+            resolved[i] = status
+        if _cone_contains(arr, tuple(resolved)):
+            return True
+    return False
+
+
+_LETTER_ORDER = {status: k for k, status in enumerate(FULL_ALPHABET)}
+
+
 def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementReport:
     """Pattern-level description of what one dense chart misses.
 
-    Sweeps the full four-letter alphabet with realizability filtering and
-    reports whether every excluded pattern is BOTH-free (hence sits in the
-    extended core) and how large the excluded state sets get.
+    Sweeps the realizable BOTH sets (the BOTH-free patterns first), fills the
+    other coordinates from {Z, W, 0} and lists the semistable patterns outside
+    the chart, in the order of the full four-letter alphabet. Every verdict is
+    a cached BOTH-free one, so the sweep solves at most the 3^d state sets
+    the covering sweep solves. Reports whether every excluded pattern is
+    BOTH-free (hence sits in the extended core) and how large the excluded
+    state sets get.
     """
     _require_smooth(arr)
     eps = check_sign_vector(eps, arr.d)
@@ -266,19 +291,21 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
         raise ValueError("complement is defined for sign vectors with nonempty chamber")
     td = torus_data(arr)
     excluded = []
-    for pattern in itertools.product(FULL_ALPHABET, repeat=arr.d):
-        if not pattern_realizable(td, pattern):
-            continue
-        if Status.BOTH in pattern:
-            # uncached: all 4^9 keys take about 50 MB, the 3^9 BOTH-free 3.6 MB
-            semistable = hk_semistable_geometric(arr, pattern).semistable
-        else:
-            semistable = _cone_contains(arr, pattern)
-        if not semistable:
-            continue
-        if chart_semistable(arr, eps, pattern):
-            continue
-        excluded.append(pattern)
+    for size in range(arr.d + 1):
+        for both in itertools.combinations(range(arr.d), size):
+            if not _realizable_both_set(td, both):
+                continue
+            free = [i for i in range(arr.d) if i not in both]
+            pattern = [Status.BOTH] * arr.d
+            for fill in itertools.product(NO_BOTH_ALPHABET, repeat=len(free)):
+                for i, status in zip(free, fill):
+                    pattern[i] = status
+                if not _semistable(arr, pattern):
+                    continue
+                if chart_semistable(arr, eps, pattern):
+                    continue
+                excluded.append(tuple(pattern))
+    excluded.sort(key=lambda p: [_LETTER_ORDER[status] for status in p])
     return _complement_report(arr, eps, excluded)
 
 

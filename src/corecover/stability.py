@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .arrangement import Arrangement, TorusData, check_sign_vector
 from .feasibility import Certificate, Constraint, Polyhedron, Relation, is_feasible
-from .linalg import rank, unit_vector
+from .linalg import kernel_lattice, rank, unit_vector
 from .memo import scoped_cache
 
 
@@ -81,6 +81,26 @@ class StabilityVerdict:
     system: Polyhedron
 
 
+@scoped_cache
+def _sign_rows(td: TorusData, strict: bool) -> tuple:
+    """The rows of every sign system of one torus: the m equality rows, then
+    per coordinate a mapping from status to its sign row."""
+    equalities = tuple(
+        Constraint(td.basis[k], Relation.EQ, -td.alpha[k]) for k in range(td.m)
+    )
+    ineq = Relation.GT if strict else Relation.GE
+    zero = Fraction(0)
+    signs = tuple(
+        {
+            Status.Z: Constraint(unit_vector(td.d, i), ineq, zero),
+            Status.W: Constraint(unit_vector(td.d, i, -1), ineq, zero),
+            Status.ZERO: Constraint(unit_vector(td.d, i), Relation.EQ, zero),
+        }
+        for i in range(td.d)
+    )
+    return equalities, signs
+
+
 def _sign_system(td: TorusData, pattern, strict: bool = False) -> Polyhedron:
     """Solvability system over R^d: ``A x = alpha`` plus per-coordinate signs.
 
@@ -88,20 +108,11 @@ def _sign_system(td: TorusData, pattern, strict: bool = False) -> Polyhedron:
     ZERO forces ``x_i = 0`` and BOTH leaves ``x_i`` free. With ``strict``
     the inequalities become strict (closed-orbit variant).
     """
-    cons = [
-        Constraint(td.basis[k], Relation.EQ, -td.alpha[k]) for k in range(td.m)
-    ]
-    ineq = Relation.GT if strict else Relation.GE
-    for i, status in enumerate(pattern):
-        if status is Status.BOTH:
-            continue
-        if status is Status.ZERO:
-            cons.append(Constraint(unit_vector(td.d, i), Relation.EQ, Fraction(0)))
-        elif status is Status.Z:
-            cons.append(Constraint(unit_vector(td.d, i), ineq, Fraction(0)))
-        else:
-            cons.append(Constraint(unit_vector(td.d, i, -1), ineq, Fraction(0)))
-    return Polyhedron(td.d, tuple(cons))
+    equalities, signs = _sign_rows(td, strict)
+    cons = equalities + tuple(
+        rows[status] for rows, status in zip(signs, pattern) if status is not Status.BOTH
+    )
+    return Polyhedron(td.d, cons)
 
 
 def toric_semistable_numeric(td: TorusData, support) -> StabilityVerdict:
@@ -207,25 +218,33 @@ def chart_semistable(arr: Arrangement, eps, pattern) -> bool:
 
 
 @scoped_cache
+def _normal_columns(td: TorusData) -> tuple:
+    """Columns of the kernel of the relation matrix, one vector in Q^n per
+    coordinate: the arrangement's normals up to GL(n)."""
+    kernel = kernel_lattice(td.basis, ncols=td.d)
+    return tuple(zip(*kernel)) if kernel else ((),) * td.d  # n = 0: zero columns
+
+
+@scoped_cache
 def _realizable_both_set(td: TorusData, both) -> bool:
     if not both:
         return True
-    stack = list(td.basis) + [
-        unit_vector(td.d, j) for j in range(td.d) if j not in both
-    ]
-    base = rank(stack)
-    for i in both:
-        if rank(stack + [unit_vector(td.d, i)]) == base:
-            return False
-    return True
+    columns = _normal_columns(td)
+    rest = [columns[j] for j in range(td.d) if j not in both]
+    base = rank(rest)
+    return all(rank(rest + [columns[i]]) > base for i in both)
 
 
 def pattern_realizable(td: TorusData, pattern) -> bool:
     """Does the pattern occur on the zero level of the complex moment map?
 
     It does iff some kernel vector of the relation matrix is supported
-    exactly on the BOTH coordinates, i.e. the kernel slice with zeros off the
-    BOTH set avoids every coordinate hyperplane inside it.
+    exactly on the BOTH set B. The kernel is spanned by the rows of an
+    n x d matrix whose columns ``c_j`` are the normals up to GL(n); a
+    combination of its rows vanishes off B and nowhere on B iff it is a
+    functional killing every ``c_j`` outside B and no ``c_i`` in B. So B is
+    realizable iff no ``c_i`` with i in B lies in the span of the columns
+    outside B: an n-dimensional rank test, decided once per BOTH set.
     """
     pattern = check_pattern(pattern, td.d)
     both = tuple(i for i, s in enumerate(pattern) if s is Status.BOTH)

@@ -1,11 +1,15 @@
 import hashlib
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import corecover.feasibility as feasibility
 from corecover import (
+    Certificate,
     Constraint,
     Polyhedron,
     Relation,
@@ -239,6 +243,63 @@ class TestCertificates:
     def test_enumeration_rejects_strict(self):
         with pytest.raises(ValueError):
             feasible_by_enumeration(poly(1, gt((1,))))
+
+    def test_wrong_length_proofs_rejected(self):
+        p = poly(2, ge((1, 0)))
+        assert not verify_certificate(p, Certificate(True, point=(1,)))
+        assert not verify_certificate(p, Certificate(True, point=(1, 0, 0)))
+        assert not verify_certificate(poly(1, ge((1,), -1), ge((-1,))), Certificate(False, multipliers=(1,)))
+
+
+class TestLazyCertificates:
+    """is_feasible builds a proof on its first read, equal to one built
+    directly, and never again."""
+
+    def counted(self, monkeypatch, name):
+        calls = []
+        real = getattr(feasibility, name)
+        monkeypatch.setattr(feasibility, name, lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    def test_equal_to_direct(self):
+        for p in mixed_population(1968, 300):
+            first = is_feasible(p)
+            direct = Certificate(first.feasible, point=first.point, multipliers=first.multipliers)
+            # each comparison starts from a certificate nothing has read yet
+            assert hash(is_feasible(p)) == hash(direct)
+            assert is_feasible(p) == direct and direct == is_feasible(p)
+            assert repr(is_feasible(p)) == repr(direct)
+            assert is_feasible(p).point == direct.point
+            assert is_feasible(p).multipliers == direct.multipliers
+            assert pickle.loads(pickle.dumps(is_feasible(p))) == direct
+
+    def test_point_built_once(self, monkeypatch):
+        calls = self.counted(monkeypatch, "_choose_value")
+        cert = is_feasible(poly(2, ge((1, 1), -1), gt((1, -1))))
+        assert cert.feasible and calls == []
+        point = cert.point
+        built = len(calls)
+        assert built == 2
+        assert cert.point is point and cert.multipliers is None
+        assert len(calls) == built
+
+    def test_multipliers_built_once(self, monkeypatch):
+        calls = self.counted(monkeypatch, "_multipliers")
+        cert = is_feasible(poly(1, ge((1,), -1), ge((-1,))))
+        assert not cert.feasible and calls == []
+        multipliers = cert.multipliers
+        assert multipliers == (F(1), F(1)) and len(calls) == 1
+        assert cert.multipliers is multipliers and cert.point is None
+        assert len(calls) == 1
+
+    def test_immutable(self):
+        cert = is_feasible(poly(1, ge((1,))))
+        for name, value in (("feasible", False), ("point", (F(1),)), ("multipliers", ())):
+            with pytest.raises(FrozenInstanceError):
+                setattr(cert, name, value)
+        with pytest.raises(FrozenInstanceError):
+            del cert.point
+        assert cert == Certificate(True, point=(F(0),))
 
 
 class TestBoundedImpliesFiniteVertices:

@@ -25,15 +25,19 @@ from corecover import (
     verify_covering,
     verify_density,
 )
+import corecover.feasibility as feasibility
 import corecover.quotient as quotient
 import corecover.stability as stability
 from corecover.randgen import random_sign_vector, random_smooth_arrangement
 from corecover.stability import (
+    FULL_ALPHABET,
     StabilityVerdict,
     Status,
     chart_semistable,
     full_pattern,
+    hk_semistable_geometric,
     hk_semistable_numeric,
+    pattern_realizable,
 )
 from util import numeric_complement, numeric_covering
 
@@ -208,6 +212,44 @@ class TestSharedVerdicts:
         # only the numeric side is solved, once per sign vector
         assert len(calls) == 2**arr.d
         assert stability._cone_contains.cache_info().currsize <= 3**arr.d
+
+
+    def test_complement_reads_covering_verdicts(self, hirzebruch, a2_resolution, monkeypatch):
+        # a sweep over another arrangement empties the scoped caches first,
+        # so the covering sweep below solves its state sets afresh
+        verify_covering(a2_resolution)
+        arr = hirzebruch
+        proofs = []
+        for name in ("_multipliers", "_choose_value"):
+            real = getattr(feasibility, name)
+            monkeypatch.setattr(
+                feasibility, name, lambda *args, real=real: proofs.append(args) or real(*args)
+            )
+        assert verify_covering(arr).covered
+        misses = stability._cone_contains.cache_info().misses
+        for eps in theta_cpt(arr):
+            chart_complement(arr, eps)
+        assert stability._cone_contains.cache_info().misses == misses
+        assert stability._cone_contains.cache_info().currsize <= 3**arr.d
+        # neither sweep reads a witness point or a Farkas vector
+        assert proofs == []
+
+
+class TestComplementSweep:
+    """The complement sweep decides a BOTH pattern from the cached verdicts
+    of its Z/W resolutions and skips unrealizable BOTH sets."""
+
+    def test_both_verdicts_match_geometric(self, hirzebruch, a2_resolution, triangle_pair):
+        rng = random.Random(1729)
+        arrangements = [hirzebruch, a2_resolution, triangle_pair]
+        arrangements += [random_smooth_arrangement(rng, max_d=5) for _ in range(15)]
+        for arr in arrangements:
+            td = torus_data(arr)
+            for pattern in itertools.product(FULL_ALPHABET, repeat=arr.d):
+                if B in pattern and pattern_realizable(td, pattern):
+                    assert quotient._semistable(arr, pattern) == (
+                        hk_semistable_geometric(arr, pattern).semistable
+                    )
 
 
 class TestAdjacencyLemma:

@@ -17,6 +17,7 @@ from corecover import (
     hk_semistable_geometric,
     hk_semistable_numeric,
     is_feasible,
+    is_smooth,
     pattern_realizable,
     reorient,
     reorient_pattern,
@@ -31,9 +32,25 @@ from corecover import (
 )
 from corecover.randgen import random_pattern, random_sign_vector, random_smooth_arrangement
 from corecover.stability import FULL_ALPHABET, NO_BOTH_ALPHABET, Status, chart_pattern
+from util import rank_realizable
 
 F = Fraction
 Z, W, O, B = Status.Z, Status.W, Status.ZERO, Status.BOTH
+
+
+def arrangement_with_parallel_normals(rng):
+    """A random arrangement in which some normals repeat up to sign."""
+    while True:
+        n = rng.randint(1, 3)
+        normals = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(n, n + 2))]
+        for _ in range(rng.randint(1, 3)):
+            sign = rng.choice((1, -1))
+            normals.append(tuple(sign * x for x in rng.choice(normals)))
+        lifts = [F(rng.randint(-3, 3)) for _ in normals]
+        try:
+            return Arrangement(n, tuple(normals), tuple(lifts))
+        except ValueError:
+            continue
 
 
 def all_supports(d):
@@ -213,6 +230,21 @@ class TestRealizability:
     def test_full_both_allowed(self, a2_resolution):
         td = torus_data(a2_resolution)
         assert pattern_realizable(td, (B, B, B))
+
+    def test_matches_rank_oracle(self, hirzebruch, a2_resolution, trivial_product, triangle_pair):
+        # the test on the normals' columns against the rank test in R^d, for
+        # every BOTH set, on smooth arrangements and on ones with parallel
+        # normals (which need not be smooth)
+        rng = random.Random(2718)
+        arrangements = [hirzebruch, a2_resolution, trivial_product, triangle_pair]
+        arrangements += [random_smooth_arrangement(rng, max_d=7) for _ in range(15)]
+        arrangements += [arrangement_with_parallel_normals(rng) for _ in range(15)]
+        assert any(not is_smooth(arr) for arr in arrangements)
+        for arr in arrangements:
+            td = torus_data(arr)
+            for both in itertools.product((False, True), repeat=arr.d):
+                pattern = tuple(B if b else rng.choice(NO_BOTH_ALPHABET) for b in both)
+                assert pattern_realizable(td, pattern) == rank_realizable(td, pattern)
 
 
 class TestReorientPattern:

@@ -3,7 +3,8 @@
 These deliberately re-derive properties by different routes than the library
 (row reduction instead of the pinned HNF, full subset enumeration instead of
 the truncated simplicity scan, interval analysis instead of elimination, the
-numeric d-variable stability system instead of state sets), so agreement is
+numeric d-variable stability system instead of state sets, a rank test in R^d
+instead of one on the normals for realizability), so agreement is
 meaningful. Also the constraint shorthands ``ge``, ``gt`` and ``eq``."""
 
 import itertools
@@ -15,13 +16,12 @@ from corecover import (
     CoverReport,
     Relation,
     hk_semistable_numeric,
-    pattern_realizable,
     theta_cpt,
     torus_data,
 )
-from corecover.linalg import lin_solve, rank
+from corecover.linalg import lin_solve, rank, unit_vector
 from corecover.quotient import _complement_report
-from corecover.stability import FULL_ALPHABET, NO_BOTH_ALPHABET, chart_pattern
+from corecover.stability import FULL_ALPHABET, NO_BOTH_ALPHABET, Status, chart_pattern
 
 
 def ge(coeffs, constant=0) -> Constraint:
@@ -147,6 +147,17 @@ def extension_exists(poly, var_index, partial_point) -> bool:
     return False
 
 
+def rank_realizable(td, pattern) -> bool:
+    """Realizability by a rank test in R^d: no unit vector of a BOTH
+    coordinate lies in the span of the relation rows and the unit vectors of
+    the other coordinates (the kernel slice supported on the BOTH set then
+    avoids every coordinate hyperplane inside it)."""
+    both = [i for i, status in enumerate(pattern) if status is Status.BOTH]
+    stack = list(td.basis) + [unit_vector(td.d, j) for j in range(td.d) if j not in both]
+    base = rank(stack)
+    return all(rank(stack + [unit_vector(td.d, i)]) > base for i in both)
+
+
 def numeric_chart_semistable(td, eps, pattern) -> bool:
     """Chart membership decided numerically: is alpha in the cone of the
     active signed characters?"""
@@ -172,12 +183,13 @@ def numeric_covering(arr) -> CoverReport:
 
 
 def numeric_complement(arr, eps) -> ComplementReport:
-    """The complement sweep with every verdict taken from the numeric system."""
+    """The 4^d complement sweep with every verdict taken from the numeric
+    system and realizability from the rank test in R^d."""
     td = torus_data(arr)
     excluded = [
         pattern
         for pattern in itertools.product(FULL_ALPHABET, repeat=arr.d)
-        if pattern_realizable(td, pattern)
+        if rank_realizable(td, pattern)
         and hk_semistable_numeric(td, pattern).semistable
         and not numeric_chart_semistable(td, eps, pattern)
     ]
