@@ -2,14 +2,15 @@
 """Randomized verification sweep.
 
 Samples smooth arrangements from a seed and runs the full battery on each:
-oracle equivalence on every BOTH-free pattern, chart equivalence (the state
-set of each chart pattern against its numeric system, for every compact sign
-vector and every BOTH-free pattern), covering, adjacency, density, the
-empty-core criterion, full dimension of every nonempty chamber (which
-``core`` relies on without testing) and the complement (``chart_complement``
-of every compact sign vector against a 4^d sweep of numeric verdicts with
-realizability from a rank test in R^d). Prints one line per instance and a
-summary.
+oracle equivalence on every BOTH-free pattern, the cached verdicts (the
+prefix tree behind ``_cone_contains`` against one state-set LP per pattern,
+on every BOTH-free pattern), chart equivalence (the state set of each chart
+pattern against its numeric system, for every compact sign vector and every
+BOTH-free pattern), covering, adjacency, density, the empty-core criterion,
+full dimension of every nonempty chamber (which ``core`` relies on without
+testing) and the complement (``chart_complement`` of every compact sign
+vector against a 4^d sweep of numeric verdicts with realizability from a
+rank test in R^d). Prints one line per instance and a summary.
 
 Usage: python scripts/random_sweep.py [--seed N] [--count N] [--max-d N]
 """
@@ -37,7 +38,13 @@ from corecover import (
 from corecover.arrangement import all_sign_vectors
 from corecover.linalg import rank, unit_vector
 from corecover.randgen import random_smooth_arrangement
-from corecover.stability import FULL_ALPHABET, NO_BOTH_ALPHABET, Status, chart_pattern
+from corecover.stability import (
+    FULL_ALPHABET,
+    NO_BOTH_ALPHABET,
+    Status,
+    _cone_contains,
+    chart_pattern,
+)
 
 
 def rank_realizable(td, both) -> bool:
@@ -74,11 +81,9 @@ def numeric_excluded(td, compact) -> dict:
 def check_instance(arr) -> dict:
     td = torus_data(arr)
     patterns = list(itertools.product(NO_BOTH_ALPHABET, repeat=arr.d))
-    equivalence = all(
-        hk_semistable_numeric(td, p).semistable
-        == hk_semistable_geometric(arr, p).semistable
-        for p in patterns
-    )
+    geometric = {p: hk_semistable_geometric(arr, p).semistable for p in patterns}
+    equivalence = all(hk_semistable_numeric(td, p).semistable == geometric[p] for p in patterns)
+    verdicts = all(_cone_contains(arr, p) == geometric[p] for p in patterns)
     compact = theta_cpt(arr)
     chart = all(
         chart_semistable(arr, eps, p)
@@ -97,6 +102,7 @@ def check_instance(arr) -> dict:
     )
     return {
         "equivalence": equivalence,
+        "verdicts": verdicts,
         "chart": chart,
         "covered": covered,
         "complement": complement,
@@ -129,7 +135,8 @@ def main() -> int:
         failures += not ok
         print(
             f"[{index:03d}] n={arr.n} d={arr.d} theta_cpt={result['theta_cpt']} "
-            f"equivalence={result['equivalence']} chart={result['chart']} "
+            f"equivalence={result['equivalence']} verdicts={result['verdicts']} "
+            f"chart={result['chart']} "
             f"covered={result['covered']} complement={result['complement']} "
             f"adjacency={result['adjacency']} density={result['density']} "
             f"criterion={result['criterion_agrees']} chambers={result['chambers']} "

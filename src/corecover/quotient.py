@@ -6,9 +6,10 @@ the core; the main verification sweeps every support pattern and confirms
 that each semistable one lands in the chart of some compact-core sign vector,
 so those charts cover the whole quotient. Chambers, swept patterns and chart
 patterns are all BOTH-free state sets, each decided once per arrangement by
-one cached verdict; a pattern with BOTH coordinates is semistable iff one of
-its Z/W resolutions is, so the complement sweep solves nothing new. Density
-and adjacency also solve the numeric system.
+one cached verdict, which a prefix tree over the hyperplanes answers with
+LPs only at nonempty prefixes; a pattern with BOTH coordinates is semistable
+iff one of its Z/W resolutions is, so the complement sweep solves nothing
+new. Density and adjacency also solve the numeric system.
 
 Everything is exhaustive and exact, guarded against exponential blowup by a
 hyperplane-count limit that can be forced off.
@@ -279,8 +280,8 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
     Sweeps the realizable BOTH sets (the BOTH-free patterns first), fills the
     other coordinates from {Z, W, 0} and lists the semistable patterns outside
     the chart, in the order of the full four-letter alphabet. Every verdict is
-    a cached BOTH-free one, so the sweep solves at most the 3^d state sets
-    the covering sweep solves. Reports whether every excluded pattern is
+    a cached BOTH-free one, so the sweep solves no LP the covering sweep
+    does not. Reports whether every excluded pattern is
     BOTH-free (hence sits in the extended core) and how large the excluded
     state sets get.
     """
@@ -315,10 +316,12 @@ def _complement_report(arr: Arrangement, eps, excluded) -> ComplementReport:
     all_in_core = len(both_free) == len(excluded)
     if not all_in_core:
         max_dim = None
-    elif both_free:
-        max_dim = max(affine_dimension(state_set(arr, p)) for p in both_free)
     else:
         max_dim = -1
+        for pattern in both_free:
+            max_dim = max(max_dim, affine_dimension(state_set(arr, pattern)))
+            if max_dim == arr.n:  # no state set is larger than the space
+                break
     breakdown = {}
     for pattern in both_free:
         for comp_eps in _compatible_components(pattern):

@@ -17,7 +17,11 @@ That the two agree on every pattern is a theorem; the test suite checks it
 exhaustively on fixtures and randomized smooth arrangements. Production
 decides on the geometric side, in fewer variables; charts and chambers are
 state sets of single BOTH-free patterns, which share one cached verdict.
-Each public verdict carries the exact certificate of the system it solved.
+That verdict is read off a prefix tree that adds one hyperplane at a time
+and is expanded only along nonempty prefixes, at most two small LPs each
+(compare Sleumer, "Output-sensitive cell enumeration in hyperplane
+arrangements", 1998). Each public verdict carries the exact certificate of
+the system it solved.
 """
 
 from __future__ import annotations
@@ -39,6 +43,10 @@ class Status(Enum):
     W = "w"        # z_i == 0, w_i != 0
     ZERO = "0"     # z_i == 0, w_i == 0
     BOTH = "*"     # z_i != 0, w_i != 0
+
+    # Members are singletons compared by identity; the identity hash spares
+    # the Python-level name hash on every pattern lookup in the caches.
+    __hash__ = object.__hash__
 
 
 NO_BOTH_ALPHABET = (Status.Z, Status.W, Status.ZERO)
@@ -150,6 +158,20 @@ def hk_closed_orbit(td: TorusData, pattern) -> bool:
     return is_feasible(_sign_system(td, pattern, strict=True)).feasible
 
 
+@scoped_cache
+def _state_rows(arr: Arrangement) -> tuple:
+    """The rows of every state set of one arrangement: per coordinate a
+    mapping from BOTH-free status to its row."""
+    return tuple(
+        {
+            Status.Z: Constraint(u, Relation.GE, lift),
+            Status.W: Constraint(tuple(-x for x in u), Relation.GE, -lift),
+            Status.ZERO: Constraint(u, Relation.EQ, lift),
+        }
+        for u, lift in zip(arr.normals, arr.lifts)
+    )
+
+
 def state_set(arr: Arrangement, pattern) -> Polyhedron:
     """The state polyhedron of a pattern.
 
@@ -159,18 +181,11 @@ def state_set(arr: Arrangement, pattern) -> Polyhedron:
     polyhedron.
     """
     pattern = check_pattern(pattern, arr.d)
-    cons = []
-    for i, status in enumerate(pattern):
-        if status is Status.BOTH:
-            continue
-        u, lift = arr.normals[i], arr.lifts[i]
-        if status is Status.Z:
-            cons.append(Constraint(u, Relation.GE, lift))
-        elif status is Status.W:
-            cons.append(Constraint(tuple(-x for x in u), Relation.GE, -lift))
-        else:
-            cons.append(Constraint(u, Relation.EQ, lift))
-    return Polyhedron(arr.n, tuple(cons))
+    rows = _state_rows(arr)
+    cons = tuple(
+        rows[i][status] for i, status in enumerate(pattern) if status is not Status.BOTH
+    )
+    return Polyhedron(arr.n, cons)
 
 
 def hk_semistable_geometric(arr: Arrangement, pattern) -> StabilityVerdict:
@@ -186,11 +201,37 @@ def toric_semistable_geometric(arr: Arrangement, support) -> StabilityVerdict:
 
 
 @scoped_cache
+def _live_letters(arr: Arrangement, prefix) -> tuple:
+    """The letters that keep the state set of a prefix nonempty.
+
+    Asked only of a prefix whose own state set P is nonempty. If P meets the
+    next hyperplane, that hyperplane lies in both of its closed half-spaces,
+    so Z, W and ZERO are all live. Otherwise the convex set P lies strictly on
+    one side, and one more LP tells which. At most two LPs with
+    ``len(prefix) + 1`` rows; only convexity is used, no smoothness.
+    """
+    rows = _state_rows(arr)
+    nxt = rows[len(prefix)]
+    base = tuple(r[status] for r, status in zip(rows, prefix))
+    if is_feasible(Polyhedron(arr.n, base + (nxt[Status.ZERO],))).feasible:
+        return NO_BOTH_ALPHABET
+    if is_feasible(Polyhedron(arr.n, base + (nxt[Status.Z],))).feasible:
+        return (Status.Z,)
+    return (Status.W,)
+
+
+@scoped_cache
 def _cone_contains(arr: Arrangement, pattern) -> bool:
     """Is the state set of a BOTH-free pattern nonempty? The one cached
     verdict behind chambers (dense patterns), charts (chart patterns) and
-    sweeps, at most 3^d entries per arrangement."""
-    return is_feasible(state_set(arr, pattern)).feasible
+    sweeps. A state set is nonempty iff every prefix's is, so the pattern
+    walks down the prefix tree of ``_live_letters``, which is expanded only
+    along nonempty prefixes: the LP count follows the arrangement's faces,
+    not the 3^d patterns."""
+    for k, status in enumerate(pattern):
+        if status not in _live_letters(arr, pattern[:k]):
+            return False
+    return True
 
 
 def chart_pattern(eps, pattern) -> tuple:

@@ -38,6 +38,7 @@ from corecover.stability import (
     hk_semistable_geometric,
     hk_semistable_numeric,
     pattern_realizable,
+    state_set,
 )
 from util import numeric_complement, numeric_covering
 
@@ -325,6 +326,20 @@ class TestChartComplement:
         )
         assert report == numeric_complement(triangle_pair, eps)
         assert not report.all_in_extended_core
+
+    def test_max_state_dim_stops_at_n(self, hirzebruch, monkeypatch):
+        # the first excluded state set is already 2-dimensional, so the
+        # other three are never measured
+        calls = []
+        monkeypatch.setattr(
+            quotient, "affine_dimension", lambda poly: calls.append(poly) or affine_dimension(poly)
+        )
+        report = chart_complement(hirzebruch, (1, 1, 1, 1))
+        assert len(report.excluded_patterns) == 4
+        assert report.max_state_dim == max(
+            affine_dimension(state_set(hirzebruch, p)) for p in report.excluded_patterns
+        )
+        assert len(calls) == 1
 
     def test_triangle_chart_contains_both_patterns(self, hirzebruch):
         # the complement of the triangle chart genuinely contains patterns

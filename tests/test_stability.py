@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
@@ -12,12 +13,14 @@ from corecover import (
     both_reduction,
     chart_semistable,
     enumerate_vertices,
+    extended_core,
     full_pattern,
     hk_closed_orbit,
     hk_semistable_geometric,
     hk_semistable_numeric,
     is_feasible,
     is_smooth,
+    parse_arrangement,
     pattern_realizable,
     reorient,
     reorient_pattern,
@@ -29,13 +32,16 @@ from corecover import (
     toric_semistable_numeric,
     torus_data,
     verify_certificate,
+    verify_covering,
 )
+import corecover.stability as stability
 from corecover.randgen import random_pattern, random_sign_vector, random_smooth_arrangement
 from corecover.stability import FULL_ALPHABET, NO_BOTH_ALPHABET, Status, chart_pattern
-from util import rank_realizable
+from util import per_pattern_verdict, rank_realizable
 
 F = Fraction
 Z, W, O, B = Status.Z, Status.W, Status.ZERO, Status.BOTH
+FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def arrangement_with_parallel_normals(rng):
@@ -357,3 +363,56 @@ class TestRandomEquivalence:
                     hk_semistable_numeric(td, pattern).semistable
                     == hk_semistable_geometric(arr, pattern).semistable
                 )
+
+
+class TestPrefixTree:
+    """``_cone_contains`` walks a pattern down a lazily expanded tree of
+    nonempty prefixes, at most two small LPs per expanded prefix."""
+
+    @staticmethod
+    def count_lps(monkeypatch):
+        calls = []
+        real = stability.is_feasible
+        monkeypatch.setattr(stability, "is_feasible", lambda poly: calls.append(poly) or real(poly))
+        return calls
+
+    @staticmethod
+    def fresh_scopes():
+        # a sweep over another arrangement empties the scoped caches
+        extended_core(Arrangement(1, ((1,),), (0,)))
+
+    def test_matches_per_pattern_oracle(self):
+        rng = random.Random(4242)
+        arrangements = [parse_arrangement(p.read_text()) for p in sorted(FIXTURE_DIR.glob("*.json"))]
+        assert len(arrangements) == 5
+        arrangements += [random_smooth_arrangement(rng, max_d=8) for _ in range(40)]
+        parallel = [arrangement_with_parallel_normals(rng) for _ in range(20)]
+        assert any(not is_smooth(arr) for arr in parallel)
+        for arr in arrangements + parallel:
+            for pattern in itertools.product(NO_BOTH_ALPHABET, repeat=arr.d):
+                assert stability._cone_contains(arr, pattern) == per_pattern_verdict(arr, pattern)
+
+    def test_extended_core_expands_dense_prefixes_only(self, hirzebruch, triangle_pair, monkeypatch):
+        rng = random.Random(31)
+        arrangements = [hirzebruch, triangle_pair]
+        arrangements += [random_smooth_arrangement(rng, n=n, d=d) for n in (2, 3) for d in (4, 6, 8)]
+        for arr in arrangements:
+            self.fresh_scopes()
+            asked = []
+            real = stability._live_letters
+            monkeypatch.setattr(
+                stability, "_live_letters", lambda a, prefix: asked.append(prefix) or real(a, prefix)
+            )
+            calls = self.count_lps(monkeypatch)
+            extended_core(arr)
+            monkeypatch.undo()
+            assert asked and all(O not in prefix for prefix in asked)
+            assert len(calls) <= 2 * stability._live_letters.cache_info().currsize
+
+    def test_covering_lp_budget(self, monkeypatch):
+        arr = random_smooth_arrangement(random.Random(10), n=2, d=10, require_core=True)
+        self.fresh_scopes()
+        calls = self.count_lps(monkeypatch)
+        assert verify_covering(arr).covered
+        assert len(calls) <= 2 * stability._live_letters.cache_info().currsize
+        assert len(calls) < 3**arr.d / 20

@@ -4,8 +4,9 @@ These deliberately re-derive properties by different routes than the library
 (row reduction instead of the pinned HNF, full subset enumeration instead of
 the truncated simplicity scan, interval analysis instead of elimination, the
 numeric d-variable stability system instead of state sets, a rank test in R^d
-instead of one on the normals for realizability), so agreement is
-meaningful. Also the constraint shorthands ``ge``, ``gt`` and ``eq``."""
+instead of one on the normals for realizability, one LP on a whole state set
+instead of the prefix tree), so agreement is meaningful. Also the constraint
+shorthands ``ge``, ``gt`` and ``eq``."""
 
 import itertools
 from fractions import Fraction
@@ -16,6 +17,8 @@ from corecover import (
     CoverReport,
     Relation,
     hk_semistable_numeric,
+    is_feasible,
+    state_set,
     theta_cpt,
     torus_data,
 )
@@ -156,6 +159,11 @@ def rank_realizable(td, pattern) -> bool:
     stack = list(td.basis) + [unit_vector(td.d, j) for j in range(td.d) if j not in both]
     base = rank(stack)
     return all(rank(stack + [unit_vector(td.d, i)]) > base for i in both)
+
+
+def per_pattern_verdict(arr, pattern) -> bool:
+    """Nonemptiness of a BOTH-free state set by one LP on all of its d rows."""
+    return is_feasible(state_set(arr, pattern)).feasible
 
 
 def numeric_chart_semistable(td, eps, pattern) -> bool:
