@@ -7,10 +7,11 @@ prefix tree behind ``_cone_contains`` against one state-set LP per pattern,
 on every BOTH-free pattern), chart equivalence (the state set of each chart
 pattern against its numeric system, for every compact sign vector and every
 BOTH-free pattern), covering, adjacency, density, the empty-core criterion,
-full dimension of every nonempty chamber (which ``core`` relies on without
-testing) and the complement (``chart_complement`` of every compact sign
-vector against a 4^d sweep of numeric verdicts with realizability from a
-rank test in R^d). Prints one line per instance and a summary.
+the chambers (``extended_core`` lists exactly the sign vectors whose
+chamber LP is feasible, in order, and each is full-dimensional, which
+``core`` relies on without testing) and the complement
+(``chart_complement`` of every compact sign vector against a 4^d sweep of
+numeric verdicts with realizability from a rank test in R^d). Prints one line per instance and a summary.
 
 Usage: python scripts/random_sweep.py [--seed N] [--count N] [--max-d N]
 """
@@ -21,7 +22,6 @@ import random
 import time
 
 from corecover import (
-    EMPTY,
     adjacency_lemma_check,
     affine_dimension,
     chart_complement,
@@ -44,6 +44,7 @@ from corecover.stability import (
     Status,
     _cone_contains,
     chart_pattern,
+    full_pattern,
 )
 
 
@@ -85,6 +86,7 @@ def check_instance(arr) -> dict:
     equivalence = all(hk_semistable_numeric(td, p).semistable == geometric[p] for p in patterns)
     verdicts = all(_cone_contains(arr, p) == geometric[p] for p in patterns)
     compact = theta_cpt(arr)
+    chambers = extended_core(arr)
     chart = all(
         chart_semistable(arr, eps, p)
         == hk_semistable_numeric(td, chart_pattern(eps, p)).semistable
@@ -109,11 +111,9 @@ def check_instance(arr) -> dict:
         "adjacency": adjacency_lemma_check(arr),
         "density": all(verify_density(arr, eps) for eps in all_sign_vectors(arr.d)),
         "criterion_agrees": core_empty_criterion(arr).agree,
-        "chambers": all(
-            affine_dimension(c.chamber) == arr.n
-            for c in extended_core(arr)
-            if c.classification != EMPTY
-        ),
+        "chambers": [c.eps for c in chambers]
+        == [eps for eps in all_sign_vectors(arr.d) if geometric[full_pattern(eps)]]
+        and all(affine_dimension(c.chamber) == arr.n for c in chambers),
         "theta_cpt": len(compact),
     }
 

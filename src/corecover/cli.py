@@ -32,7 +32,6 @@ from .formats import (
 from .quotient import (
     BOUNDED,
     DEFAULT_MAX_COVER_D,
-    EMPTY,
     _check_guard,
     chart_complement,
     extended_core,
@@ -77,8 +76,7 @@ def _check(arr, args):
 
 
 def _core(arr, args):
-    components = extended_core(arr, force=args.force)
-    listed = [_component_json(c, arr.n) for c in components if c.classification != EMPTY]
+    listed = [_component_json(c, arr.n) for c in extended_core(arr, force=args.force)]
     compact = sum(c["classification"] == BOUNDED for c in listed)
     return {"components": listed, "theta_cpt_count": compact}
 

@@ -524,8 +524,8 @@ def enumerate_vertices(poly: Polyhedron) -> list:
     Every ``dim``-subset of constraints with a unique common solution
     contributes that solution when it satisfies the whole system. That is
     C(k, dim) square solves for k constraints: for a chamber of ``d``
-    hyperplanes at most ``2^d``, the same order as the chamber sweep that
-    produced it, so callers guard the sweep rather than this function.
+    hyperplanes at most ``2^d``, which the hyperplane-count guard of the
+    chamber sweep bounds, so callers guard the sweep, not this function.
     """
     points = set()
     cons = poly.constraints

@@ -2,14 +2,15 @@
 
 Each sign vector ``eps`` reorients the arrangement and contributes a chamber
 ``Delta_eps``. The bounded nonempty chambers index the compact components of
-the core; the main verification sweeps every support pattern and confirms
-that each semistable one lands in the chart of some compact-core sign vector,
-so those charts cover the whole quotient. Chambers, swept patterns and chart
-patterns are all BOTH-free state sets, each decided once per arrangement by
-one cached verdict, which a prefix tree over the hyperplanes answers with
-LPs only at nonempty prefixes; a pattern with BOTH coordinates is semistable
-iff one of its Z/W resolutions is, so the complement sweep solves nothing
-new. Density and adjacency also solve the numeric system.
+the core; the main verification confirms that each semistable pattern lands
+in the chart of some compact-core sign vector, so those charts cover the
+whole quotient. Chambers, swept patterns and chart patterns are BOTH-free
+state sets, decided by a prefix tree over the hyperplanes whose leaves are
+the nonempty ones: the chamber, covering and adjacency sweeps list those
+leaves instead of testing 2^d or 3^d candidates. A pattern with BOTH
+coordinates is semistable iff one of its Z/W resolutions is, so the
+complement sweep solves nothing new. Density and adjacency also solve the
+numeric system.
 
 Everything is exhaustive and exact, guarded against exponential blowup by a
 hyperplane-count limit that can be forced off.
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 
 from .arrangement import (
     Arrangement,
-    all_sign_vectors,
     check_sign_vector,
     is_smooth,
     torus_data,
@@ -36,8 +36,8 @@ from .stability import (
     FULL_ALPHABET,
     Status,
     _cone_contains,
+    _nonempty_patterns,
     _realizable_both_set,
-    chamber,
     chart_pattern,
     chart_semistable,
     full_pattern,
@@ -48,15 +48,14 @@ from .stability import (
 DEFAULT_MAX_COVER_D = 12
 DEFAULT_MAX_COMPLEMENT_D = 9
 
-EMPTY = "empty"
 BOUNDED = "bounded"
 UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
 class CoreComponent:
-    """One extended-core stratum: the chamber of a sign vector, classified
-    empty, bounded or unbounded; if nonempty it is n-dimensional (see core)."""
+    """One extended-core stratum: the nonempty chamber of a sign vector,
+    classified bounded or unbounded; it is n-dimensional (see core)."""
 
     eps: tuple
     chamber: Polyhedron
@@ -122,20 +121,17 @@ def _check_guard(arr: Arrangement, force: bool, limit: int, what: str):
 @scoped_cache
 def _extended_core_cached(arr: Arrangement) -> tuple:
     components = []
-    for eps in all_sign_vectors(arr.d):
-        region = chamber(arr, eps)
-        if not _cone_contains(arr, full_pattern(eps)):
-            kind = EMPTY
-        elif is_bounded(region):
-            kind = BOUNDED
-        else:
-            kind = UNBOUNDED
+    for pattern in _nonempty_patterns(arr, (Status.Z, Status.W)):
+        eps = tuple(1 if status is Status.Z else -1 for status in pattern)
+        region = state_set(arr, pattern)
+        kind = BOUNDED if is_bounded(region) else UNBOUNDED
         components.append(CoreComponent(eps, region, kind))
     return tuple(components)
 
 
 def extended_core(arr: Arrangement, force: bool = False) -> tuple:
-    """All 2^d chamber strata, each classified exactly."""
+    """The nonempty chambers in sign-vector order, each classified exactly;
+    the empty ones are never reached, so the cost follows the nonempty ones."""
     _require_smooth(arr)
     _check_guard(arr, force, DEFAULT_MAX_COVER_D, "extended core")
     return _extended_core_cached(arr)
@@ -170,11 +166,11 @@ def core_empty_criterion(arr: Arrangement, force: bool = False) -> CoreEmptyRepo
 
 
 def verify_covering(arr: Arrangement, force: bool = False) -> CoverReport:
-    """Sweep all BOTH-free patterns and witness each semistable one in a
-    compact chart.
+    """Witness every semistable BOTH-free pattern in a compact chart.
 
-    BOTH coordinates are covered by the reduction property (resolving BOTH to
-    the witness sign only shrinks charts), so the 3^d sweep decides the full
+    The sweep lists the prefix tree's leaves, not all 3^d patterns. BOTH
+    coordinates are covered by the reduction property (resolving BOTH to the
+    witness sign only shrinks charts), so the sweep decides the full
     statement. Requires a nonempty core.
     """
     _require_smooth(arr)
@@ -184,9 +180,7 @@ def verify_covering(arr: Arrangement, force: bool = False) -> CoverReport:
         raise ValueError("covering theorem hypothesis violated: empty core")
     witness = {}
     counterexamples = []
-    for pattern in itertools.product(NO_BOTH_ALPHABET, repeat=arr.d):
-        if not _cone_contains(arr, pattern):
-            continue
+    for pattern in _nonempty_patterns(arr):
         for eps in compact:
             if chart_semistable(arr, eps, pattern):
                 witness[pattern] = eps
@@ -212,9 +206,7 @@ def adjacency_lemma_check(arr: Arrangement, force: bool = False) -> bool:
     _check_guard(arr, force, DEFAULT_MAX_COVER_D, "adjacency sweep")
     compact = core(arr, force=force)
     td = torus_data(arr)
-    for pattern in itertools.product(NO_BOTH_ALPHABET, repeat=arr.d):
-        if not _cone_contains(arr, pattern):
-            continue
+    for pattern in _nonempty_patterns(arr):
         st = state_set(arr, pattern)
         for component in compact:
             if not is_feasible(st.intersect(component.chamber)).feasible:

@@ -220,14 +220,25 @@ def _live_letters(arr: Arrangement, prefix) -> tuple:
     return (Status.W,)
 
 
+def _nonempty_patterns(arr: Arrangement, alphabet=NO_BOTH_ALPHABET, prefix=()):
+    """Nonempty BOTH-free state sets over ``alphabet`` that extend ``prefix``:
+    leaves of the ``_live_letters`` tree, in ``itertools.product`` order."""
+    if len(prefix) == arr.d:
+        yield prefix
+        return
+    for status in _live_letters(arr, prefix):
+        if status in alphabet:
+            yield from _nonempty_patterns(arr, alphabet, prefix + (status,))
+
+
 @scoped_cache
 def _cone_contains(arr: Arrangement, pattern) -> bool:
     """Is the state set of a BOTH-free pattern nonempty? The one cached
     verdict behind chambers (dense patterns), charts (chart patterns) and
-    sweeps. A state set is nonempty iff every prefix's is, so the pattern
-    walks down the prefix tree of ``_live_letters``, which is expanded only
-    along nonempty prefixes: the LP count follows the arrangement's faces,
-    not the 3^d patterns."""
+    the complement sweep. A state set is nonempty iff every prefix's is, so
+    the pattern walks down the prefix tree of ``_live_letters``, which is
+    expanded only along nonempty prefixes: the LP count follows the
+    arrangement's faces, not the 3^d patterns."""
     for k, status in enumerate(pattern):
         if status not in _live_letters(arr, pattern[:k]):
             return False

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -7,7 +8,6 @@ import pytest
 from corecover import (
     Arrangement,
     BOUNDED,
-    EMPTY,
     GuardError,
     UNBOUNDED,
     adjacency_lemma_check,
@@ -20,6 +20,7 @@ from corecover import (
     extended_core,
     format_pattern,
     reorient,
+    serialize_arrangement,
     theta_cpt,
     torus_data,
     verify_covering,
@@ -28,6 +29,7 @@ from corecover import (
 import corecover.feasibility as feasibility
 import corecover.quotient as quotient
 import corecover.stability as stability
+from corecover.cli import main
 from corecover.randgen import random_sign_vector, random_smooth_arrangement
 from corecover.stability import (
     FULL_ALPHABET,
@@ -55,8 +57,7 @@ class TestExtendedCore:
         assert table[(1, 1, 1)] == BOUNDED         # [1/2, 1]
         assert table[(1, -1, 1)] == BOUNDED        # [0, 1/2]
         assert table[(1, -1, -1)] == UNBOUNDED     # (-oo, 0]
-        empties = [eps for eps, kind in table.items() if kind == EMPTY]
-        assert len(empties) == 4
+        assert len(table) == 4  # exactly the nonempty chambers
 
     def test_trapezoid_core(self, hirzebruch):
         compact = core(hirzebruch)
@@ -85,6 +86,19 @@ class TestExtendedCore:
 
     def test_product_core_empty(self, trivial_product):
         assert core(trivial_product) == ()
+
+    def test_lists_only_nonempty_chambers(self, tmp_path, capsys):
+        # 17 points on a line: 2^17 sign vectors, 18 nonempty chambers
+        arr = Arrangement(1, ((1,),) * 17, tuple(-i for i in range(17)))
+        components = extended_core(arr, force=True)
+        assert [c.eps for c in components] == [
+            (1,) * k + (-1,) * (17 - k) for k in range(17, -1, -1)
+        ]
+        assert sum(c.classification == BOUNDED for c in components) == 16
+        path = tmp_path / "line17.json"
+        path.write_text(serialize_arrangement(arr))
+        assert main(["core", str(path), "--force"]) == 0
+        assert json.loads(capsys.readouterr().out)["theta_cpt_count"] == 16
 
     def test_requires_smooth(self):
         bad = Arrangement(1, ((-1,), (1,), (1,)), (1, -1, 0))
@@ -126,8 +140,7 @@ class TestCoreEmptyCriterion:
         for _ in range(20):
             arr = random_smooth_arrangement(rng, max_d=5)
             for component in extended_core(arr):
-                if component.classification != EMPTY:
-                    assert affine_dimension(component.chamber) == arr.n
+                assert affine_dimension(component.chamber) == arr.n
 
 
 class TestVerifyCovering:
@@ -227,10 +240,10 @@ class TestSharedVerdicts:
                 feasibility, name, lambda *args, real=real: proofs.append(args) or real(*args)
             )
         assert verify_covering(arr).covered
-        misses = stability._cone_contains.cache_info().misses
+        misses = stability._live_letters.cache_info().misses
         for eps in theta_cpt(arr):
             chart_complement(arr, eps)
-        assert stability._cone_contains.cache_info().misses == misses
+        assert stability._live_letters.cache_info().misses == misses
         assert stability._cone_contains.cache_info().currsize <= 3**arr.d
         # neither sweep reads a witness point or a Farkas vector
         assert proofs == []

@@ -34,6 +34,7 @@ from corecover import (
     verify_certificate,
     verify_covering,
 )
+import corecover.quotient as quotient
 import corecover.stability as stability
 from corecover.randgen import random_pattern, random_sign_vector, random_smooth_arrangement
 from corecover.stability import FULL_ALPHABET, NO_BOTH_ALPHABET, Status, chart_pattern
@@ -389,8 +390,19 @@ class TestPrefixTree:
         parallel = [arrangement_with_parallel_normals(rng) for _ in range(20)]
         assert any(not is_smooth(arr) for arr in parallel)
         for arr in arrangements + parallel:
+            nonempty = []
             for pattern in itertools.product(NO_BOTH_ALPHABET, repeat=arr.d):
-                assert stability._cone_contains(arr, pattern) == per_pattern_verdict(arr, pattern)
+                verdict = per_pattern_verdict(arr, pattern)
+                assert stability._cone_contains(arr, pattern) == verdict
+                if verdict:
+                    nonempty.append(pattern)
+            # the tree's leaves are the nonempty state sets, in product order
+            assert list(stability._nonempty_patterns(arr)) == nonempty
+            # the extended core lists the nonempty chambers, also on non-smooth
+            # input, which render reads it on
+            dense = set(nonempty)
+            chambers = [eps for eps in all_sign_vectors(arr.d) if full_pattern(eps) in dense]
+            assert [c.eps for c in quotient._extended_core_cached(arr)] == chambers
 
     def test_extended_core_expands_dense_prefixes_only(self, hirzebruch, triangle_pair, monkeypatch):
         rng = random.Random(31)
