@@ -15,9 +15,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .linalg import (
     _eliminate,
+    _extend_echelon,
     det,
     is_primitive,
     kernel_lattice,
@@ -157,35 +159,102 @@ def reorient(arr: Arrangement, eps) -> Arrangement:
     return Arrangement(arr.n, normals, lifts, name=arr.name)
 
 
+def _direction_classes(arr: Arrangement) -> tuple:
+    """The hyperplanes grouped by normal direction, in order of appearance.
+
+    Normals are primitive, so two are parallel exactly when they agree up to
+    sign. Each class is ``(r, members)``: ``r`` is the common normal up to
+    sign with its first nonzero entry positive, and ``members`` holds
+    ``(i, t)`` for each hyperplane ``i`` of the class, which is the set
+    ``<r, x> = t``.
+    """
+    classes = {}
+    for i, (u, lift) in enumerate(zip(arr.normals, arr.lifts)):
+        sign = 1 if next(x for x in u if x) > 0 else -1
+        r = tuple(sign * x for x in u)
+        classes.setdefault(r, []).append((i, -sign * lift))
+    return tuple((r, tuple(members)) for r, members in classes.items())
+
+
+def _circuits(vectors):
+    """Every circuit of ``vectors``: minimal linearly dependent subsets.
+
+    Yields ``(support, relation)`` with ``support`` increasing indices and
+    ``relation`` the integer relation ``sum(c * vectors[i] for c, i in
+    zip(relation, support)) == 0``, every ``c`` nonzero. The walk is depth
+    first over index subsets and keeps each prefix's echelon form. It extends
+    only independent prefixes, which loses no circuit since every proper
+    subset of a circuit is independent. An independent prefix plus one vector
+    is a circuit exactly when the relation is nonzero on all of the prefix;
+    otherwise its circuit is a proper subset, met on its own path.
+    """
+    stack = [((), ())]
+    while stack:
+        prefix, echelon = stack.pop()
+        for k in range(prefix[-1] + 1 if prefix else 0, len(vectors)):
+            grown, relation = _extend_echelon(echelon, vectors[k])
+            if grown is not None:
+                stack.append((prefix + (k,), grown))
+            elif all(relation):
+                yield prefix + (k,), relation
+
+
 @scoped_cache
 def is_regular(arr: Arrangement) -> bool:
-    """Every linearly independent n-subset of normals is a lattice basis."""
-    for subset in itertools.combinations(range(arr.d), arr.n):
-        sub = [arr.normals[i] for i in subset]
-        value = det(sub)
-        if value != 0 and abs(value) != 1:
-            return False
-    return True
+    """Every linearly independent n-subset of normals is a lattice basis.
+
+    Decided on the D direction classes (see ``_direction_classes``) instead
+    of the d hyperplanes: an n-subset that holds a parallel pair has
+    determinant 0, and flipping a normal's sign does not change |det|, so
+    the C(D, n) determinants of the class representatives decide. A regular
+    arrangement has at most n(n+1)/2 classes (Heller, 1957), so for smooth
+    input the cost follows n, not d.
+    """
+    reps = [r for r, _ in _direction_classes(arr)]
+    return all(abs(det(sub)) <= 1 for sub in itertools.combinations(reps, arr.n))
 
 
 @scoped_cache
 def is_simple(arr: Arrangement) -> bool:
     """Every k hyperplanes that meet do so in codimension exactly k.
 
-    Subsets are scanned up to size n + 1; a violating larger subset always
-    contains a violating subset of size at most n + 1. One elimination of the
-    augmented system per subset decides both whether the hyperplanes meet (no
-    nonzero right-hand side below the pivots) and their codimension (the
-    pivot count).
+    Equivalently, no linearly dependent set of hyperplanes meets. Every
+    dependent set contains a circuit of normals, and every subset of a
+    meeting set meets, so it suffices that no circuit meets. Circuits come
+    in two kinds, decided on the direction classes (see
+    ``_direction_classes``), whose number is at most n(n+1)/2 for a regular
+    arrangement (Heller, 1957):
+
+    * a parallel pair ``<r, x> = s`` and ``<r, x> = t`` meets exactly when
+      ``s == t``, that is when it is one hyperplane twice;
+    * a larger circuit takes one hyperplane from each of k >= 3 classes
+      whose representatives carry an integer relation ``sum(c_i r_i) == 0``
+      with every ``c_i`` nonzero. The system ``<r_i, x> = t_i`` has the
+      one-dimensional left kernel spanned by ``c``, so it is consistent
+      exactly when ``sum(c_i t_i) == 0``. One set of partial sums over the
+      first k - 1 classes and one lookup per offset of the last decide every
+      choice of hyperplanes at once.
+
+    The circuits of the representatives come from ``_circuits``, one
+    reduction per independent subset of classes, so the cost follows the
+    classes and their sizes, not C(d, n + 1). Offsets are scaled to
+    integers by a common denominator, which scales every sum alike.
     """
-    for size in range(2, min(arr.d, arr.n + 1) + 1):
-        for subset in itertools.combinations(range(arr.d), size):
-            rows, pivots, _ = _eliminate(
-                [arr.normals[i] for i in subset], [-arr.lifts[i] for i in subset]
-            )
-            meet = all(row[arr.n] == 0 for row in rows[len(pivots):])
-            if meet and len(pivots) != size:
-                return False
+    classes = _direction_classes(arr)
+    common = lcm(*(t.denominator for _, members in classes for _, t in members))
+    offsets = [
+        tuple(t.numerator * (common // t.denominator) for _, t in members)
+        for _, members in classes
+    ]
+    if any(len(set(ts)) < len(ts) for ts in offsets):
+        return False
+    for support, relation in _circuits([r for r, _ in classes]):
+        *head, last = support
+        sums = {0}
+        for c, k in zip(relation, head):
+            sums = {s + c * t for s in sums for t in offsets[k]}
+        if any(-relation[-1] * t in sums for t in offsets[last]):
+            return False
     return True
 
 
@@ -260,11 +329,18 @@ def trivial_factors(arr: Arrangement) -> tuple:
     """Indices whose normal lies outside the span of all the others.
 
     Each such hyperplane splits off a flat factor of the quotient; the core
-    is empty exactly when such indices exist (reported, not assumed).
+    is empty exactly when such indices exist (reported, not assumed). A
+    hyperplane with a parallel partner never qualifies, since the partner
+    spans its direction, so only singleton direction classes (see
+    ``_direction_classes``) are tested: one is a factor exactly when the
+    other classes' representatives fail to span. That is at most D rank
+    computations, D <= n(n+1)/2 for a regular arrangement (Heller, 1957).
     """
-    out = []
-    for k in range(arr.d):
-        others = [arr.normals[i] for i in range(arr.d) if i != k]
-        if rank(others) < arr.n:
-            out.append(k)
-    return tuple(out)
+    classes = _direction_classes(arr)
+    reps = [r for r, _ in classes]
+    out = [
+        members[0][0]
+        for k, (_, members) in enumerate(classes)
+        if len(members) == 1 and rank(reps[:k] + reps[k + 1:]) < arr.n
+    ]
+    return tuple(sorted(out))

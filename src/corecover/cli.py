@@ -14,6 +14,7 @@ complement guard and the chart's chamber before the core sweep.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import namedtuple
@@ -219,10 +220,15 @@ def build_parser():
     return parser
 
 
+# Built on first use and shared by every later call of ``main`` in the
+# process: parsing leaves the parser unchanged, and building it costs about
+# a tenth of a small ``report``.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     command = _COMMANDS[args.command]

@@ -1,8 +1,9 @@
 """Exact integer and rational linear algebra.
 
 Matrices are immutable tuples of row tuples, vectors are plain tuples.
-Integer work (Hermite normal form, saturated kernels, primitivity) stays in
-arbitrary precision integers; rational work uses fractions.Fraction, and one
+Integer work (Hermite normal form, saturated kernels, primitivity, the
+incremental echelon form that walks subsets of vectors) stays in arbitrary
+precision integers; rational work uses fractions.Fraction, and one
 forward Gaussian elimination answers rank, determinant and both solvers.
 There is no floating point anywhere in this module: every downstream verdict
 is an exact feasibility question and rounding would corrupt it.
@@ -183,6 +184,56 @@ def _eliminate(mat, rhs=None) -> tuple:
                 row[col:] = [x - f * y for x, y in zip(row[col:], top[col:])]
         pivots.append(col)
     return rows, pivots, sign
+
+
+def _extend_echelon(rows, vec) -> tuple:
+    """One incremental step of fraction-free Gauss-Jordan elimination.
+
+    ``rows`` is a reduced echelon form of integer vectors ``v_0, ...,
+    v_{j-1}`` as ``(pivot, row, coords)`` triples of integers: ``row`` is
+    nonzero at its ``pivot``, 0 at every other triple's pivot, and equals
+    ``sum(coords[i] * v_i)``. If the integer vector ``vec`` is independent of
+    the ``v_i``, returns ``(grown, None)`` with ``grown`` the same form for
+    ``v_0, ..., v_{j-1}, vec``. Otherwise returns ``(None, relation)``, an
+    integer vector with ``sum(relation[i] * v_i) + relation[j] * vec == 0``
+    and ``relation[j] != 0``; it is unique up to scale. A walk over subsets
+    that extends a prefix one vector at a time thus pays one reduction per
+    subset instead of one elimination.
+    """
+    scale = 1
+    residual = list(vec)
+    coeffs = [0] * len(rows)
+    for pivot, row, coords in rows:
+        f = residual[pivot]
+        if f:
+            p = row[pivot]
+            residual = [p * x - f * y for x, y in zip(residual, row)]
+            coeffs = [p * c + f * k for c, k in zip(coeffs, coords)]
+            scale *= p
+    # now scale * vec == residual + sum(coeffs[i] * v_i)
+    pivot = next((col for col, x in enumerate(residual) if x), None)
+    if pivot is None:
+        return None, tuple(coeffs) + (-scale,)
+    new_row, new_coords = _primitive_pair(residual, [-c for c in coeffs] + [scale])
+    p = new_row[pivot]
+    grown = []
+    for piv, row, coords in rows:
+        coords += (0,)
+        e = row[pivot]
+        if e:
+            row, coords = _primitive_pair(
+                [p * x - e * y for x, y in zip(row, new_row)],
+                [p * c - e * k for c, k in zip(coords, new_coords)],
+            )
+        grown.append((piv, row, coords))
+    grown.append((pivot, new_row, new_coords))
+    return tuple(grown), None
+
+
+def _primitive_pair(row, coords) -> tuple:
+    """Both integer lists divided by the gcd of all their entries, as tuples."""
+    g = gcd(*row, *coords)
+    return tuple(x // g for x in row), tuple(c // g for c in coords)
 
 
 def _back_substitute(rows, pivots, ncols: int) -> tuple:

@@ -22,10 +22,12 @@ from corecover import (
     torus_data,
     trivial_factors,
 )
+import corecover.arrangement as arrangement
+import corecover.linalg as linalg
 from corecover.linalg import det, mat_vec, transpose
 from corecover.randgen import random_smooth_arrangement
 from corecover.stability import FULL_ALPHABET
-from util import brute_force_simple
+from util import brute_force_simple, subset_regular, subset_simple, subset_trivial_factors
 
 F = Fraction
 
@@ -116,6 +118,94 @@ class TestReorient:
             assert direct == via_reorient
 
 
+def _direction_key(u):
+    return u if next(x for x in u if x) > 0 else tuple(-x for x in u)
+
+
+def _point_sets(arr):
+    """The distinct hyperplanes of ``arr`` as point sets."""
+    return {
+        (_direction_key(u), lift if _direction_key(u) == u else -lift)
+        for u, lift in zip(arr.normals, arr.lifts)
+    }
+
+
+def _oracle_population(rng, count):
+    """Arrangements with primitive normals in [-2, 2]^n, n = 1-3, d <= 7,
+    about half of them drawn with parallel copies and repeated lifts."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 3)
+        d = rng.randint(n, 7)
+        copies = rng.random() < 0.5
+        normals, lifts = [], []
+        for _ in range(d):
+            if copies and normals and rng.random() < 0.5:
+                # a parallel copy of an earlier hyperplane, sometimes the same one
+                k = rng.randrange(len(normals))
+                sign = rng.choice((1, -1))
+                normals.append(tuple(sign * x for x in normals[k]))
+                lift = lifts[k] if rng.random() < 0.3 else F(rng.randint(-3, 3), rng.choice((1, 2)))
+                lifts.append(sign * lift)
+            else:
+                normals.append(tuple(rng.randint(-2, 2) for _ in range(n)))
+                lifts.append(F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))))
+        try:
+            out.append(Arrangement(n, tuple(normals), tuple(lifts)))
+        except ValueError:
+            continue
+    return out
+
+
+def _distinct_directions(rng, count):
+    """n = 3, d = 8: pairwise non-parallel normals from [-3, 3]^3, lifts p/q
+    with q <= 3."""
+    out = []
+    for _ in range(count):
+        normals, keys = [], set()
+        while len(normals) < 8:
+            u = tuple(rng.randint(-3, 3) for _ in range(3))
+            if any(u) and linalg.is_primitive(u) and _direction_key(u) not in keys:
+                keys.add(_direction_key(u))
+                normals.append(u)
+        lifts = tuple(F(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(8))
+        out.append(Arrangement(3, tuple(normals), lifts))
+    return out
+
+
+def _count_eliminations(monkeypatch, fn, arr):
+    """Calls of the incremental reduction and of the Gaussian elimination
+    behind det and rank made while ``fn(arr)`` runs."""
+    counts = {"extend": 0, "eliminate": 0}
+
+    def counting(key, inner):
+        def wrapper(*args):
+            counts[key] += 1
+            return inner(*args)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(arrangement, "_extend_echelon", counting("extend", arrangement._extend_echelon))
+        patch.setattr(linalg, "_eliminate", counting("eliminate", linalg._eliminate))
+        fn(arr)
+    return counts
+
+
+def _three_class_arrangement(rng, per_class):
+    """n = 2, classes x = a, y = b and x + y = c with ``per_class``
+    hyperplanes each, one sign drawn per normal; no three meet."""
+    xs = rng.sample(range(-200, 200), per_class)
+    ys = rng.sample(range(-200, 200), per_class)
+    sums = {x + y for x in xs for y in ys}
+    cs = rng.sample([c for c in range(-500, 500) if c not in sums], per_class)
+    planes = [((1, 0), F(x, 3)) for x in xs] + [((0, 1), F(y, 3)) for y in ys]
+    planes += [((1, 1), F(c, 3)) for c in cs]
+    rng.shuffle(planes)
+    signs = [rng.choice((1, -1)) for _ in planes]
+    normals = tuple(tuple(s * x for x in u) for s, (u, _) in zip(signs, planes))
+    return Arrangement(2, normals, tuple(-s * v for s, (_, v) in zip(signs, planes)))
+
+
 class TestSmoothness:
     def test_fixtures_smooth(self, hirzebruch, a2_resolution, trivial_product, triangle_pair):
         for arr in (hirzebruch, a2_resolution, trivial_product, triangle_pair):
@@ -152,7 +242,84 @@ class TestSmoothness:
                 )
             except ValueError:
                 continue
-            assert is_simple(arr) == brute_force_simple(arr)
+            assert is_simple(arr) == brute_force_simple(arr) == subset_simple(arr)
+            assert is_regular(arr) == subset_regular(arr)
+            assert trivial_factors(arr) == subset_trivial_factors(arr)
+
+    def test_matches_subset_scans(self):
+        rng = random.Random(2587)
+        population = _oracle_population(rng, 700) + _distinct_directions(rng, 8)
+        seen = dict.fromkeys(("non-regular", "non-simple", "parallel", "duplicated", "all distinct"), 0)
+        for arr in population:
+            regular, simple = is_regular(arr), is_simple(arr)
+            assert regular == subset_regular(arr)
+            assert simple == subset_simple(arr) == brute_force_simple(arr)
+            assert trivial_factors(arr) == subset_trivial_factors(arr)
+            distinct = len({_direction_key(u) for u in arr.normals}) == arr.d
+            seen["non-regular"] += not regular
+            seen["non-simple"] += not simple
+            seen["parallel"] += not distinct
+            seen["duplicated"] += len(_point_sets(arr)) < arr.d
+            seen["all distinct"] += distinct
+        assert min(seen.values()) >= 100, seen
+
+    def test_duplicated_hyperplanes(self):
+        rng = random.Random(99)
+        for arr in _oracle_population(rng, 200):
+            doubled = Arrangement(
+                arr.n, arr.normals + arr.normals[:1], arr.lifts + arr.lifts[:1]
+            )
+            flipped = Arrangement(
+                arr.n,
+                arr.normals + (tuple(-x for x in arr.normals[0]),),
+                arr.lifts + (-arr.lifts[0],),
+            )
+            for dup in (doubled, flipped):
+                assert not is_simple(dup) and not subset_simple(dup)
+                assert is_regular(dup) == is_regular(arr) == subset_regular(dup)
+                assert trivial_factors(dup) == subset_trivial_factors(dup)
+
+    def test_four_circuit_by_hand(self):
+        # x = a, y = b, z = c and x + y + z = e meet exactly when a + b + c = e
+        axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+        for a, b, c, e in itertools.product((0, F(1, 2), -1), (0, 2), (F(-1, 3), 1), (0, F(1, 6), 2)):
+            arr = Arrangement(3, axes, (-a, -b, -c, -e))
+            assert is_simple(arr) == (a + b + c != e)
+
+    def test_four_circuit_parallel_copies(self):
+        # two or three parallel copies per class, half of them with the
+        # normal negated; a meeting quadruple needs one value per class
+        xs, ys, zs = (0, F(1, 2)), (1, -2, F(1, 3)), (F(-1, 3), 4)
+        axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        base = [(axis, v) for axis, vals in zip(axes, (xs, ys, zs)) for v in vals]
+        sums = {x + y + z for x in xs for y in ys for z in zs}
+        cases = [((F(6), F(-7, 2)), True), ((F(6), min(sums)), False), ((max(sums), F(1, 7)), False)]
+        for es, simple in cases:
+            planes = base + [((1, 1, 1), e) for e in es]
+            normals = tuple(
+                tuple((-1) ** k * x for x in u) for k, (u, _) in enumerate(planes)
+            )
+            lifts = tuple(-((-1) ** k) * v for k, (_, v) in enumerate(planes))
+            arr = Arrangement(3, normals, lifts)
+            assert is_regular(arr)
+            assert is_simple(arr) == simple == (not sums & set(es)) == subset_simple(arr)
+
+    def test_work_independent_of_d(self, monkeypatch):
+        # a preflight-shaped arrangement: 3 direction classes of 10 or 20
+        # hyperplanes; the subset scans make C(d, 2) + C(d, 3) eliminations
+        rng = random.Random(60)
+        small, large = (_three_class_arrangement(rng, k) for k in (10, 20))
+        assert large.d == 60 and small.d == 30
+        for fn in (is_regular, is_simple, trivial_factors):
+            assert _count_eliminations(monkeypatch, fn, large) == _count_eliminations(
+                monkeypatch, fn, small
+            )
+        assert is_regular(large) and is_simple(large) and trivial_factors(large) == ()
+        counts = _count_eliminations(monkeypatch, is_simple, _three_class_arrangement(rng, 20))
+        # 3 singletons, 3 pairs and the one circuit of all three classes
+        assert counts == {"extend": 7, "eliminate": 0}
+        counts = _count_eliminations(monkeypatch, is_regular, _three_class_arrangement(rng, 20))
+        assert counts == {"extend": 0, "eliminate": 3}
 
 
 class TestChambers:

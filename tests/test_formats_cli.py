@@ -345,6 +345,21 @@ class TestCli:
     def test_unknown_command_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    def test_parser_built_once(self, tmp_path, capsys, monkeypatch):
+        # later calls reuse the first call's parser, and a usage error or a
+        # help request on the shared parser leaves it intact for the next call
+        main(["frobnicate"])
+        monkeypatch.setattr(cli, "build_parser", None)
+        path = write(tmp_path, HIRZ_DOC)
+        assert main(["check", "--pattern", "zzzz", path]) == 2
+        assert main(["check", "--help"]) == 0
+        assert main(["--help"]) == 0
+        assert main(["check"]) == 2
+        capsys.readouterr()
+        assert main(["check", path]) == 0
+        assert json.loads(capsys.readouterr().out)["smooth"] is True
+        assert cli._parser() is cli._parser()
+
     def test_render(self, tmp_path):
         out = tmp_path / "pic.svg"
         code = main(["render", write(tmp_path, HIRZ_DOC), "-o", str(out)])

@@ -1,8 +1,10 @@
 """Independent oracles used only by the test suite.
 
 These deliberately re-derive properties by different routes than the library
-(row reduction instead of the pinned HNF, full subset enumeration instead of
-the truncated simplicity scan, interval analysis instead of elimination, the
+(row reduction instead of the pinned HNF, subset scans over the hyperplanes
+instead of the direction classes for regularity, simplicity and trivial
+factors, full subset enumeration instead of the (n + 1)-bounded simplicity
+scan, interval analysis instead of elimination, the
 numeric d-variable stability system instead of state sets, a rank test in R^d
 instead of one on the normals for realizability, one LP on a whole state set
 instead of the prefix tree), so agreement is meaningful. Also the constraint
@@ -22,7 +24,7 @@ from corecover import (
     theta_cpt,
     torus_data,
 )
-from corecover.linalg import lin_solve, rank, unit_vector
+from corecover.linalg import _eliminate, det, lin_solve, rank, unit_vector
 from corecover.quotient import _complement_report
 from corecover.stability import FULL_ALPHABET, NO_BOTH_ALPHABET, Status, chart_pattern
 
@@ -90,6 +92,41 @@ def row_reduce_lattice_membership(basis, vector) -> bool:
     if combined != [Fraction(x) for x in vector]:
         return False
     return all(Fraction(c).denominator == 1 for c in sol)
+
+
+def subset_regular(arr) -> bool:
+    """Regularity by the determinant of every n-subset of hyperplanes, not
+    of the direction classes."""
+    for subset in itertools.combinations(range(arr.d), arr.n):
+        value = det([arr.normals[i] for i in subset])
+        if value != 0 and abs(value) != 1:
+            return False
+    return True
+
+
+def subset_simple(arr) -> bool:
+    """Simplicity by one elimination of the augmented system per subset of
+    size 2 to n + 1 (a violating subset always contains one of size at most
+    n + 1): the hyperplanes meet when no nonzero right-hand side is left
+    below the pivots, in codimension the pivot count."""
+    for size in range(2, min(arr.d, arr.n + 1) + 1):
+        for subset in itertools.combinations(range(arr.d), size):
+            rows, pivots, _ = _eliminate(
+                [arr.normals[i] for i in subset], [-arr.lifts[i] for i in subset]
+            )
+            meet = all(row[arr.n] == 0 for row in rows[len(pivots):])
+            if meet and len(pivots) != size:
+                return False
+    return True
+
+
+def subset_trivial_factors(arr) -> tuple:
+    """Trivial factors by one rank computation per hyperplane."""
+    return tuple(
+        k
+        for k in range(arr.d)
+        if rank([arr.normals[i] for i in range(arr.d) if i != k]) < arr.n
+    )
 
 
 def brute_force_simple(arr) -> bool:
