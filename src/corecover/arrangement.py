@@ -23,7 +23,6 @@ from .linalg import (
     det,
     is_primitive,
     kernel_lattice,
-    mat_vec,
     primitive_scale,
     rank,
     solve_square,
@@ -122,12 +121,22 @@ class TorusData:
         for row in basis:
             if len(row) != self.d:
                 raise ValueError("kernel basis vector has wrong length")
-        if tuple(mat_vec(basis, lifts)) != alpha:
+        common, sums = _level_numerators(basis, lifts)
+        if any(a.numerator * common != s * a.denominator for a, s in zip(alpha, sums)):
             raise ValueError("alpha does not equal basis @ lifts")
 
     @property
     def n(self) -> int:
         return self.d - self.m
+
+
+def _level_numerators(basis, lifts) -> tuple:
+    """``(common, sums)`` with ``basis @ lifts == sums / common`` entrywise:
+    the lifts over their common denominator, so the products and sums of the
+    moment level run on integers."""
+    common = lcm(*(x.denominator for x in lifts))
+    nums = [x.numerator * (common // x.denominator) for x in lifts]
+    return common, tuple(sum(a * x for a, x in zip(row, nums)) for row in basis)
 
 
 @scoped_cache
@@ -139,9 +148,8 @@ def torus_data(arr: Arrangement) -> TorusData:
     """
     pi = transpose(arr.normals, ncols=arr.n)
     basis = kernel_lattice(pi, ncols=arr.d)
-    alpha = tuple(
-        sum(row[i] * arr.lifts[i] for i in range(arr.d)) for row in basis
-    )
+    common, sums = _level_numerators(basis, arr.lifts)
+    alpha = tuple(Fraction(s, common) for s in sums)
     return TorusData(d=arr.d, m=len(basis), basis=basis, alpha=alpha, lifts=arr.lifts)
 
 

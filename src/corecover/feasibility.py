@@ -11,12 +11,14 @@ elimination, with two refinements:
   infeasible ones. The proof is built the first time it is read, so a
   caller that needs only the verdict pays for the elimination alone.
 
-Rows are integer: each input constraint is scaled to integer coefficients and
-every derived row is divided by its content, so elimination runs on Python
-ints only. A derived row records how it was made (its two parent rows with
-their integer factors, and the sign and divisor of its normalization) rather
-than its multipliers over the input constraints. Those multipliers are rebuilt
-in exact rationals only for the row that proves infeasibility.
+Rows are integer, so elimination runs on Python ints only. Each input
+constraint is scaled to a normalized integer row once, on first use, and keeps
+that row for every system that holds it; a system adds only its own input
+index. Every derived row is divided by its content. A derived row records how
+it was made (its two parent rows with their integer factors, and the sign and
+divisor of its normalization) rather than its multipliers over the input
+constraints. Those multipliers are rebuilt in exact rationals only for the row
+that proves infeasibility.
 
 Strict inequalities are handled natively: a combined row is strict exactly
 when a strict row participates with a positive multiplier. Witnesses are
@@ -29,6 +31,7 @@ import itertools
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .linalg import lin_solve, rank as mat_rank, solve_square, unit_vector
@@ -50,6 +53,24 @@ class Constraint:
 
     def evaluate(self, point):
         return sum(a * x for a, x in zip(self.coeffs, point)) + self.constant
+
+    @cached_property
+    def _scaled(self) -> tuple:
+        """``(coeffs, const, mul, div)`` of the normalized integer row: the
+        constraint times ``mul / div``. Index-free, so one cached row serves
+        every system the constraint appears in."""
+        pairs = [_ratio(x) for x in self.coeffs]
+        num, den = _ratio(self.constant)
+        scale = lcm(den, *(d for _, d in pairs))
+        coeffs = tuple(n * (scale // d) for n, d in pairs)
+        row = _normalized(coeffs, num * (scale // den), self.relation, None, scale)
+        return row.coeffs, row.const, row.mul, row.div
+
+    def __getstate__(self):
+        """Pickle the fields only, whether or not the row is cached."""
+        state = dict(self.__dict__)
+        state.pop("_scaled", None)
+        return state
 
     def holds(self, point) -> bool:
         value = self.evaluate(point)
@@ -230,11 +251,9 @@ def _ratio(x):
 
 
 def _integerize(con: Constraint, index: int) -> _Row:
-    pairs = [_ratio(x) for x in con.coeffs]
-    num, den = _ratio(con.constant)
-    scale = lcm(den, *(d for _, d in pairs))
-    coeffs = tuple(n * (scale // d) for n, d in pairs)
-    return _normalized(coeffs, num * (scale // den), con.relation, index, scale)
+    """The constraint's cached integer row, derived from input ``index``."""
+    coeffs, const, mul, div = con._scaled
+    return _Row(coeffs, const, con.relation, index, mul, div)
 
 
 def _combine(row_a: _Row, ca: int, row_b: _Row, cb: int, rel: Relation) -> _Row:
@@ -505,8 +524,13 @@ def recession_cone(poly: Polyhedron) -> Polyhedron:
 
 def is_bounded(poly: Polyhedron) -> bool:
     """True iff the recession cone is trivial. Empty polyhedra count as bounded."""
-    if not is_feasible(poly).feasible:
-        return True
+    return not is_feasible(poly).feasible or _trivial_recession(poly)
+
+
+def _trivial_recession(poly: Polyhedron) -> bool:
+    """Is the recession cone ``{0}``? One probe per signed coordinate
+    direction, 2 * dim LPs; for a nonempty polyhedron this is boundedness,
+    so a caller that already knows the polyhedron nonempty skips its LP."""
     cone = recession_cone(poly)
     for j in range(poly.dim):
         for sign in (1, -1):

@@ -37,10 +37,6 @@ def unit_vector(dim: int, index: int, sign: int = 1) -> tuple:
     return tuple(sign if j == index else 0 for j in range(dim))
 
 
-def mat_vec(mat, vec) -> tuple:
-    return tuple(sum(a * x for a, x in zip(row, vec)) for row in mat)
-
-
 def is_primitive(vec) -> bool:
     """True iff the gcd of the integer entries is 1. Undefined for zero."""
     if not vec or all(x == 0 for x in vec):

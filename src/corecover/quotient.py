@@ -29,7 +29,7 @@ from .arrangement import (
     trivial_factors,
 )
 from .errors import GuardError
-from .feasibility import Polyhedron, affine_dimension, is_bounded, is_feasible
+from .feasibility import Polyhedron, _trivial_recession, affine_dimension, is_feasible
 from .memo import scoped_cache
 from .stability import (
     NO_BOTH_ALPHABET,
@@ -124,7 +124,8 @@ def _extended_core_cached(arr: Arrangement) -> tuple:
     for pattern in _nonempty_patterns(arr, (Status.Z, Status.W)):
         eps = tuple(1 if status is Status.Z else -1 for status in pattern)
         region = state_set(arr, pattern)
-        kind = BOUNDED if is_bounded(region) else UNBOUNDED
+        # a leaf of the tree is nonempty: boundedness is the recession probes
+        kind = BOUNDED if _trivial_recession(region) else UNBOUNDED
         components.append(CoreComponent(eps, region, kind))
     return tuple(components)
 

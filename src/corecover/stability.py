@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .arrangement import Arrangement, TorusData, check_sign_vector
 from .feasibility import Certificate, Constraint, Polyhedron, Relation, is_feasible
-from .linalg import kernel_lattice, rank, unit_vector
+from .linalg import _extend_echelon, kernel_lattice, unit_vector
 from .memo import scoped_cache
 
 
@@ -282,9 +282,11 @@ def _realizable_both_set(td: TorusData, both) -> bool:
     if not both:
         return True
     columns = _normal_columns(td)
-    rest = [columns[j] for j in range(td.d) if j not in both]
-    base = rank(rest)
-    return all(rank(rest + [columns[i]]) > base for i in both)
+    echelon = ()
+    for j in range(td.d):
+        if j not in both:
+            echelon = _extend_echelon(echelon, columns[j])[0] or echelon
+    return all(_extend_echelon(echelon, columns[i])[0] is not None for i in both)
 
 
 def pattern_realizable(td: TorusData, pattern) -> bool:
@@ -296,7 +298,9 @@ def pattern_realizable(td: TorusData, pattern) -> bool:
     combination of its rows vanishes off B and nowhere on B iff it is a
     functional killing every ``c_j`` outside B and no ``c_i`` in B. So B is
     realizable iff no ``c_i`` with i in B lies in the span of the columns
-    outside B: an n-dimensional rank test, decided once per BOTH set.
+    outside B: an n-dimensional rank test, decided once per BOTH set by one
+    fraction-free echelon form of the columns outside B, against which each
+    column in B is reduced.
     """
     pattern = check_pattern(pattern, td.d)
     both = tuple(i for i, s in enumerate(pattern) if s is Status.BOTH)

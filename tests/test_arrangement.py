@@ -24,10 +24,10 @@ from corecover import (
 )
 import corecover.arrangement as arrangement
 import corecover.linalg as linalg
-from corecover.linalg import det, mat_vec, transpose
+from corecover.linalg import det, transpose
 from corecover.randgen import random_smooth_arrangement
 from corecover.stability import FULL_ALPHABET
-from util import brute_force_simple, subset_regular, subset_simple, subset_trivial_factors
+from util import brute_force_simple, mat_vec, subset_regular, subset_simple, subset_trivial_factors
 
 F = Fraction
 
@@ -87,6 +87,20 @@ class TestTorusData:
     def test_validates_alpha(self):
         with pytest.raises(ValueError):
             TorusData(d=2, m=1, basis=((1, 1),), alpha=(F(5),), lifts=(1, 1))
+        # mixed denominators: the level is checked over their common one, 12
+        basis = ((1, 1, -1), (0, 2, 1))
+        lifts = (F(1, 2), F(-2, 3), F(3, 4))
+        right = (F(-11, 12), F(-7, 12))
+        assert TorusData(d=3, m=2, basis=basis, alpha=right, lifts=lifts).alpha == right
+        for wrong in (
+            (F(-11, 6), right[1]),
+            (F(11, 12), right[1]),
+            (right[0], F(-7, 24)),
+            (right[0], F(-7)),
+            (-11, -7),
+        ):
+            with pytest.raises(ValueError, match="alpha"):
+                TorusData(d=3, m=2, basis=basis, alpha=wrong, lifts=lifts)
 
 
 class TestReorient:

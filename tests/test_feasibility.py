@@ -302,6 +302,37 @@ class TestLazyCertificates:
         assert cert == Certificate(True, point=(F(0),))
 
 
+class TestIntegerRows:
+    """Each constraint is scaled to its integer row once. Every system that
+    holds the constraint reuses the row under its own input index."""
+
+    def test_shared_constraint_keeps_each_index(self):
+        shared = Constraint((F(-1, 2),), Relation.GE, F(-1, 3))  # x <= -2/3
+        lower = ge((1,))
+        first = poly(1, shared, lower)
+        second = poly(1, ge((1,), 5), lower, gt((2,), 7), shared)
+        cert = is_feasible(first)
+        row = vars(shared)["_scaled"]
+        again = is_feasible(second)
+        assert vars(shared)["_scaled"] is row
+        assert not cert.feasible and not again.feasible
+        a, b = cert.multipliers
+        assert a > 0 and b > 0
+        assert again.multipliers == (0, b, 0, a)
+        assert verify_certificate(first, cert) and verify_certificate(second, again)
+
+    def test_constraint_identity_unchanged(self):
+        fresh = Constraint((F(1, 2), 3), Relation.EQ, F(-5, 6))
+        scaled = Constraint((F(1, 2), 3), Relation.EQ, F(-5, 6))
+        blob, text, digest = pickle.dumps(fresh), repr(fresh), hash(fresh)
+        assert is_feasible(poly(2, scaled)).feasible
+        assert "_scaled" in vars(scaled) and "_scaled" not in vars(fresh)
+        assert scaled == fresh and hash(scaled) == digest and repr(scaled) == text
+        assert pickle.dumps(scaled) == blob
+        back = pickle.loads(pickle.dumps(scaled))
+        assert back == fresh and hash(back) == digest and "_scaled" not in vars(back)
+
+
 class TestBoundedImpliesFiniteVertices:
     @given(polyhedron_strategy(max_dim=3, closed=True))
     def test_bounded_recession_trivial(self, p):

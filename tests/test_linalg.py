@@ -11,13 +11,12 @@ from corecover.linalg import (
     is_primitive,
     kernel_lattice,
     lin_solve,
-    mat_vec,
     primitive_scale,
     rank,
     solve_square,
     transpose,
 )
-from util import is_hnf_shape, mat_mul, row_reduce_lattice_membership
+from util import is_hnf_shape, mat_mul, mat_vec, row_reduce_lattice_membership
 
 # SHA-256 of rank/lin_solve (and det/solve_square when square) over
 # rational_systems(2718, 5000), recorded with the earlier implementation that

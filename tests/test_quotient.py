@@ -18,6 +18,7 @@ from corecover import (
     core_empty_criterion,
     enumerate_vertices,
     extended_core,
+    is_bounded,
     format_pattern,
     reorient,
     serialize_arrangement,
@@ -99,6 +100,21 @@ class TestExtendedCore:
         path.write_text(serialize_arrangement(arr))
         assert main(["core", str(path), "--force"]) == 0
         assert json.loads(capsys.readouterr().out)["theta_cpt_count"] == 16
+
+    def test_classification_solves_no_chamber_again(self, monkeypatch):
+        # every listed chamber is a nonempty leaf of the tree, so only the
+        # recession probes run, and each classification is is_bounded's
+        rng = random.Random(4669)
+        real = feasibility.is_feasible
+        for _ in range(20):
+            arr = random_smooth_arrangement(rng, max_d=6)
+            solved = []
+            monkeypatch.setattr(feasibility, "is_feasible", lambda p: solved.append(p) or real(p))
+            components = extended_core(arr)
+            monkeypatch.undo()
+            assert solved and not {c.chamber for c in components}.intersection(solved)
+            for c in components:
+                assert c.classification == (BOUNDED if is_bounded(c.chamber) else UNBOUNDED)
 
     def test_requires_smooth(self):
         bad = Arrangement(1, ((-1,), (1,), (1,)), (1, -1, 0))

@@ -253,6 +253,21 @@ class TestRealizability:
                 pattern = tuple(B if b else rng.choice(NO_BOTH_ALPHABET) for b in both)
                 assert pattern_realizable(td, pattern) == rank_realizable(td, pattern)
 
+    def test_every_both_set_matches_rank_oracle(self):
+        # the echelon test of the columns outside B against the rank test in
+        # R^d, on all 2^d BOTH sets of two seeded arrangements per (n, d)
+        rng = random.Random(1618)
+        for n in (1, 2, 3):
+            for d in range(n, 9):
+                for _ in range(2):
+                    td = torus_data(random_smooth_arrangement(rng, n=n, d=d))
+                    for size in range(d + 1):
+                        for both in itertools.combinations(range(d), size):
+                            pattern = tuple(B if i in both else Z for i in range(d))
+                            assert stability._realizable_both_set(td, both) == rank_realizable(
+                                td, pattern
+                            )
+
 
 class TestReorientPattern:
     def test_identity(self):

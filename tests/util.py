@@ -46,6 +46,11 @@ def mat_mul(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
+def mat_vec(mat, vec) -> tuple:
+    """Matrix-vector product of a tuple-of-tuples matrix (for kernel checks)."""
+    return tuple(sum(a * x for a, x in zip(row, vec)) for row in mat)
+
+
 def is_hnf_shape(matrix) -> bool:
     """Row HNF shape: pivots positive and strictly right-moving, entries
     above each pivot reduced into [0, pivot), zero rows last."""
