@@ -8,8 +8,10 @@ on every BOTH-free pattern), chart equivalence (the state set of each chart
 pattern against its numeric system, for every compact sign vector and every
 BOTH-free pattern), covering, adjacency, density, the empty-core criterion,
 the chambers (``extended_core`` lists exactly the sign vectors whose
-chamber LP is feasible, in order, and each is full-dimensional, which
-``core`` relies on without testing) and the complement
+chamber LP is feasible, in order, each is full-dimensional, which
+``core`` relies on without testing, each classification is ``is_bounded``'s
+and each bounded chamber's vertices, as the CLI lists them, are
+``enumerate_vertices``') and the complement
 (``chart_complement`` of every compact sign vector against a 4^d sweep of
 numeric verdicts with realizability from a rank test in R^d). Prints one line per instance and a summary.
 
@@ -27,9 +29,11 @@ from corecover import (
     chart_complement,
     chart_semistable,
     core_empty_criterion,
+    enumerate_vertices,
     extended_core,
     hk_semistable_geometric,
     hk_semistable_numeric,
+    is_bounded,
     theta_cpt,
     torus_data,
     verify_covering,
@@ -37,6 +41,7 @@ from corecover import (
 )
 from corecover.arrangement import all_sign_vectors
 from corecover.linalg import rank, unit_vector
+from corecover.quotient import BOUNDED, UNBOUNDED, _chamber_vertices
 from corecover.randgen import random_smooth_arrangement
 from corecover.stability import (
     FULL_ALPHABET,
@@ -113,7 +118,16 @@ def check_instance(arr) -> dict:
         "criterion_agrees": core_empty_criterion(arr).agree,
         "chambers": [c.eps for c in chambers]
         == [eps for eps in all_sign_vectors(arr.d) if geometric[full_pattern(eps)]]
-        and all(affine_dimension(c.chamber) == arr.n for c in chambers),
+        and all(
+            affine_dimension(c.chamber) == arr.n
+            and c.classification == (BOUNDED if is_bounded(c.chamber) else UNBOUNDED)
+            for c in chambers
+        )
+        and all(
+            _chamber_vertices(arr, c.eps) == enumerate_vertices(c.chamber)
+            for c in chambers
+            if c.classification == BOUNDED
+        ),
         "theta_cpt": len(compact),
     }
 

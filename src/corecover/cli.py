@@ -21,7 +21,6 @@ from collections import namedtuple
 
 from .arrangement import all_sign_vectors, is_regular, is_simple, torus_data
 from .errors import ParseError
-from .feasibility import enumerate_vertices
 from .formats import (
     format_pattern,
     format_rational,
@@ -33,6 +32,7 @@ from .formats import (
 from .quotient import (
     BOUNDED,
     DEFAULT_MAX_COVER_D,
+    _chamber_vertices,
     _check_guard,
     chart_complement,
     extended_core,
@@ -59,14 +59,14 @@ def _point_json(point):
     return [format_rational(x) for x in point]
 
 
-def _component_json(component, n):
+def _component_json(arr, component):
     data = {
         "eps": format_sign_vector(component.eps),
         "classification": component.classification,
-        "dimension": n,
+        "dimension": arr.n,
     }
     if component.classification == BOUNDED:
-        data["vertices"] = [_point_json(v) for v in enumerate_vertices(component.chamber)]
+        data["vertices"] = [_point_json(v) for v in _chamber_vertices(arr, component.eps)]
     return data
 
 
@@ -77,7 +77,7 @@ def _check(arr, args):
 
 
 def _core(arr, args):
-    listed = [_component_json(c, arr.n) for c in extended_core(arr, force=args.force)]
+    listed = [_component_json(arr, c) for c in extended_core(arr, force=args.force)]
     compact = sum(c["classification"] == BOUNDED for c in listed)
     return {"components": listed, "theta_cpt_count": compact}
 
@@ -109,6 +109,10 @@ def _cover(arr, args):
 
 
 def _density(arr, args):
+    """The dichotomy on all 2^d sign vectors. The numeric side stays one
+    d-variable LP per sign vector on purpose: it is the independent oracle
+    checked against the tree's chamber verdict, so unlike the core and
+    covering sections this one does not follow the nonempty chambers."""
     _check_guard(arr, args.force, DEFAULT_MAX_COVER_D, "density sweep")
     results = {format_sign_vector(e): verify_density(arr, e) for e in all_sign_vectors(arr.d)}
     return {"density": results, "all_hold": all(results.values())}

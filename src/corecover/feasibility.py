@@ -523,14 +523,10 @@ def recession_cone(poly: Polyhedron) -> Polyhedron:
 
 
 def is_bounded(poly: Polyhedron) -> bool:
-    """True iff the recession cone is trivial. Empty polyhedra count as bounded."""
-    return not is_feasible(poly).feasible or _trivial_recession(poly)
-
-
-def _trivial_recession(poly: Polyhedron) -> bool:
-    """Is the recession cone ``{0}``? One probe per signed coordinate
-    direction, 2 * dim LPs; for a nonempty polyhedron this is boundedness,
-    so a caller that already knows the polyhedron nonempty skips its LP."""
+    """True iff the recession cone is trivial. Empty polyhedra count as
+    bounded. One probe per signed coordinate direction, 2 * dim LPs."""
+    if not is_feasible(poly).feasible:
+        return True
     cone = recession_cone(poly)
     for j in range(poly.dim):
         for sign in (1, -1):

@@ -6,11 +6,14 @@ the core; the main verification confirms that each semistable pattern lands
 in the chart of some compact-core sign vector, so those charts cover the
 whole quotient. Chambers, swept patterns and chart patterns are BOTH-free
 state sets, decided by a prefix tree over the hyperplanes whose leaves are
-the nonempty ones: the chamber, covering and adjacency sweeps list those
-leaves instead of testing 2^d or 3^d candidates. A pattern with BOTH
-coordinates is semistable iff one of its Z/W resolutions is, so the
-complement sweep solves nothing new. Density and adjacency also solve the
-numeric system.
+the nonempty ones: the chamber, covering and adjacency sweeps and the
+BOTH-free part of the complement list those leaves instead of testing 2^d
+or 3^d candidates. A chamber's boundedness is read off the sign vectors of
+candidate extreme rays, one per (n - 1)-subset of direction classes, with no
+LP; a bounded chamber's vertices are the tree's faces of it on n
+hyperplanes. A pattern with BOTH coordinates is semistable iff one of its
+Z/W resolutions is, so the complement sweep solves nothing new. Density and
+adjacency also solve the numeric system.
 
 Everything is exhaustive and exact, guarded against exponential blowup by a
 hyperplane-count limit that can be forced off.
@@ -23,13 +26,15 @@ from dataclasses import dataclass
 
 from .arrangement import (
     Arrangement,
+    _direction_classes,
     check_sign_vector,
     is_smooth,
     torus_data,
     trivial_factors,
 )
 from .errors import GuardError
-from .feasibility import Polyhedron, _trivial_recession, affine_dimension, is_feasible
+from .feasibility import Polyhedron, affine_dimension, is_feasible
+from .linalg import det, solve_square
 from .memo import scoped_cache
 from .stability import (
     NO_BOTH_ALPHABET,
@@ -119,14 +124,49 @@ def _check_guard(arr: Arrangement, force: bool, limit: int, what: str):
 
 
 @scoped_cache
+def _ray_signs(arr: Arrangement) -> tuple:
+    """Sign vectors ``sign(<u_i, r>)`` of the candidate extreme rays ``r`` of
+    every chamber's recession cone; a nonempty chamber of ``eps`` is
+    unbounded iff one of them conforms to ``eps``: each ``sigma_i`` is 0 or
+    ``eps_i``.
+
+    The recession cone of that chamber is ``K = {x : eps_i <u_i, x> >= 0}``.
+    Its lineality space ``{x : <u_i, x> = 0 for all i}`` is 0 because the
+    normals span Q^n, so K is pointed, and a pointed polyhedral cone is the
+    conical hull of its extreme rays: K is nontrivial iff it has one. The
+    normals of the inequalities tight on an extreme ray ``r`` have rank
+    n - 1, so n - 1 independent ones among them, which lie in n - 1 distinct
+    direction classes, cut out the line through ``r``; so do those classes'
+    representatives, whose integer cofactor vector ``c`` (``<x, c>`` is the
+    determinant with ``x`` as first row, 0 iff they are dependent) spans
+    that line, and ``r`` is a positive multiple of ``c`` or ``-c``.
+    Conversely ``+-c`` lies in K exactly when its sign vector conforms to
+    ``eps``, and is then a nonzero vector of K. Hence the C(D, n - 1)
+    cofactors of the representatives (``c = (1,)`` for n = 1) and their
+    negations decide every chamber with no LP; the argument uses only that
+    the normals span, so it is exact on input that is not smooth.
+    """
+    reps = [r for r, _ in _direction_classes(arr)]
+    signs = {}
+    for subset in itertools.combinations(reps, arr.n - 1):
+        c = [(-1) ** j * int(det([row[:j] + row[j + 1:] for row in subset])) for j in range(arr.n)]
+        if any(c):
+            dots = (sum(a * b for a, b in zip(u, c)) for u in arr.normals)
+            sigma = tuple((x > 0) - (x < 0) for x in dots)
+            signs[sigma] = signs[tuple(-s for s in sigma)] = None
+    return tuple(signs)
+
+
+@scoped_cache
 def _extended_core_cached(arr: Arrangement) -> tuple:
     components = []
-    for pattern in _nonempty_patterns(arr, (Status.Z, Status.W)):
+    rays = _ray_signs(arr)
+    for pattern in _nonempty_patterns(arr, ((Status.Z, Status.W),) * arr.d):
         eps = tuple(1 if status is Status.Z else -1 for status in pattern)
-        region = state_set(arr, pattern)
-        # a leaf of the tree is nonempty: boundedness is the recession probes
-        kind = BOUNDED if _trivial_recession(region) else UNBOUNDED
-        components.append(CoreComponent(eps, region, kind))
+        # a leaf of the tree is nonempty: bounded iff no ray sign conforms
+        unbounded = any(all(s * e >= 0 for s, e in zip(sigma, eps)) for sigma in rays)
+        kind = UNBOUNDED if unbounded else BOUNDED
+        components.append(CoreComponent(eps, state_set(arr, pattern), kind))
     return tuple(components)
 
 
@@ -147,6 +187,30 @@ def core(arr: Arrangement, force: bool = False) -> tuple:
     at once: every nonempty chamber has interior points.
     """
     return tuple(c for c in extended_core(arr, force=force) if c.classification == BOUNDED)
+
+
+@scoped_cache
+def _vertex(arr: Arrangement, zeros) -> tuple:
+    """The point where the n independent hyperplanes ``zeros`` meet."""
+    return solve_square([arr.normals[i] for i in zeros], [-arr.lifts[i] for i in zeros])
+
+
+def _chamber_vertices(arr: Arrangement, eps) -> list:
+    """The vertices of a bounded chamber of a simple arrangement, sorted.
+
+    The faces of the closed chamber are the nonempty state sets with ZERO
+    or the chamber's letter at each coordinate, so a walk of the prefix tree
+    restricted to those letters visits exactly them. In a simple arrangement
+    a face on n hyperplanes is a point, and a bounded chamber's vertices are
+    exactly those points. Agrees with ``enumerate_vertices`` on the chamber.
+    """
+    alphabets = tuple((Status.Z if e == 1 else Status.W, Status.ZERO) for e in eps)
+    points = []
+    for face in _nonempty_patterns(arr, alphabets):
+        zeros = tuple(i for i, status in enumerate(face) if status is Status.ZERO)
+        if len(zeros) == arr.n:
+            points.append(_vertex(arr, zeros))
+    return sorted(points)
 
 
 def theta_cpt(arr: Arrangement, force: bool = False) -> tuple:
@@ -270,11 +334,13 @@ _LETTER_ORDER = {status: k for k, status in enumerate(FULL_ALPHABET)}
 def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementReport:
     """Pattern-level description of what one dense chart misses.
 
-    Sweeps the realizable BOTH sets (the BOTH-free patterns first), fills the
-    other coordinates from {Z, W, 0} and lists the semistable patterns outside
-    the chart, in the order of the full four-letter alphabet. Every verdict is
-    a cached BOTH-free one, so the sweep solves no LP the covering sweep
-    does not. Reports whether every excluded pattern is
+    The semistable BOTH-free patterns are the prefix tree's leaves; then
+    the sweep visits each nonempty realizable BOTH set, fills the other
+    coordinates from {Z, W, 0} and lists the semistable patterns outside the
+    chart, in the order of the full four-letter alphabet. Every verdict is a
+    cached BOTH-free one, so the sweep solves no LP the covering sweep does
+    not; ``eps`` is checked once, so chart membership reads the verdict of
+    the chart pattern directly. Reports whether every excluded pattern is
     BOTH-free (hence sits in the extended core) and how large the excluded
     state sets get.
     """
@@ -284,8 +350,11 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
     if not _cone_contains(arr, full_pattern(eps)):
         raise ValueError("complement is defined for sign vectors with nonempty chamber")
     td = torus_data(arr)
-    excluded = []
-    for size in range(arr.d + 1):
+    # the semistable BOTH-free patterns are exactly the tree's leaves
+    excluded = [
+        p for p in _nonempty_patterns(arr) if not _cone_contains(arr, chart_pattern(eps, p))
+    ]
+    for size in range(1, arr.d + 1):
         for both in itertools.combinations(range(arr.d), size):
             if not _realizable_both_set(td, both):
                 continue
@@ -296,7 +365,7 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
                     pattern[i] = status
                 if not _semistable(arr, pattern):
                     continue
-                if chart_semistable(arr, eps, pattern):
+                if _cone_contains(arr, chart_pattern(eps, pattern)):
                     continue
                 excluded.append(tuple(pattern))
     excluded.sort(key=lambda p: [_LETTER_ORDER[status] for status in p])

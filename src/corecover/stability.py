@@ -220,15 +220,18 @@ def _live_letters(arr: Arrangement, prefix) -> tuple:
     return (Status.W,)
 
 
-def _nonempty_patterns(arr: Arrangement, alphabet=NO_BOTH_ALPHABET, prefix=()):
-    """Nonempty BOTH-free state sets over ``alphabet`` that extend ``prefix``:
-    leaves of the ``_live_letters`` tree, in ``itertools.product`` order."""
+def _nonempty_patterns(arr: Arrangement, alphabets=None, prefix=()):
+    """Nonempty BOTH-free state sets that extend ``prefix``, with a letter of
+    ``alphabets[i]`` at each coordinate ``i`` (any BOTH-free letter when
+    ``alphabets`` is None): leaves of the ``_live_letters`` tree, in
+    ``itertools.product`` order."""
     if len(prefix) == arr.d:
         yield prefix
         return
+    allowed = NO_BOTH_ALPHABET if alphabets is None else alphabets[len(prefix)]
     for status in _live_letters(arr, prefix):
-        if status in alphabet:
-            yield from _nonempty_patterns(arr, alphabet, prefix + (status,))
+        if status in allowed:
+            yield from _nonempty_patterns(arr, alphabets, prefix + (status,))
 
 
 @scoped_cache

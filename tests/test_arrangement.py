@@ -27,7 +27,14 @@ import corecover.linalg as linalg
 from corecover.linalg import det, transpose
 from corecover.randgen import random_smooth_arrangement
 from corecover.stability import FULL_ALPHABET
-from util import brute_force_simple, mat_vec, subset_regular, subset_simple, subset_trivial_factors
+from util import (
+    brute_force_simple,
+    mat_vec,
+    subset_regular,
+    subset_simple,
+    subset_trivial_factors,
+    three_class_arrangement,
+)
 
 F = Fraction
 
@@ -205,21 +212,6 @@ def _count_eliminations(monkeypatch, fn, arr):
     return counts
 
 
-def _three_class_arrangement(rng, per_class):
-    """n = 2, classes x = a, y = b and x + y = c with ``per_class``
-    hyperplanes each, one sign drawn per normal; no three meet."""
-    xs = rng.sample(range(-200, 200), per_class)
-    ys = rng.sample(range(-200, 200), per_class)
-    sums = {x + y for x in xs for y in ys}
-    cs = rng.sample([c for c in range(-500, 500) if c not in sums], per_class)
-    planes = [((1, 0), F(x, 3)) for x in xs] + [((0, 1), F(y, 3)) for y in ys]
-    planes += [((1, 1), F(c, 3)) for c in cs]
-    rng.shuffle(planes)
-    signs = [rng.choice((1, -1)) for _ in planes]
-    normals = tuple(tuple(s * x for x in u) for s, (u, _) in zip(signs, planes))
-    return Arrangement(2, normals, tuple(-s * v for s, (_, v) in zip(signs, planes)))
-
-
 class TestSmoothness:
     def test_fixtures_smooth(self, hirzebruch, a2_resolution, trivial_product, triangle_pair):
         for arr in (hirzebruch, a2_resolution, trivial_product, triangle_pair):
@@ -322,17 +314,17 @@ class TestSmoothness:
         # a preflight-shaped arrangement: 3 direction classes of 10 or 20
         # hyperplanes; the subset scans make C(d, 2) + C(d, 3) eliminations
         rng = random.Random(60)
-        small, large = (_three_class_arrangement(rng, k) for k in (10, 20))
+        small, large = (three_class_arrangement(rng, k) for k in (10, 20))
         assert large.d == 60 and small.d == 30
         for fn in (is_regular, is_simple, trivial_factors):
             assert _count_eliminations(monkeypatch, fn, large) == _count_eliminations(
                 monkeypatch, fn, small
             )
         assert is_regular(large) and is_simple(large) and trivial_factors(large) == ()
-        counts = _count_eliminations(monkeypatch, is_simple, _three_class_arrangement(rng, 20))
+        counts = _count_eliminations(monkeypatch, is_simple, three_class_arrangement(rng, 20))
         # 3 singletons, 3 pairs and the one circuit of all three classes
         assert counts == {"extend": 7, "eliminate": 0}
-        counts = _count_eliminations(monkeypatch, is_regular, _three_class_arrangement(rng, 20))
+        counts = _count_eliminations(monkeypatch, is_regular, three_class_arrangement(rng, 20))
         assert counts == {"extend": 0, "eliminate": 3}
 
 

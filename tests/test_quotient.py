@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -20,6 +22,8 @@ from corecover import (
     extended_core,
     is_bounded,
     format_pattern,
+    is_smooth,
+    parse_arrangement,
     reorient,
     serialize_arrangement,
     theta_cpt,
@@ -28,6 +32,7 @@ from corecover import (
     verify_density,
 )
 import corecover.feasibility as feasibility
+import corecover.linalg as linalg
 import corecover.quotient as quotient
 import corecover.stability as stability
 from corecover.cli import main
@@ -36,6 +41,7 @@ from corecover.stability import (
     FULL_ALPHABET,
     StabilityVerdict,
     Status,
+    chart_pattern,
     chart_semistable,
     full_pattern,
     hk_semistable_geometric,
@@ -43,10 +49,37 @@ from corecover.stability import (
     pattern_realizable,
     state_set,
 )
-from util import numeric_complement, numeric_covering
+from util import (
+    candidate_complement,
+    numeric_complement,
+    numeric_covering,
+    three_class_arrangement,
+)
 
 F = Fraction
 Z, W, O, B = Status.Z, Status.W, Status.ZERO, Status.BOTH
+FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _classification_population(rng, count):
+    """Arrangements with primitive normals in [-2, 2]^n, n = 1-4, d <= 7,
+    about a third of the hyperplanes parallel copies of earlier ones."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 4)
+        normals, lifts = [], []
+        for _ in range(rng.randint(n, 7)):
+            if normals and rng.random() < 0.3:
+                sign = rng.choice((1, -1))
+                normals.append(tuple(sign * x for x in rng.choice(normals)))
+            else:
+                normals.append(tuple(rng.randint(-2, 2) for _ in range(n)))
+            lifts.append(F(rng.randint(-3, 3), rng.choice((1, 2, 3))))
+        try:
+            out.append(Arrangement(n, tuple(normals), tuple(lifts)))
+        except ValueError:
+            continue
+    return out
 
 
 class TestExtendedCore:
@@ -102,19 +135,56 @@ class TestExtendedCore:
         assert json.loads(capsys.readouterr().out)["theta_cpt_count"] == 16
 
     def test_classification_solves_no_chamber_again(self, monkeypatch):
-        # every listed chamber is a nonempty leaf of the tree, so only the
-        # recession probes run, and each classification is is_bounded's
+        # every listed chamber is a nonempty leaf of the tree and the ray
+        # signs decide boundedness, so once the tree's chamber walk is done
+        # the classification solves no LP; each one is is_bounded's
         rng = random.Random(4669)
         real = feasibility.is_feasible
         for _ in range(20):
             arr = random_smooth_arrangement(rng, max_d=6)
+            list(stability._nonempty_patterns(arr, ((Z, W),) * arr.d))
             solved = []
-            monkeypatch.setattr(feasibility, "is_feasible", lambda p: solved.append(p) or real(p))
+            for module in (feasibility, stability, quotient):
+                monkeypatch.setattr(module, "is_feasible", lambda p: solved.append(p) or real(p))
             components = extended_core(arr)
             monkeypatch.undo()
-            assert solved and not {c.chamber for c in components}.intersection(solved)
+            assert solved == []
             for c in components:
                 assert c.classification == (BOUNDED if is_bounded(c.chamber) else UNBOUNDED)
+
+    def test_classification_matches_is_bounded(self):
+        # n = 1-4, d <= 7, primitive normals with parallel pairs; many of
+        # the arrangements are not smooth, which render relies on
+        population = _classification_population(random.Random(3881), 120)
+        bounded = 0
+        for arr in population:
+            for c in quotient._extended_core_cached(arr):
+                assert c.classification == (BOUNDED if is_bounded(c.chamber) else UNBOUNDED)
+                bounded += c.classification == BOUNDED
+        assert {arr.n for arr in population} == {1, 2, 3, 4}
+        assert 0 < sum(map(is_smooth, population)) < 120 and bounded > 100
+
+    def test_ray_signs_on_a_line(self):
+        # x = 0 and x = 1 with opposite normals: the only ray (1,) has signs
+        # (+, -), its negation (-, +); [0, 1] is bounded, the half-lines not
+        arr = Arrangement(1, ((1,), (-1,)), (0, 1))
+        assert quotient._ray_signs(arr) == ((1, -1), (-1, 1))
+        table = {c.eps: c.classification for c in extended_core(arr)}
+        assert table == {(1, 1): BOUNDED, (1, -1): UNBOUNDED, (-1, 1): UNBOUNDED}
+
+    def test_ray_signs_independent_of_d(self, monkeypatch):
+        # 3 direction classes of 10 or 20 hyperplanes in the plane: one
+        # cofactor per class, so at most 2 * C(3, 1) sign vectors either way
+        rng = random.Random(60)
+        counts = []
+        for arr in (three_class_arrangement(rng, k) for k in (10, 20)):
+            dets = []
+            monkeypatch.setattr(quotient, "det", lambda m: dets.append(m) or linalg.det(m))
+            signs = quotient._ray_signs(arr)
+            monkeypatch.undo()
+            assert len(signs) <= 2 * math.comb(3, arr.n - 1)
+            counts.append((len(signs), len(dets)))
+        assert counts[0] == counts[1] == (6, 6)
 
     def test_requires_smooth(self):
         bad = Arrangement(1, ((-1,), (1,), (1,)), (1, -1, 0))
@@ -126,6 +196,36 @@ class TestExtendedCore:
         with pytest.raises(GuardError):
             extended_core(a2_resolution)
         assert extended_core(a2_resolution, force=True)
+
+
+class TestChamberVertices:
+    """The CLI lists a bounded chamber's vertices as the tree's leaves with
+    n ZERO letters and the chamber's letters elsewhere."""
+
+    def test_matches_enumerate_vertices(self):
+        rng = random.Random(2718)
+        fixtures = sorted(FIXTURE_DIR.glob("*.json"))
+        arrangements = [parse_arrangement(p.read_text()) for p in fixtures]
+        assert len(arrangements) == 5
+        arrangements += [
+            random_smooth_arrangement(rng, max_d=7, require_core=True) for _ in range(40)
+        ]
+        listed = 0
+        for arr in arrangements:
+            for c in core(arr):
+                assert quotient._chamber_vertices(arr, c.eps) == enumerate_vertices(c.chamber)
+                listed += 1
+        assert listed > 100
+
+    def test_solves_each_vertex_once(self, hirzebruch, monkeypatch):
+        # the trapezoid and the triangle share two vertices
+        solves = []
+        monkeypatch.setattr(
+            quotient, "solve_square", lambda m, r: solves.append(m) or linalg.solve_square(m, r)
+        )
+        for c in core(hirzebruch):
+            quotient._chamber_vertices(hirzebruch, c.eps)
+        assert len(solves) == 5
 
 
 class TestCoreEmptyCriterion:
@@ -394,6 +494,49 @@ class TestChartComplement:
     def test_requires_nonempty_chamber(self, a2_resolution):
         with pytest.raises(ValueError, match="nonempty"):
             chart_complement(a2_resolution, (-1, -1, 1))
+
+    def test_matches_candidate_sweep(self, hirzebruch, a2_resolution, triangle_pair):
+        rng = random.Random(1618)
+        arrangements = [hirzebruch, a2_resolution, triangle_pair]
+        arrangements += [random_smooth_arrangement(rng, max_d=8) for _ in range(20)]
+        for arr in arrangements:
+            for eps in [c.eps for c in extended_core(arr)][:3]:
+                assert chart_complement(arr, eps) == candidate_complement(arr, eps)
+        # every BOTH set is realizable on the coordinate arrangement
+        axes = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
+        arr = Arrangement(6, axes, (0, 1, -1, 2, F(1, 2), -3))
+        eps = (1, -1, 1, -1, 1, -1)
+        assert chart_complement(arr, eps) == candidate_complement(arr, eps)
+
+    def test_both_free_part_reads_one_verdict_per_leaf(
+        self, hirzebruch, triangle_pair, monkeypatch
+    ):
+        # before the first BOTH set: the chamber check, then one chart
+        # verdict per leaf of the tree instead of per candidate of 3^d
+        rng = random.Random(1414)
+        arrangements = [hirzebruch, triangle_pair]
+        arrangements += [random_smooth_arrangement(rng, max_d=6) for _ in range(10)]
+        read = candidates = 0
+        for arr in arrangements:
+            eps = extended_core(arr)[0].eps
+            leaves = list(stability._nonempty_patterns(arr))
+            reads, first_both_set = [], []
+            real_contains, real_realizable = quotient._cone_contains, quotient._realizable_both_set
+            monkeypatch.setattr(
+                quotient, "_cone_contains", lambda a, p: reads.append(p) or real_contains(a, p)
+            )
+            monkeypatch.setattr(
+                quotient,
+                "_realizable_both_set",
+                lambda td, both: first_both_set.append(len(reads)) or real_realizable(td, both),
+            )
+            chart_complement(arr, eps)
+            monkeypatch.undo()
+            assert first_both_set[0] == 1 + len(leaves)
+            assert reads[1 : 1 + len(leaves)] == [chart_pattern(eps, p) for p in leaves]
+            read += len(leaves)
+            candidates += 3**arr.d
+        assert read < candidates / 2
 
 
 class TestReorientationEquivariance:

@@ -7,13 +7,16 @@ factors, full subset enumeration instead of the (n + 1)-bounded simplicity
 scan, interval analysis instead of elimination, the
 numeric d-variable stability system instead of state sets, a rank test in R^d
 instead of one on the normals for realizability, one LP on a whole state set
-instead of the prefix tree), so agreement is meaningful. Also the constraint
-shorthands ``ge``, ``gt`` and ``eq``."""
+instead of the prefix tree, every candidate pattern instead of the tree's
+leaves for the complement), so agreement is meaningful. Also the constraint
+shorthands ``ge``, ``gt`` and ``eq`` and a generator of arrangements with
+three direction classes."""
 
 import itertools
 from fractions import Fraction
 
 from corecover import (
+    Arrangement,
     ComplementReport,
     Constraint,
     CoverReport,
@@ -25,8 +28,15 @@ from corecover import (
     torus_data,
 )
 from corecover.linalg import _eliminate, det, lin_solve, rank, unit_vector
-from corecover.quotient import _complement_report
-from corecover.stability import FULL_ALPHABET, NO_BOTH_ALPHABET, Status, chart_pattern
+from corecover.quotient import _LETTER_ORDER, _complement_report, _semistable
+from corecover.stability import (
+    FULL_ALPHABET,
+    NO_BOTH_ALPHABET,
+    Status,
+    _realizable_both_set,
+    chart_pattern,
+    chart_semistable,
+)
 
 
 def ge(coeffs, constant=0) -> Constraint:
@@ -244,3 +254,39 @@ def numeric_complement(arr, eps) -> ComplementReport:
         and not numeric_chart_semistable(td, eps, pattern)
     ]
     return _complement_report(arr, tuple(eps), excluded)
+
+
+def candidate_complement(arr, eps) -> ComplementReport:
+    """The complement sweep over every candidate: all 3^d BOTH-free patterns,
+    then the {Z, W, 0} fills of each realizable BOTH set, each semistable
+    one tested against the chart."""
+    td = torus_data(arr)
+    excluded = []
+    for size in range(arr.d + 1):
+        for both in itertools.combinations(range(arr.d), size):
+            if not _realizable_both_set(td, both):
+                continue
+            free = [i for i in range(arr.d) if i not in both]
+            pattern = [Status.BOTH] * arr.d
+            for fill in itertools.product(NO_BOTH_ALPHABET, repeat=len(free)):
+                for i, status in zip(free, fill):
+                    pattern[i] = status
+                if _semistable(arr, pattern) and not chart_semistable(arr, eps, pattern):
+                    excluded.append(tuple(pattern))
+    excluded.sort(key=lambda p: [_LETTER_ORDER[status] for status in p])
+    return _complement_report(arr, tuple(eps), excluded)
+
+
+def three_class_arrangement(rng, per_class):
+    """n = 2, classes x = a, y = b and x + y = c with ``per_class``
+    hyperplanes each, one sign drawn per normal; no three meet."""
+    xs = rng.sample(range(-200, 200), per_class)
+    ys = rng.sample(range(-200, 200), per_class)
+    sums = {x + y for x in xs for y in ys}
+    cs = rng.sample([c for c in range(-500, 500) if c not in sums], per_class)
+    planes = [((1, 0), Fraction(x, 3)) for x in xs] + [((0, 1), Fraction(y, 3)) for y in ys]
+    planes += [((1, 1), Fraction(c, 3)) for c in cs]
+    rng.shuffle(planes)
+    signs = [rng.choice((1, -1)) for _ in planes]
+    normals = tuple(tuple(s * x for x in u) for s, (u, _) in zip(signs, planes))
+    return Arrangement(2, normals, tuple(-s * v for s, (_, v) in zip(signs, planes)))
