@@ -4,26 +4,24 @@
 Random constraint systems (strict inequalities included) are decided and
 every certificate is re-verified by substitution; closed systems are also
 cross-checked against the subset-enumeration oracle, eliminations against
-interval analysis of random extension points. Runs until the requested count
-or the first discrepancy.
+interval analysis of random extension points. The projection and both
+oracles are the test suite's (``tests/util.py``). Runs until the requested
+count or the first discrepancy.
 
 Usage: python scripts/fuzz_feasibility.py [--seed N] [--count N]
 """
 
 import argparse
+import pathlib
 import random
+import sys
 import time
 from fractions import Fraction
 
-from corecover import (
-    Constraint,
-    Polyhedron,
-    Relation,
-    eliminate,
-    feasible_by_enumeration,
-    is_feasible,
-    verify_certificate,
-)
+from corecover import Constraint, Polyhedron, Relation, is_feasible, verify_certificate
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from util import eliminate, extension_exists, feasible_by_enumeration  # noqa: E402
 
 
 def random_system(rng, allow_strict=True):
@@ -35,45 +33,6 @@ def random_system(rng, allow_strict=True):
         constant = Fraction(rng.randint(-8, 8), rng.choice((1, 1, 2, 3)))
         cons.append(Constraint(coeffs, rng.choice(rels), constant))
     return Polyhedron(dim, tuple(cons))
-
-
-def extension_exists(poly, var_index, values_without):
-    values = list(values_without)
-    values.insert(var_index, None)
-    lower = upper = None
-    for con in poly.constraints:
-        a = con.coeffs[var_index]
-        rest = con.constant + sum(
-            con.coeffs[k] * values[k] for k in range(len(values)) if k != var_index
-        )
-        if a == 0:
-            ok = (
-                rest >= 0
-                if con.relation is Relation.GE
-                else rest > 0 if con.relation is Relation.GT else rest == 0
-            )
-            if not ok:
-                return False
-            continue
-        bound = Fraction(-rest, a)
-        if con.relation is Relation.EQ:
-            lo, hi = (bound, False), (bound, False)
-            if lower is None or lo > lower:
-                lower = lo
-            if upper is None or bound < upper[0]:
-                upper = hi
-            continue
-        strict = con.relation is Relation.GT
-        if a > 0:
-            if lower is None or (bound, strict) > lower:
-                lower = (bound, strict)
-        elif upper is None or bound < upper[0] or (bound == upper[0] and strict):
-            upper = (bound, strict)
-    if lower is None or upper is None:
-        return True
-    if lower[0] < upper[0]:
-        return True
-    return lower[0] == upper[0] and not lower[1] and not upper[1]
 
 
 def main() -> int:

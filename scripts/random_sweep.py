@@ -13,34 +13,34 @@ chamber LP is feasible, in order, each is full-dimensional, which
 and each bounded chamber's vertices, as the CLI lists them, are
 ``enumerate_vertices``') and the complement
 (``chart_complement`` of every compact sign vector against a 4^d sweep of
-numeric verdicts with realizability from a rank test in R^d). Prints one line per instance and a summary.
+numeric verdicts with realizability from a rank test in R^d). The oracles
+and the adjacency check are the test suite's (``tests/util.py``). Prints one
+line per instance and a summary.
 
 Usage: python scripts/random_sweep.py [--seed N] [--count N] [--max-d N]
 """
 
 import argparse
+import functools
 import itertools
+import pathlib
 import random
+import sys
 import time
 
 from corecover import (
-    adjacency_lemma_check,
-    affine_dimension,
     chart_complement,
     chart_semistable,
     core_empty_criterion,
-    enumerate_vertices,
     extended_core,
     hk_semistable_geometric,
     hk_semistable_numeric,
-    is_bounded,
     theta_cpt,
     torus_data,
     verify_covering,
     verify_density,
 )
 from corecover.arrangement import all_sign_vectors
-from corecover.linalg import rank, unit_vector
 from corecover.quotient import BOUNDED, UNBOUNDED, _chamber_vertices
 from corecover.randgen import random_smooth_arrangement
 from corecover.stability import (
@@ -52,31 +52,24 @@ from corecover.stability import (
     full_pattern,
 )
 
-
-def rank_realizable(td, both) -> bool:
-    """No BOTH unit vector in the span of the relation rows and the other
-    unit vectors: the d-dimensional form of the realizability test."""
-    stack = list(td.basis) + [unit_vector(td.d, j) for j in range(td.d) if j not in both]
-    base = rank(stack)
-    return all(rank(stack + [unit_vector(td.d, i)]) > base for i in both)
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from util import (  # noqa: E402
+    adjacency_lemma_check,
+    affine_dimension,
+    enumerate_vertices,
+    is_bounded,
+    rank_realizable,
+)
 
 
 def numeric_excluded(td, compact) -> dict:
     """Each compact sign vector's excluded patterns by the 4^d numeric sweep."""
-    realizable = {}
-    verdicts = {}
-
-    def semistable(pattern):
-        if pattern not in verdicts:
-            verdicts[pattern] = hk_semistable_numeric(td, pattern).semistable
-        return verdicts[pattern]
-
+    realizable = functools.cache(lambda both: rank_realizable(td, both))
+    semistable = functools.cache(lambda pattern: hk_semistable_numeric(td, pattern).semistable)
     out = {eps: [] for eps in compact}
     for pattern in itertools.product(FULL_ALPHABET, repeat=td.d):
         both = tuple(i for i, s in enumerate(pattern) if s is Status.BOTH)
-        if both not in realizable:
-            realizable[both] = rank_realizable(td, both)
-        if not realizable[both] or not semistable(pattern):
+        if not realizable(both) or not semistable(pattern):
             continue
         for eps in compact:
             if not semistable(chart_pattern(eps, pattern)):

@@ -27,14 +27,11 @@ reconstructed in exact rationals.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-
-from .linalg import lin_solve, rank as mat_rank, solve_square, unit_vector
 
 
 class Relation(Enum):
@@ -98,11 +95,6 @@ class Polyhedron:
         if len(point) != self.dim:
             raise ValueError("point dimension mismatch")
         return all(c.holds(point) for c in self.constraints)
-
-    def intersect(self, other: "Polyhedron") -> "Polyhedron":
-        if other.dim != self.dim:
-            raise ValueError("ambient dimension mismatch")
-        return Polyhedron(self.dim, self.constraints + other.constraints)
 
 
 class Certificate:
@@ -469,115 +461,3 @@ def is_feasible(poly: Polyhedron) -> Certificate:
         if bad is not None:
             return _infeasible_certificate(bad, ncons)
     return Certificate._deferred(True, lambda: _witness(stages))
-
-
-def eliminate(poly: Polyhedron, var_index: int) -> Polyhedron:
-    """Exact projection of the polyhedron onto the remaining coordinates.
-
-    A point of the result extends to a point of the input and vice versa.
-    Contradictory constant rows produced by the projection are kept, so an
-    infeasible input projects to a visibly infeasible output.
-    """
-    if not 0 <= var_index < poly.dim:
-        raise ValueError("variable index out of range")
-    rows = _dedup(_integerize(c, i) for i, c in enumerate(poly.constraints))
-    rows = _eliminate_column(rows, var_index)
-    keep = [k for k in range(poly.dim) if k != var_index]
-    cons = tuple(
-        Constraint(tuple(r.coeffs[k] for k in keep), r.rel, Fraction(r.const))
-        for r in rows
-    )
-    return Polyhedron(poly.dim - 1, cons)
-
-
-def affine_dimension(poly: Polyhedron) -> int:
-    """Dimension of the affine hull of the solution set; -1 when empty.
-
-    An inequality is an implicit equality exactly when tightening it to a
-    strict inequality makes the system infeasible; the affine hull is then
-    cut out by the explicit and implicit equalities.
-    """
-    if not is_feasible(poly).feasible:
-        return -1
-    eq_rows = [c.coeffs for c in poly.constraints if c.relation is Relation.EQ]
-    for idx, con in enumerate(poly.constraints):
-        if con.relation is not Relation.GE:
-            continue
-        tightened = list(poly.constraints)
-        tightened[idx] = Constraint(con.coeffs, Relation.GT, con.constant)
-        if not is_feasible(Polyhedron(poly.dim, tuple(tightened))).feasible:
-            eq_rows.append(con.coeffs)
-    return poly.dim - mat_rank(eq_rows)
-
-
-def recession_cone(poly: Polyhedron) -> Polyhedron:
-    cons = tuple(
-        Constraint(
-            c.coeffs,
-            Relation.EQ if c.relation is Relation.EQ else Relation.GE,
-            Fraction(0),
-        )
-        for c in poly.constraints
-    )
-    return Polyhedron(poly.dim, cons)
-
-
-def is_bounded(poly: Polyhedron) -> bool:
-    """True iff the recession cone is trivial. Empty polyhedra count as
-    bounded. One probe per signed coordinate direction, 2 * dim LPs."""
-    if not is_feasible(poly).feasible:
-        return True
-    cone = recession_cone(poly)
-    for j in range(poly.dim):
-        for sign in (1, -1):
-            probe = cone.constraints + (
-                Constraint(unit_vector(poly.dim, j, sign), Relation.GE, Fraction(-1)),
-            )
-            if is_feasible(Polyhedron(poly.dim, probe)).feasible:
-                return False
-    return True
-
-
-def enumerate_vertices(poly: Polyhedron) -> list:
-    """All basic feasible points of a polyhedron, sorted.
-
-    Every ``dim``-subset of constraints with a unique common solution
-    contributes that solution when it satisfies the whole system. That is
-    C(k, dim) square solves for k constraints: for a chamber of ``d``
-    hyperplanes at most ``2^d``, which the hyperplane-count guard of the
-    chamber sweep bounds, so callers guard the sweep, not this function.
-    """
-    points = set()
-    cons = poly.constraints
-    for subset in itertools.combinations(range(len(cons)), poly.dim):
-        mat = [cons[i].coeffs for i in subset]
-        rhs = [-cons[i].constant for i in subset]
-        x = solve_square(mat, rhs) if poly.dim else ()
-        if x is not None and poly.contains(x):
-            points.add(tuple(Fraction(v) for v in x))
-    return sorted(points)
-
-
-def feasible_by_enumeration(poly: Polyhedron) -> bool:
-    """Brute-force feasibility for closed systems (testing oracle).
-
-    Every nonempty polyhedron has a minimal face which is the full solution
-    set of some subsystem turned into equalities, of rank at most ``dim``;
-    so scanning all constraint subsets of size up to ``dim`` and testing a
-    particular solution of each is exact. Strict inequalities are not
-    supported here; the elimination engine covers those with certificates.
-    """
-    if any(c.relation is Relation.GT for c in poly.constraints):
-        raise ValueError("enumeration oracle supports closed systems only")
-    cons = poly.constraints
-    origin = tuple(Fraction(0) for _ in range(poly.dim))
-    if poly.contains(origin):
-        return True
-    for size in range(1, min(poly.dim, len(cons)) + 1):
-        for subset in itertools.combinations(range(len(cons)), size):
-            mat = [cons[i].coeffs for i in subset]
-            rhs = [-cons[i].constant for i in subset]
-            sol = lin_solve(mat, rhs)
-            if sol is not None and poly.contains(sol):
-                return True
-    return False

@@ -6,14 +6,14 @@ the core; the main verification confirms that each semistable pattern lands
 in the chart of some compact-core sign vector, so those charts cover the
 whole quotient. Chambers, swept patterns and chart patterns are BOTH-free
 state sets, decided by a prefix tree over the hyperplanes whose leaves are
-the nonempty ones: the chamber, covering and adjacency sweeps and the
+the nonempty ones: the chamber and covering sweeps and the
 BOTH-free part of the complement list those leaves instead of testing 2^d
 or 3^d candidates. A chamber's boundedness is read off the sign vectors of
 candidate extreme rays, one per (n - 1)-subset of direction classes, with no
 LP; a bounded chamber's vertices are the tree's faces of it on n
 hyperplanes. A pattern with BOTH coordinates is semistable iff one of its
-Z/W resolutions is, so the complement sweep solves nothing new. Density and
-adjacency also solve the numeric system.
+Z/W resolutions is, so the complement sweep solves nothing new. Density
+also solves the numeric system.
 
 Everything is exhaustive and exact, guarded against exponential blowup by a
 hyperplane-count limit that can be forced off.
@@ -33,7 +33,7 @@ from .arrangement import (
     trivial_factors,
 )
 from .errors import GuardError
-from .feasibility import Polyhedron, affine_dimension, is_feasible
+from .feasibility import Polyhedron
 from .linalg import det, solve_square
 from .memo import scoped_cache
 from .stability import (
@@ -190,26 +190,31 @@ def core(arr: Arrangement, force: bool = False) -> tuple:
 
 
 @scoped_cache
-def _vertex(arr: Arrangement, zeros) -> tuple:
-    """The point where the n independent hyperplanes ``zeros`` meet."""
+def _vertex(arr: Arrangement, zeros) -> tuple | None:
+    """The point where the n hyperplanes ``zeros`` meet, or None when their
+    normals are dependent."""
     return solve_square([arr.normals[i] for i in zeros], [-arr.lifts[i] for i in zeros])
 
 
 def _chamber_vertices(arr: Arrangement, eps) -> list:
-    """The vertices of a bounded chamber of a simple arrangement, sorted.
+    """The vertices of a bounded chamber, sorted.
 
     The faces of the closed chamber are the nonempty state sets with ZERO
     or the chamber's letter at each coordinate, so a walk of the prefix tree
-    restricted to those letters visits exactly them. In a simple arrangement
-    a face on n hyperplanes is a point, and a bounded chamber's vertices are
-    exactly those points. Agrees with ``enumerate_vertices`` on the chamber.
+    restricted to those letters visits exactly them. A point of the closed
+    chamber on n independent hyperplanes is a basic feasible point, so the
+    faces on n independent hyperplanes give exactly ``enumerate_vertices``
+    of the chamber, on any arrangement: in one that is not simple, more than
+    n hyperplanes may pass through a vertex, which is listed once.
     """
     alphabets = tuple((Status.Z if e == 1 else Status.W, Status.ZERO) for e in eps)
-    points = []
+    points = set()
     for face in _nonempty_patterns(arr, alphabets):
         zeros = tuple(i for i, status in enumerate(face) if status is Status.ZERO)
         if len(zeros) == arr.n:
-            points.append(_vertex(arr, zeros))
+            point = _vertex(arr, zeros)
+            if point is not None:
+                points.add(point)
     return sorted(points)
 
 
@@ -257,28 +262,6 @@ def verify_covering(arr: Arrangement, force: bool = False) -> CoverReport:
         witness=witness,
         counterexamples=tuple(counterexamples),
     )
-
-
-def adjacency_lemma_check(arr: Arrangement, force: bool = False) -> bool:
-    """Key step of the covering proof, checked exhaustively.
-
-    Whenever a pattern's state set meets a compact chamber, the pattern must
-    lie in that chamber's chart. The meeting is decided on the intersection,
-    the chart by the numeric system: the chart pattern's state set is that
-    same intersection, so deciding the chart on it would be a tautology.
-    """
-    _require_smooth(arr)
-    _check_guard(arr, force, DEFAULT_MAX_COVER_D, "adjacency sweep")
-    compact = core(arr, force=force)
-    td = torus_data(arr)
-    for pattern in _nonempty_patterns(arr):
-        st = state_set(arr, pattern)
-        for component in compact:
-            if not is_feasible(st.intersect(component.chamber)).feasible:
-                continue
-            if not hk_semistable_numeric(td, chart_pattern(component.eps, pattern)).semistable:
-                return False
-    return True
 
 
 def verify_density(arr: Arrangement, eps) -> bool:
@@ -373,17 +356,22 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
 
 
 def _complement_report(arr: Arrangement, eps, excluded) -> ComplementReport:
-    """Summarise the excluded patterns of a chart sweep."""
+    """Summarise the excluded patterns of a chart sweep.
+
+    ``max_state_dim`` is n minus the fewest ZERO letters of a BOTH-free
+    excluded pattern (-1 if none). An excluded state set S is nonempty; in a
+    smooth arrangement (``chart_complement`` requires one) the hyperplanes
+    through a point of S have independent normals, so the flat F of its ZERO
+    hyperplanes has dimension n - #ZERO, and, as in ``core`` inside F, some
+    direction in F moves that point strictly off every other hyperplane
+    through it: S contains an open piece of F."""
     both_free = [p for p in excluded if Status.BOTH not in p]
     all_in_core = len(both_free) == len(excluded)
     if not all_in_core:
         max_dim = None
     else:
-        max_dim = -1
-        for pattern in both_free:
-            max_dim = max(max_dim, affine_dimension(state_set(arr, pattern)))
-            if max_dim == arr.n:  # no state set is larger than the space
-                break
+        zeros = [p.count(Status.ZERO) for p in both_free]
+        max_dim = arr.n - min(zeros) if zeros else -1
     breakdown = {}
     for pattern in both_free:
         for comp_eps in _compatible_components(pattern):

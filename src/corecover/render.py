@@ -17,8 +17,9 @@ import itertools
 from fractions import Fraction
 
 from .arrangement import Arrangement
-from .feasibility import affine_dimension, enumerate_vertices
-from .quotient import BOUNDED, DEFAULT_MAX_COVER_D, _check_guard, _extended_core_cached
+from .quotient import (
+    BOUNDED, DEFAULT_MAX_COVER_D, _chamber_vertices, _check_guard, _extended_core_cached
+)
 
 SIZE = 560
 MARGIN = 40
@@ -192,12 +193,15 @@ def _render_plane(arr: Arrangement) -> str:
     parts = _svg_header(SIZE, SIZE)
 
     for component in _extended_core_cached(arr):
-        # the input need not be smooth, so a bounded chamber may be flat
-        if component.classification != BOUNDED or affine_dimension(component.chamber) != 2:
+        if component.classification != BOUNDED:
             continue
-        vertices = _sort_polygon(enumerate_vertices(component.chamber))
+        # the input need not be smooth, so a bounded chamber may be flat; a
+        # bounded planar polyhedron is 2-dimensional iff it has 3+ vertices
+        vertices = _chamber_vertices(arr, component.eps)
+        if len(vertices) < 3:
+            continue
         coords = " ".join(
-            f"{_fmt(sx)},{_fmt(sy)}" for sx, sy in (to_screen(v) for v in vertices)
+            f"{_fmt(sx)},{_fmt(sy)}" for sx, sy in (to_screen(v) for v in _sort_polygon(vertices))
         )
         parts.append(f'<polygon points="{coords}" fill="{CHAMBER_FILL}" stroke="none"/>')
 

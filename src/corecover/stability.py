@@ -220,18 +220,21 @@ def _live_letters(arr: Arrangement, prefix) -> tuple:
     return (Status.W,)
 
 
-def _nonempty_patterns(arr: Arrangement, alphabets=None, prefix=()):
-    """Nonempty BOTH-free state sets that extend ``prefix``, with a letter of
-    ``alphabets[i]`` at each coordinate ``i`` (any BOTH-free letter when
-    ``alphabets`` is None): leaves of the ``_live_letters`` tree, in
-    ``itertools.product`` order."""
-    if len(prefix) == arr.d:
-        yield prefix
-        return
-    allowed = NO_BOTH_ALPHABET if alphabets is None else alphabets[len(prefix)]
-    for status in _live_letters(arr, prefix):
-        if status in allowed:
-            yield from _nonempty_patterns(arr, alphabets, prefix + (status,))
+def _nonempty_patterns(arr: Arrangement, alphabets=None):
+    """Nonempty BOTH-free state sets with a letter of ``alphabets[i]`` at
+    each coordinate ``i`` (any BOTH-free letter when ``alphabets`` is None):
+    leaves of the ``_live_letters`` tree, in ``itertools.product`` order
+    (a depth-first walk whose stack takes each prefix's letters reversed)."""
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        if len(prefix) == arr.d:
+            yield prefix
+            continue
+        allowed = NO_BOTH_ALPHABET if alphabets is None else alphabets[len(prefix)]
+        for status in reversed(_live_letters(arr, prefix)):
+            if status in allowed:
+                stack.append(prefix + (status,))
 
 
 @scoped_cache

@@ -18,12 +18,10 @@ import warnings
 import pytest
 
 from corecover import (
-    adjacency_lemma_check,
     chart_complement,
     chart_semistable,
     core,
     core_empty_criterion,
-    feasible_by_enumeration,
     hk_semistable_geometric,
     hk_semistable_numeric,
     is_feasible,
@@ -45,6 +43,7 @@ from corecover.randgen import (
     random_smooth_arrangement,
 )
 from corecover.stability import NO_BOTH_ALPHABET, FULL_ALPHABET, reorient_pattern
+from util import adjacency_lemma_check, feasible_by_enumeration
 
 SEED_TORIC = 20240501
 SEED_HK = 20240502

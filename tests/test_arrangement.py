@@ -11,24 +11,24 @@ from corecover import (
     all_sign_vectors,
     arrangement_from_quotient,
     chamber,
-    enumerate_vertices,
     hk_semistable_numeric,
     is_feasible,
     is_regular,
     is_simple,
     is_smooth,
     reorient,
-    solution_space,
     torus_data,
     trivial_factors,
 )
 import corecover.arrangement as arrangement
 import corecover.linalg as linalg
+from corecover.arrangement import solution_space
 from corecover.linalg import det, transpose
 from corecover.randgen import random_smooth_arrangement
 from corecover.stability import FULL_ALPHABET
 from util import (
     brute_force_simple,
+    enumerate_vertices,
     mat_vec,
     subset_regular,
     subset_simple,

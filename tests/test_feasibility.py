@@ -13,15 +13,21 @@ from corecover import (
     Constraint,
     Polyhedron,
     Relation,
-    affine_dimension,
-    eliminate,
-    enumerate_vertices,
-    feasible_by_enumeration,
-    is_bounded,
     is_feasible,
     verify_certificate,
 )
-from util import eq, extension_exists, ge, gt
+from util import (
+    affine_dimension,
+    eliminate,
+    enumerate_vertices,
+    eq,
+    extension_exists,
+    feasible_by_enumeration,
+    ge,
+    gt,
+    is_bounded,
+    recession_cone,
+)
 
 F = Fraction
 
@@ -336,8 +342,6 @@ class TestIntegerRows:
 class TestBoundedImpliesFiniteVertices:
     @given(polyhedron_strategy(max_dim=3, closed=True))
     def test_bounded_recession_trivial(self, p):
-        from corecover.feasibility import recession_cone
-
         if not is_feasible(p).feasible or not is_bounded(p):
             return
         cone = recession_cone(p)

@@ -12,16 +12,13 @@ from corecover import (
     BOUNDED,
     GuardError,
     UNBOUNDED,
-    adjacency_lemma_check,
-    affine_dimension,
     all_sign_vectors,
     chart_complement,
     core,
     core_empty_criterion,
-    enumerate_vertices,
     extended_core,
-    is_bounded,
     format_pattern,
+    is_simple,
     is_smooth,
     parse_arrangement,
     reorient,
@@ -49,8 +46,13 @@ from corecover.stability import (
     pattern_realizable,
     state_set,
 )
+import util
 from util import (
+    adjacency_lemma_check,
+    affine_dimension,
     candidate_complement,
+    enumerate_vertices,
+    is_bounded,
     numeric_complement,
     numeric_covering,
     three_class_arrangement,
@@ -144,7 +146,7 @@ class TestExtendedCore:
             arr = random_smooth_arrangement(rng, max_d=6)
             list(stability._nonempty_patterns(arr, ((Z, W),) * arr.d))
             solved = []
-            for module in (feasibility, stability, quotient):
+            for module in (feasibility, stability):
                 monkeypatch.setattr(module, "is_feasible", lambda p: solved.append(p) or real(p))
             components = extended_core(arr)
             monkeypatch.undo()
@@ -203,6 +205,9 @@ class TestChamberVertices:
     n ZERO letters and the chamber's letters elsewhere."""
 
     def test_matches_enumerate_vertices(self):
+        # on every nonempty chamber, also of 2-D arrangements with parallel
+        # lines and three or more lines through one point: dependent pairs of
+        # lines are skipped and a point on more than two lines is listed once
         rng = random.Random(2718)
         fixtures = sorted(FIXTURE_DIR.glob("*.json"))
         arrangements = [parse_arrangement(p.read_text()) for p in fixtures]
@@ -210,12 +215,19 @@ class TestChamberVertices:
         arrangements += [
             random_smooth_arrangement(rng, max_d=7, require_core=True) for _ in range(40)
         ]
+        directions = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2))
+        for _ in range(60):
+            u, v = rng.sample(directions, 2)
+            picks = [u, v, u] + [rng.choice(directions) for _ in range(rng.randint(0, 4))]
+            normals = tuple(tuple(rng.choice((1, -1)) * x for x in w) for w in picks)
+            arrangements.append(Arrangement(2, normals, tuple(rng.randint(-1, 1) for _ in picks)))
+        assert sum(not is_simple(arr) for arr in arrangements) > 30
         listed = 0
         for arr in arrangements:
-            for c in core(arr):
+            for c in quotient._extended_core_cached(arr):
                 assert quotient._chamber_vertices(arr, c.eps) == enumerate_vertices(c.chamber)
                 listed += 1
-        assert listed > 100
+        assert listed > 1000
 
     def test_solves_each_vertex_once(self, hirzebruch, monkeypatch):
         # the trapezoid and the triangle share two vertices
@@ -335,7 +347,6 @@ class TestSharedVerdicts:
             return real(poly)
 
         monkeypatch.setattr(stability, "is_feasible", counting)
-        monkeypatch.setattr(quotient, "is_feasible", counting)
         assert verify_covering(arr).covered
         assert len(calls) == 0
         assert all(verify_density(arr, eps) for eps in all_sign_vectors(arr.d))
@@ -393,7 +404,7 @@ class TestAdjacencyLemma:
         def never(td, pattern):
             return StabilityVerdict(False, None, None)
 
-        monkeypatch.setattr(quotient, "hk_semistable_numeric", never)
+        monkeypatch.setattr(util, "hk_semistable_numeric", never)
         assert adjacency_lemma_check(a2_resolution) is False
 
     def test_random(self):
@@ -456,19 +467,27 @@ class TestChartComplement:
         assert report == numeric_complement(triangle_pair, eps)
         assert not report.all_in_extended_core
 
-    def test_max_state_dim_stops_at_n(self, hirzebruch, monkeypatch):
-        # the first excluded state set is already 2-dimensional, so the
-        # other three are never measured
-        calls = []
-        monkeypatch.setattr(
-            quotient, "affine_dimension", lambda poly: calls.append(poly) or affine_dimension(poly)
-        )
-        report = chart_complement(hirzebruch, (1, 1, 1, 1))
-        assert len(report.excluded_patterns) == 4
-        assert report.max_state_dim == max(
-            affine_dimension(state_set(hirzebruch, p)) for p in report.excluded_patterns
-        )
-        assert len(calls) == 1
+    def test_max_state_dim_is_counted(self, hirzebruch, a2_resolution, triangle_pair, monkeypatch):
+        # once covering has expanded the tree, the complement solves no LP:
+        # max_state_dim is counted from the ZERO letters, not measured
+        rng = random.Random(3141)
+        arrangements = [hirzebruch, a2_resolution, triangle_pair]
+        arrangements += [random_smooth_arrangement(rng, max_d=6, require_core=True) for _ in range(20)]
+        real = feasibility.is_feasible
+        measured = 0
+        for arr in arrangements:
+            verify_covering(arr)
+            solved = []
+            for module in (feasibility, stability):
+                monkeypatch.setattr(module, "is_feasible", lambda p: solved.append(p) or real(p))
+            reports = [chart_complement(arr, eps) for eps in theta_cpt(arr)]
+            monkeypatch.undo()
+            assert solved == []
+            for report in (r for r in reports if r.all_in_extended_core):
+                dims = [affine_dimension(state_set(arr, p)) for p in report.excluded_patterns]
+                assert report.max_state_dim == max(dims, default=-1)
+                measured += 1
+        assert measured > 20
 
     def test_triangle_chart_contains_both_patterns(self, hirzebruch):
         # the complement of the triangle chart genuinely contains patterns

@@ -8,11 +8,9 @@ import pytest
 from corecover import (
     Arrangement,
     TorusData,
-    affine_dimension,
     all_sign_vectors,
     both_reduction,
     chart_semistable,
-    enumerate_vertices,
     extended_core,
     full_pattern,
     hk_closed_orbit,
@@ -38,7 +36,7 @@ import corecover.quotient as quotient
 import corecover.stability as stability
 from corecover.randgen import random_pattern, random_sign_vector, random_smooth_arrangement
 from corecover.stability import FULL_ALPHABET, NO_BOTH_ALPHABET, Status, chart_pattern
-from util import per_pattern_verdict, rank_realizable
+from util import affine_dimension, enumerate_vertices, per_pattern_verdict, rank_realizable
 
 F = Fraction
 Z, W, O, B = Status.Z, Status.W, Status.ZERO, Status.BOTH
@@ -251,7 +249,8 @@ class TestRealizability:
             td = torus_data(arr)
             for both in itertools.product((False, True), repeat=arr.d):
                 pattern = tuple(B if b else rng.choice(NO_BOTH_ALPHABET) for b in both)
-                assert pattern_realizable(td, pattern) == rank_realizable(td, pattern)
+                both = tuple(i for i, status in enumerate(pattern) if status is B)
+                assert pattern_realizable(td, pattern) == rank_realizable(td, both)
 
     def test_every_both_set_matches_rank_oracle(self):
         # the echelon test of the columns outside B against the rank test in
@@ -263,9 +262,8 @@ class TestRealizability:
                     td = torus_data(random_smooth_arrangement(rng, n=n, d=d))
                     for size in range(d + 1):
                         for both in itertools.combinations(range(d), size):
-                            pattern = tuple(B if i in both else Z for i in range(d))
                             assert stability._realizable_both_set(td, both) == rank_realizable(
-                                td, pattern
+                                td, both
                             )
 
 

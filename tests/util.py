@@ -1,4 +1,4 @@
-"""Independent oracles used only by the test suite.
+"""Independent oracles, used by the test suite and by the scripts.
 
 These deliberately re-derive properties by different routes than the library
 (row reduction instead of the pinned HNF, subset scans over the hyperplanes
@@ -8,10 +8,13 @@ scan, interval analysis instead of elimination, the
 numeric d-variable stability system instead of state sets, a rank test in R^d
 instead of one on the normals for realizability, one LP on a whole state set
 instead of the prefix tree, every candidate pattern instead of the tree's
-leaves for the complement), so agreement is meaningful. Also the constraint
+leaves for the complement), so agreement is meaningful. Also polyhedral
+oracles (projection, affine dimension, boundedness, vertices, brute-force
+feasibility), the covering proof's adjacency step, the constraint
 shorthands ``ge``, ``gt`` and ``eq`` and a generator of arrangements with
-three direction classes."""
+three direction classes. The scripts put this directory on ``sys.path``."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -20,19 +23,23 @@ from corecover import (
     ComplementReport,
     Constraint,
     CoverReport,
+    Polyhedron,
     Relation,
+    core,
     hk_semistable_numeric,
     is_feasible,
     state_set,
     theta_cpt,
     torus_data,
 )
-from corecover.linalg import _eliminate, det, lin_solve, rank, unit_vector
+from corecover.feasibility import _dedup, _eliminate_column, _integerize
+from corecover.linalg import _eliminate, det, lin_solve, rank, solve_square, unit_vector
 from corecover.quotient import _LETTER_ORDER, _complement_report, _semistable
 from corecover.stability import (
     FULL_ALPHABET,
     NO_BOTH_ALPHABET,
     Status,
+    _nonempty_patterns,
     _realizable_both_set,
     chart_pattern,
     chart_semistable,
@@ -158,6 +165,135 @@ def brute_force_simple(arr) -> bool:
     return True
 
 
+def eliminate(poly, var_index: int) -> Polyhedron:
+    """Exact projection of the polyhedron onto the remaining coordinates.
+
+    A point of the result extends to a point of the input and vice versa.
+    Contradictory constant rows produced by the projection are kept, so an
+    infeasible input projects to a visibly infeasible output.
+    """
+    if not 0 <= var_index < poly.dim:
+        raise ValueError("variable index out of range")
+    rows = _dedup(_integerize(c, i) for i, c in enumerate(poly.constraints))
+    rows = _eliminate_column(rows, var_index)
+    keep = [k for k in range(poly.dim) if k != var_index]
+    cons = tuple(
+        Constraint(tuple(r.coeffs[k] for k in keep), r.rel, Fraction(r.const))
+        for r in rows
+    )
+    return Polyhedron(poly.dim - 1, cons)
+
+
+def affine_dimension(poly) -> int:
+    """Dimension of the affine hull of the solution set; -1 when empty.
+
+    An inequality is an implicit equality exactly when tightening it to a
+    strict inequality makes the system infeasible; the affine hull is then
+    cut out by the explicit and implicit equalities.
+    """
+    if not is_feasible(poly).feasible:
+        return -1
+    eq_rows = [c.coeffs for c in poly.constraints if c.relation is Relation.EQ]
+    for idx, con in enumerate(poly.constraints):
+        if con.relation is not Relation.GE:
+            continue
+        tightened = list(poly.constraints)
+        tightened[idx] = Constraint(con.coeffs, Relation.GT, con.constant)
+        if not is_feasible(Polyhedron(poly.dim, tuple(tightened))).feasible:
+            eq_rows.append(con.coeffs)
+    return poly.dim - rank(eq_rows)
+
+
+def recession_cone(poly) -> Polyhedron:
+    cons = tuple(
+        Constraint(
+            c.coeffs,
+            Relation.EQ if c.relation is Relation.EQ else Relation.GE,
+            Fraction(0),
+        )
+        for c in poly.constraints
+    )
+    return Polyhedron(poly.dim, cons)
+
+
+def is_bounded(poly) -> bool:
+    """True iff the recession cone is trivial. Empty polyhedra count as
+    bounded. One probe per signed coordinate direction, 2 * dim LPs."""
+    if not is_feasible(poly).feasible:
+        return True
+    cone = recession_cone(poly)
+    for j in range(poly.dim):
+        for sign in (1, -1):
+            probe = cone.constraints + (
+                Constraint(unit_vector(poly.dim, j, sign), Relation.GE, Fraction(-1)),
+            )
+            if is_feasible(Polyhedron(poly.dim, probe)).feasible:
+                return False
+    return True
+
+
+def enumerate_vertices(poly) -> list:
+    """All basic feasible points of a polyhedron, sorted: every
+    ``dim``-subset of constraints with a unique common solution contributes
+    that solution when it satisfies the whole system (C(k, dim) square
+    solves for k constraints)."""
+    points = set()
+    cons = poly.constraints
+    for subset in itertools.combinations(range(len(cons)), poly.dim):
+        mat = [cons[i].coeffs for i in subset]
+        rhs = [-cons[i].constant for i in subset]
+        x = solve_square(mat, rhs) if poly.dim else ()
+        if x is not None and poly.contains(x):
+            points.add(tuple(Fraction(v) for v in x))
+    return sorted(points)
+
+
+def feasible_by_enumeration(poly) -> bool:
+    """Brute-force feasibility for closed systems.
+
+    Every nonempty polyhedron has a minimal face which is the full solution
+    set of some subsystem turned into equalities, of rank at most ``dim``;
+    so scanning all constraint subsets of size up to ``dim`` and testing a
+    particular solution of each is exact. Strict inequalities are not
+    supported here; the elimination engine covers those with certificates.
+    """
+    if any(c.relation is Relation.GT for c in poly.constraints):
+        raise ValueError("enumeration oracle supports closed systems only")
+    cons = poly.constraints
+    origin = tuple(Fraction(0) for _ in range(poly.dim))
+    if poly.contains(origin):
+        return True
+    for size in range(1, min(poly.dim, len(cons)) + 1):
+        for subset in itertools.combinations(range(len(cons)), size):
+            mat = [cons[i].coeffs for i in subset]
+            rhs = [-cons[i].constant for i in subset]
+            sol = lin_solve(mat, rhs)
+            if sol is not None and poly.contains(sol):
+                return True
+    return False
+
+
+def adjacency_lemma_check(arr) -> bool:
+    """Key step of the covering proof, checked exhaustively.
+
+    Whenever a pattern's state set meets a compact chamber, the pattern must
+    lie in that chamber's chart. The meeting is decided on the intersection,
+    the chart by the numeric system: the chart pattern's state set is that
+    same intersection, so deciding the chart on it would be a tautology.
+    """
+    compact = core(arr, force=True)
+    td = torus_data(arr)
+    for pattern in _nonempty_patterns(arr):
+        st = state_set(arr, pattern)
+        for component in compact:
+            meet = Polyhedron(arr.n, st.constraints + component.chamber.constraints)
+            if not is_feasible(meet).feasible:
+                continue
+            if not hk_semistable_numeric(td, chart_pattern(component.eps, pattern)).semistable:
+                return False
+    return True
+
+
 def extension_exists(poly, var_index, partial_point) -> bool:
     """Can ``partial_point`` (values for all coordinates except var_index)
     be extended to a point of ``poly``? Decided by 1-D interval analysis."""
@@ -202,12 +338,11 @@ def extension_exists(poly, var_index, partial_point) -> bool:
     return False
 
 
-def rank_realizable(td, pattern) -> bool:
-    """Realizability by a rank test in R^d: no unit vector of a BOTH
-    coordinate lies in the span of the relation rows and the unit vectors of
-    the other coordinates (the kernel slice supported on the BOTH set then
-    avoids every coordinate hyperplane inside it)."""
-    both = [i for i, status in enumerate(pattern) if status is Status.BOTH]
+def rank_realizable(td, both) -> bool:
+    """Realizability of the BOTH set ``both`` by a rank test in R^d: no unit
+    vector of a BOTH coordinate lies in the span of the relation rows and
+    the unit vectors of the other coordinates (the kernel slice supported on
+    the BOTH set then avoids every coordinate hyperplane inside it)."""
     stack = list(td.basis) + [unit_vector(td.d, j) for j in range(td.d) if j not in both]
     base = rank(stack)
     return all(rank(stack + [unit_vector(td.d, i)]) > base for i in both)
@@ -244,12 +379,13 @@ def numeric_covering(arr) -> CoverReport:
 
 def numeric_complement(arr, eps) -> ComplementReport:
     """The 4^d complement sweep with every verdict taken from the numeric
-    system and realizability from the rank test in R^d."""
+    system and realizability from the rank test in R^d, once per BOTH set."""
     td = torus_data(arr)
+    realizable = functools.cache(lambda both: rank_realizable(td, both))
     excluded = [
         pattern
         for pattern in itertools.product(FULL_ALPHABET, repeat=arr.d)
-        if rank_realizable(td, pattern)
+        if realizable(tuple(i for i, status in enumerate(pattern) if status is Status.BOTH))
         and hk_semistable_numeric(td, pattern).semistable
         and not numeric_chart_semistable(td, eps, pattern)
     ]
