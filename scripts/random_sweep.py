@@ -11,9 +11,10 @@ the chambers (``extended_core`` lists exactly the sign vectors whose
 chamber LP is feasible, in order, each is full-dimensional, which
 ``core`` relies on without testing, each classification is ``is_bounded``'s
 and each bounded chamber's vertices, as the CLI lists them, are
-``enumerate_vertices``') and the complement
-(``chart_complement`` of every compact sign vector against a 4^d sweep of
-numeric verdicts with realizability from a rank test in R^d). The oracles
+``enumerate_vertices``'), realizability (``pattern_realizable`` on the
+direction classes against a rank test in R^d, on all 2^d BOTH sets) and the
+complement (``chart_complement`` of every compact sign vector against a 4^d
+sweep of numeric verdicts with realizability from the rank test). The oracles
 and the adjacency check are the test suite's (``tests/util.py``). Prints one
 line per instance and a summary.
 
@@ -35,6 +36,7 @@ from corecover import (
     extended_core,
     hk_semistable_geometric,
     hk_semistable_numeric,
+    pattern_realizable,
     theta_cpt,
     torus_data,
     verify_covering,
@@ -91,6 +93,12 @@ def check_instance(arr) -> dict:
         for eps in compact
         for p in patterns
     )
+    realizable = all(
+        pattern_realizable(arr, [Status.BOTH if i in both else Status.Z for i in range(arr.d)])
+        == rank_realizable(td, both)
+        for size in range(arr.d + 1)
+        for both in itertools.combinations(range(arr.d), size)
+    )
     covered = verify_covering(arr).covered if compact else None
     complement = (
         all(
@@ -104,6 +112,7 @@ def check_instance(arr) -> dict:
         "equivalence": equivalence,
         "verdicts": verdicts,
         "chart": chart,
+        "realizable": realizable,
         "covered": covered,
         "complement": complement,
         "adjacency": adjacency_lemma_check(arr),
@@ -143,7 +152,7 @@ def main() -> int:
         print(
             f"[{index:03d}] n={arr.n} d={arr.d} theta_cpt={result['theta_cpt']} "
             f"equivalence={result['equivalence']} verdicts={result['verdicts']} "
-            f"chart={result['chart']} "
+            f"chart={result['chart']} realizable={result['realizable']} "
             f"covered={result['covered']} complement={result['complement']} "
             f"adjacency={result['adjacency']} density={result['density']} "
             f"criterion={result['criterion_agrees']} chambers={result['chambers']} "

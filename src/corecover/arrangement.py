@@ -167,6 +167,7 @@ def reorient(arr: Arrangement, eps) -> Arrangement:
     return Arrangement(arr.n, normals, lifts, name=arr.name)
 
 
+@scoped_cache
 def _direction_classes(arr: Arrangement) -> tuple:
     """The hyperplanes grouped by normal direction, in order of appearance.
 
@@ -174,7 +175,8 @@ def _direction_classes(arr: Arrangement) -> tuple:
     sign. Each class is ``(r, members)``: ``r`` is the common normal up to
     sign with its first nonzero entry positive, and ``members`` holds
     ``(i, t)`` for each hyperplane ``i`` of the class, which is the set
-    ``<r, x> = t``.
+    ``<r, x> = t``. Computed once per arrangement for smoothness, trivial
+    factors, realizability and the chambers' candidate rays.
     """
     classes = {}
     for i, (u, lift) in enumerate(zip(arr.normals, arr.lifts)):
@@ -205,6 +207,21 @@ def _circuits(vectors):
                 stack.append((prefix + (k,), grown))
             elif all(relation):
                 yield prefix + (k,), relation
+
+
+def _independent_classes(arr: Arrangement, chosen) -> bool:
+    """Does each chosen direction class (indices into ``_direction_classes``)
+    lie outside the span of the classes not chosen? The one matroid question
+    behind trivial factors and realizability: one fraction-free echelon form
+    of the other representatives, against which each chosen one is reduced.
+    On a regular arrangement D <= n(n+1)/2 (Heller, 1957), so that is at
+    most D reductions in Q^n."""
+    reps = [r for r, _ in _direction_classes(arr)]
+    echelon = ()
+    for k, r in enumerate(reps):
+        if k not in chosen:
+            echelon = _extend_echelon(echelon, r)[0] or echelon
+    return all(_extend_echelon(echelon, reps[k])[0] is not None for k in chosen)
 
 
 @scoped_cache
@@ -340,15 +357,12 @@ def trivial_factors(arr: Arrangement) -> tuple:
     is empty exactly when such indices exist (reported, not assumed). A
     hyperplane with a parallel partner never qualifies, since the partner
     spans its direction, so only singleton direction classes (see
-    ``_direction_classes``) are tested: one is a factor exactly when the
-    other classes' representatives fail to span. That is at most D rank
-    computations, D <= n(n+1)/2 for a regular arrangement (Heller, 1957).
+    ``_direction_classes``) are tested, each by ``_independent_classes``.
     """
     classes = _direction_classes(arr)
-    reps = [r for r, _ in classes]
     out = [
         members[0][0]
         for k, (_, members) in enumerate(classes)
-        if len(members) == 1 and rank(reps[:k] + reps[k + 1:]) < arr.n
+        if len(members) == 1 and _independent_classes(arr, (k,))
     ]
     return tuple(sorted(out))

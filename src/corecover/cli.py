@@ -31,7 +31,6 @@ from .formats import (
 )
 from .quotient import (
     BOUNDED,
-    DEFAULT_MAX_COVER_D,
     _chamber_vertices,
     _check_guard,
     chart_complement,
@@ -84,12 +83,10 @@ def _core(arr, args):
 
 def _stability(arr, args):
     pattern = parse_pattern(args.pattern, arr.d)
-    td = torus_data(arr)
-    realizable = pattern_realizable(td, pattern)
-    verdict = hk_semistable_numeric(td, pattern)
+    verdict = hk_semistable_numeric(torus_data(arr), pattern)
     payload = {
         "pattern": format_pattern(pattern),
-        "realizable": realizable,
+        "realizable": pattern_realizable(arr, pattern),
         "semistable": verdict.semistable,
     }
     if verdict.semistable:
@@ -113,7 +110,7 @@ def _density(arr, args):
     d-variable LP per sign vector on purpose: it is the independent oracle
     checked against the tree's chamber verdict, so unlike the core and
     covering sections this one does not follow the nonempty chambers."""
-    _check_guard(arr, args.force, DEFAULT_MAX_COVER_D, "density sweep")
+    _check_guard(arr, args.force, "density sweep")
     results = {format_sign_vector(e): verify_density(arr, e) for e in all_sign_vectors(arr.d)}
     return {"density": results, "all_hold": all(results.values())}
 

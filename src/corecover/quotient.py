@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from .arrangement import (
     Arrangement,
     _direction_classes,
+    _independent_classes,
     check_sign_vector,
     is_smooth,
     torus_data,
@@ -42,9 +43,7 @@ from .stability import (
     Status,
     _cone_contains,
     _nonempty_patterns,
-    _realizable_both_set,
     chart_pattern,
-    chart_semistable,
     full_pattern,
     hk_semistable_numeric,
     state_set,
@@ -114,8 +113,10 @@ def _require_smooth(arr: Arrangement):
         raise ValueError("arrangement is not smooth")
 
 
-def _check_guard(arr: Arrangement, force: bool, limit: int, what: str):
-    """The one exponential guard, shared by the sweeps, the CLI and render."""
+def _check_guard(arr: Arrangement, force: bool, what: str, limit: int | None = None):
+    """The one exponential guard, shared by the sweeps, the CLI and render.
+    The limit, ``DEFAULT_MAX_COVER_D`` unless given, is read at call time."""
+    limit = DEFAULT_MAX_COVER_D if limit is None else limit
     if arr.d > limit and not force:
         raise GuardError(
             f"{what} enumerates exponentially many cases for d = {arr.d} > {limit}; "
@@ -174,7 +175,7 @@ def extended_core(arr: Arrangement, force: bool = False) -> tuple:
     """The nonempty chambers in sign-vector order, each classified exactly;
     the empty ones are never reached, so the cost follows the nonempty ones."""
     _require_smooth(arr)
-    _check_guard(arr, force, DEFAULT_MAX_COVER_D, "extended core")
+    _check_guard(arr, force, "extended core")
     return _extended_core_cached(arr)
 
 
@@ -241,18 +242,19 @@ def verify_covering(arr: Arrangement, force: bool = False) -> CoverReport:
     The sweep lists the prefix tree's leaves, not all 3^d patterns. BOTH
     coordinates are covered by the reduction property (resolving BOTH to the
     witness sign only shrinks charts), so the sweep decides the full
-    statement. Requires a nonempty core.
+    statement. Requires a nonempty core. The input is checked once here, so
+    chart membership reads the verdict of the chart pattern directly.
     """
     _require_smooth(arr)
-    _check_guard(arr, force, DEFAULT_MAX_COVER_D, "covering sweep")
-    compact = theta_cpt(arr, force=force)
+    _check_guard(arr, force, "covering sweep")
+    compact = [c.eps for c in _extended_core_cached(arr) if c.classification == BOUNDED]
     if not compact:
         raise ValueError("covering theorem hypothesis violated: empty core")
     witness = {}
     counterexamples = []
     for pattern in _nonempty_patterns(arr):
         for eps in compact:
-            if chart_semistable(arr, eps, pattern):
+            if _cone_contains(arr, chart_pattern(eps, pattern)):
                 witness[pattern] = eps
                 break
         else:
@@ -320,27 +322,30 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
     The semistable BOTH-free patterns are the prefix tree's leaves; then
     the sweep visits each nonempty realizable BOTH set, fills the other
     coordinates from {Z, W, 0} and lists the semistable patterns outside the
-    chart, in the order of the full four-letter alphabet. Every verdict is a
+    chart, in the order of the full four-letter alphabet. A realizable BOTH
+    set is a union of direction classes (see ``pattern_realizable``), so the
+    candidates are the 2^D - 1 nonempty class subsets. Every verdict is a
     cached BOTH-free one, so the sweep solves no LP the covering sweep does
     not; ``eps`` is checked once, so chart membership reads the verdict of
     the chart pattern directly. Reports whether every excluded pattern is
-    BOTH-free (hence sits in the extended core) and how large the excluded
-    state sets get.
+    BOTH-free (hence in the extended core) and how large the excluded state
+    sets get.
     """
     _require_smooth(arr)
     eps = check_sign_vector(eps, arr.d)
-    _check_guard(arr, force, DEFAULT_MAX_COMPLEMENT_D, "complement sweep")
+    _check_guard(arr, force, "complement sweep", DEFAULT_MAX_COMPLEMENT_D)
     if not _cone_contains(arr, full_pattern(eps)):
         raise ValueError("complement is defined for sign vectors with nonempty chamber")
-    td = torus_data(arr)
     # the semistable BOTH-free patterns are exactly the tree's leaves
     excluded = [
         p for p in _nonempty_patterns(arr) if not _cone_contains(arr, chart_pattern(eps, p))
     ]
-    for size in range(1, arr.d + 1):
-        for both in itertools.combinations(range(arr.d), size):
-            if not _realizable_both_set(td, both):
+    classes = _direction_classes(arr)
+    for size in range(1, len(classes) + 1):
+        for chosen in itertools.combinations(range(len(classes)), size):
+            if not _independent_classes(arr, chosen):
                 continue
+            both = {i for k in chosen for i, _ in classes[k][1]}
             free = [i for i in range(arr.d) if i not in both]
             pattern = [Status.BOTH] * arr.d
             for fill in itertools.product(NO_BOTH_ALPHABET, repeat=len(free)):

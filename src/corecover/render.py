@@ -17,9 +17,7 @@ import itertools
 from fractions import Fraction
 
 from .arrangement import Arrangement
-from .quotient import (
-    BOUNDED, DEFAULT_MAX_COVER_D, _chamber_vertices, _check_guard, _extended_core_cached
-)
+from .quotient import BOUNDED, _chamber_vertices, _check_guard, _extended_core_cached, _vertex
 
 SIZE = 560
 MARGIN = 40
@@ -51,7 +49,7 @@ def render_svg(arr: Arrangement, force: bool = False) -> str:
     if arr.n == 1:
         return _render_line(arr)
     if arr.n == 2:
-        _check_guard(arr, force, DEFAULT_MAX_COVER_D, "rendering")
+        _check_guard(arr, force, "rendering")
         return _render_plane(arr)
     raise ValueError("rendering supports n <= 2")
 
@@ -115,17 +113,9 @@ def _line_anchor_direction(u, lift):
 
 
 def _intersections(arr: Arrangement):
-    points = []
-    for i, j in itertools.combinations(range(arr.d), 2):
-        u, v = arr.normals[i], arr.normals[j]
-        denom = u[0] * v[1] - u[1] * v[0]
-        if denom == 0:
-            continue
-        a, b = -arr.lifts[i], -arr.lifts[j]
-        x = Fraction(a * v[1] - b * u[1], denom)
-        y = Fraction(u[0] * b - v[0] * a, denom)
-        points.append((x, y))
-    return points
+    """The crossing point of every pair of lines that are not parallel."""
+    points = (_vertex(arr, pair) for pair in itertools.combinations(range(arr.d), 2))
+    return [p for p in points if p is not None]
 
 
 def _clip_params(anchor, direction, box):

@@ -31,8 +31,9 @@ from enum import Enum
 from fractions import Fraction
 
 from .arrangement import Arrangement, TorusData, check_sign_vector
+from .arrangement import _direction_classes, _independent_classes
 from .feasibility import Certificate, Constraint, Polyhedron, Relation, is_feasible
-from .linalg import _extend_echelon, kernel_lattice, unit_vector
+from .linalg import unit_vector
 from .memo import scoped_cache
 
 
@@ -275,42 +276,27 @@ def chart_semistable(arr: Arrangement, eps, pattern) -> bool:
     return _cone_contains(arr, chart_pattern(eps, pattern))
 
 
-@scoped_cache
-def _normal_columns(td: TorusData) -> tuple:
-    """Columns of the kernel of the relation matrix, one vector in Q^n per
-    coordinate: the arrangement's normals up to GL(n)."""
-    kernel = kernel_lattice(td.basis, ncols=td.d)
-    return tuple(zip(*kernel)) if kernel else ((),) * td.d  # n = 0: zero columns
-
-
-@scoped_cache
-def _realizable_both_set(td: TorusData, both) -> bool:
-    if not both:
-        return True
-    columns = _normal_columns(td)
-    echelon = ()
-    for j in range(td.d):
-        if j not in both:
-            echelon = _extend_echelon(echelon, columns[j])[0] or echelon
-    return all(_extend_echelon(echelon, columns[i])[0] is not None for i in both)
-
-
-def pattern_realizable(td: TorusData, pattern) -> bool:
+def pattern_realizable(arr: Arrangement, pattern) -> bool:
     """Does the pattern occur on the zero level of the complex moment map?
 
     It does iff some kernel vector of the relation matrix is supported
-    exactly on the BOTH set B. The kernel is spanned by the rows of an
-    n x d matrix whose columns ``c_j`` are the normals up to GL(n); a
-    combination of its rows vanishes off B and nowhere on B iff it is a
-    functional killing every ``c_j`` outside B and no ``c_i`` in B. So B is
-    realizable iff no ``c_i`` with i in B lies in the span of the columns
-    outside B: an n-dimensional rank test, decided once per BOTH set by one
-    fraction-free echelon form of the columns outside B, against which each
-    column in B is reduced.
+    exactly on the BOTH set B. That kernel is the row space of the n x d
+    matrix whose columns are the normals ``u_j``, so such a vector is a
+    functional killing every ``u_j`` outside B and no ``u_i`` in B: B is
+    realizable iff no ``u_i`` with i in B lies in the span of the normals
+    outside B. A parallel partner outside B spans ``u_i``, so B must be a
+    union of direction classes, and then the test is
+    ``_independent_classes`` on those classes.
     """
-    pattern = check_pattern(pattern, td.d)
-    both = tuple(i for i, s in enumerate(pattern) if s is Status.BOTH)
-    return _realizable_both_set(td, both)
+    pattern = check_pattern(pattern, arr.d)
+    chosen = []
+    for k, (_, members) in enumerate(_direction_classes(arr)):
+        inside = [pattern[i] is Status.BOTH for i, _ in members]
+        if any(inside) != all(inside):
+            return False
+        if inside[0]:
+            chosen.append(k)
+    return _independent_classes(arr, tuple(chosen))
 
 
 def reorient_pattern(pattern, eps) -> tuple:

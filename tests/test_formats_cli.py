@@ -303,7 +303,7 @@ class TestCli:
         assert out["covering"] is None
         assert out["core"]["theta_cpt_count"] == 0
 
-    def test_guard_env_var(self, tmp_path, capsys, monkeypatch):
+    def test_cover_guard_and_force(self, tmp_path, capsys, monkeypatch):
         # the limits are fixed; lower the module constant to trip the guard
         monkeypatch.setattr(quotient, "DEFAULT_MAX_COVER_D", 2)
         code = main(["cover", write(tmp_path, A2_DOC)])
@@ -317,10 +317,15 @@ class TestCli:
         assert code == 2
 
     def test_density_guard(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "DEFAULT_MAX_COVER_D", 2)
+        # the density and render guards read the limit from quotient, so
+        # one patch there reaches them as it reaches the sweeps' guards
+        monkeypatch.setattr(quotient, "DEFAULT_MAX_COVER_D", 2)
         assert main(["density", write(tmp_path, A2_DOC)]) == 2
         assert "density sweep" in capsys.readouterr().err
         assert main(["density", write(tmp_path, A2_DOC), "--force"]) == 0
+        svg = str(tmp_path / "out.svg")
+        assert main(["render", write(tmp_path, HIRZ_DOC), "-o", svg]) == 2
+        assert "rendering" in capsys.readouterr().err
 
     def test_simplex_dim_5_core(self, tmp_path, capsys):
         code = main(["core", write(tmp_path, SIMPLEX5_DOC)])

@@ -385,9 +385,8 @@ class TestComplementSweep:
         arrangements = [hirzebruch, a2_resolution, triangle_pair]
         arrangements += [random_smooth_arrangement(rng, max_d=5) for _ in range(15)]
         for arr in arrangements:
-            td = torus_data(arr)
             for pattern in itertools.product(FULL_ALPHABET, repeat=arr.d):
-                if B in pattern and pattern_realizable(td, pattern):
+                if B in pattern and pattern_realizable(arr, pattern):
                     assert quotient._semistable(arr, pattern) == (
                         hk_semistable_geometric(arr, pattern).semistable
                     )
@@ -530,8 +529,8 @@ class TestChartComplement:
     def test_both_free_part_reads_one_verdict_per_leaf(
         self, hirzebruch, triangle_pair, monkeypatch
     ):
-        # before the first BOTH set: the chamber check, then one chart
-        # verdict per leaf of the tree instead of per candidate of 3^d
+        # before the first realizability test: the chamber check, then one
+        # chart verdict per leaf of the tree instead of per candidate of 3^d
         rng = random.Random(1414)
         arrangements = [hirzebruch, triangle_pair]
         arrangements += [random_smooth_arrangement(rng, max_d=6) for _ in range(10)]
@@ -540,14 +539,14 @@ class TestChartComplement:
             eps = extended_core(arr)[0].eps
             leaves = list(stability._nonempty_patterns(arr))
             reads, first_both_set = [], []
-            real_contains, real_realizable = quotient._cone_contains, quotient._realizable_both_set
+            real_contains, real_independent = quotient._cone_contains, quotient._independent_classes
             monkeypatch.setattr(
                 quotient, "_cone_contains", lambda a, p: reads.append(p) or real_contains(a, p)
             )
             monkeypatch.setattr(
                 quotient,
-                "_realizable_both_set",
-                lambda td, both: first_both_set.append(len(reads)) or real_realizable(td, both),
+                "_independent_classes",
+                lambda a, chosen: first_both_set.append(len(reads)) or real_independent(a, chosen),
             )
             chart_complement(arr, eps)
             monkeypatch.undo()
@@ -556,6 +555,26 @@ class TestChartComplement:
             read += len(leaves)
             candidates += 3**arr.d
         assert read < candidates / 2
+
+    def test_scans_class_subsets(self, monkeypatch):
+        # the realizability candidates are the 2^D - 1 nonempty subsets of
+        # the D direction classes, not the 2^d - 1 index subsets; every
+        # test answers no and the leaves are skipped, so only the scan runs
+        arrangements = [
+            three_class_arrangement(random.Random(60), 20),
+            random_smooth_arrangement(random.Random(3), n=2, d=16),
+        ]
+        for arr in arrangements:
+            chamber = next(stability._nonempty_patterns(arr, ((Z, W),) * arr.d))
+            eps = tuple(1 if status is Z else -1 for status in chamber)
+            chosen = []
+            monkeypatch.setattr(quotient, "_nonempty_patterns", lambda a: iter(()))
+            monkeypatch.setattr(quotient, "_independent_classes", lambda a, c: chosen.append(c) or False)
+            report = chart_complement(arr, eps, force=True)
+            monkeypatch.undo()
+            assert report.excluded_patterns == ()
+            classes = len(quotient._direction_classes(arr))
+            assert len(chosen) == len(set(chosen)) == 2**classes - 1 == 7
 
 
 class TestReorientationEquivariance:

@@ -223,23 +223,20 @@ class TestChart:
 
 class TestRealizability:
     def test_no_both_always(self, a2_resolution):
-        td = torus_data(a2_resolution)
         for pattern in itertools.product(NO_BOTH_ALPHABET, repeat=3):
-            assert pattern_realizable(td, pattern)
+            assert pattern_realizable(a2_resolution, pattern)
 
     def test_single_both_blocked(self, a2_resolution):
-        td = torus_data(a2_resolution)
-        assert not pattern_realizable(td, (B, Z, O))
-        assert not pattern_realizable(td, (Z, B, O))
+        assert not pattern_realizable(a2_resolution, (B, Z, O))
+        assert not pattern_realizable(a2_resolution, (Z, B, O))
 
     def test_full_both_allowed(self, a2_resolution):
-        td = torus_data(a2_resolution)
-        assert pattern_realizable(td, (B, B, B))
+        assert pattern_realizable(a2_resolution, (B, B, B))
 
     def test_matches_rank_oracle(self, hirzebruch, a2_resolution, trivial_product, triangle_pair):
-        # the test on the normals' columns against the rank test in R^d, for
-        # every BOTH set, on smooth arrangements and on ones with parallel
-        # normals (which need not be smooth)
+        # the test on the direction classes against the rank test in R^d,
+        # for every BOTH set, on smooth arrangements and on ones with
+        # parallel normals (which need not be smooth)
         rng = random.Random(2718)
         arrangements = [hirzebruch, a2_resolution, trivial_product, triangle_pair]
         arrangements += [random_smooth_arrangement(rng, max_d=7) for _ in range(15)]
@@ -250,21 +247,26 @@ class TestRealizability:
             for both in itertools.product((False, True), repeat=arr.d):
                 pattern = tuple(B if b else rng.choice(NO_BOTH_ALPHABET) for b in both)
                 both = tuple(i for i, status in enumerate(pattern) if status is B)
-                assert pattern_realizable(td, pattern) == rank_realizable(td, both)
+                assert pattern_realizable(arr, pattern) == rank_realizable(td, both)
 
     def test_every_both_set_matches_rank_oracle(self):
-        # the echelon test of the columns outside B against the rank test in
-        # R^d, on all 2^d BOTH sets of two seeded arrangements per (n, d)
+        # the class test against the rank test in R^d, on all 2^d BOTH sets
+        # of two seeded arrangements per (n, d), plus arrangements with
+        # parallel normals, where a BOTH set that splits a class fails
         rng = random.Random(1618)
-        for n in (1, 2, 3):
-            for d in range(n, 9):
-                for _ in range(2):
-                    td = torus_data(random_smooth_arrangement(rng, n=n, d=d))
-                    for size in range(d + 1):
-                        for both in itertools.combinations(range(d), size):
-                            assert stability._realizable_both_set(td, both) == rank_realizable(
-                                td, both
-                            )
+        arrangements = [
+            random_smooth_arrangement(rng, n=n, d=d)
+            for n in (1, 2, 3)
+            for d in range(n, 9)
+            for _ in range(2)
+        ]
+        arrangements += [arrangement_with_parallel_normals(rng) for _ in range(15)]
+        for arr in arrangements:
+            td = torus_data(arr)
+            for size in range(arr.d + 1):
+                for both in itertools.combinations(range(arr.d), size):
+                    pattern = tuple(B if i in both else Z for i in range(arr.d))
+                    assert pattern_realizable(arr, pattern) == rank_realizable(td, both)
 
 
 class TestReorientPattern:
@@ -341,7 +343,7 @@ class TestBothReduction:
         for arr in (hirzebruch, a2_resolution):
             td = torus_data(arr)
             for pattern in itertools.product(FULL_ALPHABET, repeat=arr.d):
-                if not pattern_realizable(td, pattern):
+                if not pattern_realizable(arr, pattern):
                     continue
                 if not hk_semistable_numeric(td, pattern).semistable:
                     continue

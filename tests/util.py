@@ -6,9 +6,11 @@ instead of the direction classes for regularity, simplicity and trivial
 factors, full subset enumeration instead of the (n + 1)-bounded simplicity
 scan, interval analysis instead of elimination, the
 numeric d-variable stability system instead of state sets, a rank test in R^d
-instead of one on the normals for realizability, one LP on a whole state set
-instead of the prefix tree, every candidate pattern instead of the tree's
-leaves for the complement), so agreement is meaningful. Also polyhedral
+on index subsets instead of one on the direction classes for realizability,
+one LP on a whole state set instead of the prefix tree, every candidate
+pattern instead of the tree's leaves for the complement, with a summary of
+its own: measured state-set dimensions and a letter-by-letter breakdown), so
+agreement is meaningful. Also polyhedral
 oracles (projection, affine dimension, boundedness, vertices, brute-force
 feasibility), the covering proof's adjacency step, the constraint
 shorthands ``ge``, ``gt`` and ``eq`` and a generator of arrangements with
@@ -25,6 +27,7 @@ from corecover import (
     CoverReport,
     Polyhedron,
     Relation,
+    all_sign_vectors,
     core,
     hk_semistable_numeric,
     is_feasible,
@@ -34,13 +37,12 @@ from corecover import (
 )
 from corecover.feasibility import _dedup, _eliminate_column, _integerize
 from corecover.linalg import _eliminate, det, lin_solve, rank, solve_square, unit_vector
-from corecover.quotient import _LETTER_ORDER, _complement_report, _semistable
+from corecover.quotient import _LETTER_ORDER, _semistable
 from corecover.stability import (
     FULL_ALPHABET,
     NO_BOTH_ALPHABET,
     Status,
     _nonempty_patterns,
-    _realizable_both_set,
     chart_pattern,
     chart_semistable,
 )
@@ -377,6 +379,27 @@ def numeric_covering(arr) -> CoverReport:
     return CoverReport(not counterexamples, witness, tuple(counterexamples))
 
 
+def oracle_complement_report(arr, eps, excluded) -> ComplementReport:
+    """Summarise excluded patterns without the production summary: the
+    dimension measured by ``affine_dimension`` on each state set, and the
+    breakdown by testing every sign vector letter by letter against each
+    pattern (Z needs +1, W needs -1, ZERO takes either)."""
+    both_free = [p for p in excluded if Status.BOTH not in p]
+    all_in_core = len(both_free) == len(excluded)
+    max_dim = None
+    if all_in_core:
+        max_dim = max((affine_dimension(state_set(arr, p)) for p in both_free), default=-1)
+    allowed = {Status.Z: (1,), Status.W: (-1,), Status.ZERO: (1, -1)}
+    breakdown = {}
+    for sign in all_sign_vectors(arr.d):
+        members = tuple(
+            p for p in both_free if all(e in allowed[status] for e, status in zip(sign, p))
+        )
+        if members:
+            breakdown[sign] = members
+    return ComplementReport(tuple(eps), tuple(excluded), all_in_core, max_dim, breakdown)
+
+
 def numeric_complement(arr, eps) -> ComplementReport:
     """The 4^d complement sweep with every verdict taken from the numeric
     system and realizability from the rank test in R^d, once per BOTH set."""
@@ -389,18 +412,19 @@ def numeric_complement(arr, eps) -> ComplementReport:
         and hk_semistable_numeric(td, pattern).semistable
         and not numeric_chart_semistable(td, eps, pattern)
     ]
-    return _complement_report(arr, tuple(eps), excluded)
+    return oracle_complement_report(arr, eps, excluded)
 
 
 def candidate_complement(arr, eps) -> ComplementReport:
     """The complement sweep over every candidate: all 3^d BOTH-free patterns,
-    then the {Z, W, 0} fills of each realizable BOTH set, each semistable
-    one tested against the chart."""
+    then the {Z, W, 0} fills of each BOTH set of hyperplane indices that the
+    rank test in R^d finds realizable, each semistable one tested against
+    the chart."""
     td = torus_data(arr)
     excluded = []
     for size in range(arr.d + 1):
         for both in itertools.combinations(range(arr.d), size):
-            if not _realizable_both_set(td, both):
+            if not rank_realizable(td, both):
                 continue
             free = [i for i in range(arr.d) if i not in both]
             pattern = [Status.BOTH] * arr.d
@@ -410,7 +434,7 @@ def candidate_complement(arr, eps) -> ComplementReport:
                 if _semistable(arr, pattern) and not chart_semistable(arr, eps, pattern):
                     excluded.append(tuple(pattern))
     excluded.sort(key=lambda p: [_LETTER_ORDER[status] for status in p])
-    return _complement_report(arr, tuple(eps), excluded)
+    return oracle_complement_report(arr, eps, excluded)
 
 
 def three_class_arrangement(rng, per_class):
