@@ -3,8 +3,9 @@
 
 Samples smooth arrangements from a seed and runs the full battery on each:
 oracle equivalence on every BOTH-free pattern, the cached verdicts (the
-prefix tree behind ``_cone_contains`` against one state-set LP per pattern,
-on every BOTH-free pattern), chart equivalence (the state set of each chart
+``verdicts`` column: the prefix tree behind ``_cone_contains``, which on
+this smooth input is read off the vertices' sign vectors with no LP, against
+one state-set LP per pattern, on every BOTH-free pattern), chart equivalence (the state set of each chart
 pattern against its numeric system, for every compact sign vector and every
 BOTH-free pattern), covering, adjacency, density, the empty-core criterion,
 the chambers (``extended_core`` lists exactly the sign vectors whose

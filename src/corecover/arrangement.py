@@ -225,6 +225,45 @@ def _independent_classes(arr: Arrangement, chosen) -> bool:
 
 
 @scoped_cache
+def _vertices(arr: Arrangement) -> tuple:
+    """The vertices of the arrangement, sorted, each with its sign vector.
+
+    A vertex is a point where hyperplanes with spanning normals meet, so it
+    is the meet of n of them with independent normals. Each entry is
+    ``(point, sigma)`` with ``sigma_i`` the sign of ``<u_i, x> + lift_i`` at
+    the point, 0 exactly on the hyperplanes through it. Independent normals
+    lie in distinct direction classes (see ``_direction_classes``), and
+    whether n hyperplanes from n distinct classes are independent depends
+    only on the classes, so each n-subset of classes is solved member by
+    member and dropped at its first singular system: one ``solve_square``
+    per independent n-subset of hyperplanes. On input that is not simple a
+    vertex lies on more than n hyperplanes and is listed once.
+    """
+    points = set()
+    for chosen in itertools.combinations(_direction_classes(arr), arr.n):
+        for members in itertools.product(*(m for _, m in chosen)):
+            zeros = [i for i, _ in members]
+            point = solve_square([arr.normals[i] for i in zeros], [-arr.lifts[i] for i in zeros])
+            if point is None:
+                break
+            points.add(point)
+    # signs on integers: with the lifts over L and the point over D,
+    # L * D * (<u, x> + lift) = L * <u, D x> + D * (L * lift)
+    common = lcm(*(x.denominator for x in arr.lifts))
+    lifts = [x.numerator * (common // x.denominator) for x in arr.lifts]
+    out = []
+    for point in sorted(points):
+        scale = lcm(*(x.denominator for x in point))
+        nums = [x.numerator * (scale // x.denominator) for x in point]
+        values = (
+            common * sum(a * x for a, x in zip(u, nums)) + scale * lift
+            for u, lift in zip(arr.normals, lifts)
+        )
+        out.append((point, tuple((v > 0) - (v < 0) for v in values)))
+    return tuple(out)
+
+
+@scoped_cache
 def is_regular(arr: Arrangement) -> bool:
     """Every linearly independent n-subset of normals is a lattice basis.
 

@@ -8,12 +8,14 @@ whole quotient. Chambers, swept patterns and chart patterns are BOTH-free
 state sets, decided by a prefix tree over the hyperplanes whose leaves are
 the nonempty ones: the chamber and covering sweeps and the
 BOTH-free part of the complement list those leaves instead of testing 2^d
-or 3^d candidates. A chamber's boundedness is read off the sign vectors of
-candidate extreme rays, one per (n - 1)-subset of direction classes, with no
-LP; a bounded chamber's vertices are the tree's faces of it on n
-hyperplanes. A pattern with BOTH coordinates is semistable iff one of its
-Z/W resolutions is, so the complement sweep solves nothing new. Density
-also solves the numeric system.
+or 3^d candidates. On smooth input, which the sweeps require, the tree is
+read off the arrangement's vertices and solves no LP. A chamber's
+boundedness is read off the sign vectors of candidate extreme rays, one per
+(n - 1)-subset of direction classes, with no LP; a chamber's vertices are
+the arrangement's vertices whose sign vectors conform to it. A pattern with
+BOTH coordinates is semistable iff one of its Z/W resolutions is, so the
+complement sweep solves nothing new. Density alone solves LPs: the numeric
+system of each sign vector.
 
 Everything is exhaustive and exact, guarded against exponential blowup by a
 hyperplane-count limit that can be forced off.
@@ -28,6 +30,7 @@ from .arrangement import (
     Arrangement,
     _direction_classes,
     _independent_classes,
+    _vertices,
     check_sign_vector,
     is_smooth,
     torus_data,
@@ -35,7 +38,7 @@ from .arrangement import (
 )
 from .errors import GuardError
 from .feasibility import Polyhedron
-from .linalg import det, solve_square
+from .linalg import det
 from .memo import scoped_cache
 from .stability import (
     NO_BOTH_ALPHABET,
@@ -190,33 +193,16 @@ def core(arr: Arrangement, force: bool = False) -> tuple:
     return tuple(c for c in extended_core(arr, force=force) if c.classification == BOUNDED)
 
 
-@scoped_cache
-def _vertex(arr: Arrangement, zeros) -> tuple | None:
-    """The point where the n hyperplanes ``zeros`` meet, or None when their
-    normals are dependent."""
-    return solve_square([arr.normals[i] for i in zeros], [-arr.lifts[i] for i in zeros])
-
-
 def _chamber_vertices(arr: Arrangement, eps) -> list:
-    """The vertices of a bounded chamber, sorted.
-
-    The faces of the closed chamber are the nonempty state sets with ZERO
-    or the chamber's letter at each coordinate, so a walk of the prefix tree
-    restricted to those letters visits exactly them. A point of the closed
-    chamber on n independent hyperplanes is a basic feasible point, so the
-    faces on n independent hyperplanes give exactly ``enumerate_vertices``
-    of the chamber, on any arrangement: in one that is not simple, more than
-    n hyperplanes may pass through a vertex, which is listed once.
+    """The vertices of a chamber, sorted: the arrangement's vertices (see
+    ``_vertices``) whose sign vector conforms to ``eps``, each ``sigma_i``
+    0 or ``eps_i``. Such a vertex lies in the closed chamber on hyperplanes
+    with spanning normals, so it is a basic feasible point of the chamber,
+    and every basic feasible point is such a vertex. Exact on any
+    arrangement; in one that is not simple, more than n hyperplanes may pass
+    through a vertex, which is listed once.
     """
-    alphabets = tuple((Status.Z if e == 1 else Status.W, Status.ZERO) for e in eps)
-    points = set()
-    for face in _nonempty_patterns(arr, alphabets):
-        zeros = tuple(i for i, status in enumerate(face) if status is Status.ZERO)
-        if len(zeros) == arr.n:
-            point = _vertex(arr, zeros)
-            if point is not None:
-                points.add(point)
-    return sorted(points)
+    return [p for p, sigma in _vertices(arr) if all(s * e >= 0 for s, e in zip(sigma, eps))]
 
 
 def theta_cpt(arr: Arrangement, force: bool = False) -> tuple:

@@ -13,11 +13,10 @@ line midpoints, hyperplanes are labeled H1..Hd.
 from __future__ import annotations
 
 import functools
-import itertools
 from fractions import Fraction
 
-from .arrangement import Arrangement
-from .quotient import BOUNDED, _chamber_vertices, _check_guard, _extended_core_cached, _vertex
+from .arrangement import Arrangement, _vertices
+from .quotient import BOUNDED, _chamber_vertices, _check_guard, _extended_core_cached
 
 SIZE = 560
 MARGIN = 40
@@ -113,9 +112,9 @@ def _line_anchor_direction(u, lift):
 
 
 def _intersections(arr: Arrangement):
-    """The crossing point of every pair of lines that are not parallel."""
-    points = (_vertex(arr, pair) for pair in itertools.combinations(range(arr.d), 2))
-    return [p for p in points if p is not None]
+    """The crossing point of every pair of lines that are not parallel: the
+    arrangement's vertices."""
+    return [point for point, _ in _vertices(arr)]
 
 
 def _clip_params(anchor, direction, box):

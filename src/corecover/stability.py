@@ -18,7 +18,11 @@ exhaustively on fixtures and randomized smooth arrangements. Production
 decides on the geometric side, in fewer variables; charts and chambers are
 state sets of single BOTH-free patterns, which share one cached verdict.
 That verdict is read off a prefix tree that adds one hyperplane at a time
-and is expanded only along nonempty prefixes, at most two small LPs each
+and holds only nonempty prefixes. On a simple arrangement the tree is read
+off the arrangement's vertices with no LP: the nonempty BOTH-free state sets
+are the vertices' sign vectors with any letter on the n hyperplanes through
+each vertex (compare Zaslavsky, "Facing up to arrangements", 1975). On
+other input it is expanded lazily, at most two small LPs per prefix
 (compare Sleumer, "Output-sensitive cell enumeration in hyperplane
 arrangements", 1998). Each public verdict carries the exact certificate of
 the system it solved.
@@ -26,12 +30,13 @@ the system it solved.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .arrangement import Arrangement, TorusData, check_sign_vector
-from .arrangement import _direction_classes, _independent_classes
+from .arrangement import _direction_classes, _independent_classes, _vertices
 from .feasibility import Certificate, Constraint, Polyhedron, Relation, is_feasible
 from .linalg import unit_vector
 from .memo import scoped_cache
@@ -202,15 +207,67 @@ def toric_semistable_geometric(arr: Arrangement, support) -> StabilityVerdict:
 
 
 @scoped_cache
+def _face_letters(arr: Arrangement) -> dict | None:
+    """Every nonempty prefix of a simple arrangement mapped to its live
+    letters, read off the vertices (see ``_live_letters``); None when some
+    vertex lies on more than n hyperplanes, or when there is no vertex."""
+    vertices = _vertices(arr)
+    if not vertices or any(sigma.count(0) != arr.n for _, sigma in vertices):
+        return None
+    faces = set()
+    for _, sigma in vertices:
+        zeros = [i for i, s in enumerate(sigma) if s == 0]
+        face = [Status.Z if s > 0 else Status.W for s in sigma]
+        for fill in itertools.product(NO_BOTH_ALPHABET, repeat=arr.n):
+            for i, status in zip(zeros, fill):
+                face[i] = status
+            faces.add(tuple(face))
+    live = {}
+    for face in faces:
+        for k in range(arr.d):
+            live.setdefault(face[:k], set()).add(face[k])
+    return {
+        prefix: tuple(status for status in NO_BOTH_ALPHABET if status in letters)
+        for prefix, letters in live.items()
+    }
+
+
+@scoped_cache
 def _live_letters(arr: Arrangement, prefix) -> tuple:
     """The letters that keep the state set of a prefix nonempty.
 
-    Asked only of a prefix whose own state set P is nonempty. If P meets the
-    next hyperplane, that hyperplane lies in both of its closed half-spaces,
-    so Z, W and ZERO are all live. Otherwise the convex set P lies strictly on
+    Asked only of a prefix whose own state set is nonempty. A prefix is
+    nonempty iff some nonempty BOTH-free pattern extends it (extend by the
+    signs of one of its points), so its live letters are the next letters of
+    those patterns, and these are read off the arrangement's vertices
+    (``_vertices``) with no LP:
+
+    * The normals span Q^n, so a nonempty BOTH-free state set S, which has
+      a row for every hyperplane, is a pointed polyhedron and contains a
+      vertex of its own: a point of S on hyperplanes with spanning normals,
+      that is, a vertex v of the arrangement.
+    * Off the hyperplanes through v, the pattern's letter is v's sign: ZERO
+      would put v on the hyperplane, the other side would exclude v. On the
+      hyperplanes through v, each of Z, W and ZERO holds at v.
+    * So the nonempty BOTH-free patterns are exactly the sign vectors of the
+      vertices with any of Z, W, ZERO in place of each 0.
+
+    This holds on any arrangement, but a vertex on m hyperplanes gives 3^m
+    patterns, all of them built before the first question is answered. On a
+    simple arrangement m = n at every vertex, so ``_face_letters`` builds
+    the map once from at most 3^n patterns per vertex, polynomially many in
+    d for fixed n. Otherwise (render's drawings and the public
+    ``chart_semistable`` accept input that is not simple, where m may be as
+    large as d) the tree keeps its lazy step, which expands only the
+    prefixes asked about: if the prefix's state set P meets the next
+    hyperplane, that hyperplane lies in both of its closed half-spaces, so
+    Z, W and ZERO are all live. Otherwise the convex set P lies strictly on
     one side, and one more LP tells which. At most two LPs with
     ``len(prefix) + 1`` rows; only convexity is used, no smoothness.
     """
+    faces = _face_letters(arr)
+    if faces is not None:
+        return faces[prefix]
     rows = _state_rows(arr)
     nxt = rows[len(prefix)]
     base = tuple(r[status] for r, status in zip(rows, prefix))
@@ -243,9 +300,10 @@ def _cone_contains(arr: Arrangement, pattern) -> bool:
     """Is the state set of a BOTH-free pattern nonempty? The one cached
     verdict behind chambers (dense patterns), charts (chart patterns) and
     the complement sweep. A state set is nonempty iff every prefix's is, so
-    the pattern walks down the prefix tree of ``_live_letters``, which is
-    expanded only along nonempty prefixes: the LP count follows the
-    arrangement's faces, not the 3^d patterns."""
+    the pattern walks down the prefix tree of ``_live_letters``, which holds
+    only nonempty prefixes: read off the vertices with no LP on a simple
+    arrangement, expanded lazily with LPs otherwise, so the cost follows
+    the arrangement's faces, not the 3^d patterns."""
     for k, status in enumerate(pattern):
         if status not in _live_letters(arr, pattern[:k]):
             return False

@@ -28,6 +28,7 @@ from corecover import (
     verify_covering,
     verify_density,
 )
+import corecover.arrangement as arrangement_module
 import corecover.feasibility as feasibility
 import corecover.linalg as linalg
 import corecover.quotient as quotient
@@ -201,8 +202,8 @@ class TestExtendedCore:
 
 
 class TestChamberVertices:
-    """The CLI lists a bounded chamber's vertices as the tree's leaves with
-    n ZERO letters and the chamber's letters elsewhere."""
+    """The CLI lists a bounded chamber's vertices as the arrangement's
+    vertices whose sign vectors conform to the chamber's."""
 
     def test_matches_enumerate_vertices(self):
         # on every nonempty chamber, also of 2-D arrangements with parallel
@@ -229,15 +230,38 @@ class TestChamberVertices:
                 listed += 1
         assert listed > 1000
 
-    def test_solves_each_vertex_once(self, hirzebruch, monkeypatch):
-        # the trapezoid and the triangle share two vertices
+    def test_solves_each_vertex_once(self, monkeypatch):
+        # each independent n-subset of hyperplanes is solved once per
+        # arrangement, when the vertices are first listed; the chambers'
+        # vertices are read from that list and solve nothing more. On the
+        # trapezoid fixture that is its 5 non-parallel pairs of lines
+        rng = random.Random(1618)
+        arrangements = [parse_arrangement(p.read_text()) for p in sorted(FIXTURE_DIR.glob("*.json"))]
+        arrangements += [random_smooth_arrangement(rng, max_d=7) for _ in range(10)]
         solves = []
-        monkeypatch.setattr(
-            quotient, "solve_square", lambda m, r: solves.append(m) or linalg.solve_square(m, r)
-        )
-        for c in core(hirzebruch):
-            quotient._chamber_vertices(hirzebruch, c.eps)
-        assert len(solves) == 5
+        real = linalg.solve_square
+        for arr in arrangements:
+            # a list over another arrangement empties the scoped cache
+            arrangement_module._vertices(Arrangement(1, ((1,),), (0,)))
+            monkeypatch.setattr(
+                arrangement_module, "solve_square", lambda m, r: solves.append((m, r)) or real(m, r)
+            )
+            components = quotient._extended_core_cached(arr)
+            arrangement_module._vertices(arr)
+            solved = [tuple(zip(map(tuple, m), r)) for m, r in solves if real(m, r) is not None]
+            listed = len(solves)
+            for c in components:
+                quotient._chamber_vertices(arr, c.eps)
+            monkeypatch.undo()
+            assert len(solves) == listed
+            independent = [
+                sub for sub in itertools.combinations(range(arr.d), arr.n)
+                if linalg.rank([arr.normals[i] for i in sub]) == arr.n
+            ]
+            assert len(set(solved)) == len(solved) == len(independent)
+            if arr.name == "hirzebruch":
+                assert len(solved) == 5
+            solves.clear()
 
 
 class TestCoreEmptyCriterion:

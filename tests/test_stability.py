@@ -17,6 +17,7 @@ from corecover import (
     hk_semistable_geometric,
     hk_semistable_numeric,
     is_feasible,
+    is_simple,
     is_smooth,
     parse_arrangement,
     pattern_realizable,
@@ -32,8 +33,10 @@ from corecover import (
     verify_certificate,
     verify_covering,
 )
+import corecover.arrangement as arrangement
 import corecover.quotient as quotient
 import corecover.stability as stability
+from corecover.linalg import rank
 from corecover.randgen import random_pattern, random_sign_vector, random_smooth_arrangement
 from corecover.stability import FULL_ALPHABET, NO_BOTH_ALPHABET, Status, chart_pattern
 from util import affine_dimension, enumerate_vertices, per_pattern_verdict, rank_realizable
@@ -381,9 +384,21 @@ class TestRandomEquivalence:
                 )
 
 
+def unchecked_arrangement(n, normals, lifts):
+    """An ``Arrangement`` built past its constructor's checks, so that its
+    normals need not span, which the constructor rejects."""
+    arr = object.__new__(Arrangement)
+    fields = {"n": n, "normals": normals, "lifts": tuple(map(F, lifts)), "name": None}
+    for name, value in fields.items():
+        object.__setattr__(arr, name, value)
+    return arr
+
+
 class TestPrefixTree:
-    """``_cone_contains`` walks a pattern down a lazily expanded tree of
-    nonempty prefixes, at most two small LPs per expanded prefix."""
+    """``_cone_contains`` walks a pattern down a tree of nonempty prefixes.
+    On a simple arrangement the tree is read off the vertices with no LP;
+    otherwise it is expanded lazily, at most two small LPs per expanded
+    prefix."""
 
     @staticmethod
     def count_lps(monkeypatch):
@@ -397,20 +412,37 @@ class TestPrefixTree:
         # a sweep over another arrangement empties the scoped caches
         extended_core(Arrangement(1, ((1,),), (0,)))
 
-    def test_matches_per_pattern_oracle(self):
+    def test_matches_per_pattern_oracle(self, monkeypatch):
         rng = random.Random(4242)
         arrangements = [parse_arrangement(p.read_text()) for p in sorted(FIXTURE_DIR.glob("*.json"))]
         assert len(arrangements) == 5
         arrangements += [random_smooth_arrangement(rng, max_d=8) for _ in range(40)]
         parallel = [arrangement_with_parallel_normals(rng) for _ in range(20)]
         assert any(not is_smooth(arr) for arr in parallel)
+        # three kinds of input that is not simple: three lines through the
+        # origin (a vertex on n + 1 hyperplanes), a hyperplane listed twice,
+        # and normals that do not span (all parallel in the plane)
+        triple_point = Arrangement(2, ((1, 0), (0, 1), (-1, -1), (1, -1)), (0, 0, 1, 0))
+        assert any(sigma.count(0) == 3 for _, sigma in arrangement._vertices(triple_point))
+        coincident = Arrangement(2, ((1, 0), (-1, 0), (0, 1), (1, 1)), (1, -1, 0, 2))
+        classes = arrangement._direction_classes(coincident)
+        assert any(len({t for _, t in members}) < len(members) for _, members in classes)
+        flat = unchecked_arrangement(2, ((1, 0), (-1, 0), (1, 0)), (0, 1, -2))
+        assert rank(flat.normals) < flat.n
+        parallel += [triple_point, coincident, flat]
         for arr in arrangements + parallel:
+            calls = self.count_lps(monkeypatch)
             nonempty = []
             for pattern in itertools.product(NO_BOTH_ALPHABET, repeat=arr.d):
                 verdict = per_pattern_verdict(arr, pattern)
                 assert stability._cone_contains(arr, pattern) == verdict
                 if verdict:
                     nonempty.append(pattern)
+            monkeypatch.undo()
+            # the vertices decide simple input, the LP step all other input
+            lp_branch = not is_simple(arr) or rank(arr.normals) < arr.n
+            assert (stability._face_letters(arr) is None) == lp_branch
+            assert bool(calls) == lp_branch
             # the tree's leaves are the nonempty state sets, in product order
             assert list(stability._nonempty_patterns(arr)) == nonempty
             # the extended core lists the nonempty chambers, also on non-smooth
@@ -434,12 +466,31 @@ class TestPrefixTree:
             extended_core(arr)
             monkeypatch.undo()
             assert asked and all(O not in prefix for prefix in asked)
-            assert len(calls) <= 2 * stability._live_letters.cache_info().currsize
+            assert calls == []
 
     def test_covering_lp_budget(self, monkeypatch):
         arr = random_smooth_arrangement(random.Random(10), n=2, d=10, require_core=True)
         self.fresh_scopes()
         calls = self.count_lps(monkeypatch)
         assert verify_covering(arr).covered
-        assert len(calls) <= 2 * stability._live_letters.cache_info().currsize
-        assert len(calls) < 3**arr.d / 20
+        assert calls == []
+
+    def test_sweeps_solve_no_lp_on_smooth_input(self, monkeypatch):
+        # from fresh scopes, the tree of a smooth (hence simple) arrangement
+        # is read off its vertices: the sweeps solve no LP at all
+        rng = random.Random(1975)
+        arrangements = [parse_arrangement(p.read_text()) for p in sorted(FIXTURE_DIR.glob("*.json"))]
+        assert len(arrangements) == 5
+        arrangements += [random_smooth_arrangement(rng, max_d=7) for _ in range(20)]
+        swept = 0
+        for arr in arrangements:
+            self.fresh_scopes()
+            calls = self.count_lps(monkeypatch)
+            components = extended_core(arr)
+            if any(c.classification == quotient.BOUNDED for c in components):
+                assert verify_covering(arr).covered
+                swept += 1
+            quotient.chart_complement(arr, components[0].eps)
+            monkeypatch.undo()
+            assert calls == []
+        assert swept >= 10
