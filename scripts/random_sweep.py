@@ -3,21 +3,21 @@
 
 Samples smooth arrangements from a seed and runs the full battery on each:
 oracle equivalence on every BOTH-free pattern, the cached verdicts (the
-``verdicts`` column: the prefix tree behind ``_cone_contains``, which on
-this smooth input is read off the vertices' sign vectors with no LP, against
-one state-set LP per pattern, on every BOTH-free pattern), chart equivalence (the state set of each chart
-pattern against its numeric system, for every compact sign vector and every
-BOTH-free pattern), covering, adjacency, density, the empty-core criterion,
-the chambers (``extended_core`` lists exactly the sign vectors whose
-chamber LP is feasible, in order, each is full-dimensional, which
+``verdicts`` column: the prefix tree behind ``_cone_contains``, which is
+read off the vertices' sign vectors with no LP, against one state-set LP per
+pattern, on every BOTH-free pattern), chart equivalence (the state set of
+each chart pattern against its numeric system, for every compact sign vector
+and every BOTH-free pattern), covering, adjacency, density, the empty-core
+criterion, the chambers (``extended_core`` lists exactly the sign vectors
+whose chamber LP is feasible, in order, each is full-dimensional, which
 ``core`` relies on without testing, each classification is ``is_bounded``'s
 and each bounded chamber's vertices, as the CLI lists them, are
 ``enumerate_vertices``'), realizability (``pattern_realizable`` on the
 direction classes against a rank test in R^d, on all 2^d BOTH sets) and the
 complement (``chart_complement`` of every compact sign vector against a 4^d
-sweep of numeric verdicts with realizability from the rank test). The oracles
-and the adjacency check are the test suite's (``tests/util.py``). Prints one
-line per instance and a summary.
+sweep of numeric verdicts with realizability from the rank test). The
+oracles and the adjacency check are the test suite's (``tests/util.py``).
+Prints one line per instance and a summary.
 
 Usage: python scripts/random_sweep.py [--seed N] [--count N] [--max-d N]
 """

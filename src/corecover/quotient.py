@@ -8,8 +8,8 @@ whole quotient. Chambers, swept patterns and chart patterns are BOTH-free
 state sets, decided by a prefix tree over the hyperplanes whose leaves are
 the nonempty ones: the chamber and covering sweeps and the
 BOTH-free part of the complement list those leaves instead of testing 2^d
-or 3^d candidates. On smooth input, which the sweeps require, the tree is
-read off the arrangement's vertices and solves no LP. A chamber's
+or 3^d candidates. The tree is read off the arrangement's vertices and
+solves no LP. A chamber's
 boundedness is read off the sign vectors of candidate extreme rays, one per
 (n - 1)-subset of direction classes, with no LP; a chamber's vertices are
 the arrangement's vertices whose sign vectors conform to it. A pattern with

@@ -18,19 +18,16 @@ exhaustively on fixtures and randomized smooth arrangements. Production
 decides on the geometric side, in fewer variables; charts and chambers are
 state sets of single BOTH-free patterns, which share one cached verdict.
 That verdict is read off a prefix tree that adds one hyperplane at a time
-and holds only nonempty prefixes. On a simple arrangement the tree is read
-off the arrangement's vertices with no LP: the nonempty BOTH-free state sets
-are the vertices' sign vectors with any letter on the n hyperplanes through
-each vertex (compare Zaslavsky, "Facing up to arrangements", 1975). On
-other input it is expanded lazily, at most two small LPs per prefix
-(compare Sleumer, "Output-sensitive cell enumeration in hyperplane
-arrangements", 1998). Each public verdict carries the exact certificate of
-the system it solved.
+and holds only nonempty prefixes. The tree is read off the arrangement's
+vertices with no LP: a nonempty BOTH-free state set is a pointed
+polyhedron, so it contains a vertex of the arrangement, and a prefix's
+state set is nonempty iff all its letters hold at one vertex (compare
+Zaslavsky, "Facing up to arrangements", 1975). Each public verdict carries
+the exact certificate of the system it solved.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -207,75 +204,49 @@ def toric_semistable_geometric(arr: Arrangement, support) -> StabilityVerdict:
 
 
 @scoped_cache
-def _face_letters(arr: Arrangement) -> dict | None:
-    """Every nonempty prefix of a simple arrangement mapped to its live
-    letters, read off the vertices (see ``_live_letters``); None when some
-    vertex lies on more than n hyperplanes, or when there is no vertex."""
-    vertices = _vertices(arr)
-    if not vertices or any(sigma.count(0) != arr.n for _, sigma in vertices):
-        return None
-    faces = set()
-    for _, sigma in vertices:
-        zeros = [i for i, s in enumerate(sigma) if s == 0]
-        face = [Status.Z if s > 0 else Status.W for s in sigma]
-        for fill in itertools.product(NO_BOTH_ALPHABET, repeat=arr.n):
-            for i, status in zip(zeros, fill):
-                face[i] = status
-            faces.add(tuple(face))
-    live = {}
-    for face in faces:
-        for k in range(arr.d):
-            live.setdefault(face[:k], set()).add(face[k])
-    return {
-        prefix: tuple(status for status in NO_BOTH_ALPHABET if status in letters)
-        for prefix, letters in live.items()
-    }
+def _prefix_vertices(arr: Arrangement, prefix) -> tuple:
+    """The sign vectors of the arrangement's vertices at which every letter
+    of the prefix holds, filtered from the parent prefix's (see
+    ``_live_letters``). Empty iff the prefix's state set is."""
+    if not prefix:
+        return tuple(sigma for _, sigma in _vertices(arr))
+    k = len(prefix) - 1
+    allowed = {Status.Z: (0, 1), Status.W: (0, -1), Status.ZERO: (0,)}[prefix[k]]
+    return tuple(sigma for sigma in _prefix_vertices(arr, prefix[:-1]) if sigma[k] in allowed)
 
 
 @scoped_cache
 def _live_letters(arr: Arrangement, prefix) -> tuple:
-    """The letters that keep the state set of a prefix nonempty.
+    """The letters that keep the state set of a prefix nonempty, read off
+    the arrangement's vertices with no LP.
 
-    Asked only of a prefix whose own state set is nonempty. A prefix is
-    nonempty iff some nonempty BOTH-free pattern extends it (extend by the
-    signs of one of its points), so its live letters are the next letters of
-    those patterns, and these are read off the arrangement's vertices
-    (``_vertices``) with no LP:
+    * State sets are closed: Z keeps ``<u_i, x> + lift_i >= 0``, W keeps
+      ``<= 0``, ZERO keeps ``= 0``. So a letter holds at a point iff the
+      point's sign there is 0, or +1 for Z, or -1 for W.
+    * A prefix's state set is nonempty iff the state set of some BOTH-free
+      pattern on all d hyperplanes that extends it is: extend by the letters
+      of the signs of one of its points.
+    * Such a state set has a row on every hyperplane and the normals span
+      Q^n (the constructor checks this), so if nonempty it is a pointed
+      polyhedron and contains a vertex of its own: a point of it on
+      hyperplanes with spanning normals, that is, a vertex of the
+      arrangement (see ``_vertices``), at which every letter holds.
+    * Conversely, a vertex at which the prefix's letters hold lies in the
+      prefix's state set.
 
-    * The normals span Q^n, so a nonempty BOTH-free state set S, which has
-      a row for every hyperplane, is a pointed polyhedron and contains a
-      vertex of its own: a point of S on hyperplanes with spanning normals,
-      that is, a vertex v of the arrangement.
-    * Off the hyperplanes through v, the pattern's letter is v's sign: ZERO
-      would put v on the hyperplane, the other side would exclude v. On the
-      hyperplanes through v, each of Z, W and ZERO holds at v.
-    * So the nonempty BOTH-free patterns are exactly the sign vectors of the
-      vertices with any of Z, W, ZERO in place of each 0.
-
-    This holds on any arrangement, but a vertex on m hyperplanes gives 3^m
-    patterns, all of them built before the first question is answered. On a
-    simple arrangement m = n at every vertex, so ``_face_letters`` builds
-    the map once from at most 3^n patterns per vertex, polynomially many in
-    d for fixed n. Otherwise (render's drawings and the public
-    ``chart_semistable`` accept input that is not simple, where m may be as
-    large as d) the tree keeps its lazy step, which expands only the
-    prefixes asked about: if the prefix's state set P meets the next
-    hyperplane, that hyperplane lies in both of its closed half-spaces, so
-    Z, W and ZERO are all live. Otherwise the convex set P lies strictly on
-    one side, and one more LP tells which. At most two LPs with
-    ``len(prefix) + 1`` rows; only convexity is used, no smoothness.
+    So a prefix is nonempty iff all its letters hold at some vertex, and the
+    next letter is live iff it holds at one of those vertices
+    (``_prefix_vertices``): all three where one lies on the next hyperplane,
+    otherwise the one side they lie on (vertices on both sides would put a
+    point of the convex state set, and so a vertex, on it). Only convexity
+    and spanning normals are used, so this is exact on input that is not
+    simple too. One question costs at most one pass over the vertices per
+    hyperplane, once the vertices are solved.
     """
-    faces = _face_letters(arr)
-    if faces is not None:
-        return faces[prefix]
-    rows = _state_rows(arr)
-    nxt = rows[len(prefix)]
-    base = tuple(r[status] for r, status in zip(rows, prefix))
-    if is_feasible(Polyhedron(arr.n, base + (nxt[Status.ZERO],))).feasible:
+    signs = {sigma[len(prefix)] for sigma in _prefix_vertices(arr, prefix)}
+    if 0 in signs:
         return NO_BOTH_ALPHABET
-    if is_feasible(Polyhedron(arr.n, base + (nxt[Status.Z],))).feasible:
-        return (Status.Z,)
-    return (Status.W,)
+    return tuple(status for status, sign in ((Status.Z, 1), (Status.W, -1)) if sign in signs)
 
 
 def _nonempty_patterns(arr: Arrangement, alphabets=None):
@@ -301,9 +272,8 @@ def _cone_contains(arr: Arrangement, pattern) -> bool:
     verdict behind chambers (dense patterns), charts (chart patterns) and
     the complement sweep. A state set is nonempty iff every prefix's is, so
     the pattern walks down the prefix tree of ``_live_letters``, which holds
-    only nonempty prefixes: read off the vertices with no LP on a simple
-    arrangement, expanded lazily with LPs otherwise, so the cost follows
-    the arrangement's faces, not the 3^d patterns."""
+    only nonempty prefixes and is read off the vertices with no LP, so the
+    cost follows the arrangement's faces, not the 3^d patterns."""
     for k, status in enumerate(pattern):
         if status not in _live_letters(arr, pattern[:k]):
             return False

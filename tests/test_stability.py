@@ -36,7 +36,6 @@ from corecover import (
 import corecover.arrangement as arrangement
 import corecover.quotient as quotient
 import corecover.stability as stability
-from corecover.linalg import rank
 from corecover.randgen import random_pattern, random_sign_vector, random_smooth_arrangement
 from corecover.stability import FULL_ALPHABET, NO_BOTH_ALPHABET, Status, chart_pattern
 from util import affine_dimension, enumerate_vertices, per_pattern_verdict, rank_realizable
@@ -384,21 +383,10 @@ class TestRandomEquivalence:
                 )
 
 
-def unchecked_arrangement(n, normals, lifts):
-    """An ``Arrangement`` built past its constructor's checks, so that its
-    normals need not span, which the constructor rejects."""
-    arr = object.__new__(Arrangement)
-    fields = {"n": n, "normals": normals, "lifts": tuple(map(F, lifts)), "name": None}
-    for name, value in fields.items():
-        object.__setattr__(arr, name, value)
-    return arr
-
-
 class TestPrefixTree:
-    """``_cone_contains`` walks a pattern down a tree of nonempty prefixes.
-    On a simple arrangement the tree is read off the vertices with no LP;
-    otherwise it is expanded lazily, at most two small LPs per expanded
-    prefix."""
+    """``_cone_contains`` walks a pattern down a tree of nonempty prefixes,
+    read off the arrangement's vertices with no LP, on simple input and on
+    input that is not simple alike."""
 
     @staticmethod
     def count_lps(monkeypatch):
@@ -419,17 +407,15 @@ class TestPrefixTree:
         arrangements += [random_smooth_arrangement(rng, max_d=8) for _ in range(40)]
         parallel = [arrangement_with_parallel_normals(rng) for _ in range(20)]
         assert any(not is_smooth(arr) for arr in parallel)
-        # three kinds of input that is not simple: three lines through the
-        # origin (a vertex on n + 1 hyperplanes), a hyperplane listed twice,
-        # and normals that do not span (all parallel in the plane)
+        # two kinds of input that is not simple: three lines through the
+        # origin (a vertex on n + 1 hyperplanes) and a hyperplane listed twice
         triple_point = Arrangement(2, ((1, 0), (0, 1), (-1, -1), (1, -1)), (0, 0, 1, 0))
         assert any(sigma.count(0) == 3 for _, sigma in arrangement._vertices(triple_point))
         coincident = Arrangement(2, ((1, 0), (-1, 0), (0, 1), (1, 1)), (1, -1, 0, 2))
         classes = arrangement._direction_classes(coincident)
         assert any(len({t for _, t in members}) < len(members) for _, members in classes)
-        flat = unchecked_arrangement(2, ((1, 0), (-1, 0), (1, 0)), (0, 1, -2))
-        assert rank(flat.normals) < flat.n
-        parallel += [triple_point, coincident, flat]
+        parallel += [triple_point, coincident]
+        assert any(not is_simple(arr) for arr in parallel)
         for arr in arrangements + parallel:
             calls = self.count_lps(monkeypatch)
             nonempty = []
@@ -439,10 +425,8 @@ class TestPrefixTree:
                 if verdict:
                     nonempty.append(pattern)
             monkeypatch.undo()
-            # the vertices decide simple input, the LP step all other input
-            lp_branch = not is_simple(arr) or rank(arr.normals) < arr.n
-            assert (stability._face_letters(arr) is None) == lp_branch
-            assert bool(calls) == lp_branch
+            # the vertices decide every arrangement, simple or not
+            assert calls == []
             # the tree's leaves are the nonempty state sets, in product order
             assert list(stability._nonempty_patterns(arr)) == nonempty
             # the extended core lists the nonempty chambers, also on non-smooth
