@@ -3,9 +3,9 @@
 
 Samples smooth arrangements from a seed and runs the full battery on each:
 oracle equivalence on every BOTH-free pattern, the cached verdicts (the
-``verdicts`` column: the prefix tree behind ``_cone_contains``, which is
-read off the vertices' sign vectors with no LP, against one state-set LP per
-pattern, on every BOTH-free pattern), chart equivalence (the state set of
+``verdicts`` column: ``_cone_contains``, which reads the vertices' sign
+vectors with no LP, against one state-set LP per pattern, on every BOTH-free
+pattern and every realizable BOTH pattern), chart equivalence (the state set of
 each chart pattern against its numeric system, for every compact sign vector
 and every BOTH-free pattern), covering, adjacency, density, the empty-core
 criterion, the chambers (``extended_core`` lists exactly the sign vectors
@@ -85,7 +85,15 @@ def check_instance(arr) -> dict:
     patterns = list(itertools.product(NO_BOTH_ALPHABET, repeat=arr.d))
     geometric = {p: hk_semistable_geometric(arr, p).semistable for p in patterns}
     equivalence = all(hk_semistable_numeric(td, p).semistable == geometric[p] for p in patterns)
-    verdicts = all(_cone_contains(arr, p) == geometric[p] for p in patterns)
+    both_patterns = [
+        p
+        for p in itertools.product(FULL_ALPHABET, repeat=arr.d)
+        if Status.BOTH in p and pattern_realizable(arr, p)
+    ]
+    verdicts = all(_cone_contains(arr, p) == geometric[p] for p in patterns) and all(
+        _cone_contains(arr, p) == hk_semistable_geometric(arr, p).semistable
+        for p in both_patterns
+    )
     compact = theta_cpt(arr)
     chambers = extended_core(arr)
     chart = all(

@@ -4,18 +4,16 @@ Each sign vector ``eps`` reorients the arrangement and contributes a chamber
 ``Delta_eps``. The bounded nonempty chambers index the compact components of
 the core; the main verification confirms that each semistable pattern lands
 in the chart of some compact-core sign vector, so those charts cover the
-whole quotient. Chambers, swept patterns and chart patterns are BOTH-free
-state sets, decided by a prefix tree over the hyperplanes whose leaves are
-the nonempty ones: the chamber and covering sweeps and the
-BOTH-free part of the complement list those leaves instead of testing 2^d
-or 3^d candidates. The tree is read off the arrangement's vertices and
-solves no LP. A chamber's
-boundedness is read off the sign vectors of candidate extreme rays, one per
-(n - 1)-subset of direction classes, with no LP; a chamber's vertices are
-the arrangement's vertices whose sign vectors conform to it. A pattern with
-BOTH coordinates is semistable iff one of its Z/W resolutions is, so the
-complement sweep solves nothing new. Density alone solves LPs: the numeric
-system of each sign vector.
+whole quotient. Chambers, swept patterns and chart patterns are state sets,
+decided by a walk over the hyperplanes that keeps the prefixes whose
+letters all hold at some vertex of the arrangement: the chamber, covering
+and complement sweeps list its leaves instead of testing 2^d, 3^d or 4^d
+candidates, and solve no LP. The complement walks once per realizable
+BOTH set, with BOTH letters on it, which need no case of their own. A
+chamber's boundedness is read off the sign vectors of candidate extreme
+rays, one per (n - 1)-subset of direction classes, with no LP; a chamber's
+vertices are the arrangement's vertices whose sign vectors conform to it.
+Density alone solves LPs: the numeric system of each sign vector.
 
 Everything is exhaustive and exact, guarded against exponential blowup by a
 hyperplane-count limit that can be forced off.
@@ -267,36 +265,14 @@ def verify_density(arr: Arrangement, eps) -> bool:
     return chart_side == chamber_side
 
 
+# Sign vectors whose chamber meets a letter's state set: Z's side, W's
+# side, either for ZERO.
+_COMPONENT_SIGNS = {Status.Z: (1,), Status.W: (-1,), Status.ZERO: (1, -1)}
+
+
 def _compatible_components(pattern):
-    """Extended-core sign vectors whose stratum contains the pattern."""
-    choices = []
-    for status in pattern:
-        if status is Status.Z:
-            choices.append((1,))
-        elif status is Status.W:
-            choices.append((-1,))
-        elif status is Status.ZERO:
-            choices.append((1, -1))
-        else:
-            return
-    yield from itertools.product(*choices)
-
-
-def _semistable(arr: Arrangement, pattern) -> bool:
-    """Semistability of any pattern, read from the cached BOTH-free verdicts.
-
-    A BOTH coordinate constrains nothing, and its Z and W half-spaces cover
-    the ambient space, so the state set of a pattern is the union of the state
-    sets of its Z/W resolutions: it is nonempty iff one of theirs is.
-    """
-    both = [i for i, status in enumerate(pattern) if status is Status.BOTH]
-    resolved = list(pattern)
-    for signs in itertools.product((Status.Z, Status.W), repeat=len(both)):
-        for i, status in zip(both, signs):
-            resolved[i] = status
-        if _cone_contains(arr, tuple(resolved)):
-            return True
-    return False
+    """Extended-core sign vectors whose stratum contains a BOTH-free pattern."""
+    return itertools.product(*(_COMPONENT_SIGNS[status] for status in pattern))
 
 
 _LETTER_ORDER = {status: k for k, status in enumerate(FULL_ALPHABET)}
@@ -305,43 +281,37 @@ _LETTER_ORDER = {status: k for k, status in enumerate(FULL_ALPHABET)}
 def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementReport:
     """Pattern-level description of what one dense chart misses.
 
-    The semistable BOTH-free patterns are the prefix tree's leaves; then
-    the sweep visits each nonempty realizable BOTH set, fills the other
-    coordinates from {Z, W, 0} and lists the semistable patterns outside the
-    chart, in the order of the full four-letter alphabet. A realizable BOTH
-    set is a union of direction classes (see ``pattern_realizable``), so the
-    candidates are the 2^D - 1 nonempty class subsets. Every verdict is a
-    cached BOTH-free one, so the sweep solves no LP the covering sweep does
-    not; ``eps`` is checked once, so chart membership reads the verdict of
-    the chart pattern directly. Reports whether every excluded pattern is
-    BOTH-free (hence in the extended core) and how large the excluded state
-    sets get.
+    A realizable BOTH set is a union of direction classes (see
+    ``pattern_realizable``), so the candidates are the 2^D class subsets,
+    the empty one standing for the BOTH-free patterns. For each realizable
+    one the sweep walks the nonempty state sets with BOTH on it and Z, W or
+    0 elsewhere (``_nonempty_patterns``), and lists those outside the chart,
+    in the order of the full four-letter alphabet. The walk and the chart
+    verdicts solve no LP; ``eps`` is checked once, so chart membership reads
+    the verdict of the chart pattern directly. Reports whether every
+    excluded pattern is BOTH-free (hence in the extended core) and how large
+    the excluded state sets get.
     """
     _require_smooth(arr)
     eps = check_sign_vector(eps, arr.d)
     _check_guard(arr, force, "complement sweep", DEFAULT_MAX_COMPLEMENT_D)
     if not _cone_contains(arr, full_pattern(eps)):
         raise ValueError("complement is defined for sign vectors with nonempty chamber")
-    # the semistable BOTH-free patterns are exactly the tree's leaves
-    excluded = [
-        p for p in _nonempty_patterns(arr) if not _cone_contains(arr, chart_pattern(eps, p))
-    ]
     classes = _direction_classes(arr)
-    for size in range(1, len(classes) + 1):
-        for chosen in itertools.combinations(range(len(classes)), size):
-            if not _independent_classes(arr, chosen):
-                continue
-            both = {i for k in chosen for i, _ in classes[k][1]}
-            free = [i for i in range(arr.d) if i not in both]
-            pattern = [Status.BOTH] * arr.d
-            for fill in itertools.product(NO_BOTH_ALPHABET, repeat=len(free)):
-                for i, status in zip(free, fill):
-                    pattern[i] = status
-                if not _semistable(arr, pattern):
-                    continue
-                if _cone_contains(arr, chart_pattern(eps, pattern)):
-                    continue
-                excluded.append(tuple(pattern))
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(len(classes)), size) for size in range(len(classes) + 1)
+    )
+    excluded = []
+    for chosen in subsets:
+        if not _independent_classes(arr, chosen):
+            continue
+        both = {i for k in chosen for i, _ in classes[k][1]}
+        alphabets = [(Status.BOTH,) if i in both else NO_BOTH_ALPHABET for i in range(arr.d)]
+        excluded.extend(
+            p
+            for p in _nonempty_patterns(arr, alphabets)
+            if not _cone_contains(arr, chart_pattern(eps, p))
+        )
     excluded.sort(key=lambda p: [_LETTER_ORDER[status] for status in p])
     return _complement_report(arr, eps, excluded)
 

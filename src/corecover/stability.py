@@ -15,14 +15,14 @@ pattern at the moment level ``alpha``:
 
 That the two agree on every pattern is a theorem; the test suite checks it
 exhaustively on fixtures and randomized smooth arrangements. Production
-decides on the geometric side, in fewer variables; charts and chambers are
-state sets of single BOTH-free patterns, which share one cached verdict.
-That verdict is read off a prefix tree that adds one hyperplane at a time
-and holds only nonempty prefixes. The tree is read off the arrangement's
-vertices with no LP: a nonempty BOTH-free state set is a pointed
-polyhedron, so it contains a vertex of the arrangement, and a prefix's
-state set is nonempty iff all its letters hold at one vertex (compare
-Zaslavsky, "Facing up to arrangements", 1975). Each public verdict carries
+decides on the geometric side, in fewer variables, and solves no LP there:
+a pattern's state set, with BOTH letters or without, is nonempty iff all
+its letters hold at one vertex of the arrangement, because a nonempty
+BOTH-free state set is a pointed polyhedron and contains one (see
+``_prefix_vertices``; compare Zaslavsky, "Facing up to arrangements",
+1975). Charts and chambers are state sets of single BOTH-free patterns,
+which share one cached verdict; the sweeps walk the prefixes, one
+hyperplane at a time, that keep a vertex. Each public verdict carries
 the exact certificate of the system it solved.
 """
 
@@ -203,81 +203,86 @@ def toric_semistable_geometric(arr: Arrangement, support) -> StabilityVerdict:
     return hk_semistable_geometric(arr, support_pattern(arr.d, support))
 
 
+# The vertex signs at which each letter holds: the sign 0, or Z's or W's
+# side; BOTH holds at every sign (see ``_prefix_vertices``).
+_HOLDS = {
+    Status.Z: (0, 1),
+    Status.W: (0, -1),
+    Status.ZERO: (0,),
+    Status.BOTH: (0, 1, -1),
+}
+
+
 @scoped_cache
 def _prefix_vertices(arr: Arrangement, prefix) -> tuple:
     """The sign vectors of the arrangement's vertices at which every letter
-    of the prefix holds, filtered from the parent prefix's (see
-    ``_live_letters``). Empty iff the prefix's state set is."""
-    if not prefix:
-        return tuple(sigma for _, sigma in _vertices(arr))
-    k = len(prefix) - 1
-    allowed = {Status.Z: (0, 1), Status.W: (0, -1), Status.ZERO: (0,)}[prefix[k]]
-    return tuple(sigma for sigma in _prefix_vertices(arr, prefix[:-1]) if sigma[k] in allowed)
-
-
-@scoped_cache
-def _live_letters(arr: Arrangement, prefix) -> tuple:
-    """The letters that keep the state set of a prefix nonempty, read off
-    the arrangement's vertices with no LP.
+    of the prefix holds, filtered from the parent prefix's. Empty iff the
+    prefix's state set is, read off the vertices with no LP:
 
     * State sets are closed: Z keeps ``<u_i, x> + lift_i >= 0``, W keeps
-      ``<= 0``, ZERO keeps ``= 0``. So a letter holds at a point iff the
-      point's sign there is 0, or +1 for Z, or -1 for W.
+      ``<= 0``, ZERO keeps ``= 0`` and BOTH keeps everything. So a letter
+      holds at a point iff the point's sign there is in ``_HOLDS``.
     * A prefix's state set is nonempty iff the state set of some BOTH-free
-      pattern on all d hyperplanes that extends it is: extend by the letters
-      of the signs of one of its points.
+      pattern on all d hyperplanes that extends it is: keep its Z, W and
+      ZERO letters and take the letters of the signs of one of its points
+      everywhere else, BOTH coordinates included.
     * Such a state set has a row on every hyperplane and the normals span
       Q^n (the constructor checks this), so if nonempty it is a pointed
       polyhedron and contains a vertex of its own: a point of it on
       hyperplanes with spanning normals, that is, a vertex of the
-      arrangement (see ``_vertices``), at which every letter holds.
+      arrangement (see ``_vertices``), at which every letter of the
+      extension, and so of the prefix, holds.
     * Conversely, a vertex at which the prefix's letters hold lies in the
       prefix's state set.
 
-    So a prefix is nonempty iff all its letters hold at some vertex, and the
-    next letter is live iff it holds at one of those vertices
-    (``_prefix_vertices``): all three where one lies on the next hyperplane,
-    otherwise the one side they lie on (vertices on both sides would put a
-    point of the convex state set, and so a vertex, on it). Only convexity
-    and spanning normals are used, so this is exact on input that is not
-    simple too. One question costs at most one pass over the vertices per
-    hyperplane, once the vertices are solved.
+    So a prefix, BOTH letters or not, is nonempty iff all its letters hold
+    at some vertex. A BOTH coordinate needs no case of its own: its state
+    set is the union of those of its Z/W resolutions, and the vertices it
+    keeps are those of the resolutions. Only convexity and spanning normals
+    are used, so this is exact on input that is not simple too. One prefix
+    costs at most one pass over the vertices, once they are solved.
     """
-    signs = {sigma[len(prefix)] for sigma in _prefix_vertices(arr, prefix)}
-    if 0 in signs:
-        return NO_BOTH_ALPHABET
-    return tuple(status for status, sign in ((Status.Z, 1), (Status.W, -1)) if sign in signs)
+    if not prefix:
+        return tuple(sigma for _, sigma in _vertices(arr))
+    k = len(prefix) - 1
+    holds = _HOLDS[prefix[k]]
+    return tuple(sigma for sigma in _prefix_vertices(arr, prefix[:-1]) if sigma[k] in holds)
 
 
 def _nonempty_patterns(arr: Arrangement, alphabets=None):
-    """Nonempty BOTH-free state sets with a letter of ``alphabets[i]`` at
-    each coordinate ``i`` (any BOTH-free letter when ``alphabets`` is None):
-    leaves of the ``_live_letters`` tree, in ``itertools.product`` order
-    (a depth-first walk whose stack takes each prefix's letters reversed)."""
-    stack = [()]
+    """Nonempty state sets with a letter of ``alphabets[i]`` at each
+    coordinate ``i`` (any BOTH-free letter when ``alphabets`` is None), in
+    ``itertools.product`` order of the alphabets. A depth-first walk over
+    the prefixes whose letters all hold at some vertex (see
+    ``_prefix_vertices``): each stack entry carries the sign vectors of the
+    vertices its prefix keeps, and takes its letters reversed. Nothing is
+    cached, so a walk's memory is its stack."""
+    d = arr.d
+    stack = [((), tuple(sigma for _, sigma in _vertices(arr)))]
     while stack:
-        prefix = stack.pop()
-        if len(prefix) == arr.d:
+        prefix, signs = stack.pop()
+        k = len(prefix)
+        if k == d:
             yield prefix
             continue
-        allowed = NO_BOTH_ALPHABET if alphabets is None else alphabets[len(prefix)]
-        for status in reversed(_live_letters(arr, prefix)):
-            if status in allowed:
-                stack.append(prefix + (status,))
+        allowed = NO_BOTH_ALPHABET if alphabets is None else alphabets[k]
+        for status in reversed(allowed):
+            holds = _HOLDS[status]
+            kept = tuple(sigma for sigma in signs if sigma[k] in holds)
+            if kept:
+                stack.append((prefix + (status,), kept))
 
 
 @scoped_cache
 def _cone_contains(arr: Arrangement, pattern) -> bool:
-    """Is the state set of a BOTH-free pattern nonempty? The one cached
-    verdict behind chambers (dense patterns), charts (chart patterns) and
-    the complement sweep. A state set is nonempty iff every prefix's is, so
-    the pattern walks down the prefix tree of ``_live_letters``, which holds
-    only nonempty prefixes and is read off the vertices with no LP, so the
-    cost follows the arrangement's faces, not the 3^d patterns."""
-    for k, status in enumerate(pattern):
-        if status not in _live_letters(arr, pattern[:k]):
-            return False
-    return True
+    """Is the state set of a pattern nonempty? The one cached verdict
+    behind chambers (dense patterns) and charts (chart patterns), which are
+    BOTH-free, so the sweeps keep no BOTH key here or in
+    ``_prefix_vertices``. A state set is nonempty iff every prefix's is, so
+    the pattern is read down its prefixes' vertices, stopping at the first
+    empty one, with no LP: the cost follows the arrangement's faces, not
+    the 3^d patterns."""
+    return all(_prefix_vertices(arr, pattern[:k]) for k in range(1, len(pattern) + 1))
 
 
 def chart_pattern(eps, pattern) -> tuple:

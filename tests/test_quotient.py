@@ -37,6 +37,7 @@ from corecover.cli import main
 from corecover.randgen import random_sign_vector, random_smooth_arrangement
 from corecover.stability import (
     FULL_ALPHABET,
+    NO_BOTH_ALPHABET,
     StabilityVerdict,
     Status,
     chart_pattern,
@@ -381,7 +382,7 @@ class TestSharedVerdicts:
 
     def test_complement_reads_covering_verdicts(self, hirzebruch, a2_resolution, monkeypatch):
         # a sweep over another arrangement empties the scoped caches first,
-        # so the covering sweep below solves its state sets afresh
+        # so the covering sweep below reads its state sets afresh
         verify_covering(a2_resolution)
         arr = hirzebruch
         proofs = []
@@ -391,29 +392,79 @@ class TestSharedVerdicts:
                 feasibility, name, lambda *args, real=real: proofs.append(args) or real(*args)
             )
         assert verify_covering(arr).covered
-        misses = stability._live_letters.cache_info().misses
+        solved = []
+        real_feasible = feasibility.is_feasible
+        for module in (feasibility, stability):
+            monkeypatch.setattr(module, "is_feasible", lambda p: solved.append(p) or real_feasible(p))
         for eps in theta_cpt(arr):
             chart_complement(arr, eps)
-        assert stability._live_letters.cache_info().misses == misses
+        # the complement's walks and chart verdicts solve no LP
+        assert solved == []
         assert stability._cone_contains.cache_info().currsize <= 3**arr.d
         # neither sweep reads a witness point or a Farkas vector
         assert proofs == []
 
 
 class TestComplementSweep:
-    """The complement sweep decides a BOTH pattern from the cached verdicts
-    of its Z/W resolutions and skips unrealizable BOTH sets."""
+    """The complement sweep walks the nonempty state sets of each realizable
+    BOTH set, deciding BOTH letters at the vertices like any other, and
+    keeps its caches free of BOTH patterns."""
 
     def test_both_verdicts_match_geometric(self, hirzebruch, a2_resolution, triangle_pair):
         rng = random.Random(1729)
         arrangements = [hirzebruch, a2_resolution, triangle_pair]
         arrangements += [random_smooth_arrangement(rng, max_d=5) for _ in range(15)]
         for arr in arrangements:
+            walked = {}
             for pattern in itertools.product(FULL_ALPHABET, repeat=arr.d):
                 if B in pattern and pattern_realizable(arr, pattern):
-                    assert quotient._semistable(arr, pattern) == (
-                        hk_semistable_geometric(arr, pattern).semistable
-                    )
+                    verdict = hk_semistable_geometric(arr, pattern).semistable
+                    assert stability._cone_contains(arr, pattern) == verdict
+                    semistable = walked.setdefault(tuple(status is B for status in pattern), [])
+                    if verdict:
+                        semistable.append(pattern)
+            # the walk with BOTH on a realizable set lists exactly the
+            # semistable patterns, in product order
+            for both, semistable in walked.items():
+                alphabets = [(B,) if b else NO_BOTH_ALPHABET for b in both]
+                assert list(stability._nonempty_patterns(arr, alphabets)) == semistable
+
+    def test_memory_is_bounded(self, monkeypatch):
+        # the walks cache nothing: the two scoped caches hold BOTH-free
+        # keys only, at most 3^d of each, even on the coordinate
+        # arrangement, where all 4^d patterns are semistable and realizable
+        extended_core(Arrangement(1, ((1,),), (0,)))
+        axes = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
+        coordinate = Arrangement(6, axes, (0, 1, -1, 2, F(1, 2), -3))
+        keys, reads, yielded = [], [], []
+        real_prefix, real_contains = stability._prefix_vertices, quotient._cone_contains
+        real_walk = quotient._nonempty_patterns
+
+        def walk(a, alphabets):
+            for pattern in real_walk(a, alphabets):
+                yielded.append(pattern)
+                yield pattern
+
+        monkeypatch.setattr(
+            stability, "_prefix_vertices", lambda a, p: keys.append(p) or real_prefix(a, p)
+        )
+        monkeypatch.setattr(quotient, "_cone_contains", lambda a, p: reads.append(p) or real_contains(a, p))
+        monkeypatch.setattr(quotient, "_nonempty_patterns", walk)
+        chart_complement(coordinate, (1, -1, 1, -1, 1, -1))
+        assert len(yielded) == 4**coordinate.d
+        assert keys and all(B not in p for p in keys + reads)
+        assert real_prefix.cache_info().currsize <= 3**coordinate.d
+        assert real_contains.cache_info().currsize <= 3**coordinate.d
+        # n = 2, d = 16: the realizable class set of 8 hyperplanes once left
+        # 3^8 fills; now one chart read per pattern the walks yield
+        arr = random_smooth_arrangement(random.Random(3), n=2, d=16)
+        chamber = next(stability._nonempty_patterns(arr, ((Z, W),) * arr.d))
+        eps = tuple(1 if status is Z else -1 for status in chamber)
+        reads.clear()
+        yielded.clear()
+        chart_complement(arr, eps, force=True)
+        monkeypatch.undo()
+        assert len(reads) <= 1 + len(yielded) < 3**8
 
 
 class TestAdjacencyLemma:
@@ -550,40 +601,44 @@ class TestChartComplement:
         eps = (1, -1, 1, -1, 1, -1)
         assert chart_complement(arr, eps) == candidate_complement(arr, eps)
 
-    def test_both_free_part_reads_one_verdict_per_leaf(
-        self, hirzebruch, triangle_pair, monkeypatch
-    ):
-        # before the first realizability test: the chamber check, then one
-        # chart verdict per leaf of the tree instead of per candidate of 3^d
+    def test_reads_one_verdict_per_leaf(self, hirzebruch, triangle_pair, monkeypatch):
+        # the chamber check, then one chart verdict per pattern the walks
+        # yield, over every realizable BOTH set, instead of one per candidate
+        # of the 3^(d - |B|) fills of each
         rng = random.Random(1414)
         arrangements = [hirzebruch, triangle_pair]
         arrangements += [random_smooth_arrangement(rng, max_d=6) for _ in range(10)]
         read = candidates = 0
         for arr in arrangements:
             eps = extended_core(arr)[0].eps
-            leaves = list(stability._nonempty_patterns(arr))
-            reads, first_both_set = [], []
-            real_contains, real_independent = quotient._cone_contains, quotient._independent_classes
+            reads, yielded, both_sizes = [], [], []
+            real_contains, real_walk = quotient._cone_contains, quotient._nonempty_patterns
+
+            def walk(a, alphabets):
+                both_sizes.append(sum(letters == (B,) for letters in alphabets))
+                for pattern in real_walk(a, alphabets):
+                    yielded.append(pattern)
+                    yield pattern
+
             monkeypatch.setattr(
                 quotient, "_cone_contains", lambda a, p: reads.append(p) or real_contains(a, p)
             )
-            monkeypatch.setattr(
-                quotient,
-                "_independent_classes",
-                lambda a, chosen: first_both_set.append(len(reads)) or real_independent(a, chosen),
-            )
+            monkeypatch.setattr(quotient, "_nonempty_patterns", walk)
             chart_complement(arr, eps)
             monkeypatch.undo()
-            assert first_both_set[0] == 1 + len(leaves)
-            assert reads[1 : 1 + len(leaves)] == [chart_pattern(eps, p) for p in leaves]
-            read += len(leaves)
-            candidates += 3**arr.d
+            assert reads == [full_pattern(eps)] + [chart_pattern(eps, p) for p in yielded]
+            # the BOTH-free walk comes first and yields the tree's leaves
+            assert both_sizes[0] == 0
+            leaves = list(stability._nonempty_patterns(arr))
+            assert yielded[: len(leaves)] == leaves
+            read += len(yielded)
+            candidates += sum(3 ** (arr.d - size) for size in both_sizes)
         assert read < candidates / 2
 
     def test_scans_class_subsets(self, monkeypatch):
-        # the realizability candidates are the 2^D - 1 nonempty subsets of
-        # the D direction classes, not the 2^d - 1 index subsets; every
-        # test answers no and the leaves are skipped, so only the scan runs
+        # the realizability candidates are the 2^D subsets of the D direction
+        # classes, the empty one included, not the 2^d index subsets; every
+        # test answers no, so no walk runs and only the scan does
         arrangements = [
             three_class_arrangement(random.Random(60), 20),
             random_smooth_arrangement(random.Random(3), n=2, d=16),
@@ -591,14 +646,15 @@ class TestChartComplement:
         for arr in arrangements:
             chamber = next(stability._nonempty_patterns(arr, ((Z, W),) * arr.d))
             eps = tuple(1 if status is Z else -1 for status in chamber)
-            chosen = []
-            monkeypatch.setattr(quotient, "_nonempty_patterns", lambda a: iter(()))
+            chosen, walks = [], []
+            monkeypatch.setattr(quotient, "_nonempty_patterns", lambda a, al: walks.append(al) or iter(()))
             monkeypatch.setattr(quotient, "_independent_classes", lambda a, c: chosen.append(c) or False)
             report = chart_complement(arr, eps, force=True)
             monkeypatch.undo()
-            assert report.excluded_patterns == ()
+            assert report.excluded_patterns == () and walks == []
             classes = len(quotient._direction_classes(arr))
-            assert len(chosen) == len(set(chosen)) == 2**classes - 1 == 7
+            assert len(chosen) == len(set(chosen)) == 2**classes == 8
+            assert () in chosen
 
 
 class TestReorientationEquivariance:

@@ -29,6 +29,7 @@ from corecover import (
     Relation,
     all_sign_vectors,
     core,
+    hk_semistable_geometric,
     hk_semistable_numeric,
     is_feasible,
     state_set,
@@ -37,7 +38,7 @@ from corecover import (
 )
 from corecover.feasibility import _dedup, _eliminate_column, _integerize
 from corecover.linalg import _eliminate, det, lin_solve, rank, solve_square, unit_vector
-from corecover.quotient import _LETTER_ORDER, _semistable
+from corecover.quotient import _LETTER_ORDER
 from corecover.stability import (
     FULL_ALPHABET,
     NO_BOTH_ALPHABET,
@@ -418,8 +419,8 @@ def numeric_complement(arr, eps) -> ComplementReport:
 def candidate_complement(arr, eps) -> ComplementReport:
     """The complement sweep over every candidate: all 3^d BOTH-free patterns,
     then the {Z, W, 0} fills of each BOTH set of hyperplane indices that the
-    rank test in R^d finds realizable, each semistable one tested against
-    the chart."""
+    rank test in R^d finds realizable, each decided by one LP on its state
+    set and, if semistable, tested against the chart."""
     td = torus_data(arr)
     excluded = []
     for size in range(arr.d + 1):
@@ -431,7 +432,9 @@ def candidate_complement(arr, eps) -> ComplementReport:
             for fill in itertools.product(NO_BOTH_ALPHABET, repeat=len(free)):
                 for i, status in zip(free, fill):
                     pattern[i] = status
-                if _semistable(arr, pattern) and not chart_semistable(arr, eps, pattern):
+                if not hk_semistable_geometric(arr, pattern).semistable:
+                    continue
+                if not chart_semistable(arr, eps, pattern):
                     excluded.append(tuple(pattern))
     excluded.sort(key=lambda p: [_LETTER_ORDER[status] for status in p])
     return oracle_complement_report(arr, eps, excluded)
