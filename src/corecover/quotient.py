@@ -223,7 +223,7 @@ def core_empty_criterion(arr: Arrangement, force: bool = False) -> CoreEmptyRepo
 def verify_covering(arr: Arrangement, force: bool = False) -> CoverReport:
     """Witness every semistable BOTH-free pattern in a compact chart.
 
-    The sweep lists the prefix tree's leaves, not all 3^d patterns. BOTH
+    The sweep lists the vertex walk's leaves, not all 3^d patterns. BOTH
     coordinates are covered by the reduction property (resolving BOTH to the
     witness sign only shrinks charts), so the sweep decides the full
     statement. Requires a nonempty core. The input is checked once here, so

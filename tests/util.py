@@ -7,8 +7,8 @@ factors, full subset enumeration instead of the (n + 1)-bounded simplicity
 scan, interval analysis instead of elimination, the
 numeric d-variable stability system instead of state sets, a rank test in R^d
 on index subsets instead of one on the direction classes for realizability,
-one LP on a whole state set instead of the prefix tree, every candidate
-pattern instead of the tree's leaves for the complement, with a summary of
+one LP on a whole state set instead of the vertex walk, every candidate
+pattern instead of the walk's leaves for the complement, with a summary of
 its own: measured state-set dimensions and a letter-by-letter breakdown), so
 agreement is meaningful. Also polyhedral
 oracles (projection, affine dimension, boundedness, vertices, brute-force
