@@ -7,7 +7,9 @@ oracle equivalence on every BOTH-free pattern, the cached verdicts (the
 vectors with no LP, against one state-set LP per pattern, on every BOTH-free
 pattern and every realizable BOTH pattern), chart equivalence (the state set of
 each chart pattern against its numeric system, for every compact sign vector
-and every BOTH-free pattern), covering, adjacency, density, the empty-core
+and every BOTH-free pattern), covering, adjacency, density (``verify_density``
+on every sign vector, and its numeric side, read off the vertices of the
+numeric system, against one numeric LP per sign vector), the empty-core
 criterion, the chambers (``extended_core`` lists exactly the sign vectors
 whose chamber LP is feasible, in order, each is full-dimensional, which
 ``core`` relies on without testing, each classification is ``is_bounded``'s
@@ -51,6 +53,7 @@ from corecover.stability import (
     NO_BOTH_ALPHABET,
     Status,
     _cone_contains,
+    _numeric_chambers,
     chart_pattern,
     full_pattern,
 )
@@ -61,6 +64,7 @@ from util import (  # noqa: E402
     affine_dimension,
     enumerate_vertices,
     is_bounded,
+    numeric_density,
     rank_realizable,
 )
 
@@ -125,7 +129,8 @@ def check_instance(arr) -> dict:
         "covered": covered,
         "complement": complement,
         "adjacency": adjacency_lemma_check(arr),
-        "density": all(verify_density(arr, eps) for eps in all_sign_vectors(arr.d)),
+        "density": all(verify_density(arr, eps) for eps in all_sign_vectors(arr.d))
+        and _numeric_chambers(td) == numeric_density(td),
         "criterion_agrees": core_empty_criterion(arr).agree,
         "chambers": [c.eps for c in chambers]
         == [eps for eps in all_sign_vectors(arr.d) if geometric[full_pattern(eps)]]

@@ -25,6 +25,7 @@ from .linalg import (
     kernel_lattice,
     primitive_scale,
     rank,
+    solve_integer,
     solve_square,
     transpose,
 )
@@ -235,32 +236,35 @@ def _vertices(arr: Arrangement) -> tuple:
     lie in distinct direction classes (see ``_direction_classes``), and
     whether n hyperplanes from n distinct classes are independent depends
     only on the classes, so each n-subset of classes is solved member by
-    member and dropped at its first singular system: one ``solve_square``
+    member and dropped at its first singular system: one ``solve_integer``
     per independent n-subset of hyperplanes. On input that is not simple a
-    vertex lies on more than n hyperplanes and is listed once.
+    vertex lies on more than n hyperplanes and is listed once: the
+    hyperplanes through a vertex span, so its zero set, and hence its sign
+    vector, determines it.
     """
-    points = set()
+    # on integers: with the lifts over L, u . (L x) = -L * lift has the
+    # solution L x = nums / den (den > 0), so the sign of <u, x> + lift is
+    # that of <u, nums> + den * (L * lift)
+    common = lcm(*(x.denominator for x in arr.lifts))
+    lifts = [x.numerator * (common // x.denominator) for x in arr.lifts]
+    found = {}
     for chosen in itertools.combinations(_direction_classes(arr), arr.n):
         for members in itertools.product(*(m for _, m in chosen)):
             zeros = [i for i, _ in members]
-            point = solve_square([arr.normals[i] for i in zeros], [-arr.lifts[i] for i in zeros])
-            if point is None:
+            solved = solve_integer([arr.normals[i] for i in zeros], [-lifts[i] for i in zeros])
+            if solved is None:
                 break
-            points.add(point)
-    # signs on integers: with the lifts over L and the point over D,
-    # L * D * (<u, x> + lift) = L * <u, D x> + D * (L * lift)
-    common = lcm(*(x.denominator for x in arr.lifts))
-    lifts = [x.numerator * (common // x.denominator) for x in arr.lifts]
-    out = []
-    for point in sorted(points):
-        scale = lcm(*(x.denominator for x in point))
-        nums = [x.numerator * (scale // x.denominator) for x in point]
-        values = (
-            common * sum(a * x for a, x in zip(u, nums)) + scale * lift
-            for u, lift in zip(arr.normals, lifts)
-        )
-        out.append((point, tuple((v > 0) - (v < 0) for v in values)))
-    return tuple(out)
+            nums, den = solved
+            values = (
+                sum(a * x for a, x in zip(u, nums)) + den * lift
+                for u, lift in zip(arr.normals, lifts)
+            )
+            found.setdefault(tuple((v > 0) - (v < 0) for v in values), solved)
+    points = (
+        (tuple(Fraction(x, den * common) for x in nums), sigma)
+        for sigma, (nums, den) in found.items()
+    )
+    return tuple(sorted(points))
 
 
 @scoped_cache

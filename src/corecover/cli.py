@@ -106,10 +106,10 @@ def _cover(arr, args):
 
 
 def _density(arr, args):
-    """The dichotomy on all 2^d sign vectors. The numeric side stays one
-    d-variable LP per sign vector on purpose: it is the independent oracle
-    checked against the tree's chamber verdict, so unlike the core and
-    covering sections this one does not follow the nonempty chambers."""
+    """The dichotomy on all 2^d sign vectors: each entry is one lookup in
+    the set of numerically semistable dense patterns, solved once per torus
+    from the vertices of the numeric system, and one cached chamber verdict;
+    no LP. The guard stays because the section prints 2^d entries."""
     _check_guard(arr, args.force, "density sweep")
     results = {format_sign_vector(e): verify_density(arr, e) for e in all_sign_vectors(arr.d)}
     return {"density": results, "all_hold": all(results.values())}

@@ -271,6 +271,40 @@ def solve_square(mat, rhs) -> tuple | None:
     return _back_substitute(rows, pivots, n)
 
 
+def solve_integer(mat, rhs) -> tuple | None:
+    """Unique solution of a square integer system without fractions, or
+    None if singular.
+
+    Returns ``(nums, den)`` with integers ``den > 0`` and ``x_i = nums[i] /
+    den``. Fraction-free Gauss-Jordan elimination (Bareiss): after step k
+    every entry is a (k + 1)-minor of the augmented matrix, so each division
+    by the previous pivot is exact, and at the end every diagonal entry is
+    ``+-det`` and the last column holds the Cramer numerators. The sign of
+    a coordinate is thus read off the integers, and a caller that needs
+    only signs builds no ``Fraction``. Not in lowest terms.
+    """
+    n = len(mat)
+    if any(len(r) != n for r in mat) or len(rhs) != n:
+        raise ValueError("solve_integer requires an n x n matrix and n right-hand sides")
+    rows = [list(r) + [b] for r, b in zip(mat, rhs)]
+    prev = 1
+    for k in range(n):
+        src = next((i for i in range(k, n) if rows[i][k]), None)
+        if src is None:
+            return None
+        rows[k], rows[src] = rows[src], rows[k]
+        top = rows[k]
+        p = top[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    if prev < 0:
+        return tuple(-row[n] for row in rows), -prev
+    return tuple(row[n] for row in rows), prev
+
+
 def lin_solve(mat, rhs) -> tuple | None:
     """A particular rational solution of a general linear system.
 

@@ -13,7 +13,10 @@ BOTH set, with BOTH letters on it, which need no case of their own. A
 chamber's boundedness is read off the sign vectors of candidate extreme
 rays, one per (n - 1)-subset of direction classes, with no LP; a chamber's
 vertices are the arrangement's vertices whose sign vectors conform to it.
-Density alone solves LPs: the numeric system of each sign vector.
+Density compares each chamber's verdict with the numeric side, the dense
+patterns whose numeric system has a vertex conforming to them: the
+C(d, n) square systems of the torus data are solved once, in d
+variables, and no sweep solves an LP.
 
 Everything is exhaustive and exact, guarded against exponential blowup by a
 hyperplane-count limit that can be forced off.
@@ -44,9 +47,9 @@ from .stability import (
     Status,
     _cone_contains,
     _nonempty_patterns,
+    _numeric_chambers,
     chart_pattern,
     full_pattern,
-    hk_semistable_numeric,
     state_set,
 )
 
@@ -255,12 +258,15 @@ def verify_density(arr: Arrangement, eps) -> bool:
 
     The chart's dense pattern is semistable exactly when the chamber is
     nonempty; this function checks the equivalence on the given sign vector.
-    The two sides are decided by independent oracles: the dense pattern by
-    the numeric system in d variables, the chamber by its state set.
+    The two sides are decided independently, in different spaces: the dense
+    pattern by the vertices of its numeric system in d variables, read from
+    the torus data alone (``_numeric_chambers``, one set per torus), the
+    chamber by the vertex walk over the arrangement's hyperplanes in n
+    variables (``_cone_contains``). Neither solves an LP.
     """
     _require_smooth(arr)
     eps = check_sign_vector(eps, arr.d)
-    chart_side = hk_semistable_numeric(torus_data(arr), full_pattern(eps)).semistable
+    chart_side = eps in _numeric_chambers(torus_data(arr))
     chamber_side = _cone_contains(arr, full_pattern(eps))
     return chart_side == chamber_side
 

@@ -14,8 +14,11 @@ pattern at the moment level ``alpha``:
   ambient space (n variables) assembled from oriented half-spaces.
 
 That the two agree on every pattern is a theorem; the test suite checks it
-exhaustively on fixtures and randomized smooth arrangements. Production
-decides on the geometric side, in fewer variables, and solves no LP there:
+exhaustively on fixtures and randomized smooth arrangements. The numeric
+side answers single patterns with a certificate; the density check reads
+it for every dense pattern at once off the vertices of the numeric system
+(``_numeric_chambers``), with no LP. Production decides everything else on
+the geometric side, in fewer variables, and solves no LP there either:
 a pattern's state set, with BOTH letters or without, is nonempty iff all
 its letters hold at one vertex of the arrangement, because a nonempty
 BOTH-free state set is a pointed polyhedron and contains one (see
@@ -28,14 +31,16 @@ the exact certificate of the system it solved.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 from .arrangement import Arrangement, TorusData, check_sign_vector
 from .arrangement import _direction_classes, _independent_classes, _vertices
 from .feasibility import Certificate, Constraint, Polyhedron, Relation, is_feasible
-from .linalg import unit_vector
+from .linalg import solve_integer, unit_vector
 from .memo import scoped_cache
 
 
@@ -149,6 +154,54 @@ def hk_semistable_numeric(td: TorusData, pattern) -> StabilityVerdict:
     system = _sign_system(td, pattern)
     cert = is_feasible(system)
     return StabilityVerdict(cert.feasible, cert, system)
+
+
+# The sign vectors a coordinate of sign s conforms to: its own, or either
+# where it is 0.
+_CONFORMING = {1: (1,), -1: (-1,), 0: (1, -1)}
+
+
+@scoped_cache
+def _numeric_chambers(td: TorusData) -> frozenset:
+    """The sign vectors ``eps`` whose dense pattern is numerically
+    semistable, read off the vertices of the numeric systems with no LP.
+
+    * The dense pattern's system is ``P_eps = {x : A x = alpha, eps_i x_i
+      >= 0}`` with ``A = td.basis``. Every coordinate carries a sign row,
+      so ``P_eps`` is pointed, and nonempty iff it has a vertex.
+    * A vertex is a point of ``P_eps`` on d independent tight rows: the m
+      rows of ``A`` (a kernel basis, so of full row rank) and the sign
+      rows of some zero coordinates. So the columns of ``A`` off those
+      zeros are independent; extended to m independent columns T, they
+      make the vertex the solution of ``A_T x_T = alpha`` with ``x = 0``
+      off T.
+    * Conversely such a solution lies in ``P_eps`` iff its sign vector
+      conforms to ``eps``: each sign 0 or ``eps_i``.
+
+    So ``eps`` is semistable iff some such solution conforms to it, and a
+    solution with k zeros contributes 2^k sign vectors. The C(d, m) square
+    systems are solved once per torus, on integers (``alpha`` over its
+    common denominator), since only signs are read. Only the full row rank
+    of ``A`` is used, so this is exact on input that is neither simple nor
+    smooth. It reads ``td.basis`` and ``td.alpha`` alone, in d variables,
+    and nothing of the arrangement's state sets or vertices, so it stays an
+    independent side of the density check (see ``verify_density``).
+    """
+    common = lcm(*(a.denominator for a in td.alpha))
+    rhs = [a.numerator * (common // a.denominator) for a in td.alpha]
+    signs = set()
+    for columns in itertools.combinations(range(td.d), td.m):
+        solved = solve_integer([[row[j] for j in columns] for row in td.basis], rhs)
+        if solved is not None:
+            sigma = [0] * td.d
+            for j, x in zip(columns, solved[0]):
+                sigma[j] = (x > 0) - (x < 0)
+            signs.add(tuple(sigma))
+    return frozenset(
+        eps
+        for sigma in signs
+        for eps in itertools.product(*(_CONFORMING[s] for s in sigma))
+    )
 
 
 def hk_closed_orbit(td: TorusData, pattern) -> bool:
@@ -285,18 +338,20 @@ def _cone_contains(arr: Arrangement, pattern) -> bool:
     return all(_prefix_vertices(arr, pattern[:k]) for k in range(1, len(pattern) + 1))
 
 
+# The chart letter of each (orientation, letter): Z where the orientation
+# is +1 and z is live, W where it is -1 and w is live, ZERO elsewhere.
+_CHART_LETTER = {(e, status): Status.ZERO for e in (1, -1) for status in FULL_ALPHABET} | {
+    (1, Status.Z): Status.Z,
+    (1, Status.BOTH): Status.Z,
+    (-1, Status.W): Status.W,
+    (-1, Status.BOTH): Status.W,
+}
+
+
 def chart_pattern(eps, pattern) -> tuple:
     """The toric pattern a chart tests: Z where the orientation is +1 and z
     is live, W where it is -1 and w is live, ZERO elsewhere."""
-    out = []
-    for e, status in zip(eps, pattern):
-        if e == 1 and status in (Status.Z, Status.BOTH):
-            out.append(Status.Z)
-        elif e == -1 and status in (Status.W, Status.BOTH):
-            out.append(Status.W)
-        else:
-            out.append(Status.ZERO)
-    return tuple(out)
+    return tuple(map(_CHART_LETTER.__getitem__, zip(eps, pattern)))
 
 
 def chart_semistable(arr: Arrangement, eps, pattern) -> bool:

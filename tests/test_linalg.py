@@ -13,6 +13,7 @@ from corecover.linalg import (
     lin_solve,
     primitive_scale,
     rank,
+    solve_integer,
     solve_square,
     transpose,
 )
@@ -180,8 +181,9 @@ class TestRankDet:
         ids=["non-square matrix", "rhs length"],
     )
     def test_solve_square_requires_square(self, mat, rhs):
-        with pytest.raises(ValueError):
-            solve_square(mat, rhs)
+        for solve in (solve_square, solve_integer):
+            with pytest.raises(ValueError):
+                solve(mat, rhs)
 
     @given(small_matrix(max_rows=4, max_cols=4))
     def test_rank_transpose_invariant(self, m):
@@ -198,6 +200,29 @@ class TestSolvers:
     def test_solve_square(self):
         assert solve_square(((2, 0), (0, 4)), (6, 8)) == (Fraction(3), Fraction(2))
         assert solve_square(((1, 1), (2, 2)), (1, 2)) is None
+
+    def test_solve_integer_matches_solve_square(self):
+        # x = nums / den with den = |det| > 0, on regular and singular
+        # systems, the empty one included
+        rng = random.Random(1957)
+        singular = 0
+        for _ in range(2000):
+            n = rng.randint(0, 5)
+            mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if n >= 2 and rng.random() < 0.3:
+                mat[-1] = [2 * x - y for x, y in zip(mat[0], mat[1])]
+            rhs = [rng.randint(-9, 9) for _ in range(n)]
+            expected = solve_square(mat, rhs)
+            solved = solve_integer(mat, rhs)
+            if expected is None:
+                assert solved is None
+                singular += 1
+            else:
+                nums, den = solved
+                assert den == abs(det(mat)) > 0
+                assert tuple(Fraction(x, den) for x in nums) == expected
+        assert singular > 300
+        assert solve_integer((), ()) == ((), 1)
 
     def test_lin_solve_particular(self):
         sol = lin_solve(((1, 1, 0),), (5,))

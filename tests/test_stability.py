@@ -1,6 +1,7 @@
 import itertools
 import pathlib
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,13 @@ import corecover.quotient as quotient
 import corecover.stability as stability
 from corecover.randgen import random_pattern, random_sign_vector, random_smooth_arrangement
 from corecover.stability import FULL_ALPHABET, NO_BOTH_ALPHABET, Status, chart_pattern
-from util import affine_dimension, enumerate_vertices, per_pattern_verdict, rank_realizable
+from util import (
+    affine_dimension,
+    enumerate_vertices,
+    numeric_density,
+    per_pattern_verdict,
+    rank_realizable,
+)
 
 F = Fraction
 Z, W, O, B = Status.Z, Status.W, Status.ZERO, Status.BOTH
@@ -484,3 +491,79 @@ class TestPrefixTree:
             monkeypatch.undo()
             assert calls == []
         assert swept >= 10
+
+
+class TestNumericChambers:
+    """The numeric side of the density check: the sign vectors whose numeric
+    system has a vertex conforming to them, read from the torus data alone
+    with no LP, on simple and smooth input and on input that is not."""
+
+    def test_matches_lp_oracle(self, monkeypatch):
+        rng = random.Random(2011)
+        arrangements = [parse_arrangement(p.read_text()) for p in sorted(FIXTURE_DIR.glob("*.json"))]
+        assert len(arrangements) == 5
+        arrangements += [random_smooth_arrangement(rng, max_d=8) for _ in range(80)]
+        other = [arrangement_with_parallel_normals(rng) for _ in range(80)]
+        # degenerate numeric systems: a vertex on n + 1 lines, alpha = 0
+        # (every sign vector), and d = n (no equality row)
+        other += [
+            Arrangement(2, ((1, 0), (0, 1), (-1, -1), (1, -1)), (0, 0, 1, 0)),
+            Arrangement(2, ((1, 0), (0, 1), (1, 1), (1, -1)), (0, 0, 0, 0)),
+            Arrangement(2, ((1, 0), (0, 1)), (F(1, 2), -3)),
+        ]
+        assert sum(not is_simple(arr) for arr in other) >= 10
+        assert sum(not is_smooth(arr) for arr in other) >= 10
+        checked = 0
+        for arr in arrangements + other:
+            td = torus_data(arr)
+            calls = TestPrefixTree.count_lps(monkeypatch)
+            numeric = stability._numeric_chambers(td)
+            monkeypatch.undo()
+            assert calls == []
+            assert numeric == numeric_density(td)
+            checked += 2**arr.d
+        assert checked > 5000
+        assert stability._numeric_chambers(torus_data(other[-2])) == set(all_sign_vectors(4))
+
+    def test_basis_independent(self):
+        # a unimodular change of the kernel basis (elementary row operations
+        # on the basis and alpha together) keeps the set
+        rng = random.Random(1729)
+        changed = 0
+        for _ in range(30):
+            td = torus_data(random_smooth_arrangement(rng, max_d=7, require_core=True))
+            rows = [list(row) + [a] for row, a in zip(td.basis, td.alpha)]
+            for _ in range(4 * td.m + 1):
+                i, j = rng.randrange(td.m), rng.randrange(td.m)
+                if i == j:
+                    rows[i] = [-x for x in rows[i]]
+                else:
+                    c = rng.choice((-2, -1, 1, 2))
+                    rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+            other = TorusData(td.d, td.m, [r[:-1] for r in rows], [r[-1] for r in rows], td.lifts)
+            changed += other.basis != td.basis
+            expected = stability._numeric_chambers(td)
+            assert stability._numeric_chambers(other) == expected
+        assert changed >= 28
+
+    def test_reads_only_basis_and_alpha(self, hirzebruch, monkeypatch):
+        # no arrangement, lifts, vertex or LP: the numeric side stays
+        # independent of the chamber side it is checked against
+        td = torus_data(hirzebruch)
+        expected = numeric_density(td)
+
+        def forbidden(*args):
+            raise AssertionError("the numeric side read the chamber side")
+
+        for name in ("_vertices", "_prefix_vertices", "_cone_contains", "is_feasible"):
+            monkeypatch.setattr(stability, name, forbidden)
+        bare = types.SimpleNamespace(d=td.d, m=td.m, basis=td.basis, alpha=td.alpha)
+        assert stability._numeric_chambers(bare) == expected
+
+    def test_points_on_a_line(self):
+        # the dichotomy on 15 points on a line, with no 2^15 loop: the
+        # numeric set is the extended core's 16 chambers
+        arr = Arrangement(1, ((1,),) * 15, tuple(-i for i in range(15)))
+        numeric = stability._numeric_chambers(torus_data(arr))
+        assert len(numeric) == 16
+        assert numeric == {c.eps for c in extended_core(arr, force=True)}

@@ -5,7 +5,8 @@ These deliberately re-derive properties by different routes than the library
 instead of the direction classes for regularity, simplicity and trivial
 factors, full subset enumeration instead of the (n + 1)-bounded simplicity
 scan, interval analysis instead of elimination, the
-numeric d-variable stability system instead of state sets, a rank test in R^d
+numeric d-variable stability system instead of state sets, one numeric LP
+per sign vector instead of the numeric vertices for density, a rank test in R^d
 on index subsets instead of one on the direction classes for realizability,
 one LP on a whole state set instead of the vertex walk, every candidate
 pattern instead of the walk's leaves for the complement, with a summary of
@@ -29,6 +30,7 @@ from corecover import (
     Relation,
     all_sign_vectors,
     core,
+    full_pattern,
     hk_semistable_geometric,
     hk_semistable_numeric,
     is_feasible,
@@ -354,6 +356,16 @@ def rank_realizable(td, both) -> bool:
 def per_pattern_verdict(arr, pattern) -> bool:
     """Nonemptiness of a BOTH-free state set by one LP on all of its d rows."""
     return is_feasible(state_set(arr, pattern)).feasible
+
+
+def numeric_density(td) -> frozenset:
+    """The sign vectors whose dense pattern is numerically semistable, by
+    one d-variable LP per sign vector: the density oracle."""
+    return frozenset(
+        eps
+        for eps in all_sign_vectors(td.d)
+        if hk_semistable_numeric(td, full_pattern(eps)).semistable
+    )
 
 
 def numeric_chart_semistable(td, eps, pattern) -> bool:
