@@ -3,11 +3,13 @@
 
 Samples smooth arrangements from a seed and runs the full battery on each:
 oracle equivalence on every BOTH-free pattern, the cached verdicts (the
-``verdicts`` column: ``_cone_contains``, which reads the vertices' sign
-vectors with no LP, against one state-set LP per pattern, on every BOTH-free
+``verdicts`` column: ``_cone_contains``, which ANDs the vertex masks of the
+letters with no LP, against one state-set LP per pattern, on every BOTH-free
 pattern and every realizable BOTH pattern), chart equivalence (the state set of
 each chart pattern against its numeric system, for every compact sign vector
-and every BOTH-free pattern), covering, adjacency, density (``verify_density``
+and every BOTH-free pattern), covering (the whole ``CoverReport``, witnesses
+in order and counterexamples, against the sweep of numeric verdicts over all
+3^d patterns), adjacency, density (``verify_density``
 on every sign vector, and its numeric side, read off the vertices of the
 numeric system, against one numeric LP per sign vector), the empty-core
 criterion, the chambers (``extended_core`` lists exactly the sign vectors
@@ -64,6 +66,7 @@ from util import (  # noqa: E402
     affine_dimension,
     enumerate_vertices,
     is_bounded,
+    numeric_covering,
     numeric_density,
     rank_realizable,
 )
@@ -112,7 +115,10 @@ def check_instance(arr) -> dict:
         for size in range(arr.d + 1)
         for both in itertools.combinations(range(arr.d), size)
     )
-    covered = verify_covering(arr).covered if compact else None
+    covered = None
+    if compact:
+        report, expected = verify_covering(arr), numeric_covering(arr)
+        covered = report == expected and list(report.witness) == list(expected.witness)
     complement = (
         all(
             chart_complement(arr, eps).excluded_patterns == excluded

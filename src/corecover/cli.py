@@ -36,10 +36,9 @@ from .quotient import (
     chart_complement,
     extended_core,
     verify_covering,
-    verify_density,
 )
 from .render import render_svg
-from .stability import hk_semistable_numeric, pattern_realizable
+from .stability import _numeric_chambers, hk_semistable_numeric, pattern_realizable
 
 
 def _load_arrangement(path):
@@ -106,12 +105,18 @@ def _cover(arr, args):
 
 
 def _density(arr, args):
-    """The dichotomy on all 2^d sign vectors: each entry is one lookup in
-    the set of numerically semistable dense patterns, solved once per torus
-    from the vertices of the numeric system, and one cached chamber verdict;
-    no LP. The guard stays because the section prints 2^d entries."""
+    """The dichotomy on all 2^d sign vectors, as ``verify_density`` decides
+    it, from two sets read once: the numerically semistable dense patterns,
+    from the vertices of the numeric system of the torus data alone, and the
+    nonempty chambers of the extended core, from the arrangement's vertices.
+    Each entry compares two lookups; no LP. The guard stays because the
+    section prints 2^d entries."""
     _check_guard(arr, args.force, "density sweep")
-    results = {format_sign_vector(e): verify_density(arr, e) for e in all_sign_vectors(arr.d)}
+    chambers = {c.eps for c in extended_core(arr, force=args.force)}
+    numeric = _numeric_chambers(torus_data(arr))
+    results = {
+        format_sign_vector(e): (e in numeric) == (e in chambers) for e in all_sign_vectors(arr.d)
+    }
     return {"density": results, "all_hold": all(results.values())}
 
 

@@ -5,14 +5,19 @@ Each sign vector ``eps`` reorients the arrangement and contributes a chamber
 the core; the main verification confirms that each semistable pattern lands
 in the chart of some compact-core sign vector, so those charts cover the
 whole quotient. Chambers, swept patterns and chart patterns are state sets,
-decided by a walk over the hyperplanes that keeps the prefixes whose
-letters all hold at some vertex of the arrangement: the chamber, covering
-and complement sweeps list its leaves instead of testing 2^d, 3^d or 4^d
-candidates, and solve no LP. The complement walks once per realizable
-BOTH set, with BOTH letters on it, which need no case of their own. A
-chamber's boundedness is read off the sign vectors of candidate extreme
-rays, one per (n - 1)-subset of direction classes, with no LP; a chamber's
-vertices are the arrangement's vertices whose sign vectors conform to it.
+each decided by its vertex mask: the bitmask of the arrangement's vertices
+at which all its letters hold, nonzero iff it is nonempty. A walk over the
+hyperplanes keeps the prefixes with a nonzero mask; the chamber, covering
+and complement sweeps list its leaves, with their masks, instead of
+testing 2^d, 3^d or 4^d candidates, and solve no LP. A leaf lies in the
+chart of a chamber iff its mask meets the chamber's, so every chart verdict
+is one AND: the covering groups the vertices by their first compact
+chamber, and the complement keeps the leaves that miss one chamber's mask.
+The complement walks once per realizable BOTH set, with BOTH letters on
+it, which need no case of their own. A chamber's boundedness is read off
+the sign vectors of candidate extreme rays, one per (n - 1)-subset of
+direction classes, with no LP; a chamber's vertices are those of its mask,
+the arrangement's vertices whose sign vectors conform to it.
 Density compares each chamber's verdict with the numeric side, the dense
 patterns whose numeric system has a vertex conforming to them: the
 C(d, n) square systems of the torus data are solved once, in d
@@ -48,7 +53,8 @@ from .stability import (
     _cone_contains,
     _nonempty_patterns,
     _numeric_chambers,
-    chart_pattern,
+    _pattern_mask,
+    _pattern_masks,
     full_pattern,
     state_set,
 )
@@ -194,16 +200,28 @@ def core(arr: Arrangement, force: bool = False) -> tuple:
     return tuple(c for c in extended_core(arr, force=force) if c.classification == BOUNDED)
 
 
+def _chamber_mask(arr: Arrangement, eps) -> int:
+    """The vertex mask of a chamber: the mask of its dense pattern, the
+    vertices whose sign vector conforms to ``eps``, each ``sigma_i`` 0 or
+    ``eps_i``. A chart pattern holds at a vertex iff its pattern does and
+    the vertex conforms to ``eps``: where ``eps_i`` is +1 the chart letter
+    of Z and BOTH is Z, which holds at 0 and +1, their signs that conform
+    to +1, and that of W and ZERO is ZERO, which holds at 0, their one sign
+    that does; alike for -1. So a pattern lies in the chart of ``eps`` iff
+    its mask meets this one."""
+    return _pattern_mask(arr, full_pattern(eps))
+
+
 def _chamber_vertices(arr: Arrangement, eps) -> list:
     """The vertices of a chamber, sorted: the arrangement's vertices (see
-    ``_vertices``) whose sign vector conforms to ``eps``, each ``sigma_i``
-    0 or ``eps_i``. Such a vertex lies in the closed chamber on hyperplanes
-    with spanning normals, so it is a basic feasible point of the chamber,
-    and every basic feasible point is such a vertex. Exact on any
-    arrangement; in one that is not simple, more than n hyperplanes may pass
-    through a vertex, which is listed once.
+    ``_vertices``) in its mask (``_chamber_mask``). Such a vertex lies in
+    the closed chamber on hyperplanes with spanning normals, so it is a
+    basic feasible point of the chamber, and every basic feasible point is
+    such a vertex. Exact on any arrangement; in one that is not simple, more
+    than n hyperplanes may pass through a vertex, which is listed once.
     """
-    return [p for p, sigma in _vertices(arr) if all(s * e >= 0 for s, e in zip(sigma, eps))]
+    mask = _chamber_mask(arr, eps)
+    return [p for j, (p, _) in enumerate(_vertices(arr)) if mask >> j & 1]
 
 
 def theta_cpt(arr: Arrangement, force: bool = False) -> tuple:
@@ -229,19 +247,44 @@ def verify_covering(arr: Arrangement, force: bool = False) -> CoverReport:
     The sweep lists the vertex walk's leaves, not all 3^d patterns. BOTH
     coordinates are covered by the reduction property (resolving BOTH to the
     witness sign only shrinks charts), so the sweep decides the full
-    statement. Requires a nonempty core. The input is checked once here, so
-    chart membership reads the verdict of the chart pattern directly.
+    statement. Requires a nonempty core.
+
+    A leaf lies in the chart of ``eps`` iff its vertex mask meets the
+    chamber's (``_chamber_mask``), so its witness, the first compact chamber
+    in extended-core order whose chart holds it, is read off its vertices:
+    each vertex goes to the first compact chamber it lies on, and the
+    witness is the chamber of the first such group the leaf's mask meets.
+    (If ``eps`` is the first chamber meeting the mask, a vertex v in both
+    lies on no earlier compact chamber, since such a one would meet the
+    mask at v, so v is in the group of ``eps``; an earlier group lies in
+    its own chamber and misses the mask.) A leaf that meets no group is a
+    counterexample.
+
+    Gluing: covering holds iff every vertex lies on a bounded chamber. If
+    each does, every leaf keeps a vertex and so meets a group. If a vertex
+    v lies on none, take the pattern that is ZERO on the hyperplanes
+    through v and Z or W, by v's sign, elsewhere: it holds at v, and its
+    state set lies in the meet of its ZERO hyperplanes, which is v alone
+    since their normals span. So it is a leaf whose mask is v's bit alone,
+    and it meets no group.
     """
     _require_smooth(arr)
     _check_guard(arr, force, "covering sweep")
     compact = [c.eps for c in _extended_core_cached(arr) if c.classification == BOUNDED]
     if not compact:
         raise ValueError("covering theorem hypothesis violated: empty core")
+    groups = {}
+    unassigned = -1
+    for eps in compact:
+        group = _chamber_mask(arr, eps) & unassigned
+        if group:
+            groups[eps] = group
+            unassigned &= ~group
     witness = {}
     counterexamples = []
-    for pattern in _nonempty_patterns(arr):
-        for eps in compact:
-            if _cone_contains(arr, chart_pattern(eps, pattern)):
+    for pattern, kept in _pattern_masks(arr):
+        for eps, group in groups.items():
+            if kept & group:
                 witness[pattern] = eps
                 break
         else:
@@ -261,8 +304,9 @@ def verify_density(arr: Arrangement, eps) -> bool:
     The two sides are decided independently, in different spaces: the dense
     pattern by the vertices of its numeric system in d variables, read from
     the torus data alone (``_numeric_chambers``, one set per torus), the
-    chamber by the vertex walk over the arrangement's hyperplanes in n
-    variables (``_cone_contains``). Neither solves an LP.
+    chamber by its vertex mask over the arrangement's vertices in n
+    variables (``_cone_contains``). Neither solves an LP. The CLI's density
+    section reads the same two sides as two sets, once each.
     """
     _require_smooth(arr)
     eps = check_sign_vector(eps, arr.d)
@@ -291,18 +335,19 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
     ``pattern_realizable``), so the candidates are the 2^D class subsets,
     the empty one standing for the BOTH-free patterns. For each realizable
     one the sweep walks the nonempty state sets with BOTH on it and Z, W or
-    0 elsewhere (``_nonempty_patterns``), and lists those outside the chart,
-    in the order of the full four-letter alphabet. The walk and the chart
-    verdicts solve no LP; ``eps`` is checked once, so chart membership reads
-    the verdict of the chart pattern directly. Reports whether every
-    excluded pattern is BOTH-free (hence in the extended core) and how large
-    the excluded state sets get.
+    0 elsewhere (``_pattern_masks``), and lists those outside the chart, in
+    the order of the full four-letter alphabet. A leaf is outside the chart
+    iff its vertex mask misses the chamber's (``_chamber_mask``), computed
+    once, so the only verdict read is the chamber check, and nothing solves
+    an LP. Reports whether every excluded pattern is BOTH-free (hence in the
+    extended core) and how large the excluded state sets get.
     """
     _require_smooth(arr)
     eps = check_sign_vector(eps, arr.d)
     _check_guard(arr, force, "complement sweep", DEFAULT_MAX_COMPLEMENT_D)
     if not _cone_contains(arr, full_pattern(eps)):
         raise ValueError("complement is defined for sign vectors with nonempty chamber")
+    chamber = _chamber_mask(arr, eps)
     classes = _direction_classes(arr)
     subsets = itertools.chain.from_iterable(
         itertools.combinations(range(len(classes)), size) for size in range(len(classes) + 1)
@@ -313,11 +358,7 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
             continue
         both = {i for k in chosen for i, _ in classes[k][1]}
         alphabets = [(Status.BOTH,) if i in both else NO_BOTH_ALPHABET for i in range(arr.d)]
-        excluded.extend(
-            p
-            for p in _nonempty_patterns(arr, alphabets)
-            if not _cone_contains(arr, chart_pattern(eps, p))
-        )
+        excluded.extend(p for p, kept in _pattern_masks(arr, alphabets) if not kept & chamber)
     excluded.sort(key=lambda p: [_LETTER_ORDER[status] for status in p])
     return _complement_report(arr, eps, excluded)
 

@@ -22,11 +22,14 @@ the geometric side, in fewer variables, and solves no LP there either:
 a pattern's state set, with BOTH letters or without, is nonempty iff all
 its letters hold at one vertex of the arrangement, because a nonempty
 BOTH-free state set is a pointed polyhedron and contains one (see
-``_prefix_vertices``; compare Zaslavsky, "Facing up to arrangements",
-1975). Charts and chambers are state sets of single BOTH-free patterns,
-which share one cached verdict; the sweeps walk the prefixes, one
-hyperplane at a time, that keep a vertex. Each public verdict carries
-the exact certificate of the system it solved.
+``_letter_masks``; compare Zaslavsky, "Facing up to arrangements",
+1975). Each vertex set is an integer bitmask over the arrangement's
+vertices, one mask per (coordinate, letter), so a pattern's vertices are
+one AND per letter. A chart pattern holds at a vertex iff the pattern does
+and the vertex conforms to the chart's sign vector, so a chart verdict is
+the AND of a pattern's mask with its chamber's. The sweeps walk the
+prefixes, one hyperplane at a time, whose masks are nonzero. Each public
+verdict carries the exact certificate of the system it solved.
 """
 
 from __future__ import annotations
@@ -257,7 +260,7 @@ def toric_semistable_geometric(arr: Arrangement, support) -> StabilityVerdict:
 
 
 # The vertex signs at which each letter holds: the sign 0, or Z's or W's
-# side; BOTH holds at every sign (see ``_prefix_vertices``).
+# side; BOTH holds at every sign (see ``_letter_masks``).
 _HOLDS = {
     Status.Z: (0, 1),
     Status.W: (0, -1),
@@ -267,10 +270,12 @@ _HOLDS = {
 
 
 @scoped_cache
-def _prefix_vertices(arr: Arrangement, prefix) -> tuple:
-    """The sign vectors of the arrangement's vertices at which every letter
-    of the prefix holds, filtered from the parent prefix's. Empty iff the
-    prefix's state set is, read off the vertices with no LP:
+def _letter_masks(arr: Arrangement) -> tuple:
+    """Per coordinate, each letter's vertex mask: the integer whose bit j is
+    set iff the letter holds at the j-th vertex of ``_vertices``. The mask
+    of a pattern, the AND of its letters' masks, lists the vertices at
+    which every letter holds, and it is zero iff the pattern's state set is
+    empty, read off the vertices with no LP:
 
     * State sets are closed: Z keeps ``<u_i, x> + lift_i >= 0``, W keeps
       ``<= 0``, ZERO keeps ``= 0`` and BOTH keeps everything. So a letter
@@ -289,53 +294,73 @@ def _prefix_vertices(arr: Arrangement, prefix) -> tuple:
       prefix's state set.
 
     So a prefix, BOTH letters or not, is nonempty iff all its letters hold
-    at some vertex. A BOTH coordinate needs no case of its own: its state
-    set is the union of those of its Z/W resolutions, and the vertices it
-    keeps are those of the resolutions. Only convexity and spanning normals
-    are used, so this is exact on input that is not simple too. One prefix
-    costs at most one pass over the vertices, once they are solved.
+    at some vertex, and its mask is its parent's AND its last letter's. A
+    BOTH coordinate needs no case of its own: its state set is the union of
+    those of its Z/W resolutions, and the vertices it keeps are those of
+    the resolutions. Only convexity and spanning normals are used, so this
+    is exact on input that is not simple too. Returns the per-coordinate
+    tables and the mask of all vertices.
     """
-    if not prefix:
-        return tuple(sigma for _, sigma in _vertices(arr))
-    k = len(prefix) - 1
-    holds = _HOLDS[prefix[k]]
-    return tuple(sigma for sigma in _prefix_vertices(arr, prefix[:-1]) if sigma[k] in holds)
+    vertices = _vertices(arr)
+    tables = []
+    for k in range(arr.d):
+        by_sign = {0: 0, 1: 0, -1: 0}
+        for j, (_, sigma) in enumerate(vertices):
+            by_sign[sigma[k]] |= 1 << j
+        # the three sign masks are disjoint, so their sum is their union
+        tables.append(
+            {status: sum(by_sign[s] for s in holds) for status, holds in _HOLDS.items()}
+        )
+    return tuple(tables), (1 << len(vertices)) - 1
+
+
+def _pattern_mask(arr: Arrangement, pattern) -> int:
+    """The vertices at which every letter of the pattern holds (see
+    ``_letter_masks``), stopping at the first empty prefix."""
+    tables, kept = _letter_masks(arr)
+    for letters, status in zip(tables, pattern):
+        kept &= letters[status]
+        if not kept:
+            break
+    return kept
+
+
+def _pattern_masks(arr: Arrangement, alphabets=None):
+    """The nonempty state sets with a letter of ``alphabets[i]`` at each
+    coordinate ``i`` (any BOTH-free letter when ``alphabets`` is None), in
+    ``itertools.product`` order of the alphabets, each with its vertex mask
+    (see ``_letter_masks``). A depth-first walk over the prefixes whose
+    masks are nonzero: each stack entry carries its prefix's mask and takes
+    its letters reversed. Nothing is cached, so a walk's memory is its
+    stack."""
+    tables, everything = _letter_masks(arr)
+    d = arr.d
+    stack = [((), everything)]
+    while stack:
+        prefix, kept = stack.pop()
+        k = len(prefix)
+        if k == d:
+            yield prefix, kept
+            continue
+        letters = tables[k]
+        allowed = NO_BOTH_ALPHABET if alphabets is None else alphabets[k]
+        for status in reversed(allowed):
+            mask = kept & letters[status]
+            if mask:
+                stack.append((prefix + (status,), mask))
 
 
 def _nonempty_patterns(arr: Arrangement, alphabets=None):
-    """Nonempty state sets with a letter of ``alphabets[i]`` at each
-    coordinate ``i`` (any BOTH-free letter when ``alphabets`` is None), in
-    ``itertools.product`` order of the alphabets. A depth-first walk over
-    the prefixes whose letters all hold at some vertex (see
-    ``_prefix_vertices``): each stack entry carries the sign vectors of the
-    vertices its prefix keeps, and takes its letters reversed. Nothing is
-    cached, so a walk's memory is its stack."""
-    d = arr.d
-    stack = [((), tuple(sigma for _, sigma in _vertices(arr)))]
-    while stack:
-        prefix, signs = stack.pop()
-        k = len(prefix)
-        if k == d:
-            yield prefix
-            continue
-        allowed = NO_BOTH_ALPHABET if alphabets is None else alphabets[k]
-        for status in reversed(allowed):
-            holds = _HOLDS[status]
-            kept = tuple(sigma for sigma in signs if sigma[k] in holds)
-            if kept:
-                stack.append((prefix + (status,), kept))
+    """The leaves of ``_pattern_masks``, without their masks."""
+    return (pattern for pattern, _ in _pattern_masks(arr, alphabets))
 
 
 @scoped_cache
 def _cone_contains(arr: Arrangement, pattern) -> bool:
     """Is the state set of a pattern nonempty? The one cached verdict
-    behind chambers (dense patterns) and charts (chart patterns), which are
-    BOTH-free, so the sweeps keep no BOTH key here or in
-    ``_prefix_vertices``. A state set is nonempty iff every prefix's is, so
-    the pattern is read down its prefixes' vertices, stopping at the first
-    empty one, with no LP: the cost follows the arrangement's faces, not
-    the 3^d patterns."""
-    return all(_prefix_vertices(arr, pattern[:k]) for k in range(1, len(pattern) + 1))
+    behind chambers (dense patterns) and charts (chart patterns): its vertex
+    mask is nonzero (see ``_letter_masks``), with no LP."""
+    return _pattern_mask(arr, pattern) != 0
 
 
 # The chart letter of each (orientation, letter): Z where the orientation

@@ -40,7 +40,6 @@ from corecover.stability import (
     NO_BOTH_ALPHABET,
     StabilityVerdict,
     Status,
-    chart_pattern,
     chart_semistable,
     full_pattern,
     hk_semistable_geometric,
@@ -57,6 +56,8 @@ from util import (
     is_bounded,
     numeric_complement,
     numeric_covering,
+    per_leaf_complement,
+    per_leaf_covering,
     three_class_arrangement,
 )
 
@@ -337,6 +338,70 @@ class TestVerifyCovering:
             )
 
 
+class TestVertexMasks:
+    """Every chart verdict is an AND of vertex masks: the covering's
+    witnesses and the complement's exclusions equal one chart LP per leaf,
+    and covering holds iff every vertex lies on a bounded chamber."""
+
+    @staticmethod
+    def fixtures_with_core():
+        arrangements = [parse_arrangement(p.read_text()) for p in sorted(FIXTURE_DIR.glob("*.json"))]
+        assert len(arrangements) == 5
+        return [arr for arr in arrangements if theta_cpt(arr)]
+
+    def test_covering_matches_per_leaf_oracle(self):
+        rng = random.Random(2718)
+        arrangements = self.fixtures_with_core()
+        arrangements += [random_smooth_arrangement(rng, require_core=True, max_d=8) for _ in range(40)]
+        assert max(arr.d for arr in arrangements) == 8
+        for arr in arrangements:
+            report, expected = verify_covering(arr), per_leaf_covering(arr)
+            assert report == expected
+            # the witness dict keeps the walk's product order
+            assert list(report.witness) == list(expected.witness)
+
+    def test_witness_is_first_chamber_not_any(self):
+        # the per-vertex groups decide between chambers that share vertices:
+        # some leaf has a later compact chamber whose chart holds it too
+        rng = random.Random(2718)
+        shared = 0
+        for _ in range(40):
+            arr = random_smooth_arrangement(rng, require_core=True, max_d=8)
+            compact = theta_cpt(arr)
+            for pattern, eps in verify_covering(arr).witness.items():
+                later = compact[compact.index(eps) + 1:]
+                shared += any(chart_semistable(arr, e, pattern) for e in later)
+        assert shared > 0
+
+    def test_complement_matches_per_leaf_oracle(self):
+        rng = random.Random(2720)
+        arrangements = self.fixtures_with_core()
+        arrangements += [random_smooth_arrangement(rng, max_d=8) for _ in range(25)]
+        assert max(arr.d for arr in arrangements) == 8
+        for arr in arrangements:
+            for c in extended_core(arr)[:3]:
+                assert chart_complement(arr, c.eps) == per_leaf_complement(arr, c.eps)
+
+    def test_gluing_corollary(self):
+        # on smooth input with a nonempty core, covering holds iff every
+        # vertex lies on a bounded chamber
+        rng = random.Random(5)
+        arrangements = self.fixtures_with_core()
+        arrangements += [random_smooth_arrangement(rng, max_d=10) for _ in range(300)]
+        checked = 0
+        for arr in arrangements:
+            compact = theta_cpt(arr)
+            if not compact:
+                continue
+            on_bounded = all(
+                any(all(s * e >= 0 for s, e in zip(sigma, eps)) for eps in compact)
+                for _, sigma in arrangement_module._vertices(arr)
+            )
+            assert verify_covering(arr).covered == on_bounded
+            checked += 1
+        assert checked >= 150
+
+
 class TestNumericOracle:
     """The production sweeps decide on state sets; the numeric system in d
     variables must give equal reports."""
@@ -430,33 +495,32 @@ class TestComplementSweep:
                 assert list(stability._nonempty_patterns(arr, alphabets)) == semistable
 
     def test_memory_is_bounded(self, monkeypatch):
-        # the walks cache nothing: the two scoped caches hold BOTH-free
-        # keys only, at most 3^d of each, even on the coordinate
-        # arrangement, where all 4^d patterns are semistable and realizable
+        # the walks cache nothing: the scoped caches hold BOTH-free keys
+        # only, at most 3^d of each, even on the coordinate arrangement,
+        # where all 4^d patterns are semistable and realizable
         extended_core(Arrangement(1, ((1,),), (0,)))
         axes = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
         coordinate = Arrangement(6, axes, (0, 1, -1, 2, F(1, 2), -3))
-        keys, reads, yielded = [], [], []
-        real_prefix, real_contains = stability._prefix_vertices, quotient._cone_contains
-        real_walk = quotient._nonempty_patterns
+        reads, yielded = [], []
+        real_contains, real_walk = quotient._cone_contains, quotient._pattern_masks
 
         def walk(a, alphabets):
-            for pattern in real_walk(a, alphabets):
+            for pattern, kept in real_walk(a, alphabets):
                 yielded.append(pattern)
-                yield pattern
+                yield pattern, kept
 
-        monkeypatch.setattr(
-            stability, "_prefix_vertices", lambda a, p: keys.append(p) or real_prefix(a, p)
-        )
         monkeypatch.setattr(quotient, "_cone_contains", lambda a, p: reads.append(p) or real_contains(a, p))
-        monkeypatch.setattr(quotient, "_nonempty_patterns", walk)
+        monkeypatch.setattr(quotient, "_pattern_masks", walk)
         chart_complement(coordinate, (1, -1, 1, -1, 1, -1))
         assert len(yielded) == 4**coordinate.d
-        assert keys and all(B not in p for p in keys + reads)
-        assert real_prefix.cache_info().currsize <= 3**coordinate.d
+        # the chamber check is the one verdict read; every chart verdict is
+        # an AND with the chamber's vertex mask
+        assert reads == [full_pattern((1, -1, 1, -1, 1, -1))]
+        assert all(B not in p for p in reads)
         assert real_contains.cache_info().currsize <= 3**coordinate.d
+        assert stability._letter_masks.cache_info().currsize == 1
         # n = 2, d = 16: the realizable class set of 8 hyperplanes once left
-        # 3^8 fills; now one chart read per pattern the walks yield
+        # 3^8 fills; now the walks yield fewer patterns, with one read in all
         arr = random_smooth_arrangement(random.Random(3), n=2, d=16)
         chamber = next(stability._nonempty_patterns(arr, ((Z, W),) * arr.d))
         eps = tuple(1 if status is Z else -1 for status in chamber)
@@ -464,7 +528,7 @@ class TestComplementSweep:
         yielded.clear()
         chart_complement(arr, eps, force=True)
         monkeypatch.undo()
-        assert len(reads) <= 1 + len(yielded) < 3**8
+        assert reads == [full_pattern(eps)] and len(yielded) < 3**8
 
 
 class TestAdjacencyLemma:
@@ -602,9 +666,10 @@ class TestChartComplement:
         assert chart_complement(arr, eps) == candidate_complement(arr, eps)
 
     def test_reads_one_verdict_per_leaf(self, hirzebruch, triangle_pair, monkeypatch):
-        # the chamber check, then one chart verdict per pattern the walks
-        # yield, over every realizable BOTH set, instead of one per candidate
-        # of the 3^(d - |B|) fills of each
+        # the chamber check is the one verdict read; each pattern the walks
+        # yield, over every realizable BOTH set, is tested against the
+        # chamber's vertex mask instead of each candidate of the 3^(d - |B|)
+        # fills of each
         rng = random.Random(1414)
         arrangements = [hirzebruch, triangle_pair]
         arrangements += [random_smooth_arrangement(rng, max_d=6) for _ in range(10)]
@@ -612,21 +677,21 @@ class TestChartComplement:
         for arr in arrangements:
             eps = extended_core(arr)[0].eps
             reads, yielded, both_sizes = [], [], []
-            real_contains, real_walk = quotient._cone_contains, quotient._nonempty_patterns
+            real_contains, real_walk = quotient._cone_contains, quotient._pattern_masks
 
             def walk(a, alphabets):
                 both_sizes.append(sum(letters == (B,) for letters in alphabets))
-                for pattern in real_walk(a, alphabets):
+                for pattern, kept in real_walk(a, alphabets):
                     yielded.append(pattern)
-                    yield pattern
+                    yield pattern, kept
 
             monkeypatch.setattr(
                 quotient, "_cone_contains", lambda a, p: reads.append(p) or real_contains(a, p)
             )
-            monkeypatch.setattr(quotient, "_nonempty_patterns", walk)
+            monkeypatch.setattr(quotient, "_pattern_masks", walk)
             chart_complement(arr, eps)
             monkeypatch.undo()
-            assert reads == [full_pattern(eps)] + [chart_pattern(eps, p) for p in yielded]
+            assert reads == [full_pattern(eps)]
             # the BOTH-free walk comes first and yields the tree's leaves
             assert both_sizes[0] == 0
             leaves = list(stability._nonempty_patterns(arr))
@@ -647,7 +712,7 @@ class TestChartComplement:
             chamber = next(stability._nonempty_patterns(arr, ((Z, W),) * arr.d))
             eps = tuple(1 if status is Z else -1 for status in chamber)
             chosen, walks = [], []
-            monkeypatch.setattr(quotient, "_nonempty_patterns", lambda a, al: walks.append(al) or iter(()))
+            monkeypatch.setattr(quotient, "_pattern_masks", lambda a, al: walks.append(al) or iter(()))
             monkeypatch.setattr(quotient, "_independent_classes", lambda a, c: chosen.append(c) or False)
             report = chart_complement(arr, eps, force=True)
             monkeypatch.undo()

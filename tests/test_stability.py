@@ -443,9 +443,8 @@ class TestPrefixTree:
             assert [c.eps for c in quotient._extended_core_cached(arr)] == chambers
 
     def test_extended_core_expands_dense_prefixes_only(self, hirzebruch, triangle_pair, monkeypatch):
-        # every letter the walk and the prefix cache try is looked up in
-        # _HOLDS: the chamber walk tries Z and W only, so it never forms a
-        # ZERO prefix
+        # every letter the walk tries is looked up in the mask table: the
+        # chamber walk tries Z and W only, so it never forms a ZERO prefix
         rng = random.Random(31)
         arrangements = [hirzebruch, triangle_pair]
         arrangements += [random_smooth_arrangement(rng, n=n, d=d) for n in (2, 3) for d in (4, 6, 8)]
@@ -455,10 +454,16 @@ class TestPrefixTree:
                 asked.append(status)
                 return super().__getitem__(status)
 
+        real_masks = stability._letter_masks
+
+        def recording_masks(a):
+            tables, everything = real_masks(a)
+            return tuple(Recording(letters) for letters in tables), everything
+
         for arr in arrangements:
             self.fresh_scopes()
             asked = []
-            monkeypatch.setattr(stability, "_HOLDS", Recording(stability._HOLDS))
+            monkeypatch.setattr(stability, "_letter_masks", recording_masks)
             calls = self.count_lps(monkeypatch)
             extended_core(arr)
             monkeypatch.undo()
@@ -555,7 +560,7 @@ class TestNumericChambers:
         def forbidden(*args):
             raise AssertionError("the numeric side read the chamber side")
 
-        for name in ("_vertices", "_prefix_vertices", "_cone_contains", "is_feasible"):
+        for name in ("_vertices", "_letter_masks", "_cone_contains", "is_feasible"):
             monkeypatch.setattr(stability, name, forbidden)
         bare = types.SimpleNamespace(d=td.d, m=td.m, basis=td.basis, alpha=td.alpha)
         assert stability._numeric_chambers(bare) == expected

@@ -10,8 +10,9 @@ per sign vector instead of the numeric vertices for density, a rank test in R^d
 on index subsets instead of one on the direction classes for realizability,
 one LP on a whole state set instead of the vertex walk, every candidate
 pattern instead of the walk's leaves for the complement, with a summary of
-its own: measured state-set dimensions and a letter-by-letter breakdown), so
-agreement is meaningful. Also polyhedral
+its own: measured state-set dimensions and a letter-by-letter breakdown, and
+one chart LP per leaf instead of the vertex masks for the covering
+witnesses and the complement's exclusions), so agreement is meaningful. Also polyhedral
 oracles (projection, affine dimension, boundedness, vertices, brute-force
 feasibility), the covering proof's adjacency step, the constraint
 shorthands ``ge``, ``gt`` and ``eq`` and a generator of arrangements with
@@ -40,7 +41,7 @@ from corecover import (
 )
 from corecover.feasibility import _dedup, _eliminate_column, _integerize
 from corecover.linalg import _eliminate, det, lin_solve, rank, solve_square, unit_vector
-from corecover.quotient import _LETTER_ORDER
+from corecover.quotient import _LETTER_ORDER, _complement_report
 from corecover.stability import (
     FULL_ALPHABET,
     NO_BOTH_ALPHABET,
@@ -390,6 +391,44 @@ def numeric_covering(arr) -> CoverReport:
         else:
             counterexamples.append(pattern)
     return CoverReport(not counterexamples, witness, tuple(counterexamples))
+
+
+def per_leaf_covering(arr) -> CoverReport:
+    """The covering sweep with one chart LP per (leaf, compact chamber)
+    pair: a leaf's witness is the first compact chamber, in extended-core
+    order, whose chart pattern has a feasible state set."""
+    compact = theta_cpt(arr, force=True)
+    witness = {}
+    counterexamples = []
+    for pattern in _nonempty_patterns(arr):
+        for eps in compact:
+            if per_pattern_verdict(arr, chart_pattern(eps, pattern)):
+                witness[pattern] = eps
+                break
+        else:
+            counterexamples.append(pattern)
+    return CoverReport(not counterexamples, witness, tuple(counterexamples))
+
+
+def per_leaf_complement(arr, eps) -> ComplementReport:
+    """The complement sweep with one chart LP per leaf: the walk's leaves
+    with BOTH on each BOTH set of hyperplane indices that the rank test in
+    R^d finds realizable, excluded when the state set of their chart pattern
+    is infeasible, summarised as production summarises them."""
+    td = torus_data(arr)
+    excluded = []
+    for size in range(arr.d + 1):
+        for both in itertools.combinations(range(arr.d), size):
+            if not rank_realizable(td, both):
+                continue
+            alphabets = [(Status.BOTH,) if i in both else NO_BOTH_ALPHABET for i in range(arr.d)]
+            excluded.extend(
+                pattern
+                for pattern in _nonempty_patterns(arr, alphabets)
+                if not per_pattern_verdict(arr, chart_pattern(eps, pattern))
+            )
+    excluded.sort(key=lambda p: [_LETTER_ORDER[status] for status in p])
+    return _complement_report(arr, tuple(eps), excluded)
 
 
 def oracle_complement_report(arr, eps, excluded) -> ComplementReport:
