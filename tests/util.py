@@ -12,11 +12,11 @@ one LP on a whole state set instead of the vertex walk, every candidate
 pattern instead of the walk's leaves for the complement, with a summary of
 its own: measured state-set dimensions and a letter-by-letter breakdown, and
 one chart LP per leaf instead of the vertex masks for the covering
-witnesses and the complement's exclusions), so agreement is meaningful. Also polyhedral
-oracles (projection, affine dimension, boundedness, vertices, brute-force
-feasibility), the covering proof's adjacency step, the constraint
-shorthands ``ge``, ``gt`` and ``eq`` and a generator of arrangements with
-three direction classes. The scripts put this directory on ``sys.path``."""
+witnesses and the complement's exclusions), so agreement is meaningful.
+Also polyhedral oracles (projection, affine dimension, boundedness,
+vertices, brute-force feasibility), the covering proof's adjacency step,
+the constraint shorthands ``ge``, ``gt`` and ``eq`` and a generator of
+arrangements with three direction classes. The scripts put this directory on ``sys.path``."""
 
 import functools
 import itertools
