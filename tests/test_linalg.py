@@ -24,6 +24,12 @@ from util import is_hnf_shape, mat_mul, mat_vec, row_reduce_lattice_membership
 # ran a separate elimination in each function (Gauss-Jordan in the solvers).
 SOLVER_DIGEST = "886da1cea104128ac76eefa7ea22b6dd774d232ae8aa0e68a9843798d4c06e3a"
 
+# SHA-256 of hermite_normal_form (H and U) and kernel_lattice over
+# integer_matrices(1729, 3000), recorded with the earlier implementation that
+# carried the transform by a second set of row updates and ran a second HNF,
+# transform included, on the kernel rows.
+LATTICE_DIGEST = "30578f9128add7cec60a9c799d71af4e1a027faec8be1400b7f1240cd327ec07"
+
 
 def small_matrix(max_rows=4, max_cols=4, lo=-9, hi=9):
     return st.integers(1, max_rows).flatmap(
@@ -65,6 +71,24 @@ def rational_systems(seed, count):
         else:
             rhs = tuple(entry() for _ in range(nrows))
         yield tuple(rows), rhs
+
+
+def integer_matrices(seed, count):
+    """Seeded integer matrices up to 7 x 9 with entries up to +-50: 40%
+    zeros, and rows that combine two earlier rows (rank deficiency, zero
+    rows included) about a third of the time."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 9)
+        rows = []
+        for _ in range(nrows):
+            if rows and rng.random() < 0.3:
+                a, b = rng.choice(rows), rng.choice(rows)
+                ca, cb = rng.randint(-3, 3), rng.randint(-3, 3)
+                rows.append(tuple(ca * x + cb * y for x, y in zip(a, b)))
+            else:
+                rows.append(tuple(0 if rng.random() < 0.4 else rng.randint(-50, 50) for _ in range(ncols)))
+        yield tuple(rows)
 
 
 class TestHermiteNormalForm:
@@ -146,6 +170,15 @@ class TestKernelLattice:
                 pivot = next((x for x in row if x != 0), None)
                 assert pivot in (None, 1)
         assert kernel_lattice(m) == kernel_lattice(m)
+
+
+class TestPinnedLattices:
+    def test_population_digest(self):
+        digest = hashlib.sha256()
+        for mat in integer_matrices(1729, 3000):
+            answers = [hermite_normal_form(mat), kernel_lattice(mat)]
+            digest.update(repr(answers).encode() + b"\n")
+        assert digest.hexdigest() == LATTICE_DIGEST
 
 
 class TestPrimitivity:
