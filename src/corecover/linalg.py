@@ -3,8 +3,12 @@
 Matrices are immutable tuples of row tuples, vectors are plain tuples.
 Integer work (Hermite normal form, saturated kernels, primitivity, the
 incremental echelon form that walks subsets of vectors) stays in arbitrary
-precision integers; rational work uses fractions.Fraction, and one
-forward Gaussian elimination answers rank, determinant and both solvers.
+precision integers. One HNF routine serves both lattice questions:
+``hermite_normal_form`` reads ``U`` off identity columns appended to the
+input, and ``kernel_lattice`` reduces the transpose and its kernel rows in
+one pass. Rank and determinant come from a fraction-free (Bareiss) forward
+elimination on rows cleared of their denominators; one forward Gaussian
+elimination over fractions.Fraction is behind both rational solvers.
 There is no floating point anywhere in this module: every downstream verdict
 is an exact feasibility question and rounding would corrupt it.
 """
@@ -18,10 +22,6 @@ from math import gcd, lcm
 def as_matrix(rows) -> tuple:
     """Freeze an iterable of rows into a tuple-of-tuples matrix."""
     return tuple(tuple(row) for row in rows)
-
-
-def identity(k: int) -> tuple:
-    return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
 
 
 def transpose(mat, ncols: int | None = None) -> tuple:
@@ -81,6 +81,43 @@ def _exgcd(a: int, b: int) -> tuple:
     return old_r, old_s, old_t
 
 
+def _hnf(rows, width: int) -> None:
+    """Bring the first ``width`` columns of the integer row lists ``rows`` to
+    the pinned row-style Hermite normal form, in place.
+
+    Pivots are searched only in those columns, but every row operation
+    combines whole rows, so columns past ``width`` ride along: appended
+    identity columns record the transformation. Rows from the pivot row down
+    are zero left of the pivot column, so each operation rewrites only the
+    entries from that column on.
+    """
+    nrows = len(rows)
+    pivot_row = 0
+    for col in range(width):
+        src = next((i for i in range(pivot_row, nrows) if rows[i][col] != 0), None)
+        if src is None:
+            continue
+        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
+        top = rows[pivot_row]
+        for row in rows[pivot_row + 1:]:
+            b = row[col]
+            if b == 0:
+                continue
+            g, s, t = _exgcd(top[col], b)
+            p, q = top[col] // g, b // g
+            head, tail = top[col:], row[col:]
+            top[col:] = [s * x + t * y for x, y in zip(head, tail)]
+            row[col:] = [p * y - q * x for x, y in zip(head, tail)]
+        if top[col] < 0:
+            top[col:] = [-x for x in top[col:]]
+        piv, head = top[col], top[col:]
+        for row in rows[:pivot_row]:
+            q = row[col] // piv
+            if q:
+                row[col:] = [x - q * y for x, y in zip(row[col:], head)]
+        pivot_row += 1
+
+
 def hermite_normal_form(mat, ncols: int | None = None) -> tuple:
     """Row-style Hermite normal form with transformation matrix.
 
@@ -89,41 +126,11 @@ def hermite_normal_form(mat, ncols: int | None = None) -> tuple:
     ``[0, pivot)`` and zero rows come last. The convention is pinned so that
     every kernel basis derived from it is reproducible bit for bit.
     """
-    rows = [list(r) for r in mat]
-    nrows = len(rows)
-    width = len(rows[0]) if rows else (ncols or 0)
-    u = [list(r) for r in identity(nrows)]
-    pivot_row = 0
-    for col in range(width):
-        src = next((i for i in range(pivot_row, nrows) if rows[i][col] != 0), None)
-        if src is None:
-            continue
-        if src != pivot_row:
-            rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
-            u[pivot_row], u[src] = u[src], u[pivot_row]
-        for i in range(pivot_row + 1, nrows):
-            if rows[i][col] == 0:
-                continue
-            a, b = rows[pivot_row][col], rows[i][col]
-            g, s, t = _exgcd(a, b)
-            p, q = a // g, b // g
-            top = [s * x + t * y for x, y in zip(rows[pivot_row], rows[i])]
-            bot = [-q * x + p * y for x, y in zip(rows[pivot_row], rows[i])]
-            rows[pivot_row], rows[i] = top, bot
-            top_u = [s * x + t * y for x, y in zip(u[pivot_row], u[i])]
-            bot_u = [-q * x + p * y for x, y in zip(u[pivot_row], u[i])]
-            u[pivot_row], u[i] = top_u, bot_u
-        if rows[pivot_row][col] < 0:
-            rows[pivot_row] = [-x for x in rows[pivot_row]]
-            u[pivot_row] = [-x for x in u[pivot_row]]
-        piv = rows[pivot_row][col]
-        for i in range(pivot_row):
-            q = rows[i][col] // piv
-            if q:
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[pivot_row])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[pivot_row])]
-        pivot_row += 1
-    return as_matrix(rows), as_matrix(u)
+    width = len(mat[0]) if mat else (ncols or 0)
+    nrows = len(mat)
+    rows = [list(r) + [int(i == j) for j in range(nrows)] for i, r in enumerate(mat)]
+    _hnf(rows, width)
+    return as_matrix(r[:width] for r in rows), as_matrix(r[width:] for r in rows)
 
 
 def kernel_lattice(mat, ncols: int | None = None) -> tuple:
@@ -133,6 +140,13 @@ def kernel_lattice(mat, ncols: int | None = None) -> tuple:
     ``ker(mat) & Z^ncols`` (saturation: no proper integer multiple of a
     lattice vector lies outside the span). The canonical form is the HNF of
     the raw kernel rows, so equal inputs give identical bases.
+
+    One pass: the HNF of ``[mat^T | I]`` over all its columns. Once the
+    columns of ``mat^T`` are reduced, the rows that are zero there carry the
+    raw kernel rows in their tails, and the top rows hold every pivot of
+    those columns, so the remaining columns bring the kernel rows to their
+    own HNF while the top rows are only reduced. No transform of the kernel
+    rows is built.
     """
     if mat:
         width = len(mat[0])
@@ -140,13 +154,10 @@ def kernel_lattice(mat, ncols: int | None = None) -> tuple:
         if ncols is None:
             raise ValueError("kernel of an empty matrix needs ncols")
         width = ncols
-    mt = transpose(mat, ncols=width)
-    h, u = hermite_normal_form(mt, ncols=len(mat))
-    kernel_rows = [u[i] for i in range(width) if all(x == 0 for x in h[i])]
-    if not kernel_rows:
-        return ()
-    canon, _ = hermite_normal_form(kernel_rows)
-    return canon
+    k = len(mat)
+    rows = [[r[j] for r in mat] + [int(i == j) for i in range(width)] for j in range(width)]
+    _hnf(rows, k + width)
+    return as_matrix(row[k:] for row in rows if not any(row[:k]))
 
 
 def _eliminate(mat, rhs=None) -> tuple:
@@ -241,9 +252,51 @@ def _back_substitute(rows, pivots, ncols: int) -> tuple:
     return tuple(solution)
 
 
+def _bareiss(mat) -> tuple:
+    """Fraction-free forward elimination of a rational matrix.
+
+    Returns ``(rank, det)``; ``det`` is the determinant when ``mat`` is
+    square and 0 otherwise. Each row is first scaled by the lcm of its
+    denominators, which keeps the rank and the pivot columns and multiplies
+    the determinant by the product of the scales, divided back out at the
+    end. On the integer rows, after k pivot steps every entry below the
+    pivots is a (k + 1)-minor, so each division by the previous pivot is
+    exact and the last pivot of a square matrix of full rank is its
+    determinant up to the sign of the row swaps.
+    """
+    rows = []
+    scale = 1
+    for row in mat:
+        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+        m = lcm(*[x.denominator for x in row])
+        rows.append([x.numerator * (m // x.denominator) for x in row])
+        scale *= m
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    r, sign, prev = 0, 1, 1
+    for col in range(ncols):
+        if r == nrows:
+            break
+        src = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if src is None:
+            continue
+        if src != r:
+            rows[r], rows[src] = rows[src], rows[r]
+            sign = -sign
+        p, tail = rows[r][col], rows[r][col + 1:]
+        for row in rows[r + 1:]:
+            f = row[col]
+            row[col + 1:] = [(p * x - f * y) // prev for x, y in zip(row[col + 1:], tail)]
+        prev = p
+        r += 1
+    if r == nrows == ncols:
+        return r, Fraction(sign * prev, scale)
+    return r, Fraction(0)
+
+
 def rank(mat) -> int:
     """Exact rank over the rationals."""
-    return len(_eliminate(mat)[1])
+    return _bareiss(mat)[0]
 
 
 def det(mat) -> Fraction:
@@ -251,13 +304,7 @@ def det(mat) -> Fraction:
     n = len(mat)
     if any(len(r) != n for r in mat):
         raise ValueError("determinant requires a square matrix")
-    rows, pivots, sign = _eliminate(mat)
-    if len(pivots) < n:
-        return Fraction(0)
-    result = Fraction(sign)
-    for i in range(n):
-        result *= rows[i][i]
-    return result
+    return _bareiss(mat)[1]
 
 
 def solve_square(mat, rhs) -> tuple | None:

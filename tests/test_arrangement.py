@@ -195,8 +195,8 @@ def _distinct_directions(rng, count):
 
 
 def _count_eliminations(monkeypatch, fn, arr):
-    """Calls of the incremental reduction and of the Gaussian elimination
-    behind det and rank made while ``fn(arr)`` runs."""
+    """Calls of the incremental reduction and of the fraction-free
+    elimination behind det and rank made while ``fn(arr)`` runs."""
     counts = {"extend": 0, "eliminate": 0}
 
     def counting(key, inner):
@@ -207,7 +207,7 @@ def _count_eliminations(monkeypatch, fn, arr):
 
     with monkeypatch.context() as patch:
         patch.setattr(arrangement, "_extend_echelon", counting("extend", arrangement._extend_echelon))
-        patch.setattr(linalg, "_eliminate", counting("eliminate", linalg._eliminate))
+        patch.setattr(linalg, "_bareiss", counting("eliminate", linalg._bareiss))
         fn(arr)
     return counts
 

@@ -17,7 +17,14 @@ from corecover.linalg import (
     solve_square,
     transpose,
 )
-from util import is_hnf_shape, mat_mul, mat_vec, row_reduce_lattice_membership
+from util import (
+    det_by_elimination,
+    is_hnf_shape,
+    mat_mul,
+    mat_vec,
+    rank_by_elimination,
+    row_reduce_lattice_membership,
+)
 
 # SHA-256 of rank/lin_solve (and det/solve_square when square) over
 # rational_systems(2718, 5000), recorded with the earlier implementation that
@@ -221,6 +228,27 @@ class TestRankDet:
     @given(small_matrix(max_rows=4, max_cols=4))
     def test_rank_transpose_invariant(self, m):
         assert rank(m) == rank(transpose(m))
+
+    @given(
+        st.one_of(
+            small_matrix(max_rows=5, max_cols=5, lo=-50, hi=50),
+            small_matrix(max_rows=5, max_cols=5, lo=-2, hi=2),
+            small_matrix(max_rows=5, max_cols=5, lo=-3, hi=3).flatmap(
+                lambda m: st.lists(
+                    st.sampled_from((1, 2, 3, 6, 7)), min_size=len(m), max_size=len(m)
+                ).map(lambda dens: tuple(tuple(Fraction(x, q) for x in row) for row, q in zip(m, dens)))
+            ),
+        )
+    )
+    def test_agree_with_rational_elimination(self, m):
+        # fraction-free on integer rows (zero-heavy ones force row swaps) and
+        # on rows cleared of their denominators, against the elimination
+        # over Fractions
+        assert rank(m) == rank_by_elimination(m)
+        k = min(len(m), len(m[0]))
+        square = tuple(row[:k] for row in m[:k])
+        assert det(square) == det_by_elimination(square)
+        assert type(det(square)) is Fraction
 
     @given(small_matrix(max_rows=3, max_cols=3))
     def test_singular_iff_det_zero(self, m):

@@ -1,7 +1,8 @@
 """Independent oracles, used by the test suite and by the scripts.
 
 These deliberately re-derive properties by different routes than the library
-(row reduction instead of the pinned HNF, subset scans over the hyperplanes
+(row reduction instead of the pinned HNF, elimination over Fractions
+instead of the fraction-free one for rank and determinant, subset scans over the hyperplanes
 instead of the direction classes for regularity, simplicity and trivial
 factors, full subset enumeration instead of the (n + 1)-bounded simplicity
 scan, interval analysis instead of elimination, the
@@ -62,6 +63,24 @@ def gt(coeffs, constant=0) -> Constraint:
 
 def eq(coeffs, constant=0) -> Constraint:
     return Constraint(tuple(coeffs), Relation.EQ, constant)
+
+
+def rank_by_elimination(mat) -> int:
+    """Rank by forward elimination over Fractions, not fraction-free."""
+    return len(_eliminate(mat)[1])
+
+
+def det_by_elimination(mat) -> Fraction:
+    """Determinant as the row-swap sign times the product of the pivots of
+    a forward elimination over Fractions."""
+    n = len(mat)
+    rows, pivots, sign = _eliminate(mat)
+    if len(pivots) < n:
+        return Fraction(0)
+    result = Fraction(sign)
+    for i in range(n):
+        result *= rows[i][i]
+    return result
 
 
 def mat_mul(a, b):
