@@ -1,19 +1,19 @@
 """Independent oracles, used by the test suite and by the scripts.
 
 These deliberately re-derive properties by different routes than the library
-(row reduction instead of the pinned HNF, elimination over Fractions
-instead of the fraction-free one for rank and determinant, subset scans over the hyperplanes
-instead of the direction classes for regularity, simplicity and trivial
-factors, full subset enumeration instead of the (n + 1)-bounded simplicity
-scan, interval analysis instead of elimination, the
-numeric d-variable stability system instead of state sets, one numeric LP
-per sign vector instead of the numeric vertices for density, a rank test in R^d
-on index subsets instead of one on the direction classes for realizability,
-one LP on a whole state set instead of the vertex walk, every candidate
-pattern instead of the walk's leaves for the complement, with a summary of
-its own: measured state-set dimensions and a letter-by-letter breakdown, and
-one chart LP per leaf instead of the vertex masks for the covering
-witnesses and the complement's exclusions), so agreement is meaningful.
+(row reduction instead of the pinned HNF, elimination over Fractions instead
+of the fraction-free one for rank and determinant, subset scans over the
+hyperplanes instead of the direction classes for regularity, simplicity and
+trivial factors, full subset enumeration instead of the (n + 1)-bounded
+simplicity scan, interval analysis instead of elimination, the numeric
+d-variable stability system instead of state sets, one numeric LP per sign
+vector instead of the numeric vertices for density, a rank test in R^d on
+index subsets instead of one on the direction classes for realizability, one
+LP on a whole state set instead of the vertex walk, every candidate pattern
+instead of the walk's leaves for the complement, with a summary of its own:
+measured state-set dimensions and a letter-by-letter breakdown, and one
+chart LP per leaf instead of the vertex masks for the covering witnesses and
+the complement's exclusions), so agreement is meaningful.
 Also polyhedral oracles (projection, affine dimension, boundedness,
 vertices, brute-force feasibility), the covering proof's adjacency step,
 the constraint shorthands ``ge``, ``gt`` and ``eq`` and a generator of
