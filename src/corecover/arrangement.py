@@ -15,10 +15,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from .linalg import (
-    _eliminate,
+    _bareiss,
+    _common_denominator,
     _extend_echelon,
     det,
     is_primitive,
@@ -122,22 +122,14 @@ class TorusData:
         for row in basis:
             if len(row) != self.d:
                 raise ValueError("kernel basis vector has wrong length")
-        common, sums = _level_numerators(basis, lifts)
+        common, nums = _common_denominator(lifts)
+        sums = (sum(a * x for a, x in zip(row, nums)) for row in basis)
         if any(a.numerator * common != s * a.denominator for a, s in zip(alpha, sums)):
             raise ValueError("alpha does not equal basis @ lifts")
 
     @property
     def n(self) -> int:
         return self.d - self.m
-
-
-def _level_numerators(basis, lifts) -> tuple:
-    """``(common, sums)`` with ``basis @ lifts == sums / common`` entrywise:
-    the lifts over their common denominator, so the products and sums of the
-    moment level run on integers."""
-    common = lcm(*(x.denominator for x in lifts))
-    nums = [x.numerator * (common // x.denominator) for x in lifts]
-    return common, tuple(sum(a * x for a, x in zip(row, nums)) for row in basis)
 
 
 @scoped_cache
@@ -149,8 +141,9 @@ def torus_data(arr: Arrangement) -> TorusData:
     """
     pi = transpose(arr.normals, ncols=arr.n)
     basis = kernel_lattice(pi, ncols=arr.d)
-    common, sums = _level_numerators(basis, arr.lifts)
-    alpha = tuple(Fraction(s, common) for s in sums)
+    # the lifts over their common denominator: the moment level on integers
+    common, nums = _common_denominator(arr.lifts)
+    alpha = tuple(Fraction(sum(a * x for a, x in zip(row, nums)), common) for row in basis)
     return TorusData(d=arr.d, m=len(basis), basis=basis, alpha=alpha, lifts=arr.lifts)
 
 
@@ -245,8 +238,7 @@ def _vertices(arr: Arrangement) -> tuple:
     # on integers: with the lifts over L, u . (L x) = -L * lift has the
     # solution L x = nums / den (den > 0), so the sign of <u, x> + lift is
     # that of <u, nums> + den * (L * lift)
-    common = lcm(*(x.denominator for x in arr.lifts))
-    lifts = [x.numerator * (common // x.denominator) for x in arr.lifts]
+    common, lifts = _common_denominator(arr.lifts)
     found = {}
     for chosen in itertools.combinations(_direction_classes(arr), arr.n):
         for members in itertools.product(*(m for _, m in chosen)):
@@ -309,11 +301,9 @@ def is_simple(arr: Arrangement) -> bool:
     integers by a common denominator, which scales every sum alike.
     """
     classes = _direction_classes(arr)
-    common = lcm(*(t.denominator for _, members in classes for _, t in members))
-    offsets = [
-        tuple(t.numerator * (common // t.denominator) for _, t in members)
-        for _, members in classes
-    ]
+    _, flat = _common_denominator(t for _, members in classes for _, t in members)
+    flat = iter(flat)
+    offsets = [tuple(itertools.islice(flat, len(members))) for _, members in classes]
     if any(len(set(ts)) < len(ts) for ts in offsets):
         return False
     for support, relation in _circuits([r for r, _ in classes]):
@@ -357,7 +347,7 @@ def solution_space(td: TorusData) -> SolutionSpace:
         torus=td,
         particular=td.lifts,
         homogeneous_basis=basis,
-        projection_coords=tuple(_eliminate(basis)[1]),
+        projection_coords=tuple(_bareiss([list(row) for row in basis], td.d)[0]),
     )
 
 

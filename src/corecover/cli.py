@@ -137,8 +137,11 @@ def _complement(arr, args):
 
 def _render(arr, args):
     svg = render_svg(arr, force=args.force)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(svg)
+    try:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(svg)
+    except OSError as exc:
+        raise ParseError(f"cannot write {args.output}: {exc.strerror}") from None
 
 
 def _report(arr, args):

@@ -31,7 +31,9 @@ from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
+
+from .linalg import _common_denominator
 
 
 class Relation(Enum):
@@ -56,11 +58,8 @@ class Constraint:
         """``(coeffs, const, mul, div)`` of the normalized integer row: the
         constraint times ``mul / div``. Index-free, so one cached row serves
         every system the constraint appears in."""
-        pairs = [_ratio(x) for x in self.coeffs]
-        num, den = _ratio(self.constant)
-        scale = lcm(den, *(d for _, d in pairs))
-        coeffs = tuple(n * (scale // d) for n, d in pairs)
-        row = _normalized(coeffs, num * (scale // den), self.relation, None, scale)
+        scale, (*coeffs, const) = _common_denominator((*self.coeffs, self.constant))
+        row = _normalized(tuple(coeffs), const, self.relation, None, scale)
         return row.coeffs, row.const, row.mul, row.div
 
     def __getstate__(self):
@@ -234,12 +233,6 @@ def _normalized(coeffs, const, rel, src, mul):
             const = -const
             mul = -mul
     return _Row(coeffs, const, rel, src, mul, g)
-
-
-def _ratio(x):
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-    return x.numerator, x.denominator
 
 
 def _integerize(con: Constraint, index: int) -> _Row:

@@ -6,11 +6,12 @@ incremental echelon form that walks subsets of vectors) stays in arbitrary
 precision integers. One HNF routine serves both lattice questions:
 ``hermite_normal_form`` reads ``U`` off identity columns appended to the
 input, and ``kernel_lattice`` reduces the transpose and its kernel rows in
-one pass. Rank and determinant come from a fraction-free (Bareiss) forward
-elimination on rows cleared of their denominators; one forward Gaussian
-elimination over fractions.Fraction is behind both rational solvers.
-There is no floating point anywhere in this module: every downstream verdict
-is an exact feasibility question and rounding would corrupt it.
+one pass. One fraction-free (Bareiss) forward elimination, with
+fraction-free back substitution, is behind rank, determinant and all three
+solvers; rational rows are first cleared of their denominators, which is
+done only in ``_common_denominator``. There is no floating point anywhere
+in this module: every downstream verdict is an exact feasibility question
+and rounding would corrupt it.
 """
 
 from __future__ import annotations
@@ -53,17 +54,11 @@ def primitive_scale(vec) -> tuple:
     Returns ``(prim, sigma)`` with ``prim = sigma * vec`` entrywise, ``sigma``
     a positive rational. The positive scale preserves orientation.
     """
-    fracs = [Fraction(x) for x in vec]
-    if all(f == 0 for f in fracs):
+    common, ints = _common_denominator(vec)
+    if not any(ints):
         raise ValueError("cannot scale the zero vector")
-    denom_lcm = 1
-    for f in fracs:
-        denom_lcm = lcm(denom_lcm, f.denominator)
-    ints = [int(f * denom_lcm) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints), Fraction(denom_lcm, g)
+    g = gcd(*ints)
+    return tuple(x // g for x in ints), Fraction(common, g)
 
 
 def _exgcd(a: int, b: int) -> tuple:
@@ -160,39 +155,6 @@ def kernel_lattice(mat, ncols: int | None = None) -> tuple:
     return as_matrix(row[k:] for row in rows if not any(row[:k]))
 
 
-def _eliminate(mat, rhs=None) -> tuple:
-    """Forward Gaussian elimination over the rationals.
-
-    Returns ``(rows, pivots, sign)``: the rows in echelon form (with ``rhs``
-    appended as a last column when given), the pivot column of each of the
-    first ``len(pivots)`` rows, and the sign of the row permutation. The
-    pivot columns are the lexicographically first independent columns.
-    """
-    rows = [[Fraction(x) for x in r] for r in mat]
-    ncols = len(rows[0]) if rows else 0
-    if rhs is not None:
-        rows = [row + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    sign = 1
-    for col in range(ncols):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        src = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if src is None:
-            continue
-        if src != r:
-            rows[r], rows[src] = rows[src], rows[r]
-            sign = -sign
-        top = rows[r]
-        for row in rows[r + 1:]:
-            if row[col] != 0:
-                f = row[col] / top[col]
-                row[col:] = [x - f * y for x, y in zip(row[col:], top[col:])]
-        pivots.append(col)
-    return rows, pivots, sign
-
-
 def _extend_echelon(rows, vec) -> tuple:
     """One incremental step of fraction-free Gauss-Jordan elimination.
 
@@ -243,38 +205,59 @@ def _primitive_pair(row, coords) -> tuple:
     return tuple(x // g for x in row), tuple(c // g for c in coords)
 
 
-def _back_substitute(rows, pivots, ncols: int) -> tuple:
-    """Solve the pivot rows of an augmented echelon form, free variables 0."""
-    solution = [Fraction(0)] * ncols
-    for row, col in zip(reversed(rows[: len(pivots)]), reversed(pivots)):
-        rest = sum(row[j] * solution[j] for j in range(col + 1, ncols))
-        solution[col] = (row[ncols] - rest) / row[col]
-    return tuple(solution)
+_EXACT = frozenset((int, Fraction))
 
 
-def _bareiss(mat) -> tuple:
-    """Fraction-free forward elimination of a rational matrix.
+def _common_denominator(values) -> tuple:
+    """``(common, ints)`` with ``values == ints / common`` entrywise, where
+    ``common`` is the least common denominator and ``ints`` a list. Ints
+    and Fractions pass through, and all-int input comes back as is over 1;
+    any other number goes through ``Fraction``."""
+    values = list(values)
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return 1, values
+    if not kinds <= _EXACT:
+        values = [x if type(x) in _EXACT else Fraction(x) for x in values]
+    common = lcm(*[x.denominator for x in values])
+    return common, [x.numerator * (common // x.denominator) for x in values]
 
-    Returns ``(rank, det)``; ``det`` is the determinant when ``mat`` is
-    square and 0 otherwise. Each row is first scaled by the lcm of its
-    denominators, which keeps the rank and the pivot columns and multiplies
-    the determinant by the product of the scales, divided back out at the
-    end. On the integer rows, after k pivot steps every entry below the
-    pivots is a (k + 1)-minor, so each division by the previous pivot is
-    exact and the last pivot of a square matrix of full rank is its
-    determinant up to the sign of the row swaps.
-    """
-    rows = []
-    scale = 1
+
+def _integer_rows(mat) -> tuple:
+    """``(rows, scale)``: each rational row as an integer list over its own
+    common denominator, and ``scale`` the product of those denominators.
+    Scaling rows keeps the rank, the pivot columns and the solutions, and
+    multiplies the determinant by ``scale``."""
+    rows, scale = [], 1
     for row in mat:
-        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-        m = lcm(*[x.denominator for x in row])
-        rows.append([x.numerator * (m // x.denominator) for x in row])
-        scale *= m
+        common, ints = _common_denominator(row)
+        rows.append(ints)
+        scale *= common
+    return rows, scale
+
+
+def _bareiss(rows, width: int) -> tuple:
+    """Fraction-free (Bareiss) forward elimination of the integer row lists
+    ``rows``, in place.
+
+    Pivots are searched in the first ``width`` columns, so the pivot columns
+    are the lexicographically first independent ones; columns past
+    ``width`` (a right-hand side) ride along. Returns ``(pivots, sign,
+    last)``: the pivot column of each of the first ``len(pivots)`` rows,
+    the sign of the row swaps and the last pivot (1 if there is none). Only
+    rows below a pivot are updated, and only right of its column, so the
+    entries left of a row's own pivot are stale. After k pivot steps each
+    updated entry is a (k + 1)-minor of the input (Sylvester's identity),
+    so each division by the previous pivot is exact and the last pivot of a
+    square matrix of full rank is ``sign`` times its determinant. A row
+    below the pivots is 0 in the columns before ``width`` that hold no
+    pivot, and past ``width`` it is 0 exactly where it agrees with the
+    combination of the pivot rows that it equals before ``width``.
+    """
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    r, sign, prev = 0, 1, 1
-    for col in range(ncols):
+    pivots, sign, last = [], 1, 1
+    for col in range(width):
+        r = len(pivots)
         if r == nrows:
             break
         src = next((i for i in range(r, nrows) if rows[i][col]), None)
@@ -286,17 +269,33 @@ def _bareiss(mat) -> tuple:
         p, tail = rows[r][col], rows[r][col + 1:]
         for row in rows[r + 1:]:
             f = row[col]
-            row[col + 1:] = [(p * x - f * y) // prev for x, y in zip(row[col + 1:], tail)]
-        prev = p
-        r += 1
-    if r == nrows == ncols:
-        return r, Fraction(sign * prev, scale)
-    return r, Fraction(0)
+            row[col + 1:] = [(p * x - f * y) // last for x, y in zip(row[col + 1:], tail)]
+        last = p
+        pivots.append(col)
+    return pivots, sign, last
+
+
+def _back_substitute(rows, pivots, last, width: int) -> list:
+    """The numerators ``X = last * x`` of the solution ``x`` of the pivot
+    rows of a ``_bareiss`` echelon form with its right-hand side in column
+    ``width``, free variables 0. Row k reads ``sum(row[j] * x[j] for j >=
+    pivots[k]) == row[width]``. ``X`` is integer by Cramer's rule on the
+    pivot block, whose determinant is ``+-last``, so each division is
+    exact."""
+    xs = [0] * width
+    for k in reversed(range(len(pivots))):
+        row, col = rows[k], pivots[k]
+        rest = last * row[width]
+        for j in pivots[k + 1:]:
+            rest -= row[j] * xs[j]
+        xs[col] = rest // row[col]
+    return xs
 
 
 def rank(mat) -> int:
     """Exact rank over the rationals."""
-    return _bareiss(mat)[0]
+    rows, _ = _integer_rows(mat)
+    return len(_bareiss(rows, len(mat[0]) if mat else 0)[0])
 
 
 def det(mat) -> Fraction:
@@ -304,7 +303,9 @@ def det(mat) -> Fraction:
     n = len(mat)
     if any(len(r) != n for r in mat):
         raise ValueError("determinant requires a square matrix")
-    return _bareiss(mat)[1]
+    rows, scale = _integer_rows(mat)
+    pivots, sign, last = _bareiss(rows, n)
+    return Fraction(sign * last, scale) if len(pivots) == n else Fraction(0)
 
 
 def solve_square(mat, rhs) -> tuple | None:
@@ -312,10 +313,11 @@ def solve_square(mat, rhs) -> tuple | None:
     n = len(mat)
     if any(len(r) != n for r in mat) or len(rhs) != n:
         raise ValueError("solve_square requires an n x n matrix and n right-hand sides")
-    rows, pivots, _ = _eliminate(mat, rhs)
+    rows, _ = _integer_rows((*r, b) for r, b in zip(mat, rhs))
+    pivots, _, last = _bareiss(rows, n)
     if len(pivots) < n:
         return None
-    return _back_substitute(rows, pivots, n)
+    return tuple(Fraction(x, last) for x in _back_substitute(rows, pivots, last, n))
 
 
 def solve_integer(mat, rhs) -> tuple | None:
@@ -323,33 +325,22 @@ def solve_integer(mat, rhs) -> tuple | None:
     None if singular.
 
     Returns ``(nums, den)`` with integers ``den > 0`` and ``x_i = nums[i] /
-    den``. Fraction-free Gauss-Jordan elimination (Bareiss): after step k
-    every entry is a (k + 1)-minor of the augmented matrix, so each division
-    by the previous pivot is exact, and at the end every diagonal entry is
-    ``+-det`` and the last column holds the Cramer numerators. The sign of
-    a coordinate is thus read off the integers, and a caller that needs
+    den``: ``den`` is ``|det|`` and ``nums`` are the Cramer numerators, up
+    to one common sign, from ``_bareiss`` and ``_back_substitute``. The sign
+    of a coordinate is thus read off the integers, and a caller that needs
     only signs builds no ``Fraction``. Not in lowest terms.
     """
     n = len(mat)
     if any(len(r) != n for r in mat) or len(rhs) != n:
         raise ValueError("solve_integer requires an n x n matrix and n right-hand sides")
-    rows = [list(r) + [b] for r, b in zip(mat, rhs)]
-    prev = 1
-    for k in range(n):
-        src = next((i for i in range(k, n) if rows[i][k]), None)
-        if src is None:
-            return None
-        rows[k], rows[src] = rows[src], rows[k]
-        top = rows[k]
-        p = top[k]
-        for i, row in enumerate(rows):
-            if i != k:
-                f = row[k]
-                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-        prev = p
-    if prev < 0:
-        return tuple(-row[n] for row in rows), -prev
-    return tuple(row[n] for row in rows), prev
+    rows = [[*r, b] for r, b in zip(mat, rhs)]
+    pivots, _, last = _bareiss(rows, n)
+    if len(pivots) < n:
+        return None
+    nums = _back_substitute(rows, pivots, last, n)
+    if last < 0:
+        return tuple(-x for x in nums), -last
+    return tuple(nums), last
 
 
 def lin_solve(mat, rhs) -> tuple | None:
@@ -361,7 +352,8 @@ def lin_solve(mat, rhs) -> tuple | None:
     if not mat:
         return ()
     ncols = len(mat[0])
-    rows, pivots, _ = _eliminate(mat, rhs)
-    if any(row[ncols] != 0 for row in rows[len(pivots):]):
+    rows, _ = _integer_rows((*r, b) for r, b in zip(mat, rhs))
+    pivots, _, last = _bareiss(rows, ncols)
+    if any(row[ncols] for row in rows[len(pivots):]):
         return None
-    return _back_substitute(rows, pivots, ncols)
+    return tuple(Fraction(x, last) for x in _back_substitute(rows, pivots, last, ncols))

@@ -345,9 +345,9 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
     _require_smooth(arr)
     eps = check_sign_vector(eps, arr.d)
     _check_guard(arr, force, "complement sweep", DEFAULT_MAX_COMPLEMENT_D)
-    if not _cone_contains(arr, full_pattern(eps)):
-        raise ValueError("complement is defined for sign vectors with nonempty chamber")
     chamber = _chamber_mask(arr, eps)
+    if not chamber:
+        raise ValueError("complement is defined for sign vectors with nonempty chamber")
     classes = _direction_classes(arr)
     subsets = itertools.chain.from_iterable(
         itertools.combinations(range(len(classes)), size) for size in range(len(classes) + 1)

@@ -38,12 +38,11 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 
 from .arrangement import Arrangement, TorusData, check_sign_vector
 from .arrangement import _direction_classes, _independent_classes, _vertices
 from .feasibility import Certificate, Constraint, Polyhedron, Relation, is_feasible
-from .linalg import solve_integer, unit_vector
+from .linalg import _common_denominator, solve_integer, unit_vector
 from .memo import scoped_cache
 
 
@@ -190,8 +189,7 @@ def _numeric_chambers(td: TorusData) -> frozenset:
     and nothing of the arrangement's state sets or vertices, so it stays an
     independent side of the density check (see ``verify_density``).
     """
-    common = lcm(*(a.denominator for a in td.alpha))
-    rhs = [a.numerator * (common // a.denominator) for a in td.alpha]
+    _, rhs = _common_denominator(td.alpha)
     signs = set()
     for columns in itertools.combinations(range(td.d), td.m):
         solved = solve_integer([[row[j] for j in columns] for row in td.basis], rhs)

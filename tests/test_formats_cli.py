@@ -381,6 +381,12 @@ class TestCli:
         assert code == 2
         assert "n <= 2" in capsys.readouterr().err
 
+    def test_render_unwritable_output_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.svg"
+        code = main(["render", write(tmp_path, HIRZ_DOC), "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+
     def test_fixture_files_parse(self):
         import pathlib
 

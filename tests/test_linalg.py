@@ -1,10 +1,12 @@
 import hashlib
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from corecover.feasibility import Constraint, Relation
 from corecover.linalg import (
     det,
     hermite_normal_form,
@@ -24,6 +26,7 @@ from util import (
     mat_vec,
     rank_by_elimination,
     row_reduce_lattice_membership,
+    solve_by_elimination,
 )
 
 # SHA-256 of rank/lin_solve (and det/solve_square when square) over
@@ -204,6 +207,17 @@ class TestPrimitivity:
         assert sigma == Fraction(3, 2)
         assert all(sigma * x == p for x, p in zip((Fraction(2, 3), Fraction(-4, 3)), prim))
 
+    def test_other_numbers_go_through_fraction(self):
+        # floats and Decimals are read as Fraction(x); the expected rows were
+        # recorded with the earlier per-module denominator code
+        coeffs = (0.5, Decimal("1.25"), Fraction(-2, 3), 3)
+        assert Constraint(coeffs, Relation.GE, Decimal("-0.75"))._scaled == ((6, 15, -8, 36), -9, 12, 1)
+        assert Constraint((-0.5, Decimal("1.25")), Relation.EQ, 0.25)._scaled == ((2, -5), -1, -4, 1)
+        assert primitive_scale(coeffs) == ((6, 15, -8, 36), Fraction(12))
+        assert primitive_scale((Decimal("-2.5"), 0.75)) == ((-10, 3), Fraction(4))
+        with pytest.raises(ValueError):
+            primitive_scale(())
+
 
 class TestRankDet:
     def test_examples(self):
@@ -262,9 +276,10 @@ class TestSolvers:
         assert solve_square(((2, 0), (0, 4)), (6, 8)) == (Fraction(3), Fraction(2))
         assert solve_square(((1, 1), (2, 2)), (1, 2)) is None
 
-    def test_solve_integer_matches_solve_square(self):
+    def test_solve_integer_matches_rational_elimination(self):
         # x = nums / den with den = |det| > 0, on regular and singular
-        # systems, the empty one included
+        # systems, the empty one included, against the elimination over
+        # Fractions
         rng = random.Random(1957)
         singular = 0
         for _ in range(2000):
@@ -273,7 +288,7 @@ class TestSolvers:
             if n >= 2 and rng.random() < 0.3:
                 mat[-1] = [2 * x - y for x, y in zip(mat[0], mat[1])]
             rhs = [rng.randint(-9, 9) for _ in range(n)]
-            expected = solve_square(mat, rhs)
+            expected = solve_by_elimination(mat, rhs) if rank_by_elimination(mat) == n else None
             solved = solve_integer(mat, rhs)
             if expected is None:
                 assert solved is None
@@ -284,6 +299,21 @@ class TestSolvers:
                 assert tuple(Fraction(x, den) for x in nums) == expected
         assert singular > 300
         assert solve_integer((), ()) == ((), 1)
+
+    def test_agree_with_rational_elimination(self):
+        # int and Fraction entries, rank-deficient rows, inconsistent
+        # right-hand sides
+        inconsistent = 0
+        for mat, rhs in rational_systems(4242, 1500):
+            expected = solve_by_elimination(mat, rhs)
+            inconsistent += expected is None
+            assert rank(mat) == rank_by_elimination(mat)
+            assert lin_solve(mat, rhs) == expected
+            if len(mat) == len(mat[0]):
+                assert det(mat) == det_by_elimination(mat)
+                unique = rank_by_elimination(mat) == len(mat)
+                assert solve_square(mat, rhs) == (expected if unique else None)
+        assert inconsistent > 200
 
     def test_lin_solve_particular(self):
         sol = lin_solve(((1, 1, 0),), (5,))

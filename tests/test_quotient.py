@@ -503,6 +503,7 @@ class TestComplementSweep:
         coordinate = Arrangement(6, axes, (0, 1, -1, 2, F(1, 2), -3))
         reads, yielded = [], []
         real_contains, real_walk = quotient._cone_contains, quotient._pattern_masks
+        real_mask = quotient._chamber_mask
 
         def walk(a, alphabets):
             for pattern, kept in real_walk(a, alphabets):
@@ -510,6 +511,9 @@ class TestComplementSweep:
                 yield pattern, kept
 
         monkeypatch.setattr(quotient, "_cone_contains", lambda a, p: reads.append(p) or real_contains(a, p))
+        monkeypatch.setattr(
+            quotient, "_chamber_mask", lambda a, e: reads.append(full_pattern(e)) or real_mask(a, e)
+        )
         monkeypatch.setattr(quotient, "_pattern_masks", walk)
         chart_complement(coordinate, (1, -1, 1, -1, 1, -1))
         assert len(yielded) == 4**coordinate.d
@@ -678,6 +682,7 @@ class TestChartComplement:
             eps = extended_core(arr)[0].eps
             reads, yielded, both_sizes = [], [], []
             real_contains, real_walk = quotient._cone_contains, quotient._pattern_masks
+            real_mask = quotient._chamber_mask
 
             def walk(a, alphabets):
                 both_sizes.append(sum(letters == (B,) for letters in alphabets))
@@ -687,6 +692,9 @@ class TestChartComplement:
 
             monkeypatch.setattr(
                 quotient, "_cone_contains", lambda a, p: reads.append(p) or real_contains(a, p)
+            )
+            monkeypatch.setattr(
+                quotient, "_chamber_mask", lambda a, e: reads.append(full_pattern(e)) or real_mask(a, e)
             )
             monkeypatch.setattr(quotient, "_pattern_masks", walk)
             chart_complement(arr, eps)

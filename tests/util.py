@@ -2,22 +2,24 @@
 
 These deliberately re-derive properties by different routes than the library
 (row reduction instead of the pinned HNF, elimination over Fractions instead
-of the fraction-free one for rank and determinant, subset scans over the
-hyperplanes instead of the direction classes for regularity, simplicity and
-trivial factors, full subset enumeration instead of the (n + 1)-bounded
-simplicity scan, interval analysis instead of elimination, the numeric
-d-variable stability system instead of state sets, one numeric LP per sign
-vector instead of the numeric vertices for density, a rank test in R^d on
-index subsets instead of one on the direction classes for realizability, one
-LP on a whole state set instead of the vertex walk, every candidate pattern
-instead of the walk's leaves for the complement, with a summary of its own:
-measured state-set dimensions and a letter-by-letter breakdown, and one
-chart LP per leaf instead of the vertex masks for the covering witnesses and
-the complement's exclusions), so agreement is meaningful.
+of the fraction-free one for rank, determinant and the solvers, subset scans
+over the hyperplanes instead of the direction classes for regularity,
+simplicity and trivial factors, full subset enumeration instead of the
+(n + 1)-bounded simplicity scan, interval analysis instead of elimination,
+the numeric d-variable stability system instead of state sets, one numeric
+LP per sign vector instead of the numeric vertices for density, a rank test
+in R^d on index subsets instead of one on the direction classes for
+realizability, one LP on a whole state set instead of the vertex walk, every
+candidate pattern instead of the walk's leaves for the complement, with a
+summary of its own: measured state-set dimensions and a letter-by-letter
+breakdown, and one chart LP per leaf instead of the vertex masks for the
+covering witnesses and the complement's exclusions), so agreement is
+meaningful.
 Also polyhedral oracles (projection, affine dimension, boundedness,
-vertices, brute-force feasibility), the covering proof's adjacency step,
-the constraint shorthands ``ge``, ``gt`` and ``eq`` and a generator of
-arrangements with three direction classes. The scripts put this directory on ``sys.path``."""
+vertices, brute-force feasibility), the covering proof's adjacency step, the
+constraint shorthands ``ge``, ``gt`` and ``eq`` and a generator of
+arrangements with three direction classes. The scripts put this directory on
+``sys.path``."""
 
 import functools
 import itertools
@@ -41,7 +43,7 @@ from corecover import (
     torus_data,
 )
 from corecover.feasibility import _dedup, _eliminate_column, _integerize
-from corecover.linalg import _eliminate, det, lin_solve, rank, solve_square, unit_vector
+from corecover.linalg import det, lin_solve, rank, solve_square, unit_vector
 from corecover.quotient import _LETTER_ORDER, _complement_report
 from corecover.stability import (
     FULL_ALPHABET,
@@ -65,9 +67,58 @@ def eq(coeffs, constant=0) -> Constraint:
     return Constraint(tuple(coeffs), Relation.EQ, constant)
 
 
+def _eliminate(mat, rhs=None) -> tuple:
+    """Forward Gaussian elimination over the rationals.
+
+    Returns ``(rows, pivots, sign)``: the rows in echelon form (with ``rhs``
+    appended as a last column when given), the pivot column of each of the
+    first ``len(pivots)`` rows, and the sign of the row permutation. The
+    pivot columns are the lexicographically first independent columns.
+    """
+    rows = [[Fraction(x) for x in r] for r in mat]
+    ncols = len(rows[0]) if rows else 0
+    if rhs is not None:
+        rows = [row + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    sign = 1
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        src = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if src is None:
+            continue
+        if src != r:
+            rows[r], rows[src] = rows[src], rows[r]
+            sign = -sign
+        top = rows[r]
+        for row in rows[r + 1:]:
+            if row[col] != 0:
+                f = row[col] / top[col]
+                row[col:] = [x - f * y for x, y in zip(row[col:], top[col:])]
+        pivots.append(col)
+    return rows, pivots, sign
+
+
 def rank_by_elimination(mat) -> int:
     """Rank by forward elimination over Fractions, not fraction-free."""
     return len(_eliminate(mat)[1])
+
+
+def solve_by_elimination(mat, rhs) -> tuple | None:
+    """A particular solution of a linear system by elimination and back
+    substitution over Fractions, free variables 0; None if inconsistent."""
+    if not mat:
+        return ()
+    ncols = len(mat[0])
+    rows, pivots, _ = _eliminate(mat, rhs)
+    if any(row[ncols] != 0 for row in rows[len(pivots):]):
+        return None
+    solution = [Fraction(0)] * ncols
+    for row, col in zip(reversed(rows[: len(pivots)]), reversed(pivots)):
+        rest = sum(row[j] * solution[j] for j in range(col + 1, ncols))
+        solution[col] = (row[ncols] - rest) / row[col]
+    return tuple(solution)
 
 
 def det_by_elimination(mat) -> Fraction:
