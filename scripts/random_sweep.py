@@ -2,7 +2,9 @@
 """Randomized verification sweep.
 
 Samples smooth arrangements from a seed and runs the full battery on each:
-oracle equivalence on every BOTH-free pattern, the cached verdicts (the
+the kernel lattice (the ``lattice`` column: ``torus_data``'s basis, read off
+a unimodular pivot block of the normals, against the two-HNF oracle), oracle
+equivalence on every BOTH-free pattern, the cached verdicts (the
 ``verdicts`` column: ``_cone_contains``, which ANDs the vertex masks of the
 letters with no LP, against one state-set LP per pattern, on every BOTH-free
 pattern and every realizable BOTH pattern), chart equivalence (the state set of
@@ -48,6 +50,7 @@ from corecover import (
     verify_density,
 )
 from corecover.arrangement import all_sign_vectors
+from corecover.linalg import transpose
 from corecover.quotient import BOUNDED, UNBOUNDED, _chamber_vertices
 from corecover.randgen import random_smooth_arrangement
 from corecover.stability import (
@@ -66,6 +69,7 @@ from util import (  # noqa: E402
     affine_dimension,
     enumerate_vertices,
     is_bounded,
+    kernel_by_two_hnf,
     numeric_covering,
     numeric_density,
     rank_realizable,
@@ -128,6 +132,7 @@ def check_instance(arr) -> dict:
         else None
     )
     return {
+        "lattice": td.basis == kernel_by_two_hnf(transpose(arr.normals, ncols=arr.n), arr.d),
         "equivalence": equivalence,
         "verdicts": verdicts,
         "chart": chart,
@@ -171,6 +176,7 @@ def main() -> int:
         failures += not ok
         print(
             f"[{index:03d}] n={arr.n} d={arr.d} theta_cpt={result['theta_cpt']} "
+            f"lattice={result['lattice']} "
             f"equivalence={result['equivalence']} verdicts={result['verdicts']} "
             f"chart={result['chart']} realizable={result['realizable']} "
             f"covered={result['covered']} complement={result['complement']} "

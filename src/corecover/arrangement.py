@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import (
+    _as_fractions,
     _bareiss,
     _common_denominator,
     _extend_echelon,
@@ -47,7 +48,7 @@ class Arrangement:
 
     def __post_init__(self):
         normals = tuple(tuple(x for x in row) for row in self.normals)
-        lifts = tuple(Fraction(x) for x in self.lifts)
+        lifts = _as_fractions(self.lifts)
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "lifts", lifts)
         if self.n < 1:
@@ -99,6 +100,12 @@ class TorusData:
     embedding matrix of the subtorus. ``alpha`` is the moment map level
     determined by the lifts: ``alpha = basis @ lifts``.
 
+    Entries of ``alpha`` and ``lifts`` that are Fractions pass through as
+    they are, anything else is converted; the constructor checks the shapes
+    and that ``alpha`` is the level of the lifts. ``torus_data``, which
+    computes ``alpha`` from the basis itself, builds its result through
+    ``_torus_data`` without the repeat of that check.
+
     The basis choice is a convention; everything comparable across different
     bases (stability verdicts, chamber combinatorics) is basis independent
     and is tested as such.
@@ -112,8 +119,8 @@ class TorusData:
 
     def __post_init__(self):
         basis = tuple(tuple(row) for row in self.basis)
-        alpha = tuple(Fraction(a) for a in self.alpha)
-        lifts = tuple(Fraction(x) for x in self.lifts)
+        alpha = _as_fractions(self.alpha)
+        lifts = _as_fractions(self.lifts)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "lifts", lifts)
@@ -122,14 +129,30 @@ class TorusData:
         for row in basis:
             if len(row) != self.d:
                 raise ValueError("kernel basis vector has wrong length")
-        common, nums = _common_denominator(lifts)
-        sums = (sum(a * x for a, x in zip(row, nums)) for row in basis)
-        if any(a.numerator * common != s * a.denominator for a, s in zip(alpha, sums)):
+        if alpha != _level(basis, lifts):
             raise ValueError("alpha does not equal basis @ lifts")
 
     @property
     def n(self) -> int:
         return self.d - self.m
+
+
+def _level(basis, lifts) -> tuple:
+    """``basis @ lifts`` as Fractions, summed on integers over the lifts'
+    common denominator."""
+    common, nums = _common_denominator(lifts)
+    return tuple(Fraction(sum(a * x for a, x in zip(row, nums)), common) for row in basis)
+
+
+def _torus_data(d: int, basis: tuple, lifts: tuple) -> TorusData:
+    """``TorusData`` of a tuple-of-tuples basis and a tuple of Fraction
+    lifts, with ``alpha`` computed here, once: the constructor's checks
+    hold by construction, so they are not run again."""
+    td = object.__new__(TorusData)
+    fields = {"d": d, "m": len(basis), "basis": basis, "alpha": _level(basis, lifts), "lifts": lifts}
+    for name, value in fields.items():
+        object.__setattr__(td, name, value)
+    return td
 
 
 @scoped_cache
@@ -139,12 +162,8 @@ def torus_data(arr: Arrangement) -> TorusData:
     Deterministic: the kernel basis follows the pinned Hermite normal form
     convention of :mod:`corecover.linalg`.
     """
-    pi = transpose(arr.normals, ncols=arr.n)
-    basis = kernel_lattice(pi, ncols=arr.d)
-    # the lifts over their common denominator: the moment level on integers
-    common, nums = _common_denominator(arr.lifts)
-    alpha = tuple(Fraction(sum(a * x for a, x in zip(row, nums)), common) for row in basis)
-    return TorusData(d=arr.d, m=len(basis), basis=basis, alpha=alpha, lifts=arr.lifts)
+    basis = kernel_lattice(transpose(arr.normals, ncols=arr.n), ncols=arr.d)
+    return _torus_data(arr.d, basis, arr.lifts)
 
 
 def reorient(arr: Arrangement, eps) -> Arrangement:
@@ -176,7 +195,7 @@ def _direction_classes(arr: Arrangement) -> tuple:
     for i, (u, lift) in enumerate(zip(arr.normals, arr.lifts)):
         sign = 1 if next(x for x in u if x) > 0 else -1
         r = tuple(sign * x for x in u)
-        classes.setdefault(r, []).append((i, -sign * lift))
+        classes.setdefault(r, []).append((i, -lift if sign > 0 else lift))
     return tuple((r, tuple(members)) for r, members in classes.items())
 
 

@@ -6,12 +6,14 @@ incremental echelon form that walks subsets of vectors) stays in arbitrary
 precision integers. One HNF routine serves both lattice questions:
 ``hermite_normal_form`` reads ``U`` off identity columns appended to the
 input, and ``kernel_lattice`` reduces the transpose and its kernel rows in
-one pass. One fraction-free (Bareiss) forward elimination, with
-fraction-free back substitution, is behind rank, determinant and all three
-solvers; rational rows are first cleared of their denominators, which is
-done only in ``_common_denominator``. There is no floating point anywhere
-in this module: every downstream verdict is an exact feasibility question
-and rounding would corrupt it.
+one pass, unless the matrix has a unimodular pivot block, as the normal map
+of every regular arrangement does: then the kernel's HNF is read off that
+block with no HNF at all. One fraction-free (Bareiss) forward elimination,
+with fraction-free back substitution, is behind that read-off, rank,
+determinant and all three solvers; rational rows are first cleared of their
+denominators, which is done only in ``_common_denominator``. There is no
+floating point anywhere in this module: every downstream verdict is an
+exact feasibility question and rounding would corrupt it.
 """
 
 from __future__ import annotations
@@ -136,12 +138,28 @@ def kernel_lattice(mat, ncols: int | None = None) -> tuple:
     lattice vector lies outside the span). The canonical form is the HNF of
     the raw kernel rows, so equal inputs give identical bases.
 
-    One pass: the HNF of ``[mat^T | I]`` over all its columns. Once the
-    columns of ``mat^T`` are reduced, the rows that are zero there carry the
-    raw kernel rows in their tails, and the top rows hold every pivot of
-    those columns, so the remaining columns bring the kernel rows to their
-    own HNF while the top rows are only reduced. No transform of the kernel
-    rows is built.
+    If ``mat`` has full row rank and its lexicographically last independent
+    columns N form a block of determinant +-1, the HNF is read off that
+    block (``_unimodular_kernel``). Write P for the other columns and L for
+    the kernel lattice. The columns of a kernel basis are dependent exactly
+    as in the dual matroid of the columns of ``mat``, whose bases are the
+    complements of the bases of ``mat``'s columns; the pivot columns of an
+    echelon form are the greedy, lexicographically first, basis of that
+    matroid, and the greedy basis of the dual is the complement of the
+    greedy basis from the other end, so the HNF's pivot columns are P. The
+    projection of L to Z^P is one to one (a kernel vector that is 0 on P is
+    0, as N is independent), and it is onto: ``mat_N`` has an integral
+    inverse, so for each ``p`` in P the vector ``e_p - mat_N^{-1} mat_p``,
+    placed on the N columns, is integral and in L. So the pivots of the HNF
+    are all 1, the entries above them are reduced to 0, and row ``p`` of the
+    HNF is that vector, the only one in L that is ``e_p`` on P.
+
+    Otherwise (dependent rows, or no such block) one pass: the HNF of
+    ``[mat^T | I]`` over all its columns. Once the columns of ``mat^T`` are
+    reduced, the rows that are zero there carry the raw kernel rows in their
+    tails, and the top rows hold every pivot of those columns, so the
+    remaining columns bring the kernel rows to their own HNF while the top
+    rows are only reduced. No transform of the kernel rows is built.
     """
     if mat:
         width = len(mat[0])
@@ -149,10 +167,48 @@ def kernel_lattice(mat, ncols: int | None = None) -> tuple:
         if ncols is None:
             raise ValueError("kernel of an empty matrix needs ncols")
         width = ncols
+    basis = _unimodular_kernel(mat, width)
+    if basis is not None:
+        return basis
     k = len(mat)
     rows = [[r[j] for r in mat] + [int(i == j) for i in range(width)] for j in range(width)]
     _hnf(rows, k + width)
     return as_matrix(row[k:] for row in rows if not any(row[:k]))
+
+
+def _unimodular_kernel(mat, width: int) -> tuple | None:
+    """The HNF of the kernel of ``mat`` read off a unimodular pivot block
+    (see ``kernel_lattice``), or None if ``mat`` has dependent rows or its
+    lexicographically last independent columns have ``|det| != 1``.
+
+    One ``_bareiss`` pass over the columns in reverse order finds N and the
+    determinant. Every other column q rides along in the same rows as a
+    right-hand side: row k of the echelon form holds its entry for q where
+    q lies right of the row's pivot and is 0 elsewhere, and since q depends
+    on the pivot columns before it, only those rows take part in solving
+    ``mat_N x = mat_q``. The solution is integral, so each division of the
+    back substitution is exact.
+    """
+    rows = [list(reversed(r)) for r in mat]
+    pivots, _, last = _bareiss(rows, width)
+    if len(pivots) < len(mat) or abs(last) != 1:
+        return None
+    pivot_set = set(pivots)
+    basis = []
+    for q in reversed(range(width)):
+        if q in pivot_set:
+            continue
+        row_out = [0] * width
+        row_out[width - 1 - q] = 1
+        used = [c for c in pivots if c < q]
+        xs = {}
+        for k in reversed(range(len(used))):
+            row, col = rows[k], used[k]
+            rest = row[q] - sum(row[j] * xs[j] for j in used[k + 1:])
+            xs[col] = rest // row[col]
+            row_out[width - 1 - col] = -xs[col]
+        basis.append(tuple(row_out))
+    return tuple(basis)
 
 
 def _extend_echelon(rows, vec) -> tuple:
@@ -221,6 +277,12 @@ def _common_denominator(values) -> tuple:
         values = [x if type(x) in _EXACT else Fraction(x) for x in values]
     common = lcm(*[x.denominator for x in values])
     return common, [x.numerator * (common // x.denominator) for x in values]
+
+
+def _as_fractions(values) -> tuple:
+    """``values`` as a tuple of Fractions; a Fraction passes through as the
+    same object, anything else goes through ``Fraction``."""
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
 
 
 def _integer_rows(mat) -> tuple:
@@ -349,9 +411,11 @@ def lin_solve(mat, rhs) -> tuple | None:
     Free variables are set to zero, so the result is deterministic. Returns
     None when the system is inconsistent.
     """
+    ncols = len(mat[0]) if mat else 0
+    if any(len(r) != ncols for r in mat) or len(rhs) != len(mat):
+        raise ValueError("lin_solve requires rows of one length and one right-hand side per row")
     if not mat:
         return ()
-    ncols = len(mat[0])
     rows, _ = _integer_rows((*r, b) for r, b in zip(mat, rhs))
     pivots, _, last = _bareiss(rows, ncols)
     if any(row[ncols] for row in rows[len(pivots):]):

@@ -1,4 +1,5 @@
 import hashlib
+import pathlib
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -6,6 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import corecover.linalg as linalg
+from corecover import Arrangement, is_regular, parse_arrangement, torus_data
 from corecover.feasibility import Constraint, Relation
 from corecover.linalg import (
     det,
@@ -19,9 +22,11 @@ from corecover.linalg import (
     solve_square,
     transpose,
 )
+from corecover.randgen import DIRECTIONS, random_smooth_arrangement
 from util import (
     det_by_elimination,
     is_hnf_shape,
+    kernel_by_two_hnf,
     mat_mul,
     mat_vec,
     rank_by_elimination,
@@ -39,6 +44,14 @@ SOLVER_DIGEST = "886da1cea104128ac76eefa7ea22b6dd774d232ae8aa0e68a9843798d4c06e3
 # carried the transform by a second set of row updates and ran a second HNF,
 # transform included, on the kernel rows.
 LATTICE_DIGEST = "30578f9128add7cec60a9c799d71af4e1a027faec8be1400b7f1240cd327ec07"
+
+# SHA-256 of kernel_lattice of the transposed normals, torus_data (basis and
+# alpha) and the kernel of that basis over regular_arrangements(1957, 600),
+# recorded with the earlier implementation that ran the HNF of [mat^T | I]
+# for every kernel.
+REGULAR_DIGEST = "91cd37b78812b0f9020e70dd2234501207b6043d6c026df0c9c1a3dc5087c5c2"
+
+FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def small_matrix(max_rows=4, max_cols=4, lo=-9, hi=9):
@@ -99,6 +112,69 @@ def integer_matrices(seed, count):
             else:
                 rows.append(tuple(0 if rng.random() < 0.4 else rng.randint(-50, 50) for _ in range(ncols)))
         yield tuple(rows)
+
+
+def regular_arrangements(seed, count):
+    """Seeded regular arrangements, alternately ``random_smooth_arrangement``
+    draws (n = 1-3, d up to 8) and unimodular families as in the preflight
+    benchmark: every direction of ``randgen.DIRECTIONS[n]`` at least once,
+    up to d = 24, each normal with a sign of its own, lifts with mixed
+    denominators. Every nonsingular n-minor of the normals is +-1."""
+    rng = random.Random(seed)
+    for index in range(count):
+        n = rng.choice((1, 2, 3))
+        if index % 2 == 0:
+            yield random_smooth_arrangement(rng, n=n)
+            continue
+        dirs = DIRECTIONS[n]
+        d = rng.randint(len(dirs), 24)
+        picks = list(dirs) + [rng.choice(dirs) for _ in range(d - len(dirs))]
+        rng.shuffle(picks)
+        signs = [rng.choice((1, -1)) for _ in picks]
+        normals = tuple(tuple(e * x for x in u) for e, u in zip(signs, picks))
+        lifts = tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 7)) for _ in range(d))
+        yield Arrangement(n, normals, lifts)
+
+
+def pivot_block_matrices(seed, count):
+    """Seeded integer matrices ``U @ [A | B]`` up to 4 x 10: ``U`` a random
+    unimodular matrix, ``A`` random with entries up to +-5 and ``B`` the
+    identity, so the last columns are a unimodular pivot block, except about
+    a third of the time, when one entry of ``B`` is 2 or one row of ``B`` is
+    a copy of another (dependent rows)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randint(1, 4)
+        w = rng.randint(k, 10)
+        block = [[int(i == j) for j in range(k)] for i in range(k)]
+        roll = rng.random()
+        if roll < 0.15:
+            block[rng.randrange(k)][rng.randrange(k)] = 2
+        elif roll < 0.3 and k > 1:
+            block[-1] = list(block[0])
+        rows = [[rng.randint(-5, 5) for _ in range(w - k)] + b for b in block]
+        for _ in range(3 * k):
+            i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
+            if i != j:
+                c = rng.randint(-2, 2)
+                rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        yield tuple(tuple(r) for r in rows)
+
+
+def _hnf_calls(monkeypatch, fn, *args) -> int:
+    """Calls of ``linalg._hnf`` made while ``fn(*args)`` runs."""
+    calls = 0
+    inner = linalg._hnf
+
+    def counting(*a):
+        nonlocal calls
+        calls += 1
+        return inner(*a)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_hnf", counting)
+        fn(*args)
+    return calls
 
 
 class TestHermiteNormalForm:
@@ -182,6 +258,47 @@ class TestKernelLattice:
         assert kernel_lattice(m) == kernel_lattice(m)
 
 
+class TestKernelReadOff:
+    def test_agrees_with_two_hnf(self, monkeypatch):
+        # both paths of kernel_lattice against the two-HNF oracle: the
+        # read-off on unimodular pivot blocks, the one HNF pass elsewhere
+        paths = {True: 0, False: 0}
+        mats = [transpose(arr.normals, ncols=arr.n) for arr in regular_arrangements(271, 200)]
+        mats += list(pivot_block_matrices(314, 1000)) + list(integer_matrices(159, 500))
+        for mat in mats:
+            readoff = _hnf_calls(monkeypatch, kernel_lattice, mat) == 0
+            paths[readoff] += 1
+            assert kernel_lattice(mat) == kernel_by_two_hnf(mat, len(mat[0]))
+        assert paths[True] > 1000 and paths[False] > 600
+
+    def test_empty_matrix_reads_off_identity(self, monkeypatch):
+        assert _hnf_calls(monkeypatch, kernel_lattice, (), 3) == 0
+        assert kernel_lattice((), ncols=3) == kernel_by_two_hnf((), 3)
+
+    def test_regular_torus_data_runs_no_hnf(self, monkeypatch):
+        # the cache is bypassed, so every call computes its torus data
+        fixtures = [parse_arrangement(p.read_bytes()) for p in sorted(FIXTURE_DIR.glob("*.json"))]
+        assert len(fixtures) == 5
+        rng = random.Random(2000)
+        draws = [random_smooth_arrangement(rng) for _ in range(40)]
+        for arr in fixtures + draws:
+            assert _hnf_calls(monkeypatch, torus_data.__wrapped__, arr) == 0
+
+    @pytest.mark.parametrize(
+        "mat", [((1, 2, 3),), ((1, 1), (2, 2))], ids=["no unimodular block", "dependent rows"]
+    )
+    def test_falls_back_to_hnf(self, monkeypatch, mat):
+        assert _hnf_calls(monkeypatch, kernel_lattice, mat) >= 1
+        assert kernel_lattice(mat) == kernel_by_two_hnf(mat, len(mat[0]))
+
+    def test_non_regular_arrangement_falls_back(self, monkeypatch):
+        # the last two normals have determinant 2
+        arr = Arrangement(2, ((0, 1), (1, 0), (1, 2)), (0, 1, 0))
+        assert not is_regular(arr)
+        assert _hnf_calls(monkeypatch, torus_data.__wrapped__, arr) >= 1
+        assert torus_data(arr).basis == ((2, 1, -1),)
+
+
 class TestPinnedLattices:
     def test_population_digest(self):
         digest = hashlib.sha256()
@@ -189,6 +306,23 @@ class TestPinnedLattices:
             answers = [hermite_normal_form(mat), kernel_lattice(mat)]
             digest.update(repr(answers).encode() + b"\n")
         assert digest.hexdigest() == LATTICE_DIGEST
+
+
+class TestPinnedRegularKernels:
+    def test_population_digest(self):
+        # the read-off from a unimodular pivot block: only 16 of the 3,000
+        # LATTICE_DIGEST matrices take it, and every one of these does
+        digest = hashlib.sha256()
+        for arr in regular_arrangements(1957, 600):
+            td = torus_data(arr)
+            answers = [
+                kernel_lattice(transpose(arr.normals, ncols=arr.n), ncols=arr.d),
+                td.basis,
+                td.alpha,
+                kernel_lattice(td.basis, ncols=arr.d),
+            ]
+            digest.update(repr(answers).encode() + b"\n")
+        assert digest.hexdigest() == REGULAR_DIGEST
 
 
 class TestPrimitivity:
@@ -314,6 +448,15 @@ class TestSolvers:
                 unique = rank_by_elimination(mat) == len(mat)
                 assert solve_square(mat, rhs) == (expected if unique else None)
         assert inconsistent > 200
+
+    @pytest.mark.parametrize(
+        "mat, rhs",
+        [(((1, 0),), (5, 7)), (((1, 0), (0, 1)), (5,)), (((1, 0), (1,)), (5, 6)), ((), (5,))],
+        ids=["rhs too long", "rhs too short", "ragged rows", "empty matrix"],
+    )
+    def test_lin_solve_checks_shape(self, mat, rhs):
+        with pytest.raises(ValueError):
+            lin_solve(mat, rhs)
 
     def test_lin_solve_particular(self):
         sol = lin_solve(((1, 1, 0),), (5,))

@@ -1,8 +1,10 @@
 """Independent oracles, used by the test suite and by the scripts.
 
 These deliberately re-derive properties by different routes than the library
-(row reduction instead of the pinned HNF, elimination over Fractions instead
-of the fraction-free one for rank, determinant and the solvers, subset scans
+(row reduction instead of the pinned HNF, two HNFs instead of the one pass
+or the unimodular read-off for the kernel lattice, elimination over
+Fractions instead of the fraction-free one for rank, determinant and the
+solvers, subset scans
 over the hyperplanes instead of the direction classes for regularity,
 simplicity and trivial factors, full subset enumeration instead of the
 (n + 1)-bounded simplicity scan, interval analysis instead of elimination,
@@ -43,7 +45,15 @@ from corecover import (
     torus_data,
 )
 from corecover.feasibility import _dedup, _eliminate_column, _integerize
-from corecover.linalg import det, lin_solve, rank, solve_square, unit_vector
+from corecover.linalg import (
+    det,
+    hermite_normal_form,
+    lin_solve,
+    rank,
+    solve_square,
+    transpose,
+    unit_vector,
+)
 from corecover.quotient import _LETTER_ORDER, _complement_report
 from corecover.stability import (
     FULL_ALPHABET,
@@ -172,6 +182,17 @@ def is_hnf_shape(matrix) -> bool:
             if not 0 <= rows[k][pivot_col] < pivot:
                 return False
     return True
+
+
+def kernel_by_two_hnf(mat, ncols) -> tuple:
+    """The canonical kernel basis by two HNFs, not by ``kernel_lattice``'s
+    one pass or its read-off from a unimodular pivot block: the HNF of the
+    transpose with its transform ``U``, whose rows under the zero rows of
+    the HNF span the saturated kernel, then the HNF of those rows."""
+    t = transpose(mat, ncols)
+    h, u = hermite_normal_form(t, ncols=len(mat))
+    raw = [urow for hrow, urow in zip(h, u) if not any(hrow)]
+    return hermite_normal_form(raw)[0] if raw else ()
 
 
 def row_reduce_lattice_membership(basis, vector) -> bool:
