@@ -139,9 +139,10 @@ def regular_arrangements(seed, count):
 def pivot_block_matrices(seed, count):
     """Seeded integer matrices ``U @ [A | B]`` up to 4 x 10: ``U`` a random
     unimodular matrix, ``A`` random with entries up to +-5 and ``B`` the
-    identity, so the last columns are a unimodular pivot block, except about
-    a third of the time, when one entry of ``B`` is 2 or one row of ``B`` is
-    a copy of another (dependent rows)."""
+    identity, so the last columns are a unimodular pivot block. About 15% of
+    the time one entry of ``B`` is set to 2 (determinant 2 when it is on the
+    diagonal), and about 15% one row of ``B`` is a copy of another (dependent
+    rows)."""
     rng = random.Random(seed)
     for _ in range(count):
         k = rng.randint(1, 4)
@@ -153,11 +154,10 @@ def pivot_block_matrices(seed, count):
         elif roll < 0.3 and k > 1:
             block[-1] = list(block[0])
         rows = [[rng.randint(-5, 5) for _ in range(w - k)] + b for b in block]
-        for _ in range(3 * k):
-            i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
-            if i != j:
-                c = rng.randint(-2, 2)
-                rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        for _ in range(3 * k if k > 1 else 0):
+            i, j = rng.sample(range(k), 2)
+            c = rng.randint(-2, 2)
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
         yield tuple(tuple(r) for r in rows)
 
 
