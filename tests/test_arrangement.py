@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from corecover import (
     is_regular,
     is_simple,
     is_smooth,
+    parse_arrangement,
     reorient,
     torus_data,
     trivial_factors,
@@ -37,6 +40,13 @@ from util import (
 )
 
 F = Fraction
+
+FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+# SHA-256 of repr(torus_data(arr)) over the fixtures and 200 draws of
+# random_smooth_arrangement(random.Random(2503)), recorded with the earlier
+# record that took d, m and alpha as constructor inputs.
+TORUS_REPR_DIGEST = "2eea5f15370322862a2d08f9e9aa39abfbfe3033117e6cd51796754af5ee6f7f"
 
 
 class TestArrangementInvariants:
@@ -108,6 +118,18 @@ class TestTorusData:
         ):
             with pytest.raises(ValueError, match="alpha"):
                 TorusData(d=3, m=2, basis=basis, alpha=wrong, lifts=lifts)
+
+
+class TestPinnedTorusData:
+    def test_repr_digest(self):
+        arrangements = [parse_arrangement(p.read_text()) for p in sorted(FIXTURE_DIR.glob("*.json"))]
+        assert len(arrangements) == 5
+        rng = random.Random(2503)
+        arrangements += [random_smooth_arrangement(rng) for _ in range(200)]
+        digest = hashlib.sha256()
+        for arr in arrangements:
+            digest.update(repr(torus_data(arr)).encode() + b"\n")
+        assert digest.hexdigest() == TORUS_REPR_DIGEST
 
 
 class TestReorient:
