@@ -37,6 +37,7 @@ import sys
 import time
 
 from corecover import (
+    chamber,
     chart_complement,
     chart_semistable,
     core_empty_criterion,
@@ -107,6 +108,7 @@ def check_instance(arr) -> dict:
     )
     compact = theta_cpt(arr)
     chambers = extended_core(arr)
+    regions = {c.eps: chamber(arr, c.eps) for c in chambers}
     chart = all(
         chart_semistable(arr, eps, p)
         == hk_semistable_numeric(td, chart_pattern(eps, p)).semistable
@@ -146,12 +148,12 @@ def check_instance(arr) -> dict:
         "chambers": [c.eps for c in chambers]
         == [eps for eps in all_sign_vectors(arr.d) if geometric[full_pattern(eps)]]
         and all(
-            affine_dimension(c.chamber) == arr.n
-            and c.classification == (BOUNDED if is_bounded(c.chamber) else UNBOUNDED)
+            affine_dimension(regions[c.eps]) == arr.n
+            and c.classification == (BOUNDED if is_bounded(regions[c.eps]) else UNBOUNDED)
             for c in chambers
         )
         and all(
-            _chamber_vertices(arr, c.eps) == enumerate_vertices(c.chamber)
+            _chamber_vertices(arr, c.eps) == enumerate_vertices(regions[c.eps])
             for c in chambers
             if c.classification == BOUNDED
         ),

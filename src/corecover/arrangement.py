@@ -97,40 +97,34 @@ class TorusData:
     normal map, one vector of length ``d`` per row; read as a matrix it is
     exactly the ``m x d`` relation matrix whose column ``i`` is the image of
     the ``i``-th coordinate character, and its transpose is the ``d x m``
-    embedding matrix of the subtorus. ``alpha`` is the moment map level
-    determined by the lifts: ``alpha = basis @ lifts``.
-
-    Entries of ``alpha`` and ``lifts`` that are Fractions pass through as
-    they are, anything else is converted; the constructor checks the shapes
-    and that ``alpha`` is the level of the lifts. ``torus_data``, which
-    computes ``alpha`` from the basis itself, builds its result through
-    ``_torus_data`` without the repeat of that check.
+    embedding matrix of the subtorus. The record is built from ``basis``
+    and ``lifts`` alone: ``d = len(lifts)``, ``m = len(basis)`` and the
+    moment map level ``alpha = basis @ lifts`` are derived from them, so a
+    level that disagrees with the lifts cannot be passed in. Lifts that are
+    Fractions pass through as they are, anything else is converted; every
+    basis row must have ``d`` entries.
 
     The basis choice is a convention; everything comparable across different
     bases (stability verdicts, chamber combinatorics) is basis independent
     and is tested as such.
     """
 
-    d: int
-    m: int
+    d: int = field(init=False)
+    m: int = field(init=False)
     basis: tuple
-    alpha: tuple
+    alpha: tuple = field(init=False)
     lifts: tuple
 
     def __post_init__(self):
         basis = tuple(tuple(row) for row in self.basis)
-        alpha = _as_fractions(self.alpha)
         lifts = _as_fractions(self.lifts)
+        if any(len(row) != len(lifts) for row in basis):
+            raise ValueError("kernel basis vector has wrong length")
+        object.__setattr__(self, "d", len(lifts))
+        object.__setattr__(self, "m", len(basis))
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", _level(basis, lifts))
         object.__setattr__(self, "lifts", lifts)
-        if len(basis) != self.m or len(alpha) != self.m or len(lifts) != self.d:
-            raise ValueError("inconsistent torus data shapes")
-        for row in basis:
-            if len(row) != self.d:
-                raise ValueError("kernel basis vector has wrong length")
-        if alpha != _level(basis, lifts):
-            raise ValueError("alpha does not equal basis @ lifts")
 
     @property
     def n(self) -> int:
@@ -144,17 +138,6 @@ def _level(basis, lifts) -> tuple:
     return tuple(Fraction(sum(a * x for a, x in zip(row, nums)), common) for row in basis)
 
 
-def _torus_data(d: int, basis: tuple, lifts: tuple) -> TorusData:
-    """``TorusData`` of a tuple-of-tuples basis and a tuple of Fraction
-    lifts, with ``alpha`` computed here, once: the constructor's checks
-    hold by construction, so they are not run again."""
-    td = object.__new__(TorusData)
-    fields = {"d": d, "m": len(basis), "basis": basis, "alpha": _level(basis, lifts), "lifts": lifts}
-    for name, value in fields.items():
-        object.__setattr__(td, name, value)
-    return td
-
-
 @scoped_cache
 def torus_data(arr: Arrangement) -> TorusData:
     """Kernel lattice and moment level of an arrangement.
@@ -163,7 +146,7 @@ def torus_data(arr: Arrangement) -> TorusData:
     convention of :mod:`corecover.linalg`.
     """
     basis = kernel_lattice(transpose(arr.normals, ncols=arr.n), ncols=arr.d)
-    return _torus_data(arr.d, basis, arr.lifts)
+    return TorusData(basis, arr.lifts)
 
 
 def reorient(arr: Arrangement, eps) -> Arrangement:

@@ -21,7 +21,9 @@ the arrangement's vertices whose sign vectors conform to it.
 Density compares each chamber's verdict with the numeric side, the dense
 patterns whose numeric system has a vertex conforming to them: the
 C(d, n) square systems of the torus data are solved once, in d
-variables, and no sweep solves an LP.
+variables, and no sweep solves an LP. Nothing here builds a polyhedron
+either: a core component is its sign vector and classification, and the
+chamber as a system of inequalities is ``stability.chamber(arr, eps)``.
 
 Everything is exhaustive and exact, guarded against exponential blowup by a
 hyperplane-count limit that can be forced off.
@@ -43,7 +45,6 @@ from .arrangement import (
     trivial_factors,
 )
 from .errors import GuardError
-from .feasibility import Polyhedron
 from .linalg import det
 from .memo import scoped_cache
 from .stability import (
@@ -56,7 +57,6 @@ from .stability import (
     _pattern_mask,
     _pattern_masks,
     full_pattern,
-    state_set,
 )
 
 DEFAULT_MAX_COVER_D = 12
@@ -69,10 +69,10 @@ UNBOUNDED = "unbounded"
 @dataclass(frozen=True)
 class CoreComponent:
     """One extended-core stratum: the nonempty chamber of a sign vector,
-    classified bounded or unbounded; it is n-dimensional (see core)."""
+    classified bounded or unbounded; it is n-dimensional (see core). The
+    chamber itself, as a polyhedron, is ``chamber(arr, eps)``."""
 
     eps: tuple
-    chamber: Polyhedron
     classification: str
 
 
@@ -177,7 +177,7 @@ def _extended_core_cached(arr: Arrangement) -> tuple:
         # a leaf of the tree is nonempty: bounded iff no ray sign conforms
         unbounded = any(all(s * e >= 0 for s, e in zip(sigma, eps)) for sigma in rays)
         kind = UNBOUNDED if unbounded else BOUNDED
-        components.append(CoreComponent(eps, state_set(arr, pattern), kind))
+        components.append(CoreComponent(eps, kind))
     return tuple(components)
 
 

@@ -1,8 +1,12 @@
 """Seeded random instances for tests and experiment scripts.
 
 Normals are drawn from unimodular direction families (any independent
-n-subset has determinant +-1), so regularity holds by construction and only
-simplicity needs rejection sampling. Everything is driven by an explicit
+n-subset has determinant +-1), but with a sign drawn per entry, not per
+normal, so a draw can leave its family: (1, 1) also comes out as (1, -1),
+and the pair (1, 1), (1, -1) has determinant 2. Regularity is therefore
+not built in; ``is_smooth`` rejects irregular draws as well as non-simple
+ones. The seeded populations of the tests and the benchmark are built on
+this draw, so it stays as it is. Everything is driven by an explicit
 random.Random, so runs are reproducible from a seed.
 """
 
@@ -16,7 +20,8 @@ from .quotient import core
 from .stability import FULL_ALPHABET
 
 # Direction families closed under the pairwise/triplewise unimodularity that
-# regularity demands. Signs are drawn separately.
+# regularity demands, up to one sign per normal. Signs are drawn per entry,
+# which also gives normals outside a family, such as (1, -1).
 DIRECTIONS = {
     1: ((1,),),
     2: ((1, 0), (0, 1), (1, 1)),

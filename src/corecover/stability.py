@@ -413,7 +413,9 @@ def pattern_realizable(arr: Arrangement, pattern) -> bool:
 def reorient_pattern(pattern, eps) -> tuple:
     """Relabel a pattern under reorientation: Z and W swap where the sign is
     -1 (the coordinate pair rotates), ZERO and BOTH are fixed. Involutive."""
-    eps = check_sign_vector(eps, len(tuple(pattern)))
+    eps = tuple(eps)
+    pattern = check_pattern(pattern, len(eps))
+    eps = check_sign_vector(eps, len(eps))
     out = []
     for e, status in zip(eps, pattern):
         if e == -1 and status is Status.Z:

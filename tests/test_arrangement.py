@@ -102,22 +102,12 @@ class TestTorusData:
         )
 
     def test_validates_alpha(self):
-        with pytest.raises(ValueError):
-            TorusData(d=2, m=1, basis=((1, 1),), alpha=(F(5),), lifts=(1, 1))
-        # mixed denominators: the level is checked over their common one, 12
+        # alpha is derived, not passed in; with mixed denominators the level
+        # is summed over their common one, 12
         basis = ((1, 1, -1), (0, 2, 1))
         lifts = (F(1, 2), F(-2, 3), F(3, 4))
         right = (F(-11, 12), F(-7, 12))
-        assert TorusData(d=3, m=2, basis=basis, alpha=right, lifts=lifts).alpha == right
-        for wrong in (
-            (F(-11, 6), right[1]),
-            (F(11, 12), right[1]),
-            (right[0], F(-7, 24)),
-            (right[0], F(-7)),
-            (-11, -7),
-        ):
-            with pytest.raises(ValueError, match="alpha"):
-                TorusData(d=3, m=2, basis=basis, alpha=wrong, lifts=lifts)
+        assert TorusData(basis, lifts).alpha == right
 
 
 class TestPinnedTorusData:
@@ -381,7 +371,7 @@ class TestChambers:
 
 class TestSolutionSpace:
     def test_diagonal_h3(self):
-        td = TorusData(d=3, m=1, basis=((1, 1, 1),), alpha=(F(3),), lifts=(1, 1, 1))
+        td = TorusData(basis=((1, 1, 1),), lifts=(1, 1, 1))
         space = solution_space(td)
         assert space.particular == (F(1), F(1), F(1))
         assert space.homogeneous_basis == ((1, 0, -1), (0, 1, -1))
@@ -437,7 +427,7 @@ class TestSolutionSpace:
 
 class TestQuotientReconstruction:
     def test_diagonal_h3(self):
-        td = TorusData(d=3, m=1, basis=((1, 1, 1),), alpha=(F(3),), lifts=(1, 1, 1))
+        td = TorusData(basis=((1, 1, 1),), lifts=(1, 1, 1))
         arr = arrangement_from_quotient(td)
         assert arr.n == 2
         assert arr.normals == ((1, 0), (0, 1), (-1, -1))
@@ -454,7 +444,7 @@ class TestQuotientReconstruction:
         assert back.lifts == trivial_product.lifts
 
     def test_single_coordinate_projection(self):
-        td = TorusData(d=2, m=1, basis=((1, 1),), alpha=(F(1),), lifts=(1, 0))
+        td = TorusData(basis=((1, 1),), lifts=(1, 0))
         arr = arrangement_from_quotient(td)
         assert arr.n == 1 and arr.d == 2
 
@@ -481,7 +471,7 @@ class TestQuotientReconstruction:
                 )
 
     def test_requires_nontrivial_quotient(self):
-        td = TorusData(d=1, m=1, basis=((1,),), alpha=(F(1),), lifts=(1,))
+        td = TorusData(basis=((1,),), lifts=(1,))
         with pytest.raises(ValueError):
             arrangement_from_quotient(td)
 

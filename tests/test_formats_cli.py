@@ -19,6 +19,7 @@ from corecover import (
     serialize_arrangement,
 )
 import corecover.cli as cli
+import corecover.feasibility as feasibility
 import corecover.quotient as quotient
 from corecover.cli import main
 from corecover.stability import Status
@@ -406,6 +407,26 @@ def _fixture_runs(d):
     runs += [["complement", "--chart", c] for c in charts]
     runs += [["report", "--chart", c] for c in charts]
     return runs
+
+
+class TestReportBuildsNoPolyhedron:
+    def test_fixture_reports(self, monkeypatch):
+        # the report reads vertex masks and numeric vertices; a core
+        # component is its sign vector and classification, no polyhedron
+        built = []
+        real = feasibility.Polyhedron.__post_init__
+        monkeypatch.setattr(
+            feasibility.Polyhedron, "__post_init__", lambda self: built.append(self) or real(self)
+        )
+        reports = 0
+        for path in sorted(FIXTURE_DIR.glob("*.json")):
+            arr = parse_arrangement(path.read_bytes())
+            for _, _, chart in _fixture_runs(arr.d)[-3:]:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    main(["report", str(path), "--chart", chart])
+                reports += "complement" in out.getvalue()
+        assert built == [] and reports >= 5
 
 
 class TestPinnedOutput:

@@ -13,6 +13,7 @@ from corecover import (
     GuardError,
     UNBOUNDED,
     all_sign_vectors,
+    chamber,
     chart_complement,
     core,
     core_empty_criterion,
@@ -102,22 +103,22 @@ class TestExtendedCore:
         compact = core(hirzebruch)
         assert [c.eps for c in compact] == [(1, 1, 1, 1), (1, 1, 1, -1)]
         triangle = compact[1]
-        assert enumerate_vertices(triangle.chamber) == [
+        assert enumerate_vertices(chamber(hirzebruch, triangle.eps)) == [
             (F(-1), F(1)),
             (F(-1), F(2)),
             (F(0), F(1)),
         ]
-        assert all(affine_dimension(c.chamber) == 2 for c in compact)
+        assert all(affine_dimension(chamber(hirzebruch, c.eps)) == 2 for c in compact)
 
     def test_triangle_pair_core(self, triangle_pair):
         compact = core(triangle_pair)
         assert [c.eps for c in compact] == [(1, 1, 1, 1), (-1, 1, -1, 1)]
-        assert enumerate_vertices(compact[0].chamber) == [
+        assert enumerate_vertices(chamber(triangle_pair, compact[0].eps)) == [
             (F(-1), F(-1)),
             (F(-1), F(2)),
             (F(2), F(-1)),
         ]
-        assert enumerate_vertices(compact[1].chamber) == [
+        assert enumerate_vertices(chamber(triangle_pair, compact[1].eps)) == [
             (F(-2), F(3)),
             (F(-1), F(2)),
             (F(-1), F(3)),
@@ -155,7 +156,7 @@ class TestExtendedCore:
             monkeypatch.undo()
             assert solved == []
             for c in components:
-                assert c.classification == (BOUNDED if is_bounded(c.chamber) else UNBOUNDED)
+                assert c.classification == (BOUNDED if is_bounded(chamber(arr, c.eps)) else UNBOUNDED)
 
     def test_classification_matches_is_bounded(self):
         # n = 1-4, d <= 7, primitive normals with parallel pairs; many of
@@ -164,7 +165,7 @@ class TestExtendedCore:
         bounded = 0
         for arr in population:
             for c in quotient._extended_core_cached(arr):
-                assert c.classification == (BOUNDED if is_bounded(c.chamber) else UNBOUNDED)
+                assert c.classification == (BOUNDED if is_bounded(chamber(arr, c.eps)) else UNBOUNDED)
                 bounded += c.classification == BOUNDED
         assert {arr.n for arr in population} == {1, 2, 3, 4}
         assert 0 < sum(map(is_smooth, population)) < 120 and bounded > 100
@@ -228,7 +229,7 @@ class TestChamberVertices:
         listed = 0
         for arr in arrangements:
             for c in quotient._extended_core_cached(arr):
-                assert quotient._chamber_vertices(arr, c.eps) == enumerate_vertices(c.chamber)
+                assert quotient._chamber_vertices(arr, c.eps) == enumerate_vertices(chamber(arr, c.eps))
                 listed += 1
         assert listed > 1000
 
@@ -294,7 +295,7 @@ class TestCoreEmptyCriterion:
         for _ in range(20):
             arr = random_smooth_arrangement(rng, max_d=5)
             for component in extended_core(arr):
-                assert affine_dimension(component.chamber) == arr.n
+                assert affine_dimension(chamber(arr, component.eps)) == arr.n
 
 
 class TestVerifyCovering:

@@ -108,7 +108,7 @@ class TestToricClosedOrbit:
         assert toric_closed_orbit(td, {0, 2, 3})
 
     def test_cone_boundary(self):
-        td = TorusData(d=1, m=1, basis=((1,),), alpha=(F(0),), lifts=(0,))
+        td = TorusData(basis=((1,),), lifts=(0,))
         assert toric_semistable_numeric(td, {0}).semistable
         assert not toric_closed_orbit(td, {0})
 
@@ -294,6 +294,15 @@ class TestReorientPattern:
 
     def test_both_and_zero_fixed(self):
         assert reorient_pattern((B, O), (-1, -1)) == (B, O)
+
+    def test_reads_an_iterator_once(self):
+        assert reorient_pattern(iter((Z, W, O)), (-1, 1, -1)) == (W, W, O)
+
+    def test_rejects_non_status_entries(self):
+        with pytest.raises(ValueError, match="Status"):
+            reorient_pattern(("x", "y", "z"), (1, -1, 1))
+        with pytest.raises(ValueError, match="length"):
+            reorient_pattern((Z, W), (1, -1, 1))
 
 
 class TestMonotonicity:
@@ -545,7 +554,8 @@ class TestNumericChambers:
                 else:
                     c = rng.choice((-2, -1, 1, 2))
                     rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
-            other = TorusData(td.d, td.m, [r[:-1] for r in rows], [r[-1] for r in rows], td.lifts)
+            other = TorusData([r[:-1] for r in rows], td.lifts)
+            assert other.alpha == tuple(r[-1] for r in rows)
             changed += other.basis != td.basis
             expected = stability._numeric_chambers(td)
             assert stability._numeric_chambers(other) == expected

@@ -35,6 +35,7 @@ from corecover import (
     Polyhedron,
     Relation,
     all_sign_vectors,
+    chamber,
     core,
     full_pattern,
     hk_semistable_geometric,
@@ -378,15 +379,15 @@ def adjacency_lemma_check(arr) -> bool:
     the chart by the numeric system: the chart pattern's state set is that
     same intersection, so deciding the chart on it would be a tautology.
     """
-    compact = core(arr, force=True)
+    compact = [(c.eps, chamber(arr, c.eps).constraints) for c in core(arr, force=True)]
     td = torus_data(arr)
     for pattern in _nonempty_patterns(arr):
         st = state_set(arr, pattern)
-        for component in compact:
-            meet = Polyhedron(arr.n, st.constraints + component.chamber.constraints)
+        for eps, walls in compact:
+            meet = Polyhedron(arr.n, st.constraints + walls)
             if not is_feasible(meet).feasible:
                 continue
-            if not hk_semistable_numeric(td, chart_pattern(component.eps, pattern)).semistable:
+            if not hk_semistable_numeric(td, chart_pattern(eps, pattern)).semistable:
                 return False
     return True
 
