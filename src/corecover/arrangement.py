@@ -21,7 +21,7 @@ from .linalg import (
     _bareiss,
     _common_denominator,
     _extend_echelon,
-    det,
+    _int_det,
     is_primitive,
     kernel_lattice,
     primitive_scale,
@@ -205,19 +205,53 @@ def _circuits(vectors):
                 yield prefix + (k,), relation
 
 
+@scoped_cache
+def _class_echelons(arr: Arrangement) -> dict:
+    """The memo behind ``_class_echelon``, one per arrangement: class
+    bitmask to echelon form, the empty mask to the empty form."""
+    return {0: ()}
+
+
+def _class_echelon(arr: Arrangement, mask: int) -> tuple:
+    """The ``_extend_echelon`` form of the representatives of the direction
+    classes (indices into ``_direction_classes``) whose bits are set in
+    ``mask``; its length is their rank.
+
+    It is the form of ``mask`` without its highest class, extended by that
+    class (kept as is if the class depends on the others): one reduction
+    per memo entry. A query walks down to its nearest memoized ancestor and
+    builds up from there in a loop, so it builds only the at most D
+    prefixes it reads and never a table of all 2^D masks.
+    """
+    memo = _class_echelons(arr)
+    form = memo.get(mask)
+    if form is None:
+        missing, prefix = [], mask
+        while prefix not in memo:
+            top = prefix.bit_length() - 1
+            missing.append(top)
+            prefix ^= 1 << top
+        form = memo[prefix]
+        reps = _direction_classes(arr)
+        for top in reversed(missing):
+            prefix |= 1 << top
+            form = memo[prefix] = _extend_echelon(form, reps[top][0])[0] or form
+    return form
+
+
 def _independent_classes(arr: Arrangement, chosen) -> bool:
     """Does each chosen direction class (indices into ``_direction_classes``)
     lie outside the span of the classes not chosen? The one matroid question
-    behind trivial factors and realizability: one fraction-free echelon form
-    of the other representatives, against which each chosen one is reduced.
-    On a regular arrangement D <= n(n+1)/2 (Heller, 1957), so that is at
-    most D reductions in Q^n."""
-    reps = [r for r, _ in _direction_classes(arr)]
-    echelon = ()
-    for k, r in enumerate(reps):
-        if k not in chosen:
-            echelon = _extend_echelon(echelon, r)[0] or echelon
-    return all(_extend_echelon(echelon, reps[k])[0] is not None for k in chosen)
+    behind trivial factors and realizability: class k does iff adding it to
+    the others raises their rank, ``rank(others | k) > rank(others)``, both
+    read off ``_class_echelon``, so a scan over the subsets of the classes
+    pays one reduction per subset in all."""
+    chosen_mask = 0
+    for k in chosen:
+        chosen_mask |= 1 << k
+    others = ((1 << len(_direction_classes(arr))) - 1) & ~chosen_mask
+    base = len(_class_echelon(arr, others))
+    return all(len(_class_echelon(arr, others | 1 << k)) > base for k in chosen)
 
 
 @scoped_cache
@@ -268,12 +302,14 @@ def is_regular(arr: Arrangement) -> bool:
     Decided on the D direction classes (see ``_direction_classes``) instead
     of the d hyperplanes: an n-subset that holds a parallel pair has
     determinant 0, and flipping a normal's sign does not change |det|, so
-    the C(D, n) determinants of the class representatives decide. A regular
-    arrangement has at most n(n+1)/2 classes (Heller, 1957), so for smooth
-    input the cost follows n, not d.
+    the C(D, n) determinants of the class representatives decide. They are
+    integer matrices, so each determinant is one integer elimination
+    (``_int_det``), with no denominators to clear. A regular arrangement has
+    at most n(n+1)/2 classes (Heller, 1957), so for smooth input the cost
+    follows n, not d.
     """
     reps = [r for r, _ in _direction_classes(arr)]
-    return all(abs(det(sub)) <= 1 for sub in itertools.combinations(reps, arr.n))
+    return all(abs(_int_det(sub)) <= 1 for sub in itertools.combinations(reps, arr.n))
 
 
 @scoped_cache
@@ -392,7 +428,8 @@ def trivial_factors(arr: Arrangement) -> tuple:
     is empty exactly when such indices exist (reported, not assumed). A
     hyperplane with a parallel partner never qualifies, since the partner
     spans its direction, so only singleton direction classes (see
-    ``_direction_classes``) are tested, each by ``_independent_classes``.
+    ``_direction_classes``) are tested, each by ``_independent_classes``,
+    whose memoized forms make all the queries together O(D^2) reductions.
     """
     classes = _direction_classes(arr)
     out = [

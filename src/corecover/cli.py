@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from collections import namedtuple
+from json.encoder import encode_basestring_ascii
 
 from .arrangement import all_sign_vectors, is_regular, is_simple, torus_data
 from .errors import ParseError
@@ -49,8 +49,39 @@ def _load_arrangement(path):
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
 
 
+def _dumps(value, newline="\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for the types the
+    commands build: dicts with str keys, lists, str, int, bool and None;
+    any other type raises ``TypeError``. With ``indent`` set, ``json.dumps``
+    encodes in pure Python, token by token; this builds each container with
+    one ``str.join`` over its encoded items. ``newline`` is the line break
+    and indentation of the container that holds ``value``."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return str(value)
+    inner = newline + "  "
+    if type(value) is list:
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_dumps(x, inner) for x in value]) + newline + "]"
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is no str
+        items = [encode_basestring_ascii(k) + ": " + _dumps(x, inner) for k, x in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"cannot encode {type(value).__name__} as JSON")
+
+
 def _emit(payload):
-    print(json.dumps(payload, indent=2))
+    print(_dumps(payload))
 
 
 def _point_json(point):

@@ -1,19 +1,19 @@
 """Exact integer and rational linear algebra.
 
 Matrices are immutable tuples of row tuples, vectors are plain tuples.
-Integer work (Hermite normal form, saturated kernels, primitivity, the
-incremental echelon form that walks subsets of vectors) stays in arbitrary
-precision integers. One HNF routine serves both lattice questions:
-``hermite_normal_form`` reads ``U`` off identity columns appended to the
-input, and ``kernel_lattice`` reduces the transpose and its kernel rows in
-one pass, unless the matrix has a unimodular pivot block, as the normal map
-of every regular arrangement does: then the kernel's HNF is read off that
-block with no HNF at all. One fraction-free (Bareiss) forward elimination,
-with fraction-free back substitution, is behind that read-off, rank,
-determinant and all three solvers; rational rows are first cleared of their
-denominators, which is done only in ``_common_denominator``. There is no
-floating point anywhere in this module: every downstream verdict is an
-exact feasibility question and rounding would corrupt it.
+Integer work (Hermite normal form, saturated kernels, primitivity, integer
+determinants, the incremental echelon form that walks subsets of vectors)
+stays in arbitrary precision integers. The one HNF routine, ``_hnf``,
+reduces the transpose and its kernel rows in one pass in
+``kernel_lattice``, unless the matrix has a unimodular pivot block, as the
+normal map of every regular arrangement does: then the kernel's HNF is read
+off that block with no HNF at all. One fraction-free (Bareiss) forward
+elimination, with fraction-free back substitution, is behind that read-off,
+rank, the integer determinant and both square solvers; rational rows are
+first cleared of their denominators, which is done only in
+``_common_denominator``. There is no floating point anywhere in this
+module: every downstream verdict is an exact feasibility question and
+rounding would corrupt it.
 """
 
 from __future__ import annotations
@@ -113,21 +113,6 @@ def _hnf(rows, width: int) -> None:
             if q:
                 row[col:] = [x - q * y for x, y in zip(row[col:], head)]
         pivot_row += 1
-
-
-def hermite_normal_form(mat, ncols: int | None = None) -> tuple:
-    """Row-style Hermite normal form with transformation matrix.
-
-    Returns ``(H, U)`` where ``H == U @ mat``, ``U`` is unimodular, pivot
-    entries are positive, entries above each pivot are reduced into
-    ``[0, pivot)`` and zero rows come last. The convention is pinned so that
-    every kernel basis derived from it is reproducible bit for bit.
-    """
-    width = len(mat[0]) if mat else (ncols or 0)
-    nrows = len(mat)
-    rows = [list(r) + [int(i == j) for j in range(nrows)] for i, r in enumerate(mat)]
-    _hnf(rows, width)
-    return as_matrix(r[:width] for r in rows), as_matrix(r[width:] for r in rows)
 
 
 def kernel_lattice(mat, ncols: int | None = None) -> tuple:
@@ -285,17 +270,11 @@ def _as_fractions(values) -> tuple:
     return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
 
 
-def _integer_rows(mat) -> tuple:
-    """``(rows, scale)``: each rational row as an integer list over its own
-    common denominator, and ``scale`` the product of those denominators.
-    Scaling rows keeps the rank, the pivot columns and the solutions, and
-    multiplies the determinant by ``scale``."""
-    rows, scale = [], 1
-    for row in mat:
-        common, ints = _common_denominator(row)
-        rows.append(ints)
-        scale *= common
-    return rows, scale
+def _integer_rows(mat) -> list:
+    """Each rational row as an integer list over its own common
+    denominator. Scaling rows keeps the rank, the pivot columns and the
+    solutions."""
+    return [_common_denominator(row)[1] for row in mat]
 
 
 def _bareiss(rows, width: int) -> tuple:
@@ -356,18 +335,17 @@ def _back_substitute(rows, pivots, last, width: int) -> list:
 
 def rank(mat) -> int:
     """Exact rank over the rationals."""
-    rows, _ = _integer_rows(mat)
+    rows = _integer_rows(mat)
     return len(_bareiss(rows, len(mat[0]) if mat else 0)[0])
 
 
-def det(mat) -> Fraction:
-    """Exact determinant of a square matrix over the rationals."""
-    n = len(mat)
-    if any(len(r) != n for r in mat):
-        raise ValueError("determinant requires a square matrix")
-    rows, scale = _integer_rows(mat)
-    pivots, sign, last = _bareiss(rows, n)
-    return Fraction(sign * last, scale) if len(pivots) == n else Fraction(0)
+def _int_det(rows) -> int:
+    """Determinant of a square integer matrix by one ``_bareiss`` pass on
+    copies of its rows: ``sign * last``, or 0 if it is singular. Integer
+    input needs no denominators cleared and no ``Fraction`` built."""
+    rows = [list(row) for row in rows]
+    pivots, sign, last = _bareiss(rows, len(rows))
+    return sign * last if len(pivots) == len(rows) else 0
 
 
 def solve_square(mat, rhs) -> tuple | None:
@@ -375,7 +353,7 @@ def solve_square(mat, rhs) -> tuple | None:
     n = len(mat)
     if any(len(r) != n for r in mat) or len(rhs) != n:
         raise ValueError("solve_square requires an n x n matrix and n right-hand sides")
-    rows, _ = _integer_rows((*r, b) for r, b in zip(mat, rhs))
+    rows = _integer_rows((*r, b) for r, b in zip(mat, rhs))
     pivots, _, last = _bareiss(rows, n)
     if len(pivots) < n:
         return None
@@ -403,21 +381,3 @@ def solve_integer(mat, rhs) -> tuple | None:
     if last < 0:
         return tuple(-x for x in nums), -last
     return tuple(nums), last
-
-
-def lin_solve(mat, rhs) -> tuple | None:
-    """A particular rational solution of a general linear system.
-
-    Free variables are set to zero, so the result is deterministic. Returns
-    None when the system is inconsistent.
-    """
-    ncols = len(mat[0]) if mat else 0
-    if any(len(r) != ncols for r in mat) or len(rhs) != len(mat):
-        raise ValueError("lin_solve requires rows of one length and one right-hand side per row")
-    if not mat:
-        return ()
-    rows, _ = _integer_rows((*r, b) for r, b in zip(mat, rhs))
-    pivots, _, last = _bareiss(rows, ncols)
-    if any(row[ncols] for row in rows[len(pivots):]):
-        return None
-    return tuple(Fraction(x, last) for x in _back_substitute(rows, pivots, last, ncols))

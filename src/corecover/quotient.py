@@ -45,7 +45,7 @@ from .arrangement import (
     trivial_factors,
 )
 from .errors import GuardError
-from .linalg import det
+from .linalg import _int_det
 from .memo import scoped_cache
 from .stability import (
     NO_BOTH_ALPHABET,
@@ -155,12 +155,14 @@ def _ray_signs(arr: Arrangement) -> tuple:
     ``eps``, and is then a nonzero vector of K. Hence the C(D, n - 1)
     cofactors of the representatives (``c = (1,)`` for n = 1) and their
     negations decide every chamber with no LP; the argument uses only that
-    the normals span, so it is exact on input that is not smooth.
+    the normals span, so it is exact on input that is not smooth. The
+    representatives are integer vectors, so each of the n minors behind a
+    cofactor is one integer elimination (``_int_det``).
     """
     reps = [r for r, _ in _direction_classes(arr)]
     signs = {}
     for subset in itertools.combinations(reps, arr.n - 1):
-        c = [(-1) ** j * int(det([row[:j] + row[j + 1:] for row in subset])) for j in range(arr.n)]
+        c = [(-1) ** j * _int_det([row[:j] + row[j + 1:] for row in subset]) for j in range(arr.n)]
         if any(c):
             dots = (sum(a * b for a, b in zip(u, c)) for u in arr.normals)
             sigma = tuple((x > 0) - (x < 0) for x in dots)
@@ -333,13 +335,16 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
 
     A realizable BOTH set is a union of direction classes (see
     ``pattern_realizable``), so the candidates are the 2^D class subsets,
-    the empty one standing for the BOTH-free patterns. For each realizable
-    one the sweep walks the nonempty state sets with BOTH on it and Z, W or
-    0 elsewhere (``_pattern_masks``), and lists those outside the chart, in
-    the order of the full four-letter alphabet. A leaf is outside the chart
-    iff its vertex mask misses the chamber's (``_chamber_mask``), computed
-    once, so the only verdict read is the chamber check, and nothing solves
-    an LP. Reports whether every excluded pattern is BOTH-free (hence in the
+    the empty one standing for the BOTH-free patterns. Each is tested by
+    ``_independent_classes``, which reads ranks off the echelon forms that
+    ``_class_echelon`` memoizes by class bitmask, so the scan pays one
+    reduction per subset in all, not D. For each realizable one the sweep
+    walks the nonempty state sets with BOTH on it and Z, W or 0 elsewhere
+    (``_pattern_masks``), and lists those outside the chart, in the order
+    of the full four-letter alphabet. A leaf is outside the chart iff its
+    vertex mask misses the chamber's (``_chamber_mask``), computed once, so
+    the only verdict read is the chamber check, and nothing solves an LP.
+    Reports whether every excluded pattern is BOTH-free (hence in the
     extended core) and how large the excluded state sets get.
     """
     _require_smooth(arr)

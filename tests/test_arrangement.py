@@ -1,7 +1,9 @@
 import hashlib
 import itertools
+import math
 import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,13 +28,15 @@ from corecover import (
 import corecover.arrangement as arrangement
 import corecover.linalg as linalg
 from corecover.arrangement import solution_space
-from corecover.linalg import det, transpose
+from corecover.linalg import transpose
 from corecover.randgen import random_smooth_arrangement
 from corecover.stability import FULL_ALPHABET
 from util import (
     brute_force_simple,
+    det,
     enumerate_vertices,
     mat_vec,
+    rescan_independent_classes,
     subset_regular,
     subset_simple,
     subset_trivial_factors,
@@ -474,6 +478,64 @@ class TestQuotientReconstruction:
         td = TorusData(basis=((1,),), lifts=(1,))
         with pytest.raises(ValueError):
             arrangement_from_quotient(td)
+
+
+def _fan_directions(count):
+    """The first ``count`` primitive directions ``(a, b)`` with ``0 <= b <=
+    a``, pairwise non-parallel: one direction class each, far from regular
+    once ``count > 3``."""
+    out = []
+    for a in itertools.count(1):
+        out.extend((a, b) for b in range(a + 1) if math.gcd(a, b) == 1)
+        if len(out) >= count:
+            return tuple(out[:count])
+
+
+class TestClassEchelon:
+    def test_agrees_with_rescan_on_every_subset(self):
+        # the memoized ranks against a fresh echelon form per query, on all
+        # 2^D class subsets in a shuffled order, so the memo is met in many
+        # states: smooth draws, draws with parallel copies and dependent
+        # normals, non-parallel n = 3 normals (D = 8) and three classes of
+        # 10 and 20 hyperplanes
+        rng = random.Random(26)
+        population = [random_smooth_arrangement(rng, max_d=8) for _ in range(60)]
+        population += _oracle_population(rng, 120) + _distinct_directions(rng, 6)
+        population += [three_class_arrangement(rng, k) for k in (10, 20)]
+        smooth = verdicts = 0
+        seen = set()
+        for arr in population:
+            smooth += is_smooth(arr)
+            classes = len(arrangement._direction_classes(arr))
+            subsets = [
+                c for size in range(classes + 1) for c in itertools.combinations(range(classes), size)
+            ]
+            rng.shuffle(subsets)
+            for chosen in subsets:
+                verdict = arrangement._independent_classes(arr, chosen)
+                assert verdict == rescan_independent_classes(arr, chosen), (arr, chosen)
+                seen.add(verdict)
+                verdicts += 1
+        assert 60 <= smooth <= len(population) - 60
+        assert seen == {True, False} and verdicts > 3000
+
+    def test_trivial_factors_memo_quadratic(self):
+        # 40 direction classes at n = 2, far from regular: the memo keeps the
+        # prefixes the queries read, at most D^2 of them, not 2^D
+        arr = Arrangement(2, _fan_directions(40), tuple(range(40)))
+        assert len(arrangement._direction_classes(arr)) == 40 and not is_regular(arr)
+        assert trivial_factors(arr) == () == subset_trivial_factors(arr)
+        assert len(arrangement._class_echelons(arr)) <= 40**2
+
+    def test_single_query_builds_its_prefixes_only(self):
+        # more classes than the recursion limit allows frames: one query
+        # walks its prefixes in a loop and builds at most 2 D of them
+        count = sys.getrecursionlimit() + 100
+        arr = Arrangement(2, _fan_directions(count), (0,) * count)
+        chosen = (count // 2,)
+        assert arrangement._independent_classes(arr, chosen) is False
+        assert rescan_independent_classes(arr, chosen) is False
+        assert len(arrangement._class_echelons(arr)) <= 2 * count + 1
 
 
 class TestTrivialFactors:

@@ -6,6 +6,7 @@ import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from corecover import (
     ParseError,
@@ -451,3 +452,55 @@ class TestPinnedOutput:
                     options = [svg.read_text()]
                 digest.update(repr((path.name, command, options, code, out.getvalue())).encode())
         assert digest.hexdigest() == self.DIGEST
+
+
+# Strings that exercise every escape of the encoder: quotes, backslashes,
+# control characters, non-ASCII letters and characters outside the BMP.
+_JSON_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é€😀'), st.characters())
+)
+_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestEmitter:
+    @given(_PAYLOADS)
+    def test_matches_json_dumps(self, payload):
+        assert cli._dumps(payload) == json.dumps(payload, indent=2)
+
+    def test_fixture_payloads(self, tmp_path, monkeypatch):
+        # every command's payload on every fixture, and its stdout
+        emitted = []
+        real = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda payload: emitted.append(payload) or real(payload))
+        svg = tmp_path / "emit.svg"
+        checked = 0
+        for path in sorted(FIXTURE_DIR.glob("*.json")):
+            arr = parse_arrangement(path.read_bytes())
+            for command, *options in _fixture_runs(arr.d):
+                if command == "render":
+                    options = ["-o", str(svg)]
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    main([command, str(path), *options])
+                if emitted:
+                    payload = emitted.pop()
+                    expected = json.dumps(payload, indent=2)
+                    assert cli._dumps(payload) == expected
+                    assert out.getvalue() == expected + "\n"
+                    checked += 1
+                else:
+                    assert out.getvalue() == ""
+        assert checked >= 50
+
+    @pytest.mark.parametrize(
+        "payload",
+        [(1, 2), 0.5, F(1, 2), {1: "a"}, {"a": (1,)}, [{"a": {None: 1}}], {"a", "b"}],
+        ids=["tuple", "float", "Fraction", "int key", "nested tuple", "None key", "set"],
+    )
+    def test_rejects_other_types(self, payload):
+        with pytest.raises(TypeError):
+            cli._dumps(payload)

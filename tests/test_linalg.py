@@ -11,11 +11,8 @@ import corecover.linalg as linalg
 from corecover import Arrangement, is_regular, parse_arrangement, torus_data
 from corecover.feasibility import Constraint, Relation
 from corecover.linalg import (
-    det,
-    hermite_normal_form,
     is_primitive,
     kernel_lattice,
-    lin_solve,
     primitive_scale,
     rank,
     solve_integer,
@@ -24,9 +21,12 @@ from corecover.linalg import (
 )
 from corecover.randgen import DIRECTIONS, random_smooth_arrangement
 from util import (
+    det,
     det_by_elimination,
+    hermite_normal_form,
     is_hnf_shape,
     kernel_by_two_hnf,
+    lin_solve,
     mat_mul,
     mat_vec,
     rank_by_elimination,

@@ -180,16 +180,18 @@ class TestExtendedCore:
 
     def test_ray_signs_independent_of_d(self, monkeypatch):
         # 3 direction classes of 10 or 20 hyperplanes in the plane: one
-        # cofactor per class, so at most 2 * C(3, 1) sign vectors either way
+        # cofactor per class, so at most 2 * C(3, 1) sign vectors either way,
+        # and one integer elimination per minor, n = 2 minors per cofactor
         rng = random.Random(60)
         counts = []
         for arr in (three_class_arrangement(rng, k) for k in (10, 20)):
-            dets = []
-            monkeypatch.setattr(quotient, "det", lambda m: dets.append(m) or linalg.det(m))
+            eliminations = []
+            real = linalg._bareiss
+            monkeypatch.setattr(linalg, "_bareiss", lambda *a: eliminations.append(a) or real(*a))
             signs = quotient._ray_signs(arr)
             monkeypatch.undo()
             assert len(signs) <= 2 * math.comb(3, arr.n - 1)
-            counts.append((len(signs), len(dets)))
+            counts.append((len(signs), len(eliminations)))
         assert counts[0] == counts[1] == (6, 6)
 
     def test_requires_smooth(self):

@@ -17,11 +17,16 @@ summary of its own: measured state-set dimensions and a letter-by-letter
 breakdown, and one chart LP per leaf instead of the vertex masks for the
 covering witnesses and the complement's exclusions), so agreement is
 meaningful.
-Also polyhedral oracles (projection, affine dimension, boundedness,
-vertices, brute-force feasibility), the covering proof's adjacency step, the
-constraint shorthands ``ge``, ``gt`` and ``eq`` and a generator of
-arrangements with three direction classes. The scripts put this directory on
-``sys.path``."""
+Also the lattice and solver routines that only the tests use, built on the
+library's own eliminations: the Hermite normal form with its transform,
+the rational determinant and a particular solution of a general system
+(``hermite_normal_form``, ``det``, ``lin_solve``); the realizability test
+with a fresh echelon form per query instead of the memoized class echelons
+(``rescan_independent_classes``); polyhedral oracles (projection, affine
+dimension, boundedness, vertices, brute-force feasibility), the covering
+proof's adjacency step, the constraint shorthands ``ge``, ``gt`` and ``eq``
+and a generator of arrangements with three direction classes. The scripts
+put this directory on ``sys.path``."""
 
 import functools
 import itertools
@@ -46,10 +51,15 @@ from corecover import (
     torus_data,
 )
 from corecover.feasibility import _dedup, _eliminate_column, _integerize
+from corecover.arrangement import _direction_classes
 from corecover.linalg import (
-    det,
-    hermite_normal_form,
-    lin_solve,
+    _back_substitute,
+    _bareiss,
+    _common_denominator,
+    _extend_echelon,
+    _hnf,
+    _integer_rows,
+    as_matrix,
     rank,
     solve_square,
     transpose,
@@ -109,6 +119,58 @@ def _eliminate(mat, rhs=None) -> tuple:
                 row[col:] = [x - f * y for x, y in zip(row[col:], top[col:])]
         pivots.append(col)
     return rows, pivots, sign
+
+
+def hermite_normal_form(mat, ncols: int | None = None) -> tuple:
+    """Row-style Hermite normal form with transformation matrix.
+
+    Returns ``(H, U)`` where ``H == U @ mat``, ``U`` is unimodular, pivot
+    entries are positive, entries above each pivot are reduced into
+    ``[0, pivot)`` and zero rows come last: the library's ``_hnf`` run on
+    ``[mat | I]``, which reads ``U`` off the identity columns. The
+    convention is pinned so that every kernel basis derived from it is
+    reproducible bit for bit.
+    """
+    width = len(mat[0]) if mat else (ncols or 0)
+    nrows = len(mat)
+    rows = [list(r) + [int(i == j) for j in range(nrows)] for i, r in enumerate(mat)]
+    _hnf(rows, width)
+    return as_matrix(r[:width] for r in rows), as_matrix(r[width:] for r in rows)
+
+
+def det(mat) -> Fraction:
+    """Exact determinant of a square matrix over the rationals: the
+    library's fraction-free elimination on rows cleared of their
+    denominators, divided by the product of those denominators."""
+    n = len(mat)
+    if any(len(r) != n for r in mat):
+        raise ValueError("determinant requires a square matrix")
+    rows, scale = [], 1
+    for row in mat:
+        common, ints = _common_denominator(row)
+        rows.append(ints)
+        scale *= common
+    pivots, sign, last = _bareiss(rows, n)
+    return Fraction(sign * last, scale) if len(pivots) == n else Fraction(0)
+
+
+def lin_solve(mat, rhs) -> tuple | None:
+    """A particular rational solution of a general linear system by the
+    library's fraction-free elimination and back substitution.
+
+    Free variables are set to zero, so the result is deterministic. Returns
+    None when the system is inconsistent.
+    """
+    ncols = len(mat[0]) if mat else 0
+    if any(len(r) != ncols for r in mat) or len(rhs) != len(mat):
+        raise ValueError("lin_solve requires rows of one length and one right-hand side per row")
+    if not mat:
+        return ()
+    rows = _integer_rows((*r, b) for r, b in zip(mat, rhs))
+    pivots, _, last = _bareiss(rows, ncols)
+    if any(row[ncols] for row in rows[len(pivots):]):
+        return None
+    return tuple(Fraction(x, last) for x in _back_substitute(rows, pivots, last, ncols))
 
 
 def rank_by_elimination(mat) -> int:
@@ -247,6 +309,19 @@ def subset_trivial_factors(arr) -> tuple:
         for k in range(arr.d)
         if rank([arr.normals[i] for i in range(arr.d) if i != k]) < arr.n
     )
+
+
+def rescan_independent_classes(arr, chosen) -> bool:
+    """Each chosen direction class outside the span of the others, by a
+    fresh echelon form of the other classes' representatives per query and
+    one reduction of each chosen one against it, sharing nothing between
+    queries: D reductions per query instead of the memoized prefixes."""
+    reps = [r for r, _ in _direction_classes(arr)]
+    echelon = ()
+    for k, r in enumerate(reps):
+        if k not in chosen:
+            echelon = _extend_echelon(echelon, r)[0] or echelon
+    return all(_extend_echelon(echelon, reps[k])[0] is not None for k in chosen)
 
 
 def brute_force_simple(arr) -> bool:
