@@ -22,6 +22,11 @@ and each bounded chamber's vertices, as the CLI lists them, are
 direction classes against a rank test in R^d, on all 2^d BOTH sets) and the
 complement (``chart_complement`` of every compact sign vector against a 4^d
 sweep of numeric verdicts with realizability from the rank test). The
+``matroid`` column recomputes the draw's regularity, circuits, realizable
+class subsets, ray signs and vertices on a class-matroid record built for
+that call alone, as if the record cache had been cleared, and compares them
+with the answers read off the shared record, which an earlier draw with the
+same direction classes may have built. The
 oracles and the adjacency check are the test suite's (``tests/util.py``).
 Prints one line per instance and a summary.
 
@@ -35,6 +40,7 @@ import pathlib
 import random
 import sys
 import time
+from unittest import mock
 
 from corecover import (
     chamber,
@@ -50,9 +56,10 @@ from corecover import (
     verify_covering,
     verify_density,
 )
+import corecover.arrangement as arrangement
 from corecover.arrangement import all_sign_vectors
 from corecover.linalg import transpose
-from corecover.quotient import BOUNDED, UNBOUNDED, _chamber_vertices
+from corecover.quotient import BOUNDED, UNBOUNDED, _chamber_vertices, _ray_signs
 from corecover.randgen import random_smooth_arrangement
 from corecover.stability import (
     FULL_ALPHABET,
@@ -90,6 +97,28 @@ def numeric_excluded(td, compact) -> dict:
             if not semistable(chart_pattern(eps, pattern)):
                 out[eps].append(pattern)
     return {eps: tuple(excluded) for eps, excluded in out.items()}
+
+
+def matroid_answers(arr) -> tuple:
+    """The answers an arrangement reads off its class-matroid record. The
+    scoped caches are bypassed, so each is computed from the record."""
+    record = arrangement._matroid(arr)
+    return (
+        arrangement.is_regular.__wrapped__(arr),
+        tuple(record.circuits()),
+        record.realizable,
+        _ray_signs.__wrapped__(arr),
+        arrangement._vertices.__wrapped__(arr),
+    )
+
+
+def cold_matroid_agrees(arr) -> bool:
+    """The record's answers equal those on a record built afresh: during the
+    cold pass every lookup builds a new record and keeps none."""
+    warm = matroid_answers(arr)
+    with mock.patch.object(arrangement, "_class_matroid", arrangement._ClassMatroid):
+        cold = matroid_answers(arr)
+    return warm == cold
 
 
 def check_instance(arr) -> dict:
@@ -134,6 +163,7 @@ def check_instance(arr) -> dict:
         else None
     )
     return {
+        "matroid": cold_matroid_agrees(arr),
         "lattice": td.basis == kernel_by_two_hnf(transpose(arr.normals, ncols=arr.n), arr.d),
         "equivalence": equivalence,
         "verdicts": verdicts,
@@ -178,7 +208,7 @@ def main() -> int:
         failures += not ok
         print(
             f"[{index:03d}] n={arr.n} d={arr.d} theta_cpt={result['theta_cpt']} "
-            f"lattice={result['lattice']} "
+            f"lattice={result['lattice']} matroid={result['matroid']} "
             f"equivalence={result['equivalence']} verdicts={result['verdicts']} "
             f"chart={result['chart']} realizable={result['realizable']} "
             f"covered={result['covered']} complement={result['complement']} "

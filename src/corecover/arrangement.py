@@ -6,8 +6,10 @@ in an ``n``-dimensional rational space, with primitive integer normals
 of lattices whose kernel is the acting subtorus, and the lifts determine the
 moment map level. This module builds that torus data, reorients arrangements,
 tests smoothness and reconstructs an arrangement from its quotient data by
-cutting the affine solution space with coordinate hyperplanes. Chambers are
-state sets of dense patterns and live in :mod:`corecover.stability`.
+cutting the affine solution space with coordinate hyperplanes. What depends
+only on the directions of the normals is kept in one ``_ClassMatroid``
+record per set of direction classes, shared across arrangements. Chambers
+are state sets of dense patterns and live in :mod:`corecover.stability`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from operator import mul
 
 from .linalg import (
     _as_fractions,
@@ -22,11 +26,11 @@ from .linalg import (
     _common_denominator,
     _extend_echelon,
     _int_det,
+    _scaled_inverse,
     is_primitive,
     kernel_lattice,
     primitive_scale,
     rank,
-    solve_integer,
     solve_square,
     transpose,
 )
@@ -165,21 +169,37 @@ def reorient(arr: Arrangement, eps) -> Arrangement:
 
 @scoped_cache
 def _direction_classes(arr: Arrangement) -> tuple:
-    """The hyperplanes grouped by normal direction, in order of appearance.
+    """The hyperplanes grouped by normal direction, sorted by representative.
 
     Normals are primitive, so two are parallel exactly when they agree up to
     sign. Each class is ``(r, members)``: ``r`` is the common normal up to
     sign with its first nonzero entry positive, and ``members`` holds
-    ``(i, t)`` for each hyperplane ``i`` of the class, which is the set
-    ``<r, x> = t``. Computed once per arrangement for smoothness, trivial
-    factors, realizability and the chambers' candidate rays.
+    ``(i, t)`` for each hyperplane ``i`` of the class, in index order, which
+    is the set ``<r, x> = t``. The classes are sorted by ``r``, not listed in
+    order of appearance, so arrangements that differ only in the order of
+    their hyperplanes, the signs of their normals, parallel copies or lifts
+    have the same representatives and share one ``_ClassMatroid``.
     """
     classes = {}
+    zero = (0,) * arr.n
     for i, (u, lift) in enumerate(zip(arr.normals, arr.lifts)):
-        sign = 1 if next(x for x in u if x) > 0 else -1
-        r = tuple(sign * x for x in u)
-        classes.setdefault(r, []).append((i, -lift if sign > 0 else lift))
-    return tuple((r, tuple(members)) for r, members in classes.items())
+        # tuples compare lexicographically: u > zero iff its first nonzero
+        # entry is positive
+        if u > zero:
+            classes.setdefault(u, []).append((i, -lift))
+        else:
+            classes.setdefault(tuple(-x for x in u), []).append((i, lift))
+    return tuple((r, tuple(members)) for r, members in sorted(classes.items()))
+
+
+def _orientations(arr: Arrangement) -> list:
+    """``(k, s)`` for each hyperplane: its direction class ``k`` (an index
+    into ``_direction_classes``) and the sign with ``u_i = s * r_k``."""
+    out = [None] * arr.d
+    for k, (r, members) in enumerate(_direction_classes(arr)):
+        for i, _ in members:
+            out[i] = (k, 1 if arr.normals[i] == r else -1)
+    return out
 
 
 def _circuits(vectors):
@@ -205,53 +225,167 @@ def _circuits(vectors):
                 yield prefix + (k,), relation
 
 
-@scoped_cache
-def _class_echelons(arr: Arrangement) -> dict:
-    """The memo behind ``_class_echelon``, one per arrangement: class
-    bitmask to echelon form, the empty mask to the empty form."""
-    return {0: ()}
+class _ClassMatroid:
+    """The matroid of one tuple of direction-class representatives.
 
-
-def _class_echelon(arr: Arrangement, mask: int) -> tuple:
-    """The ``_extend_echelon`` form of the representatives of the direction
-    classes (indices into ``_direction_classes``) whose bits are set in
-    ``mask``; its length is their rank.
-
-    It is the form of ``mask`` without its highest class, extended by that
-    class (kept as is if the class depends on the others): one reduction
-    per memo entry. A query walks down to its nearest memoized ancestor and
-    builds up from there in a loop, so it builds only the at most D
-    prefixes it reads and never a table of all 2^D masks.
+    Regularity, the circuits, realizability, the coloops, the chambers'
+    candidate rays and the vertex systems depend on the representatives
+    alone, not on the order of the hyperplanes, the signs of their normals,
+    parallel copies or the lifts. So one record serves every arrangement
+    with the same sorted representatives (see ``_direction_classes``), and
+    each of its parts is computed on first use. Records are kept by
+    ``_class_matroid``; class indices below are positions in ``reps``.
     """
-    memo = _class_echelons(arr)
-    form = memo.get(mask)
-    if form is None:
-        missing, prefix = [], mask
-        while prefix not in memo:
-            top = prefix.bit_length() - 1
-            missing.append(top)
-            prefix ^= 1 << top
-        form = memo[prefix]
-        reps = _direction_classes(arr)
-        for top in reversed(missing):
-            prefix |= 1 << top
-            form = memo[prefix] = _extend_echelon(form, reps[top][0])[0] or form
-    return form
+
+    def __init__(self, reps: tuple):
+        self.reps = reps
+        self.n = len(reps[0])
+        # class bitmask -> echelon form, the empty mask to the empty form
+        self.echelons = {0: ()}
+
+    @cached_property
+    def regular(self) -> bool:
+        """Every n representatives have determinant 0 or +-1 (see
+        ``is_regular``), one integer elimination (``_int_det``) each."""
+        return all(abs(_int_det(sub)) <= 1 for sub in itertools.combinations(self.reps, self.n))
+
+    def circuits(self):
+        """The circuits of the representatives (see ``_circuits``). A record
+        with at most n(n+1)/2 classes, the most a regular arrangement has
+        (Heller, 1957), keeps them once walked. One with more walks them
+        afresh for each caller, who may stop at the first circuit that
+        meets: their number grows as C(D, n + 1), so keeping them would
+        hold that many, where the walk holds one path."""
+        if len(self.reps) > self.n * (self.n + 1) // 2:
+            return _circuits(self.reps)
+        return self._kept_circuits
+
+    @cached_property
+    def _kept_circuits(self) -> tuple:
+        return tuple(_circuits(self.reps))
+
+    def echelon(self, mask: int) -> tuple:
+        """The ``_extend_echelon`` form of the representatives whose bits
+        are set in ``mask``; its length is their rank.
+
+        It is the form of ``mask`` without its highest class, extended by
+        that class (kept as is if the class depends on the others): one
+        reduction per memo entry. A query walks down to its nearest memoized
+        ancestor and builds up from there in a loop, so it builds only the
+        at most D prefixes it reads and never a table of all 2^D masks.
+        """
+        memo = self.echelons
+        form = memo.get(mask)
+        if form is None:
+            missing, prefix = [], mask
+            while prefix not in memo:
+                top = prefix.bit_length() - 1
+                missing.append(top)
+                prefix ^= 1 << top
+            form = memo[prefix]
+            for top in reversed(missing):
+                prefix |= 1 << top
+                form = memo[prefix] = _extend_echelon(form, self.reps[top])[0] or form
+        return form
+
+    def independent(self, chosen) -> bool:
+        """Does each chosen class lie outside the span of the classes not
+        chosen? Class k does iff adding it to the others raises their rank,
+        ``rank(others | k) > rank(others)``, both read off ``echelon``, so a
+        scan over the subsets of the classes pays one reduction per subset
+        in all."""
+        chosen_mask = 0
+        for k in chosen:
+            chosen_mask |= 1 << k
+        others = ((1 << len(self.reps)) - 1) & ~chosen_mask
+        base = len(self.echelon(others))
+        return all(len(self.echelon(others | 1 << k)) > base for k in chosen)
+
+    @cached_property
+    def realizable(self) -> tuple:
+        """The class subsets that pass ``independent``, the realizable BOTH
+        sets of ``chart_complement``, by size and then lexicographically,
+        the empty one first."""
+        count = len(self.reps)
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(range(count), size) for size in range(count + 1)
+        )
+        return tuple(chosen for chosen in subsets if self.independent(chosen))
+
+    @cached_property
+    def coloops(self) -> frozenset:
+        """The classes outside the span of all the others, from one echelon
+        pass over the representatives: D reductions and no memo. The classes
+        the pass keeps form a basis, and each other class's relation is its
+        fundamental circuit. A class outside the basis lies in its span. A
+        basis class b lies in the span of the others iff some fundamental
+        circuit uses it, since solving that relation for b does it, and if
+        none does, every class but b lies in the span of the basis without
+        b, which misses b."""
+        form, basis, used = (), [], set()
+        for k, r in enumerate(self.reps):
+            grown, relation = _extend_echelon(form, r)
+            if grown is None:
+                used.update(b for b, c in zip(basis, relation) if c)
+            else:
+                form = grown
+                basis.append(k)
+        return frozenset(basis) - used
+
+    @cached_property
+    def ray_signs(self) -> tuple:
+        """For each nonzero integer cofactor ``c`` of n - 1 representatives
+        (see ``quotient._ray_signs``; ``c = (1,)`` for n = 1), the signs of
+        ``<r_k, c>`` over all representatives. Each of the n minors behind a
+        cofactor is one integer elimination (``_int_det``)."""
+        out = []
+        for subset in itertools.combinations(self.reps, self.n - 1):
+            c = [
+                (-1) ** j * _int_det([row[:j] + row[j + 1:] for row in subset])
+                for j in range(self.n)
+            ]
+            if any(c):
+                dots = (sum(a * b for a, b in zip(r, c)) for r in self.reps)
+                out.append(tuple((x > 0) - (x < 0) for x in dots))
+        return tuple(out)
+
+    @cached_property
+    def bases(self) -> tuple:
+        """``(chosen, den, inverse)`` for each independent n-subset of
+        classes, in lexicographic order: ``den`` and ``inverse = den *
+        M^{-1}`` of the matrix M of their representatives, from one
+        ``_bareiss`` pass on ``[M | I]`` (``_scaled_inverse``)."""
+        out = []
+        for chosen in itertools.combinations(range(len(self.reps)), self.n):
+            solved = _scaled_inverse([self.reps[k] for k in chosen])
+            if solved is not None:
+                out.append((chosen, *solved))
+        return tuple(out)
+
+
+# Records kept at once. The populations this serves repeat a few class
+# configurations, and a record of many classes can hold a large echelon memo.
+_MATROID_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=_MATROID_CACHE_SIZE)
+def _class_matroid(reps: tuple) -> _ClassMatroid:
+    """The record of a tuple of sorted representatives, shared by every
+    arrangement that has them; ``cache_clear()`` drops every record."""
+    return _ClassMatroid(reps)
+
+
+def _matroid(arr: Arrangement) -> _ClassMatroid:
+    """The class-matroid record of an arrangement's direction classes."""
+    return _class_matroid(tuple(r for r, _ in _direction_classes(arr)))
 
 
 def _independent_classes(arr: Arrangement, chosen) -> bool:
     """Does each chosen direction class (indices into ``_direction_classes``)
     lie outside the span of the classes not chosen? The one matroid question
-    behind trivial factors and realizability: class k does iff adding it to
-    the others raises their rank, ``rank(others | k) > rank(others)``, both
-    read off ``_class_echelon``, so a scan over the subsets of the classes
-    pays one reduction per subset in all."""
-    chosen_mask = 0
-    for k in chosen:
-        chosen_mask |= 1 << k
-    others = ((1 << len(_direction_classes(arr))) - 1) & ~chosen_mask
-    base = len(_class_echelon(arr, others))
-    return all(len(_class_echelon(arr, others | 1 << k)) > base for k in chosen)
+    behind trivial factors and realizability, answered by the arrangement's
+    record (``_ClassMatroid.independent``)."""
+    return _matroid(arr).independent(chosen)
 
 
 @scoped_cache
@@ -264,30 +398,32 @@ def _vertices(arr: Arrangement) -> tuple:
     the point, 0 exactly on the hyperplanes through it. Independent normals
     lie in distinct direction classes (see ``_direction_classes``), and
     whether n hyperplanes from n distinct classes are independent depends
-    only on the classes, so each n-subset of classes is solved member by
-    member and dropped at its first singular system: one ``solve_integer``
-    per independent n-subset of hyperplanes. On input that is not simple a
-    vertex lies on more than n hyperplanes and is listed once: the
-    hyperplanes through a vertex span, so its zero set, and hence its sign
-    vector, determines it.
+    only on the classes. So the record's ``bases`` list each independent
+    n-subset of classes with ``den`` and ``den * M^{-1}`` for the matrix M
+    of their representatives, and each choice of one hyperplane per class,
+    ``<r_k, x> = t_k``, is the vertex ``den * x = (den * M^{-1}) t``: one
+    matrix-vector product, no elimination. Its signs take one dot product
+    ``<r_k, den * x>`` per class, which each hyperplane of the class
+    compares with its own offset. On input that is not simple a vertex lies
+    on more than n hyperplanes and is listed once: the hyperplanes through
+    a vertex span, so its zero set, and hence its sign vector, determines
+    it.
     """
-    # on integers: with the lifts over L, u . (L x) = -L * lift has the
-    # solution L x = nums / den (den > 0), so the sign of <u, x> + lift is
-    # that of <u, nums> + den * (L * lift)
+    # on integers: with the offsets over L, t = T / L, the point is x = nums
+    # / (den * L) with nums = inverse @ T, and <r_k, x> - t has the sign of
+    # <r_k, nums> - den * T (den > 0); hyperplane i reads s * (<r_k, x> - t)
+    classes = _direction_classes(arr)
+    reps = [r for r, _ in classes]
     common, lifts = _common_denominator(arr.lifts)
+    planes = [(k, s, -s * lift) for (k, s), lift in zip(_orientations(arr), lifts)]
+    offsets = [tuple(planes[i][2] for i, _ in members) for _, members in classes]
     found = {}
-    for chosen in itertools.combinations(_direction_classes(arr), arr.n):
-        for members in itertools.product(*(m for _, m in chosen)):
-            zeros = [i for i, _ in members]
-            solved = solve_integer([arr.normals[i] for i in zeros], [-lifts[i] for i in zeros])
-            if solved is None:
-                break
-            nums, den = solved
-            values = (
-                sum(a * x for a, x in zip(u, nums)) + den * lift
-                for u, lift in zip(arr.normals, lifts)
-            )
-            found.setdefault(tuple((v > 0) - (v < 0) for v in values), solved)
+    for chosen, den, inverse in _matroid(arr).bases:
+        for ts in itertools.product(*(offsets[k] for k in chosen)):
+            nums = tuple([sum(map(mul, row, ts)) for row in inverse])
+            dots = [sum(map(mul, r, nums)) for r in reps]
+            values = [s * (dots[k] - den * t) for k, s, t in planes]
+            found.setdefault(tuple([(v > 0) - (v < 0) for v in values]), (nums, den))
     points = (
         (tuple(Fraction(x, den * common) for x in nums), sigma)
         for sigma, (nums, den) in found.items()
@@ -304,12 +440,12 @@ def is_regular(arr: Arrangement) -> bool:
     determinant 0, and flipping a normal's sign does not change |det|, so
     the C(D, n) determinants of the class representatives decide. They are
     integer matrices, so each determinant is one integer elimination
-    (``_int_det``), with no denominators to clear. A regular arrangement has
-    at most n(n+1)/2 classes (Heller, 1957), so for smooth input the cost
+    (``_int_det``), with no denominators to clear, and the verdict is kept
+    in the arrangement's ``_ClassMatroid``. A regular arrangement has at
+    most n(n+1)/2 classes (Heller, 1957), so for smooth input the cost
     follows n, not d.
     """
-    reps = [r for r, _ in _direction_classes(arr)]
-    return all(abs(_int_det(sub)) <= 1 for sub in itertools.combinations(reps, arr.n))
+    return _matroid(arr).regular
 
 
 @scoped_cache
@@ -334,8 +470,11 @@ def is_simple(arr: Arrangement) -> bool:
       choice of hyperplanes at once.
 
     The circuits of the representatives come from ``_circuits``, one
-    reduction per independent subset of classes, so the cost follows the
-    classes and their sizes, not C(d, n + 1). Offsets are scaled to
+    reduction per independent subset of classes, kept by the arrangement's
+    ``_ClassMatroid`` (if it has at most n(n+1)/2 classes) and read by
+    every arrangement with the same classes, so the cost follows the
+    classes and their sizes, not C(d, n + 1), and each arrangement pays
+    only for its own offsets. Offsets are scaled to
     integers by a common denominator, which scales every sum alike.
     """
     classes = _direction_classes(arr)
@@ -344,7 +483,7 @@ def is_simple(arr: Arrangement) -> bool:
     offsets = [tuple(itertools.islice(flat, len(members))) for _, members in classes]
     if any(len(set(ts)) < len(ts) for ts in offsets):
         return False
-    for support, relation in _circuits([r for r, _ in classes]):
+    for support, relation in _matroid(arr).circuits():
         *head, last = support
         sums = {0}
         for c, k in zip(relation, head):
@@ -427,14 +566,14 @@ def trivial_factors(arr: Arrangement) -> tuple:
     Each such hyperplane splits off a flat factor of the quotient; the core
     is empty exactly when such indices exist (reported, not assumed). A
     hyperplane with a parallel partner never qualifies, since the partner
-    spans its direction, so only singleton direction classes (see
-    ``_direction_classes``) are tested, each by ``_independent_classes``,
-    whose memoized forms make all the queries together O(D^2) reductions.
+    spans its direction, so these are the singleton direction classes (see
+    ``_direction_classes``) that are coloops of the class matroid, read off
+    the record's ``coloops``: one echelon pass over the classes, D
+    reductions, shared by every arrangement with the same classes.
     """
     classes = _direction_classes(arr)
-    out = [
-        members[0][0]
-        for k, (_, members) in enumerate(classes)
-        if len(members) == 1 and _independent_classes(arr, (k,))
-    ]
-    return tuple(sorted(out))
+    singles = [(k, members[0][0]) for k, (_, members) in enumerate(classes) if len(members) == 1]
+    if not singles:
+        return ()
+    coloops = _matroid(arr).coloops
+    return tuple(sorted(i for k, i in singles if k in coloops))

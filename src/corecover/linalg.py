@@ -9,7 +9,8 @@ reduces the transpose and its kernel rows in one pass in
 normal map of every regular arrangement does: then the kernel's HNF is read
 off that block with no HNF at all. One fraction-free (Bareiss) forward
 elimination, with fraction-free back substitution, is behind that read-off,
-rank, the integer determinant and both square solvers; rational rows are
+rank, the integer determinant, the scaled integer inverse and both square
+solvers; rational rows are
 first cleared of their denominators, which is done only in
 ``_common_denominator``. There is no floating point anywhere in this
 module: every downstream verdict is an exact feasibility question and
@@ -346,6 +347,36 @@ def _int_det(rows) -> int:
     rows = [list(row) for row in rows]
     pivots, sign, last = _bareiss(rows, len(rows))
     return sign * last if len(pivots) == len(rows) else 0
+
+
+def _scaled_inverse(mat) -> tuple | None:
+    """``(den, inverse)`` of a square integer matrix, or None if it is
+    singular: ``den = |det|`` and ``inverse = den * mat^{-1}``, an integer
+    matrix (the adjugate up to sign), by one ``_bareiss`` pass on ``[mat |
+    I]``, looked up in ``linalg``'s globals, and one back substitution that
+    carries all n identity columns as right-hand sides (see
+    ``_back_substitute``): row k of the inverse is ``last`` times row k of
+    the identity part less the rows below it, over the pivot. Any system
+    ``mat x = b`` is then ``den * x = inverse @ b``, with no further
+    elimination."""
+    n = len(mat)
+    rows = [[*row] + [0] * n for row in mat]
+    for i, row in enumerate(rows):
+        row[n + i] = 1
+    pivots, _, last = _bareiss(rows, n)
+    if len(pivots) < n:
+        return None
+    # square and nonsingular, so the pivot of row k is column k
+    sign = 1 if last > 0 else -1
+    inverse = [None] * n
+    for k in reversed(range(n)):
+        row = rows[k]
+        rest = [sign * last * x for x in row[n:]]
+        for j in range(k + 1, n):
+            if row[j]:
+                rest = [r - row[j] * y for r, y in zip(rest, inverse[j])]
+        inverse[k] = [r // row[k] for r in rest]
+    return sign * last, tuple(map(tuple, inverse))
 
 
 def solve_square(mat, rhs) -> tuple | None:

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 from .arrangement import (
     Arrangement,
     _direction_classes,
-    _independent_classes,
+    _matroid,
+    _orientations,
     _vertices,
     check_sign_vector,
     is_smooth,
@@ -45,7 +46,6 @@ from .arrangement import (
     trivial_factors,
 )
 from .errors import GuardError
-from .linalg import _int_det
 from .memo import scoped_cache
 from .stability import (
     NO_BOTH_ALPHABET,
@@ -156,17 +156,16 @@ def _ray_signs(arr: Arrangement) -> tuple:
     cofactors of the representatives (``c = (1,)`` for n = 1) and their
     negations decide every chamber with no LP; the argument uses only that
     the normals span, so it is exact on input that is not smooth. The
-    representatives are integer vectors, so each of the n minors behind a
-    cofactor is one integer elimination (``_int_det``).
+    cofactors depend on the representatives alone, so the arrangement's
+    ``_ClassMatroid`` keeps the signs of ``<r_k, c>`` per class
+    (``ray_signs``), and hyperplane i, with ``u_i = s * r_k``, reads
+    ``s`` times its class's sign: no minor is taken per arrangement.
     """
-    reps = [r for r, _ in _direction_classes(arr)]
+    planes = _orientations(arr)
     signs = {}
-    for subset in itertools.combinations(reps, arr.n - 1):
-        c = [(-1) ** j * _int_det([row[:j] + row[j + 1:] for row in subset]) for j in range(arr.n)]
-        if any(c):
-            dots = (sum(a * b for a, b in zip(u, c)) for u in arr.normals)
-            sigma = tuple((x > 0) - (x < 0) for x in dots)
-            signs[sigma] = signs[tuple(-s for s in sigma)] = None
+    for by_class in _matroid(arr).ray_signs:
+        sigma = tuple([s * by_class[k] for k, s in planes])
+        signs[sigma] = signs[tuple([-s for s in sigma])] = None
     return tuple(signs)
 
 
@@ -335,10 +334,12 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
 
     A realizable BOTH set is a union of direction classes (see
     ``pattern_realizable``), so the candidates are the 2^D class subsets,
-    the empty one standing for the BOTH-free patterns. Each is tested by
-    ``_independent_classes``, which reads ranks off the echelon forms that
-    ``_class_echelon`` memoizes by class bitmask, so the scan pays one
-    reduction per subset in all, not D. For each realizable one the sweep
+    the empty one standing for the BOTH-free patterns. They depend on the
+    classes alone, so the arrangement's ``_ClassMatroid`` lists the
+    realizable ones once (``realizable``), each tested by ranks read off
+    echelon forms memoized by class bitmask, one reduction per subset in
+    all, and every arrangement with the same classes reads that list
+    instead of scanning. For each realizable one the sweep
     walks the nonempty state sets with BOTH on it and Z, W or 0 elsewhere
     (``_pattern_masks``), and lists those outside the chart, in the order
     of the full four-letter alphabet. A leaf is outside the chart iff its
@@ -354,13 +355,8 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
     if not chamber:
         raise ValueError("complement is defined for sign vectors with nonempty chamber")
     classes = _direction_classes(arr)
-    subsets = itertools.chain.from_iterable(
-        itertools.combinations(range(len(classes)), size) for size in range(len(classes) + 1)
-    )
     excluded = []
-    for chosen in subsets:
-        if not _independent_classes(arr, chosen):
-            continue
+    for chosen in _matroid(arr).realizable:
         both = {i for k in chosen for i, _ in classes[k][1]}
         alphabets = [(Status.BOTH,) if i in both else NO_BOTH_ALPHABET for i in range(arr.d)]
         excluded.extend(p for p, kept in _pattern_masks(arr, alphabets) if not kept & chamber)

@@ -15,6 +15,7 @@ from corecover import (
     all_sign_vectors,
     arrangement_from_quotient,
     chamber,
+    chart_complement,
     hk_semistable_numeric,
     is_feasible,
     is_regular,
@@ -27,6 +28,7 @@ from corecover import (
 )
 import corecover.arrangement as arrangement
 import corecover.linalg as linalg
+import corecover.quotient as quotient
 from corecover.arrangement import solution_space
 from corecover.linalg import transpose
 from corecover.randgen import random_smooth_arrangement
@@ -36,6 +38,13 @@ from util import (
     det,
     enumerate_vertices,
     mat_vec,
+    per_arrangement_circuits,
+    per_arrangement_ray_signs,
+    per_arrangement_realizable,
+    per_arrangement_regular,
+    per_arrangement_simple,
+    per_arrangement_trivial_factors,
+    per_arrangement_vertices,
     rescan_independent_classes,
     subset_regular,
     subset_simple,
@@ -212,7 +221,10 @@ def _distinct_directions(rng, count):
 
 def _count_eliminations(monkeypatch, fn, arr):
     """Calls of the incremental reduction and of the fraction-free
-    elimination behind det and rank made while ``fn(arr)`` runs."""
+    elimination behind det and rank made while ``fn(arr)`` runs, with every
+    class-matroid record dropped first, so the work is not served by a
+    record built for an earlier arrangement with the same classes."""
+    arrangement._class_matroid.cache_clear()
     counts = {"extend": 0, "eliminate": 0}
 
     def counting(key, inner):
@@ -328,7 +340,9 @@ class TestSmoothness:
 
     def test_work_independent_of_d(self, monkeypatch):
         # a preflight-shaped arrangement: 3 direction classes of 10 or 20
-        # hyperplanes; the subset scans make C(d, 2) + C(d, 3) eliminations
+        # hyperplanes; the subset scans make C(d, 2) + C(d, 3) eliminations.
+        # Both sizes have the same classes, so each count starts from a
+        # cold record
         rng = random.Random(60)
         small, large = (three_class_arrangement(rng, k) for k in (10, 20))
         assert large.d == 60 and small.d == 30
@@ -520,22 +534,111 @@ class TestClassEchelon:
         assert seen == {True, False} and verdicts > 3000
 
     def test_trivial_factors_memo_quadratic(self):
-        # 40 direction classes at n = 2, far from regular: the memo keeps the
-        # prefixes the queries read, at most D^2 of them, not 2^D
+        # 40 direction classes at n = 2, far from regular: the record's memo
+        # keeps at most D^2 prefixes, not 2^D; trivial factors are read off
+        # its coloops, one echelon pass that leaves the memo as it is
+        arrangement._class_matroid.cache_clear()
         arr = Arrangement(2, _fan_directions(40), tuple(range(40)))
         assert len(arrangement._direction_classes(arr)) == 40 and not is_regular(arr)
         assert trivial_factors(arr) == () == subset_trivial_factors(arr)
-        assert len(arrangement._class_echelons(arr)) <= 40**2
+        assert len(arrangement._matroid(arr).echelons) <= 40**2
 
     def test_single_query_builds_its_prefixes_only(self):
         # more classes than the recursion limit allows frames: one query
         # walks its prefixes in a loop and builds at most 2 D of them
         count = sys.getrecursionlimit() + 100
+        arrangement._class_matroid.cache_clear()
         arr = Arrangement(2, _fan_directions(count), (0,) * count)
         chosen = (count // 2,)
         assert arrangement._independent_classes(arr, chosen) is False
         assert rescan_independent_classes(arr, chosen) is False
-        assert len(arrangement._class_echelons(arr)) <= 2 * count + 1
+        assert len(arrangement._matroid(arr).echelons) <= 2 * count + 1
+
+
+class TestClassMatroid:
+    def test_variants_share_one_record(self):
+        # shuffled, re-signed, with a parallel copy added or re-lifted, an
+        # arrangement keeps its sorted representatives and so its record; a
+        # new direction makes a new one
+        rng = random.Random(27)
+        base = random_smooth_arrangement(rng, n=3, d=7)
+        order = list(range(base.d))
+        rng.shuffle(order)
+        shuffled = Arrangement(
+            base.n, tuple(base.normals[i] for i in order), tuple(base.lifts[i] for i in order)
+        )
+        resigned = reorient(base, [rng.choice((1, -1)) for _ in range(base.d)])
+        copy = tuple(-x for x in base.normals[0])
+        duplicated = Arrangement(base.n, base.normals + (copy,), base.lifts + (F(1, 7),))
+        relifted = Arrangement(base.n, base.normals, tuple(lift + 1 for lift in base.lifts))
+        variants = (base, shuffled, resigned, duplicated, relifted)
+        arrangement._class_matroid.cache_clear()
+        records = {id(arrangement._matroid(arr)) for arr in variants}
+        info = arrangement._class_matroid.cache_info()
+        assert len(records) == 1 and (info.misses, info.hits, info.currsize) == (1, 4, 1)
+        reps = {r for r, _ in arrangement._direction_classes(base)}
+        extra = next(u for u in ((1, 2, 3), (1, -2, 3)) if u not in reps)
+        arrangement._matroid(Arrangement(base.n, base.normals + (extra,), base.lifts + (0,)))
+        assert arrangement._class_matroid.cache_info().misses == 2
+
+    def test_warm_records_agree_with_per_arrangement_answers(self):
+        # smooth draws, draws with parallel copies and dependent normals, and
+        # reoriented, shuffled copies of them: few class configurations, so
+        # most answers are read from a record another arrangement built, and
+        # each equals the answer computed afresh for the arrangement alone.
+        # A complement read off a warm record equals one from a cold record
+        rng = random.Random(28)
+        population = [random_smooth_arrangement(rng, max_d=7) for _ in range(80)]
+        population += _oracle_population(rng, 60)
+        for arr in population[:40]:
+            order = list(range(arr.d))
+            rng.shuffle(order)
+            flipped = reorient(arr, [rng.choice((1, -1)) for _ in range(arr.d)])
+            population.append(Arrangement(
+                arr.n,
+                tuple(flipped.normals[i] for i in order),
+                tuple(flipped.lifts[i] for i in order),
+            ))
+        arrangement._class_matroid.cache_clear()
+        complements, warm = [], 0
+        for arr in population:
+            misses = arrangement._class_matroid.cache_info().misses
+            record = arrangement._matroid(arr)
+            warm += arrangement._class_matroid.cache_info().misses == misses
+            assert is_regular(arr) == per_arrangement_regular(arr)
+            assert is_simple(arr) == per_arrangement_simple(arr)
+            assert trivial_factors(arr) == per_arrangement_trivial_factors(arr)
+            assert tuple(record.circuits()) == per_arrangement_circuits(arr)
+            assert quotient._ray_signs(arr) == per_arrangement_ray_signs(arr)
+            assert arrangement._vertices(arr) == per_arrangement_vertices(arr)
+            assert record.realizable == per_arrangement_realizable(arr)
+            if is_smooth(arr):
+                eps = quotient._extended_core_cached(arr)[0].eps
+                complements.append((arr, eps, chart_complement(arr, eps)))
+        assert warm > len(population) / 2 and len(complements) > 100
+        for arr, eps, warm in complements:
+            arrangement._class_matroid.cache_clear()
+            assert chart_complement(arr, eps) == warm
+
+    def test_many_classes_walk_their_circuits_afresh(self, monkeypatch):
+        # 80 lines through the origin: more classes than a regular
+        # arrangement has, so the record keeps no circuits, and the first
+        # circuit, which meets, ends the walk long before its C(80, 3)
+        arr = Arrangement(2, _fan_directions(80), (0,) * 80)
+        counts = _count_eliminations(monkeypatch, arrangement.is_simple.__wrapped__, arr)
+        assert counts["extend"] < 2 * 80
+        assert not is_simple(arr) and "_kept_circuits" not in vars(arrangement._matroid(arr))
+
+    def test_cache_bounded(self):
+        # one record per class configuration, at most the constant number
+        size = arrangement._MATROID_CACHE_SIZE
+        arrangement._class_matroid.cache_clear()
+        for k in range(size + 10):
+            arr = Arrangement(2, ((1, 0), (0, 1), (1, k + 1)), (0, 0, 1))
+            assert is_regular(arr) == (k == 0)
+        info = arrangement._class_matroid.cache_info()
+        assert info.maxsize == size and info.misses == size + 10
+        assert info.currsize <= size
 
 
 class TestTrivialFactors:

@@ -434,6 +434,29 @@ class TestSolvers:
         assert singular > 300
         assert solve_integer((), ()) == ((), 1)
 
+    def test_scaled_inverse(self):
+        # mat @ inverse == den * I with den = |det| > 0, and None exactly on
+        # singular input, the empty matrix included
+        rng = random.Random(1958)
+        singular = 0
+        for _ in range(2000):
+            n = rng.randint(0, 5)
+            mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if n >= 2 and rng.random() < 0.3:
+                mat[-1] = [2 * x - y for x, y in zip(mat[0], mat[1])]
+            solved = linalg._scaled_inverse(mat)
+            if rank_by_elimination(mat) < n:
+                assert solved is None
+                singular += 1
+                continue
+            den, inverse = solved
+            assert den == abs(det(mat)) > 0
+            assert mat_mul(mat, inverse) == tuple(
+                tuple(den * (i == j) for j in range(n)) for i in range(n)
+            )
+        assert singular > 300
+        assert linalg._scaled_inverse(()) == (1, ())
+
     def test_agree_with_rational_elimination(self):
         # int and Fraction entries, rank-deficient rows, inconsistent
         # right-hand sides

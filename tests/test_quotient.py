@@ -181,10 +181,13 @@ class TestExtendedCore:
     def test_ray_signs_independent_of_d(self, monkeypatch):
         # 3 direction classes of 10 or 20 hyperplanes in the plane: one
         # cofactor per class, so at most 2 * C(3, 1) sign vectors either way,
-        # and one integer elimination per minor, n = 2 minors per cofactor
+        # and one integer elimination per minor, n = 2 minors per cofactor.
+        # Both sizes have the same classes, so each count starts from a cold
+        # record
         rng = random.Random(60)
         counts = []
         for arr in (three_class_arrangement(rng, k) for k in (10, 20)):
+            arrangement_module._class_matroid.cache_clear()
             eliminations = []
             real = linalg._bareiss
             monkeypatch.setattr(linalg, "_bareiss", lambda *a: eliminations.append(a) or real(*a))
@@ -236,37 +239,54 @@ class TestChamberVertices:
         assert listed > 1000
 
     def test_solves_each_vertex_once(self, monkeypatch):
-        # each independent n-subset of hyperplanes is solved once per
-        # arrangement, when the vertices are first listed; the chambers'
-        # vertices are read from that list and solve nothing more. On the
-        # trapezoid fixture that is its 5 non-parallel pairs of lines
+        # a cold class-matroid record makes one elimination per n-subset of
+        # direction classes when the vertices are first listed, and keeps
+        # the independent ones; each vertex is then one product with such an
+        # inverse. A warm record eliminates nothing, and the chambers'
+        # vertices are read from the list. On the trapezoid fixture that is
+        # its 3 classes, all 3 pairs independent, and 5 vertices
         rng = random.Random(1618)
         arrangements = [parse_arrangement(p.read_text()) for p in sorted(FIXTURE_DIR.glob("*.json"))]
         arrangements += [random_smooth_arrangement(rng, max_d=7) for _ in range(10)]
-        solves = []
-        real = linalg.solve_integer
+        real = linalg._bareiss
+
+        def counting(rows, width):
+            result = real(rows, width)
+            passes.append(len(result[0]) == len(rows))
+            return result
+
         for arr in arrangements:
-            # a list over another arrangement empties the scoped cache
-            arrangement_module._vertices(Arrangement(1, ((1,),), (0,)))
-            monkeypatch.setattr(
-                arrangement_module, "solve_integer", lambda m, r: solves.append((m, r)) or real(m, r)
-            )
+            reps = [r for r, _ in arrangement_module._direction_classes(arr)]
+            subsets = list(itertools.combinations(reps, arr.n))
+            independent = sum(linalg.rank(sub) == arr.n for sub in subsets)
+            for warm in (False, True):
+                # a list over another arrangement empties the scoped cache
+                arrangement_module._vertices(Arrangement(1, ((1,),), (0,)))
+                if not warm:
+                    arrangement_module._class_matroid.cache_clear()
+                passes = []
+                monkeypatch.setattr(linalg, "_bareiss", counting)
+                vertices = arrangement_module._vertices(arr)
+                monkeypatch.undo()
+                if warm:
+                    assert passes == []
+                else:
+                    assert len(passes) == len(subsets) and passes.count(True) == independent
             components = quotient._extended_core_cached(arr)
-            arrangement_module._vertices(arr)
-            solved = [tuple(zip(map(tuple, m), r)) for m, r in solves if real(m, r) is not None]
-            listed = len(solves)
+            passes = []
+            monkeypatch.setattr(linalg, "_bareiss", counting)
             for c in components:
                 quotient._chamber_vertices(arr, c.eps)
             monkeypatch.undo()
-            assert len(solves) == listed
-            independent = [
-                sub for sub in itertools.combinations(range(arr.d), arr.n)
-                if linalg.rank([arr.normals[i] for i in sub]) == arr.n
-            ]
-            assert len(set(solved)) == len(solved) == len(independent)
+            assert passes == []
+            if is_simple(arr):
+                # one vertex per independent n-subset of hyperplanes
+                assert len(vertices) == sum(
+                    linalg.rank([arr.normals[i] for i in sub]) == arr.n
+                    for sub in itertools.combinations(range(arr.d), arr.n)
+                )
             if arr.name == "hirzebruch":
-                assert len(solved) == 5
-            solves.clear()
+                assert (len(subsets), independent, len(vertices)) == (3, 3, 5)
 
 
 class TestCoreEmptyCriterion:
@@ -714,7 +734,9 @@ class TestChartComplement:
     def test_scans_class_subsets(self, monkeypatch):
         # the realizability candidates are the 2^D subsets of the D direction
         # classes, the empty one included, not the 2^d index subsets; every
-        # test answers no, so no walk runs and only the scan does
+        # test answers no, so no walk runs and only the scan does. The scan
+        # runs once per class-matroid record: a second arrangement with the
+        # same classes reads its list and tests nothing
         arrangements = [
             three_class_arrangement(random.Random(60), 20),
             random_smooth_arrangement(random.Random(3), n=2, d=16),
@@ -722,15 +744,23 @@ class TestChartComplement:
         for arr in arrangements:
             chamber = next(stability._nonempty_patterns(arr, ((Z, W),) * arr.d))
             eps = tuple(1 if status is Z else -1 for status in chamber)
+            arrangement_module._class_matroid.cache_clear()
             chosen, walks = [], []
             monkeypatch.setattr(quotient, "_pattern_masks", lambda a, al: walks.append(al) or iter(()))
-            monkeypatch.setattr(quotient, "_independent_classes", lambda a, c: chosen.append(c) or False)
+            monkeypatch.setattr(
+                arrangement_module._ClassMatroid,
+                "independent",
+                lambda self, c: chosen.append(c) or False,
+            )
             report = chart_complement(arr, eps, force=True)
-            monkeypatch.undo()
             assert report.excluded_patterns == () and walks == []
             classes = len(quotient._direction_classes(arr))
             assert len(chosen) == len(set(chosen)) == 2**classes == 8
             assert () in chosen
+            chosen.clear()
+            chart_complement(reorient(arr, (-1,) * arr.d), tuple(-e for e in eps), force=True)
+            monkeypatch.undo()
+            assert chosen == []
 
 
 class TestReorientationEquivariance:

@@ -22,7 +22,12 @@ library's own eliminations: the Hermite normal form with its transform,
 the rational determinant and a particular solution of a general system
 (``hermite_normal_form``, ``det``, ``lin_solve``); the realizability test
 with a fresh echelon form per query instead of the memoized class echelons
-(``rescan_independent_classes``); polyhedral oracles (projection, affine
+(``rescan_independent_classes``); the per-arrangement answers that the
+shared class-matroid records replace, computed afresh for each
+arrangement (``per_arrangement_regular``, ``per_arrangement_circuits``,
+``per_arrangement_simple``, ``per_arrangement_trivial_factors``,
+``per_arrangement_realizable``, ``per_arrangement_ray_signs`` and
+``per_arrangement_vertices``); polyhedral oracles (projection, affine
 dimension, boundedness, vertices, brute-force feasibility), the covering
 proof's adjacency step, the constraint shorthands ``ge``, ``gt`` and ``eq``
 and a generator of arrangements with three direction classes. The scripts
@@ -51,16 +56,18 @@ from corecover import (
     torus_data,
 )
 from corecover.feasibility import _dedup, _eliminate_column, _integerize
-from corecover.arrangement import _direction_classes
+from corecover.arrangement import _circuits, _direction_classes
 from corecover.linalg import (
     _back_substitute,
     _bareiss,
     _common_denominator,
     _extend_echelon,
     _hnf,
+    _int_det,
     _integer_rows,
     as_matrix,
     rank,
+    solve_integer,
     solve_square,
     transpose,
     unit_vector,
@@ -322,6 +329,95 @@ def rescan_independent_classes(arr, chosen) -> bool:
         if k not in chosen:
             echelon = _extend_echelon(echelon, r)[0] or echelon
     return all(_extend_echelon(echelon, reps[k])[0] is not None for k in chosen)
+
+
+def per_arrangement_regular(arr) -> bool:
+    """Regularity by the C(D, n) determinants of the representatives,
+    taken afresh for each arrangement."""
+    reps = [r for r, _ in _direction_classes(arr)]
+    return all(abs(_int_det(sub)) <= 1 for sub in itertools.combinations(reps, arr.n))
+
+
+def per_arrangement_circuits(arr) -> tuple:
+    """The circuits of the representatives by a fresh walk."""
+    return tuple(_circuits([r for r, _ in _direction_classes(arr)]))
+
+
+def per_arrangement_simple(arr) -> bool:
+    """Simplicity by the class circuits, walked afresh for each
+    arrangement: no repeated offset in a class, and no circuit whose
+    relation is met by one offset per class."""
+    classes = _direction_classes(arr)
+    _, flat = _common_denominator(t for _, members in classes for _, t in members)
+    flat = iter(flat)
+    offsets = [tuple(itertools.islice(flat, len(members))) for _, members in classes]
+    if any(len(set(ts)) < len(ts) for ts in offsets):
+        return False
+    for support, relation in per_arrangement_circuits(arr):
+        choices = itertools.product(*(offsets[k] for k in support))
+        if any(sum(c * t for c, t in zip(relation, ts)) == 0 for ts in choices):
+            return False
+    return True
+
+
+def per_arrangement_trivial_factors(arr) -> tuple:
+    """The singleton classes outside the span of the others, each tested by
+    ``rescan_independent_classes``."""
+    classes = _direction_classes(arr)
+    return tuple(sorted(
+        members[0][0]
+        for k, (_, members) in enumerate(classes)
+        if len(members) == 1 and rescan_independent_classes(arr, (k,))
+    ))
+
+
+def per_arrangement_realizable(arr) -> tuple:
+    """The class subsets that ``rescan_independent_classes`` accepts, by
+    size and then lexicographically: the 2^D scan of the complement."""
+    count = len(_direction_classes(arr))
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(count), size) for size in range(count + 1)
+    )
+    return tuple(c for c in subsets if rescan_independent_classes(arr, c))
+
+
+def per_arrangement_ray_signs(arr) -> tuple:
+    """The candidate ray sign vectors by the cofactors of each (n - 1)-subset
+    of representatives, dotted with every normal of the arrangement."""
+    reps = [r for r, _ in _direction_classes(arr)]
+    signs = {}
+    for subset in itertools.combinations(reps, arr.n - 1):
+        c = [(-1) ** j * _int_det([row[:j] + row[j + 1:] for row in subset]) for j in range(arr.n)]
+        if any(c):
+            dots = (sum(a * b for a, b in zip(u, c)) for u in arr.normals)
+            sigma = tuple((x > 0) - (x < 0) for x in dots)
+            signs[sigma] = signs[tuple(-s for s in sigma)] = None
+    return tuple(signs)
+
+
+def per_arrangement_vertices(arr) -> tuple:
+    """The vertices with their sign vectors, one ``solve_integer`` per
+    n-subset of hyperplanes from distinct classes, each class n-subset
+    dropped at its first singular system."""
+    common, lifts = _common_denominator(arr.lifts)
+    found = {}
+    for chosen in itertools.combinations(_direction_classes(arr), arr.n):
+        for members in itertools.product(*(m for _, m in chosen)):
+            zeros = [i for i, _ in members]
+            solved = solve_integer([arr.normals[i] for i in zeros], [-lifts[i] for i in zeros])
+            if solved is None:
+                break
+            nums, den = solved
+            values = (
+                sum(a * x for a, x in zip(u, nums)) + den * lift
+                for u, lift in zip(arr.normals, lifts)
+            )
+            found.setdefault(tuple((v > 0) - (v < 0) for v in values), solved)
+    points = (
+        (tuple(Fraction(x, den * common) for x in nums), sigma)
+        for sigma, (nums, den) in found.items()
+    )
+    return tuple(sorted(points))
 
 
 def brute_force_simple(arr) -> bool:
