@@ -55,8 +55,8 @@ class Arrangement:
         lifts = _as_fractions(self.lifts)
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "lifts", lifts)
-        if self.n < 1:
-            raise ValueError("ambient dimension must be at least 1")
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
+            raise ValueError("ambient dimension must be a positive integer")
         if len(normals) < self.n:
             raise ValueError("need at least as many hyperplanes as the dimension")
         if len(lifts) != len(normals):
@@ -240,8 +240,6 @@ class _ClassMatroid:
     def __init__(self, reps: tuple):
         self.reps = reps
         self.n = len(reps[0])
-        # class bitmask -> echelon form, the empty mask to the empty form
-        self.echelons = {0: ()}
 
     @cached_property
     def regular(self) -> bool:
@@ -264,42 +262,17 @@ class _ClassMatroid:
     def _kept_circuits(self) -> tuple:
         return tuple(_circuits(self.reps))
 
-    def echelon(self, mask: int) -> tuple:
-        """The ``_extend_echelon`` form of the representatives whose bits
-        are set in ``mask``; its length is their rank.
-
-        It is the form of ``mask`` without its highest class, extended by
-        that class (kept as is if the class depends on the others): one
-        reduction per memo entry. A query walks down to its nearest memoized
-        ancestor and builds up from there in a loop, so it builds only the
-        at most D prefixes it reads and never a table of all 2^D masks.
-        """
-        memo = self.echelons
-        form = memo.get(mask)
-        if form is None:
-            missing, prefix = [], mask
-            while prefix not in memo:
-                top = prefix.bit_length() - 1
-                missing.append(top)
-                prefix ^= 1 << top
-            form = memo[prefix]
-            for top in reversed(missing):
-                prefix |= 1 << top
-                form = memo[prefix] = _extend_echelon(form, self.reps[top])[0] or form
-        return form
-
     def independent(self, chosen) -> bool:
         """Does each chosen class lie outside the span of the classes not
-        chosen? Class k does iff adding it to the others raises their rank,
-        ``rank(others | k) > rank(others)``, both read off ``echelon``, so a
-        scan over the subsets of the classes pays one reduction per subset
-        in all."""
-        chosen_mask = 0
-        for k in chosen:
-            chosen_mask |= 1 << k
-        others = ((1 << len(self.reps)) - 1) & ~chosen_mask
-        base = len(self.echelon(others))
-        return all(len(self.echelon(others | 1 << k)) > base for k in chosen)
+        chosen? One ``_extend_echelon`` form of the others, then one
+        reduction of each chosen class against it: class k lies outside iff
+        it extends the form. D reductions per query, and nothing is kept."""
+        chosen = set(chosen)
+        form = ()
+        for k, r in enumerate(self.reps):
+            if k not in chosen:
+                form = _extend_echelon(form, r)[0] or form
+        return all(_extend_echelon(form, self.reps[k])[0] is not None for k in chosen)
 
     @cached_property
     def realizable(self) -> tuple:
@@ -315,8 +288,8 @@ class _ClassMatroid:
     @cached_property
     def coloops(self) -> frozenset:
         """The classes outside the span of all the others, from one echelon
-        pass over the representatives: D reductions and no memo. The classes
-        the pass keeps form a basis, and each other class's relation is its
+        pass over the representatives: D reductions. The classes the pass
+        keeps form a basis, and each other class's relation is its
         fundamental circuit. A class outside the basis lies in its span. A
         basis class b lies in the span of the others iff some fundamental
         circuit uses it, since solving that relation for b does it, and if
@@ -364,7 +337,7 @@ class _ClassMatroid:
 
 
 # Records kept at once. The populations this serves repeat a few class
-# configurations, and a record of many classes can hold a large echelon memo.
+# configurations, and a record of D classes keeps C(D, n) bases.
 _MATROID_CACHE_SIZE = 32
 
 
@@ -378,14 +351,6 @@ def _class_matroid(reps: tuple) -> _ClassMatroid:
 def _matroid(arr: Arrangement) -> _ClassMatroid:
     """The class-matroid record of an arrangement's direction classes."""
     return _class_matroid(tuple(r for r, _ in _direction_classes(arr)))
-
-
-def _independent_classes(arr: Arrangement, chosen) -> bool:
-    """Does each chosen direction class (indices into ``_direction_classes``)
-    lie outside the span of the classes not chosen? The one matroid question
-    behind trivial factors and realizability, answered by the arrangement's
-    record (``_ClassMatroid.independent``)."""
-    return _matroid(arr).independent(chosen)
 
 
 @scoped_cache

@@ -39,8 +39,12 @@ def parse_rational(text: str) -> Fraction:
     match = _RATIONAL_RE.fullmatch(text)
     if not match:
         raise ParseError(f"malformed rational {text!r}")
-    num = int(match.group(1))
-    den = int(match.group(2)) if match.group(2) else 1
+    try:
+        num = int(match.group(1))
+        den = int(match.group(2)) if match.group(2) else 1
+    except ValueError:
+        # more digits than ``sys.get_int_max_str_digits`` allows
+        raise ParseError("rational has too many digits") from None
     if den != 1 and gcd(abs(num), den) != 1:
         raise ParseError(f"rational {text!r} is not in lowest terms")
     return Fraction(num, den)
@@ -59,7 +63,9 @@ def parse_arrangement(data) -> Arrangement:
         data = data.decode("utf-8")
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer with more digits than
+        # ``sys.get_int_max_str_digits`` allows, or nesting too deep
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")

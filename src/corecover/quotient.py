@@ -52,7 +52,6 @@ from .stability import (
     FULL_ALPHABET,
     Status,
     _cone_contains,
-    _nonempty_patterns,
     _numeric_chambers,
     _pattern_mask,
     _pattern_masks,
@@ -173,7 +172,7 @@ def _ray_signs(arr: Arrangement) -> tuple:
 def _extended_core_cached(arr: Arrangement) -> tuple:
     components = []
     rays = _ray_signs(arr)
-    for pattern in _nonempty_patterns(arr, ((Status.Z, Status.W),) * arr.d):
+    for pattern, _ in _pattern_masks(arr, ((Status.Z, Status.W),) * arr.d):
         eps = tuple(1 if status is Status.Z else -1 for status in pattern)
         # a leaf of the tree is nonempty: bounded iff no ray sign conforms
         unbounded = any(all(s * e >= 0 for s, e in zip(sigma, eps)) for sigma in rays)
@@ -336,10 +335,9 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
     ``pattern_realizable``), so the candidates are the 2^D class subsets,
     the empty one standing for the BOTH-free patterns. They depend on the
     classes alone, so the arrangement's ``_ClassMatroid`` lists the
-    realizable ones once (``realizable``), each tested by ranks read off
-    echelon forms memoized by class bitmask, one reduction per subset in
-    all, and every arrangement with the same classes reads that list
-    instead of scanning. For each realizable one the sweep
+    realizable ones once (``realizable``), each tested by one echelon form
+    of the classes outside it, and every arrangement with the same classes
+    reads that list instead of scanning. For each realizable one the sweep
     walks the nonempty state sets with BOTH on it and Z, W or 0 elsewhere
     (``_pattern_masks``), and lists those outside the chart, in the order
     of the full four-letter alphabet. A leaf is outside the chart iff its

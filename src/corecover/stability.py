@@ -40,7 +40,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .arrangement import Arrangement, TorusData, check_sign_vector
-from .arrangement import _direction_classes, _independent_classes, _vertices
+from .arrangement import _direction_classes, _matroid, _vertices
 from .feasibility import Certificate, Constraint, Polyhedron, Relation, is_feasible
 from .linalg import _common_denominator, solve_integer, unit_vector
 from .memo import scoped_cache
@@ -348,11 +348,6 @@ def _pattern_masks(arr: Arrangement, alphabets=None):
                 stack.append((prefix + (status,), mask))
 
 
-def _nonempty_patterns(arr: Arrangement, alphabets=None):
-    """The leaves of ``_pattern_masks``, without their masks."""
-    return (pattern for pattern, _ in _pattern_masks(arr, alphabets))
-
-
 @scoped_cache
 def _cone_contains(arr: Arrangement, pattern) -> bool:
     """Is the state set of a pattern nonempty? The one cached verdict
@@ -397,7 +392,7 @@ def pattern_realizable(arr: Arrangement, pattern) -> bool:
     realizable iff no ``u_i`` with i in B lies in the span of the normals
     outside B. A parallel partner outside B spans ``u_i``, so B must be a
     union of direction classes, and then the test is
-    ``_independent_classes`` on those classes.
+    ``_ClassMatroid.independent`` on those classes.
     """
     pattern = check_pattern(pattern, arr.d)
     chosen = []
@@ -407,7 +402,7 @@ def pattern_realizable(arr: Arrangement, pattern) -> bool:
             return False
         if inside[0]:
             chosen.append(k)
-    return _independent_classes(arr, tuple(chosen))
+    return _matroid(arr).independent(chosen)
 
 
 def reorient_pattern(pattern, eps) -> tuple:

@@ -43,9 +43,7 @@ from util import (
     per_arrangement_realizable,
     per_arrangement_regular,
     per_arrangement_simple,
-    per_arrangement_trivial_factors,
     per_arrangement_vertices,
-    rescan_independent_classes,
     subset_regular,
     subset_simple,
     subset_trivial_factors,
@@ -78,6 +76,13 @@ class TestArrangementInvariants:
     def test_rejects_too_few_hyperplanes(self):
         with pytest.raises(ValueError):
             Arrangement(2, ((1, 0),), (0,))
+
+    @pytest.mark.parametrize("n", [2.0, True, "2", 0, -1])
+    def test_rejects_dimension_not_a_positive_int(self, n):
+        # a float, a bool (an int subclass) or a string is refused at
+        # construction, not by a later query
+        with pytest.raises(ValueError, match="ambient dimension must be a positive integer"):
+            Arrangement(n, ((1, 0), (0, 1), (1, 1)), (0, 0, 1))
 
     def test_lifts_coerced_to_fractions(self):
         arr = Arrangement(1, ((1,), (-1,)), ("1/2", 3))
@@ -507,11 +512,10 @@ def _fan_directions(count):
 
 class TestClassEchelon:
     def test_agrees_with_rescan_on_every_subset(self):
-        # the memoized ranks against a fresh echelon form per query, on all
-        # 2^D class subsets in a shuffled order, so the memo is met in many
-        # states: smooth draws, draws with parallel copies and dependent
-        # normals, non-parallel n = 3 normals (D = 8) and three classes of
-        # 10 and 20 hyperplanes
+        # each class query against the rank test in R^d on its hyperplanes,
+        # on all 2^D class subsets in a shuffled order: smooth draws, draws
+        # with parallel copies and dependent normals, non-parallel n = 3
+        # normals (D = 8) and three classes of 10 and 20 hyperplanes
         rng = random.Random(26)
         population = [random_smooth_arrangement(rng, max_d=8) for _ in range(60)]
         population += _oracle_population(rng, 120) + _distinct_directions(rng, 6)
@@ -525,34 +529,35 @@ class TestClassEchelon:
                 c for size in range(classes + 1) for c in itertools.combinations(range(classes), size)
             ]
             rng.shuffle(subsets)
+            realizable = set(per_arrangement_realizable(arr))
             for chosen in subsets:
-                verdict = arrangement._independent_classes(arr, chosen)
-                assert verdict == rescan_independent_classes(arr, chosen), (arr, chosen)
+                verdict = arrangement._matroid(arr).independent(chosen)
+                assert verdict == (chosen in realizable), (arr, chosen)
                 seen.add(verdict)
                 verdicts += 1
         assert 60 <= smooth <= len(population) - 60
         assert seen == {True, False} and verdicts > 3000
 
     def test_trivial_factors_memo_quadratic(self):
-        # 40 direction classes at n = 2, far from regular: the record's memo
-        # keeps at most D^2 prefixes, not 2^D; trivial factors are read off
-        # its coloops, one echelon pass that leaves the memo as it is
+        # 40 direction classes at n = 2, far from regular: trivial factors
+        # are read off the record's coloops, one echelon pass over the
+        # classes, not a scan of the 2^D class subsets
         arrangement._class_matroid.cache_clear()
         arr = Arrangement(2, _fan_directions(40), tuple(range(40)))
         assert len(arrangement._direction_classes(arr)) == 40 and not is_regular(arr)
         assert trivial_factors(arr) == () == subset_trivial_factors(arr)
-        assert len(arrangement._matroid(arr).echelons) <= 40**2
 
     def test_single_query_builds_its_prefixes_only(self):
-        # more classes than the recursion limit allows frames: one query
-        # walks its prefixes in a loop and builds at most 2 D of them
+        # more classes than the recursion limit allows frames: one query is
+        # one loop over the classes, with no recursion
         count = sys.getrecursionlimit() + 100
         arrangement._class_matroid.cache_clear()
         arr = Arrangement(2, _fan_directions(count), (0,) * count)
-        chosen = (count // 2,)
-        assert arrangement._independent_classes(arr, chosen) is False
-        assert rescan_independent_classes(arr, chosen) is False
-        assert len(arrangement._matroid(arr).echelons) <= 2 * count + 1
+        k = count // 2
+        assert arrangement._matroid(arr).independent((k,)) is False
+        reps = [r for r, _ in arrangement._direction_classes(arr)]
+        others = reps[:k] + reps[k + 1:]
+        assert linalg.rank(others + [reps[k]]) == linalg.rank(others)
 
 
 class TestClassMatroid:
@@ -607,7 +612,7 @@ class TestClassMatroid:
             warm += arrangement._class_matroid.cache_info().misses == misses
             assert is_regular(arr) == per_arrangement_regular(arr)
             assert is_simple(arr) == per_arrangement_simple(arr)
-            assert trivial_factors(arr) == per_arrangement_trivial_factors(arr)
+            assert trivial_factors(arr) == subset_trivial_factors(arr)
             assert tuple(record.circuits()) == per_arrangement_circuits(arr)
             assert quotient._ray_signs(arr) == per_arrangement_ray_signs(arr)
             assert arrangement._vertices(arr) == per_arrangement_vertices(arr)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,22 @@ class TestArrangementFile:
         with pytest.raises(ParseError, match="invalid JSON"):
             parse_arrangement(b"{nope")
 
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="invalid JSON"):
+            parse_arrangement("[" * 100000 + "]" * 100000)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+    )
+    def test_too_many_digits_is_a_parse_error(self):
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        doc = '{"dim": 1, "normals": [[%s], [1]], "lifts": ["0", "0"]}' % digits
+        with pytest.raises(ParseError, match="invalid JSON"):
+            parse_arrangement(doc)
+        for lift in (digits, "1/" + digits):
+            with pytest.raises(ParseError, match="bad lift 2"):
+                parse_arrangement(json.dumps(dict(A2_DOC, lifts=["1", lift, "0"])))
+
     def test_roundtrip_identity(self):
         arr = parse_arrangement(json.dumps(dict(A2_DOC, name="a2")))
         again = parse_arrangement(serialize_arrangement(arr))
@@ -202,6 +219,13 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out == {"covered": True, "witness_count": 7, "counterexamples": []}
+
+    def test_deeply_nested_file_exit_2(self, tmp_path, capsys):
+        # malformed input, not a verified negative result (exit 1)
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code = main(["check", str(path)])
+        assert code == 2 and "invalid JSON" in capsys.readouterr().err
 
     def test_cover_empty_core_exit_2(self, tmp_path, capsys):
         doc = {"dim": 2, "normals": [[1, 0], [1, 0], [0, 1]], "lifts": ["0", "-1", "0"]}

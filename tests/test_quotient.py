@@ -55,6 +55,7 @@ from util import (
     candidate_complement,
     enumerate_vertices,
     is_bounded,
+    nonempty_patterns,
     numeric_complement,
     numeric_covering,
     per_leaf_complement,
@@ -148,7 +149,7 @@ class TestExtendedCore:
         real = feasibility.is_feasible
         for _ in range(20):
             arr = random_smooth_arrangement(rng, max_d=6)
-            list(stability._nonempty_patterns(arr, ((Z, W),) * arr.d))
+            list(nonempty_patterns(arr, ((Z, W),) * arr.d))
             solved = []
             for module in (feasibility, stability):
                 monkeypatch.setattr(module, "is_feasible", lambda p: solved.append(p) or real(p))
@@ -515,7 +516,7 @@ class TestComplementSweep:
             # semistable patterns, in product order
             for both, semistable in walked.items():
                 alphabets = [(B,) if b else NO_BOTH_ALPHABET for b in both]
-                assert list(stability._nonempty_patterns(arr, alphabets)) == semistable
+                assert list(nonempty_patterns(arr, alphabets)) == semistable
 
     def test_memory_is_bounded(self, monkeypatch):
         # the walks cache nothing: the scoped caches hold BOTH-free keys
@@ -549,7 +550,7 @@ class TestComplementSweep:
         # n = 2, d = 16: the realizable class set of 8 hyperplanes once left
         # 3^8 fills; now the walks yield fewer patterns, with one read in all
         arr = random_smooth_arrangement(random.Random(3), n=2, d=16)
-        chamber = next(stability._nonempty_patterns(arr, ((Z, W),) * arr.d))
+        chamber = next(nonempty_patterns(arr, ((Z, W),) * arr.d))
         eps = tuple(1 if status is Z else -1 for status in chamber)
         reads.clear()
         yielded.clear()
@@ -725,7 +726,7 @@ class TestChartComplement:
             assert reads == [full_pattern(eps)]
             # the BOTH-free walk comes first and yields the tree's leaves
             assert both_sizes[0] == 0
-            leaves = list(stability._nonempty_patterns(arr))
+            leaves = list(nonempty_patterns(arr))
             assert yielded[: len(leaves)] == leaves
             read += len(yielded)
             candidates += sum(3 ** (arr.d - size) for size in both_sizes)
@@ -742,7 +743,7 @@ class TestChartComplement:
             random_smooth_arrangement(random.Random(3), n=2, d=16),
         ]
         for arr in arrangements:
-            chamber = next(stability._nonempty_patterns(arr, ((Z, W),) * arr.d))
+            chamber = next(nonempty_patterns(arr, ((Z, W),) * arr.d))
             eps = tuple(1 if status is Z else -1 for status in chamber)
             arrangement_module._class_matroid.cache_clear()
             chosen, walks = [], []

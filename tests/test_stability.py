@@ -42,6 +42,7 @@ from corecover.stability import FULL_ALPHABET, NO_BOTH_ALPHABET, Status, chart_p
 from util import (
     affine_dimension,
     enumerate_vertices,
+    nonempty_patterns,
     numeric_density,
     per_pattern_verdict,
     rank_realizable,
@@ -400,7 +401,7 @@ class TestRandomEquivalence:
 
 
 class TestPrefixTree:
-    """``_cone_contains`` and the walk of ``_nonempty_patterns`` keep the
+    """``_cone_contains`` and the walk of ``_pattern_masks`` keep the
     prefixes whose letters hold at some vertex of the arrangement, with no
     LP, on simple input and on input that is not simple alike."""
 
@@ -444,7 +445,7 @@ class TestPrefixTree:
             # the vertices decide every arrangement, simple or not
             assert calls == []
             # the tree's leaves are the nonempty state sets, in product order
-            assert list(stability._nonempty_patterns(arr)) == nonempty
+            assert list(nonempty_patterns(arr)) == nonempty
             # the extended core lists the nonempty chambers, also on non-smooth
             # input, which render reads it on
             dense = set(nonempty)

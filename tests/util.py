@@ -20,18 +20,18 @@ meaningful.
 Also the lattice and solver routines that only the tests use, built on the
 library's own eliminations: the Hermite normal form with its transform,
 the rational determinant and a particular solution of a general system
-(``hermite_normal_form``, ``det``, ``lin_solve``); the realizability test
-with a fresh echelon form per query instead of the memoized class echelons
-(``rescan_independent_classes``); the per-arrangement answers that the
-shared class-matroid records replace, computed afresh for each
-arrangement (``per_arrangement_regular``, ``per_arrangement_circuits``,
-``per_arrangement_simple``, ``per_arrangement_trivial_factors``,
-``per_arrangement_realizable``, ``per_arrangement_ray_signs`` and
-``per_arrangement_vertices``); polyhedral oracles (projection, affine
-dimension, boundedness, vertices, brute-force feasibility), the covering
-proof's adjacency step, the constraint shorthands ``ge``, ``gt`` and ``eq``
-and a generator of arrangements with three direction classes. The scripts
-put this directory on ``sys.path``."""
+(``hermite_normal_form``, ``det``, ``lin_solve``); the leaves of the
+library's pattern walk without their masks (``nonempty_patterns``); the
+per-arrangement answers that the shared class-matroid records replace,
+computed afresh for each arrangement (``per_arrangement_regular``,
+``per_arrangement_circuits``, ``per_arrangement_simple``,
+``per_arrangement_ray_signs`` and ``per_arrangement_vertices``; the
+realizable class subsets, ``per_arrangement_realizable``, by the rank test
+in R^d); polyhedral oracles (projection, affine dimension, boundedness,
+vertices, brute-force feasibility), the covering proof's adjacency step,
+the constraint shorthands ``ge``, ``gt`` and ``eq`` and a generator of
+arrangements with three direction classes. The scripts put this directory
+on ``sys.path``."""
 
 import functools
 import itertools
@@ -61,7 +61,6 @@ from corecover.linalg import (
     _back_substitute,
     _bareiss,
     _common_denominator,
-    _extend_echelon,
     _hnf,
     _int_det,
     _integer_rows,
@@ -77,7 +76,7 @@ from corecover.stability import (
     FULL_ALPHABET,
     NO_BOTH_ALPHABET,
     Status,
-    _nonempty_patterns,
+    _pattern_masks,
     chart_pattern,
     chart_semistable,
 )
@@ -93,6 +92,11 @@ def gt(coeffs, constant=0) -> Constraint:
 
 def eq(coeffs, constant=0) -> Constraint:
     return Constraint(tuple(coeffs), Relation.EQ, constant)
+
+
+def nonempty_patterns(arr, alphabets=None):
+    """The leaves of ``_pattern_masks``, without their masks."""
+    return (pattern for pattern, _ in _pattern_masks(arr, alphabets))
 
 
 def _eliminate(mat, rhs=None) -> tuple:
@@ -318,19 +322,6 @@ def subset_trivial_factors(arr) -> tuple:
     )
 
 
-def rescan_independent_classes(arr, chosen) -> bool:
-    """Each chosen direction class outside the span of the others, by a
-    fresh echelon form of the other classes' representatives per query and
-    one reduction of each chosen one against it, sharing nothing between
-    queries: D reductions per query instead of the memoized prefixes."""
-    reps = [r for r, _ in _direction_classes(arr)]
-    echelon = ()
-    for k, r in enumerate(reps):
-        if k not in chosen:
-            echelon = _extend_echelon(echelon, r)[0] or echelon
-    return all(_extend_echelon(echelon, reps[k])[0] is not None for k in chosen)
-
-
 def per_arrangement_regular(arr) -> bool:
     """Regularity by the C(D, n) determinants of the representatives,
     taken afresh for each arrangement."""
@@ -360,25 +351,18 @@ def per_arrangement_simple(arr) -> bool:
     return True
 
 
-def per_arrangement_trivial_factors(arr) -> tuple:
-    """The singleton classes outside the span of the others, each tested by
-    ``rescan_independent_classes``."""
-    classes = _direction_classes(arr)
-    return tuple(sorted(
-        members[0][0]
-        for k, (_, members) in enumerate(classes)
-        if len(members) == 1 and rescan_independent_classes(arr, (k,))
-    ))
-
-
 def per_arrangement_realizable(arr) -> tuple:
-    """The class subsets that ``rescan_independent_classes`` accepts, by
-    size and then lexicographically: the 2^D scan of the complement."""
-    count = len(_direction_classes(arr))
+    """The class subsets whose hyperplanes ``rank_realizable`` accepts as a
+    BOTH set, by size and then lexicographically: the 2^D scan of the
+    complement by the rank test in R^d."""
+    td = torus_data(arr)
+    classes = _direction_classes(arr)
     subsets = itertools.chain.from_iterable(
-        itertools.combinations(range(count), size) for size in range(count + 1)
+        itertools.combinations(range(len(classes)), size) for size in range(len(classes) + 1)
     )
-    return tuple(c for c in subsets if rescan_independent_classes(arr, c))
+    return tuple(
+        c for c in subsets if rank_realizable(td, {i for k in c for i, _ in classes[k][1]})
+    )
 
 
 def per_arrangement_ray_signs(arr) -> tuple:
@@ -552,7 +536,7 @@ def adjacency_lemma_check(arr) -> bool:
     """
     compact = [(c.eps, chamber(arr, c.eps).constraints) for c in core(arr, force=True)]
     td = torus_data(arr)
-    for pattern in _nonempty_patterns(arr):
+    for pattern in nonempty_patterns(arr):
         st = state_set(arr, pattern)
         for eps, walls in compact:
             meet = Polyhedron(arr.n, st.constraints + walls)
@@ -663,7 +647,7 @@ def per_leaf_covering(arr) -> CoverReport:
     compact = theta_cpt(arr, force=True)
     witness = {}
     counterexamples = []
-    for pattern in _nonempty_patterns(arr):
+    for pattern in nonempty_patterns(arr):
         for eps in compact:
             if per_pattern_verdict(arr, chart_pattern(eps, pattern)):
                 witness[pattern] = eps
@@ -687,7 +671,7 @@ def per_leaf_complement(arr, eps) -> ComplementReport:
             alphabets = [(Status.BOTH,) if i in both else NO_BOTH_ALPHABET for i in range(arr.d)]
             excluded.extend(
                 pattern
-                for pattern in _nonempty_patterns(arr, alphabets)
+                for pattern in nonempty_patterns(arr, alphabets)
                 if not per_pattern_verdict(arr, chart_pattern(eps, pattern))
             )
     excluded.sort(key=lambda p: [_LETTER_ORDER[status] for status in p])
