@@ -23,11 +23,11 @@ direction classes against a rank test in R^d, on all 2^d BOTH sets) and the
 complement (``chart_complement`` of every compact sign vector against a 4^d
 sweep of numeric verdicts with realizability from the rank test). The
 ``matroid`` column recomputes the draw's regularity, circuits, realizable
-class subsets, ray signs and vertices on a class-matroid record built for
-that call alone, as if the record cache had been cleared, and compares them
-with the answers read off the shared record, which an earlier draw with the
-same direction classes may have built. The
-oracles and the adjacency check are the test suite's (``tests/util.py``).
+class subsets, ray signs, vertices and torus data on a class-matroid record
+built for that call alone, as if the record cache had been cleared, and
+compares them with the answers read off the shared record, which an earlier
+draw with the same direction classes may have built. The oracles and the
+adjacency check are the test suite's (``tests/util.py``).
 Prints one line per instance and a summary.
 
 Usage: python scripts/random_sweep.py [--seed N] [--count N] [--max-d N]
@@ -109,6 +109,7 @@ def matroid_answers(arr) -> tuple:
         record.realizable,
         _ray_signs.__wrapped__(arr),
         arrangement._vertices.__wrapped__(arr),
+        arrangement.torus_data.__wrapped__(arr),
     )
 
 

@@ -139,7 +139,7 @@ def _level(basis, lifts) -> tuple:
     """``basis @ lifts`` as Fractions, summed on integers over the lifts'
     common denominator."""
     common, nums = _common_denominator(lifts)
-    return tuple(Fraction(sum(a * x for a, x in zip(row, nums)), common) for row in basis)
+    return tuple(Fraction(sum(map(mul, row, nums)), common) for row in basis)
 
 
 @scoped_cache
@@ -147,10 +147,59 @@ def torus_data(arr: Arrangement) -> TorusData:
     """Kernel lattice and moment level of an arrangement.
 
     Deterministic: the kernel basis follows the pinned Hermite normal form
-    convention of :mod:`corecover.linalg`.
+    convention of :mod:`corecover.linalg`, and equals ``kernel_lattice`` of
+    the transposed normals ``mat``. Input that is not regular takes that
+    call. On regular input the basis is read off the arrangement's
+    ``_ClassMatroid`` with no elimination. ``mat`` has full row rank, and
+    every independent n-subset of its columns has determinant +-1, so by
+    the ``kernel_lattice`` docstring the basis has one row per position p
+    outside N, the lexicographically last independent columns, in
+    increasing order: ``e_p - mat_N^{-1} mat_p``, placed on the N columns.
+
+    Write hyperplane i as ``u_i = s_i r_{k_i}`` (``_orientations``). N is
+    the greedy basis taken from the end: position i joins it iff ``u_i``
+    lies outside the span of the normals already taken. A class whose last
+    occurrence is skipped is in that span, and so are its earlier members;
+    so N is the last occurrence of each class of one class basis B, the
+    greedy basis of the classes ordered by descending last occurrence.
+    That is the Gale-maximal basis for this order: of the record's
+    independent class n-subsets (``unit_bases``), the one whose last
+    occurrences, sorted in descending order, compare largest. Let ``y_k``
+    hold the coordinates of ``r_k`` in B, ``r_k = sum_b y_k[b] r_b``,
+    integral since B has determinant +-1. Then ``u_p = s_p sum_b
+    y_{k_p}[b] r_b = sum_j s_p s_j y_{k_p}[b_j] u_j`` over the positions j
+    in N, with ``b_j`` the class of j, so ``(mat_N^{-1} mat_p)_j = s_p s_j
+    y_{k_p}[b_j]``. The coordinates depend on the classes alone and the
+    record keeps them per B (``coordinates``); an arrangement reads only
+    its signs and positions, so each row is one copy of the row shared by
+    its class and sign with a 1 set at p.
     """
-    basis = kernel_lattice(transpose(arr.normals, ncols=arr.n), ncols=arr.d)
-    return TorusData(basis, arr.lifts)
+    record = _matroid(arr)
+    bases = record.unit_bases
+    if bases is None:
+        basis = kernel_lattice(transpose(arr.normals, ncols=arr.n), ncols=arr.d)
+        return TorusData(basis, arr.lifts)
+    planes = _orientations(arr)
+    last = [members[-1][0] for _, members in _direction_classes(arr)]
+    chosen = max(bases, key=lambda c: sorted([last[k] for k in c], reverse=True))
+    coords = record.coordinates(chosen)
+    pivots = [(last[b], planes[last[b]][1]) for b in chosen]
+    skip = {j for j, _ in pivots}
+    shared = {}
+    basis = []
+    for p, plane in enumerate(planes):
+        if p in skip:
+            continue
+        row = shared.get(plane)
+        if row is None:
+            k, s = plane
+            row = shared[plane] = [0] * arr.d
+            for (j, sj), y in zip(pivots, coords[k]):
+                row[j] = -s * sj * y
+        row = row.copy()
+        row[p] = 1
+        basis.append(tuple(row))
+    return TorusData(tuple(basis), arr.lifts)
 
 
 def reorient(arr: Arrangement, eps) -> Arrangement:
@@ -174,21 +223,23 @@ def _direction_classes(arr: Arrangement) -> tuple:
     Normals are primitive, so two are parallel exactly when they agree up to
     sign. Each class is ``(r, members)``: ``r`` is the common normal up to
     sign with its first nonzero entry positive, and ``members`` holds
-    ``(i, t)`` for each hyperplane ``i`` of the class, in index order, which
-    is the set ``<r, x> = t``. The classes are sorted by ``r``, not listed in
-    order of appearance, so arrangements that differ only in the order of
-    their hyperplanes, the signs of their normals, parallel copies or lifts
-    have the same representatives and share one ``_ClassMatroid``.
+    ``(i, t)`` for each hyperplane ``i`` of the class, in index order, with
+    ``t`` an integer: the hyperplane is the set ``<r, x> = t / L``, where L
+    is the lifts' common denominator. The classes are sorted by ``r``, not
+    listed in order of appearance, so arrangements that differ only in the
+    order of their hyperplanes, the signs of their normals, parallel copies
+    or lifts have the same representatives and share one ``_ClassMatroid``.
     """
     classes = {}
     zero = (0,) * arr.n
-    for i, (u, lift) in enumerate(zip(arr.normals, arr.lifts)):
+    _, nums = _common_denominator(arr.lifts)
+    for i, (u, num) in enumerate(zip(arr.normals, nums)):
         # tuples compare lexicographically: u > zero iff its first nonzero
         # entry is positive
         if u > zero:
-            classes.setdefault(u, []).append((i, -lift))
+            classes.setdefault(u, []).append((i, -num))
         else:
-            classes.setdefault(tuple(-x for x in u), []).append((i, lift))
+            classes.setdefault(tuple(-x for x in u), []).append((i, num))
     return tuple((r, tuple(members)) for r, members in sorted(classes.items()))
 
 
@@ -229,23 +280,56 @@ class _ClassMatroid:
     """The matroid of one tuple of direction-class representatives.
 
     Regularity, the circuits, realizability, the coloops, the chambers'
-    candidate rays and the vertex systems depend on the representatives
-    alone, not on the order of the hyperplanes, the signs of their normals,
-    parallel copies or the lifts. So one record serves every arrangement
-    with the same sorted representatives (see ``_direction_classes``), and
-    each of its parts is computed on first use. Records are kept by
-    ``_class_matroid``; class indices below are positions in ``reps``.
+    candidate rays, the vertex systems and the coordinates behind the
+    kernel basis depend on the representatives alone, not on the order of
+    the hyperplanes, the signs of their normals, parallel copies or the
+    lifts. So one record serves every arrangement with the same sorted
+    representatives (see ``_direction_classes``), and each of its parts is
+    computed on first use. Records are kept by ``_class_matroid``; class
+    indices below are positions in ``reps``.
     """
 
     def __init__(self, reps: tuple):
         self.reps = reps
         self.n = len(reps[0])
+        self._coordinates = {}
 
     @cached_property
+    def unit_bases(self) -> tuple | None:
+        """The independent n-subsets of classes, in lexicographic order, if
+        every n representatives have determinant 0 or +-1 (see
+        ``is_regular``); None at the first that has not. One integer
+        elimination (``_int_det``) per n-subset, so a regular record keeps
+        its nonzero n-minors, all +-1, for the cost of the verdict."""
+        out = []
+        for chosen in itertools.combinations(range(len(self.reps)), self.n):
+            value = _int_det([self.reps[k] for k in chosen])
+            if abs(value) > 1:
+                return None
+            if value:
+                out.append(chosen)
+        return tuple(out)
+
+    @property
     def regular(self) -> bool:
-        """Every n representatives have determinant 0 or +-1 (see
-        ``is_regular``), one integer elimination (``_int_det``) each."""
-        return all(abs(_int_det(sub)) <= 1 for sub in itertools.combinations(self.reps, self.n))
+        """Every n representatives have determinant 0 or +-1."""
+        return self.unit_bases is not None
+
+    def coordinates(self, basis: tuple) -> tuple:
+        """For a class basis of a regular record (one of ``unit_bases``),
+        the coordinates ``y_k`` of every representative in it, ``r_k =
+        sum(y_k[j] * r_{basis[j]})``: the representatives times the inverse
+        of the basis matrix, which is integral, from one ``_scaled_inverse``
+        and one product per representative. Kept per basis; a regular
+        record has at most C(n(n+1)/2, n) of them."""
+        coords = self._coordinates.get(basis)
+        if coords is None:
+            _, inverse = _scaled_inverse([self.reps[k] for k in basis])
+            columns = tuple(zip(*inverse))
+            coords = self._coordinates[basis] = tuple(
+                tuple([sum(map(mul, r, col)) for col in columns]) for r in self.reps
+            )
+        return coords
 
     def circuits(self):
         """The circuits of the representatives (see ``_circuits``). A record
@@ -337,7 +421,10 @@ class _ClassMatroid:
 
 
 # Records kept at once. The populations this serves repeat a few class
-# configurations, and a record of D classes keeps C(D, n) bases.
+# configurations. A record of D classes keeps C(D, n) bases with their
+# inverses, and a regular one also its independent class n-subsets and the
+# coordinates of its representatives in each class basis it was asked for,
+# at most C(n(n+1)/2, n) of them.
 _MATROID_CACHE_SIZE = 32
 
 
@@ -381,7 +468,7 @@ def _vertices(arr: Arrangement) -> tuple:
     reps = [r for r, _ in classes]
     common, lifts = _common_denominator(arr.lifts)
     planes = [(k, s, -s * lift) for (k, s), lift in zip(_orientations(arr), lifts)]
-    offsets = [tuple(planes[i][2] for i, _ in members) for _, members in classes]
+    offsets = [tuple(t for _, t in members) for _, members in classes]
     found = {}
     for chosen, den, inverse in _matroid(arr).bases:
         for ts in itertools.product(*(offsets[k] for k in chosen)):
@@ -406,9 +493,10 @@ def is_regular(arr: Arrangement) -> bool:
     the C(D, n) determinants of the class representatives decide. They are
     integer matrices, so each determinant is one integer elimination
     (``_int_det``), with no denominators to clear, and the verdict is kept
-    in the arrangement's ``_ClassMatroid``. A regular arrangement has at
-    most n(n+1)/2 classes (Heller, 1957), so for smooth input the cost
-    follows n, not d.
+    in the arrangement's ``_ClassMatroid`` with the independent n-subsets,
+    from which ``torus_data`` picks its class basis. A regular arrangement
+    has at most n(n+1)/2 classes (Heller, 1957), so for smooth input the
+    cost follows n, not d.
     """
     return _matroid(arr).regular
 
@@ -439,13 +527,11 @@ def is_simple(arr: Arrangement) -> bool:
     ``_ClassMatroid`` (if it has at most n(n+1)/2 classes) and read by
     every arrangement with the same classes, so the cost follows the
     classes and their sizes, not C(d, n + 1), and each arrangement pays
-    only for its own offsets. Offsets are scaled to
-    integers by a common denominator, which scales every sum alike.
+    only for its own offsets. It reads them as ``_direction_classes`` keeps
+    them, integers over the lifts' common denominator, which scales every
+    sum alike.
     """
-    classes = _direction_classes(arr)
-    _, flat = _common_denominator(t for _, members in classes for _, t in members)
-    flat = iter(flat)
-    offsets = [tuple(itertools.islice(flat, len(members))) for _, members in classes]
+    offsets = [tuple(t for _, t in members) for _, members in _direction_classes(arr)]
     if any(len(set(ts)) < len(ts) for ts in offsets):
         return False
     for support, relation in _matroid(arr).circuits():

@@ -53,8 +53,32 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value) -> str:
     value = Fraction(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _decimal(value.numerator)
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+
+
+# Digits per piece of an integer too long for ``str``: fewer than 640, the
+# least limit ``sys.set_int_max_str_digits`` accepts, so every piece
+# converts whatever the limit is.
+_PIECE_DIGITS = 600
+
+
+def _decimal(value: int) -> str:
+    """``str(value)``; an integer with more digits than
+    ``sys.get_int_max_str_digits`` allows, on which ``str`` raises, is
+    converted ``_PIECE_DIGITS`` digits at a time, and the process-wide limit
+    is left as it is. An answer may have far more digits than its input:
+    the level multiplies the lifts' denominators."""
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    head, pieces, unit = abs(value), [], 10**_PIECE_DIGITS
+    while head >= unit:
+        head, low = divmod(head, unit)
+        pieces.append(f"{low:0{_PIECE_DIGITS}d}")
+    sign = "-" if value < 0 else ""
+    return sign + str(head) + "".join(reversed(pieces))
 
 
 def parse_arrangement(data) -> Arrangement:

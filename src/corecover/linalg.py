@@ -5,14 +5,17 @@ Integer work (Hermite normal form, saturated kernels, primitivity, integer
 determinants, the incremental echelon form that walks subsets of vectors)
 stays in arbitrary precision integers. The one HNF routine, ``_hnf``,
 reduces the transpose and its kernel rows in one pass in
-``kernel_lattice``, unless the matrix has a unimodular pivot block, as the
-normal map of every regular arrangement does: then the kernel's HNF is read
-off that block with no HNF at all. One fraction-free (Bareiss) forward
-elimination, with fraction-free back substitution, is behind that read-off,
-rank, the integer determinant, the scaled integer inverse and both square
-solvers; rational rows are
-first cleared of their denominators, which is done only in
-``_common_denominator``. There is no floating point anywhere in this
+``kernel_lattice``, unless the matrix has a unimodular pivot block: then
+the kernel's HNF is read off that block with no HNF at all. The normal map
+of a regular arrangement has such a block, but ``torus_data`` does not come
+here for it: it reads the same basis off the arrangement's class-matroid
+record (see :mod:`corecover.arrangement`). The read-off here serves the
+other callers: ``solution_space`` and the torus data of input that is not
+regular. One fraction-free (Bareiss) forward elimination, with
+fraction-free back substitution, is behind that read-off, rank, the
+integer determinant, the scaled integer inverse and both square solvers;
+rational rows are first cleared of their denominators, which is done only
+in ``_common_denominator``. There is no floating point anywhere in this
 module: every downstream verdict is an exact feasibility question and
 rounding would corrupt it.
 """
@@ -138,7 +141,10 @@ def kernel_lattice(mat, ncols: int | None = None) -> tuple:
     inverse, so for each ``p`` in P the vector ``e_p - mat_N^{-1} mat_p``,
     placed on the N columns, is integral and in L. So the pivots of the HNF
     are all 1, the entries above them are reduced to 0, and row ``p`` of the
-    HNF is that vector, the only one in L that is ``e_p`` on P.
+    HNF is that vector, the only one in L that is ``e_p`` on P. A regular
+    arrangement's normal map has such a block, and ``torus_data`` reads the
+    same rows off the class-matroid record instead of calling here; this
+    read-off serves the other callers.
 
     Otherwise (dependent rows, or no such block) one pass: the HNF of
     ``[mat^T | I]`` over all its columns. Once the columns of ``mat^T`` are

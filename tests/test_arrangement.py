@@ -37,6 +37,7 @@ from util import (
     brute_force_simple,
     det,
     enumerate_vertices,
+    kernel_by_two_hnf,
     mat_vec,
     per_arrangement_circuits,
     per_arrangement_ray_signs,
@@ -617,6 +618,9 @@ class TestClassMatroid:
             assert quotient._ray_signs(arr) == per_arrangement_ray_signs(arr)
             assert arrangement._vertices(arr) == per_arrangement_vertices(arr)
             assert record.realizable == per_arrangement_realizable(arr)
+            assert torus_data.__wrapped__(arr) == TorusData(
+                linalg.kernel_lattice(transpose(arr.normals, ncols=arr.n), ncols=arr.d), arr.lifts
+            )
             if is_smooth(arr):
                 eps = quotient._extended_core_cached(arr)[0].eps
                 complements.append((arr, eps, chart_complement(arr, eps)))
@@ -624,6 +628,63 @@ class TestClassMatroid:
         for arr, eps, warm in complements:
             arrangement._class_matroid.cache_clear()
             assert chart_complement(arr, eps) == warm
+
+    def test_torus_data_read_off_shared_record(self):
+        # shuffled, re-signed and duplicated copies share one record, and
+        # the order of the hyperplanes decides which class basis the kernel
+        # is read off, so one record serves several bases
+        rng = random.Random(29)
+        population = [random_smooth_arrangement(rng, n=n, d=d) for n in (2, 3) for d in (4, 6, 8)]
+        population += [random_smooth_arrangement(rng, n=rng.choice((2, 3))) for _ in range(40)]
+        population += [three_class_arrangement(rng, k) for k in (2, 5)]
+        several = shared = 0
+        for base in population:
+            variants = [base]
+            for _ in range(6):
+                flipped = reorient(base, [rng.choice((1, -1)) for _ in range(base.d)])
+                planes = list(zip(flipped.normals, flipped.lifts))
+                for _ in range(rng.randint(0, 2)):
+                    u, lift = rng.choice(planes)
+                    planes.append((tuple(-x for x in u), -lift + F(1, rng.randint(2, 5))))
+                rng.shuffle(planes)
+                variants.append(Arrangement(
+                    base.n, tuple(u for u, _ in planes), tuple(lift for _, lift in planes)
+                ))
+            arrangement._class_matroid.cache_clear()
+            for arr in variants:
+                assert arrangement._matroid(arr) is arrangement._matroid(base)
+                expected = kernel_by_two_hnf(transpose(arr.normals, ncols=arr.n), arr.d)
+                assert torus_data.__wrapped__(arr).basis == expected
+            record = arrangement._matroid(base)
+            if len(record.unit_bases) > 1:
+                several += 1
+                shared += len(record._coordinates) > 1
+        assert several > 15 and shared > several / 2, (several, shared)
+
+    def test_warm_torus_data_runs_no_elimination(self, monkeypatch):
+        # once the record has read off a kernel for a class basis, another
+        # arrangement with the same classes and basis eliminates nothing
+        rng = random.Random(30)
+        arrangements = [three_class_arrangement(rng, 20)]
+        arrangements += [random_smooth_arrangement(rng, n=3, d=d) for d in (5, 7)]
+        calls = []
+
+        def counting(inner):
+            def wrapper(*args):
+                calls.append(inner.__name__)
+                return inner(*args)
+            return wrapper
+
+        for arr in arrangements:
+            arrangement._class_matroid.cache_clear()
+            torus_data.__wrapped__(arr)
+            relifted = Arrangement(arr.n, arr.normals, tuple(lift + 1 for lift in arr.lifts))
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_bareiss", counting(linalg._bareiss))
+                patch.setattr(linalg, "_hnf", counting(linalg._hnf))
+                patch.setattr(arrangement, "_extend_echelon", counting(arrangement._extend_echelon))
+                td = torus_data.__wrapped__(relifted)
+            assert calls == [] and td.basis == torus_data(arr).basis
 
     def test_many_classes_walk_their_circuits_afresh(self, monkeypatch):
         # 80 lines through the origin: more classes than a regular

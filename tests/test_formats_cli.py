@@ -19,6 +19,7 @@ from corecover import (
     parse_rational,
     parse_sign_vector,
     serialize_arrangement,
+    torus_data,
 )
 import corecover.cli as cli
 import corecover.feasibility as feasibility
@@ -51,6 +52,21 @@ def write(tmp_path, doc, name="arr.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _long_rational(text):
+    """A printed rational with any number of digits, read 500 digits at a
+    time, so no digit limit applies."""
+    def read(digits):
+        value = 0
+        for start in range(0, len(digits), 500):
+            piece = digits[start:start + 500]
+            value = value * 10 ** len(piece) + int(piece)
+        return value
+
+    num, _, den = text.partition("/")
+    sign = -1 if num.startswith("-") else 1
+    return F(sign * read(num.lstrip("-")), read(den) if den else 1)
 
 
 class TestRationals:
@@ -226,6 +242,25 @@ class TestCli:
         path.write_text("[" * 100000 + "]" * 100000)
         code = main(["check", str(path)])
         assert code == 2 and "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+    )
+    def test_answer_over_the_digit_limit(self, tmp_path, capsys):
+        # each lift fits the limit, but the level 1/p + 1/q does not: the
+        # answer is printed in full and the limit is left as it was
+        limit = sys.get_int_max_str_digits()
+        digits = limit * 3 // 4
+        p, q = 10 ** (digits - 1) + 1, 10 ** (digits - 1) + 3
+        doc = {"dim": 1, "normals": [[1], [1], [-1]], "lifts": ["0", f"1/{p}", f"1/{q}"]}
+        path = write(tmp_path, doc)
+        code = main(["report", path])
+        captured = capsys.readouterr()
+        assert code == 0 and sys.get_int_max_str_digits() == limit, captured.err
+        out = json.loads(captured.out)
+        expected = torus_data(parse_arrangement(pathlib.Path(path).read_text())).alpha
+        assert max(len(text) for text in out["torus"]["alpha"]) > limit
+        assert [_long_rational(text) for text in out["torus"]["alpha"]] == list(expected)
 
     def test_cover_empty_core_exit_2(self, tmp_path, capsys):
         doc = {"dim": 2, "normals": [[1, 0], [1, 0], [0, 1]], "lifts": ["0", "-1", "0"]}
