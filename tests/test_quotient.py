@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 import json
 import math
 import pathlib
+import pickle
 import random
 from fractions import Fraction
 
@@ -53,6 +55,7 @@ from util import (
     adjacency_lemma_check,
     affine_dimension,
     candidate_complement,
+    cycling_family,
     enumerate_vertices,
     is_bounded,
     nonempty_patterns,
@@ -66,6 +69,11 @@ from util import (
 F = Fraction
 Z, W, O, B = Status.Z, Status.W, Status.ZERO, Status.BOTH
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+# SHA-256 of the pickled (protocol 4) CoverReport of
+# cycling_family(random.Random(1), 24), recorded with the covering loop that
+# tested each leaf against every vertex group in turn.
+COVER_PICKLE_DIGEST = "ef77c1330452c08d1969b380872814ba9a1ea851f65bfdfcbe1f8f4b8f277dad"
 
 
 def _classification_population(rng, count):
@@ -405,6 +413,15 @@ class TestVertexMasks:
         for arr in arrangements:
             for c in extended_core(arr)[:3]:
                 assert chart_complement(arr, c.eps) == per_leaf_complement(arr, c.eps)
+
+    def test_pinned_cover_report(self):
+        # n = 3, d = 24: 1,105 chambers and 7,825 leaves; the pickle pins
+        # the witness dict's order and which chamber tuples it shares
+        arr = cycling_family(random.Random(1), 24)
+        report = verify_covering(arr, force=True)
+        assert report.covered and len(report.witness) == 7825
+        digest = hashlib.sha256(pickle.dumps(report, protocol=4)).hexdigest()
+        assert digest == COVER_PICKLE_DIGEST
 
     def test_gluing_corollary(self):
         # on smooth input with a nonempty core, covering holds iff every

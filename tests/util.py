@@ -29,8 +29,9 @@ computed afresh for each arrangement (``per_arrangement_regular``,
 realizable class subsets, ``per_arrangement_realizable``, by the rank test
 in R^d); polyhedral oracles (projection, affine dimension, boundedness,
 vertices, brute-force feasibility), the covering proof's adjacency step,
-the constraint shorthands ``ge``, ``gt`` and ``eq`` and a generator of
-arrangements with three direction classes. The scripts put this directory
+the constraint shorthands ``ge``, ``gt`` and ``eq``, a generator of
+arrangements with three direction classes and one of the simple n = 3
+family whose normals cycle through four. The scripts put this directory
 on ``sys.path``."""
 
 import functools
@@ -51,6 +52,7 @@ from corecover import (
     hk_semistable_geometric,
     hk_semistable_numeric,
     is_feasible,
+    is_simple,
     state_set,
     theta_cpt,
     torus_data,
@@ -751,3 +753,19 @@ def three_class_arrangement(rng, per_class):
     signs = [rng.choice((1, -1)) for _ in planes]
     normals = tuple(tuple(s * x for x in u) for s, (u, _) in zip(signs, planes))
     return Arrangement(2, normals, tuple(-s * v for s, (_, v) in zip(signs, planes)))
+
+
+def cycling_family(rng, d):
+    """n = 3, normals cycling through e1, e2, e3 and e1 + e2 + e3, each
+    integer lift drawn from [-1000, 1000] again until the hyperplanes so far
+    are simple. The normals are regular, so the arrangement is smooth."""
+    cycle = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+    normals = tuple(cycle[i % 4] for i in range(d))
+    lifts = []
+    for i in range(d):
+        while True:
+            lift = rng.randint(-1000, 1000)
+            if i < 3 or is_simple(Arrangement(3, normals[: i + 1], (*lifts, lift))):
+                break
+        lifts.append(lift)
+    return Arrangement(3, normals, tuple(lifts))
