@@ -30,6 +30,8 @@ _PATTERN_CHARS = {
     "0": Status.ZERO,
     "*": Status.BOTH,
 }
+# Each letter's character, read without the Enum ``value`` descriptor.
+_STATUS_CHARS = {status: ch for ch, status in _PATTERN_CHARS.items()}
 
 
 def parse_rational(text: str) -> Fraction:
@@ -51,7 +53,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value) -> str:
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     if value.denominator == 1:
         return _decimal(value.numerator)
     return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
@@ -165,7 +168,7 @@ def parse_pattern(text: str, d: int):
 
 
 def format_pattern(pattern) -> str:
-    return "".join(status.value for status in pattern)
+    return "".join(map(_STATUS_CHARS.__getitem__, pattern))
 
 
 def parse_sign_vector(text: str, d: int) -> tuple:
@@ -182,5 +185,10 @@ def parse_sign_vector(text: str, d: int) -> tuple:
     return tuple(out)
 
 
+# The character of each sign.
+_SIGN_CHAR = {1: "+", -1: "-"}.__getitem__
+
+
 def format_sign_vector(eps) -> str:
-    return "".join("+" if e == 1 else "-" for e in eps)
+    """The + / - string of a sign vector, whose entries are 1 and -1."""
+    return "".join(map(_SIGN_CHAR, eps))

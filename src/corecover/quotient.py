@@ -11,19 +11,21 @@ hyperplanes keeps the prefixes with a nonzero mask; the chamber, covering
 and complement sweeps list its leaves, with their masks, instead of
 testing 2^d, 3^d or 4^d candidates, and solve no LP. A leaf lies in the
 chart of a chamber iff its mask meets the chamber's, so every chart verdict
-is one AND: the covering groups the vertices by their first compact
-chamber, and the complement keeps the leaves that miss one chamber's mask.
-The complement walks once per realizable BOTH set, with BOTH letters on
-it, which need no case of their own. A chamber's boundedness is read off
-the sign vectors of candidate extreme rays, one per (n - 1)-subset of
-direction classes, with no LP; a chamber's vertices are those of its mask,
-the arrangement's vertices whose sign vectors conform to it.
+is one AND: the covering indexes the vertices by their first compact
+chamber, and the complement keeps the leaves that miss one chamber's mask,
+walking only the prefixes with a vertex outside it. The complement walks
+once per realizable BOTH set, with BOTH letters on it, which need no case
+of their own. A chamber's boundedness is read off the sign vectors of
+candidate extreme rays, one per (n - 1)-subset of direction classes, as one
+AND of ray masks per letter, with no LP; a chamber's vertices are those of
+its mask, the arrangement's vertices whose sign vectors conform to it.
 Density compares each chamber's verdict with the numeric side, the dense
 patterns whose numeric system has a vertex conforming to them: the
 C(d, n) square systems of the torus data are solved once, in d
-variables, and no sweep solves an LP. Nothing here builds a polyhedron
-either: a core component is its sign vector and classification, and the
-chamber as a system of inequalities is ``stability.chamber(arr, eps)``.
+variables, from one elimination and an exchange block each, and no sweep
+solves an LP. Nothing here builds a polyhedron either: a core component is
+its sign vector and classification, and the chamber as a system of
+inequalities is ``stability.chamber(arr, eps)``.
 
 Everything is exhaustive and exact, guarded against exponential blowup by a
 hyperplane-count limit that can be forced off.
@@ -33,6 +35,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .arrangement import (
     Arrangement,
@@ -52,6 +56,7 @@ from .stability import (
     FULL_ALPHABET,
     Status,
     _cone_contains,
+    _letter_masks,
     _numeric_chambers,
     _pattern_mask,
     _pattern_masks,
@@ -168,16 +173,35 @@ def _ray_signs(arr: Arrangement) -> tuple:
     return tuple(signs)
 
 
+# The orientation of each chamber letter.
+_SIGN_OF = {Status.Z: 1, Status.W: -1}
+
+
 @scoped_cache
 def _extended_core_cached(arr: Arrangement) -> tuple:
-    components = []
+    """The nonempty chambers, the leaves of the walk over Z and W, each
+    classified by ray masks over ``_ray_signs``: bit j of Z's mask at
+    coordinate k is set iff ``sigma_j[k] >= 0``, and of W's iff
+    ``sigma_j[k] <= 0``, so the AND of a chamber's letters' masks holds the
+    rays whose signs conform to its ``eps``, and the chamber is unbounded
+    iff that AND is nonzero. The masks are built once per arrangement, and
+    a chamber costs d ANDs instead of a sign test per ray and coordinate."""
     rays = _ray_signs(arr)
+    conform = [{Status.Z: 0, Status.W: 0} for _ in range(arr.d)]
+    for j, sigma in enumerate(rays):
+        bit = 1 << j
+        for masks, s in zip(conform, sigma):
+            if s >= 0:
+                masks[Status.Z] |= bit
+            if s <= 0:
+                masks[Status.W] |= bit
+    every_ray = (1 << len(rays)) - 1
+    components = []
     for pattern, _ in _pattern_masks(arr, ((Status.Z, Status.W),) * arr.d):
-        eps = tuple(1 if status is Status.Z else -1 for status in pattern)
+        eps = tuple(map(_SIGN_OF.__getitem__, pattern))
         # a leaf of the tree is nonempty: bounded iff no ray sign conforms
-        unbounded = any(all(s * e >= 0 for s, e in zip(sigma, eps)) for sigma in rays)
-        kind = UNBOUNDED if unbounded else BOUNDED
-        components.append(CoreComponent(eps, kind))
+        unbounded = reduce(and_, map(dict.__getitem__, conform, pattern), every_ray)
+        components.append(CoreComponent(eps, UNBOUNDED if unbounded else BOUNDED))
     return tuple(components)
 
 
@@ -252,41 +276,53 @@ def verify_covering(arr: Arrangement, force: bool = False) -> CoverReport:
     A leaf lies in the chart of ``eps`` iff its vertex mask meets the
     chamber's (``_chamber_mask``), so its witness, the first compact chamber
     in extended-core order whose chart holds it, is read off its vertices:
-    each vertex goes to the first compact chamber it lies on, and the
-    witness is the chamber of the first such group the leaf's mask meets.
+    each vertex is indexed by the first compact chamber it lies on, and the
+    witness is the chamber of the smallest index among the leaf's vertices.
     (If ``eps`` is the first chamber meeting the mask, a vertex v in both
     lies on no earlier compact chamber, since such a one would meet the
-    mask at v, so v is in the group of ``eps``; an earlier group lies in
-    its own chamber and misses the mask.) A leaf that meets no group is a
-    counterexample.
+    mask at v, so v has the index of ``eps``; a vertex of the mask with a
+    smaller index lies on that earlier chamber, which then meets the mask.)
+    A leaf none of whose vertices lies on a compact chamber is a
+    counterexample. The indices are assigned once, each vertex at the
+    first chamber whose mask holds it, and a leaf costs one step per vertex
+    of its mask, not one AND per chamber.
 
     Gluing: covering holds iff every vertex lies on a bounded chamber. If
-    each does, every leaf keeps a vertex and so meets a group. If a vertex
-    v lies on none, take the pattern that is ZERO on the hyperplanes
-    through v and Z or W, by v's sign, elsewhere: it holds at v, and its
-    state set lies in the meet of its ZERO hyperplanes, which is v alone
-    since their normals span. So it is a leaf whose mask is v's bit alone,
-    and it meets no group.
+    each does, every leaf keeps a vertex with an index. If a vertex v lies
+    on none, take the pattern that is ZERO on the hyperplanes through v and
+    Z or W, by v's sign, elsewhere: it holds at v, and its state set lies in
+    the meet of its ZERO hyperplanes, which is v alone since their normals
+    span. So it is a leaf whose mask is v's bit alone, and v has no index.
     """
     _require_smooth(arr)
     _check_guard(arr, force, "covering sweep")
     compact = [c.eps for c in _extended_core_cached(arr) if c.classification == BOUNDED]
     if not compact:
         raise ValueError("covering theorem hypothesis violated: empty core")
-    groups = {}
-    unassigned = -1
-    for eps in compact:
+    # first[j] is the index in ``compact`` of the first chamber on vertex j,
+    # or len(compact) if it lies on none; bits are visited lowest first
+    no_chamber = len(compact)
+    unassigned = _letter_masks(arr)[1]
+    first = [no_chamber] * unassigned.bit_length()
+    for index, eps in enumerate(compact):
         group = _chamber_mask(arr, eps) & unassigned
-        if group:
-            groups[eps] = group
-            unassigned &= ~group
+        unassigned ^= group
+        while group:
+            low = group & -group
+            first[low.bit_length() - 1] = index
+            group ^= low
     witness = {}
     counterexamples = []
     for pattern, kept in _pattern_masks(arr):
-        for eps, group in groups.items():
-            if kept & group:
-                witness[pattern] = eps
-                break
+        index = no_chamber
+        while kept:
+            low = kept & -kept
+            j = first[low.bit_length() - 1]
+            if j < index:
+                index = j
+            kept ^= low
+        if index < no_chamber:
+            witness[pattern] = compact[index]
         else:
             counterexamples.append(pattern)
     return CoverReport(
@@ -343,6 +379,9 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
     of the full four-letter alphabet. A leaf is outside the chart iff its
     vertex mask misses the chamber's (``_chamber_mask``), computed once, so
     the only verdict read is the chamber check, and nothing solves an LP.
+    The walks reach only the leaves with a vertex outside the chamber
+    (``within``): masks only shrink along a walk, so every leaf below a
+    prefix whose mask lies inside the chamber's meets it.
     Reports whether every excluded pattern is BOTH-free (hence in the
     extended core) and how large the excluded state sets get.
     """
@@ -352,12 +391,16 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
     chamber = _chamber_mask(arr, eps)
     if not chamber:
         raise ValueError("complement is defined for sign vectors with nonempty chamber")
+    # the walk prunes the prefixes whose vertices all lie in the chamber;
+    # complemented within the vertices, so the mask stays nonnegative
+    outside = _letter_masks(arr)[1] & ~chamber
     classes = _direction_classes(arr)
     excluded = []
     for chosen in _matroid(arr).realizable:
         both = {i for k in chosen for i, _ in classes[k][1]}
         alphabets = [(Status.BOTH,) if i in both else NO_BOTH_ALPHABET for i in range(arr.d)]
-        excluded.extend(p for p, kept in _pattern_masks(arr, alphabets) if not kept & chamber)
+        walk = _pattern_masks(arr, alphabets, outside)
+        excluded.extend(p for p, kept in walk if not kept & chamber)
     excluded.sort(key=lambda p: [_LETTER_ORDER[status] for status in p])
     return _complement_report(arr, eps, excluded)
 

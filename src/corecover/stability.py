@@ -38,11 +38,12 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 
 from .arrangement import Arrangement, TorusData, check_sign_vector
 from .arrangement import _direction_classes, _matroid, _vertices
 from .feasibility import Certificate, Constraint, Polyhedron, Relation, is_feasible
-from .linalg import _common_denominator, solve_integer, unit_vector
+from .linalg import _bareiss, _common_denominator, _scaled_inverse, solve_integer, unit_vector
 from .memo import scoped_cache
 
 
@@ -182,22 +183,68 @@ def _numeric_chambers(td: TorusData) -> frozenset:
 
     So ``eps`` is semistable iff some such solution conforms to it, and a
     solution with k zeros contributes 2^k sign vectors. The C(d, m) square
-    systems are solved once per torus, on integers (``alpha`` over its
-    common denominator), since only signs are read. Only the full row rank
-    of ``A`` is used, so this is exact on input that is neither simple nor
-    smooth. It reads ``td.basis`` and ``td.alpha`` alone, in d variables,
-    and nothing of the arrangement's state sets or vertices, so it stays an
-    independent side of the density check (see ``verify_density``).
+    systems share one elimination, and each solves only its exchange block:
+
+    * One ``_bareiss`` pass picks m independent pivot columns P of ``A``,
+      and one ``_scaled_inverse`` of ``A_P`` gives the integer tableau
+      ``[M | t] = den * A_P^{-1} [A | rhs]``, with ``den = |det A_P| > 0``
+      and ``rhs`` the level over its common denominator. ``M`` is ``den``
+      times the identity on P, and ``A_T x_T = rhs`` iff ``M_T x_T = t``.
+    * A column set T drops the pivots of the rows L, those of P outside T,
+      and brings in the columns E = T minus P, with |E| = |L| = r <=
+      min(m, n). Row i of L reads ``sum(M[i][c] x_c for c in E) = t_i``,
+      since its other entries on T are 0. Row i outside L reads ``den *
+      x_{P_i} + sum(M[i][c] x_c for c in E) = t_i``.
+    * So ``M_T``, with its rows and columns reordered, is block triangular
+      with ``den`` times the identity on the pivots that stay and the r x r
+      exchange block ``M[L][E]``: ``A_T`` is nonsingular iff that block is.
+      Then ``x_E = nums / det`` (``det > 0``) solves the block against
+      ``t_L``, and each pivot that stays has the sign of ``det * t_i -
+      sum(M[i][c] * nums_c for c in E)``. With r = 0 nothing is solved:
+      ``x_P = t / den``.
+
+    Everything is done on integers, since only signs are read. Only the
+    full row rank of ``A`` is used, so this is exact on input that is
+    neither simple nor smooth. It reads ``td.basis`` and ``td.alpha``
+    alone, in d variables, and nothing of the arrangement's state sets or
+    vertices, so it stays an independent side of the density check (see
+    ``verify_density``).
     """
     _, rhs = _common_denominator(td.alpha)
+    pivots = _bareiss([list(row) for row in td.basis], td.d)[0]
+    _, inverse = _scaled_inverse([[row[p] for p in pivots] for row in td.basis])
+    entering = [c for c in range(td.d) if c not in pivots]
+    columns = [[row[c] for row in td.basis] for c in entering]
+    tableau = [[sum(map(mul, inv, col)) for col in columns] for inv in inverse]
+    t = [sum(map(mul, inv, rhs)) for inv in inverse]
     signs = set()
-    for columns in itertools.combinations(range(td.d), td.m):
-        solved = solve_integer([[row[j] for j in columns] for row in td.basis], rhs)
-        if solved is not None:
-            sigma = [0] * td.d
-            for j, x in zip(columns, solved[0]):
-                sigma[j] = (x > 0) - (x < 0)
-            signs.add(tuple(sigma))
+    for r in range(min(td.m, len(entering)) + 1):
+        for leave in itertools.combinations(range(td.m), r):
+            stay = [i for i in range(td.m) if i not in leave]
+            for enter in itertools.combinations(range(len(entering)), r):
+                if r == 1:
+                    # the 1 x 1 block needs no elimination
+                    b, rest = tableau[leave[0]][enter[0]], t[leave[0]]
+                    if not b:
+                        continue
+                    nums, det = ((rest,), b) if b > 0 else ((-rest,), -b)
+                elif r:
+                    solved = solve_integer(
+                        [[tableau[i][c] for c in enter] for i in leave], [t[i] for i in leave]
+                    )
+                    if solved is None:
+                        continue
+                    nums, det = solved
+                else:
+                    nums, det = (), 1
+                sigma = [0] * td.d
+                for c, x in zip(enter, nums):
+                    sigma[entering[c]] = (x > 0) - (x < 0)
+                for i in stay:
+                    row = tableau[i]
+                    x = det * t[i] - sum([row[c] * y for c, y in zip(enter, nums)])
+                    sigma[pivots[i]] = (x > 0) - (x < 0)
+                signs.add(tuple(sigma))
     return frozenset(
         eps
         for sigma in signs
@@ -323,28 +370,44 @@ def _pattern_mask(arr: Arrangement, pattern) -> int:
     return kept
 
 
-def _pattern_masks(arr: Arrangement, alphabets=None):
+def _pattern_masks(arr: Arrangement, alphabets=None, within=None):
     """The nonempty state sets with a letter of ``alphabets[i]`` at each
     coordinate ``i`` (any BOTH-free letter when ``alphabets`` is None), in
     ``itertools.product`` order of the alphabets, each with its vertex mask
-    (see ``_letter_masks``). A depth-first walk over the prefixes whose
-    masks are nonzero: each stack entry carries its prefix's mask and takes
-    its letters reversed. Nothing is cached, so a walk's memory is its
-    stack."""
+    (see ``_letter_masks``), keeping only those whose mask meets ``within``
+    (every vertex when None). A depth-first walk over the prefixes whose
+    masks meet ``within``: each stack entry carries its prefix's mask and
+    takes its letters reversed. A child's mask is its parent's AND its
+    letter's, so masks only shrink along the walk, and a prefix whose mask
+    misses ``within`` has no leaf below it that meets it: the walk prunes
+    it there, and the leaves it keeps are exactly those that meet
+    ``within``. Nothing is cached, so a walk's memory is its stack."""
     tables, everything = _letter_masks(arr)
-    d = arr.d
-    stack = [((), everything)]
+    if alphabets is None:
+        alphabets = (NO_BOTH_ALPHABET,) * arr.d
+    if within is None:
+        within = everything
+    # per coordinate, its letters with their masks, reversed for the stack
+    pushed = [
+        [(status, letters[status]) for status in reversed(allowed)]
+        for letters, allowed in zip(tables, alphabets)
+    ]
+    last = arr.d - 1
+    final = pushed[last][::-1]
+    stack = [((), everything)] if everything & within else []
     while stack:
         prefix, kept = stack.pop()
         k = len(prefix)
-        if k == d:
-            yield prefix, kept
+        if k == last:
+            # the children are leaves: yield them in order, unstacked
+            for status, letter in final:
+                mask = kept & letter
+                if mask & within:
+                    yield prefix + (status,), mask
             continue
-        letters = tables[k]
-        allowed = NO_BOTH_ALPHABET if alphabets is None else alphabets[k]
-        for status in reversed(allowed):
-            mask = kept & letters[status]
-            if mask:
+        for status, letter in pushed[k]:
+            mask = kept & letter
+            if mask & within:
                 stack.append((prefix + (status,), mask))
 
 

@@ -26,6 +26,7 @@ import corecover.feasibility as feasibility
 import corecover.quotient as quotient
 from corecover.cli import main
 from corecover.stability import Status
+from util import pattern_string_by_value, rational_string_via_fraction, sign_string_by_comparison
 
 F = Fraction
 Z, W, O, B = Status.Z, Status.W, Status.ZERO, Status.BOTH
@@ -84,6 +85,42 @@ class TestRationals:
     def test_format(self):
         assert format_rational(F(-1, 2)) == "-1/2"
         assert format_rational(F(4, 2)) == "2"
+
+
+# Integers with about 4,400 to 4,800 digits: over the default limit of
+# ``str`` where there is one.
+_HUGE = st.builds(
+    lambda sign, k, low: sign * (10**4400 * k + low),
+    st.sampled_from((1, -1)),
+    st.integers(1, 10**400),
+    st.integers(0, 10**6),
+)
+
+
+class TestFormatHelpers:
+    """The formatting helpers write what the plain definitions write."""
+
+    @given(st.lists(st.sampled_from(list(Status)), max_size=40))
+    def test_pattern(self, pattern):
+        assert format_pattern(tuple(pattern)) == pattern_string_by_value(pattern)
+        assert format_pattern(iter(pattern)) == pattern_string_by_value(pattern)
+
+    @given(st.lists(st.sampled_from((1, -1)), max_size=40))
+    def test_sign_vector(self, eps):
+        assert format_sign_vector(tuple(eps)) == sign_string_by_comparison(eps)
+        assert format_sign_vector(iter(eps)) == sign_string_by_comparison(eps)
+
+    @given(
+        st.one_of(
+            st.integers(),
+            st.fractions(),
+            _HUGE,
+            st.builds(Fraction, _HUGE, st.integers(2, 10**9)),
+            st.builds(Fraction, st.integers(-(10**9), 10**9), _HUGE.map(abs)),
+        )
+    )
+    def test_rational(self, value):
+        assert format_rational(value) == rational_string_via_fraction(value)
 
 
 class TestArrangementFile:

@@ -57,10 +57,12 @@ from util import (
     candidate_complement,
     cycling_family,
     enumerate_vertices,
+    full_walk_complement,
     is_bounded,
     nonempty_patterns,
     numeric_complement,
     numeric_covering,
+    per_arrangement_ray_signs,
     per_leaf_complement,
     per_leaf_covering,
     three_class_arrangement,
@@ -178,6 +180,22 @@ class TestExtendedCore:
                 bounded += c.classification == BOUNDED
         assert {arr.n for arr in population} == {1, 2, 3, 4}
         assert 0 < sum(map(is_smooth, population)) < 120 and bounded > 100
+
+    def test_ray_masks_match_ray_signs(self):
+        # the AND of the ray masks along a chamber's letters is nonzero iff
+        # some ray sign vector, recomputed for the arrangement alone,
+        # conforms to its sign vector
+        rng = random.Random(3882)
+        population = _classification_population(rng, 120)
+        population += [random_smooth_arrangement(rng, max_d=8) for _ in range(40)]
+        unbounded = 0
+        for arr in population:
+            rays = per_arrangement_ray_signs(arr)
+            for c in quotient._extended_core_cached(arr):
+                expected = any(all(s * e >= 0 for s, e in zip(sigma, c.eps)) for sigma in rays)
+                assert c.classification == (UNBOUNDED if expected else BOUNDED)
+                unbounded += expected
+        assert unbounded > 1000
 
     def test_ray_signs_on_a_line(self):
         # x = 0 and x = 1 with opposite normals: the only ray (1,) has signs
@@ -392,6 +410,28 @@ class TestVertexMasks:
             # the witness dict keeps the walk's product order
             assert list(report.witness) == list(expected.witness)
 
+    def test_vertex_indices_match_per_leaf_oracle(self, monkeypatch):
+        # d <= 7; then with every bounded chamber but the first relabelled
+        # unbounded, so that vertices lose their index and leaves become
+        # counterexamples, listed as the oracle lists them
+        rng = random.Random(2719)
+        arrangements = [random_smooth_arrangement(rng, require_core=True, max_d=7) for _ in range(30)]
+        counterexamples = 0
+        for arr in arrangements:
+            assert verify_covering(arr) == per_leaf_covering(arr)
+            components = quotient._extended_core_cached(arr)
+            first = next(c for c in components if c.classification == BOUNDED)
+            fewer = tuple(
+                c if c is first else quotient.CoreComponent(c.eps, UNBOUNDED) for c in components
+            )
+            monkeypatch.setattr(quotient, "_extended_core_cached", lambda a: fewer)
+            report, expected = verify_covering(arr), per_leaf_covering(arr)
+            monkeypatch.undo()
+            assert report == expected
+            assert list(report.witness) == list(expected.witness)
+            counterexamples += len(report.counterexamples)
+        assert counterexamples > 100
+
     def test_witness_is_first_chamber_not_any(self):
         # the per-vertex groups decide between chambers that share vertices:
         # some leaf has a later compact chamber whose chart holds it too
@@ -422,6 +462,29 @@ class TestVertexMasks:
         assert report.covered and len(report.witness) == 7825
         digest = hashlib.sha256(pickle.dumps(report, protocol=4)).hexdigest()
         assert digest == COVER_PICKLE_DIGEST
+
+    def test_pruned_complement_matches_oracles(self):
+        # the walks skip the prefixes inside the chamber; the exclusions
+        # equal one chart LP per leaf and the filter after the full walk
+        rng = random.Random(2721)
+        arrangements = self.fixtures_with_core()
+        arrangements += [random_smooth_arrangement(rng, max_d=7) for _ in range(25)]
+        axes = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
+        arrangements.append(Arrangement(6, axes, (0, 1, -1, 2, F(1, 2), -3)))
+        excluded = 0
+        for arr in arrangements:
+            for c in extended_core(arr)[:3]:
+                report = chart_complement(arr, c.eps)
+                assert report == per_leaf_complement(arr, c.eps)
+                assert report == full_walk_complement(arr, c.eps)
+                excluded += len(report.excluded_patterns)
+        assert excluded > 1000
+        # n = 2, d = 16: the LP oracle scans 2^16 index sets, so the full
+        # walk's filter alone
+        arr = random_smooth_arrangement(random.Random(3), n=2, d=16)
+        for c in extended_core(arr, force=True)[::20]:
+            report = chart_complement(arr, c.eps, force=True)
+            assert report == full_walk_complement(arr, c.eps)
 
     def test_gluing_corollary(self):
         # on smooth input with a nonempty core, covering holds iff every
@@ -546,8 +609,8 @@ class TestComplementSweep:
         real_contains, real_walk = quotient._cone_contains, quotient._pattern_masks
         real_mask = quotient._chamber_mask
 
-        def walk(a, alphabets):
-            for pattern, kept in real_walk(a, alphabets):
+        def walk(a, alphabets, within=None):
+            for pattern, kept in real_walk(a, alphabets, within):
                 yielded.append(pattern)
                 yield pattern, kept
 
@@ -557,7 +620,15 @@ class TestComplementSweep:
         )
         monkeypatch.setattr(quotient, "_pattern_masks", walk)
         chart_complement(coordinate, (1, -1, 1, -1, 1, -1))
-        assert len(yielded) == 4**coordinate.d
+        # the walks reach exactly the patterns with a vertex outside the
+        # chamber; here the one vertex lies on every chamber, so none
+        chamber = stability._pattern_mask(coordinate, full_pattern((1, -1, 1, -1, 1, -1)))
+        outside = [
+            p
+            for p in itertools.product(FULL_ALPHABET, repeat=coordinate.d)
+            if stability._pattern_mask(coordinate, p) & ~chamber
+        ]
+        assert len(yielded) == len(outside)
         # the chamber check is the one verdict read; every chart verdict is
         # an AND with the chamber's vertex mask
         assert reads == [full_pattern((1, -1, 1, -1, 1, -1))]
@@ -725,9 +796,9 @@ class TestChartComplement:
             real_contains, real_walk = quotient._cone_contains, quotient._pattern_masks
             real_mask = quotient._chamber_mask
 
-            def walk(a, alphabets):
+            def walk(a, alphabets, within=None):
                 both_sizes.append(sum(letters == (B,) for letters in alphabets))
-                for pattern, kept in real_walk(a, alphabets):
+                for pattern, kept in real_walk(a, alphabets, within):
                     yielded.append(pattern)
                     yield pattern, kept
 
@@ -742,8 +813,10 @@ class TestChartComplement:
             monkeypatch.undo()
             assert reads == [full_pattern(eps)]
             # the BOTH-free walk comes first and yields the tree's leaves
+            # with a vertex outside the chamber
             assert both_sizes[0] == 0
-            leaves = list(nonempty_patterns(arr))
+            chamber = stability._pattern_mask(arr, full_pattern(eps))
+            leaves = [p for p in nonempty_patterns(arr) if stability._pattern_mask(arr, p) & ~chamber]
             assert yielded[: len(leaves)] == leaves
             read += len(yielded)
             candidates += sum(3 ** (arr.d - size) for size in both_sizes)
@@ -764,7 +837,7 @@ class TestChartComplement:
             eps = tuple(1 if status is Z else -1 for status in chamber)
             arrangement_module._class_matroid.cache_clear()
             chosen, walks = [], []
-            monkeypatch.setattr(quotient, "_pattern_masks", lambda a, al: walks.append(al) or iter(()))
+            monkeypatch.setattr(quotient, "_pattern_masks", lambda a, al, within=None: walks.append(al) or iter(()))
             monkeypatch.setattr(
                 arrangement_module._ClassMatroid,
                 "independent",

@@ -18,6 +18,7 @@ from corecover import (
     hk_semistable_geometric,
     hk_semistable_numeric,
     is_feasible,
+    is_regular,
     is_simple,
     is_smooth,
     parse_arrangement,
@@ -45,6 +46,7 @@ from util import (
     nonempty_patterns,
     numeric_density,
     per_pattern_verdict,
+    per_subset_numeric_chambers,
     rank_realizable,
 )
 
@@ -452,6 +454,29 @@ class TestPrefixTree:
             chambers = [eps for eps in all_sign_vectors(arr.d) if full_pattern(eps) in dense]
             assert [c.eps for c in quotient._extended_core_cached(arr)] == chambers
 
+    def test_within_keeps_the_leaves_that_meet_it(self):
+        # masks only shrink along the walk, so pruning the prefixes that
+        # miss ``within`` keeps exactly the leaves that meet it, in order,
+        # and visits fewer prefixes
+        rng = random.Random(3301)
+        arrangements = [random_smooth_arrangement(rng, max_d=7) for _ in range(20)]
+        arrangements += [arrangement_with_parallel_normals(rng) for _ in range(10)]
+        alphabets = [None, (Z, W), FULL_ALPHABET, (B,)]
+        pruned = 0
+        for arr in arrangements:
+            everything = stability._letter_masks(arr)[1]
+            for letters in alphabets:
+                per_coordinate = None if letters is None else [letters] * arr.d
+                full = list(stability._pattern_masks(arr, per_coordinate))
+                assert list(stability._pattern_masks(arr, per_coordinate, everything)) == full
+                assert list(stability._pattern_masks(arr, per_coordinate, 0)) == []
+                for _ in range(3):
+                    within = rng.getrandbits(everything.bit_length()) & everything
+                    kept = list(stability._pattern_masks(arr, per_coordinate, within))
+                    assert kept == [(p, mask) for p, mask in full if mask & within]
+                    pruned += len(full) - len(kept)
+        assert pruned > 1000
+
     def test_extended_core_expands_dense_prefixes_only(self, hirzebruch, triangle_pair, monkeypatch):
         # every letter the walk tries is looked up in the mask table: the
         # chamber walk tries Z and W only, so it never forms a ZERO prefix
@@ -539,6 +564,33 @@ class TestNumericChambers:
             checked += 2**arr.d
         assert checked > 5000
         assert stability._numeric_chambers(torus_data(other[-2])) == set(all_sign_vectors(4))
+
+    def test_matches_per_subset_solves(self):
+        # one elimination and one exchange block per column set give the
+        # set that one square solve per column set gives: on 400 draws, the
+        # fixtures, input that is not regular (its basis comes from
+        # kernel_lattice) and bases whose leading columns are dependent
+        rng = random.Random(5)
+        tds = [torus_data(random_smooth_arrangement(rng, max_d=8)) for _ in range(400)]
+        assert sum(min(td.m, td.n) >= 2 for td in tds) > 100
+        fixtures = [parse_arrangement(p.read_text()) for p in sorted(FIXTURE_DIR.glob("*.json"))]
+        assert len(fixtures) == 5
+        tds += [torus_data(arr) for arr in fixtures]
+        irregular = [arrangement_with_parallel_normals(rng) for _ in range(60)]
+        irregular = [arr for arr in irregular if not is_regular(arr)]
+        assert len(irregular) >= 20
+        tds += [torus_data(arr) for arr in irregular]
+        # m = 2: column 1 is twice column 0, so the pivots are columns 0
+        # and 2; m = 3: columns 0-2 have rank 2
+        tds.append(TorusData(((1, 2, 0, 1, 3), (2, 4, 1, 0, -1)), (1, F(1, 2), -3, 2, 0)))
+        tds.append(
+            TorusData(
+                ((1, 0, 1, 0, 2, 1), (0, 1, 1, 1, 0, -1), (1, 1, 2, 0, 1, 1)),
+                (F(-1, 3), 2, 0, 1, F(5, 2), -1),
+            )
+        )
+        for td in tds:
+            assert stability._numeric_chambers(td) == per_subset_numeric_chambers(td)
 
     def test_basis_independent(self):
         # a unimodular change of the kernel basis (elementary row operations

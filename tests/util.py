@@ -15,8 +15,11 @@ realizability, one LP on a whole state set instead of the vertex walk, every
 candidate pattern instead of the walk's leaves for the complement, with a
 summary of its own: measured state-set dimensions and a letter-by-letter
 breakdown, and one chart LP per leaf instead of the vertex masks for the
-covering witnesses and the complement's exclusions), so agreement is
-meaningful.
+covering witnesses and the complement's exclusions, the full walk
+filtered after the fact instead of the walk that skips the prefixes inside
+the chamber, and one square solve per column set instead of one
+elimination and an exchange block per column set for the numeric
+chambers), so agreement is meaningful.
 Also the lattice and solver routines that only the tests use, built on the
 library's own eliminations: the Hermite normal form with its transform,
 the rational determinant and a particular solution of a general system
@@ -29,10 +32,12 @@ computed afresh for each arrangement (``per_arrangement_regular``,
 realizable class subsets, ``per_arrangement_realizable``, by the rank test
 in R^d); polyhedral oracles (projection, affine dimension, boundedness,
 vertices, brute-force feasibility), the covering proof's adjacency step,
-the constraint shorthands ``ge``, ``gt`` and ``eq``, a generator of
-arrangements with three direction classes and one of the simple n = 3
-family whose normals cycle through four. The scripts put this directory
-on ``sys.path``."""
+the constraint shorthands ``ge``, ``gt`` and ``eq``, the format helpers'
+strings built the plain way (``pattern_string_by_value``,
+``sign_string_by_comparison``, ``rational_string_via_fraction``), a
+generator of arrangements with three direction classes and one of the
+simple n = 3 family whose normals cycle through four. The scripts put this
+directory on ``sys.path``."""
 
 import functools
 import itertools
@@ -58,7 +63,8 @@ from corecover import (
     torus_data,
 )
 from corecover.feasibility import _dedup, _eliminate_column, _integerize
-from corecover.arrangement import _circuits, _direction_classes
+from corecover.formats import _decimal
+from corecover.arrangement import _circuits, _direction_classes, _matroid
 from corecover.linalg import (
     _back_substitute,
     _bareiss,
@@ -78,6 +84,7 @@ from corecover.stability import (
     FULL_ALPHABET,
     NO_BOTH_ALPHABET,
     Status,
+    _pattern_mask,
     _pattern_masks,
     chart_pattern,
     chart_semistable,
@@ -618,6 +625,26 @@ def numeric_density(td) -> frozenset:
     )
 
 
+def per_subset_numeric_chambers(td) -> frozenset:
+    """The numerically semistable dense patterns from one ``solve_integer``
+    per m-subset T of columns: each nonsingular ``A_T x_T = alpha``, with
+    ``x = 0`` off T, contributes the sign vectors its solution conforms
+    to."""
+    _, rhs = _common_denominator(td.alpha)
+    signs = set()
+    for columns in itertools.combinations(range(td.d), td.m):
+        solved = solve_integer([[row[j] for j in columns] for row in td.basis], rhs)
+        if solved is not None:
+            sigma = [0] * td.d
+            for j, x in zip(columns, solved[0]):
+                sigma[j] = (x > 0) - (x < 0)
+            signs.add(tuple(sigma))
+    allowed = {1: (1,), -1: (-1,), 0: (1, -1)}
+    return frozenset(
+        eps for sigma in signs for eps in itertools.product(*(allowed[s] for s in sigma))
+    )
+
+
 def numeric_chart_semistable(td, eps, pattern) -> bool:
     """Chart membership decided numerically: is alpha in the cone of the
     active signed characters?"""
@@ -676,6 +703,21 @@ def per_leaf_complement(arr, eps) -> ComplementReport:
                 for pattern in nonempty_patterns(arr, alphabets)
                 if not per_pattern_verdict(arr, chart_pattern(eps, pattern))
             )
+    excluded.sort(key=lambda p: [_LETTER_ORDER[status] for status in p])
+    return _complement_report(arr, tuple(eps), excluded)
+
+
+def full_walk_complement(arr, eps) -> ComplementReport:
+    """The complement sweep without pruning: every leaf of the walk over
+    each realizable class set, kept when its vertex mask misses the
+    chamber's, summarised as production summarises them."""
+    chamber = _pattern_mask(arr, full_pattern(eps))
+    classes = _direction_classes(arr)
+    excluded = []
+    for chosen in _matroid(arr).realizable:
+        both = {i for k in chosen for i, _ in classes[k][1]}
+        alphabets = [(Status.BOTH,) if i in both else NO_BOTH_ALPHABET for i in range(arr.d)]
+        excluded.extend(p for p, kept in _pattern_masks(arr, alphabets) if not kept & chamber)
     excluded.sort(key=lambda p: [_LETTER_ORDER[status] for status in p])
     return _complement_report(arr, tuple(eps), excluded)
 
@@ -769,3 +811,22 @@ def cycling_family(rng, d):
                 break
         lifts.append(lift)
     return Arrangement(3, normals, tuple(lifts))
+
+
+def pattern_string_by_value(pattern) -> str:
+    """A pattern's string read off each letter's Enum value."""
+    return "".join(status.value for status in pattern)
+
+
+def sign_string_by_comparison(eps) -> str:
+    """A sign vector's string, "+" where an entry equals 1, "-" elsewhere."""
+    return "".join("+" if e == 1 else "-" for e in eps)
+
+
+def rational_string_via_fraction(value) -> str:
+    """A rational's string through a fresh ``Fraction``, its numerator and
+    denominator written by ``formats._decimal``."""
+    value = Fraction(value)
+    if value.denominator == 1:
+        return _decimal(value.numerator)
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
