@@ -391,8 +391,9 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
     chamber = _chamber_mask(arr, eps)
     if not chamber:
         raise ValueError("complement is defined for sign vectors with nonempty chamber")
-    # the walk prunes the prefixes whose vertices all lie in the chamber;
-    # complemented within the vertices, so the mask stays nonnegative
+    # the walks prune the prefixes whose vertices all lie in the chamber;
+    # complemented within the vertices, since ANDs with a negative mask
+    # are slower on large arrangements
     outside = _letter_masks(arr)[1] & ~chamber
     classes = _direction_classes(arr)
     excluded = []
