@@ -23,7 +23,7 @@ direction classes against a rank test in R^d, on all 2^d BOTH sets) and the
 complement (``chart_complement`` of every compact sign vector against a 4^d
 sweep of numeric verdicts with realizability from the rank test). The
 ``matroid`` column recomputes the draw's regularity, circuits, realizable
-class subsets, ray signs, vertices and torus data on a class-matroid record
+class subsets, ray masks, vertices and torus data on a class-matroid record
 built for that call alone, as if the record cache had been cleared, and
 compares them with the answers read off the shared record, which an earlier
 draw with the same direction classes may have built. The oracles and the
@@ -59,7 +59,7 @@ from corecover import (
 import corecover.arrangement as arrangement
 from corecover.arrangement import all_sign_vectors
 from corecover.linalg import transpose
-from corecover.quotient import BOUNDED, UNBOUNDED, _chamber_vertices, _ray_signs
+from corecover.quotient import BOUNDED, UNBOUNDED, _chamber_vertices
 from corecover.randgen import random_smooth_arrangement
 from corecover.stability import (
     FULL_ALPHABET,
@@ -107,8 +107,8 @@ def matroid_answers(arr) -> tuple:
         arrangement.is_regular.__wrapped__(arr),
         tuple(record.circuits()),
         record.realizable,
-        _ray_signs.__wrapped__(arr),
-        arrangement._vertices.__wrapped__(arr),
+        record.ray_masks,
+        arrangement._vertices(arr),
         arrangement.torus_data.__wrapped__(arr),
     )
 

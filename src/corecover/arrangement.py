@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from operator import mul
 
 from .linalg import (
@@ -279,10 +280,10 @@ def _circuits(vectors):
 class _ClassMatroid:
     """The matroid of one tuple of direction-class representatives.
 
-    Regularity, the circuits, realizability, the coloops, the chambers'
-    candidate rays, the vertex systems and the coordinates behind the
-    kernel basis depend on the representatives alone, not on the order of
-    the hyperplanes, the signs of their normals, parallel copies or the
+    Regularity, the circuits, realizability, the coloops, the masks of the
+    chambers' candidate rays, the vertex systems and the coordinates behind
+    the kernel basis depend on the representatives alone, not on the order
+    of the hyperplanes, the signs of their normals, parallel copies or the
     lifts. So one record serves every arrangement with the same sorted
     representatives (see ``_direction_classes``), and each of its parts is
     computed on first use. Records are kept by ``_class_matroid``; class
@@ -390,20 +391,26 @@ class _ClassMatroid:
         return frozenset(basis) - used
 
     @cached_property
-    def ray_signs(self) -> tuple:
-        """For each nonzero integer cofactor ``c`` of n - 1 representatives
-        (see ``quotient._ray_signs``; ``c = (1,)`` for n = 1), the signs of
-        ``<r_k, c>`` over all representatives. Each of the n minors behind a
-        cofactor is one integer elimination (``_int_det``)."""
+    def ray_masks(self) -> tuple:
+        """Per class k, the masks ``(up, down)`` of the candidate rays (see
+        ``quotient._walked``): each nonzero integer cofactor ``c`` of n - 1
+        representatives (``c = (1,)`` for n = 1) at bit j and ``-c`` at bit
+        j + R, with R cofactors; ``up`` holds the rays with ``<r_k, ray> >=
+        0``, ``down`` those with ``<= 0``. One integer elimination
+        (``_int_det``) per minor."""
+        minors = (
+            [(-1) ** j * _int_det([r[:j] + r[j + 1:] for r in subset]) for j in range(self.n)]
+            for subset in itertools.combinations(self.reps, self.n - 1)
+        )
+        cofactors = [c for c in minors if any(c)]
+        count, every = len(cofactors), (1 << len(cofactors)) - 1
         out = []
-        for subset in itertools.combinations(self.reps, self.n - 1):
-            c = [
-                (-1) ** j * _int_det([row[:j] + row[j + 1:] for row in subset])
-                for j in range(self.n)
-            ]
-            if any(c):
-                dots = (sum(a * b for a, b in zip(r, c)) for r in self.reps)
-                out.append(tuple((x > 0) - (x < 0) for x in dots))
+        for r in self.reps:
+            dots = [sum(map(mul, r, c)) for c in cofactors]
+            # <r, -c> has the sign opposite to <r, c>
+            up = every ^ sum(1 << j for j, x in enumerate(dots) if x < 0)
+            down = every ^ sum(1 << j for j, x in enumerate(dots) if x > 0)
+            out.append((up | down << count, down | up << count))
         return tuple(out)
 
     @cached_property
@@ -440,7 +447,6 @@ def _matroid(arr: Arrangement) -> _ClassMatroid:
     return _class_matroid(tuple(r for r, _ in _direction_classes(arr)))
 
 
-@scoped_cache
 def _vertices(arr: Arrangement) -> tuple:
     """The vertices of the arrangement, sorted, each with its sign vector.
 
@@ -459,7 +465,8 @@ def _vertices(arr: Arrangement) -> tuple:
     compares with its own offset. On input that is not simple a vertex lies
     on more than n hyperplanes and is listed once: the hyperplanes through
     a vertex span, so its zero set, and hence its sign vector, determines
-    it.
+    it. They are sorted on integer keys, then made Fractions; nothing is
+    kept, since the face record (``stability._faces``) lists them once.
     """
     # on integers: with the offsets over L, t = T / L, the point is x = nums
     # / (den * L) with nums = inverse @ T, and <r_k, x> - t has the sign of
@@ -476,11 +483,11 @@ def _vertices(arr: Arrangement) -> tuple:
             dots = [sum(map(mul, r, nums)) for r in reps]
             values = [s * (dots[k] - den * t) for k, s, t in planes]
             found.setdefault(tuple([(v > 0) - (v < 0) for v in values]), (nums, den))
-    points = (
-        (tuple(Fraction(x, den * common) for x in nums), sigma)
-        for sigma, (nums, den) in found.items()
-    )
-    return tuple(sorted(points))
+    # point v / (q * L) is key / (S * L), S the lcm of the dens q, with the
+    # integer key v * (S // q): one positive scale, so keys sort as points do
+    scale = lcm(*{den for _, den in found.values()})
+    keyed = sorted((tuple([x * (scale // q) for x in v]), s) for s, (v, q) in found.items())
+    return tuple((tuple([Fraction(x, scale * common) for x in key]), s) for key, s in keyed)
 
 
 @scoped_cache

@@ -3,7 +3,9 @@
 Commands operate on arrangement files (see :mod:`corecover.formats`) and
 print JSON to standard output. Exit codes: 0 for success or a verified
 positive result, 1 for a verified negative result (not smooth, unstable,
-covering counterexample, density failure), 2 for input or usage errors.
+covering counterexample, density failure), 2 for input or usage errors, 3
+when standard output is closed before the JSON is written, whatever the
+verdict.
 
 The exhaustive sweeps are guarded by fixed hyperplane-count limits;
 ``--force`` lifts every guard. Every input and guard is checked before any
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii
@@ -31,14 +34,14 @@ from .formats import (
 )
 from .quotient import (
     BOUNDED,
-    _chamber_vertices,
+    _chamber_mask,
     _check_guard,
     chart_complement,
     extended_core,
     verify_covering,
 )
 from .render import render_svg
-from .stability import _numeric_chambers, hk_semistable_numeric, pattern_realizable
+from .stability import _faces, _numeric_chambers, hk_semistable_numeric, pattern_realizable
 
 
 def _load_arrangement(path):
@@ -70,45 +73,52 @@ def _dumps(value, newline="\n") -> str:
     if type(value) is list:
         if not value:
             return "[]"
-        return "[" + inner + ("," + inner).join([_dumps(x, inner) for x in value]) + newline + "]"
+        items = [encode_basestring_ascii(x) if type(x) is str else _dumps(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
     if type(value) is dict:
         if not value:
             return "{}"
-        # encode_basestring_ascii raises TypeError on a key that is no str
-        items = [encode_basestring_ascii(k) + ": " + _dumps(x, inner) for k, x in value.items()]
+        # encode_basestring_ascii raises TypeError on a key that is no str;
+        # str items and bool values, the most common, are encoded inline
+        items = [
+            encode_basestring_ascii(k)
+            + ((": true" if x else ": false") if type(x) is bool else ": " + _dumps(x, inner))
+            for k, x in value.items()
+        ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise TypeError(f"cannot encode {type(value).__name__} as JSON")
 
 
 def _emit(payload):
-    print(_dumps(payload))
+    """One write and a flush: a closed standard output is met here, not at exit."""
+    sys.stdout.write(_dumps(payload) + "\n")
+    sys.stdout.flush()
 
 
 def _point_json(point):
     return [format_rational(x) for x in point]
 
 
-def _component_json(arr, component):
-    data = {
-        "eps": format_sign_vector(component.eps),
-        "classification": component.classification,
-        "dimension": arr.n,
-    }
-    if component.classification == BOUNDED:
-        data["vertices"] = [_point_json(v) for v in _chamber_vertices(arr, component.eps)]
-    return data
+def _core(arr, args):
+    """The extended core; each vertex is formatted once, and a bounded
+    component lists those of its mask."""
+    components = extended_core(arr, force=args.force)
+    points = [_point_json(p) for p, _ in _faces(arr).vertices]
+    listed = []
+    for c in components:
+        data = dict(eps=format_sign_vector(c.eps), classification=c.classification, dimension=arr.n)
+        if c.classification == BOUNDED:
+            mask = _chamber_mask(arr, c.eps)
+            data["vertices"] = [points[j] for j in range(mask.bit_length()) if mask >> j & 1]
+        listed.append(data)
+    compact = sum(c["classification"] == BOUNDED for c in listed)
+    return {"components": listed, "theta_cpt_count": compact}
 
 
 def _check(arr, args):
     regular = is_regular(arr)
     simple = is_simple(arr)
     return {"regular": regular, "simple": simple, "smooth": regular and simple}
-
-
-def _core(arr, args):
-    listed = [_component_json(arr, c) for c in extended_core(arr, force=args.force)]
-    compact = sum(c["classification"] == BOUNDED for c in listed)
-    return {"components": listed, "theta_cpt_count": compact}
 
 
 def _stability(arr, args):
@@ -278,7 +288,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if payload is not None:
-        _emit(payload)
+        try:
+            _emit(payload)
+        except BrokenPipeError:
+            # the reader is gone: the interpreter's final flush goes nowhere
+            sys.stdout = open(os.devnull, "w")
+            return 3
     return 0 if command.positive is None or command.positive(payload) else 1
 
 

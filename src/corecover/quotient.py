@@ -11,21 +11,21 @@ hyperplanes keeps the prefixes with a nonzero mask; the chamber, covering
 and complement sweeps list its leaves, with their masks, instead of
 testing 2^d, 3^d or 4^d candidates, and solve no LP. A leaf lies in the
 chart of a chamber iff its mask meets the chamber's, so every chart verdict
-is one AND: the covering indexes the vertices by their first compact
-chamber, and the complement keeps the leaves that miss one chamber's mask,
-walking only the prefixes with a vertex outside it. The complement walks
-once per realizable BOTH set, with BOTH letters on it, which need no case
-of their own. A chamber's boundedness is read off the sign vectors of
-candidate extreme rays, one per (n - 1)-subset of direction classes, as one
-AND of ray masks per letter, with no LP; a chamber's vertices are those of
-its mask, the arrangement's vertices whose sign vectors conform to it.
-Density compares each chamber's verdict with the numeric side, the dense
-patterns whose numeric system has a vertex conforming to them: the
-C(d, n) square systems of the torus data are solved once, in d
-variables, from one elimination and an exchange block each, and no sweep
-solves an LP. Nothing here builds a polyhedron either: a core component is
-its sign vector and classification, and the chamber as a system of
-inequalities is ``stability.chamber(arr, eps)``.
+is one AND: the covering reads each vertex's first compact chamber, which
+the chamber walk assigns as it yields the bounded chambers, and the
+complement keeps the leaves that miss one chamber's mask, walking only the
+prefixes with a vertex outside it, once per realizable BOTH set, with BOTH
+letters on it. The vertices, sorted on integer keys, their masks and the
+walk's results make one face record per arrangement (``stability._faces``).
+A chamber is bounded iff the AND of its letters' ray masks, which the class
+record keeps per direction class (``_ClassMatroid.ray_masks``), is zero:
+no LP. A chamber's vertices are those of its mask. Density compares each
+chamber's verdict with the numeric side, the dense patterns whose numeric
+system has a vertex conforming to them: the C(d, n) square systems of the
+torus data are solved once, in d variables, from one elimination and an
+exchange block each, and no sweep solves an LP. Nothing here builds a
+polyhedron either: a core component is its sign vector and classification,
+and the chamber as inequalities is ``stability.chamber(arr, eps)``.
 
 Everything is exhaustive and exact, guarded against exponential blowup by a
 hyperplane-count limit that can be forced off.
@@ -43,7 +43,6 @@ from .arrangement import (
     _direction_classes,
     _matroid,
     _orientations,
-    _vertices,
     check_sign_vector,
     is_smooth,
     torus_data,
@@ -56,6 +55,7 @@ from .stability import (
     FULL_ALPHABET,
     Status,
     _cone_contains,
+    _faces,
     _letter_masks,
     _numeric_chambers,
     _pattern_mask,
@@ -138,71 +138,63 @@ def _check_guard(arr: Arrangement, force: bool, what: str, limit: int | None = N
         )
 
 
-@scoped_cache
-def _ray_signs(arr: Arrangement) -> tuple:
-    """Sign vectors ``sign(<u_i, r>)`` of the candidate extreme rays ``r`` of
-    every chamber's recession cone; a nonempty chamber of ``eps`` is
-    unbounded iff one of them conforms to ``eps``: each ``sigma_i`` is 0 or
-    ``eps_i``.
-
-    The recession cone of that chamber is ``K = {x : eps_i <u_i, x> >= 0}``.
-    Its lineality space ``{x : <u_i, x> = 0 for all i}`` is 0 because the
-    normals span Q^n, so K is pointed, and a pointed polyhedral cone is the
-    conical hull of its extreme rays: K is nontrivial iff it has one. The
-    normals of the inequalities tight on an extreme ray ``r`` have rank
-    n - 1, so n - 1 independent ones among them, which lie in n - 1 distinct
-    direction classes, cut out the line through ``r``; so do those classes'
-    representatives, whose integer cofactor vector ``c`` (``<x, c>`` is the
-    determinant with ``x`` as first row, 0 iff they are dependent) spans
-    that line, and ``r`` is a positive multiple of ``c`` or ``-c``.
-    Conversely ``+-c`` lies in K exactly when its sign vector conforms to
-    ``eps``, and is then a nonzero vector of K. Hence the C(D, n - 1)
-    cofactors of the representatives (``c = (1,)`` for n = 1) and their
-    negations decide every chamber with no LP; the argument uses only that
-    the normals span, so it is exact on input that is not smooth. The
-    cofactors depend on the representatives alone, so the arrangement's
-    ``_ClassMatroid`` keeps the signs of ``<r_k, c>`` per class
-    (``ray_signs``), and hyperplane i, with ``u_i = s * r_k``, reads
-    ``s`` times its class's sign: no minor is taken per arrangement.
-    """
-    planes = _orientations(arr)
-    signs = {}
-    for by_class in _matroid(arr).ray_signs:
-        sigma = tuple([s * by_class[k] for k, s in planes])
-        signs[sigma] = signs[tuple([-s for s in sigma])] = None
-    return tuple(signs)
-
-
 # The orientation of each chamber letter.
 _SIGN_OF = {Status.Z: 1, Status.W: -1}
 
 
+def _walked(arr: Arrangement):
+    """The face record (``_faces``) with the core walk's results filled in:
+    ``core``, the nonempty chambers, the leaves of the walk over Z and W,
+    each classified, and ``first``, per vertex the index in ``core``'s
+    bounded chambers of the first whose mask holds it, or their number.
+
+    A nonempty chamber of ``eps`` is unbounded iff its recession cone ``K =
+    {x : eps_i <u_i, x> >= 0}`` is nontrivial. K is pointed, since the
+    normals span Q^n, so it is nontrivial iff it has an extreme ray ``r``.
+    The normals tight on ``r`` have rank n - 1, so n - 1 independent ones
+    among them, in n - 1 distinct direction classes, cut out the line
+    through ``r``; so do those classes' representatives, whose integer
+    cofactor vector ``c`` (``<x, c>`` is the determinant with ``x`` as
+    first row) spans that line: ``r`` is a positive multiple of ``c`` or
+    ``-c``. Conversely ``+-c`` lies in K iff ``eps_i <u_i, +-c> >= 0`` for
+    every i. So the C(D, n - 1) cofactors and their negations decide every
+    chamber with no LP, also on input that is not smooth. The class record
+    keeps, per class, the masks of the rays on each side (``ray_masks``):
+    Z's mask at hyperplane i holds the rays with ``<u_i, ray> >= 0``, W's
+    those with ``<= 0``, and the AND of a chamber's letters' masks holds
+    the rays in K: d ANDs a chamber.
+    """
+    faces = _faces(arr)
+    if faces.core is not None:
+        return faces
+    rays = _matroid(arr).ray_masks
+    # hyperplane i, of normal s * r_k, gives Z and W (up, down) if s = +1,
+    # else (down, up)
+    conform = [dict(zip((Status.Z, Status.W)[::s], rays[k])) for k, s in _orientations(arr)]
+    unassigned = faces.masks[1]
+    components, first, bounded = [], [None] * unassigned.bit_length(), 0
+    for pattern, kept in _pattern_masks(arr, ((Status.Z, Status.W),) * arr.d):
+        eps = tuple(map(_SIGN_OF.__getitem__, pattern))
+        # a leaf of the tree is nonempty: bounded iff no ray lies in K
+        unbounded = reduce(and_, map(dict.__getitem__, conform, pattern))
+        components.append(CoreComponent(eps, UNBOUNDED if unbounded else BOUNDED))
+        if not unbounded:
+            group = kept & unassigned
+            unassigned ^= group
+            while group:
+                low = group & -group
+                first[low.bit_length() - 1] = bounded
+                group ^= low
+            bounded += 1
+    faces.first = [bounded if j is None else j for j in first]
+    faces.core = tuple(components)
+    return faces
+
+
 @scoped_cache
 def _extended_core_cached(arr: Arrangement) -> tuple:
-    """The nonempty chambers, the leaves of the walk over Z and W, each
-    classified by ray masks over ``_ray_signs``: bit j of Z's mask at
-    coordinate k is set iff ``sigma_j[k] >= 0``, and of W's iff
-    ``sigma_j[k] <= 0``, so the AND of a chamber's letters' masks holds the
-    rays whose signs conform to its ``eps``, and the chamber is unbounded
-    iff that AND is nonzero. The masks are built once per arrangement, and
-    a chamber costs d ANDs instead of a sign test per ray and coordinate."""
-    rays = _ray_signs(arr)
-    conform = [{Status.Z: 0, Status.W: 0} for _ in range(arr.d)]
-    for j, sigma in enumerate(rays):
-        bit = 1 << j
-        for masks, s in zip(conform, sigma):
-            if s >= 0:
-                masks[Status.Z] |= bit
-            if s <= 0:
-                masks[Status.W] |= bit
-    every_ray = (1 << len(rays)) - 1
-    components = []
-    for pattern, _ in _pattern_masks(arr, ((Status.Z, Status.W),) * arr.d):
-        eps = tuple(map(_SIGN_OF.__getitem__, pattern))
-        # a leaf of the tree is nonempty: bounded iff no ray sign conforms
-        unbounded = reduce(and_, map(dict.__getitem__, conform, pattern), every_ray)
-        components.append(CoreComponent(eps, UNBOUNDED if unbounded else BOUNDED))
-    return tuple(components)
+    """The nonempty chambers, each classified (see ``_walked``)."""
+    return _walked(arr).core
 
 
 def extended_core(arr: Arrangement, force: bool = False) -> tuple:
@@ -245,7 +237,7 @@ def _chamber_vertices(arr: Arrangement, eps) -> list:
     than n hyperplanes may pass through a vertex, which is listed once.
     """
     mask = _chamber_mask(arr, eps)
-    return [p for j, (p, _) in enumerate(_vertices(arr)) if mask >> j & 1]
+    return [p for j, (p, _) in enumerate(_faces(arr).vertices) if mask >> j & 1]
 
 
 def theta_cpt(arr: Arrangement, force: bool = False) -> tuple:
@@ -283,9 +275,8 @@ def verify_covering(arr: Arrangement, force: bool = False) -> CoverReport:
     mask at v, so v has the index of ``eps``; a vertex of the mask with a
     smaller index lies on that earlier chamber, which then meets the mask.)
     A leaf none of whose vertices lies on a compact chamber is a
-    counterexample. The indices are assigned once, each vertex at the
-    first chamber whose mask holds it, and a leaf costs one step per vertex
-    of its mask, not one AND per chamber.
+    counterexample. The chamber walk assigns the indices (``_walked``), so
+    a leaf costs one step per vertex of its mask and no chamber mask.
 
     Gluing: covering holds iff every vertex lies on a bounded chamber. If
     each does, every leaf keeps a vertex with an index. If a vertex v lies
@@ -299,20 +290,8 @@ def verify_covering(arr: Arrangement, force: bool = False) -> CoverReport:
     compact = [c.eps for c in _extended_core_cached(arr) if c.classification == BOUNDED]
     if not compact:
         raise ValueError("covering theorem hypothesis violated: empty core")
-    # first[j] is the index in ``compact`` of the first chamber on vertex j,
-    # or len(compact) if it lies on none; bits are visited lowest first
-    no_chamber = len(compact)
-    unassigned = _letter_masks(arr)[1]
-    first = [no_chamber] * unassigned.bit_length()
-    for index, eps in enumerate(compact):
-        group = _chamber_mask(arr, eps) & unassigned
-        unassigned ^= group
-        while group:
-            low = group & -group
-            first[low.bit_length() - 1] = index
-            group ^= low
-    witness = {}
-    counterexamples = []
+    no_chamber, first = len(compact), _walked(arr).first
+    witness, counterexamples = {}, []
     for pattern, kept in _pattern_masks(arr):
         index = no_chamber
         while kept:

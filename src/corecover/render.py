@@ -15,8 +15,9 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .arrangement import Arrangement, _vertices
+from .arrangement import Arrangement
 from .quotient import BOUNDED, _chamber_vertices, _check_guard, _extended_core_cached
+from .stability import _faces
 
 SIZE = 560
 MARGIN = 40
@@ -111,12 +112,6 @@ def _line_anchor_direction(u, lift):
     return anchor, direction
 
 
-def _intersections(arr: Arrangement):
-    """The crossing point of every pair of lines that are not parallel: the
-    arrangement's vertices."""
-    return [point for point, _ in _vertices(arr)]
-
-
 def _clip_params(anchor, direction, box):
     """Parameter interval of the line inside an axis-aligned box, or None."""
     (x0, x1), (y0, y1) = box
@@ -161,7 +156,8 @@ def _sort_polygon(points):
 
 
 def _render_plane(arr: Arrangement) -> str:
-    crossings = _intersections(arr)
+    # the crossing points of the lines that are not parallel: the vertices
+    crossings = [point for point, _ in _faces(arr).vertices]
     if crossings:
         xs = [p[0] for p in crossings]
         ys = [p[1] for p in crossings]

@@ -25,11 +25,13 @@ BOTH-free state set is a pointed polyhedron and contains one (see
 ``_letter_masks``; compare Zaslavsky, "Facing up to arrangements",
 1975). Each vertex set is an integer bitmask over the arrangement's
 vertices, one mask per (coordinate, letter), so a pattern's vertices are
-one AND per letter. A chart pattern holds at a vertex iff the pattern does
-and the vertex conforms to the chart's sign vector, so a chart verdict is
-the AND of a pattern's mask with its chamber's. The sweeps walk the
-prefixes, one hyperplane at a time, whose masks are nonzero. Each public
-verdict carries the exact certificate of the system it solved.
+one AND per letter. The vertices, sorted on integer keys, and the masks,
+built from the columns of their sign vectors, make the arrangement's face
+record (``_faces``). A chart pattern holds at a vertex iff the pattern
+does and the vertex conforms to the chart's sign vector, so a chart
+verdict is the AND of a pattern's mask with its chamber's. The sweeps walk
+the prefixes, one hyperplane at a time, whose masks are nonzero. Each
+public verdict carries the exact certificate of the system it solved.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import mul
+from types import SimpleNamespace
 
 from .arrangement import Arrangement, TorusData, check_sign_vector
 from .arrangement import _direction_classes, _matroid, _vertices
@@ -304,27 +307,37 @@ def toric_semistable_geometric(arr: Arrangement, support) -> StabilityVerdict:
     return hk_semistable_geometric(arr, support_pattern(arr.d, support))
 
 
-# The vertex signs at which each letter holds: the sign 0, or Z's or W's
-# side; BOTH holds at every sign (see ``_letter_masks``).
-_HOLDS = {
-    Status.Z: (0, 1),
-    Status.W: (0, -1),
-    Status.ZERO: (0,),
-    Status.BOTH: (0, 1, -1),
-}
-
-
 @scoped_cache
+def _faces(arr: Arrangement) -> SimpleNamespace:
+    """The face record every sweep reads: ``vertices`` (``_vertices``),
+    ``masks`` (``_letter_masks``), built from each column of the vertices'
+    signs as ``pos``, ``neg`` and ``zero = all ^ pos ^ neg``, and the core
+    walk's ``core`` and ``first``, filled in by ``quotient._walked``."""
+    vertices = _vertices(arr)
+    every = (1 << len(vertices)) - 1
+    tables = []
+    for column in zip(*[sigma for _, sigma in vertices]):
+        pos = neg = 0
+        for j, s in enumerate(column):
+            if s > 0:
+                pos |= 1 << j
+            elif s < 0:
+                neg |= 1 << j
+        # the masks of Z, W, ZERO and BOTH
+        masks = (every ^ neg, every ^ pos, every ^ pos ^ neg, every)
+        tables.append(dict(zip(FULL_ALPHABET, masks)))
+    return SimpleNamespace(vertices=vertices, masks=(tuple(tables), every), core=None, first=None)
+
+
 def _letter_masks(arr: Arrangement) -> tuple:
-    """Per coordinate, each letter's vertex mask: the integer whose bit j is
-    set iff the letter holds at the j-th vertex of ``_vertices``. The mask
-    of a pattern, the AND of its letters' masks, lists the vertices at
-    which every letter holds, and it is zero iff the pattern's state set is
-    empty, read off the vertices with no LP:
+    """Per coordinate, each letter's vertex mask (kept by ``_faces``): bit
+    j is set iff the letter holds at the j-th vertex of ``_vertices``. A
+    pattern's mask, the AND of its letters', lists the vertices at which
+    every letter holds, and is zero iff its state set is empty, no LP:
 
     * State sets are closed: Z keeps ``<u_i, x> + lift_i >= 0``, W keeps
-      ``<= 0``, ZERO keeps ``= 0`` and BOTH keeps everything. So a letter
-      holds at a point iff the point's sign there is in ``_HOLDS``.
+      ``<= 0``, ZERO keeps ``= 0`` and BOTH keeps everything, so Z holds
+      at the signs 0 and +1, W at 0 and -1, ZERO at 0 and BOTH at all.
     * A prefix's state set is nonempty iff the state set of some BOTH-free
       pattern on all d hyperplanes that extends it is: keep its Z, W and
       ZERO letters and take the letters of the signs of one of its points
@@ -346,17 +359,7 @@ def _letter_masks(arr: Arrangement) -> tuple:
     is exact on input that is not simple too. Returns the per-coordinate
     tables and the mask of all vertices.
     """
-    vertices = _vertices(arr)
-    tables = []
-    for k in range(arr.d):
-        by_sign = {0: 0, 1: 0, -1: 0}
-        for j, (_, sigma) in enumerate(vertices):
-            by_sign[sigma[k]] |= 1 << j
-        # the three sign masks are disjoint, so their sum is their union
-        tables.append(
-            {status: sum(by_sign[s] for s in holds) for status, holds in _HOLDS.items()}
-        )
-    return tuple(tables), (1 << len(vertices)) - 1
+    return _faces(arr).masks
 
 
 def _pattern_mask(arr: Arrangement, pattern) -> int:

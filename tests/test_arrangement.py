@@ -38,6 +38,7 @@ from util import (
     det,
     enumerate_vertices,
     kernel_by_two_hnf,
+    mask_ray_signs,
     mat_vec,
     per_arrangement_circuits,
     per_arrangement_ray_signs,
@@ -615,7 +616,7 @@ class TestClassMatroid:
             assert is_simple(arr) == per_arrangement_simple(arr)
             assert trivial_factors(arr) == subset_trivial_factors(arr)
             assert tuple(record.circuits()) == per_arrangement_circuits(arr)
-            assert quotient._ray_signs(arr) == per_arrangement_ray_signs(arr)
+            assert mask_ray_signs(arr) == per_arrangement_ray_signs(arr)
             assert arrangement._vertices(arr) == per_arrangement_vertices(arr)
             assert record.realizable == per_arrangement_realizable(arr)
             assert torus_data.__wrapped__(arr) == TorusData(

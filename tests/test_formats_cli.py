@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
 import sys
 from fractions import Fraction
@@ -392,6 +393,35 @@ class TestCli:
         else:
             assert main(["complement", path, f"--chart={chart}"]) == 2
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            (["report", "--chart", "++++"], HIRZ_DOC),
+            (["check"], {"dim": 1, "normals": [[-1], [1], [1]], "lifts": ["1", "-1", "0"]}),
+        ],
+        ids=["positive", "negative"],
+    )
+    def test_closed_stdout_exit_3(self, tmp_path, capsys, monkeypatch, command, doc):
+        # a reader that closed standard output, as ``| head -n 1`` does:
+        # one documented code whatever the verdict, no traceback, and
+        # standard output left on the null device for the final flush
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        code = main(command + [write(tmp_path, doc)])
+        devnull = sys.stdout
+        monkeypatch.undo()
+        assert code == 3 and devnull.name == os.devnull
+        devnull.write("{}\n")
+        devnull.flush()
+        devnull.close()
+        assert capsys.readouterr().err == ""
 
     def test_report_empty_core(self, tmp_path, capsys):
         doc = {"dim": 2, "normals": [[1, 0], [1, 0], [0, 1]], "lifts": ["0", "-1", "0"]}

@@ -54,15 +54,19 @@ import util
 from util import (
     adjacency_lemma_check,
     affine_dimension,
+    by_sign_letter_masks,
     candidate_complement,
     cycling_family,
     enumerate_vertices,
+    first_compact_indices,
     full_walk_complement,
     is_bounded,
+    mask_ray_signs,
     nonempty_patterns,
     numeric_complement,
     numeric_covering,
     per_arrangement_ray_signs,
+    per_arrangement_vertices,
     per_leaf_complement,
     per_leaf_covering,
     three_class_arrangement,
@@ -199,9 +203,12 @@ class TestExtendedCore:
 
     def test_ray_signs_on_a_line(self):
         # x = 0 and x = 1 with opposite normals: the only ray (1,) has signs
-        # (+, -), its negation (-, +); [0, 1] is bounded, the half-lines not
+        # (+, -), its negation (-, +); [0, 1] is bounded, the half-lines not.
+        # The one class holds the ray (bit 0) on its up side and the
+        # negation (bit 1) on its down side
         arr = Arrangement(1, ((1,), (-1,)), (0, 1))
-        assert quotient._ray_signs(arr) == ((1, -1), (-1, 1))
+        assert arrangement_module._matroid(arr).ray_masks == ((0b01, 0b10),)
+        assert mask_ray_signs(arr) == ((1, -1), (-1, 1))
         table = {c.eps: c.classification for c in extended_core(arr)}
         assert table == {(1, 1): BOUNDED, (1, -1): UNBOUNDED, (-1, 1): UNBOUNDED}
 
@@ -218,7 +225,7 @@ class TestExtendedCore:
             eliminations = []
             real = linalg._bareiss
             monkeypatch.setattr(linalg, "_bareiss", lambda *a: eliminations.append(a) or real(*a))
-            signs = quotient._ray_signs(arr)
+            signs = mask_ray_signs(arr)
             monkeypatch.undo()
             assert len(signs) <= 2 * math.comb(3, arr.n - 1)
             counts.append((len(signs), len(eliminations)))
@@ -287,7 +294,7 @@ class TestChamberVertices:
             subsets = list(itertools.combinations(reps, arr.n))
             independent = sum(linalg.rank(sub) == arr.n for sub in subsets)
             for warm in (False, True):
-                # a list over another arrangement empties the scoped cache
+                # _vertices keeps nothing, so each list below is computed afresh
                 arrangement_module._vertices(Arrangement(1, ((1,),), (0,)))
                 if not warm:
                     arrangement_module._class_matroid.cache_clear()
@@ -315,6 +322,50 @@ class TestChamberVertices:
             if arr.name == "hirzebruch":
                 assert (len(subsets), independent, len(vertices)) == (3, 3, 5)
 
+
+class TestFaceRecord:
+    """Each part of an arrangement's face record equals the same data built
+    by another route: the vertices, in order, as one solve per n-subset of
+    hyperplanes; boundedness as the conformance test over the ray sign
+    vectors of the arrangement alone; the letter masks vertex by vertex;
+    and each vertex's first compact chamber from one chamber mask per
+    bounded chamber. On fixtures, seeded draws, input that is not regular,
+    where vertices have denominators from determinants above 1, and input
+    that is not simple."""
+
+    @staticmethod
+    def population():
+        rng = random.Random(3883)
+        arrangements = [parse_arrangement(p.read_text()) for p in sorted(FIXTURE_DIR.glob("*.json"))]
+        assert len(arrangements) == 5
+        arrangements += [random_smooth_arrangement(rng, max_d=7) for _ in range(30)]
+        arrangements += _classification_population(rng, 60)
+        arrangements += [
+            # normals (1, 2) and (2, 1) have determinant -3
+            Arrangement(2, ((1, 2), (2, 1), (1, 0), (0, -1)), (0, 1, F(-1, 2), 2)),
+            Arrangement(2, ((1, 2), (-2, -1), (1, 1), (1, 2)), (1, 0, -1, -2)),
+            # three lines through the origin, and a hyperplane listed twice
+            Arrangement(2, ((1, 0), (0, 1), (-1, -1), (1, -1)), (0, 0, 1, 0)),
+            Arrangement(2, ((1, 0), (-1, 0), (0, 1), (1, 1)), (1, -1, 0, 2)),
+        ]
+        return arrangements
+
+    def test_matches_other_routes(self):
+        arrangements = self.population()
+        scaled = not_simple = bounded = 0
+        for arr in arrangements:
+            faces = stability._faces(arr)
+            assert faces.vertices == per_arrangement_vertices(arr)
+            assert faces.masks == by_sign_letter_masks(faces.vertices, arr.d)
+            rays = per_arrangement_ray_signs(arr)
+            for c in quotient._extended_core_cached(arr):
+                expected = any(all(s * e >= 0 for s, e in zip(sigma, c.eps)) for sigma in rays)
+                assert c.classification == (UNBOUNDED if expected else BOUNDED)
+                bounded += not expected
+            assert quotient._walked(arr).first == first_compact_indices(arr)
+            scaled += any(den > 1 for _, den, _ in arrangement_module._matroid(arr).bases)
+            not_simple += not is_simple(arr)
+        assert scaled > 40 and not_simple > 10 and bounded > 200
 
 class TestCoreEmptyCriterion:
     def test_trapezoid(self, hirzebruch):
@@ -634,7 +685,7 @@ class TestComplementSweep:
         assert reads == [full_pattern((1, -1, 1, -1, 1, -1))]
         assert all(B not in p for p in reads)
         assert real_contains.cache_info().currsize <= 3**coordinate.d
-        assert stability._letter_masks.cache_info().currsize == 1
+        assert stability._faces.cache_info().currsize == 1
         # n = 2, d = 16: the realizable class set of 8 hyperplanes once left
         # 3^8 fills; now the walks yield fewer patterns, with one read in all
         arr = random_smooth_arrangement(random.Random(3), n=2, d=16)

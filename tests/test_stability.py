@@ -623,7 +623,7 @@ class TestNumericChambers:
         def forbidden(*args):
             raise AssertionError("the numeric side read the chamber side")
 
-        for name in ("_vertices", "_letter_masks", "_cone_contains", "is_feasible"):
+        for name in ("_faces", "_vertices", "_letter_masks", "_cone_contains", "is_feasible"):
             monkeypatch.setattr(stability, name, forbidden)
         bare = types.SimpleNamespace(d=td.d, m=td.m, basis=td.basis, alpha=td.alpha)
         assert stability._numeric_chambers(bare) == expected

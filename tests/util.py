@@ -30,14 +30,18 @@ computed afresh for each arrangement (``per_arrangement_regular``,
 ``per_arrangement_circuits``, ``per_arrangement_simple``,
 ``per_arrangement_ray_signs`` and ``per_arrangement_vertices``; the
 realizable class subsets, ``per_arrangement_realizable``, by the rank test
-in R^d); polyhedral oracles (projection, affine dimension, boundedness,
-vertices, brute-force feasibility), the covering proof's adjacency step,
-the constraint shorthands ``ge``, ``gt`` and ``eq``, the format helpers'
-strings built the plain way (``pattern_string_by_value``,
-``sign_string_by_comparison``, ``rational_string_via_fraction``), a
-generator of arrangements with three direction classes and one of the
-simple n = 3 family whose normals cycle through four. The scripts put this
-directory on ``sys.path``."""
+in R^d); the face record's parts by other routes: the ray sign vectors
+that the class record's ray masks encode (``mask_ray_signs``), the letter
+masks vertex by vertex (``by_sign_letter_masks``) and each vertex's first
+compact chamber from one chamber mask per bounded chamber
+(``first_compact_indices``); polyhedral oracles (projection, affine
+dimension, boundedness, vertices, brute-force feasibility), the covering
+proof's adjacency step, the constraint shorthands ``ge``, ``gt`` and
+``eq``, the format helpers' strings built the plain way
+(``pattern_string_by_value``, ``sign_string_by_comparison``,
+``rational_string_via_fraction``), a generator of arrangements with three
+direction classes and one of the simple n = 3 family whose normals cycle
+through four. The scripts put this directory on ``sys.path``."""
 
 import functools
 import itertools
@@ -79,11 +83,18 @@ from corecover.linalg import (
     transpose,
     unit_vector,
 )
-from corecover.quotient import _LETTER_ORDER, _complement_report
+from corecover.quotient import (
+    BOUNDED,
+    _LETTER_ORDER,
+    _chamber_mask,
+    _complement_report,
+    _extended_core_cached,
+)
 from corecover.stability import (
     FULL_ALPHABET,
     NO_BOTH_ALPHABET,
     Status,
+    _letter_masks,
     _pattern_mask,
     _pattern_masks,
     chart_pattern,
@@ -411,6 +422,71 @@ def per_arrangement_vertices(arr) -> tuple:
         for sigma, (nums, den) in found.items()
     )
     return tuple(sorted(points))
+
+
+def mask_ray_signs(arr) -> tuple:
+    """The ray sign vectors that the class record's ``ray_masks`` encode
+    for the arrangement, in the order of ``per_arrangement_ray_signs``.
+    Hyperplane i of normal ``s * r_k`` reads class k's ``(up, down)`` when s
+    = +1 and ``(down, up)`` when s = -1; a ray's bit is in the first iff
+    ``<u_i, ray> >= 0`` and in the second iff ``<= 0``. Bit j is cofactor
+    j and bit j + R its negation, so each cofactor is read before its
+    negation, and repeated sign vectors are dropped."""
+    masks = _matroid(arr).ray_masks
+    reps = [r for r, _ in _direction_classes(arr)]
+    sides = []
+    for u in arr.normals:
+        if u in reps:
+            sides.append(masks[reps.index(u)])
+        else:
+            down, up = masks[reps.index(tuple(-x for x in u))]
+            sides.append((up, down))
+    count = (masks[0][0] | masks[0][1]).bit_length() // 2
+    signs = {}
+    for j in range(count):
+        for bit in (j, j + count):
+            signs[tuple((z >> bit & 1) - (w >> bit & 1) for z, w in sides)] = None
+    return tuple(signs)
+
+
+# The vertex signs at which each letter holds.
+_HOLDS = {
+    Status.Z: (0, 1),
+    Status.W: (0, -1),
+    Status.ZERO: (0,),
+    Status.BOTH: (0, 1, -1),
+}
+
+
+def by_sign_letter_masks(vertices, d) -> tuple:
+    """The letter masks of ``_letter_masks`` built vertex by vertex: per
+    coordinate one mask per sign, and each letter's mask the sum of those of
+    the signs it holds at."""
+    tables = []
+    for k in range(d):
+        by_sign = {0: 0, 1: 0, -1: 0}
+        for j, (_, sigma) in enumerate(vertices):
+            by_sign[sigma[k]] |= 1 << j
+        tables.append({status: sum(by_sign[s] for s in holds) for status, holds in _HOLDS.items()})
+    return tuple(tables), (1 << len(vertices)) - 1
+
+
+def first_compact_indices(arr) -> list:
+    """Per vertex, the index of the first bounded chamber of the extended
+    core whose vertex mask holds it, or the number of bounded chambers if
+    none does: one ``_chamber_mask`` per bounded chamber, each assigning
+    the vertices of its mask not assigned before."""
+    compact = [c.eps for c in _extended_core_cached(arr) if c.classification == BOUNDED]
+    unassigned = _letter_masks(arr)[1]
+    first = [len(compact)] * unassigned.bit_length()
+    for index, eps in enumerate(compact):
+        group = _chamber_mask(arr, eps) & unassigned
+        unassigned ^= group
+        while group:
+            low = group & -group
+            first[low.bit_length() - 1] = index
+            group ^= low
+    return first
 
 
 def brute_force_simple(arr) -> bool:
