@@ -61,6 +61,39 @@ FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 # record that took d, m and alpha as constructor inputs.
 TORUS_REPR_DIGEST = "2eea5f15370322862a2d08f9e9aa39abfbfe3033117e6cd51796754af5ee6f7f"
 
+# SHA-256 of repr((normals, lifts)) of arrangement_from_quotient, or of the
+# ValueError it raises, over _quotient_population(): the fixtures' torus
+# data, 60 draws of random_smooth_arrangement(random.Random(3301)) and 300
+# TorusData from random integer bases, recorded with the reconstruction
+# that solved the square block once per coordinate.
+QUOTIENT_DIGEST = "821bbcf993783d181e253d784e6d212d29534ad436964a97bb1bca9d4e1f32b0"
+
+
+def _quotient_population():
+    """Torus data of the fixtures and of seeded smooth draws, then 300
+    TorusData whose basis is a random integer matrix (m = 1-3 rows, d = m +
+    1 to 7 columns, entries in [-4, 4] with about 30% zeros, sometimes
+    dependent rows) and whose lifts have mixed denominators; those are
+    almost never regular."""
+    tds = [torus_data(parse_arrangement(p.read_text())) for p in sorted(FIXTURE_DIR.glob("*.json"))]
+    assert len(tds) == 5
+    rng = random.Random(3301)
+    tds += [torus_data(random_smooth_arrangement(rng)) for _ in range(60)]
+    rng = random.Random(3302)
+    for _ in range(300):
+        m = rng.randint(1, 3)
+        d = rng.randint(m + 1, 7)
+        basis = []
+        for _ in range(m):
+            if basis and rng.random() < 0.15:
+                a, b = rng.choice(basis), rng.choice(basis)
+                basis.append(tuple(2 * x - y for x, y in zip(a, b)))
+            else:
+                basis.append(tuple(0 if rng.random() < 0.3 else rng.randint(-4, 4) for _ in range(d)))
+        lifts = tuple(F(rng.randint(-5, 5), rng.choice((1, 2, 3, 5))) for _ in range(d))
+        tds.append(TorusData(tuple(basis), lifts))
+    return tds
+
 
 class TestArrangementInvariants:
     def test_rejects_non_primitive(self):
@@ -499,6 +532,24 @@ class TestQuotientReconstruction:
         td = TorusData(basis=((1,),), lifts=(1,))
         with pytest.raises(ValueError):
             arrangement_from_quotient(td)
+
+    def test_pinned_reconstructions(self):
+        # pins the normals' scale and order and the lifts, which the
+        # verdict-level round trips above would not see change
+        digest = hashlib.sha256()
+        outcomes = {"built": 0, "refused": 0}
+        for td in _quotient_population():
+            try:
+                arr = arrangement_from_quotient(td)
+            except ValueError as exc:
+                outcomes["refused"] += 1
+                answer = f"ValueError: {exc}"
+            else:
+                outcomes["built"] += 1
+                answer = repr((arr.normals, arr.lifts))
+            digest.update(answer.encode() + b"\n")
+        assert outcomes["built"] > 300 and outcomes["refused"] > 0
+        assert digest.hexdigest() == QUOTIENT_DIGEST
 
 
 def _fan_directions(count):
