@@ -32,7 +32,6 @@ from .linalg import (
     kernel_lattice,
     primitive_scale,
     rank,
-    solve_square,
     transpose,
 )
 from .memo import scoped_cache
@@ -601,21 +600,23 @@ def arrangement_from_quotient(td: TorusData) -> Arrangement:
     space = solution_space(td)
     basis = space.homogeneous_basis
     coords = space.projection_coords
-    nfree = len(coords)
-    square = [[row[t] for t in coords] for row in basis]
+    # the basis rows are independent and coords are their pivot columns,
+    # so the square block is never singular: one factorisation serves all
+    # d coordinates
+    den, inverse = _scaled_inverse([[row[t] for t in coords] for row in basis])
     normals = []
     lifts = []
     for i in range(td.d):
-        col = tuple(row[i] for row in basis)
-        w = solve_square(square, col)
-        if w is None or all(x == 0 for x in w):
+        col = [row[i] for row in basis]
+        w = tuple(Fraction(sum(map(mul, inv_row, col)), den) for inv_row in inverse)
+        if not any(w):
             raise ValueError(
                 f"degenerate projection: coordinate {i + 1} is constant on the solution plane"
             )
         prim, sigma = primitive_scale(w)
         normals.append(prim)
         lifts.append(sigma * td.lifts[i])
-    return Arrangement(nfree, tuple(normals), tuple(lifts))
+    return Arrangement(len(coords), tuple(normals), tuple(lifts))
 
 
 def trivial_factors(arr: Arrangement) -> tuple:

@@ -25,6 +25,7 @@ from json.encoder import encode_basestring_ascii
 from .arrangement import all_sign_vectors, is_regular, is_simple, torus_data
 from .errors import ParseError
 from .formats import (
+    _decimal,
     format_pattern,
     format_rational,
     format_sign_vector,
@@ -58,7 +59,9 @@ def _dumps(value, newline="\n") -> str:
     any other type raises ``TypeError``. With ``indent`` set, ``json.dumps``
     encodes in pure Python, token by token; this builds each container with
     one ``str.join`` over its encoded items. ``newline`` is the line break
-    and indentation of the container that holds ``value``."""
+    and indentation of the container that holds ``value``. An int goes
+    through ``formats._decimal``, so one over the interpreter's digit limit
+    is written in full where ``json.dumps`` would raise."""
     if type(value) is str:
         return encode_basestring_ascii(value)
     if value is None:
@@ -68,7 +71,7 @@ def _dumps(value, newline="\n") -> str:
     if value is False:
         return "false"
     if type(value) is int:
-        return str(value)
+        return _decimal(value)
     inner = newline + "  "
     if type(value) is list:
         if not value:

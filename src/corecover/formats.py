@@ -87,7 +87,10 @@ def _decimal(value: int) -> str:
 def parse_arrangement(data) -> Arrangement:
     """Parse arrangement file bytes or text, enforcing all invariants."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not valid UTF-8: {exc.reason} at byte {exc.start}") from None
     try:
         doc = json.loads(data)
     except (ValueError, RecursionError) as exc:

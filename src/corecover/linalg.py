@@ -11,13 +11,14 @@ of a regular arrangement has such a block, but ``torus_data`` does not come
 here for it: it reads the same basis off the arrangement's class-matroid
 record (see :mod:`corecover.arrangement`). The read-off here serves the
 other callers: ``solution_space`` and the torus data of input that is not
-regular. One fraction-free (Bareiss) forward elimination, with
+regular. One fraction-free (Bareiss) forward elimination, with one
 fraction-free back substitution, is behind that read-off, rank, the
-integer determinant, the scaled integer inverse and both square solvers;
-rational rows are first cleared of their denominators, which is done only
-in ``_common_denominator``. There is no floating point anywhere in this
-module: every downstream verdict is an exact feasibility question and
-rounding would corrupt it.
+integer determinant, the scaled integer inverse and the one square solver,
+``solve_integer``; the rational ``solve_square`` is a test oracle and lives
+with the tests. Rational rows are first cleared of their denominators,
+which is done only in ``_common_denominator``. There is no floating point
+anywhere in this module: every downstream verdict is an exact feasibility
+question and rounding would corrupt it.
 """
 
 from __future__ import annotations
@@ -178,8 +179,9 @@ def _unimodular_kernel(mat, width: int) -> tuple | None:
     right-hand side: row k of the echelon form holds its entry for q where
     q lies right of the row's pivot and is 0 elsewhere, and since q depends
     on the pivot columns before it, only those rows take part in solving
-    ``mat_N x = mat_q``. The solution is integral, so each division of the
-    back substitution is exact.
+    ``mat_N x = mat_q``, by ``_back_substitute`` on the pivot prefix
+    ``used``, over the columns before q, with ``last = 1``. The solution is
+    integral, so each division of the back substitution is exact.
     """
     rows = [list(reversed(r)) for r in mat]
     pivots, _, last = _bareiss(rows, width)
@@ -190,14 +192,11 @@ def _unimodular_kernel(mat, width: int) -> tuple | None:
     for q in reversed(range(width)):
         if q in pivot_set:
             continue
+        used = [c for c in pivots if c < q]
+        xs = _back_substitute(rows, used, 1, q, q)
         row_out = [0] * width
         row_out[width - 1 - q] = 1
-        used = [c for c in pivots if c < q]
-        xs = {}
-        for k in reversed(range(len(used))):
-            row, col = rows[k], used[k]
-            rest = row[q] - sum(row[j] * xs[j] for j in used[k + 1:])
-            xs[col] = rest // row[col]
+        for col in used:
             row_out[width - 1 - col] = -xs[col]
         basis.append(tuple(row_out))
     return tuple(basis)
@@ -323,17 +322,20 @@ def _bareiss(rows, width: int) -> tuple:
     return pivots, sign, last
 
 
-def _back_substitute(rows, pivots, last, width: int) -> list:
+def _back_substitute(rows, pivots, last, width: int, column: int) -> list:
     """The numerators ``X = last * x`` of the solution ``x`` of the pivot
-    rows of a ``_bareiss`` echelon form with its right-hand side in column
-    ``width``, free variables 0. Row k reads ``sum(row[j] * x[j] for j >=
-    pivots[k]) == row[width]``. ``X`` is integer by Cramer's rule on the
-    pivot block, whose determinant is ``+-last``, so each division is
-    exact."""
+    rows of a ``_bareiss`` echelon form with a right-hand side in
+    ``column``, free variables 0, as a list of ``width`` entries. Row k
+    reads ``sum(row[j] * x[j] for j in pivots[k:]) == row[column]``. With
+    ``last`` the last pivot of the form or its negative, ``X`` is integer
+    by Cramer's rule on the pivot block, whose determinant is ``+-last``,
+    so each division is exact. A caller whose solution is integral, such as
+    ``_unimodular_kernel``, passes ``last = 1`` and gets ``x`` itself, again
+    by exact divisions. This is the one back substitution of the module."""
     xs = [0] * width
     for k in reversed(range(len(pivots))):
         row, col = rows[k], pivots[k]
-        rest = last * row[width]
+        rest = last * row[column]
         for j in pivots[k + 1:]:
             rest -= row[j] * xs[j]
         xs[col] = rest // row[col]
@@ -359,12 +361,9 @@ def _scaled_inverse(mat) -> tuple | None:
     """``(den, inverse)`` of a square integer matrix, or None if it is
     singular: ``den = |det|`` and ``inverse = den * mat^{-1}``, an integer
     matrix (the adjugate up to sign), by one ``_bareiss`` pass on ``[mat |
-    I]``, looked up in ``linalg``'s globals, and one back substitution that
-    carries all n identity columns as right-hand sides (see
-    ``_back_substitute``): row k of the inverse is ``last`` times row k of
-    the identity part less the rows below it, over the pivot. Any system
-    ``mat x = b`` is then ``den * x = inverse @ b``, with no further
-    elimination."""
+    I]`` and one ``_back_substitute`` per identity column, which gives that
+    column of ``last * mat^{-1}``. Any system ``mat x = b`` is then ``den *
+    x = inverse @ b``, with no further elimination."""
     n = len(mat)
     rows = [[*row] + [0] * n for row in mat]
     for i, row in enumerate(rows):
@@ -372,29 +371,9 @@ def _scaled_inverse(mat) -> tuple | None:
     pivots, _, last = _bareiss(rows, n)
     if len(pivots) < n:
         return None
-    # square and nonsingular, so the pivot of row k is column k
     sign = 1 if last > 0 else -1
-    inverse = [None] * n
-    for k in reversed(range(n)):
-        row = rows[k]
-        rest = [sign * last * x for x in row[n:]]
-        for j in range(k + 1, n):
-            if row[j]:
-                rest = [r - row[j] * y for r, y in zip(rest, inverse[j])]
-        inverse[k] = [r // row[k] for r in rest]
-    return sign * last, tuple(map(tuple, inverse))
-
-
-def solve_square(mat, rhs) -> tuple | None:
-    """Unique rational solution of a square system, or None if singular."""
-    n = len(mat)
-    if any(len(r) != n for r in mat) or len(rhs) != n:
-        raise ValueError("solve_square requires an n x n matrix and n right-hand sides")
-    rows = _integer_rows((*r, b) for r, b in zip(mat, rhs))
-    pivots, _, last = _bareiss(rows, n)
-    if len(pivots) < n:
-        return None
-    return tuple(Fraction(x, last) for x in _back_substitute(rows, pivots, last, n))
+    columns = [_back_substitute(rows, pivots, sign * last, n, n + i) for i in range(n)]
+    return sign * last, tuple(zip(*columns))
 
 
 def solve_integer(mat, rhs) -> tuple | None:
@@ -414,7 +393,7 @@ def solve_integer(mat, rhs) -> tuple | None:
     pivots, _, last = _bareiss(rows, n)
     if len(pivots) < n:
         return None
-    nums = _back_substitute(rows, pivots, last, n)
+    nums = _back_substitute(rows, pivots, last, n, n)
     if last < 0:
         return tuple(-x for x in nums), -last
     return tuple(nums), last

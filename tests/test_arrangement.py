@@ -533,6 +533,15 @@ class TestQuotientReconstruction:
         with pytest.raises(ValueError):
             arrangement_from_quotient(td)
 
+    def test_one_factorisation_per_reconstruction(self, monkeypatch):
+        # the square block is factored once and serves all d coordinates
+        calls = []
+        inner = arrangement._scaled_inverse
+        monkeypatch.setattr(arrangement, "_scaled_inverse", lambda mat: calls.append(mat) or inner(mat))
+        td = TorusData(basis=((1, 1, 1, 1, 1), (0, 1, 2, 3, 4)), lifts=(0, 1, 0, 2, 1))
+        arr = arrangement_from_quotient(td)
+        assert arr.d == 5 and len(calls) == 1
+
     def test_pinned_reconstructions(self):
         # pins the normals' scale and order and the lifts, which the
         # verdict-level round trips above would not see change

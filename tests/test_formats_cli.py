@@ -170,6 +170,10 @@ class TestArrangementFile:
         with pytest.raises(ParseError, match="invalid JSON"):
             parse_arrangement("[" * 100000 + "]" * 100000)
 
+    def test_bytes_not_utf8_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="not valid UTF-8: invalid start byte at byte 0"):
+            parse_arrangement(b"\xff\xfe{}")
+
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
     )
@@ -299,6 +303,30 @@ class TestCli:
         expected = torus_data(parse_arrangement(pathlib.Path(path).read_text())).alpha
         assert max(len(text) for text in out["torus"]["alpha"]) > limit
         assert [_long_rational(text) for text in out["torus"]["alpha"]] == list(expected)
+
+    def test_kernel_basis_over_the_digit_limit(self, tmp_path, capsys):
+        # each input integer has 3,001 digits, so it parses, but the kernel
+        # basis has integers of about 6,000: they are printed in full. With
+        # no digit limit (Python 3.10) nothing changes.
+        big, small = 10**3000 + 7, 10**2999 + 3
+        doc = {"dim": 2, "normals": [[big, small], [small, big], [1, 0]], "lifts": ["0", "1", "2"]}
+        path = write(tmp_path, doc)
+        code = main(["report", path])
+        captured = capsys.readouterr()
+        assert code == 1 and "Traceback" not in captured.err, captured.err
+        out = json.loads(captured.out, parse_int=lambda text: int(_long_rational(text)))
+        basis = out["torus"]["kernel_basis"]
+        expected = torus_data(parse_arrangement(pathlib.Path(path).read_text())).basis
+        assert basis == [list(row) for row in expected]
+        assert max(abs(x) for row in basis for x in row) > 10**4400
+        assert out["core"] is None
+
+    def test_not_utf8_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "arr.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code = main(["check", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2 and err == "error: not valid UTF-8: invalid start byte at byte 0\n"
 
     def test_cover_empty_core_exit_2(self, tmp_path, capsys):
         doc = {"dim": 2, "normals": [[1, 0], [1, 0], [0, 1]], "lifts": ["0", "-1", "0"]}

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import pathlib
 import random
 from decimal import Decimal
@@ -16,7 +17,6 @@ from corecover.linalg import (
     primitive_scale,
     rank,
     solve_integer,
-    solve_square,
     transpose,
 )
 from corecover.randgen import DIRECTIONS, random_smooth_arrangement
@@ -32,6 +32,7 @@ from util import (
     rank_by_elimination,
     row_reduce_lattice_membership,
     solve_by_elimination,
+    solve_square,
 )
 
 # SHA-256 of rank/lin_solve (and det/solve_square when square) over
@@ -290,6 +291,33 @@ class TestKernelReadOff:
     def test_falls_back_to_hnf(self, monkeypatch, mat):
         assert _hnf_calls(monkeypatch, kernel_lattice, mat) >= 1
         assert kernel_lattice(mat) == kernel_by_two_hnf(mat, len(mat[0]))
+
+    def test_non_regular_hand_case_reads_off(self, monkeypatch):
+        # det((1, 2), (2, 1)) = -3, but the last two normals are the identity
+        arr = Arrangement(2, ((1, 2), (2, 1), (1, 0), (0, 1)), (0, 1, 0, 1))
+        assert not is_regular(arr)
+        assert _hnf_calls(monkeypatch, torus_data.__wrapped__, arr) == 0
+        basis = torus_data.__wrapped__(arr).basis
+        assert basis == ((1, 0, -1, -2), (0, 1, -2, -1))
+        assert basis == kernel_by_two_hnf(transpose(arr.normals, ncols=2), 4)
+
+    def test_large_non_regular_arrangement_reads_off(self, monkeypatch):
+        # why the read-off stays: at d = 300 the HNF fallback costs O(d^3).
+        # Random primitive normals in [-9, 9]^2, then (1, 0) and (0, 1)
+        # last: N is those two, mat_N = I, so row p is e_p with -u_p on N.
+        rng = random.Random(300)
+        normals = []
+        while len(normals) < 298:
+            u = (rng.randint(-9, 9), rng.randint(-9, 9))
+            if math.gcd(*u) == 1:
+                normals.append(u)
+        arr = Arrangement(2, (*normals, (1, 0), (0, 1)), tuple(range(300)))
+        assert not is_regular(arr)
+        assert _hnf_calls(monkeypatch, torus_data.__wrapped__, arr) == 0
+        basis = torus_data.__wrapped__(arr).basis
+        assert basis == tuple(
+            tuple(int(j == p) for j in range(298)) + (-u[0], -u[1]) for p, u in enumerate(normals)
+        )
 
     def test_non_regular_arrangement_falls_back(self, monkeypatch):
         # the last two normals have determinant 2

@@ -79,7 +79,6 @@ from corecover.linalg import (
     as_matrix,
     rank,
     solve_integer,
-    solve_square,
     transpose,
     unit_vector,
 )
@@ -201,7 +200,21 @@ def lin_solve(mat, rhs) -> tuple | None:
     pivots, _, last = _bareiss(rows, ncols)
     if any(row[ncols] for row in rows[len(pivots):]):
         return None
-    return tuple(Fraction(x, last) for x in _back_substitute(rows, pivots, last, ncols))
+    return tuple(Fraction(x, last) for x in _back_substitute(rows, pivots, last, ncols, ncols))
+
+
+def solve_square(mat, rhs) -> tuple | None:
+    """Unique rational solution of a square system, or None if singular:
+    the rational oracle that ``SOLVER_DIGEST`` pins. The library solves
+    square blocks through ``solve_integer`` and ``_scaled_inverse``."""
+    n = len(mat)
+    if any(len(r) != n for r in mat) or len(rhs) != n:
+        raise ValueError("solve_square requires an n x n matrix and n right-hand sides")
+    rows = _integer_rows((*r, b) for r, b in zip(mat, rhs))
+    pivots, _, last = _bareiss(rows, n)
+    if len(pivots) < n:
+        return None
+    return tuple(Fraction(x, last) for x in _back_substitute(rows, pivots, last, n, n))
 
 
 def rank_by_elimination(mat) -> int:
