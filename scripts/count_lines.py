@@ -18,6 +18,7 @@ Usage: python scripts/count_lines.py [DIRECTORY]
 """
 
 import ast
+import io
 import pathlib
 import sys
 import tokenize
@@ -31,7 +32,6 @@ NOT_CODE = {
     tokenize.INDENT,
     tokenize.DEDENT,
     tokenize.ENDMARKER,
-    tokenize.ENCODING,
 }
 SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -56,12 +56,11 @@ def count(path: pathlib.Path) -> dict:
     total = len(source.splitlines())
     docs = docstring_lines(ast.parse(source))
     code, comments = set(), set()
-    with path.open("rb") as handle:
-        for token in tokenize.tokenize(handle.readline):
-            if token.type == tokenize.COMMENT:
-                comments.add(token.start[0])
-            elif token.type not in NOT_CODE:
-                code.update(range(token.start[0], token.end[0] + 1))
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT:
+            comments.add(token.start[0])
+        elif token.type not in NOT_CODE:
+            code.update(range(token.start[0], token.end[0] + 1))
     code -= docs
     comments -= docs | code
     counts = {"total": total, "docstring": len(docs), "code": len(code), "comment": len(comments)}

@@ -362,7 +362,7 @@ def _scaled_inverse(mat) -> tuple | None:
     singular: ``den = |det|`` and ``inverse = den * mat^{-1}``, an integer
     matrix (the adjugate up to sign), by one ``_bareiss`` pass on ``[mat |
     I]`` and one ``_back_substitute`` per identity column, which gives that
-    column of ``last * mat^{-1}``. Any system ``mat x = b`` is then ``den *
+    column of ``den * mat^{-1}``. Any system ``mat x = b`` is then ``den *
     x = inverse @ b``, with no further elimination."""
     n = len(mat)
     rows = [[*row] + [0] * n for row in mat]
