@@ -14,7 +14,7 @@ Every line is counted once, as the first of these kinds that it belongs to:
 Prints one row per module and a total row; the columns add up to the
 total. Uses only the standard library, and prints only: it checks nothing.
 
-Usage: python scripts/count_lines.py [DIRECTORY]
+Usage: python scripts/count_lines.py
 """
 
 import ast
@@ -24,6 +24,7 @@ import sys
 import tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "corecover"
 KINDS = ("docstring", "code", "comment", "blank")
 NOT_CODE = {
     tokenize.COMMENT,
@@ -68,10 +69,9 @@ def count(path: pathlib.Path) -> dict:
     return counts
 
 
-def main(argv) -> int:
-    directory = pathlib.Path(argv[0]) if argv else ROOT / "src" / "corecover"
+def main() -> int:
     columns = ("total",) + KINDS
-    rows = [(path.name, count(path)) for path in sorted(directory.glob("*.py"))]
+    rows = [(path.name, count(path)) for path in sorted(PACKAGE.glob("*.py"))]
     rows.append(("total", {c: sum(counts[c] for _, counts in rows) for c in columns}))
     width = max(len(name) for name, _ in rows)
     print(f"{'module':<{width}}" + "".join(f"{c:>11}" for c in columns))
@@ -81,4 +81,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -162,6 +162,16 @@ def pivot_block_matrices(seed, count):
         yield tuple(tuple(r) for r in rows)
 
 
+def _primitive_normals(rng, count) -> tuple:
+    """``count`` random primitive normals with entries in [-9, 9]."""
+    normals = []
+    while len(normals) < count:
+        u = (rng.randint(-9, 9), rng.randint(-9, 9))
+        if math.gcd(*u) == 1:
+            normals.append(u)
+    return tuple(normals)
+
+
 def _hnf_calls(monkeypatch, fn, *args) -> int:
     """Calls of ``linalg._hnf`` made while ``fn(*args)`` runs."""
     calls = 0
@@ -292,31 +302,23 @@ class TestKernelReadOff:
         assert _hnf_calls(monkeypatch, kernel_lattice, mat) >= 1
         assert kernel_lattice(mat) == kernel_by_two_hnf(mat, len(mat[0]))
 
-    def test_non_regular_hand_case_reads_off(self, monkeypatch):
-        # det((1, 2), (2, 1)) = -3, but the last two normals are the identity
-        arr = Arrangement(2, ((1, 2), (2, 1), (1, 0), (0, 1)), (0, 1, 0, 1))
-        assert not is_regular(arr)
-        assert _hnf_calls(monkeypatch, torus_data.__wrapped__, arr) == 0
-        basis = torus_data.__wrapped__(arr).basis
-        assert basis == ((1, 0, -1, -2), (0, 1, -2, -1))
-        assert basis == kernel_by_two_hnf(transpose(arr.normals, ncols=2), 4)
-
-    def test_large_non_regular_arrangement_reads_off(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "normals",
+        [((1, 2), (2, 1)), _primitive_normals(random.Random(300), 298)],
+        ids=["hand case", "d = 300"],
+    )
+    def test_non_regular_arrangement_reads_off(self, monkeypatch, normals):
         # why the read-off stays: at d = 300 the HNF fallback costs O(d^3).
-        # Random primitive normals in [-9, 9]^2, then (1, 0) and (0, 1)
-        # last: N is those two, mat_N = I, so row p is e_p with -u_p on N.
-        rng = random.Random(300)
-        normals = []
-        while len(normals) < 298:
-            u = (rng.randint(-9, 9), rng.randint(-9, 9))
-            if math.gcd(*u) == 1:
-                normals.append(u)
-        arr = Arrangement(2, (*normals, (1, 0), (0, 1)), tuple(range(300)))
+        # The normals, then (1, 0) and (0, 1) last: N is those two, mat_N =
+        # I, so row p is e_p with -u_p on N. det((1, 2), (2, 1)) = -3.
+        d = len(normals) + 2
+        arr = Arrangement(2, (*normals, (1, 0), (0, 1)), tuple(range(d)))
         assert not is_regular(arr)
         assert _hnf_calls(monkeypatch, torus_data.__wrapped__, arr) == 0
         basis = torus_data.__wrapped__(arr).basis
         assert basis == tuple(
-            tuple(int(j == p) for j in range(298)) + (-u[0], -u[1]) for p, u in enumerate(normals)
+            tuple(int(j == p) for j in range(d - 2)) + (-u[0], -u[1])
+            for p, u in enumerate(normals)
         )
 
     def test_non_regular_arrangement_falls_back(self, monkeypatch):
