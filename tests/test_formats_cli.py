@@ -162,6 +162,22 @@ class TestArrangementFile:
         with pytest.raises(ParseError, match="non-integer"):
             parse_arrangement(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"normals": [[-1], [1.5], [1]]}, "normal 2 has a non-integer entry"),
+            ({"normals": [[-1], [1], [True]]}, "normal 3 has a non-integer entry"),
+            ({"normals": [["1"], [1], [1]]}, "normal 1 has a non-integer entry"),
+            ({"lifts": ["1", "-1/2"]}, "lifts length does not match normals"),
+            ({"lifts": ["1", "-1/2", "0", "0"]}, "lifts length does not match normals"),
+        ],
+        ids=["float entry", "bool entry", "string entry", "lifts shorter", "lifts longer"],
+    )
+    def test_single_fault_message(self, change, message):
+        with pytest.raises(ParseError) as info:
+            parse_arrangement(json.dumps(dict(A2_DOC, **change)))
+        assert str(info.value) == message
+
     def test_invalid_json(self):
         with pytest.raises(ParseError, match="invalid JSON"):
             parse_arrangement(b"{nope")
