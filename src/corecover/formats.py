@@ -115,14 +115,9 @@ def parse_arrangement(data) -> Arrangement:
     for i, row in enumerate(normals):
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError(f"normal {i + 1} must be an array of length {dim}")
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ParseError(f"normal {i + 1} has a non-integer entry")
     lifts_raw = doc["lifts"]
     if not isinstance(lifts_raw, list):
         raise ParseError("lifts must be an array")
-    if len(lifts_raw) != len(normals):
-        raise ParseError("lifts length does not match normals")
     lifts = []
     for i, text in enumerate(lifts_raw):
         try:
