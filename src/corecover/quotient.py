@@ -15,8 +15,9 @@ is one AND: the covering reads each vertex's first compact chamber, which
 the chamber walk assigns as it yields the bounded chambers, and the
 complement keeps the leaves that miss one chamber's mask, walking only the
 prefixes with a vertex outside it, once per realizable BOTH set, with BOTH
-letters on it. The vertices, sorted on integer keys, their masks and the
-walk's results make one face record per arrangement (``stability._faces``).
+letters on it. The vertices, sorted on integer keys, and their masks make
+one face record per arrangement (``stability._faces``); the chamber walk's
+results make one more (``_extended_core_cached``), which it alone caches.
 A chamber is bounded iff the AND of its letters' ray masks, which the class
 record keeps per direction class (``_ClassMatroid.ray_masks``), is zero:
 no LP. A chamber's vertices are those of its mask. Density compares each
@@ -34,6 +35,7 @@ hyperplane-count limit that can be forced off.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
@@ -142,11 +144,16 @@ def _check_guard(arr: Arrangement, force: bool, what: str, limit: int | None = N
 _SIGN_OF = {Status.Z: 1, Status.W: -1}
 
 
-def _walked(arr: Arrangement):
-    """The face record (``_faces``) with the core walk's results filled in:
-    ``core``, the nonempty chambers, the leaves of the walk over Z and W,
-    each classified, and ``first``, per vertex the index in ``core``'s
-    bounded chambers of the first whose mask holds it, or their number.
+# The core walk's one record (see ``_extended_core_cached``).
+_CoreWalk = namedtuple("_CoreWalk", "core first")
+
+
+@scoped_cache
+def _extended_core_cached(arr: Arrangement) -> _CoreWalk:
+    """The core walk: ``core``, the nonempty chambers, the leaves of the
+    walk over Z and W, each classified, and ``first``, per vertex the index
+    in ``core``'s bounded chambers of the first whose mask holds it, or
+    their number.
 
     A nonempty chamber of ``eps`` is unbounded iff its recession cone ``K =
     {x : eps_i <u_i, x> >= 0}`` is nontrivial. K is pointed, since the
@@ -164,14 +171,11 @@ def _walked(arr: Arrangement):
     those with ``<= 0``, and the AND of a chamber's letters' masks holds
     the rays in K: d ANDs a chamber.
     """
-    faces = _faces(arr)
-    if faces.core is not None:
-        return faces
     rays = _matroid(arr).ray_masks
     # hyperplane i, of normal s * r_k, gives Z and W (up, down) if s = +1,
     # else (down, up)
     conform = [dict(zip((Status.Z, Status.W)[::s], rays[k])) for k, s in _orientations(arr)]
-    unassigned = faces.masks[1]
+    unassigned = _letter_masks(arr)[1]
     components, first, bounded = [], [None] * unassigned.bit_length(), 0
     for pattern, kept in _pattern_masks(arr, ((Status.Z, Status.W),) * arr.d):
         eps = tuple(map(_SIGN_OF.__getitem__, pattern))
@@ -186,15 +190,7 @@ def _walked(arr: Arrangement):
                 first[low.bit_length() - 1] = bounded
                 group ^= low
             bounded += 1
-    faces.first = [bounded if j is None else j for j in first]
-    faces.core = tuple(components)
-    return faces
-
-
-@scoped_cache
-def _extended_core_cached(arr: Arrangement) -> tuple:
-    """The nonempty chambers, each classified (see ``_walked``)."""
-    return _walked(arr).core
+    return _CoreWalk(tuple(components), tuple(bounded if j is None else j for j in first))
 
 
 def extended_core(arr: Arrangement, force: bool = False) -> tuple:
@@ -202,7 +198,7 @@ def extended_core(arr: Arrangement, force: bool = False) -> tuple:
     the empty ones are never reached, so the cost follows the nonempty ones."""
     _require_smooth(arr)
     _check_guard(arr, force, "extended core")
-    return _extended_core_cached(arr)
+    return _extended_core_cached(arr).core
 
 
 def core(arr: Arrangement, force: bool = False) -> tuple:
@@ -275,7 +271,8 @@ def verify_covering(arr: Arrangement, force: bool = False) -> CoverReport:
     mask at v, so v has the index of ``eps``; a vertex of the mask with a
     smaller index lies on that earlier chamber, which then meets the mask.)
     A leaf none of whose vertices lies on a compact chamber is a
-    counterexample. The chamber walk assigns the indices (``_walked``), so
+    counterexample. The chamber walk assigns the indices, and its one
+    record (``_extended_core_cached``) gives them with the chambers, so
     a leaf costs one step per vertex of its mask and no chamber mask.
 
     Gluing: covering holds iff every vertex lies on a bounded chamber. If
@@ -287,10 +284,11 @@ def verify_covering(arr: Arrangement, force: bool = False) -> CoverReport:
     """
     _require_smooth(arr)
     _check_guard(arr, force, "covering sweep")
-    compact = [c.eps for c in _extended_core_cached(arr) if c.classification == BOUNDED]
+    walk = _extended_core_cached(arr)
+    compact = [c.eps for c in walk.core if c.classification == BOUNDED]
     if not compact:
         raise ValueError("covering theorem hypothesis violated: empty core")
-    no_chamber, first = len(compact), _walked(arr).first
+    no_chamber, first = len(compact), walk.first
     witness, counterexamples = {}, []
     for pattern, kept in _pattern_masks(arr):
         index = no_chamber

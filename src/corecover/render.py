@@ -177,7 +177,7 @@ def _render_plane(arr: Arrangement) -> str:
 
     parts = _svg_header(SIZE, SIZE)
 
-    for component in _extended_core_cached(arr):
+    for component in _extended_core_cached(arr).core:
         if component.classification != BOUNDED:
             continue
         # the input need not be smooth, so a bounded chamber may be flat; a

@@ -309,10 +309,10 @@ def toric_semistable_geometric(arr: Arrangement, support) -> StabilityVerdict:
 
 @scoped_cache
 def _faces(arr: Arrangement) -> SimpleNamespace:
-    """The face record every sweep reads: ``vertices`` (``_vertices``),
-    ``masks`` (``_letter_masks``), built from each column of the vertices'
-    signs as ``pos``, ``neg`` and ``zero = all ^ pos ^ neg``, and the core
-    walk's ``core`` and ``first``, filled in by ``quotient._walked``."""
+    """The face record every sweep reads, built here alone: ``vertices``
+    (``_vertices``) and ``masks`` (``_letter_masks``), built from each
+    column of the vertices' signs as ``pos``, ``neg`` and ``zero = all ^
+    pos ^ neg``."""
     vertices = _vertices(arr)
     every = (1 << len(vertices)) - 1
     tables = []
@@ -326,7 +326,7 @@ def _faces(arr: Arrangement) -> SimpleNamespace:
         # the masks of Z, W, ZERO and BOTH
         masks = (every ^ neg, every ^ pos, every ^ pos ^ neg, every)
         tables.append(dict(zip(FULL_ALPHABET, masks)))
-    return SimpleNamespace(vertices=vertices, masks=(tuple(tables), every), core=None, first=None)
+    return SimpleNamespace(vertices=vertices, masks=(tuple(tables), every))
 
 
 def _letter_masks(arr: Arrangement) -> tuple:

@@ -683,7 +683,7 @@ class TestClassMatroid:
                 linalg.kernel_lattice(transpose(arr.normals, ncols=arr.n), ncols=arr.d), arr.lifts
             )
             if is_smooth(arr):
-                eps = quotient._extended_core_cached(arr)[0].eps
+                eps = quotient._extended_core_cached(arr).core[0].eps
                 complements.append((arr, eps, chart_complement(arr, eps)))
         assert warm > len(population) / 2 and len(complements) > 100
         for arr, eps, warm in complements:

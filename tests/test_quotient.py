@@ -179,7 +179,7 @@ class TestExtendedCore:
         population = _classification_population(random.Random(3881), 120)
         bounded = 0
         for arr in population:
-            for c in quotient._extended_core_cached(arr):
+            for c in quotient._extended_core_cached(arr).core:
                 assert c.classification == (BOUNDED if is_bounded(chamber(arr, c.eps)) else UNBOUNDED)
                 bounded += c.classification == BOUNDED
         assert {arr.n for arr in population} == {1, 2, 3, 4}
@@ -195,7 +195,7 @@ class TestExtendedCore:
         unbounded = 0
         for arr in population:
             rays = per_arrangement_ray_signs(arr)
-            for c in quotient._extended_core_cached(arr):
+            for c in quotient._extended_core_cached(arr).core:
                 expected = any(all(s * e >= 0 for s, e in zip(sigma, c.eps)) for sigma in rays)
                 assert c.classification == (UNBOUNDED if expected else BOUNDED)
                 unbounded += expected
@@ -267,7 +267,7 @@ class TestChamberVertices:
         assert sum(not is_simple(arr) for arr in arrangements) > 30
         listed = 0
         for arr in arrangements:
-            for c in quotient._extended_core_cached(arr):
+            for c in quotient._extended_core_cached(arr).core:
                 assert quotient._chamber_vertices(arr, c.eps) == enumerate_vertices(chamber(arr, c.eps))
                 listed += 1
         assert listed > 1000
@@ -306,7 +306,7 @@ class TestChamberVertices:
                     assert passes == []
                 else:
                     assert len(passes) == len(subsets) and passes.count(True) == independent
-            components = quotient._extended_core_cached(arr)
+            components = quotient._extended_core_cached(arr).core
             passes = []
             monkeypatch.setattr(linalg, "_bareiss", counting)
             for c in components:
@@ -352,20 +352,29 @@ class TestFaceRecord:
 
     def test_matches_other_routes(self):
         arrangements = self.population()
-        scaled = not_simple = bounded = 0
+        scaled = not_simple = bounded = owned = 0
         for arr in arrangements:
             faces = stability._faces(arr)
             assert faces.vertices == per_arrangement_vertices(arr)
             assert faces.masks == by_sign_letter_masks(faces.vertices, arr.d)
             rays = per_arrangement_ray_signs(arr)
-            for c in quotient._extended_core_cached(arr):
+            for c in quotient._extended_core_cached(arr).core:
                 expected = any(all(s * e >= 0 for s, e in zip(sigma, c.eps)) for sigma in rays)
                 assert c.classification == (UNBOUNDED if expected else BOUNDED)
                 bounded += not expected
-            assert quotient._walked(arr).first == first_compact_indices(arr)
+            assert quotient._extended_core_cached(arr).first == first_compact_indices(arr)
+            if is_smooth(arr):
+                components = extended_core(arr)
+                if any(c.classification == BOUNDED for c in components):
+                    verify_covering(arr)
+                chart_complement(arr, components[0].eps)
+                owned += 1
+            # the walk's results live in its own record: no sweep writes
+            # into the face record
+            assert set(vars(stability._faces(arr))) == {"vertices", "masks"}
             scaled += any(den > 1 for _, den, _ in arrangement_module._matroid(arr).bases)
             not_simple += not is_simple(arr)
-        assert scaled > 40 and not_simple > 10 and bounded > 200
+        assert scaled > 40 and not_simple > 10 and bounded > 200 and owned > 40
 
 class TestCoreEmptyCriterion:
     def test_trapezoid(self, hirzebruch):
@@ -464,18 +473,23 @@ class TestVertexMasks:
     def test_vertex_indices_match_per_leaf_oracle(self, monkeypatch):
         # d <= 7; then with every bounded chamber but the first relabelled
         # unbounded, so that vertices lose their index and leaves become
-        # counterexamples, listed as the oracle lists them
+        # counterexamples, listed as the oracle lists them. The patched walk
+        # record agrees with itself: the vertices of the first chamber's
+        # mask have index 0, all others none (1)
         rng = random.Random(2719)
         arrangements = [random_smooth_arrangement(rng, require_core=True, max_d=7) for _ in range(30)]
         counterexamples = 0
         for arr in arrangements:
             assert verify_covering(arr) == per_leaf_covering(arr)
-            components = quotient._extended_core_cached(arr)
-            first = next(c for c in components if c.classification == BOUNDED)
+            walk = quotient._extended_core_cached(arr)
+            first = next(c for c in walk.core if c.classification == BOUNDED)
             fewer = tuple(
-                c if c is first else quotient.CoreComponent(c.eps, UNBOUNDED) for c in components
+                c if c is first else quotient.CoreComponent(c.eps, UNBOUNDED) for c in walk.core
             )
-            monkeypatch.setattr(quotient, "_extended_core_cached", lambda a: fewer)
+            mask = quotient._chamber_mask(arr, first.eps)
+            indices = tuple(0 if mask >> j & 1 else 1 for j in range(len(walk.first)))
+            patched = walk._replace(core=fewer, first=indices)
+            monkeypatch.setattr(quotient, "_extended_core_cached", lambda a: patched)
             report, expected = verify_covering(arr), per_leaf_covering(arr)
             monkeypatch.undo()
             assert report == expected

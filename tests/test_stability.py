@@ -452,7 +452,7 @@ class TestPrefixTree:
             # input, which render reads it on
             dense = set(nonempty)
             chambers = [eps for eps in all_sign_vectors(arr.d) if full_pattern(eps) in dense]
-            assert [c.eps for c in quotient._extended_core_cached(arr)] == chambers
+            assert [c.eps for c in quotient._extended_core_cached(arr).core] == chambers
 
     def test_within_keeps_the_leaves_that_meet_it(self):
         # masks only shrink along the walk, so pruning the prefixes that

@@ -484,12 +484,12 @@ def by_sign_letter_masks(vertices, d) -> tuple:
     return tuple(tables), (1 << len(vertices)) - 1
 
 
-def first_compact_indices(arr) -> list:
+def first_compact_indices(arr) -> tuple:
     """Per vertex, the index of the first bounded chamber of the extended
     core whose vertex mask holds it, or the number of bounded chambers if
     none does: one ``_chamber_mask`` per bounded chamber, each assigning
     the vertices of its mask not assigned before."""
-    compact = [c.eps for c in _extended_core_cached(arr) if c.classification == BOUNDED]
+    compact = [c.eps for c in _extended_core_cached(arr).core if c.classification == BOUNDED]
     unassigned = _letter_masks(arr)[1]
     first = [len(compact)] * unassigned.bit_length()
     for index, eps in enumerate(compact):
@@ -499,7 +499,7 @@ def first_compact_indices(arr) -> list:
             low = group & -group
             first[low.bit_length() - 1] = index
             group ^= low
-    return first
+    return tuple(first)
 
 
 def brute_force_simple(arr) -> bool:
