@@ -2,10 +2,13 @@
 
 Commands operate on arrangement files (see :mod:`corecover.formats`) and
 print JSON to standard output. Exit codes: 0 for success or a verified
-positive result, 1 for a verified negative result (not smooth, unstable,
-covering counterexample, density failure), 2 for input or usage errors, 3
-when standard output is closed before the JSON is written, whatever the
-verdict.
+positive result, 1 for a verified negative result (unstable, covering
+counterexample, density failure, or a ``check`` or ``report`` of an
+arrangement that is not smooth), 2 for input or usage errors, 3 when
+standard output is closed before the JSON is written, whatever the verdict.
+``core``, ``cover``, ``density`` and ``complement`` need a smooth
+arrangement and reject any other as input: exit 2, ``error: arrangement is
+not smooth``. ``stability`` and ``render`` run on any arrangement.
 
 The exhaustive sweeps are guarded by fixed hyperplane-count limits;
 ``--force`` lifts every guard. Every input and guard is checked before any

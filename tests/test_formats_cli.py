@@ -42,6 +42,13 @@ HIRZ_DOC = {
     "normals": [[1, 0], [0, 1], [-1, -1], [0, -1]],
     "lifts": ["1", "1", "1", "1"],
 }
+# x = 0, y = 0 and x + y = 0 meet at one point, and (1, 1) and (1, -1)
+# have determinant -2: neither simple nor regular, so not smooth
+NOT_SMOOTH_DOC = {
+    "dim": 2,
+    "normals": [[1, 0], [0, 1], [1, 1], [1, -1]],
+    "lifts": ["0", "0", "0", "1"],
+}
 # x_i >= 0 and x_1 + ... + x_5 <= 1: a smooth arrangement in 5-D
 SIMPLEX5_DOC = {
     "dim": 5,
@@ -257,6 +264,31 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert code == 1
         assert out["simple"] is False
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["check"], 1),
+            (["report"], 1),
+            (["core"], 2),
+            (["cover"], 2),
+            (["density"], 2),
+            (["complement", "--chart=++++"], 2),
+        ],
+        ids=["check", "report", "core", "cover", "density", "complement"],
+    )
+    def test_not_smooth_exit_code(self, tmp_path, capsys, args, code):
+        # check and report answer a file that is not smooth with a verdict;
+        # the commands that need a smooth one reject it as input
+        path = write(tmp_path, NOT_SMOOTH_DOC)
+        assert main([args[0], path] + args[1:]) == code
+        captured = capsys.readouterr()
+        if code == 1:
+            out = json.loads(captured.out)
+            assert captured.err == ""
+            assert out["smooth"] in (False, {"regular": False, "simple": False})
+        else:
+            assert captured.out == "" and captured.err == "error: arrangement is not smooth\n"
 
     def test_stability_semistable(self, tmp_path, capsys):
         code = main(["stability", write(tmp_path, A2_DOC), "--pattern", "zw0"])
