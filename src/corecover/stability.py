@@ -309,7 +309,7 @@ def toric_semistable_geometric(arr: Arrangement, support) -> StabilityVerdict:
 
 @scoped_cache
 def _faces(arr: Arrangement) -> SimpleNamespace:
-    """The face record every sweep reads, built here alone: ``vertices``
+    """The face record every sweep reads, written here alone: ``vertices``
     (``_vertices``) and ``masks`` (``_letter_masks``), built from each
     column of the vertices' signs as ``pos``, ``neg`` and ``zero = all ^
     pos ^ neg``."""
