@@ -63,13 +63,11 @@ class Arrangement:
             raise ValueError("lifts length does not match normals")
         for i, u in enumerate(normals):
             if len(u) != self.n:
-                raise ValueError(f"normal {i + 1} has wrong length")
+                raise ValueError(f"normal {i + 1} has length {len(u)}, expected {self.n}")
             for x in u:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise ValueError(f"normal {i + 1} has a non-integer entry")
-            if all(x == 0 for x in u):
-                raise ValueError(f"normal {i + 1} not primitive")
-            if not is_primitive(u):
+            if not any(u) or not is_primitive(u):
                 raise ValueError(f"normal {i + 1} not primitive")
         if rank(normals) < self.n:
             raise ValueError("normals do not span")
@@ -554,37 +552,6 @@ def is_smooth(arr: Arrangement) -> bool:
     return is_regular(arr) and is_simple(arr)
 
 
-@dataclass(frozen=True)
-class SolutionSpace:
-    """The affine solution plane ``{x in R^d : A x = alpha}``.
-
-    ``particular`` is the lift vector, ``homogeneous_basis`` spans the kernel
-    of the relation matrix (rows), and the projection onto
-    ``projection_coords`` is bijective on the plane.
-    """
-
-    torus: TorusData
-    particular: tuple
-    homogeneous_basis: tuple
-    projection_coords: tuple
-
-
-def solution_space(td: TorusData) -> SolutionSpace:
-    """Parametrize the level set of the relation system.
-
-    The projection coordinates are the lexicographically first subset on
-    which the homogeneous part projects bijectively: the pivot columns of
-    the (independent) basis rows.
-    """
-    basis = kernel_lattice(td.basis, ncols=td.d)
-    return SolutionSpace(
-        torus=td,
-        particular=td.lifts,
-        homogeneous_basis=basis,
-        projection_coords=tuple(_bareiss([list(row) for row in basis], td.d)[0]),
-    )
-
-
 def arrangement_from_quotient(td: TorusData) -> Arrangement:
     """Rebuild an arrangement from torus data by cutting the solution plane.
 
@@ -597,12 +564,12 @@ def arrangement_from_quotient(td: TorusData) -> Arrangement:
     """
     if td.d <= td.m:
         raise ValueError("quotient reconstruction needs d > m")
-    space = solution_space(td)
-    basis = space.homogeneous_basis
-    coords = space.projection_coords
-    # the basis rows are independent and coords are their pivot columns,
-    # so the square block is never singular: one factorisation serves all
-    # d coordinates
+    basis = kernel_lattice(td.basis, ncols=td.d)
+    # the pivot columns of the (independent) basis rows are the
+    # lexicographically first columns on which the plane projects one to
+    # one, so the square block is never singular: one factorisation serves
+    # all d coordinates
+    coords = _bareiss([list(row) for row in basis], td.d)[0]
     den, inverse = _scaled_inverse([[row[t] for t in coords] for row in basis])
     normals = []
     lifts = []

@@ -113,7 +113,7 @@ def parse_arrangement(data) -> Arrangement:
     if not isinstance(normals, list) or not normals:
         raise ParseError("normals must be a nonempty array")
     for i, row in enumerate(normals):
-        if not isinstance(row, list) or len(row) != dim:
+        if not isinstance(row, list):
             raise ParseError(f"normal {i + 1} must be an array of length {dim}")
     lifts_raw = doc["lifts"]
     if not isinstance(lifts_raw, list):

@@ -10,8 +10,8 @@ the kernel's HNF is read off that block with no HNF at all. The normal map
 of a regular arrangement has such a block, but ``torus_data`` does not come
 here for it: it reads the same basis off the arrangement's class-matroid
 record (see :mod:`corecover.arrangement`). The read-off here serves the
-other callers: ``solution_space`` and the torus data of input that is not
-regular. One fraction-free (Bareiss) forward elimination, with one
+other callers: ``arrangement_from_quotient`` and the torus data of input
+that is not regular. One fraction-free (Bareiss) forward elimination, with one
 fraction-free back substitution, is behind that read-off, rank, the
 integer determinant, the scaled integer inverse and the one square solver,
 ``solve_integer``; the rational ``solve_square`` is a test oracle and lives

@@ -12,7 +12,6 @@ line midpoints, hyperplanes are labeled H1..Hd.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 from .arrangement import Arrangement
@@ -63,6 +62,26 @@ def _svg_header(width, height):
     ]
 
 
+def _line(start, end, color, width: str) -> str:
+    return (
+        f'<line x1="{_fmt(start[0])}" y1="{_fmt(start[1])}" x2="{_fmt(end[0])}" '
+        f'y2="{_fmt(end[1])}" stroke="{color}" stroke-width="{width}"/>'
+    )
+
+
+def _polygon(points, fill, stroke=None) -> str:
+    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
+    tail = f' stroke="{stroke}"' if stroke else ""
+    return f'<polygon points="{coords}" fill="{fill}"{tail}/>'
+
+
+def _text(x, y, size: int, label: str) -> str:
+    return (
+        f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="monospace" '
+        f'font-size="{size}" fill="{LINE_COLOR}">{label}</text>'
+    )
+
+
 def _render_line(arr: Arrangement) -> str:
     points = [-lift / Fraction(u[0]) for u, lift in zip(arr.normals, arr.lifts)]
     lo, hi = min(points), max(points)
@@ -76,10 +95,7 @@ def _render_line(arr: Arrangement) -> str:
         return MARGIN + (x - lo) * scale
 
     parts = _svg_header(SIZE, LINE_HEIGHT)
-    parts.append(
-        f'<line x1="{_fmt(MARGIN)}" y1="{_fmt(axis_y)}" x2="{_fmt(SIZE - MARGIN)}" '
-        f'y2="{_fmt(axis_y)}" stroke="{AXIS_COLOR}" stroke-width="1"/>'
-    )
+    parts.append(_line((MARGIN, axis_y), (SIZE - MARGIN, axis_y), AXIS_COLOR, "1"))
     for i, (point, u) in enumerate(zip(points, arr.normals)):
         px = sx(point)
         parts.append(
@@ -88,18 +104,10 @@ def _render_line(arr: Arrangement) -> str:
         direction = 1 if u[0] > 0 else -1
         ay = axis_y - 16 - 14 * i
         tip = px + 18 * direction
-        parts.append(
-            f'<line x1="{_fmt(px)}" y1="{_fmt(ay)}" x2="{_fmt(tip)}" y2="{_fmt(ay)}" '
-            f'stroke="{ARROW_COLOR}" stroke-width="1.2"/>'
-        )
-        parts.append(
-            f'<polygon points="{_fmt(tip)},{_fmt(ay - 3)} {_fmt(tip)},{_fmt(ay + 3)} '
-            f'{_fmt(tip + 5 * direction)},{_fmt(ay)}" fill="{ARROW_COLOR}"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(px + 4)}" y="{_fmt(ay - 3)}" font-family="monospace" '
-            f'font-size="11" fill="{LINE_COLOR}">H{i + 1}</text>'
-        )
+        parts.append(_line((px, ay), (tip, ay), ARROW_COLOR, "1.2"))
+        head = ((tip, ay - 3), (tip, ay + 3), (tip + 5 * direction, ay))
+        parts.append(_polygon(head, ARROW_COLOR))
+        parts.append(_text(px + 4, ay - 3, 11, f"H{i + 1}"))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -132,27 +140,25 @@ def _clip_params(anchor, direction, box):
 
 
 def _sort_polygon(points):
-    """Order convex polygon vertices counterclockwise by exact comparison."""
+    """Order convex polygon vertices counterclockwise around their centroid,
+    starting at the positive x axis, on an exact key.
+
+    The key is the pseudo-angle on the unit diamond ``|x| + |y| = 1``: with
+    ``x`` the first coordinate of the direction from the centroid scaled
+    onto the diamond, it is ``1 - x`` for ``y >= 0`` and ``3 + x`` below.
+    It runs over ``[0, 4)`` and grows strictly with the angle. No vertex of
+    a polygon with 3 or more vertices is its centroid.
+    """
     k = len(points)
     cx = sum(p[0] for p in points) / k
     cy = sum(p[1] for p in points) / k
 
-    def half(p):
+    def key(p):
         dx, dy = p[0] - cx, p[1] - cy
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+        x = dx / (abs(dx) + abs(dy))
+        return 1 - x if dy >= 0 else 3 + x
 
-    def compare(p, q):
-        hp, hq = half(p), half(q)
-        if hp != hq:
-            return hp - hq
-        cross = (p[0] - cx) * (q[1] - cy) - (p[1] - cy) * (q[0] - cx)
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    return sorted(points, key=functools.cmp_to_key(compare))
+    return sorted(points, key=key)
 
 
 def _render_plane(arr: Arrangement) -> str:
@@ -185,10 +191,8 @@ def _render_plane(arr: Arrangement) -> str:
         vertices = _chamber_vertices(arr, component.eps)
         if len(vertices) < 3:
             continue
-        coords = " ".join(
-            f"{_fmt(sx)},{_fmt(sy)}" for sx, sy in (to_screen(v) for v in _sort_polygon(vertices))
-        )
-        parts.append(f'<polygon points="{coords}" fill="{CHAMBER_FILL}" stroke="none"/>')
+        outline = map(to_screen, _sort_polygon(vertices))
+        parts.append(_polygon(outline, CHAMBER_FILL, "none"))
 
     box = ((x0, x1), (y0, y1))
     arrow_len = extent / 18
@@ -201,10 +205,7 @@ def _render_plane(arr: Arrangement) -> str:
         p_start = (anchor[0] + t_lo * direction[0], anchor[1] + t_lo * direction[1])
         p_end = (anchor[0] + t_hi * direction[0], anchor[1] + t_hi * direction[1])
         s0, s1 = to_screen(p_start), to_screen(p_end)
-        parts.append(
-            f'<line x1="{_fmt(s0[0])}" y1="{_fmt(s0[1])}" x2="{_fmt(s1[0])}" '
-            f'y2="{_fmt(s1[1])}" stroke="{LINE_COLOR}" stroke-width="1.5"/>'
-        )
+        parts.append(_line(s0, s1, LINE_COLOR, "1.5"))
         t_mid = (t_lo + t_hi) / 2
         mid = (anchor[0] + t_mid * direction[0], anchor[1] + t_mid * direction[1])
         u_scale = arrow_len / max(abs(u[0]), abs(u[1]))
@@ -214,17 +215,8 @@ def _render_plane(arr: Arrangement) -> str:
         sm, st = to_screen(mid), to_screen(tip)
         sb1 = to_screen((base[0] + side[0], base[1] + side[1]))
         sb2 = to_screen((base[0] - side[0], base[1] - side[1]))
-        parts.append(
-            f'<line x1="{_fmt(sm[0])}" y1="{_fmt(sm[1])}" x2="{_fmt(st[0])}" '
-            f'y2="{_fmt(st[1])}" stroke="{ARROW_COLOR}" stroke-width="1.2"/>'
-        )
-        parts.append(
-            f'<polygon points="{_fmt(sb1[0])},{_fmt(sb1[1])} {_fmt(sb2[0])},{_fmt(sb2[1])} '
-            f'{_fmt(st[0])},{_fmt(st[1])}" fill="{ARROW_COLOR}"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(s1[0] + 4)}" y="{_fmt(s1[1] - 4)}" font-family="monospace" '
-            f'font-size="12" fill="{LINE_COLOR}">H{i + 1}</text>'
-        )
+        parts.append(_line(sm, st, ARROW_COLOR, "1.2"))
+        parts.append(_polygon((sb1, sb2, st), ARROW_COLOR))
+        parts.append(_text(s1[0] + 4, s1[1] - 4, 12, f"H{i + 1}"))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -78,15 +78,10 @@ def check_pattern(pattern, d: int) -> tuple:
 
 def support_pattern(d: int, support) -> tuple:
     """The toric pattern: Z on the support, ZERO elsewhere (w identically 0)."""
-    support = check_support(support, d)
-    return tuple(Status.Z if i in support else Status.ZERO for i in range(d))
-
-
-def check_support(support, d: int) -> frozenset:
     support = frozenset(support)
     if any(not (0 <= i < d) for i in support):
         raise ValueError("support index out of range")
-    return support
+    return tuple(Status.Z if i in support else Status.ZERO for i in range(d))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from corecover import (
 import corecover.arrangement as arrangement
 import corecover.linalg as linalg
 import corecover.quotient as quotient
-from corecover.arrangement import solution_space
 from corecover.linalg import transpose
 from corecover.randgen import random_smooth_arrangement
 from corecover.stability import FULL_ALPHABET
@@ -428,30 +427,32 @@ class TestChambers:
 
 
 class TestSolutionSpace:
+    # arrangement_from_quotient parametrises the solution plane by the
+    # kernel lattice of the relation matrix and projects it onto the pivot
+    # columns of that basis
     def test_diagonal_h3(self):
         td = TorusData(basis=((1, 1, 1),), lifts=(1, 1, 1))
-        space = solution_space(td)
-        assert space.particular == (F(1), F(1), F(1))
-        assert space.homogeneous_basis == ((1, 0, -1), (0, 1, -1))
-        assert space.projection_coords == (0, 1)
+        basis = linalg.kernel_lattice(td.basis, ncols=td.d)
+        assert basis == ((1, 0, -1), (0, 1, -1))
+        assert linalg._bareiss([list(row) for row in basis], td.d)[0] == [0, 1]
 
     def test_zero_kernel_case(self):
-        arr = Arrangement(2, ((1, 0), (0, 1)), (3, 4))
-        space = solution_space(torus_data(arr))
-        assert space.homogeneous_basis == ((1, 0), (0, 1))
-        assert space.projection_coords == (0, 1)
-        assert space.particular == (F(3), F(4))
+        td = torus_data(Arrangement(2, ((1, 0), (0, 1)), (3, 4)))
+        basis = linalg.kernel_lattice(td.basis, ncols=td.d)
+        assert basis == ((1, 0), (0, 1))
+        assert linalg._bareiss([list(row) for row in basis], td.d)[0] == [0, 1]
 
     def test_a2_kernel_line(self, a2_resolution):
-        space = solution_space(torus_data(a2_resolution))
-        assert space.homogeneous_basis == ((1, -1, -1),)
+        td = torus_data(a2_resolution)
+        assert linalg.kernel_lattice(td.basis, ncols=td.d) == ((1, -1, -1),)
 
     def test_skips_degenerate_leading_subset(self, trivial_product):
         # parallel normals make the first coordinate pair non-injective,
         # so the lexicographic scan must move past it
-        space = solution_space(torus_data(trivial_product))
-        assert space.homogeneous_basis == ((1, 1, 0), (0, 0, 1))
-        assert space.projection_coords == (0, 2)
+        td = torus_data(trivial_product)
+        basis = linalg.kernel_lattice(td.basis, ncols=td.d)
+        assert basis == ((1, 1, 0), (0, 0, 1))
+        assert linalg._bareiss([list(row) for row in basis], td.d)[0] == [0, 2]
 
     def test_first_nonsingular_subset(self):
         # reference oracle: scan C(d, n) coordinate subsets for a nonzero minor
@@ -472,14 +473,14 @@ class TestSolutionSpace:
                 arr = Arrangement(n, tuple(normals), (0,) * d)
             except ValueError:
                 continue
-            space = solution_space(torus_data(arr))
-            basis = space.homogeneous_basis
+            td = torus_data(arr)
+            basis = linalg.kernel_lattice(td.basis, ncols=td.d)
             first = next(
                 subset
                 for subset in itertools.combinations(range(d), len(basis))
                 if det([[row[t] for t in subset] for row in basis]) != 0
             )
-            assert space.projection_coords == first
+            assert tuple(linalg._bareiss([list(row) for row in basis], d)[0]) == first
             checked += 1
 
 

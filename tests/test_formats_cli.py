@@ -164,21 +164,28 @@ class TestArrangementFile:
         with pytest.raises(ParseError, match="unexpected key"):
             parse_arrangement(json.dumps(dict(A2_DOC, extra=1)))
 
-    def test_bool_entry_rejected(self):
-        doc = dict(A2_DOC, normals=[[True], [1], [1]])
-        with pytest.raises(ParseError, match="non-integer"):
-            parse_arrangement(json.dumps(doc))
-
     @pytest.mark.parametrize(
         "change, message",
         [
             ({"normals": [[-1], [1.5], [1]]}, "normal 2 has a non-integer entry"),
             ({"normals": [[-1], [1], [True]]}, "normal 3 has a non-integer entry"),
             ({"normals": [["1"], [1], [1]]}, "normal 1 has a non-integer entry"),
+            ({"normals": [[True], [1], [1]]}, "normal 1 has a non-integer entry"),
+            ({"normals": [[-1], [], [1]]}, "normal 2 has length 0, expected 1"),
+            ({"normals": [[-1], [1], [1, 0]]}, "normal 3 has length 2, expected 1"),
             ({"lifts": ["1", "-1/2"]}, "lifts length does not match normals"),
             ({"lifts": ["1", "-1/2", "0", "0"]}, "lifts length does not match normals"),
         ],
-        ids=["float entry", "bool entry", "string entry", "lifts shorter", "lifts longer"],
+        ids=[
+            "float entry",
+            "bool entry",
+            "string entry",
+            "leading bool entry",
+            "normal shorter",
+            "normal longer",
+            "lifts shorter",
+            "lifts longer",
+        ],
     )
     def test_single_fault_message(self, change, message):
         with pytest.raises(ParseError) as info:

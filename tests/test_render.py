@@ -1,8 +1,12 @@
 import hashlib
+import random
 
 import pytest
 
-from corecover import Arrangement, GuardError, render_svg
+from corecover import Arrangement, GuardError, is_simple, render_svg
+from corecover.quotient import BOUNDED, _chamber_vertices, _extended_core_cached
+from corecover.render import _sort_polygon
+from util import polygon_order_by_comparison
 
 
 class TestRenderPlane:
@@ -65,3 +69,32 @@ class TestPinnedSvg:
         for arr in (diagonal, hirzebruch, triangle_pair, trivial_product, triple_point):
             digest.update(render_svg(arr).encode())
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestPolygonOrder:
+    def test_matches_comparison_on_random_chambers(self):
+        # every bounded chamber of seeded random arrangements of small
+        # integer lines, many of them with three or more through a point
+        directions = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1))
+        rng = random.Random(4)
+        polygons = not_simple = 0
+        for _ in range(150):
+            d = rng.randint(3, 7)
+            normals = tuple(
+                tuple(rng.choice((1, -1)) * x for x in rng.choice(directions)) for _ in range(d)
+            )
+            try:
+                arr = Arrangement(2, normals, tuple(rng.randint(-2, 2) for _ in range(d)))
+            except ValueError:
+                continue
+            not_simple += not is_simple(arr)
+            for component in _extended_core_cached(arr).core:
+                if component.classification != BOUNDED:
+                    continue
+                vertices = _chamber_vertices(arr, component.eps)
+                if len(vertices) < 3:
+                    continue
+                rng.shuffle(vertices)
+                assert _sort_polygon(vertices) == polygon_order_by_comparison(vertices)
+                polygons += 1
+        assert polygons > 600 and not_simple > 50

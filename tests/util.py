@@ -39,7 +39,9 @@ dimension, boundedness, vertices, brute-force feasibility), the covering
 proof's adjacency step, the constraint shorthands ``ge``, ``gt`` and
 ``eq``, the format helpers' strings built the plain way
 (``pattern_string_by_value``, ``sign_string_by_comparison``,
-``rational_string_via_fraction``), a generator of arrangements with three
+``rational_string_via_fraction``), the counterclockwise order of a convex
+polygon by a half-plane test and a cross product instead of the renderer's
+pseudo-angle key (``polygon_order_by_comparison``), a generator of arrangements with three
 direction classes and one of the simple n = 3 family whose normals cycle
 through four. The scripts put this directory on ``sys.path``."""
 
@@ -919,3 +921,25 @@ def rational_string_via_fraction(value) -> str:
     if value.denominator == 1:
         return _decimal(value.numerator)
     return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+
+
+def polygon_order_by_comparison(points) -> list:
+    """Convex polygon vertices counterclockwise around their centroid from
+    the positive x axis: the upper half-plane (with the positive x axis)
+    first, then within a half by the sign of the cross product."""
+    k = len(points)
+    cx = sum(p[0] for p in points) / k
+    cy = sum(p[1] for p in points) / k
+
+    def half(p):
+        dx, dy = p[0] - cx, p[1] - cy
+        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+
+    def compare(p, q):
+        hp, hq = half(p), half(q)
+        if hp != hq:
+            return hp - hq
+        cross = (p[0] - cx) * (q[1] - cy) - (p[1] - cy) * (q[0] - cx)
+        return -1 if cross > 0 else 1 if cross < 0 else 0
+
+    return sorted(points, key=functools.cmp_to_key(compare))
