@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Check that the command line prints exactly ``json.dumps(..., indent=2)``.
 
-Runs ``check``, ``core``, ``cover``, ``density`` and ``report --chart`` on
-every bundled fixture through ``python -m corecover``, each in a process of
-its own, and fails unless every stdout equals
+Runs ``check``, ``core``, ``cover``, ``density``, ``complement --chart=EPS``,
+``stability --pattern=`` with all ``*`` and ``report --chart=EPS`` on every
+bundled fixture through ``python -m corecover``, each in a process of its
+own, and fails unless every stdout equals
 ``json.dumps(json.loads(stdout), indent=2) + "\\n"`` on the running Python.
-The chart is the first component that ``core`` lists. A command that exits
-2 (an input error, such as ``cover`` on an empty core) must print nothing.
+The chart EPS is the first component that ``core`` lists. Exit 2 (an input
+error) with empty stdout is accepted only from ``cover`` on a fixture whose
+core has no bounded component; any other exit 2, a usage error included,
+fails.
 
 Usage: PYTHONPATH=src python scripts/check_cli_json.py
 """
@@ -30,11 +33,15 @@ def main() -> int:
     for path in sorted((ROOT / "fixtures").glob("*.json")):
         core = json.loads(run("core", str(path)).stdout)
         chart = core["components"][0]["eps"]
-        commands = [["check"], ["core"], ["cover"], ["density"], ["report", "--chart", chart]]
+        pattern = "*" * len(chart)
+        commands = [
+            ["check"], ["core"], ["cover"], ["density"], ["complement", f"--chart={chart}"],
+            ["stability", f"--pattern={pattern}"], ["report", f"--chart={chart}"],
+        ]
         for command in commands:
             proc = run(command[0], str(path), *command[1:])
             if proc.returncode == 2:
-                ok = proc.stdout == ""
+                ok = command == ["cover"] and not core["theta_cpt_count"] and proc.stdout == ""
             else:
                 ok = proc.stdout == json.dumps(json.loads(proc.stdout), indent=2) + "\n"
                 checked += 1

@@ -14,16 +14,20 @@ The exhaustive sweeps are guarded by fixed hyperplane-count limits;
 ``--force`` lifts every guard. Every input and guard is checked before any
 sweep starts: ``report --chart`` parses the chart first, then checks the
 complement guard and the chart's chamber before the core sweep.
+
+``main`` reads a command name, one FILE, ``--force`` and the command's options
+as ``--long=V``, ``--long V`` or ``-o V`` off the command table (FILE and a
+separate V not starting with ``-``); argparse parses all else unchanged.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .arrangement import all_sign_vectors, is_regular, is_simple, torus_data
 from .errors import ParseError
@@ -259,6 +263,7 @@ _COMMANDS = {
 
 
 def build_parser():
+    import argparse
     parser = argparse.ArgumentParser(
         prog="corecover",
         description="Exact stability, core and covering checks for oriented hyperplane arrangements.",
@@ -276,15 +281,40 @@ def build_parser():
     return parser
 
 
-# Built on first use and shared by every later call of ``main`` in the
-# process: parsing leaves the parser unchanged, and building it costs about
-# a tenth of a small ``report``.
+def _read_argv(argv):
+    """``build_parser().parse_args(argv)`` read off ``_COMMANDS`` for the spellings the
+    module docstring lists, else None. Required options enter ``values`` only when given."""
+    if not argv or any(type(token) is not str for token in argv) or argv[0] not in _COMMANDS:
+        return None
+    values, dests = {"command": argv[0], "force": False}, {}
+    for *flags, keywords in _COMMANDS[argv[0]].arguments:
+        dests.update(dict.fromkeys(flags, flags[-1][2:]))
+        if not keywords.get("required"):
+            values[flags[-1][2:]] = keywords.get("default")
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, equals, value = token.partition("=")
+        if token == "--force":
+            values["force"] = True
+        elif equals and name.startswith("--") and name in dests:
+            values[dests[name]] = value
+        elif not token.startswith("-") and "file" not in values:
+            values["file"] = token
+        elif token in dests and not (value := next(tokens, "-")).startswith("-"):
+            values[dests[token]] = value
+        else:
+            return None
+    return SimpleNamespace(**values) if values.keys() >= {"file", *dests.values()} else None
+
+
+# Built for help and the command lines ``_read_argv`` declines; parsing leaves it unchanged.
 _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        args = _read_argv(argv) or _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     command = _COMMANDS[args.command]

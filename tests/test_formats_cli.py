@@ -4,11 +4,12 @@ import io
 import json
 import os
 import pathlib
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corecover import (
     ParseError,
@@ -575,6 +576,22 @@ class TestCli:
         assert main(["check", path]) == 0
         assert json.loads(capsys.readouterr().out)["smooth"] is True
         assert cli._parser() is cli._parser()
+        # a well-formed call of each command is read off the command table
+        cli._parser.cache_clear()
+        svg = str(tmp_path / "once.svg")
+        for argv in (
+            ["check", path],
+            ["core", path],
+            ["stability", path, "--pattern=zw0*"],
+            ["cover", "--force", path],
+            ["density", path],
+            ["complement", "--chart", "++++", path],
+            ["render", path, "-o", svg],
+            ["report", path, "--chart=++++"],
+        ):
+            main(argv)
+        capsys.readouterr()
+        assert cli._parser.cache_info().misses == 0
 
     def test_render(self, tmp_path):
         out = tmp_path / "pic.svg"
@@ -617,6 +634,95 @@ def _fixture_runs(d):
     runs += [["complement", "--chart", c] for c in charts]
     runs += [["report", "--chart", c] for c in charts]
     return runs
+
+
+_ARGV_VALUES = ("++", "-+", "", "zw0*")
+# Pieces of an argv after the command name: FILE tokens, --force and its
+# misspellings, help, unknown options and each option spelled every way
+# argparse reads it; a piece of two tokens keeps an option next to its value.
+_ARGV_PIECES = [
+    *[(token,) for token in ("a.json", "", "-", "--", "x=y", "a b")],
+    *[(token,) for token in ("--force", "--forc", "--force=1", "-h", "--help", "--seed")],
+    ("-x", "1"),
+    *[
+        piece
+        for option, abbreviation in (("--chart", "--ch"), ("--pattern", "--pat"), ("--output", "--out"))
+        for value in _ARGV_VALUES
+        for piece in (
+            (f"{option}={value}",), (option, value), (f"{abbreviation}={value}",),
+            (abbreviation, value), (option,), (value,),
+        )
+    ],
+    *[piece for value in _ARGV_VALUES for piece in (("-o", value), (f"-o={value}",), (f"-o{value}",))],
+]
+
+
+class TestArgvReader:
+    @settings(max_examples=2000)
+    @given(
+        st.sampled_from([*cli._COMMANDS, "frobnicate"]),
+        st.sampled_from(["a.json", "", "x=y", "a b"]),
+        st.integers(0, 4),
+        st.lists(st.sampled_from(_ARGV_PIECES), max_size=4),
+    )
+    @example("report", "a.json", 0, [("--chart=++",), ("--chart", "zw0*")])
+    @example("render", "a.json", 1, [("-o", "++"), ("--output=-+",), ("--force",)])
+    def test_agrees_with_argparse(self, name, file, at, pieces):
+        # wherever the reader answers, argparse gives the same namespace,
+        # a repeated option's last value included; a FILE token is put in
+        # at a drawn place so that more of the lists are well formed
+        pieces = [*pieces[:at], (file,), *pieces[at:]]
+        argv = [name, *(token for piece in pieces for token in piece)]
+        read = cli._read_argv(argv)
+        if read is not None:
+            assert vars(read) == vars(cli._parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [], ["frobnicate", "a.json"], ["check", "a.json", "-h"], ["check", "--help"],
+            ["check", "--", "a.json"], ["report", "a.json", "--ch=++"], ["cover", "a.json", "--forc"],
+            ["render", "a.json", "-o=x.svg"], ["render", "a.json", "-ox.svg"],
+            ["cover", "a.json", "--force=1"], ["check", "a.json", "--seed", "7"],
+            ["stability", "a.json"], ["check", "a.json", "b.json"], ["check"],
+            ["report", "a.json", "--chart", "-+"], ["report", "a.json", "--chart"],
+            ["check", pathlib.Path("a.json")], [b"check", "a.json"],
+        ],
+    )
+    def test_declines(self, argv):
+        assert cli._read_argv(argv) is None
+
+    def test_well_formed_call_imports_no_argparse(self):
+        script = (
+            "import sys\n"
+            "from corecover.cli import main\n"
+            f"code = main(['report', '--chart=++++', {str(FIXTURE_DIR / 'hirzebruch.json')!r}])\n"
+            "assert 'argparse' not in sys.modules, 'argparse imported'\n"
+            "sys.exit(code)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(FIXTURE_DIR.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=False
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["covering"]["covered"] is True
+
+    def test_reader_and_argparse_print_the_same(self):
+        compared = 0
+        for path in sorted(FIXTURE_DIR.glob("*.json")):
+            arr = parse_arrangement(path.read_bytes())
+            for _, _, chart in _fixture_runs(arr.d)[-3:]:
+                runs = []
+                # --chart= is read off the command table, the abbreviation by argparse
+                for spelling, read in ((f"--chart={chart}", True), (f"--ch={chart}", False)):
+                    argv = ["report", str(path), spelling]
+                    assert (cli._read_argv(argv) is not None) == read
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                        runs.append((main(argv), out.getvalue()))
+                assert runs[0] == runs[1]
+                compared += runs[0][1] != ""
+        assert compared >= 5
 
 
 class TestReportBuildsNoPolyhedron:
