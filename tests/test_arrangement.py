@@ -67,6 +67,71 @@ TORUS_REPR_DIGEST = "2eea5f15370322862a2d08f9e9aa39abfbfe3033117e6cd51796754af5e
 # that solved the square block once per coordinate.
 QUOTIENT_DIGEST = "821bbcf993783d181e253d784e6d212d29534ad436964a97bb1bca9d4e1f32b0"
 
+# SHA-256 of repr(Arrangement(*args)), or of the ValueError it raises, over
+# _construct_population(), recorded with the constructor that proved
+# spanning by the rank of all d normals.
+CONSTRUCT_DIGEST = "e01bcf4255fac2970dfeebb2f7f9b4207d69d4c0dfce15e34acd31ce6bef3a2a"
+
+
+def _construct_population():
+    """Constructor inputs ``(n, normals, lifts, name)``. First 1,500 small
+    draws: n = 1-4, d = n - 1 to n + 4, primitive normals with entries in
+    [-3, 3], lifts as Fractions, ints or strings, and in about 9 of 12
+    draws one fault planted: a bool or float entry, a normal doubled or
+    zeroed, a normal one entry short or long, one lift more or less, a
+    dimension that is no positive int, or every normal drawn in the
+    hyperplane x_n = 0. Then, for
+    n = 2-4 and d = 20, 100 and 300, normals whose first n span, and
+    normals whose first d - 1 lie in x_n = 0 with a last one that spans or
+    not."""
+    rng = random.Random(3603)
+
+    def primitive(width, last=None):
+        while True:
+            u = [rng.randint(-3, 3) for _ in range(width)]
+            if last is not None:
+                u[-1] = last
+            if math.gcd(*u) == 1:
+                return u
+
+    out = []
+    for k in range(1500):
+        n = rng.randint(1, 4)
+        d = rng.randint(n - 1, n + 4)
+        normals = [primitive(n) for _ in range(d)]
+        lifts = [rng.choice((F(a, q), a, f"{a}/{q}")) for a, q in
+                 ((rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(d))]
+        row = rng.choice(normals) if normals else []
+        fault = rng.randrange(12)
+        if fault == 0 and row:
+            row[rng.randrange(n)] = rng.choice((True, False, 1.0))
+        elif fault == 1:
+            row[:] = [2 * x for x in row]
+        elif fault == 2:
+            row[:] = [0] * len(row)
+        elif fault == 3:
+            row.append(1)
+        elif fault == 4 and row:
+            row.pop()
+        elif fault == 5:
+            lifts.append(1)
+        elif fault == 6 and lifts:
+            lifts.pop()
+        elif fault == 7:
+            n = rng.choice((0, -1, True, float(n)))
+        elif fault == 8 and n > 1:
+            normals = [primitive(n, 0) for _ in range(d)]
+        out.append((n, normals, lifts, f"draw {k}" if k % 3 == 0 else None))
+    for n in (2, 3, 4):
+        for d in (20, 100, 300):
+            lifts = [F(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(d)]
+            units = [[int(i == j) for j in range(n)] for i in range(n)]
+            out.append((n, units + [primitive(n) for _ in range(d - n)], lifts, None))
+            flat = [primitive(n, 0) for _ in range(d - 1)]
+            out.append((n, flat + [primitive(n, rng.choice((1, -1)))], lifts, "spans last"))
+            out.append((n, flat + [primitive(n, 0)], lifts, "flat"))
+    return out
+
 
 def _quotient_population():
     """Torus data of the fixtures and of seeded smooth draws, then 300
@@ -121,6 +186,18 @@ class TestArrangementInvariants:
     def test_lifts_coerced_to_fractions(self):
         arr = Arrangement(1, ((1,), (-1,)), ("1/2", 3))
         assert arr.lifts == (F(1, 2), F(3))
+
+    def test_construct_digest(self):
+        # the same arrangements and the same first error, in the same order
+        # of checks, on valid and faulty input up to d = 300
+        digest = hashlib.sha256()
+        for n, normals, lifts, name in _construct_population():
+            try:
+                line = repr(Arrangement(n, normals, lifts, name=name))
+            except ValueError as exc:
+                line = f"ValueError: {exc}"
+            digest.update(line.encode() + b"\n")
+        assert digest.hexdigest() == CONSTRUCT_DIGEST
 
 
 class TestTorusData:
