@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .linalg import (
@@ -28,10 +28,8 @@ from .linalg import (
     _extend_echelon,
     _int_det,
     _scaled_inverse,
-    is_primitive,
     kernel_lattice,
     primitive_scale,
-    rank,
     transpose,
 )
 from .memo import scoped_cache
@@ -43,6 +41,15 @@ class Arrangement:
 
     Invariants: every normal is primitive and nonzero, the normals span Q^n,
     and there are at least ``n`` of them. Lifts are arbitrary rationals.
+
+    The checks run in this order, and the first that fails raises
+    ``ValueError``: ``n`` is a positive int; ``d >= n``; one lift per
+    normal; then normal by normal its length, its int (not bool) entries
+    and ``gcd == 1``, which also refuses the zero normal. Spanning is proved
+    by feeding the normals in order to the incremental echelon form
+    (``_extend_echelon``) until it has ``n`` rows, so the check reads only
+    the normals up to the one that completes a basis: O(n^3) plus one
+    reduction per normal read before that, not an elimination of all ``d``.
     """
 
     n: int
@@ -51,25 +58,31 @@ class Arrangement:
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        normals = tuple(tuple(x for x in row) for row in self.normals)
+        normals = tuple(map(tuple, self.normals))
         lifts = _as_fractions(self.lifts)
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "lifts", lifts)
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
+        n = self.n
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError("ambient dimension must be a positive integer")
-        if len(normals) < self.n:
+        if len(normals) < n:
             raise ValueError("need at least as many hyperplanes as the dimension")
         if len(lifts) != len(normals):
             raise ValueError("lifts length does not match normals")
-        for i, u in enumerate(normals):
-            if len(u) != self.n:
-                raise ValueError(f"normal {i + 1} has length {len(u)}, expected {self.n}")
+        for i, u in enumerate(normals, 1):
+            if len(u) != n:
+                raise ValueError(f"normal {i} has length {len(u)}, expected {n}")
             for x in u:
                 if not isinstance(x, int) or isinstance(x, bool):
-                    raise ValueError(f"normal {i + 1} has a non-integer entry")
-            if not any(u) or not is_primitive(u):
-                raise ValueError(f"normal {i + 1} not primitive")
-        if rank(normals) < self.n:
+                    raise ValueError(f"normal {i} has a non-integer entry")
+            if gcd(*u) != 1:
+                raise ValueError(f"normal {i} not primitive")
+        form = ()
+        for u in normals:
+            form = _extend_echelon(form, u)[0] or form
+            if len(form) == n:
+                break
+        else:
             raise ValueError("normals do not span")
 
     @property

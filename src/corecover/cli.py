@@ -18,6 +18,8 @@ complement guard and the chart's chamber before the core sweep.
 ``main`` reads a command name, one FILE, ``--force`` and the command's options
 as ``--long=V``, ``--long V`` or ``-o V`` off the command table (FILE and a
 separate V not starting with ``-``); argparse parses all else unchanged.
+A path object in ``argv`` reads as its ``os.fspath``; any other token that
+is not a str is a usage error: exit 2, one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -312,7 +314,13 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = sys.argv[1:] if argv is None else [
+        os.fspath(token) if isinstance(token, os.PathLike) else token for token in argv
+    ]
+    for i, token in enumerate(argv, 1):
+        if not isinstance(token, str):
+            print(f"error: argument {i} is a {type(token).__name__}, not a string", file=sys.stderr)
+            return 2
     try:
         args = _read_argv(argv) or _parser().parse_args(argv)
     except SystemExit as exc:

@@ -128,12 +128,7 @@ def parse_arrangement(data) -> Arrangement:
     if name is not None and not isinstance(name, str):
         raise ParseError("name must be a string")
     try:
-        return Arrangement(
-            dim,
-            tuple(tuple(row) for row in normals),
-            tuple(lifts),
-            name=name,
-        )
+        return Arrangement(dim, normals, lifts, name=name)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

@@ -1,9 +1,10 @@
 """Exact integer and rational linear algebra.
 
 Matrices are immutable tuples of row tuples, vectors are plain tuples.
-Integer work (Hermite normal form, saturated kernels, primitivity, integer
-determinants, the incremental echelon form that walks subsets of vectors)
-stays in arbitrary precision integers. The one HNF routine, ``_hnf``,
+Integer work (Hermite normal form, saturated kernels, primitive scaling,
+integer determinants, the incremental echelon form that walks subsets of
+vectors and proves that an arrangement's normals span) stays in arbitrary
+precision integers. The one HNF routine, ``_hnf``,
 reduces the transpose and its kernel rows in one pass in
 ``kernel_lattice``, unless the matrix has a unimodular pivot block: then
 the kernel's HNF is read off that block with no HNF at all. The normal map
@@ -12,10 +13,10 @@ here for it: it reads the same basis off the arrangement's class-matroid
 record (see :mod:`corecover.arrangement`). The read-off here serves the
 other callers: ``arrangement_from_quotient`` and the torus data of input
 that is not regular. One fraction-free (Bareiss) forward elimination, with one
-fraction-free back substitution, is behind that read-off, rank, the
-integer determinant, the scaled integer inverse and the one square solver,
-``solve_integer``; the rational ``solve_square`` is a test oracle and lives
-with the tests. Rational rows are first cleared of their denominators,
+fraction-free back substitution, is behind that read-off, the integer
+determinant, the scaled integer inverse and the one square solver,
+``solve_integer``; ``rank`` and the rational ``solve_square`` are test
+oracles and live with the tests. Rational rows are first cleared of their denominators,
 which is done only in ``_common_denominator``. There is no floating point
 anywhere in this module: every downstream verdict is an exact feasibility
 question and rounding would corrupt it.
@@ -43,16 +44,6 @@ def transpose(mat, ncols: int | None = None) -> tuple:
 
 def unit_vector(dim: int, index: int, sign: int = 1) -> tuple:
     return tuple(sign if j == index else 0 for j in range(dim))
-
-
-def is_primitive(vec) -> bool:
-    """True iff the gcd of the integer entries is 1. Undefined for zero."""
-    if not vec or all(x == 0 for x in vec):
-        raise ValueError("primitivity is undefined for the zero vector")
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    return g == 1
 
 
 def primitive_scale(vec) -> tuple:
@@ -276,13 +267,6 @@ def _as_fractions(values) -> tuple:
     return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
 
 
-def _integer_rows(mat) -> list:
-    """Each rational row as an integer list over its own common
-    denominator. Scaling rows keeps the rank, the pivot columns and the
-    solutions."""
-    return [_common_denominator(row)[1] for row in mat]
-
-
 def _bareiss(rows, width: int) -> tuple:
     """Fraction-free (Bareiss) forward elimination of the integer row lists
     ``rows``, in place.
@@ -340,12 +324,6 @@ def _back_substitute(rows, pivots, last, width: int, column: int) -> list:
             rest -= row[j] * xs[j]
         xs[col] = rest // row[col]
     return xs
-
-
-def rank(mat) -> int:
-    """Exact rank over the rationals."""
-    rows = _integer_rows(mat)
-    return len(_bareiss(rows, len(mat[0]) if mat else 0)[0])
 
 
 def _int_det(rows) -> int:

@@ -36,6 +36,7 @@ from util import (
     brute_force_simple,
     det,
     enumerate_vertices,
+    is_primitive,
     kernel_by_two_hnf,
     mask_ray_signs,
     mat_vec,
@@ -45,6 +46,7 @@ from util import (
     per_arrangement_regular,
     per_arrangement_simple,
     per_arrangement_vertices,
+    rank,
     subset_regular,
     subset_simple,
     subset_trivial_factors,
@@ -80,10 +82,9 @@ def _construct_population():
     draws one fault planted: a bool or float entry, a normal doubled or
     zeroed, a normal one entry short or long, one lift more or less, a
     dimension that is no positive int, or every normal drawn in the
-    hyperplane x_n = 0. Then, for
-    n = 2-4 and d = 20, 100 and 300, normals whose first n span, and
-    normals whose first d - 1 lie in x_n = 0 with a last one that spans or
-    not."""
+    hyperplane x_n = 0. Then, for n = 2-4 and d = 20, 100 and 300, normals
+    whose first n span, and normals whose first d - 1 lie in x_n = 0 with
+    a last one that spans or not."""
     rng = random.Random(3603)
 
     def primitive(width, last=None):
@@ -198,6 +199,18 @@ class TestArrangementInvariants:
                 line = f"ValueError: {exc}"
             digest.update(line.encode() + b"\n")
         assert digest.hexdigest() == CONSTRUCT_DIGEST
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_spanning_check_stops_at_n(self, monkeypatch, n):
+        # the first n of 300 normals span: n reductions and no elimination
+        rng = random.Random(3604 + n)
+        normals = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        normals += [(rng.choice((1, -1)),) + tuple(rng.randint(-3, 3) for _ in range(n - 1))
+                    for _ in range(300 - n)]
+        counts = _count_eliminations(
+            monkeypatch, lambda normals: Arrangement(n, normals, [0] * 300), normals
+        )
+        assert counts["extend"] <= n and counts["eliminate"] == 0
 
 
 class TestTorusData:
@@ -327,7 +340,7 @@ def _distinct_directions(rng, count):
         normals, keys = [], set()
         while len(normals) < 8:
             u = tuple(rng.randint(-3, 3) for _ in range(3))
-            if any(u) and linalg.is_primitive(u) and _direction_key(u) not in keys:
+            if any(u) and is_primitive(u) and _direction_key(u) not in keys:
                 keys.add(_direction_key(u))
                 normals.append(u)
         lifts = tuple(F(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(8))
@@ -697,7 +710,7 @@ class TestClassEchelon:
         assert arrangement._matroid(arr).independent((k,)) is False
         reps = [r for r, _ in arrangement._direction_classes(arr)]
         others = reps[:k] + reps[k + 1:]
-        assert linalg.rank(others + [reps[k]]) == linalg.rank(others)
+        assert rank(others + [reps[k]]) == rank(others)
 
 
 class TestClassMatroid:

@@ -562,11 +562,40 @@ class TestCli:
     def test_unknown_command_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    def test_path_arguments(self, tmp_path, capsys):
+        # a path object reads as its os.fspath, on the reader's path and on
+        # argparse's (an abbreviated option): the same stdout as the str
+        path = write(tmp_path, HIRZ_DOC)
+        for argv in (["check", path], ["report", path, "--ch=++++"]):
+            code = main(argv)
+            expected = capsys.readouterr().out
+            assert main([pathlib.Path(token) if token == path else token for token in argv]) == code
+            assert capsys.readouterr().out == expected != ""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", None], ["check", 3], [b"check", "arr.json"], ["report", "arr.json", "--chart", 1.5],
+    ])
+    def test_argument_not_a_string_exit_2(self, argv, tmp_path, capsys, monkeypatch):
+        # one error line and no traceback, before any file is read
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, HIRZ_DOC)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: argument ") and captured.err.count("\n") == 1
+
     def test_parser_built_once(self, tmp_path, capsys, monkeypatch):
         # later calls reuse the first call's parser, and a usage error or a
-        # help request on the shared parser leaves it intact for the next call
+        # help request on the shared parser leaves it intact for the next
+        # call: after the first build no ArgumentParser can be made at all
+        import argparse
+
         main(["frobnicate"])
-        monkeypatch.setattr(cli, "build_parser", None)
+
+        def no_parser(*args, **kwargs):
+            raise AssertionError("a parser was built again")
+
+        monkeypatch.setattr(argparse, "ArgumentParser", no_parser)
         path = write(tmp_path, HIRZ_DOC)
         assert main(["check", "--pattern", "zzzz", path]) == 2
         assert main(["check", "--help"]) == 0

@@ -12,10 +12,8 @@ import corecover.linalg as linalg
 from corecover import Arrangement, is_regular, parse_arrangement, torus_data
 from corecover.feasibility import Constraint, Relation
 from corecover.linalg import (
-    is_primitive,
     kernel_lattice,
     primitive_scale,
-    rank,
     solve_integer,
     transpose,
 )
@@ -25,10 +23,12 @@ from util import (
     det_by_elimination,
     hermite_normal_form,
     is_hnf_shape,
+    is_primitive,
     kernel_by_two_hnf,
     lin_solve,
     mat_mul,
     mat_vec,
+    rank,
     rank_by_elimination,
     row_reduce_lattice_membership,
     solve_by_elimination,

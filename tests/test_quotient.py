@@ -292,7 +292,7 @@ class TestChamberVertices:
         for arr in arrangements:
             reps = [r for r, _ in arrangement_module._direction_classes(arr)]
             subsets = list(itertools.combinations(reps, arr.n))
-            independent = sum(linalg.rank(sub) == arr.n for sub in subsets)
+            independent = sum(util.rank(sub) == arr.n for sub in subsets)
             for warm in (False, True):
                 # _vertices keeps nothing, so each list below is computed afresh
                 arrangement_module._vertices(Arrangement(1, ((1,),), (0,)))
@@ -316,7 +316,7 @@ class TestChamberVertices:
             if is_simple(arr):
                 # one vertex per independent n-subset of hyperplanes
                 assert len(vertices) == sum(
-                    linalg.rank([arr.normals[i] for i in sub]) == arr.n
+                    util.rank([arr.normals[i] for i in sub]) == arr.n
                     for sub in itertools.combinations(range(arr.d), arr.n)
                 )
             if arr.name == "hirzebruch":

@@ -22,8 +22,9 @@ elimination and an exchange block per column set for the numeric
 chambers), so agreement is meaningful.
 Also the lattice and solver routines that only the tests use, built on the
 library's own eliminations: the Hermite normal form with its transform,
-the rational determinant and a particular solution of a general system
-(``hermite_normal_form``, ``det``, ``lin_solve``); the leaves of the
+the rational determinant, the rank, primitivity and a particular solution
+of a general system (``hermite_normal_form``, ``det``, ``rank``,
+``is_primitive``, ``lin_solve``); the leaves of the
 library's pattern walk without their masks (``nonempty_patterns``); the
 per-arrangement answers that the shared class-matroid records replace,
 computed afresh for each arrangement (``per_arrangement_regular``,
@@ -48,6 +49,7 @@ through four. The scripts put this directory on ``sys.path``."""
 import functools
 import itertools
 from fractions import Fraction
+from math import gcd
 
 from corecover import (
     Arrangement,
@@ -77,9 +79,7 @@ from corecover.linalg import (
     _common_denominator,
     _hnf,
     _int_det,
-    _integer_rows,
     as_matrix,
-    rank,
     solve_integer,
     transpose,
     unit_vector,
@@ -217,6 +217,31 @@ def solve_square(mat, rhs) -> tuple | None:
     if len(pivots) < n:
         return None
     return tuple(Fraction(x, last) for x in _back_substitute(rows, pivots, last, n, n))
+
+
+def _integer_rows(mat) -> list:
+    """Each rational row as an integer list over its own common
+    denominator. Scaling rows keeps the rank, the pivot columns and the
+    solutions."""
+    return [_common_denominator(row)[1] for row in mat]
+
+
+def rank(mat) -> int:
+    """Exact rank over the rationals, by the library's fraction-free
+    elimination. The library proves spanning by the incremental echelon
+    form instead and needs no rank."""
+    rows = _integer_rows(mat)
+    return len(_bareiss(rows, len(mat[0]) if mat else 0)[0])
+
+
+def is_primitive(vec) -> bool:
+    """True iff the gcd of the integer entries is 1. Undefined for zero."""
+    if not vec or all(x == 0 for x in vec):
+        raise ValueError("primitivity is undefined for the zero vector")
+    g = 0
+    for x in vec:
+        g = gcd(g, abs(x))
+    return g == 1
 
 
 def rank_by_elimination(mat) -> int:
