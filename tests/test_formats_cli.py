@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -588,8 +589,6 @@ class TestCli:
         # later calls reuse the first call's parser, and a usage error or a
         # help request on the shared parser leaves it intact for the next
         # call: after the first build no ArgumentParser can be made at all
-        import argparse
-
         main(["frobnicate"])
 
         def no_parser(*args, **kwargs):

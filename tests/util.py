@@ -24,8 +24,8 @@ Also the lattice and solver routines that only the tests use, built on the
 library's own eliminations: the Hermite normal form with its transform,
 the rational determinant, the rank, primitivity and a particular solution
 of a general system (``hermite_normal_form``, ``det``, ``rank``,
-``is_primitive``, ``lin_solve``); the leaves of the
-library's pattern walk without their masks (``nonempty_patterns``); the
+``is_primitive``, ``lin_solve``); the leaves of the library's pattern walk
+without their masks (``nonempty_patterns``); the
 per-arrangement answers that the shared class-matroid records replace,
 computed afresh for each arrangement (``per_arrangement_regular``,
 ``per_arrangement_circuits``, ``per_arrangement_simple``,
