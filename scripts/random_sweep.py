@@ -4,7 +4,7 @@
 Samples smooth arrangements from a seed and runs the full battery on each:
 the kernel lattice (the ``lattice`` column: ``torus_data``'s basis, read off
 a unimodular pivot block of the normals, against the two-HNF oracle), oracle
-equivalence on every BOTH-free pattern, the cached verdicts (the
+equivalence on every BOTH-free pattern, the mask verdicts (the
 ``verdicts`` column: ``_cone_contains``, which ANDs the vertex masks of the
 letters with no LP, against one state-set LP per pattern, on every BOTH-free
 pattern and every realizable BOTH pattern), chart equivalence (the state set of
@@ -101,15 +101,17 @@ def numeric_excluded(td, compact) -> dict:
 
 def matroid_answers(arr) -> tuple:
     """The answers an arrangement reads off its class-matroid record. The
-    scoped caches are bypassed, so each is computed from the record."""
+    arrangement keeps its regularity verdict and torus data as records of
+    its own, built once and kept for its lifetime, so both are built here
+    from the class record (``regular``, ``_build_torus_data``) instead."""
     record = arrangement._matroid(arr)
     return (
-        arrangement.is_regular.__wrapped__(arr),
+        record.regular,
         tuple(record.circuits()),
         record.realizable,
         record.ray_masks,
         arrangement._vertices(arr),
-        arrangement.torus_data.__wrapped__(arr),
+        arrangement._build_torus_data(arr),
     )
 
 

@@ -15,9 +15,10 @@ are state sets of dense patterns and live in :mod:`corecover.stability`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from importlib import import_module
 from math import gcd, lcm
 from operator import mul
 
@@ -32,7 +33,18 @@ from .linalg import (
     primitive_scale,
     transpose,
 )
-from .memo import scoped_cache
+
+
+def _fields_only(obj) -> dict:
+    """The fields, which pickling and copying carry, without the records."""
+    return {f.name: vars(obj)[f.name] for f in fields(obj)}
+
+
+def _record(module: str, builder: str, *args) -> cached_property:
+    """A record that ``builder(self, *args)`` of a module above this one builds on first read."""
+    return cached_property(
+        lambda self: getattr(import_module(f"{__package__}.{module}"), builder)(self, *args)
+    )
 
 
 @dataclass(frozen=True)
@@ -43,13 +55,18 @@ class Arrangement:
     and there are at least ``n`` of them. Lifts are arbitrary rationals.
 
     The checks run in this order, and the first that fails raises
-    ``ValueError``: ``n`` is a positive int; ``d >= n``; one lift per
-    normal; then normal by normal its length, its int (not bool) entries
-    and ``gcd == 1``, which also refuses the zero normal. Spanning is proved
-    by feeding the normals in order to the incremental echelon form
-    (``_extend_echelon``) until it has ``n`` rows, so the check reads only
-    the normals up to the one that completes a basis: O(n^3) plus one
+    ``ValueError``: ``name`` is a str or None; the lifts, not a str or
+    bytes, convert to Fractions; ``n`` is a positive int; ``d >= n``; one
+    lift per normal; then normal by normal its length, its int (not bool)
+    entries and ``gcd == 1``, which also refuses the zero normal. Spanning
+    is proved by feeding the normals in order to the incremental echelon
+    form (``_extend_echelon``) until it has ``n`` rows, so the check reads
+    only the normals up to the one that completes a basis: O(n^3) plus one
     reduction per normal read before that, not an elimination of all ``d``.
+
+    Derived data is kept on the arrangement as records, each built on first
+    read and freed with it (none refers back to it); equality, ``repr``,
+    pickling and copying see the fields alone.
     """
 
     n: int
@@ -58,6 +75,8 @@ class Arrangement:
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        if self.name is not None and not isinstance(self.name, str):
+            raise ValueError("name must be a string")
         normals = tuple(map(tuple, self.normals))
         lifts = _as_fractions(self.lifts)
         object.__setattr__(self, "normals", normals)
@@ -88,6 +107,17 @@ class Arrangement:
     @property
     def d(self) -> int:
         return len(self.normals)
+
+    __getstate__ = _fields_only
+
+    # the records; each builder is looked up when it is called
+    _classes = cached_property(lambda self: _direction_classes(self))
+    _regular = cached_property(lambda self: _matroid(self).regular)
+    _simple = cached_property(lambda self: _decide_simple(self))
+    _torus = cached_property(lambda self: _build_torus_data(self))
+    _state_rows = _record("stability", "_state_rows")
+    _faces = _record("stability", "_faces")
+    _core_walk = _record("quotient", "_core_walk")
 
 
 def check_sign_vector(eps, d: int) -> tuple:
@@ -145,6 +175,13 @@ class TorusData:
     def n(self) -> int:
         return self.d - self.m
 
+    __getstate__ = _fields_only
+
+    # records of :mod:`corecover.stability`, read off the torus data alone
+    _numeric_chambers = _record("stability", "_numeric_chambers")
+    _sign_rows = _record("stability", "_sign_rows", False)
+    _strict_sign_rows = _record("stability", "_sign_rows", True)
+
 
 def _level(basis, lifts) -> tuple:
     """``basis @ lifts`` as Fractions, summed on integers over the lifts'
@@ -153,8 +190,12 @@ def _level(basis, lifts) -> tuple:
     return tuple(Fraction(sum(map(mul, row, nums)), common) for row in basis)
 
 
-@scoped_cache
 def torus_data(arr: Arrangement) -> TorusData:
+    """Kernel lattice and moment level of an arrangement (see ``_build_torus_data``)."""
+    return arr._torus
+
+
+def _build_torus_data(arr: Arrangement) -> TorusData:
     """Kernel lattice and moment level of an arrangement.
 
     Deterministic: the kernel basis follows the pinned Hermite normal form
@@ -191,7 +232,7 @@ def torus_data(arr: Arrangement) -> TorusData:
         basis = kernel_lattice(transpose(arr.normals, ncols=arr.n), ncols=arr.d)
         return TorusData(basis, arr.lifts)
     planes = _orientations(arr)
-    last = [members[-1][0] for _, members in _direction_classes(arr)]
+    last = [members[-1][0] for _, members in arr._classes]
     chosen = max(bases, key=lambda c: sorted([last[k] for k in c], reverse=True))
     coords = record.coordinates(chosen)
     pivots = [(last[b], planes[last[b]][1]) for b in chosen]
@@ -227,7 +268,6 @@ def reorient(arr: Arrangement, eps) -> Arrangement:
     return Arrangement(arr.n, normals, lifts, name=arr.name)
 
 
-@scoped_cache
 def _direction_classes(arr: Arrangement) -> tuple:
     """The hyperplanes grouped by normal direction, sorted by representative.
 
@@ -258,7 +298,7 @@ def _orientations(arr: Arrangement) -> list:
     """``(k, s)`` for each hyperplane: its direction class ``k`` (an index
     into ``_direction_classes``) and the sign with ``u_i = s * r_k``."""
     out = [None] * arr.d
-    for k, (r, members) in enumerate(_direction_classes(arr)):
+    for k, (r, members) in enumerate(arr._classes):
         for i, _ in members:
             out[i] = (k, 1 if arr.normals[i] == r else -1)
     return out
@@ -454,7 +494,7 @@ def _class_matroid(reps: tuple) -> _ClassMatroid:
 
 def _matroid(arr: Arrangement) -> _ClassMatroid:
     """The class-matroid record of an arrangement's direction classes."""
-    return _class_matroid(tuple(r for r, _ in _direction_classes(arr)))
+    return _class_matroid(tuple(r for r, _ in arr._classes))
 
 
 def _vertices(arr: Arrangement) -> tuple:
@@ -481,7 +521,7 @@ def _vertices(arr: Arrangement) -> tuple:
     # on integers: with the offsets over L, t = T / L, the point is x = nums
     # / (den * L) with nums = inverse @ T, and <r_k, x> - t has the sign of
     # <r_k, nums> - den * T (den > 0); hyperplane i reads s * (<r_k, x> - t)
-    classes = _direction_classes(arr)
+    classes = arr._classes
     reps = [r for r, _ in classes]
     common, lifts = _common_denominator(arr.lifts)
     planes = [(k, s, -s * lift) for (k, s), lift in zip(_orientations(arr), lifts)]
@@ -500,7 +540,6 @@ def _vertices(arr: Arrangement) -> tuple:
     return tuple((tuple([Fraction(x, scale * common) for x in key]), s) for key, s in keyed)
 
 
-@scoped_cache
 def is_regular(arr: Arrangement) -> bool:
     """Every linearly independent n-subset of normals is a lattice basis.
 
@@ -515,11 +554,15 @@ def is_regular(arr: Arrangement) -> bool:
     has at most n(n+1)/2 classes (Heller, 1957), so for smooth input the
     cost follows n, not d.
     """
-    return _matroid(arr).regular
+    return arr._regular
 
 
-@scoped_cache
 def is_simple(arr: Arrangement) -> bool:
+    """Every k hyperplanes that meet do so in codimension exactly k (see ``_decide_simple``)."""
+    return arr._simple
+
+
+def _decide_simple(arr: Arrangement) -> bool:
     """Every k hyperplanes that meet do so in codimension exactly k.
 
     Equivalently, no linearly dependent set of hyperplanes meets. Every
@@ -548,7 +591,7 @@ def is_simple(arr: Arrangement) -> bool:
     them, integers over the lifts' common denominator, which scales every
     sum alike.
     """
-    offsets = [tuple(t for _, t in members) for _, members in _direction_classes(arr)]
+    offsets = [tuple(t for _, t in members) for _, members in arr._classes]
     if any(len(set(ts)) < len(ts) for ts in offsets):
         return False
     for support, relation in _matroid(arr).circuits():
@@ -610,7 +653,7 @@ def trivial_factors(arr: Arrangement) -> tuple:
     the record's ``coloops``: one echelon pass over the classes, D
     reductions, shared by every arrangement with the same classes.
     """
-    classes = _direction_classes(arr)
+    classes = arr._classes
     singles = [(k, members[0][0]) for k, (_, members) in enumerate(classes) if len(members) == 1]
     if not singles:
         return ()

@@ -51,7 +51,7 @@ from .quotient import (
     verify_covering,
 )
 from .render import render_svg
-from .stability import _faces, _numeric_chambers, hk_semistable_numeric, pattern_realizable
+from .stability import hk_semistable_numeric, pattern_realizable
 
 
 def _load_arrangement(path):
@@ -115,7 +115,7 @@ def _core(arr, args):
     """The extended core; each vertex is formatted once, and a bounded
     component lists those of its mask."""
     components = extended_core(arr, force=args.force)
-    points = [_point_json(p) for p, _ in _faces(arr).vertices]
+    points = [_point_json(p) for p, _ in arr._faces.vertices]
     listed = []
     for c in components:
         data = dict(eps=format_sign_vector(c.eps), classification=c.classification, dimension=arr.n)
@@ -166,7 +166,7 @@ def _density(arr, args):
     section prints 2^d entries."""
     _check_guard(arr, args.force, "density sweep")
     chambers = {c.eps for c in extended_core(arr, force=args.force)}
-    numeric = _numeric_chambers(torus_data(arr))
+    numeric = torus_data(arr)._numeric_chambers
     results = {
         format_sign_vector(e): (e in numeric) == (e in chambers) for e in all_sign_vectors(arr.d)
     }

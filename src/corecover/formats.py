@@ -124,11 +124,8 @@ def parse_arrangement(data) -> Arrangement:
             lifts.append(parse_rational(text))
         except ParseError:
             raise ParseError(f"bad lift {i + 1}") from None
-    name = doc.get("name")
-    if name is not None and not isinstance(name, str):
-        raise ParseError("name must be a string")
     try:
-        return Arrangement(dim, normals, lifts, name=name)
+        return Arrangement(dim, normals, lifts, name=doc.get("name"))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

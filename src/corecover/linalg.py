@@ -263,7 +263,10 @@ def _common_denominator(values) -> tuple:
 
 def _as_fractions(values) -> tuple:
     """``values`` as a tuple of Fractions; a Fraction passes through as the
-    same object, anything else goes through ``Fraction``."""
+    same object, anything else goes through ``Fraction``. A str or bytes,
+    whose characters would be read as values, raises ``ValueError``."""
+    if isinstance(values, (str, bytes)):
+        raise ValueError("lifts must be a sequence of numbers, not a string")
     return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
 
 

@@ -16,8 +16,9 @@ the chamber walk assigns as it yields the bounded chambers, and the
 complement keeps the leaves that miss one chamber's mask, walking only the
 prefixes with a vertex outside it, once per realizable BOTH set, with BOTH
 letters on it. The vertices, sorted on integer keys, and their masks make
-one face record per arrangement (``stability._faces``); the chamber walk's
-results make one more (``_extended_core_cached``), which it alone caches.
+one face record per arrangement (``stability._faces``), the chamber walk's
+results one more (``_core_walk``); both live on the arrangement, built on
+first read and freed with it.
 A chamber is bounded iff the AND of its letters' ray masks, which the class
 record keeps per direction class (``_ClassMatroid.ray_masks``), is zero:
 no LP. A chamber's vertices are those of its mask. Density compares each
@@ -37,12 +38,11 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from operator import and_
 
 from .arrangement import (
     Arrangement,
-    _direction_classes,
     _matroid,
     _orientations,
     check_sign_vector,
@@ -51,15 +51,12 @@ from .arrangement import (
     trivial_factors,
 )
 from .errors import GuardError
-from .memo import scoped_cache
 from .stability import (
     NO_BOTH_ALPHABET,
     FULL_ALPHABET,
     Status,
     _cone_contains,
-    _faces,
     _letter_masks,
-    _numeric_chambers,
     _pattern_mask,
     _pattern_masks,
     full_pattern,
@@ -144,12 +141,22 @@ def _check_guard(arr: Arrangement, force: bool, what: str, limit: int | None = N
 _SIGN_OF = {Status.Z: 1, Status.W: -1}
 
 
-# The core walk's one record (see ``_extended_core_cached``).
 _CoreWalk = namedtuple("_CoreWalk", "core first")
 
+_core_reads = [0, 0]
 
-@scoped_cache
+
 def _extended_core_cached(arr: Arrangement) -> _CoreWalk:
+    """The core walk record (``_core_walk``), read here alone so that
+    ``cache_info()`` gives tracers its (hits, misses): a hit finds it built."""
+    _core_reads["_core_walk" not in vars(arr)] += 1
+    return arr._core_walk
+
+
+_extended_core_cached.cache_info = partial(tuple, _core_reads)
+
+
+def _core_walk(arr: Arrangement) -> _CoreWalk:
     """The core walk: ``core``, the nonempty chambers, the leaves of the
     walk over Z and W, each classified, and ``first``, per vertex the index
     in ``core``'s bounded chambers of the first whose mask holds it, or
@@ -233,7 +240,7 @@ def _chamber_vertices(arr: Arrangement, eps) -> list:
     than n hyperplanes may pass through a vertex, which is listed once.
     """
     mask = _chamber_mask(arr, eps)
-    return [p for j, (p, _) in enumerate(_faces(arr).vertices) if mask >> j & 1]
+    return [p for j, (p, _) in enumerate(arr._faces.vertices) if mask >> j & 1]
 
 
 def theta_cpt(arr: Arrangement, force: bool = False) -> tuple:
@@ -318,12 +325,14 @@ def verify_density(arr: Arrangement, eps) -> bool:
     pattern by the vertices of its numeric system in d variables, read from
     the torus data alone (``_numeric_chambers``, one set per torus), the
     chamber by its vertex mask over the arrangement's vertices in n
-    variables (``_cone_contains``). Neither solves an LP. The CLI's density
+    variables (``_cone_contains``). Neither solves an LP. The set lives on
+    the torus data, kept with the face record on the arrangement, so calls
+    interleaved over arrangements build each once. The CLI's density
     section reads the same two sides as two sets, once each.
     """
     _require_smooth(arr)
     eps = check_sign_vector(eps, arr.d)
-    chart_side = eps in _numeric_chambers(torus_data(arr))
+    chart_side = eps in torus_data(arr)._numeric_chambers
     chamber_side = _cone_contains(arr, full_pattern(eps))
     return chart_side == chamber_side
 
@@ -372,7 +381,7 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
     # complemented within the vertices, since ANDs with a negative mask
     # are slower on large arrangements
     outside = _letter_masks(arr)[1] & ~chamber
-    classes = _direction_classes(arr)
+    classes = arr._classes
     excluded = []
     for chosen in _matroid(arr).realizable:
         both = {i for k in chosen for i, _ in classes[k][1]}

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .arrangement import Arrangement
 from .quotient import BOUNDED, _chamber_vertices, _check_guard, _extended_core_cached
-from .stability import _faces
 
 SIZE = 560
 MARGIN = 40
@@ -163,7 +162,7 @@ def _sort_polygon(points):
 
 def _render_plane(arr: Arrangement) -> str:
     # the crossing points of the lines that are not parallel: the vertices
-    crossings = [point for point, _ in _faces(arr).vertices]
+    crossings = [point for point, _ in arr._faces.vertices]
     if crossings:
         xs = [p[0] for p in crossings]
         ys = [p[1] for p in crossings]

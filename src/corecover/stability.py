@@ -32,6 +32,8 @@ does and the vertex conforms to the chart's sign vector, so a chart
 verdict is the AND of a pattern's mask with its chamber's. The sweeps walk
 the prefixes, one hyperplane at a time, whose masks are nonzero. Each
 public verdict carries the exact certificate of the system it solved.
+Face record and state rows live on the arrangement, numeric set and sign
+rows on the torus data, each built on first read and freed with its owner.
 """
 
 from __future__ import annotations
@@ -40,14 +42,14 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from types import SimpleNamespace
 
 from .arrangement import Arrangement, TorusData, check_sign_vector
-from .arrangement import _direction_classes, _matroid, _vertices
+from .arrangement import _matroid, _vertices
 from .feasibility import Certificate, Constraint, Polyhedron, Relation, is_feasible
 from .linalg import _bareiss, _common_denominator, _scaled_inverse, solve_integer, unit_vector
-from .memo import scoped_cache
 
 
 class Status(Enum):
@@ -98,7 +100,6 @@ class StabilityVerdict:
     system: Polyhedron
 
 
-@scoped_cache
 def _sign_rows(td: TorusData, strict: bool) -> tuple:
     """The rows of every sign system of one torus: the m equality rows, then
     per coordinate a mapping from status to its sign row."""
@@ -125,7 +126,7 @@ def _sign_system(td: TorusData, pattern, strict: bool = False) -> Polyhedron:
     ZERO forces ``x_i = 0`` and BOTH leaves ``x_i`` free. With ``strict``
     the inequalities become strict (closed-orbit variant).
     """
-    equalities, signs = _sign_rows(td, strict)
+    equalities, signs = td._strict_sign_rows if strict else td._sign_rows
     cons = equalities + tuple(
         rows[status] for rows, status in zip(signs, pattern) if status is not Status.BOTH
     )
@@ -162,7 +163,6 @@ def hk_semistable_numeric(td: TorusData, pattern) -> StabilityVerdict:
 _CONFORMING = {1: (1,), -1: (-1,), 0: (1, -1)}
 
 
-@scoped_cache
 def _numeric_chambers(td: TorusData) -> frozenset:
     """The sign vectors ``eps`` whose dense pattern is numerically
     semistable, read off the vertices of the numeric systems with no LP.
@@ -260,7 +260,6 @@ def hk_closed_orbit(td: TorusData, pattern) -> bool:
     return is_feasible(_sign_system(td, pattern, strict=True)).feasible
 
 
-@scoped_cache
 def _state_rows(arr: Arrangement) -> tuple:
     """The rows of every state set of one arrangement: per coordinate a
     mapping from BOTH-free status to its row."""
@@ -283,7 +282,7 @@ def state_set(arr: Arrangement, pattern) -> Polyhedron:
     polyhedron.
     """
     pattern = check_pattern(pattern, arr.d)
-    rows = _state_rows(arr)
+    rows = arr._state_rows
     cons = tuple(
         rows[i][status] for i, status in enumerate(pattern) if status is not Status.BOTH
     )
@@ -302,7 +301,6 @@ def toric_semistable_geometric(arr: Arrangement, support) -> StabilityVerdict:
     return hk_semistable_geometric(arr, support_pattern(arr.d, support))
 
 
-@scoped_cache
 def _faces(arr: Arrangement) -> SimpleNamespace:
     """The face record every sweep reads, written here alone: ``vertices``
     (``_vertices``) and ``masks`` (``_letter_masks``), built from each
@@ -354,7 +352,7 @@ def _letter_masks(arr: Arrangement) -> tuple:
     is exact on input that is not simple too. Returns the per-coordinate
     tables and the mask of all vertices.
     """
-    return _faces(arr).masks
+    return arr._faces.masks
 
 
 def _pattern_mask(arr: Arrangement, pattern) -> int:
@@ -409,11 +407,13 @@ def _pattern_masks(arr: Arrangement, alphabets=None, within=None):
                 stack.append((prefix + (status,), mask))
 
 
-@scoped_cache
+# maxsize=0 keeps nothing and only counts the calls, each a miss, for the
+# tracers that read ``cache_info()``
+@lru_cache(maxsize=0)
 def _cone_contains(arr: Arrangement, pattern) -> bool:
-    """Is the state set of a pattern nonempty? The one cached verdict
-    behind chambers (dense patterns) and charts (chart patterns): its vertex
-    mask is nonzero (see ``_letter_masks``), with no LP."""
+    """Is the state set of a pattern nonempty? The verdict behind chambers
+    (dense patterns) and charts (chart patterns): its vertex mask is
+    nonzero (see ``_letter_masks``), with no LP."""
     return _pattern_mask(arr, pattern) != 0
 
 
@@ -457,7 +457,7 @@ def pattern_realizable(arr: Arrangement, pattern) -> bool:
     """
     pattern = check_pattern(pattern, arr.d)
     chosen = []
-    for k, (_, members) in enumerate(_direction_classes(arr)):
+    for k, (_, members) in enumerate(arr._classes):
         inside = [pattern[i] is Status.BOTH for i, _ in members]
         if any(inside) != all(inside):
             return False

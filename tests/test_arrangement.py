@@ -188,6 +188,21 @@ class TestArrangementInvariants:
         arr = Arrangement(1, ((1,), (-1,)), ("1/2", 3))
         assert arr.lifts == (F(1, 2), F(3))
 
+    @pytest.mark.parametrize("lifts", ["12", b"12"], ids=["str", "bytes"])
+    def test_rejects_lifts_given_as_one_string(self, lifts):
+        # iterated, the string would give the lifts (1, 2), the bytes (49, 50)
+        with pytest.raises(ValueError, match="lifts must be a sequence of numbers, not a string"):
+            Arrangement(1, ((1,), (-1,)), lifts)
+        with pytest.raises(ValueError, match="lifts must be a sequence of numbers, not a string"):
+            TorusData(((1, 1),), lifts)
+
+    def test_name_checked_first(self):
+        # the name is checked before anything else, as the parser did
+        assert Arrangement(1, ((1,), (-1,)), (0, 1), name="pair").name == "pair"
+        for normals in (((1,), (-1,)), ((2,), (1,))):
+            with pytest.raises(ValueError, match="name must be a string"):
+                Arrangement(1, normals, (0, 1), name=5)
+
     def test_construct_digest(self):
         # the same arrangements and the same first error, in the same order
         # of checks, on valid and faulty input up to d = 300
@@ -237,6 +252,15 @@ class TestTorusData:
         arr = Arrangement(2, ((1, 0), (0, 1)), (3, 4))
         td = torus_data(arr)
         assert td.m == 0 and td.basis == () and td.alpha == ()
+
+    def test_equal_arrangements_give_equal_torus_data(self):
+        # each arrangement keeps its own record, built on first read; an
+        # equal one, reparsed, builds an equal one
+        for path in sorted(FIXTURE_DIR.glob("*.json")):
+            arr = parse_arrangement(path.read_text())
+            again = parse_arrangement(path.read_text())
+            assert again == arr and torus_data(again) == torus_data(arr)
+            assert torus_data(arr) is torus_data(arr)
 
     def test_deterministic(self, hirzebruch):
         assert torus_data(hirzebruch) == torus_data(
@@ -770,7 +794,7 @@ class TestClassMatroid:
             assert mask_ray_signs(arr) == per_arrangement_ray_signs(arr)
             assert arrangement._vertices(arr) == per_arrangement_vertices(arr)
             assert record.realizable == per_arrangement_realizable(arr)
-            assert torus_data.__wrapped__(arr) == TorusData(
+            assert arrangement._build_torus_data(arr) == TorusData(
                 linalg.kernel_lattice(transpose(arr.normals, ncols=arr.n), ncols=arr.d), arr.lifts
             )
             if is_smooth(arr):
@@ -806,7 +830,7 @@ class TestClassMatroid:
             for arr in variants:
                 assert arrangement._matroid(arr) is arrangement._matroid(base)
                 expected = kernel_by_two_hnf(transpose(arr.normals, ncols=arr.n), arr.d)
-                assert torus_data.__wrapped__(arr).basis == expected
+                assert arrangement._build_torus_data(arr).basis == expected
             record = arrangement._matroid(base)
             if len(record.unit_bases) > 1:
                 several += 1
@@ -829,13 +853,13 @@ class TestClassMatroid:
 
         for arr in arrangements:
             arrangement._class_matroid.cache_clear()
-            torus_data.__wrapped__(arr)
+            arrangement._build_torus_data(arr)
             relifted = Arrangement(arr.n, arr.normals, tuple(lift + 1 for lift in arr.lifts))
             with monkeypatch.context() as patch:
                 patch.setattr(linalg, "_bareiss", counting(linalg._bareiss))
                 patch.setattr(linalg, "_hnf", counting(linalg._hnf))
                 patch.setattr(arrangement, "_extend_echelon", counting(arrangement._extend_echelon))
-                td = torus_data.__wrapped__(relifted)
+                td = arrangement._build_torus_data(relifted)
             assert calls == [] and td.basis == torus_data(arr).basis
 
     def test_many_classes_walk_their_circuits_afresh(self, monkeypatch):
@@ -843,7 +867,7 @@ class TestClassMatroid:
         # arrangement has, so the record keeps no circuits, and the first
         # circuit, which meets, ends the walk long before its C(80, 3)
         arr = Arrangement(2, _fan_directions(80), (0,) * 80)
-        counts = _count_eliminations(monkeypatch, arrangement.is_simple.__wrapped__, arr)
+        counts = _count_eliminations(monkeypatch, arrangement._decide_simple, arr)
         assert counts["extend"] < 2 * 80
         assert not is_simple(arr) and "_kept_circuits" not in vars(arrangement._matroid(arr))
 

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -177,6 +178,7 @@ class TestArrangementFile:
             ({"normals": [[-1], [1], [1, 0]]}, "normal 3 has length 2, expected 1"),
             ({"lifts": ["1", "-1/2"]}, "lifts length does not match normals"),
             ({"lifts": ["1", "-1/2", "0", "0"]}, "lifts length does not match normals"),
+            ({"name": 5}, "name must be a string"),
         ],
         ids=[
             "float entry",
@@ -187,6 +189,7 @@ class TestArrangementFile:
             "normal longer",
             "lifts shorter",
             "lifts longer",
+            "name not a string",
         ],
     )
     def test_single_fault_message(self, change, message):
@@ -439,6 +442,25 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and "complement" in out
 
+    def test_tracer_reads_both_cache_counts(self, tmp_path, capsys):
+        # the benchmark's tracer reports a hit ratio from the cache_info()
+        # of _cone_contains and _extended_core_cached; a lost one reads
+        # null, which its line checker refuses
+        path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        before = tracing.cache_counts()
+        assert main(["report", write(tmp_path, A2_DOC), "--chart=+++"]) == 0
+        after = tracing.cache_counts()
+        capsys.readouterr()
+        assert set(after) == set(before) == {
+            "stability.cone_cache_hit_ratio", "quotient.extended_core_cache_hit_ratio"
+        }
+        assert None not in before.values() and None not in after.values()
+        key = "quotient.extended_core_cache_hit_ratio"
+        assert after[key][1] > before[key][1]
+
     @pytest.mark.parametrize(
         "chart, complement_limit, message",
         [
@@ -451,15 +473,15 @@ class TestCli:
     def test_report_checks_chart_before_sweeping(
         self, tmp_path, capsys, monkeypatch, chart, complement_limit, message
     ):
-        # a sweep would show as a miss, or as a hit if the scoped cache still
-        # holds this arrangement from an earlier test
+        # the file is parsed afresh, so a sweep would build the core walk
+        # and show as a miss
         if complement_limit is not None:
             monkeypatch.setattr(quotient, "DEFAULT_MAX_COMPLEMENT_D", complement_limit)
         before = quotient._extended_core_cached.cache_info()
         code = main(["report", write(tmp_path, A2_DOC), f"--chart={chart}"])
         after = quotient._extended_core_cached.cache_info()
         assert code == 2 and message in capsys.readouterr().err
-        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert after == before
 
     @pytest.mark.parametrize(
         "chart, code, message",

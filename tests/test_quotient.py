@@ -1,3 +1,8 @@
+import collections
+import copy
+import dataclasses
+import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -5,6 +10,8 @@ import math
 import pathlib
 import pickle
 import random
+import types
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -21,6 +28,9 @@ from corecover import (
     core_empty_criterion,
     extended_core,
     format_pattern,
+    format_sign_vector,
+    hk_closed_orbit,
+    hk_semistable_numeric,
     is_simple,
     is_smooth,
     parse_arrangement,
@@ -32,6 +42,7 @@ from corecover import (
     verify_density,
 )
 import corecover.arrangement as arrangement_module
+import corecover.cli as cli
 import corecover.feasibility as feasibility
 import corecover.linalg as linalg
 import corecover.quotient as quotient
@@ -73,6 +84,16 @@ from util import (
 )
 
 F = Fraction
+
+# The records an arrangement may keep (see ``Arrangement``).
+ARRANGEMENT_RECORDS = {
+    name for name, value in vars(Arrangement).items() if isinstance(value, functools.cached_property)
+}
+
+
+def held_records(arr) -> set:
+    """The records an arrangement keeps: its attributes beyond the fields."""
+    return set(vars(arr)) - {f.name for f in dataclasses.fields(arr)}
 Z, W, O, B = Status.Z, Status.W, Status.ZERO, Status.BOTH
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -354,7 +375,7 @@ class TestFaceRecord:
         arrangements = self.population()
         scaled = not_simple = bounded = owned = 0
         for arr in arrangements:
-            faces = stability._faces(arr)
+            faces = arr._faces
             assert faces.vertices == per_arrangement_vertices(arr)
             assert faces.masks == by_sign_letter_masks(faces.vertices, arr.d)
             rays = per_arrangement_ray_signs(arr)
@@ -371,7 +392,7 @@ class TestFaceRecord:
                 owned += 1
             # the walk's results live in its own record: no sweep writes
             # into the face record
-            assert set(vars(stability._faces(arr))) == {"vertices", "masks"}
+            assert set(vars(arr._faces)) == {"vertices", "masks"}
             scaled += any(den > 1 for _, den, _ in arrangement_module._matroid(arr).bases)
             not_simple += not is_simple(arr)
         assert scaled > 40 and not_simple > 10 and bounded > 200 and owned > 40
@@ -591,11 +612,14 @@ class TestNumericOracle:
 
 
 class TestSharedVerdicts:
-    """Chambers, sweeps and charts read one cached verdict per BOTH-free
-    pattern, so a sweep after the complement solves no state set again."""
+    """Chambers, sweeps and charts read the arrangement's one face record, so
+    a sweep after the complement solves no state set again, and nothing is
+    kept per pattern."""
 
     def test_sweeps_share_verdicts(self, hirzebruch, monkeypatch):
-        arr = hirzebruch
+        # a fresh copy: the session fixture keeps the records earlier tests
+        # built
+        arr = dataclasses.replace(hirzebruch)
         chart_complement(arr, (1, 1, 1, 1))
         extended_core(arr)
         calls = []
@@ -611,14 +635,12 @@ class TestSharedVerdicts:
         assert all(verify_density(arr, eps) for eps in all_sign_vectors(arr.d))
         # the numeric side reads its vertices, the chamber side the walk's
         assert len(calls) == 0
-        assert stability._cone_contains.cache_info().currsize <= 3**arr.d
+        assert held_records(arr) <= ARRANGEMENT_RECORDS
 
 
     def test_complement_reads_covering_verdicts(self, hirzebruch, a2_resolution, monkeypatch):
-        # a sweep over another arrangement empties the scoped caches first,
-        # so the covering sweep below reads its state sets afresh
-        verify_covering(a2_resolution)
-        arr = hirzebruch
+        # a fresh copy, so the covering sweep below builds its records afresh
+        arr = dataclasses.replace(hirzebruch)
         proofs = []
         for name in ("_multipliers", "_choose_value"):
             real = getattr(feasibility, name)
@@ -634,9 +656,78 @@ class TestSharedVerdicts:
             chart_complement(arr, eps)
         # the complement's walks and chart verdicts solve no LP
         assert solved == []
-        assert stability._cone_contains.cache_info().currsize <= 3**arr.d
+        assert held_records(arr) <= ARRANGEMENT_RECORDS
         # neither sweep reads a witness point or a Farkas vector
         assert proofs == []
+
+
+class TestRecords:
+    """Each arrangement keeps the data derived from it as records, built on
+    first read: calls on several arrangements may interleave, pickles and
+    copies carry the fields alone, and the records go with the arrangement."""
+
+    @staticmethod
+    def run_every_section(arr):
+        # every report section, then the state rows and both sign rows
+        eps = theta_cpt(arr)[0]
+        args = types.SimpleNamespace(chart=format_sign_vector(eps), force=False)
+        assert cli._report(arr, args)["complement"]["chart"] == args.chart
+        chamber(arr, eps)
+        pattern = full_pattern(eps)
+        assert hk_semistable_numeric(torus_data(arr), pattern).semistable
+        hk_closed_orbit(torus_data(arr), pattern)
+
+    def test_interleaved_density_builds_each_record_once(self, monkeypatch):
+        # alternating between two arrangements rebuilds nothing: each face
+        # record, torus data and numeric chamber set is built once
+        rng = random.Random(37)
+        first, second = (random_smooth_arrangement(rng, n=2, d=7) for _ in range(2))
+        built = collections.Counter()
+        for module, name in (
+            (stability, "_faces"),
+            (stability, "_numeric_chambers"),
+            (arrangement_module, "_build_torus_data"),
+        ):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda owner, real=real, name=name: built.update([(name, id(owner))]) or real(owner)
+            )
+        for eps in all_sign_vectors(7):
+            assert verify_density(first, eps) and verify_density(second, eps)
+        expected = [(name, id(arr)) for arr in (first, second) for name in ("_faces", "_build_torus_data")]
+        expected += [("_numeric_chambers", id(torus_data(arr))) for arr in (first, second)]
+        assert built == collections.Counter(expected) and len(built) == 6
+
+    def test_report_sections_leave_pickles_unchanged(self, hirzebruch):
+        arr = dataclasses.replace(hirzebruch)
+        blob = pickle.dumps(arr)
+        td = torus_data(arr)
+        torus_blob = pickle.dumps(td)
+        self.run_every_section(arr)
+        assert held_records(arr) == ARRANGEMENT_RECORDS
+        assert {"_numeric_chambers", "_sign_rows", "_strict_sign_rows"} <= set(vars(td))
+        assert pickle.dumps(arr) == blob and pickle.dumps(td) == torus_blob
+        # a copy or an unpickled arrangement holds the fields alone, and
+        # builds its records on demand
+        for back in (pickle.loads(blob), copy.copy(arr), copy.deepcopy(arr)):
+            assert back == arr and repr(back) == repr(arr) and held_records(back) == set()
+            assert extended_core(back) == extended_core(arr)
+            assert "_core_walk" in held_records(back)
+        back = pickle.loads(torus_blob)
+        assert back == td and set(vars(back)) == {f.name for f in dataclasses.fields(td)}
+
+    def test_records_are_freed_with_the_arrangement(self, hirzebruch):
+        # no record refers back to its arrangement, so dropping the last
+        # reference frees it at once, with no cycle for the collector
+        arr = dataclasses.replace(hirzebruch)
+        self.run_every_section(arr)
+        freed = weakref.ref(arr)
+        gc.disable()
+        try:
+            del arr
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 class TestComplementSweep:
@@ -664,10 +755,9 @@ class TestComplementSweep:
                 assert list(nonempty_patterns(arr, alphabets)) == semistable
 
     def test_memory_is_bounded(self, monkeypatch):
-        # the walks cache nothing: the scoped caches hold BOTH-free keys
-        # only, at most 3^d of each, even on the coordinate arrangement,
+        # the walks keep nothing: the arrangement holds its declared records
+        # and no verdict per pattern, even on the coordinate arrangement,
         # where all 4^d patterns are semistable and realizable
-        extended_core(Arrangement(1, ((1,),), (0,)))
         axes = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
         coordinate = Arrangement(6, axes, (0, 1, -1, 2, F(1, 2), -3))
         reads, yielded = [], []
@@ -698,8 +788,8 @@ class TestComplementSweep:
         # an AND with the chamber's vertex mask
         assert reads == [full_pattern((1, -1, 1, -1, 1, -1))]
         assert all(B not in p for p in reads)
-        assert real_contains.cache_info().currsize <= 3**coordinate.d
-        assert stability._faces.cache_info().currsize == 1
+        records = held_records(coordinate)
+        assert "_faces" in records and records <= ARRANGEMENT_RECORDS
         # n = 2, d = 16: the realizable class set of 8 hyperplanes once left
         # 3^8 fills; now the walks yield fewer patterns, with one read in all
         arr = random_smooth_arrangement(random.Random(3), n=2, d=16)
@@ -910,7 +1000,7 @@ class TestChartComplement:
             )
             report = chart_complement(arr, eps, force=True)
             assert report.excluded_patterns == () and walks == []
-            classes = len(quotient._direction_classes(arr))
+            classes = len(arr._classes)
             assert len(chosen) == len(set(chosen)) == 2**classes == 8
             assert () in chosen
             chosen.clear()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import pathlib
 import random
@@ -414,11 +415,6 @@ class TestPrefixTree:
         monkeypatch.setattr(stability, "is_feasible", lambda poly: calls.append(poly) or real(poly))
         return calls
 
-    @staticmethod
-    def fresh_scopes():
-        # a sweep over another arrangement empties the scoped caches
-        extended_core(Arrangement(1, ((1,),), (0,)))
-
     def test_matches_per_pattern_oracle(self, monkeypatch):
         rng = random.Random(4242)
         arrangements = [parse_arrangement(p.read_text()) for p in sorted(FIXTURE_DIR.glob("*.json"))]
@@ -481,7 +477,9 @@ class TestPrefixTree:
         # every letter the walk tries is looked up in the mask table: the
         # chamber walk tries Z and W only, so it never forms a ZERO prefix
         rng = random.Random(31)
-        arrangements = [hirzebruch, triangle_pair]
+        # fresh copies: the session fixtures keep the records earlier tests
+        # built, and a walk already kept would ask for no letter
+        arrangements = [dataclasses.replace(hirzebruch), dataclasses.replace(triangle_pair)]
         arrangements += [random_smooth_arrangement(rng, n=n, d=d) for n in (2, 3) for d in (4, 6, 8)]
 
         class Recording(dict):
@@ -496,7 +494,6 @@ class TestPrefixTree:
             return tuple(Recording(letters) for letters in tables), everything
 
         for arr in arrangements:
-            self.fresh_scopes()
             asked = []
             monkeypatch.setattr(stability, "_letter_masks", recording_masks)
             calls = self.count_lps(monkeypatch)
@@ -507,21 +504,20 @@ class TestPrefixTree:
 
     def test_covering_lp_budget(self, monkeypatch):
         arr = random_smooth_arrangement(random.Random(10), n=2, d=10, require_core=True)
-        self.fresh_scopes()
         calls = self.count_lps(monkeypatch)
         assert verify_covering(arr).covered
         assert calls == []
 
     def test_sweeps_solve_no_lp_on_smooth_input(self, monkeypatch):
-        # from fresh scopes, the tree of a smooth (hence simple) arrangement
-        # is read off its vertices: the sweeps solve no LP at all
+        # on arrangements parsed or drawn here, so with no record built yet,
+        # the tree of a smooth (hence simple) arrangement is read off its
+        # vertices: the sweeps solve no LP at all
         rng = random.Random(1975)
         arrangements = [parse_arrangement(p.read_text()) for p in sorted(FIXTURE_DIR.glob("*.json"))]
         assert len(arrangements) == 5
         arrangements += [random_smooth_arrangement(rng, max_d=7) for _ in range(20)]
         swept = 0
         for arr in arrangements:
-            self.fresh_scopes()
             calls = self.count_lps(monkeypatch)
             components = extended_core(arr)
             if any(c.classification == quotient.BOUNDED for c in components):
