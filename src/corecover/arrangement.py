@@ -36,8 +36,9 @@ from .linalg import (
 
 
 def _fields_only(obj) -> dict:
-    """The fields, which pickling and copying carry, without the records."""
-    return {f.name: vars(obj)[f.name] for f in fields(obj)}
+    """The fields without the records, in ``__dict__`` order as pickles had them."""
+    names = {f.name for f in fields(obj)}
+    return {k: v for k, v in vars(obj).items() if k in names}
 
 
 def _record(module: str, builder: str, *args) -> cached_property:
@@ -112,7 +113,6 @@ class Arrangement:
 
     # the records; each builder is looked up when it is called
     _classes = cached_property(lambda self: _direction_classes(self))
-    _regular = cached_property(lambda self: _matroid(self).regular)
     _simple = cached_property(lambda self: _decide_simple(self))
     _torus = cached_property(lambda self: _build_torus_data(self))
     _state_rows = _record("stability", "_state_rows")
@@ -554,7 +554,7 @@ def is_regular(arr: Arrangement) -> bool:
     has at most n(n+1)/2 classes (Heller, 1957), so for smooth input the
     cost follows n, not d.
     """
-    return arr._regular
+    return _matroid(arr).regular
 
 
 def is_simple(arr: Arrangement) -> bool:

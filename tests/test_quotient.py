@@ -102,6 +102,11 @@ FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 # tested each leaf against every vertex group in turn.
 COVER_PICKLE_DIGEST = "ef77c1330452c08d1969b380872814ba9a1ea851f65bfdfcbe1f8f4b8f277dad"
 
+# SHA-256 of the pickled (protocol 4) hirzebruch arrangement and of its torus
+# data, recorded before arrangements kept records.
+HIRZEBRUCH_PICKLE_DIGEST = "75a3df30a5e2cb06af1e4110332b3811b1e21e670f711e9fc1fb0b81ac691e1b"
+HIRZEBRUCH_TORUS_PICKLE_DIGEST = "82e50bdc4398f9c18bd66ff231db270095723914e56ba7ed6928d2de3cda2b36"
+
 
 def _classification_population(rng, count):
     """Arrangements with primitive normals in [-2, 2]^n, n = 1-4, d <= 7,
@@ -707,6 +712,8 @@ class TestRecords:
         assert held_records(arr) == ARRANGEMENT_RECORDS
         assert {"_numeric_chambers", "_sign_rows", "_strict_sign_rows"} <= set(vars(td))
         assert pickle.dumps(arr) == blob and pickle.dumps(td) == torus_blob
+        assert hashlib.sha256(pickle.dumps(arr, protocol=4)).hexdigest() == HIRZEBRUCH_PICKLE_DIGEST
+        assert hashlib.sha256(pickle.dumps(td, protocol=4)).hexdigest() == HIRZEBRUCH_TORUS_PICKLE_DIGEST
         # a copy or an unpickled arrangement holds the fields alone, and
         # builds its records on demand
         for back in (pickle.loads(blob), copy.copy(arr), copy.deepcopy(arr)):
