@@ -3,8 +3,9 @@
 
 Samples smooth arrangements from a seed and runs the full battery on each:
 the kernel lattice (the ``lattice`` column: ``torus_data``'s basis, read off
-a unimodular pivot block of the normals, against the two-HNF oracle), oracle
-equivalence on every BOTH-free pattern, the mask verdicts (the
+the class record's coordinates in the draw's greedy class basis, against
+the two-HNF oracle), oracle equivalence on every BOTH-free pattern, the
+mask verdicts (the
 ``verdicts`` column: ``_cone_contains``, which ANDs the vertex masks of the
 letters with no LP, against one state-set LP per pattern, on every BOTH-free
 pattern and every realizable BOTH pattern), chart equivalence (the state set of
@@ -67,7 +68,6 @@ from corecover.stability import (
     Status,
     _cone_contains,
     _numeric_chambers,
-    chart_pattern,
     full_pattern,
 )
 
@@ -75,6 +75,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests")
 from util import (  # noqa: E402
     adjacency_lemma_check,
     affine_dimension,
+    chart_pattern,
     enumerate_vertices,
     is_bounded,
     kernel_by_two_hnf,

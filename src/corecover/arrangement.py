@@ -41,10 +41,10 @@ def _fields_only(obj) -> dict:
     return {k: v for k, v in vars(obj).items() if k in names}
 
 
-def _record(module: str, builder: str, *args) -> cached_property:
-    """A record that ``builder(self, *args)`` of a module above this one builds on first read."""
+def _record(module: str, builder: str) -> cached_property:
+    """A record that ``builder(self)`` of a module above this one builds on first read."""
     return cached_property(
-        lambda self: getattr(import_module(f"{__package__}.{module}"), builder)(self, *args)
+        lambda self: getattr(import_module(f"{__package__}.{module}"), builder)(self)
     )
 
 
@@ -179,8 +179,7 @@ class TorusData:
 
     # records of :mod:`corecover.stability`, read off the torus data alone
     _numeric_chambers = _record("stability", "_numeric_chambers")
-    _sign_rows = _record("stability", "_sign_rows", False)
-    _strict_sign_rows = _record("stability", "_sign_rows", True)
+    _sign_rows = _record("stability", "_sign_rows")
 
 
 def _level(basis, lifts) -> tuple:
@@ -198,43 +197,67 @@ def torus_data(arr: Arrangement) -> TorusData:
 def _build_torus_data(arr: Arrangement) -> TorusData:
     """Kernel lattice and moment level of an arrangement.
 
-    Deterministic: the kernel basis follows the pinned Hermite normal form
-    convention of :mod:`corecover.linalg`, and equals ``kernel_lattice`` of
-    the transposed normals ``mat``. Input that is not regular takes that
-    call. On regular input the basis is read off the arrangement's
-    ``_ClassMatroid`` with no elimination. ``mat`` has full row rank, and
-    every independent n-subset of its columns has determinant +-1, so by
-    the ``kernel_lattice`` docstring the basis has one row per position p
-    outside N, the lexicographically last independent columns, in
-    increasing order: ``e_p - mat_N^{-1} mat_p``, placed on the N columns.
+    Deterministic: the kernel basis is ``kernel_lattice`` of the transposed
+    normals ``mat``, the pinned Hermite normal form of the kernel, and is
+    read off the arrangement's ``_ClassMatroid`` with no elimination
+    whenever the lexicographically last independent columns N of ``mat``
+    have determinant +-1, regular input or not. Write P for the other
+    columns and L for the kernel lattice. The columns of a kernel basis are
+    dependent exactly as in the dual matroid of the columns of ``mat``,
+    whose bases are the complements of the bases of ``mat``'s columns; the
+    pivot columns of an echelon form are the greedy, lexicographically
+    first, basis of that matroid, and the greedy basis of the dual is the
+    complement of the greedy basis from the other end, so the HNF's pivot
+    columns are P. The projection of L to Z^P is one to one (a kernel
+    vector that is 0 on P is 0, as N is independent and ``mat`` has full
+    row rank, the normals spanning), and if ``|det mat_N| = 1`` it is onto:
+    ``mat_N`` has an integral inverse, so for each ``p`` in P the vector
+    ``e_p - mat_N^{-1} mat_p``, placed on the N columns, is integral and in
+    L. So the pivots of the HNF are all 1, the entries above them are
+    reduced to 0, and the row of ``p`` is that vector, the only one in L
+    that is ``e_p`` on P: one row per position outside N, in increasing
+    order.
 
     Write hyperplane i as ``u_i = s_i r_{k_i}`` (``_orientations``). N is
     the greedy basis taken from the end: position i joins it iff ``u_i``
     lies outside the span of the normals already taken. A class whose last
     occurrence is skipped is in that span, and so are its earlier members;
     so N is the last occurrence of each class of one class basis B, the
-    greedy basis of the classes ordered by descending last occurrence.
-    That is the Gale-maximal basis for this order: of the record's
-    independent class n-subsets (``unit_bases``), the one whose last
-    occurrences, sorted in descending order, compare largest. Let ``y_k``
-    hold the coordinates of ``r_k`` in B, ``r_k = sum_b y_k[b] r_b``,
-    integral since B has determinant +-1. Then ``u_p = s_p sum_b
+    greedy basis of the classes ordered by descending last occurrence, and
+    ``|det mat_N| = |det B|``. If the first n classes of that order are
+    independent, B is those n, found by one lookup in the record's per-basis
+    memo (``coordinates``); only otherwise does one ``_extend_echelon`` walk
+    over the order find it. If ``|det B| != 1``, which a regular
+    arrangement never has, ``kernel_lattice`` runs its HNF pass. Otherwise
+    let ``y_k`` hold the coordinates of ``r_k`` in B, ``r_k = sum_b y_k[b]
+    r_b``, integral since B has determinant +-1. Then ``u_p = s_p sum_b
     y_{k_p}[b] r_b = sum_j s_p s_j y_{k_p}[b_j] u_j`` over the positions j
     in N, with ``b_j`` the class of j, so ``(mat_N^{-1} mat_p)_j = s_p s_j
     y_{k_p}[b_j]``. The coordinates depend on the classes alone and the
-    record keeps them per B (``coordinates``); an arrangement reads only
-    its signs and positions, so each row is one copy of the row shared by
-    its class and sign with a 1 set at p.
+    record keeps them per B; an arrangement reads only its signs and
+    positions, so each row is one copy of the row shared by its class and
+    sign with a 1 set at p.
     """
     record = _matroid(arr)
-    bases = record.unit_bases
-    if bases is None:
+    last = [members[-1][0] for _, members in arr._classes]
+    order = sorted(range(len(last)), key=last.__getitem__, reverse=True)
+    chosen = tuple(sorted(order[:arr.n]))
+    den, coords = record.coordinates(chosen)
+    if not den:
+        form, taken = (), []
+        for k in order:
+            grown = _extend_echelon(form, record.reps[k])[0]
+            if grown is not None:
+                form = grown
+                taken.append(k)
+                if len(taken) == arr.n:
+                    break
+        chosen = tuple(sorted(taken))
+        den, coords = record.coordinates(chosen)
+    if den != 1:
         basis = kernel_lattice(transpose(arr.normals, ncols=arr.n), ncols=arr.d)
         return TorusData(basis, arr.lifts)
     planes = _orientations(arr)
-    last = [members[-1][0] for _, members in arr._classes]
-    chosen = max(bases, key=lambda c: sorted([last[k] for k in c], reverse=True))
-    coords = record.coordinates(chosen)
     pivots = [(last[b], planes[last[b]][1]) for b in chosen]
     skip = {j for j, _ in pivots}
     shared = {}
@@ -331,12 +354,13 @@ class _ClassMatroid:
     """The matroid of one tuple of direction-class representatives.
 
     Regularity, the circuits, realizability, the coloops, the masks of the
-    chambers' candidate rays, the vertex systems and the coordinates behind
-    the kernel basis depend on the representatives alone, not on the order
-    of the hyperplanes, the signs of their normals, parallel copies or the
-    lifts. So one record serves every arrangement with the same sorted
-    representatives (see ``_direction_classes``), and each of its parts is
-    computed on first use. Records are kept by ``_class_matroid``; class
+    chambers' candidate rays, the vertex systems and, per class basis, its
+    determinant and the coordinates behind the kernel basis depend on the
+    representatives alone, not on the order of the hyperplanes, the signs
+    of their normals, parallel copies or the lifts. So one record serves
+    every arrangement with the same sorted representatives (see
+    ``_direction_classes``), and each of its parts is computed on first
+    use. Records are kept by ``_class_matroid``; class
     indices below are positions in ``reps``.
     """
 
@@ -346,41 +370,32 @@ class _ClassMatroid:
         self._coordinates = {}
 
     @cached_property
-    def unit_bases(self) -> tuple | None:
-        """The independent n-subsets of classes, in lexicographic order, if
-        every n representatives have determinant 0 or +-1 (see
-        ``is_regular``); None at the first that has not. One integer
-        elimination (``_int_det``) per n-subset, so a regular record keeps
-        its nonzero n-minors, all +-1, for the cost of the verdict."""
-        out = []
-        for chosen in itertools.combinations(range(len(self.reps)), self.n):
-            value = _int_det([self.reps[k] for k in chosen])
-            if abs(value) > 1:
-                return None
-            if value:
-                out.append(chosen)
-        return tuple(out)
-
-    @property
     def regular(self) -> bool:
-        """Every n representatives have determinant 0 or +-1."""
-        return self.unit_bases is not None
+        """Every n representatives have determinant 0 or +-1: one integer
+        elimination (``_int_det``) per n-subset, stopping at the first that
+        has not."""
+        return all(
+            abs(_int_det(chosen)) <= 1 for chosen in itertools.combinations(self.reps, self.n)
+        )
 
     def coordinates(self, basis: tuple) -> tuple:
-        """For a class basis of a regular record (one of ``unit_bases``),
-        the coordinates ``y_k`` of every representative in it, ``r_k =
-        sum(y_k[j] * r_{basis[j]})``: the representatives times the inverse
-        of the basis matrix, which is integral, from one ``_scaled_inverse``
-        and one product per representative. Kept per basis; a regular
-        record has at most C(n(n+1)/2, n) of them."""
-        coords = self._coordinates.get(basis)
-        if coords is None:
-            _, inverse = _scaled_inverse([self.reps[k] for k in basis])
-            columns = tuple(zip(*inverse))
-            coords = self._coordinates[basis] = tuple(
-                tuple([sum(map(mul, r, col)) for col in columns]) for r in self.reps
-            )
-        return coords
+        """``(den, coords)`` for n classes in increasing order: ``den`` is
+        the |det| of their representatives, 0 if they are dependent, and
+        ``coords``, None unless ``den`` is 1, holds the coordinates ``y_k``
+        of every representative in them, ``r_k = sum(y_k[j] *
+        r_{basis[j]})``: the representatives times the inverse of the basis
+        matrix, which is integral, from one ``_scaled_inverse`` and one
+        product per representative. Kept per n-subset asked for, at most
+        C(D, n) of them."""
+        found = self._coordinates.get(basis)
+        if found is None:
+            den, inverse = _scaled_inverse([self.reps[k] for k in basis]) or (0, None)
+            coords = None
+            if den == 1:
+                columns = tuple(zip(*inverse))
+                coords = tuple(tuple([sum(map(mul, r, col)) for col in columns]) for r in self.reps)
+            found = self._coordinates[basis] = (den, coords)
+        return found
 
     def circuits(self):
         """The circuits of the representatives (see ``_circuits``). A record
@@ -479,9 +494,9 @@ class _ClassMatroid:
 
 # Records kept at once. The populations this serves repeat a few class
 # configurations. A record of D classes keeps C(D, n) bases with their
-# inverses, and a regular one also its independent class n-subsets and the
-# coordinates of its representatives in each class basis it was asked for,
-# at most C(n(n+1)/2, n) of them.
+# inverses, and per class n-subset a torus read-off asked for, at most
+# C(D, n) of them, its |det| and, if that is 1, the coordinates of its
+# representatives in it.
 _MATROID_CACHE_SIZE = 32
 
 
@@ -548,11 +563,11 @@ def is_regular(arr: Arrangement) -> bool:
     determinant 0, and flipping a normal's sign does not change |det|, so
     the C(D, n) determinants of the class representatives decide. They are
     integer matrices, so each determinant is one integer elimination
-    (``_int_det``), with no denominators to clear, and the verdict is kept
-    in the arrangement's ``_ClassMatroid`` with the independent n-subsets,
-    from which ``torus_data`` picks its class basis. A regular arrangement
-    has at most n(n+1)/2 classes (Heller, 1957), so for smooth input the
-    cost follows n, not d.
+    (``_int_det``), with no denominators to clear, the sweep stops at the
+    first that is not 0 or +-1, and the verdict is kept in the
+    arrangement's ``_ClassMatroid``. A regular arrangement has at most
+    n(n+1)/2 classes (Heller, 1957), so for smooth input the cost follows
+    n, not d.
     """
     return _matroid(arr).regular
 

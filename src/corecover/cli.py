@@ -286,7 +286,7 @@ def build_parser():
 def _read_argv(argv):
     """``build_parser().parse_args(argv)`` read off ``_COMMANDS`` for the spellings the
     module docstring lists, else None. Required options enter ``values`` only when given."""
-    if not argv or any(type(token) is not str for token in argv) or argv[0] not in _COMMANDS:
+    if not argv or argv[0] not in _COMMANDS:
         return None
     values, dests = {"command": argv[0], "force": False}, {}
     for *flags, keywords in _COMMANDS[argv[0]].arguments:

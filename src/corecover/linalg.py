@@ -4,22 +4,17 @@ Matrices are immutable tuples of row tuples, vectors are plain tuples.
 Integer work (Hermite normal form, saturated kernels, primitive scaling,
 integer determinants, the incremental echelon form that walks subsets of
 vectors and proves that an arrangement's normals span) stays in arbitrary
-precision integers. The one HNF routine, ``_hnf``,
-reduces the transpose and its kernel rows in one pass in
-``kernel_lattice``, unless the matrix has a unimodular pivot block: then
-the kernel's HNF is read off that block with no HNF at all. The normal map
-of a regular arrangement has such a block, but ``torus_data`` does not come
-here for it: it reads the same basis off the arrangement's class-matroid
-record (see :mod:`corecover.arrangement`). The read-off here serves the
-other callers: ``arrangement_from_quotient`` and the torus data of input
-that is not regular. One fraction-free (Bareiss) forward elimination, with one
-fraction-free back substitution, is behind that read-off, the integer
-determinant, the scaled integer inverse and the one square solver,
+precision integers. The one HNF routine, ``_hnf``, reduces the transpose
+and its kernel rows in one pass in ``kernel_lattice``. An arrangement's
+torus data reads the same basis off its class-matroid record where it can
+(see :mod:`corecover.arrangement`). One fraction-free (Bareiss) forward
+elimination, with one fraction-free back substitution, is behind the
+integer determinant, the scaled integer inverse and the one square solver,
 ``solve_integer``; ``rank`` and the rational ``solve_square`` are test
-oracles and live with the tests. Rational rows are first cleared of their denominators,
-which is done only in ``_common_denominator``. There is no floating point
-anywhere in this module: every downstream verdict is an exact feasibility
-question and rounding would corrupt it.
+oracles and live with the tests. Rational rows are first cleared of their
+denominators, which is done only in ``_common_denominator``. There is no
+floating point anywhere in this module: every downstream verdict is an
+exact feasibility question and rounding would corrupt it.
 """
 
 from __future__ import annotations
@@ -119,31 +114,12 @@ def kernel_lattice(mat, ncols: int | None = None) -> tuple:
     lattice vector lies outside the span). The canonical form is the HNF of
     the raw kernel rows, so equal inputs give identical bases.
 
-    If ``mat`` has full row rank and its lexicographically last independent
-    columns N form a block of determinant +-1, the HNF is read off that
-    block (``_unimodular_kernel``). Write P for the other columns and L for
-    the kernel lattice. The columns of a kernel basis are dependent exactly
-    as in the dual matroid of the columns of ``mat``, whose bases are the
-    complements of the bases of ``mat``'s columns; the pivot columns of an
-    echelon form are the greedy, lexicographically first, basis of that
-    matroid, and the greedy basis of the dual is the complement of the
-    greedy basis from the other end, so the HNF's pivot columns are P. The
-    projection of L to Z^P is one to one (a kernel vector that is 0 on P is
-    0, as N is independent), and it is onto: ``mat_N`` has an integral
-    inverse, so for each ``p`` in P the vector ``e_p - mat_N^{-1} mat_p``,
-    placed on the N columns, is integral and in L. So the pivots of the HNF
-    are all 1, the entries above them are reduced to 0, and row ``p`` of the
-    HNF is that vector, the only one in L that is ``e_p`` on P. A regular
-    arrangement's normal map has such a block, and ``torus_data`` reads the
-    same rows off the class-matroid record instead of calling here; this
-    read-off serves the other callers.
-
-    Otherwise (dependent rows, or no such block) one pass: the HNF of
-    ``[mat^T | I]`` over all its columns. Once the columns of ``mat^T`` are
-    reduced, the rows that are zero there carry the raw kernel rows in their
-    tails, and the top rows hold every pivot of those columns, so the
-    remaining columns bring the kernel rows to their own HNF while the top
-    rows are only reduced. No transform of the kernel rows is built.
+    One pass: the HNF of ``[mat^T | I]`` over all its columns. Once the
+    columns of ``mat^T`` are reduced, the rows that are zero there carry the
+    raw kernel rows in their tails, and the top rows hold every pivot of
+    those columns, so the remaining columns bring the kernel rows to their
+    own HNF while the top rows are only reduced. No transform of the kernel
+    rows is built.
     """
     if mat:
         width = len(mat[0])
@@ -151,46 +127,10 @@ def kernel_lattice(mat, ncols: int | None = None) -> tuple:
         if ncols is None:
             raise ValueError("kernel of an empty matrix needs ncols")
         width = ncols
-    basis = _unimodular_kernel(mat, width)
-    if basis is not None:
-        return basis
     k = len(mat)
     rows = [[r[j] for r in mat] + [int(i == j) for i in range(width)] for j in range(width)]
     _hnf(rows, k + width)
     return as_matrix(row[k:] for row in rows if not any(row[:k]))
-
-
-def _unimodular_kernel(mat, width: int) -> tuple | None:
-    """The HNF of the kernel of ``mat`` read off a unimodular pivot block
-    (see ``kernel_lattice``), or None if ``mat`` has dependent rows or its
-    lexicographically last independent columns have ``|det| != 1``.
-
-    One ``_bareiss`` pass over the columns in reverse order finds N and the
-    determinant. Every other column q rides along in the same rows as a
-    right-hand side: row k of the echelon form holds its entry for q where
-    q lies right of the row's pivot and is 0 elsewhere, and since q depends
-    on the pivot columns before it, only those rows take part in solving
-    ``mat_N x = mat_q``, by ``_back_substitute`` on the pivot prefix
-    ``used``, over the columns before q, with ``last = 1``. The solution is
-    integral, so each division of the back substitution is exact.
-    """
-    rows = [list(reversed(r)) for r in mat]
-    pivots, _, last = _bareiss(rows, width)
-    if len(pivots) < len(mat) or abs(last) != 1:
-        return None
-    pivot_set = set(pivots)
-    basis = []
-    for q in reversed(range(width)):
-        if q in pivot_set:
-            continue
-        used = [c for c in pivots if c < q]
-        xs = _back_substitute(rows, used, 1, q, q)
-        row_out = [0] * width
-        row_out[width - 1 - q] = 1
-        for col in used:
-            row_out[width - 1 - col] = -xs[col]
-        basis.append(tuple(row_out))
-    return tuple(basis)
 
 
 def _extend_echelon(rows, vec) -> tuple:
@@ -316,9 +256,8 @@ def _back_substitute(rows, pivots, last, width: int, column: int) -> list:
     reads ``sum(row[j] * x[j] for j in pivots[k:]) == row[column]``. With
     ``last`` the last pivot of the form or its negative, ``X`` is integer
     by Cramer's rule on the pivot block, whose determinant is ``+-last``,
-    so each division is exact. A caller whose solution is integral, such as
-    ``_unimodular_kernel``, passes ``last = 1`` and gets ``x`` itself, again
-    by exact divisions. This is the one back substitution of the module."""
+    so each division is exact. This is the one back substitution of the
+    module."""
     xs = [0] * width
     for k in reversed(range(len(pivots))):
         row, col = rows[k], pivots[k]

@@ -100,18 +100,17 @@ class StabilityVerdict:
     system: Polyhedron
 
 
-def _sign_rows(td: TorusData, strict: bool) -> tuple:
+def _sign_rows(td: TorusData) -> tuple:
     """The rows of every sign system of one torus: the m equality rows, then
     per coordinate a mapping from status to its sign row."""
     equalities = tuple(
         Constraint(td.basis[k], Relation.EQ, -td.alpha[k]) for k in range(td.m)
     )
-    ineq = Relation.GT if strict else Relation.GE
     zero = Fraction(0)
     signs = tuple(
         {
-            Status.Z: Constraint(unit_vector(td.d, i), ineq, zero),
-            Status.W: Constraint(unit_vector(td.d, i, -1), ineq, zero),
+            Status.Z: Constraint(unit_vector(td.d, i), Relation.GE, zero),
+            Status.W: Constraint(unit_vector(td.d, i, -1), Relation.GE, zero),
             Status.ZERO: Constraint(unit_vector(td.d, i), Relation.EQ, zero),
         }
         for i in range(td.d)
@@ -119,14 +118,13 @@ def _sign_rows(td: TorusData, strict: bool) -> tuple:
     return equalities, signs
 
 
-def _sign_system(td: TorusData, pattern, strict: bool = False) -> Polyhedron:
+def _sign_system(td: TorusData, pattern) -> Polyhedron:
     """Solvability system over R^d: ``A x = alpha`` plus per-coordinate signs.
 
     Status Z forces ``x_i >= 0`` (w_i vanishes), W forces ``x_i <= 0``,
-    ZERO forces ``x_i = 0`` and BOTH leaves ``x_i`` free. With ``strict``
-    the inequalities become strict (closed-orbit variant).
+    ZERO forces ``x_i = 0`` and BOTH leaves ``x_i`` free.
     """
-    equalities, signs = td._strict_sign_rows if strict else td._sign_rows
+    equalities, signs = td._sign_rows
     cons = equalities + tuple(
         rows[status] for rows, status in zip(signs, pattern) if status is not Status.BOTH
     )
@@ -251,13 +249,18 @@ def _numeric_chambers(td: TorusData) -> frozenset:
 
 
 def hk_closed_orbit(td: TorusData, pattern) -> bool:
-    """Strict variant of the signed solvability test.
+    """Strict variant of the signed solvability test: the system of
+    ``_sign_system`` with every inequality made strict.
 
     No worked example pins this down beyond the implication
     closed-orbit => semistable, which the tests check.
     """
     pattern = check_pattern(pattern, td.d)
-    return is_feasible(_sign_system(td, pattern, strict=True)).feasible
+    cons = tuple(
+        Constraint(c.coeffs, Relation.GT, c.constant) if c.relation is Relation.GE else c
+        for c in _sign_system(td, pattern).constraints
+    )
+    return is_feasible(Polyhedron(td.d, cons)).feasible
 
 
 def _state_rows(arr: Arrangement) -> tuple:
@@ -412,35 +415,20 @@ def _pattern_masks(arr: Arrangement, alphabets=None, within=None):
 @lru_cache(maxsize=0)
 def _cone_contains(arr: Arrangement, pattern) -> bool:
     """Is the state set of a pattern nonempty? The verdict behind chambers
-    (dense patterns) and charts (chart patterns): its vertex mask is
-    nonzero (see ``_letter_masks``), with no LP."""
+    (dense patterns): its vertex mask is nonzero (see ``_letter_masks``),
+    with no LP."""
     return _pattern_mask(arr, pattern) != 0
-
-
-# The chart letter of each (orientation, letter): Z where the orientation
-# is +1 and z is live, W where it is -1 and w is live, ZERO elsewhere.
-_CHART_LETTER = {(e, status): Status.ZERO for e in (1, -1) for status in FULL_ALPHABET} | {
-    (1, Status.Z): Status.Z,
-    (1, Status.BOTH): Status.Z,
-    (-1, Status.W): Status.W,
-    (-1, Status.BOTH): Status.W,
-}
-
-
-def chart_pattern(eps, pattern) -> tuple:
-    """The toric pattern a chart tests: Z where the orientation is +1 and z
-    is live, W where it is -1 and w is live, ZERO elsewhere."""
-    return tuple(map(_CHART_LETTER.__getitem__, zip(eps, pattern)))
 
 
 def chart_semistable(arr: Arrangement, eps, pattern) -> bool:
     """Membership of a pattern in the chart of the reoriented arrangement:
     the toric state set of ``reorient(arr, eps)`` on the active coordinates
     (equivalently: alpha lies in the cone of the active signed characters)
-    must be nonempty."""
+    must be nonempty. That holds iff the pattern's vertex mask meets its
+    chamber's (see ``quotient._chamber_mask``)."""
     eps = check_sign_vector(eps, arr.d)
     pattern = check_pattern(pattern, arr.d)
-    return _cone_contains(arr, chart_pattern(eps, pattern))
+    return _pattern_mask(arr, pattern) & _pattern_mask(arr, full_pattern(eps)) != 0
 
 
 def pattern_realizable(arr: Arrangement, pattern) -> bool:

@@ -39,6 +39,7 @@ from util import (
     enumerate_vertices,
     is_primitive,
     kernel_by_two_hnf,
+    lex_last_basis,
     mask_ray_signs,
     mat_vec,
     per_arrangement_circuits,
@@ -811,12 +812,13 @@ class TestClassMatroid:
     def test_torus_data_read_off_shared_record(self):
         # shuffled, re-signed and duplicated copies share one record, and
         # the order of the hyperplanes decides which class basis the kernel
-        # is read off, so one record serves several bases
+        # is read off, so one record serves several bases: it keeps the
+        # coordinates of exactly the greedy class bases its copies took
         rng = random.Random(29)
         population = [random_smooth_arrangement(rng, n=n, d=d) for n in (2, 3) for d in (4, 6, 8)]
         population += [random_smooth_arrangement(rng, n=rng.choice((2, 3))) for _ in range(40)]
         population += [three_class_arrangement(rng, k) for k in (2, 5)]
-        several = shared = 0
+        several = 0
         for base in population:
             variants = [base]
             for _ in range(6):
@@ -830,15 +832,20 @@ class TestClassMatroid:
                     base.n, tuple(u for u, _ in planes), tuple(lift for _, lift in planes)
                 ))
             arrangement._class_matroid.cache_clear()
+            record = arrangement._matroid(base)
+            greedy = set()
             for arr in variants:
-                assert arrangement._matroid(arr) is arrangement._matroid(base)
+                assert arrangement._matroid(arr) is record
                 expected = kernel_by_two_hnf(transpose(arr.normals, ncols=arr.n), arr.d)
                 assert arrangement._build_torus_data(arr).basis == expected
-            record = arrangement._matroid(base)
-            if len(record.unit_bases) > 1:
-                several += 1
-                shared += len(record._coordinates) > 1
-        assert several > 15 and shared > several / 2, (several, shared)
+                directions = [max(u, tuple(-x for x in u)) for u in arr.normals]
+                greedy.add(tuple(sorted(
+                    record.reps.index(directions[j]) for j in lex_last_basis(arr.normals, arr.n)
+                )))
+            kept = {chosen for chosen, (den, _) in record._coordinates.items() if den}
+            assert kept == greedy
+            several += len(greedy) > 1
+        assert several > 15, several
 
     def test_warm_torus_data_runs_no_elimination(self, monkeypatch):
         # once the record has read off a kernel for a class basis, another

@@ -736,7 +736,7 @@ class TestArgvReader:
             ["cover", "a.json", "--force=1"], ["check", "a.json", "--seed", "7"],
             ["stability", "a.json"], ["check", "a.json", "b.json"], ["check"],
             ["report", "a.json", "--chart", "-+"], ["report", "a.json", "--chart"],
-            ["check", pathlib.Path("a.json")], [b"check", "a.json"],
+            [b"check", "a.json"],
         ],
     )
     def test_declines(self, argv):

@@ -1,4 +1,6 @@
+import collections
 import hashlib
+import itertools
 import math
 import pathlib
 import random
@@ -10,6 +12,7 @@ from hypothesis import given, strategies as st
 
 import corecover.linalg as linalg
 from corecover import Arrangement, is_regular, parse_arrangement, torus_data
+import corecover.arrangement as arrangement
 from corecover.arrangement import _build_torus_data
 from corecover.feasibility import Constraint, Relation
 from corecover.linalg import (
@@ -26,6 +29,7 @@ from util import (
     is_hnf_shape,
     is_primitive,
     kernel_by_two_hnf,
+    lex_last_basis,
     lin_solve,
     mat_mul,
     mat_vec,
@@ -271,20 +275,15 @@ class TestKernelLattice:
 
 
 class TestKernelReadOff:
-    def test_agrees_with_two_hnf(self, monkeypatch):
-        # both paths of kernel_lattice against the two-HNF oracle: the
-        # read-off on unimodular pivot blocks, the one HNF pass elsewhere
-        paths = {True: 0, False: 0}
+    def test_agrees_with_two_hnf(self):
+        # kernel_lattice's one HNF pass against the two-HNF oracle, on
+        # normal maps, unimodular pivot blocks and general matrices
         mats = [transpose(arr.normals, ncols=arr.n) for arr in regular_arrangements(271, 200)]
         mats += list(pivot_block_matrices(314, 1000)) + list(integer_matrices(159, 500))
         for mat in mats:
-            readoff = _hnf_calls(monkeypatch, kernel_lattice, mat) == 0
-            paths[readoff] += 1
             assert kernel_lattice(mat) == kernel_by_two_hnf(mat, len(mat[0]))
-        assert paths[True] > 1000 and paths[False] > 600
 
-    def test_empty_matrix_reads_off_identity(self, monkeypatch):
-        assert _hnf_calls(monkeypatch, kernel_lattice, (), 3) == 0
+    def test_empty_matrix_reads_off_identity(self):
         assert kernel_lattice((), ncols=3) == kernel_by_two_hnf((), 3)
 
     def test_regular_torus_data_runs_no_hnf(self, monkeypatch):
@@ -321,6 +320,53 @@ class TestKernelReadOff:
             tuple(int(j == p) for j in range(d - 2)) + (-u[0], -u[1])
             for p, u in enumerate(normals)
         )
+
+    def test_non_regular_population(self, monkeypatch):
+        # n = 3 arrangements that are not regular: the torus data is read
+        # off the class record, with no HNF, exactly when the lex-last
+        # independent normals have |det| 1. About two draws in three end in
+        # three coplanar directions a, b and a + b, so the first n classes
+        # of the descending last-occurrence order are dependent and the
+        # greedy walk runs; in half of those a and b are unit vectors, so
+        # the basis it finds is often unimodular.
+        rng = random.Random(2011)
+        pool = [u for u in itertools.product(range(-2, 3), repeat=3) if math.gcd(*u) == 1]
+        units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        counts = collections.Counter()
+        while counts["drawn"] < 400:
+            normals = [rng.choice(pool) for _ in range(rng.randint(2, 6))]
+            kind = rng.randrange(3)
+            a, b = rng.sample(pool if kind else units, 2)
+            if kind < 2 and rank([a, b]) == 2:
+                for u in (a, b, primitive_scale([x + y for x, y in zip(a, b)])[0]):
+                    sign = rng.choice((1, -1))
+                    normals.append(tuple(sign * x for x in u))
+            if rank(normals) < 3:
+                continue
+            arr = Arrangement(3, tuple(normals), tuple(rng.randint(-5, 5) for _ in normals))
+            if is_regular(arr):
+                continue
+            counts["drawn"] += 1
+            echelons = 0
+            inner = arrangement._extend_echelon
+
+            def counting(*args):
+                nonlocal echelons
+                echelons += 1
+                return inner(*args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(arrangement, "_extend_echelon", counting)
+                hnf = _hnf_calls(monkeypatch, _build_torus_data, arr)
+            assert _build_torus_data(arr).basis == kernel_by_two_hnf(
+                transpose(arr.normals, ncols=3), arr.d
+            )
+            last = lex_last_basis(arr.normals, 3)
+            unit = abs(det([arr.normals[j] for j in last])) == 1
+            assert (hnf == 0) == unit
+            counts["read off" if unit else "hnf"] += 1
+            counts["fallback"] += echelons > 0
+        assert counts["read off"] >= 50 and counts["hnf"] >= 50 and counts["fallback"] >= 50, counts
 
     def test_non_regular_arrangement_falls_back(self, monkeypatch):
         # the last two normals have determinant 2

@@ -615,6 +615,12 @@ class TestNumericOracle:
             eps = theta_cpt(arr)[0]
             assert chart_complement(arr, eps) == numeric_complement(arr, eps)
 
+    def test_chart_pattern(self):
+        # the toric pattern that the numeric chart oracles decide
+        Z, W, O, B = Status.Z, Status.W, Status.ZERO, Status.BOTH
+        assert util.chart_pattern((1, -1, 1, -1), (B, B, W, Z)) == (Z, W, O, O)
+        assert util.chart_pattern((1, -1), (O, O)) == (O, O)
+
 
 class TestSharedVerdicts:
     """Chambers, sweeps and charts read the arrangement's one face record, so
@@ -710,7 +716,7 @@ class TestRecords:
         torus_blob = pickle.dumps(td)
         self.run_every_section(arr)
         assert held_records(arr) == ARRANGEMENT_RECORDS
-        assert {"_numeric_chambers", "_sign_rows", "_strict_sign_rows"} <= set(vars(td))
+        assert {"_numeric_chambers", "_sign_rows"} <= set(vars(td))
         assert pickle.dumps(arr) == blob and pickle.dumps(td) == torus_blob
         assert hashlib.sha256(pickle.dumps(arr, protocol=4)).hexdigest() == HIRZEBRUCH_PICKLE_DIGEST
         assert hashlib.sha256(pickle.dumps(td, protocol=4)).hexdigest() == HIRZEBRUCH_TORUS_PICKLE_DIGEST

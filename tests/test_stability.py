@@ -40,9 +40,10 @@ import corecover.arrangement as arrangement
 import corecover.quotient as quotient
 import corecover.stability as stability
 from corecover.randgen import random_pattern, random_sign_vector, random_smooth_arrangement
-from corecover.stability import FULL_ALPHABET, NO_BOTH_ALPHABET, Status, chart_pattern
+from corecover.stability import FULL_ALPHABET, NO_BOTH_ALPHABET, Status
 from util import (
     affine_dimension,
+    chart_pattern,
     enumerate_vertices,
     nonempty_patterns,
     numeric_density,
@@ -228,10 +229,6 @@ class TestChart:
                     if key not in numeric:
                         numeric[key] = hk_semistable_numeric(td, key).semistable
                     assert chart_semistable(arr, eps, pattern) == numeric[key]
-
-    def test_chart_pattern(self):
-        assert chart_pattern((1, -1, 1, -1), (B, B, W, Z)) == (Z, W, O, O)
-        assert chart_pattern((1, -1), (O, O)) == (O, O)
 
 
 class TestRealizability:

@@ -2,7 +2,7 @@
 
 These deliberately re-derive properties by different routes than the library
 (row reduction instead of the pinned HNF, two HNFs instead of the one pass
-or the unimodular read-off for the kernel lattice, elimination over
+or the class record's read-off for the kernel lattice, elimination over
 Fractions instead of the fraction-free one for rank, determinant and the
 solvers, subset scans
 over the hyperplanes instead of the direction classes for regularity,
@@ -24,10 +24,13 @@ Also the lattice and solver routines that only the tests use, built on the
 library's own eliminations: the Hermite normal form with its transform,
 the rational determinant, the rank, primitivity and a particular solution
 of a general system (``hermite_normal_form``, ``det``, ``rank``,
-``is_primitive``, ``lin_solve``); the leaves of the library's pattern walk
-without their masks (``nonempty_patterns``); the
-per-arrangement answers that the shared class-matroid records replace,
-computed afresh for each arrangement (``per_arrangement_regular``,
+``is_primitive``, ``lin_solve``); the lexicographically last independent
+normals, by rank position by position (``lex_last_basis``); the leaves of
+the library's pattern walk without their masks (``nonempty_patterns``);
+the toric pattern a chart tests (``chart_pattern``), which production
+replaces by an AND of vertex masks and the numeric chart oracles decide;
+the per-arrangement answers that the shared class-matroid records
+replace, computed afresh for each arrangement (``per_arrangement_regular``,
 ``per_arrangement_circuits``, ``per_arrangement_simple``,
 ``per_arrangement_ray_signs`` and ``per_arrangement_vertices``; the
 realizable class subsets, ``per_arrangement_realizable``, by the rank test
@@ -98,9 +101,25 @@ from corecover.stability import (
     _letter_masks,
     _pattern_mask,
     _pattern_masks,
-    chart_pattern,
     chart_semistable,
 )
+
+
+# The chart letter of each (orientation, letter): Z where the orientation
+# is +1 and z is live, W where it is -1 and w is live, ZERO elsewhere.
+_CHART_LETTER = {(e, status): Status.ZERO for e in (1, -1) for status in FULL_ALPHABET} | {
+    (1, Status.Z): Status.Z,
+    (1, Status.BOTH): Status.Z,
+    (-1, Status.W): Status.W,
+    (-1, Status.BOTH): Status.W,
+}
+
+
+def chart_pattern(eps, pattern) -> tuple:
+    """The toric pattern a chart tests, the definition the chart oracles
+    decide: Z where the orientation is +1 and z is live, W where it is -1
+    and w is live, ZERO elsewhere."""
+    return tuple(map(_CHART_LETTER.__getitem__, zip(eps, pattern)))
 
 
 def ge(coeffs, constant=0) -> Constraint:
@@ -320,13 +339,24 @@ def is_hnf_shape(matrix) -> bool:
 
 def kernel_by_two_hnf(mat, ncols) -> tuple:
     """The canonical kernel basis by two HNFs, not by ``kernel_lattice``'s
-    one pass or its read-off from a unimodular pivot block: the HNF of the
-    transpose with its transform ``U``, whose rows under the zero rows of
-    the HNF span the saturated kernel, then the HNF of those rows."""
+    one pass or the class record's read-off: the HNF of the transpose with
+    its transform ``U``, whose rows under the zero rows of the HNF span the
+    saturated kernel, then the HNF of those rows."""
     t = transpose(mat, ncols)
     h, u = hermite_normal_form(t, ncols=len(mat))
     raw = [urow for hrow, urow in zip(h, u) if not any(hrow)]
     return hermite_normal_form(raw)[0] if raw else ()
+
+
+def lex_last_basis(normals, n) -> tuple:
+    """The positions of the lexicographically last independent normals,
+    increasing: taken from the end, each normal that raises the rank over
+    Fractions, one position at a time, not by direction classes."""
+    taken = []
+    for i in reversed(range(len(normals))):
+        if len(taken) < n and rank_by_elimination([normals[j] for j in taken + [i]]) > len(taken):
+            taken.append(i)
+    return tuple(sorted(taken))
 
 
 def row_reduce_lattice_membership(basis, vector) -> bool:
