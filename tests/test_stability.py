@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import pathlib
 import random
@@ -55,6 +56,9 @@ from util import (
 F = Fraction
 Z, W, O, B = Status.Z, Status.W, Status.ZERO, Status.BOTH
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+# repr of every state set and sign system of the fixtures (all four
+# letters) and of 40 seeded smooth draws (BOTH-free), in that order
+LETTER_ROWS_DIGEST = "cb63cc078fdf023411615fffbe0beb55b7d36961be3d3bc4cbdde81ba694beda"
 
 
 def arrangement_with_parallel_normals(rng):
@@ -398,6 +402,53 @@ class TestRandomEquivalence:
                     hk_semistable_numeric(td, pattern).semistable
                     == hk_semistable_geometric(arr, pattern).semistable
                 )
+
+
+class TestLetterRows:
+    """Both systems' rows, pinned byte for byte, and tied to the letter masks."""
+
+    @staticmethod
+    def fixtures():
+        return [parse_arrangement(p.read_text()) for p in sorted(FIXTURE_DIR.glob("*.json"))]
+
+    def test_rows_digest(self):
+        rng = random.Random(4007)
+        cases = [(arr, FULL_ALPHABET) for arr in self.fixtures()]
+        cases += [(random_smooth_arrangement(rng, max_d=6), NO_BOTH_ALPHABET) for _ in range(40)]
+        digest = hashlib.sha256()
+        for arr, alphabet in cases:
+            td = torus_data(arr)
+            for pattern in itertools.product(alphabet, repeat=arr.d):
+                digest.update(repr(state_set(arr, pattern)).encode())
+                digest.update(repr(stability._sign_system(td, pattern)).encode())
+        assert digest.hexdigest() == LETTER_ROWS_DIGEST
+
+    def test_rows_hold_where_masks_say(self):
+        # each state row holds at a vertex iff the vertex's bit is set in
+        # its letter's mask of the face record
+        rng = random.Random(4009)
+        arrangements = self.fixtures()
+        arrangements += [random_smooth_arrangement(rng, max_d=6) for _ in range(40)]
+        arrangements += [arrangement_with_parallel_normals(rng) for _ in range(20)]
+        checked = 0
+        for arr in arrangements:
+            tables, _ = arr._faces.masks
+            for j, (point, _) in enumerate(arr._faces.vertices):
+                for i, letters in enumerate(tables):
+                    for status in NO_BOTH_ALPHABET:
+                        held = arr._state_rows[i][status].holds(point)
+                        assert held == bool(letters[status] >> j & 1)
+                        checked += 1
+        assert checked > 1000
+
+    def test_reorientation_swaps_z_and_w(self):
+        swap = {Z: W, W: Z}
+        for pattern in itertools.product(FULL_ALPHABET, repeat=3):
+            for eps in all_sign_vectors(3):
+                expected = tuple(
+                    swap.get(status, status) if e == -1 else status for status, e in zip(pattern, eps)
+                )
+                assert reorient_pattern(pattern, eps) == expected
 
 
 class TestPrefixTree:
