@@ -120,13 +120,18 @@ class Arrangement:
     _core_walk = _record("quotient", "_core_walk")
 
 
+def _check_word(word, d: int, letters: tuple, name: str, rule: str) -> tuple:
+    """``word`` as a tuple of ``d`` entries, each one of ``letters``."""
+    word = tuple(word)
+    if len(word) != d:
+        raise ValueError(f"{name} has length {len(word)}, expected {d}")
+    if any(x not in letters for x in word):
+        raise ValueError(f"{name} entries must be {rule}")
+    return word
+
+
 def check_sign_vector(eps, d: int) -> tuple:
-    eps = tuple(eps)
-    if len(eps) != d:
-        raise ValueError(f"sign vector has length {len(eps)}, expected {d}")
-    if any(e not in (1, -1) for e in eps):
-        raise ValueError("sign vector entries must be +1 or -1")
-    return eps
+    return _check_word(eps, d, (1, -1), "sign vector", "+1 or -1")
 
 
 def all_sign_vectors(d: int):

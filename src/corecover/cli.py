@@ -42,16 +42,9 @@ from .formats import (
     parse_pattern,
     parse_sign_vector,
 )
-from .quotient import (
-    BOUNDED,
-    _chamber_mask,
-    _check_guard,
-    chart_complement,
-    extended_core,
-    verify_covering,
-)
+from .quotient import BOUNDED, _check_guard, chart_complement, extended_core, verify_covering
 from .render import render_svg
-from .stability import hk_semistable_numeric, pattern_realizable
+from .stability import _chamber_mask, hk_semistable_numeric, pattern_realizable
 
 
 def _load_arrangement(path):

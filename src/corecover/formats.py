@@ -8,7 +8,10 @@ The on-disk format is a small UTF-8 JSON document:
 Lifts are exact rationals written in lowest terms with positive denominator;
 they are parsed strictly (a non-reduced or malformed entry is rejected with
 the offending index). Pattern strings use one character per hyperplane over
-the alphabet z / w / 0 / *; sign strings use + / -.
+the alphabet z / w / 0 / *; sign strings use + / -. Each alphabet has one
+table, read one way to parse and the other to format. A parser refuses
+text that is not a str with ``ParseError``; a formatter names an entry
+outside its alphabet, and its position, in a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -24,14 +27,12 @@ from .stability import Status
 
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
-_PATTERN_CHARS = {
-    "z": Status.Z,
-    "w": Status.W,
-    "0": Status.ZERO,
-    "*": Status.BOTH,
-}
-# Each letter's character, read without the Enum ``value`` descriptor.
+# Each letter's character is its value; the tables are read both ways, the
+# characters without the Enum ``value`` descriptor.
+_PATTERN_CHARS = {status.value: status for status in Status}
 _STATUS_CHARS = {status: ch for ch, status in _PATTERN_CHARS.items()}
+_SIGN_CHARS = {1: "+", -1: "-"}
+_CHAR_SIGNS = {ch: s for s, ch in _SIGN_CHARS.items()}
 
 
 def parse_rational(text: str) -> Fraction:
@@ -142,43 +143,46 @@ def serialize_arrangement(arr: Arrangement) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def parse_pattern(text: str, d: int):
-    """One character per hyperplane: z, w, 0 or *."""
+def _parse_chars(text, d: int, table: dict, name: str, kind: str) -> tuple:
+    """One entry of ``table`` per character of a str ``text`` of length ``d``."""
+    if not isinstance(text, str):
+        raise ParseError(f"{name} must be a string")
     if len(text) != d:
-        raise ParseError(f"pattern has length {len(text)}, expected {d}")
+        raise ParseError(f"{name} has length {len(text)}, expected {d}")
     out = []
     for pos, ch in enumerate(text):
-        status = _PATTERN_CHARS.get(ch)
-        if status is None:
-            raise ParseError(
-                f"unknown pattern character {ch!r} at position {pos + 1}"
-            )
-        out.append(status)
+        entry = table.get(ch)
+        if entry is None:
+            raise ParseError(f"unknown {kind} character {ch!r} at position {pos + 1}")
+        out.append(entry)
     return tuple(out)
+
+
+def _format_chars(entries, table: dict, name: str) -> str:
+    """The character in ``table`` of each entry; an entry it lacks is named."""
+    entries = tuple(entries)
+    try:
+        return "".join(map(table.__getitem__, entries))
+    except KeyError as exc:
+        bad = exc.args[0]
+        raise ValueError(
+            f"cannot format {name} entry {bad!r} at position {entries.index(bad) + 1}"
+        ) from None
+
+
+def parse_pattern(text: str, d: int):
+    """One character per hyperplane: z, w, 0 or *."""
+    return _parse_chars(text, d, _PATTERN_CHARS, "pattern", "pattern")
 
 
 def format_pattern(pattern) -> str:
-    return "".join(map(_STATUS_CHARS.__getitem__, pattern))
+    return _format_chars(pattern, _STATUS_CHARS, "pattern")
 
 
 def parse_sign_vector(text: str, d: int) -> tuple:
-    if len(text) != d:
-        raise ParseError(f"sign string has length {len(text)}, expected {d}")
-    out = []
-    for pos, ch in enumerate(text):
-        if ch == "+":
-            out.append(1)
-        elif ch == "-":
-            out.append(-1)
-        else:
-            raise ParseError(f"unknown sign character {ch!r} at position {pos + 1}")
-    return tuple(out)
-
-
-# The character of each sign.
-_SIGN_CHAR = {1: "+", -1: "-"}.__getitem__
+    return _parse_chars(text, d, _CHAR_SIGNS, "sign string", "sign")
 
 
 def format_sign_vector(eps) -> str:
     """The + / - string of a sign vector, whose entries are 1 and -1."""
-    return "".join(map(_SIGN_CHAR, eps))
+    return _format_chars(eps, _SIGN_CHARS, "sign vector")

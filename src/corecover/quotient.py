@@ -55,9 +55,11 @@ from .stability import (
     NO_BOTH_ALPHABET,
     FULL_ALPHABET,
     Status,
+    _CONFORMING,
+    _SIGN,
+    _chamber_mask,
     _cone_contains,
     _letter_masks,
-    _pattern_mask,
     _pattern_masks,
     full_pattern,
 )
@@ -137,10 +139,6 @@ def _check_guard(arr: Arrangement, force: bool, what: str, limit: int | None = N
         )
 
 
-# The orientation of each chamber letter.
-_SIGN_OF = {Status.Z: 1, Status.W: -1}
-
-
 _CoreWalk = namedtuple("_CoreWalk", "core first")
 
 _core_reads = [0, 0]
@@ -179,13 +177,17 @@ def _core_walk(arr: Arrangement) -> _CoreWalk:
     the rays in K: d ANDs a chamber.
     """
     rays = _matroid(arr).ray_masks
-    # hyperplane i, of normal s * r_k, gives Z and W (up, down) if s = +1,
-    # else (down, up)
-    conform = [dict(zip((Status.Z, Status.W)[::s], rays[k])) for k, s in _orientations(arr)]
+    # hyperplane i, of normal s * r_k, gives the letter of sign s the rays
+    # up and that of -s those down
+    chamber_letters = (Status.Z, Status.W)
+    conform = [
+        {status: rays[k][_SIGN[status] != s] for status in chamber_letters}
+        for k, s in _orientations(arr)
+    ]
     unassigned = _letter_masks(arr)[1]
     components, first, bounded = [], [None] * unassigned.bit_length(), 0
-    for pattern, kept in _pattern_masks(arr, ((Status.Z, Status.W),) * arr.d):
-        eps = tuple(map(_SIGN_OF.__getitem__, pattern))
+    for pattern, kept in _pattern_masks(arr, (chamber_letters,) * arr.d):
+        eps = tuple(map(_SIGN.__getitem__, pattern))
         # a leaf of the tree is nonempty: bounded iff no ray lies in K
         unbounded = reduce(and_, map(dict.__getitem__, conform, pattern))
         components.append(CoreComponent(eps, UNBOUNDED if unbounded else BOUNDED))
@@ -217,18 +219,6 @@ def core(arr: Arrangement, force: bool = False) -> tuple:
     at once: every nonempty chamber has interior points.
     """
     return tuple(c for c in extended_core(arr, force=force) if c.classification == BOUNDED)
-
-
-def _chamber_mask(arr: Arrangement, eps) -> int:
-    """The vertex mask of a chamber: the mask of its dense pattern, the
-    vertices whose sign vector conforms to ``eps``, each ``sigma_i`` 0 or
-    ``eps_i``. A chart pattern holds at a vertex iff its pattern does and
-    the vertex conforms to ``eps``: where ``eps_i`` is +1 the chart letter
-    of Z and BOTH is Z, which holds at 0 and +1, their signs that conform
-    to +1, and that of W and ZERO is ZERO, which holds at 0, their one sign
-    that does; alike for -1. So a pattern lies in the chart of ``eps`` iff
-    its mask meets this one."""
-    return _pattern_mask(arr, full_pattern(eps))
 
 
 def _chamber_vertices(arr: Arrangement, eps) -> list:
@@ -337,16 +327,6 @@ def verify_density(arr: Arrangement, eps) -> bool:
     return chart_side == chamber_side
 
 
-# Sign vectors whose chamber meets a letter's state set: Z's side, W's
-# side, either for ZERO.
-_COMPONENT_SIGNS = {Status.Z: (1,), Status.W: (-1,), Status.ZERO: (1, -1)}
-
-
-def _compatible_components(pattern):
-    """Extended-core sign vectors whose stratum contains a BOTH-free pattern."""
-    return itertools.product(*(_COMPONENT_SIGNS[status] for status in pattern))
-
-
 _LETTER_ORDER = {status: k for k, status in enumerate(FULL_ALPHABET)}
 
 
@@ -411,7 +391,9 @@ def _complement_report(arr: Arrangement, eps, excluded) -> ComplementReport:
         max_dim = arr.n - min(zeros) if zeros else -1
     breakdown = {}
     for pattern in both_free:
-        for comp_eps in _compatible_components(pattern):
+        # the chambers that meet its state set: those whose signs its
+        # letters' signs conform to
+        for comp_eps in itertools.product(*(_CONFORMING[_SIGN[status]] for status in pattern)):
             breakdown.setdefault(comp_eps, []).append(pattern)
     breakdown = {k: tuple(v) for k, v in sorted(breakdown.items(), reverse=True)}
     return ComplementReport(

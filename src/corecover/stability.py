@@ -46,7 +46,7 @@ from functools import lru_cache
 from operator import mul
 from types import SimpleNamespace
 
-from .arrangement import Arrangement, TorusData, check_sign_vector
+from .arrangement import Arrangement, TorusData, _check_word, check_sign_vector
 from .arrangement import _matroid, _vertices
 from .feasibility import Certificate, Constraint, Polyhedron, Relation, is_feasible
 from .linalg import _bareiss, _common_denominator, _scaled_inverse, solve_integer, unit_vector
@@ -68,14 +68,17 @@ class Status(Enum):
 NO_BOTH_ALPHABET = (Status.Z, Status.W, Status.ZERO)
 FULL_ALPHABET = (Status.Z, Status.W, Status.ZERO, Status.BOTH)
 
+# Each BOTH-free letter is the sign it puts on its coordinate's function
+# f_i: x_i on the numeric side, <u_i, y> + lift_i on the geometric side.
+# Z keeps f_i >= 0 (w_i vanishes), W keeps f_i <= 0 (z_i vanishes) and
+# ZERO keeps f_i = 0; BOTH keeps everything and has no sign. Read
+# backwards, it gives each sign's letter.
+_SIGN = {Status.Z: 1, Status.W: -1, Status.ZERO: 0}
+_LETTER = {s: status for status, s in _SIGN.items()}
+
 
 def check_pattern(pattern, d: int) -> tuple:
-    pattern = tuple(pattern)
-    if len(pattern) != d:
-        raise ValueError(f"pattern has length {len(pattern)}, expected {d}")
-    if any(not isinstance(s, Status) for s in pattern):
-        raise ValueError("pattern entries must be Status values")
-    return pattern
+    return _check_word(pattern, d, FULL_ALPHABET, "pattern", "Status values")
 
 
 def support_pattern(d: int, support) -> tuple:
@@ -100,35 +103,49 @@ class StabilityVerdict:
     system: Polyhedron
 
 
+def _letter_rows(functions, constants) -> tuple:
+    """Per coordinate, each BOTH-free letter's row on ``f_i = <functions[i],
+    .> + constants[i]``: ``s * f_i >= 0`` for a letter of sign ``s`` (see
+    ``_SIGN``), and ``f_i = 0`` for ZERO."""
+    return tuple(
+        {
+            status: Constraint(tuple(s * x for x in f), Relation.GE, s * c)
+            if s
+            else Constraint(f, Relation.EQ, c)
+            for status, s in _SIGN.items()
+        }
+        for f, c in zip(functions, constants)
+    )
+
+
+def _pattern_rows(rows, pattern) -> tuple:
+    """The rows a pattern keeps from ``_letter_rows``: its letters' own, BOTH none."""
+    return tuple(
+        letters[status] for letters, status in zip(rows, pattern) if status is not Status.BOTH
+    )
+
+
+def _verdict(system: Polyhedron) -> StabilityVerdict:
+    cert = is_feasible(system)
+    return StabilityVerdict(cert.feasible, cert, system)
+
+
 def _sign_rows(td: TorusData) -> tuple:
     """The rows of every sign system of one torus: the m equality rows, then
-    per coordinate a mapping from status to its sign row."""
+    the letter rows on the coordinates ``x_i``."""
     equalities = tuple(
         Constraint(td.basis[k], Relation.EQ, -td.alpha[k]) for k in range(td.m)
     )
-    zero = Fraction(0)
-    signs = tuple(
-        {
-            Status.Z: Constraint(unit_vector(td.d, i), Relation.GE, zero),
-            Status.W: Constraint(unit_vector(td.d, i, -1), Relation.GE, zero),
-            Status.ZERO: Constraint(unit_vector(td.d, i), Relation.EQ, zero),
-        }
-        for i in range(td.d)
-    )
-    return equalities, signs
+    units = (unit_vector(td.d, i) for i in range(td.d))
+    return equalities, _letter_rows(units, [Fraction(0)] * td.d)
 
 
 def _sign_system(td: TorusData, pattern) -> Polyhedron:
-    """Solvability system over R^d: ``A x = alpha`` plus per-coordinate signs.
-
-    Status Z forces ``x_i >= 0`` (w_i vanishes), W forces ``x_i <= 0``,
-    ZERO forces ``x_i = 0`` and BOTH leaves ``x_i`` free.
-    """
+    """Solvability system over R^d: ``A x = alpha`` plus the pattern's
+    letter rows on ``x``: Z forces ``x_i >= 0`` (w_i vanishes), W forces
+    ``x_i <= 0``, ZERO forces ``x_i = 0`` and BOTH leaves ``x_i`` free."""
     equalities, signs = td._sign_rows
-    cons = equalities + tuple(
-        rows[status] for rows, status in zip(signs, pattern) if status is not Status.BOTH
-    )
-    return Polyhedron(td.d, cons)
+    return Polyhedron(td.d, equalities + _pattern_rows(signs, pattern))
 
 
 def toric_semistable_numeric(td: TorusData, support) -> StabilityVerdict:
@@ -150,10 +167,7 @@ def toric_closed_orbit(td: TorusData, support) -> bool:
 def hk_semistable_numeric(td: TorusData, pattern) -> StabilityVerdict:
     """Signed solvability of ``A x = alpha``; the feasible witness is the
     classical sign-constrained solution vector."""
-    pattern = check_pattern(pattern, td.d)
-    system = _sign_system(td, pattern)
-    cert = is_feasible(system)
-    return StabilityVerdict(cert.feasible, cert, system)
+    return _verdict(_sign_system(td, check_pattern(pattern, td.d)))
 
 
 # The sign vectors a coordinate of sign s conforms to: its own, or either
@@ -264,16 +278,9 @@ def hk_closed_orbit(td: TorusData, pattern) -> bool:
 
 
 def _state_rows(arr: Arrangement) -> tuple:
-    """The rows of every state set of one arrangement: per coordinate a
-    mapping from BOTH-free status to its row."""
-    return tuple(
-        {
-            Status.Z: Constraint(u, Relation.GE, lift),
-            Status.W: Constraint(tuple(-x for x in u), Relation.GE, -lift),
-            Status.ZERO: Constraint(u, Relation.EQ, lift),
-        }
-        for u, lift in zip(arr.normals, arr.lifts)
-    )
+    """The rows of every state set of one arrangement: the letter rows on
+    the hyperplanes' functions ``<u_i, y> + lift_i``."""
+    return _letter_rows(arr.normals, arr.lifts)
 
 
 def state_set(arr: Arrangement, pattern) -> Polyhedron:
@@ -284,19 +291,12 @@ def state_set(arr: Arrangement, pattern) -> Polyhedron:
     cover everything). Each factor is convex, so the state set is a single
     polyhedron.
     """
-    pattern = check_pattern(pattern, arr.d)
-    rows = arr._state_rows
-    cons = tuple(
-        rows[i][status] for i, status in enumerate(pattern) if status is not Status.BOTH
-    )
-    return Polyhedron(arr.n, cons)
+    return Polyhedron(arr.n, _pattern_rows(arr._state_rows, check_pattern(pattern, arr.d)))
 
 
 def hk_semistable_geometric(arr: Arrangement, pattern) -> StabilityVerdict:
     """Nonemptiness of the state set, certified."""
-    system = state_set(arr, pattern)
-    cert = is_feasible(system)
-    return StabilityVerdict(cert.feasible, cert, system)
+    return _verdict(state_set(arr, pattern))
 
 
 def toric_semistable_geometric(arr: Arrangement, support) -> StabilityVerdict:
@@ -319,9 +319,10 @@ def _faces(arr: Arrangement) -> SimpleNamespace:
                 pos |= 1 << j
             elif s < 0:
                 neg |= 1 << j
-        # the masks of Z, W, ZERO and BOTH
-        masks = (every ^ neg, every ^ pos, every ^ pos ^ neg, every)
-        tables.append(dict(zip(FULL_ALPHABET, masks)))
+        # a letter of sign s holds where the vertex's sign is 0 or s; BOTH
+        # holds everywhere
+        holds = {1: every ^ neg, -1: every ^ pos, 0: every ^ pos ^ neg, None: every}
+        tables.append({status: holds[_SIGN.get(status)] for status in FULL_ALPHABET})
     return SimpleNamespace(vertices=vertices, masks=(tuple(tables), every))
 
 
@@ -420,15 +421,27 @@ def _cone_contains(arr: Arrangement, pattern) -> bool:
     return _pattern_mask(arr, pattern) != 0
 
 
+def _chamber_mask(arr: Arrangement, eps) -> int:
+    """The vertex mask of a chamber: the mask of its dense pattern, the
+    vertices whose sign vector conforms to ``eps``, each ``sigma_i`` 0 or
+    ``eps_i``. A chart pattern holds at a vertex iff its pattern does and
+    the vertex conforms to ``eps``: where ``eps_i`` is +1 the chart letter
+    of Z and BOTH is Z, which holds at 0 and +1, their signs that conform
+    to +1, and that of W and ZERO is ZERO, which holds at 0, their one sign
+    that does; alike for -1. So a pattern lies in the chart of ``eps`` iff
+    its mask meets this one."""
+    return _pattern_mask(arr, full_pattern(eps))
+
+
 def chart_semistable(arr: Arrangement, eps, pattern) -> bool:
     """Membership of a pattern in the chart of the reoriented arrangement:
     the toric state set of ``reorient(arr, eps)`` on the active coordinates
     (equivalently: alpha lies in the cone of the active signed characters)
     must be nonempty. That holds iff the pattern's vertex mask meets its
-    chamber's (see ``quotient._chamber_mask``)."""
+    chamber's (``_chamber_mask``)."""
     eps = check_sign_vector(eps, arr.d)
     pattern = check_pattern(pattern, arr.d)
-    return _pattern_mask(arr, pattern) & _pattern_mask(arr, full_pattern(eps)) != 0
+    return _pattern_mask(arr, pattern) & _chamber_mask(arr, eps) != 0
 
 
 def pattern_realizable(arr: Arrangement, pattern) -> bool:
@@ -455,20 +468,16 @@ def pattern_realizable(arr: Arrangement, pattern) -> bool:
 
 
 def reorient_pattern(pattern, eps) -> tuple:
-    """Relabel a pattern under reorientation: Z and W swap where the sign is
-    -1 (the coordinate pair rotates), ZERO and BOTH are fixed. Involutive."""
+    """Relabel a pattern under reorientation: each letter's sign is
+    multiplied by ``eps_i``, so Z and W swap where it is -1 (the coordinate
+    pair rotates), and ZERO and BOTH are fixed. Involutive."""
     eps = tuple(eps)
     pattern = check_pattern(pattern, len(eps))
     eps = check_sign_vector(eps, len(eps))
-    out = []
-    for e, status in zip(eps, pattern):
-        if e == -1 and status is Status.Z:
-            out.append(Status.W)
-        elif e == -1 and status is Status.W:
-            out.append(Status.Z)
-        else:
-            out.append(status)
-    return tuple(out)
+    return tuple(
+        status if status is Status.BOTH else _LETTER[e * _SIGN[status]]
+        for e, status in zip(eps, pattern)
+    )
 
 
 def both_reduction(td: TorusData, pattern) -> tuple:
@@ -482,20 +491,16 @@ def both_reduction(td: TorusData, pattern) -> tuple:
     verdict = hk_semistable_numeric(td, pattern)
     if not verdict.semistable:
         raise ValueError("reduction requires a semistable pattern")
-    witness = verdict.certificate.point
-    out = []
-    for i, status in enumerate(pattern):
-        if status is Status.BOTH:
-            out.append(Status.Z if witness[i] >= 0 else Status.W)
-        else:
-            out.append(status)
-    return tuple(out)
+    return tuple(
+        _LETTER[1 if x >= 0 else -1] if status is Status.BOTH else status
+        for status, x in zip(pattern, verdict.certificate.point)
+    )
 
 
 def full_pattern(eps) -> tuple:
     """The dense pattern of a chart: live z where the sign is +1, live w
     where it is -1."""
-    return tuple(Status.Z if e == 1 else Status.W for e in eps)
+    return tuple(map(_LETTER.__getitem__, eps))
 
 
 def chamber(arr: Arrangement, eps) -> Polyhedron:

@@ -262,6 +262,23 @@ class TestPatternCodec:
         with pytest.raises(ParseError, match="position 2"):
             parse_sign_vector("+x-", 3)
 
+    @pytest.mark.parametrize("text", [None, 123, ["z", "w"], b"zw", ("z", "w")])
+    def test_parsers_refuse_what_is_not_a_str(self, text):
+        with pytest.raises(ParseError, match="^pattern must be a string$"):
+            parse_pattern(text, 2)
+        with pytest.raises(ParseError, match="^sign string must be a string$"):
+            parse_sign_vector(text, 2)
+
+    def test_formatters_name_the_bad_entry(self):
+        with pytest.raises(ValueError, match="^cannot format sign vector entry 0 at position 2$"):
+            format_sign_vector((1, 0))
+        with pytest.raises(ValueError, match="^cannot format sign vector entry 2 at position 3$"):
+            format_sign_vector(iter((-1, 1, 2, 0)))
+        with pytest.raises(ValueError, match="^cannot format pattern entry 'z' at position 1$"):
+            format_pattern("zw")
+        with pytest.raises(ValueError, match="^cannot format pattern entry 1 at position 2$"):
+            format_pattern((Z, 1))
+
 
 class TestCli:
     def test_check_smooth(self, tmp_path, capsys):
