@@ -3,15 +3,16 @@
 Points of the flat quaternionic space upstream of the quotient are described
 only through their support pattern: which of the paired coordinates
 ``(z_i, w_i)`` vanish. Two independent oracles decide semistability of a
-pattern at the moment level ``alpha``:
+pattern at the moment level ``alpha``, with one letter rule (``_SIGN``):
+each BOTH-free letter is the sign it puts on its coordinate's function
+``f_i``, Z keeping ``f_i >= 0``, W ``f_i <= 0`` and ZERO ``f_i = 0``.
 
-* numeric: signed solvability in the dual of the acting torus, d variables:
-  the relation system ``A x = alpha`` must admit a solution with
-  ``x_i >= 0`` where ``w_i = 0``, ``x_i <= 0`` where ``z_i = 0`` and
-  ``x_i = 0`` where both vanish (for a toric pattern this says that
-  ``alpha`` is a nonnegative combination of the support's characters);
-* geometric: nonemptiness of the state set, a polyhedron in the arrangement's
-  ambient space (n variables) assembled from oriented half-spaces.
+* numeric: ``f_i = x_i`` and the rows of ``A x = alpha`` in the dual of
+  the acting torus, d variables (for a toric pattern, ``alpha`` is a
+  nonnegative combination of the support's characters);
+* geometric: ``f_i = <u_i, y> + lift_i``, the state set in the
+  arrangement's ambient space, n variables; ``y -> f(y)`` carries it
+  onto the numeric system's letter rows.
 
 That the two agree on every pattern is a theorem; the test suite checks it
 exhaustively on fixtures and randomized smooth arrangements. The numeric
@@ -68,11 +69,9 @@ class Status(Enum):
 NO_BOTH_ALPHABET = (Status.Z, Status.W, Status.ZERO)
 FULL_ALPHABET = (Status.Z, Status.W, Status.ZERO, Status.BOTH)
 
-# Each BOTH-free letter is the sign it puts on its coordinate's function
-# f_i: x_i on the numeric side, <u_i, y> + lift_i on the geometric side.
-# Z keeps f_i >= 0 (w_i vanishes), W keeps f_i <= 0 (z_i vanishes) and
-# ZERO keeps f_i = 0; BOTH keeps everything and has no sign. Read
-# backwards, it gives each sign's letter.
+# The sign each BOTH-free letter puts on its coordinate's function: Z keeps
+# f_i >= 0 (w_i vanishes), W f_i <= 0 (z_i vanishes), ZERO f_i = 0. BOTH
+# keeps everything and has none. Read backwards: each sign's letter.
 _SIGN = {Status.Z: 1, Status.W: -1, Status.ZERO: 0}
 _LETTER = {s: status for status, s in _SIGN.items()}
 
@@ -142,8 +141,7 @@ def _sign_rows(td: TorusData) -> tuple:
 
 def _sign_system(td: TorusData, pattern) -> Polyhedron:
     """Solvability system over R^d: ``A x = alpha`` plus the pattern's
-    letter rows on ``x``: Z forces ``x_i >= 0`` (w_i vanishes), W forces
-    ``x_i <= 0``, ZERO forces ``x_i = 0`` and BOTH leaves ``x_i`` free."""
+    letter rows on ``x`` (``_letter_rows``); BOTH leaves ``x_i`` free."""
     equalities, signs = td._sign_rows
     return Polyhedron(td.d, equalities + _pattern_rows(signs, pattern))
 
@@ -332,9 +330,9 @@ def _letter_masks(arr: Arrangement) -> tuple:
     pattern's mask, the AND of its letters', lists the vertices at which
     every letter holds, and is zero iff its state set is empty, no LP:
 
-    * State sets are closed: Z keeps ``<u_i, x> + lift_i >= 0``, W keeps
-      ``<= 0``, ZERO keeps ``= 0`` and BOTH keeps everything, so Z holds
-      at the signs 0 and +1, W at 0 and -1, ZERO at 0 and BOTH at all.
+    * State sets are closed: a letter of sign s keeps ``s * (<u_i, x> +
+      lift_i) >= 0`` (``= 0`` for ZERO), so it holds at the signs 0 and s;
+      BOTH keeps everything and holds at all.
     * A prefix's state set is nonempty iff the state set of some BOTH-free
       pattern on all d hyperplanes that extends it is: keep its Z, W and
       ZERO letters and take the letters of the signs of one of its points
