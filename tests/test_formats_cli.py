@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,16 +24,21 @@ from corecover import (
     parse_rational,
     parse_sign_vector,
     serialize_arrangement,
+    theta_cpt,
     torus_data,
 )
 import corecover.cli as cli
 import corecover.feasibility as feasibility
 import corecover.quotient as quotient
 from corecover.cli import main
+from corecover.randgen import random_smooth_arrangement
 from corecover.stability import Status
 from util import pattern_string_by_value, rational_string_via_fraction, sign_string_by_comparison
 
 F = Fraction
+# SHA-256 of the CLI's stdout on a seeded population, recorded before the
+# report path read its walk rows off the face record and counted the cover
+REPORT_POPULATION_DIGEST = "c000a618c5c257b213698fc6dda5a9f69e1f23988f18234b16ca8f6e6cf32d33"
 Z, W, O, B = Status.Z, Status.W, Status.ZERO, Status.BOTH
 
 A2_DOC = {
@@ -834,6 +840,26 @@ class TestPinnedOutput:
                     options = [svg.read_text()]
                 digest.update(repr((path.name, command, options, code, out.getvalue())).encode())
         assert digest.hexdigest() == self.DIGEST
+
+    def test_report_population_digest(self, tmp_path):
+        # SHA-256 of stdout and exit code of report --chart=EPS, core, cover
+        # and density on 60 seeded smooth draws with a core, n = 1-3 and
+        # d = 4-7, EPS the first compact chart of each draw
+        rng = random.Random(4101)
+        path = tmp_path / "draw.json"
+        digest = hashlib.sha256()
+        for _ in range(5):
+            for n in (1, 2, 3):
+                for d in range(4, 8):
+                    arr = random_smooth_arrangement(rng, n=n, d=d, require_core=True)
+                    path.write_text(serialize_arrangement(arr))
+                    chart = format_sign_vector(theta_cpt(arr)[0])
+                    for argv in (["report", f"--chart={chart}"], ["core"], ["cover"], ["density"]):
+                        out = io.StringIO()
+                        with contextlib.redirect_stdout(out):
+                            code = main([argv[0], str(path), *argv[1:]])
+                        digest.update(repr((argv, code, out.getvalue())).encode())
+        assert digest.hexdigest() == REPORT_POPULATION_DIGEST
 
 
 # Strings that exercise every escape of the encoder: quotes, backslashes,
