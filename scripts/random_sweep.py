@@ -12,7 +12,8 @@ pattern and every realizable BOTH pattern), chart equivalence (the state set of
 each chart pattern against its numeric system, for every compact sign vector
 and every BOTH-free pattern), covering (the whole ``CoverReport``, witnesses
 in order and counterexamples, against the sweep of numeric verdicts over all
-3^d patterns), adjacency, density (``verify_density``
+3^d patterns, and the CLI's ``cover`` payload, which counts the witnesses
+without building them, against the ``CoverReport``), adjacency, density (``verify_density``
 on every sign vector, and its numeric side, read off the vertices of the
 numeric system, against one numeric LP per sign vector), the empty-core
 criterion, the chambers (``extended_core`` lists exactly the sign vectors
@@ -41,6 +42,7 @@ import pathlib
 import random
 import sys
 import time
+from types import SimpleNamespace
 from unittest import mock
 
 from corecover import (
@@ -49,6 +51,7 @@ from corecover import (
     chart_semistable,
     core_empty_criterion,
     extended_core,
+    format_pattern,
     hk_semistable_geometric,
     hk_semistable_numeric,
     pattern_realizable,
@@ -58,6 +61,7 @@ from corecover import (
     verify_density,
 )
 import corecover.arrangement as arrangement
+import corecover.cli as cli
 from corecover.arrangement import all_sign_vectors
 from corecover.linalg import transpose
 from corecover.quotient import BOUNDED, UNBOUNDED, _chamber_vertices
@@ -157,7 +161,17 @@ def check_instance(arr) -> dict:
     covered = None
     if compact:
         report, expected = verify_covering(arr), numeric_covering(arr)
-        covered = report == expected and list(report.witness) == list(expected.witness)
+        counted = cli._cover(arr, SimpleNamespace(force=False))
+        covered = (
+            report == expected
+            and list(report.witness) == list(expected.witness)
+            and counted
+            == {
+                "covered": report.covered,
+                "witness_count": len(report.witness),
+                "counterexamples": list(map(format_pattern, report.counterexamples)),
+            }
+        )
     complement = (
         all(
             chart_complement(arr, eps).excluded_patterns == excluded

@@ -12,13 +12,15 @@ and complement sweeps list its leaves, with their masks, instead of
 testing 2^d, 3^d or 4^d candidates, and solve no LP. A leaf lies in the
 chart of a chamber iff its mask meets the chamber's, so every chart verdict
 is one AND: the covering reads each vertex's first compact chamber, which
-the chamber walk assigns as it yields the bounded chambers, and the
-complement keeps the leaves that miss one chamber's mask, walking only the
-prefixes with a vertex outside it, once per realizable BOTH set, with BOTH
-letters on it. The vertices, sorted on integer keys, and their masks make
-one face record per arrangement (``stability._faces``), the chamber walk's
-results one more (``_core_walk``); both live on the arrangement, built on
-first read and freed with it.
+the chamber walk assigns as it yields the bounded chambers, and the CLI's
+count of it ANDs each leaf's mask with the OR of the bounded chambers'
+masks, which the walk keeps (``_covering_counts``); the complement keeps
+the leaves that miss one chamber's mask, walking only the prefixes with a
+vertex outside it, once per realizable BOTH set, with BOTH letters on it.
+The vertices, sorted on integer keys, their masks and the walks' rows of
+letters make one face record per arrangement (``stability._faces``), the
+chamber walk's results one more (``_core_walk``); both live on the
+arrangement, built on first read and freed with it.
 A chamber is bounded iff the AND of its letters' ray masks, which the class
 record keeps per direction class (``_ClassMatroid.ray_masks``), is zero:
 no LP. A chamber's vertices are those of its mask. Density compares each
@@ -39,7 +41,7 @@ import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial, reduce
-from operator import and_
+from operator import and_, or_
 
 from .arrangement import (
     Arrangement,
@@ -59,7 +61,6 @@ from .stability import (
     _SIGN,
     _chamber_mask,
     _cone_contains,
-    _letter_masks,
     _pattern_masks,
     full_pattern,
 )
@@ -139,7 +140,7 @@ def _check_guard(arr: Arrangement, force: bool, what: str, limit: int | None = N
         )
 
 
-_CoreWalk = namedtuple("_CoreWalk", "core first")
+_CoreWalk = namedtuple("_CoreWalk", "core first masks")
 
 _core_reads = [0, 0]
 
@@ -156,9 +157,10 @@ _extended_core_cached.cache_info = partial(tuple, _core_reads)
 
 def _core_walk(arr: Arrangement) -> _CoreWalk:
     """The core walk: ``core``, the nonempty chambers, the leaves of the
-    walk over Z and W, each classified, and ``first``, per vertex the index
-    in ``core``'s bounded chambers of the first whose mask holds it, or
-    their number.
+    walk over Z and W, each classified; ``first``, per vertex the index in
+    ``core``'s bounded chambers of the first whose mask holds it, or their
+    number; and ``masks``, the bounded chambers' vertex masks in ``core``
+    order, which are their leaves' masks.
 
     A nonempty chamber of ``eps`` is unbounded iff its recession cone ``K =
     {x : eps_i <u_i, x> >= 0}`` is nontrivial. K is pointed, since the
@@ -184,9 +186,9 @@ def _core_walk(arr: Arrangement) -> _CoreWalk:
         {status: rays[k][_SIGN[status] != s] for status in chamber_letters}
         for k, s in _orientations(arr)
     ]
-    unassigned = _letter_masks(arr)[1]
-    components, first, bounded = [], [None] * unassigned.bit_length(), 0
-    for pattern, kept in _pattern_masks(arr, (chamber_letters,) * arr.d):
+    unassigned = arr._faces.masks[1]
+    components, first, masks = [], [None] * unassigned.bit_length(), []
+    for pattern, kept in _pattern_masks(arr, arr._faces.rows[chamber_letters]):
         eps = tuple(map(_SIGN.__getitem__, pattern))
         # a leaf of the tree is nonempty: bounded iff no ray lies in K
         unbounded = reduce(and_, map(dict.__getitem__, conform, pattern))
@@ -196,10 +198,11 @@ def _core_walk(arr: Arrangement) -> _CoreWalk:
             unassigned ^= group
             while group:
                 low = group & -group
-                first[low.bit_length() - 1] = bounded
+                first[low.bit_length() - 1] = len(masks)
                 group ^= low
-            bounded += 1
-    return _CoreWalk(tuple(components), tuple(bounded if j is None else j for j in first))
+            masks.append(kept)
+    first = tuple(len(masks) if j is None else j for j in first)
+    return _CoreWalk(tuple(components), first, tuple(masks))
 
 
 def extended_core(arr: Arrangement, force: bool = False) -> tuple:
@@ -306,6 +309,26 @@ def verify_covering(arr: Arrangement, force: bool = False) -> CoverReport:
     )
 
 
+def _covering_counts(arr: Arrangement, force: bool = False) -> tuple:
+    """``(len(witness), counterexamples)`` of ``verify_covering``, behind
+    the same guards and empty-core error, with no witness dict. A leaf has
+    a witness iff one of its vertices lies on a compact chamber, that is,
+    iff its mask meets the OR of the bounded chambers' masks (``_CoreWalk``)."""
+    _require_smooth(arr)
+    _check_guard(arr, force, "covering sweep")
+    masks = _extended_core_cached(arr).masks
+    if not masks:
+        raise ValueError("covering theorem hypothesis violated: empty core")
+    compact = reduce(or_, masks)
+    witnessed, counterexamples = 0, []
+    for pattern, kept in _pattern_masks(arr):
+        if kept & compact:
+            witnessed += 1
+        else:
+            counterexamples.append(pattern)
+    return witnessed, tuple(counterexamples)
+
+
 def verify_density(arr: Arrangement, eps) -> bool:
     """Chart density dichotomy for one sign vector.
 
@@ -360,13 +383,17 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
     # the walks prune the prefixes whose vertices all lie in the chamber;
     # complemented within the vertices, since ANDs with a negative mask
     # are slower on large arrangements
-    outside = _letter_masks(arr)[1] & ~chamber
+    faces = arr._faces
+    outside = faces.masks[1] & ~chamber
+    free, both = faces.rows[NO_BOTH_ALPHABET], faces.rows[(Status.BOTH,)]
     classes = arr._classes
     excluded = []
     for chosen in _matroid(arr).realizable:
-        both = {i for k in chosen for i, _ in classes[k][1]}
-        alphabets = [(Status.BOTH,) if i in both else NO_BOTH_ALPHABET for i in range(arr.d)]
-        walk = _pattern_masks(arr, alphabets, outside)
+        rows = list(free)
+        for k in chosen:
+            for i, _ in classes[k][1]:
+                rows[i] = both[i]
+        walk = _pattern_masks(arr, rows, outside)
         excluded.extend(p for p, kept in walk if not kept & chamber)
     excluded.sort(key=lambda p: [_LETTER_ORDER[status] for status in p])
     return _complement_report(arr, eps, excluded)

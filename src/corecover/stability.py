@@ -28,10 +28,11 @@ BOTH-free state set is a pointed polyhedron and contains one (see
 vertices, one mask per (coordinate, letter), so a pattern's vertices are
 one AND per letter. The vertices, sorted on integer keys, and the masks,
 built from the columns of their sign vectors, make the arrangement's face
-record (``_faces``). A chart pattern holds at a vertex iff the pattern
-does and the vertex conforms to the chart's sign vector, so a chart
-verdict is the AND of a pattern's mask with its chamber's. The sweeps walk
-the prefixes, one hyperplane at a time, whose masks are nonzero. Each
+record (``_faces``), with the rows each walk takes its letters and masks
+from. A chart pattern holds at a vertex iff the pattern does and the
+vertex conforms to the chart's sign vector, so a chart verdict is the AND
+of a pattern's mask with its chamber's. The sweeps walk the prefixes, one
+hyperplane at a time, whose masks are nonzero. Each
 public verdict carries the exact certificate of the system it solved.
 Face record and state rows live on the arrangement, numeric set and sign
 rows on the torus data, each built on first read and freed with its owner.
@@ -44,13 +45,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 from types import SimpleNamespace
 
 from .arrangement import Arrangement, TorusData, _check_word, check_sign_vector
 from .arrangement import _matroid, _vertices
 from .feasibility import Certificate, Constraint, Polyhedron, Relation, is_feasible
-from .linalg import _bareiss, _common_denominator, _scaled_inverse, solve_integer, unit_vector
+from .linalg import _back_substitute, _bareiss, _common_denominator, solve_integer, unit_vector
 
 
 class Status(Enum):
@@ -193,10 +193,12 @@ def _numeric_chambers(td: TorusData) -> frozenset:
     solution with k zeros contributes 2^k sign vectors. The C(d, m) square
     systems share one elimination, and each solves only its exchange block:
 
-    * One ``_bareiss`` pass picks m independent pivot columns P of ``A``,
-      and one ``_scaled_inverse`` of ``A_P`` gives the integer tableau
-      ``[M | t] = den * A_P^{-1} [A | rhs]``, with ``den = |det A_P| > 0``
-      and ``rhs`` the level over its common denominator. ``M`` is ``den``
+    * One ``_bareiss`` pass on ``[A | rhs]``, with ``rhs`` the level over
+      its common denominator appended as a column, picks m independent
+      pivot columns P of ``A``; its last pivot is ``+-det A_P``. One
+      ``_back_substitute`` per column off P, and one for ``rhs``, then
+      gives the integer tableau ``[M | t] = den * A_P^{-1} [A | rhs]``,
+      with ``den = |det A_P| > 0``, on those columns. ``M`` is ``den``
       times the identity on P, and ``A_T x_T = rhs`` iff ``M_T x_T = t``.
     * A column set T drops the pivots of the rows L, those of P outside T,
       and brings in the columns E = T minus P, with |E| = |L| = r <=
@@ -219,12 +221,13 @@ def _numeric_chambers(td: TorusData) -> frozenset:
     ``verify_density``).
     """
     _, rhs = _common_denominator(td.alpha)
-    pivots = _bareiss([list(row) for row in td.basis], td.d)[0]
-    _, inverse = _scaled_inverse([[row[p] for p in pivots] for row in td.basis])
+    rows = [[*row, b] for row, b in zip(td.basis, rhs)]
+    pivots, _, last = _bareiss(rows, td.d)
     entering = [c for c in range(td.d) if c not in pivots]
-    columns = [[row[c] for row in td.basis] for c in entering]
-    tableau = [[sum(map(mul, inv, col)) for col in columns] for inv in inverse]
-    t = [sum(map(mul, inv, rhs)) for inv in inverse]
+    # column c of den * A_P^{-1} [A | rhs], read on the pivots; rhs is column d
+    columns = [_back_substitute(rows, pivots, abs(last), td.d, c) for c in [*entering, td.d]]
+    tableau = [[column[p] for column in columns[:-1]] for p in pivots]
+    t = [columns[-1][p] for p in pivots]
     signs = set()
     for r in range(min(td.m, len(entering)) + 1):
         for leave in itertools.combinations(range(td.m), r):
@@ -304,9 +307,11 @@ def toric_semistable_geometric(arr: Arrangement, support) -> StabilityVerdict:
 
 def _faces(arr: Arrangement) -> SimpleNamespace:
     """The face record every sweep reads, written here alone: ``vertices``
-    (``_vertices``) and ``masks`` (``_letter_masks``), built from each
-    column of the vertices' signs as ``pos``, ``neg`` and ``zero = all ^
-    pos ^ neg``."""
+    (``_vertices``), ``masks`` (``_letter_masks``), built from each column
+    of the vertices' signs as ``pos``, ``neg`` and ``zero = all ^ pos ^
+    neg``, and ``rows``, the walk rows of ``_pattern_masks`` for the
+    BOTH-free letters, the chamber letters Z and W, and BOTH alone: per
+    coordinate, its letters with their masks, reversed for the stack."""
     vertices = _vertices(arr)
     every = (1 << len(vertices)) - 1
     tables = []
@@ -321,7 +326,11 @@ def _faces(arr: Arrangement) -> SimpleNamespace:
         # holds everywhere
         holds = {1: every ^ neg, -1: every ^ pos, 0: every ^ pos ^ neg, None: every}
         tables.append({status: holds[_SIGN.get(status)] for status in FULL_ALPHABET})
-    return SimpleNamespace(vertices=vertices, masks=(tuple(tables), every))
+    rows = {
+        alphabet: tuple(tuple((s, letters[s]) for s in reversed(alphabet)) for letters in tables)
+        for alphabet in (NO_BOTH_ALPHABET, (Status.Z, Status.W), (Status.BOTH,))
+    }
+    return SimpleNamespace(vertices=vertices, masks=(tuple(tables), every), rows=rows)
 
 
 def _letter_masks(arr: Arrangement) -> tuple:
@@ -368,30 +377,25 @@ def _pattern_mask(arr: Arrangement, pattern) -> int:
     return kept
 
 
-def _pattern_masks(arr: Arrangement, alphabets=None, within=None):
-    """The nonempty state sets with a letter of ``alphabets[i]`` at each
-    coordinate ``i`` (any BOTH-free letter when ``alphabets`` is None), in
-    ``itertools.product`` order of the alphabets, each with its vertex mask
-    (see ``_letter_masks``), keeping only those whose mask meets ``within``
-    (every vertex when None). A depth-first walk over the prefixes whose
-    masks meet ``within``: each stack entry carries its prefix's mask and
-    takes its letters reversed. A child's mask is its parent's AND its
-    letter's, so masks only shrink along the walk, and a prefix whose mask
-    misses ``within`` has no leaf below it that meets it: the walk prunes
-    it there, and the leaves it keeps are exactly those that meet
-    ``within``. Nothing is cached, so a walk's memory is its stack."""
-    tables, everything = _letter_masks(arr)
-    if alphabets is None:
-        alphabets = (NO_BOTH_ALPHABET,) * arr.d
-    if within is None:
-        within = everything
-    # per coordinate, its letters with their masks, reversed for the stack
-    pushed = [
-        [(status, letters[status]) for status in reversed(allowed)]
-        for letters, allowed in zip(tables, alphabets)
-    ]
+def _pattern_masks(arr: Arrangement, rows=None, within=None):
+    """The nonempty state sets with a letter of ``rows[i]`` at each
+    coordinate ``i``, each with its vertex mask (see ``_letter_masks``),
+    keeping only those whose mask meets ``within`` (every vertex when None).
+    ``rows`` are walk rows of the face record (``_faces``), its BOTH-free
+    ones when None: per coordinate, its letters with their masks, reversed,
+    so the leaves come in ``itertools.product`` order. A depth-first walk
+    over the prefixes whose masks meet ``within``: each stack entry carries
+    its prefix's mask. A child's mask is its parent's AND its letter's, so
+    masks only shrink along the walk, and a prefix whose mask misses
+    ``within`` has no leaf below it that meets it: the walk prunes it
+    there, and the leaves it keeps are exactly those that meet ``within``.
+    Nothing is cached, so a walk's memory is its stack."""
+    faces = arr._faces
+    everything = faces.masks[1]
+    rows = faces.rows[NO_BOTH_ALPHABET] if rows is None else rows
+    within = everything if within is None else within
     last = arr.d - 1
-    final = pushed[last][::-1]
+    final = rows[last][::-1]
     stack = [((), everything)] if everything & within else []
     while stack:
         prefix, kept = stack.pop()
@@ -403,7 +407,7 @@ def _pattern_masks(arr: Arrangement, alphabets=None, within=None):
                 if mask & within:
                     yield prefix + (status,), mask
             continue
-        for status, letter in pushed[k]:
+        for status, letter in rows[k]:
             mask = kept & letter
             if mask & within:
                 stack.append((prefix + (status,), mask))

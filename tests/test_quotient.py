@@ -10,6 +10,7 @@ import math
 import pathlib
 import pickle
 import random
+import re
 import types
 import weakref
 from fractions import Fraction
@@ -81,6 +82,7 @@ from util import (
     per_leaf_complement,
     per_leaf_covering,
     three_class_arrangement,
+    walk_rows,
 )
 
 F = Fraction
@@ -268,6 +270,28 @@ class TestExtendedCore:
             extended_core(a2_resolution)
         assert extended_core(a2_resolution, force=True)
 
+    @pytest.mark.parametrize(
+        "what, limit", [("covering sweep", None), ("complement sweep", "DEFAULT_MAX_COMPLEMENT_D")]
+    )
+    def test_guard_boundaries(self, what, limit):
+        # the real limits, read by the guard alone, so no sweep runs: d at
+        # the limit passes, one more is refused unless forced
+        value = getattr(quotient, limit) if limit else quotient.DEFAULT_MAX_COVER_D
+        at, above = (Arrangement(1, ((1,),) * d, tuple(range(d))) for d in (value, value + 1))
+        passed = value if limit else None
+        quotient._check_guard(at, False, what, passed)
+        with pytest.raises(GuardError, match=f"d = {value + 1} > {value}"):
+            quotient._check_guard(above, False, what, passed)
+        quotient._check_guard(above, True, what, passed)
+
+    def test_limits_are_the_documented_ones(self):
+        # README states the limits: d = 12, and d = 9 for the 4^d complement
+        text = " ".join((FIXTURE_DIR.parent / "README.md").read_text(encoding="utf-8").split())
+        stated = re.search(r"refuse to run above `d = (\d+)` \(`d = (\d+)` for the `4\^d`", text)
+        assert stated is not None
+        assert (quotient.DEFAULT_MAX_COVER_D, quotient.DEFAULT_MAX_COMPLEMENT_D) == (12, 9)
+        assert tuple(map(int, stated.groups())) == (12, 9)
+
 
 class TestChamberVertices:
     """The CLI lists a bounded chamber's vertices as the arrangement's
@@ -388,16 +412,26 @@ class TestFaceRecord:
                 expected = any(all(s * e >= 0 for s, e in zip(sigma, c.eps)) for sigma in rays)
                 assert c.classification == (UNBOUNDED if expected else BOUNDED)
                 bounded += not expected
-            assert quotient._extended_core_cached(arr).first == first_compact_indices(arr)
+            walk = quotient._extended_core_cached(arr)
+            assert walk.first == first_compact_indices(arr)
+            # the walk keeps each bounded chamber's vertex mask, in core order
+            assert walk.masks == tuple(
+                quotient._chamber_mask(arr, c.eps) for c in walk.core if c.classification == BOUNDED
+            )
             if is_smooth(arr):
                 components = extended_core(arr)
                 if any(c.classification == BOUNDED for c in components):
                     verify_covering(arr)
                 chart_complement(arr, components[0].eps)
                 owned += 1
-            # the walk's results live in its own record: no sweep writes
-            # into the face record
-            assert set(vars(arr._faces)) == {"vertices", "masks"}
+            # the face record holds exactly what _faces builds, the walk rows
+            # of each walked alphabet included; the walk's results live in
+            # their own record, and no sweep writes into the face record
+            assert set(vars(arr._faces)) == {"vertices", "masks", "rows"}
+            assert arr._faces == stability._faces(arr)
+            for alphabet, rows in arr._faces.rows.items():
+                assert rows == walk_rows(arr, (alphabet,) * arr.d)
+            assert set(arr._faces.rows) == {NO_BOTH_ALPHABET, (Z, W), (B,)}
             scaled += any(den > 1 for _, den, _ in arrangement_module._matroid(arr).bases)
             not_simple += not is_simple(arr)
         assert scaled > 40 and not_simple > 10 and bounded > 200 and owned > 40
@@ -412,6 +446,16 @@ class TestCoreEmptyCriterion:
         assert not report.bounded_exists
         assert report.trivial_indices == (2,)
         assert report.agree
+
+    def test_disagreement_reported(self, hirzebruch, trivial_product, monkeypatch):
+        # the two sides are compared, not assumed to agree: a split-factor
+        # side made wrong on purpose turns agree off
+        monkeypatch.setattr(quotient, "trivial_factors", lambda arr: () if arr is trivial_product else (0,))
+        for arr, bounded in ((hirzebruch, True), (trivial_product, False)):
+            report = core_empty_criterion(arr)
+            assert report.bounded_exists is bounded
+            assert report.trivial_indices == (() if arr is trivial_product else (0,))
+            assert report.agree is False
 
     def test_random_agreement_surfaced(self):
         rng = random.Random(6174)
@@ -553,6 +597,61 @@ class TestVertexMasks:
         assert report.covered and len(report.witness) == 7825
         digest = hashlib.sha256(pickle.dumps(report, protocol=4)).hexdigest()
         assert digest == COVER_PICKLE_DIGEST
+        assert quotient._covering_counts(arr, force=True) == (7825, ())
+
+    def test_counts_match_witness_path(self, trivial_product, monkeypatch):
+        # the CLI's counting path: as many witnessed leaves as the witness
+        # dict holds, and the same counterexamples in the same order
+        rng = random.Random(2722)
+        arrangements = self.fixtures_with_core()
+        arrangements += [random_smooth_arrangement(rng, require_core=True, max_d=8) for _ in range(40)]
+        for arr in arrangements:
+            report = verify_covering(arr)
+            assert quotient._covering_counts(arr) == (len(report.witness), report.counterexamples)
+        # the same guards and empty-core error, in the same order
+        not_smooth = Arrangement(1, ((-1,), (1,), (1,)), (1, -1, 0))
+        for arr, error, match in (
+            (not_smooth, ValueError, "not smooth"),
+            (trivial_product, ValueError, "empty core"),
+        ):
+            for sweep in (verify_covering, quotient._covering_counts):
+                with pytest.raises(error, match=match):
+                    sweep(arr)
+        monkeypatch.setattr(quotient, "DEFAULT_MAX_COVER_D", 2)
+        for sweep in (verify_covering, quotient._covering_counts):
+            with pytest.raises(GuardError, match="covering sweep"):
+                sweep(trivial_product)
+
+    def test_counts_match_with_a_vertex_off_the_core(self, monkeypatch):
+        # one more candidate ray, conforming to the first bounded chamber,
+        # makes the core walk classify that chamber unbounded; the vertices
+        # on no other bounded chamber lose their index, and both paths list
+        # the same counterexamples
+        rng = random.Random(2723)
+        counterexamples = empty = 0
+        for _ in range(30):
+            arr = random_smooth_arrangement(rng, require_core=True, max_d=7)
+            eps = theta_cpt(arr)[0]
+            rays = [list(masks) for masks in arrangement_module._matroid(arr).ray_masks]
+            extra = 1 << max(mask.bit_length() for masks in rays for mask in masks)
+            for (k, s), e in zip(arrangement_module._orientations(arr), eps):
+                rays[k][e != s] |= extra
+            patched = types.SimpleNamespace(ray_masks=tuple(map(tuple, rays)))
+            copy = dataclasses.replace(arr)
+            monkeypatch.setattr(quotient, "_matroid", lambda a: patched)
+            walk = quotient._extended_core_cached(copy)
+            monkeypatch.undo()
+            assert eps not in {c.eps for c in walk.core if c.classification == BOUNDED}
+            if not walk.masks:
+                empty += 1
+                with pytest.raises(ValueError, match="empty core"):
+                    quotient._covering_counts(copy)
+                continue
+            report = verify_covering(copy)
+            assert report == per_leaf_covering(copy)
+            assert quotient._covering_counts(copy) == (len(report.witness), report.counterexamples)
+            counterexamples += len(report.counterexamples)
+        assert counterexamples > 100 and empty < 25
 
     def test_pruned_complement_matches_oracles(self):
         # the walks skip the prefixes inside the chamber; the exclusions
@@ -777,8 +876,8 @@ class TestComplementSweep:
         real_contains, real_walk = quotient._cone_contains, quotient._pattern_masks
         real_mask = quotient._chamber_mask
 
-        def walk(a, alphabets, within=None):
-            for pattern, kept in real_walk(a, alphabets, within):
+        def walk(a, rows, within=None):
+            for pattern, kept in real_walk(a, rows, within):
                 yielded.append(pattern)
                 yield pattern, kept
 
@@ -964,9 +1063,9 @@ class TestChartComplement:
             real_contains, real_walk = quotient._cone_contains, quotient._pattern_masks
             real_mask = quotient._chamber_mask
 
-            def walk(a, alphabets, within=None):
-                both_sizes.append(sum(letters == (B,) for letters in alphabets))
-                for pattern, kept in real_walk(a, alphabets, within):
+            def walk(a, rows, within=None):
+                both_sizes.append(sum(row[0][0] is B for row in rows))
+                for pattern, kept in real_walk(a, rows, within):
                     yielded.append(pattern)
                     yield pattern, kept
 
@@ -1005,7 +1104,9 @@ class TestChartComplement:
             eps = tuple(1 if status is Z else -1 for status in chamber)
             arrangement_module._class_matroid.cache_clear()
             chosen, walks = [], []
-            monkeypatch.setattr(quotient, "_pattern_masks", lambda a, al, within=None: walks.append(al) or iter(()))
+            monkeypatch.setattr(
+                quotient, "_pattern_masks", lambda a, rows, within=None: walks.append(rows) or iter(())
+            )
             monkeypatch.setattr(
                 arrangement_module._ClassMatroid,
                 "independent",

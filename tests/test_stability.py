@@ -51,6 +51,7 @@ from util import (
     per_pattern_verdict,
     per_subset_numeric_chambers,
     rank_realizable,
+    walk_rows,
 )
 
 F = Fraction
@@ -510,44 +511,42 @@ class TestPrefixTree:
         for arr in arrangements:
             everything = stability._letter_masks(arr)[1]
             for letters in alphabets:
-                per_coordinate = None if letters is None else [letters] * arr.d
-                full = list(stability._pattern_masks(arr, per_coordinate))
-                assert list(stability._pattern_masks(arr, per_coordinate, everything)) == full
-                assert list(stability._pattern_masks(arr, per_coordinate, 0)) == []
+                rows = None if letters is None else walk_rows(arr, [letters] * arr.d)
+                full = list(stability._pattern_masks(arr, rows))
+                assert list(stability._pattern_masks(arr, rows, everything)) == full
+                assert list(stability._pattern_masks(arr, rows, 0)) == []
                 for _ in range(3):
                     within = rng.getrandbits(everything.bit_length()) & everything
-                    kept = list(stability._pattern_masks(arr, per_coordinate, within))
+                    kept = list(stability._pattern_masks(arr, rows, within))
                     assert kept == [(p, mask) for p, mask in full if mask & within]
                     pruned += len(full) - len(kept)
         assert pruned > 1000
 
     def test_extended_core_expands_dense_prefixes_only(self, hirzebruch, triangle_pair, monkeypatch):
-        # every letter the walk tries is looked up in the mask table: the
-        # chamber walk tries Z and W only, so it never forms a ZERO prefix
+        # every letter the walk tries comes off the rows it is given: the
+        # chamber walk's rows hold Z and W only, each with its letter mask,
+        # so it never forms a ZERO prefix
         rng = random.Random(31)
         # fresh copies: the session fixtures keep the records earlier tests
-        # built, and a walk already kept would ask for no letter
+        # built, and a walk already kept would not run
         arrangements = [dataclasses.replace(hirzebruch), dataclasses.replace(triangle_pair)]
         arrangements += [random_smooth_arrangement(rng, n=n, d=d) for n in (2, 3) for d in (4, 6, 8)]
+        real_walk = quotient._pattern_masks
 
-        class Recording(dict):
-            def __getitem__(self, status):
-                asked.append(status)
-                return super().__getitem__(status)
-
-        real_masks = stability._letter_masks
-
-        def recording_masks(a):
-            tables, everything = real_masks(a)
-            return tuple(Recording(letters) for letters in tables), everything
+        def recording_walk(a, rows=None, within=None):
+            given.append(rows)
+            return real_walk(a, rows, within)
 
         for arr in arrangements:
-            asked = []
-            monkeypatch.setattr(stability, "_letter_masks", recording_masks)
+            given = []
+            monkeypatch.setattr(quotient, "_pattern_masks", recording_walk)
             calls = self.count_lps(monkeypatch)
             extended_core(arr)
             monkeypatch.undo()
-            assert asked and set(asked) <= {Z, W}
+            assert len(given) == 1 and len(given[0]) == arr.d
+            tables, _ = stability._letter_masks(arr)
+            for row, letters in zip(given[0], tables):
+                assert row == ((W, letters[W]), (Z, letters[Z]))
             assert calls == []
 
     def test_covering_lp_budget(self, monkeypatch):

@@ -134,9 +134,22 @@ def eq(coeffs, constant=0) -> Constraint:
     return Constraint(tuple(coeffs), Relation.EQ, constant)
 
 
+def walk_rows(arr, alphabets) -> tuple:
+    """The rows ``_pattern_masks`` walks for a letter alphabet per
+    coordinate, built from the letter masks: each letter with its mask,
+    reversed, so that the leaves come in ``itertools.product`` order."""
+    tables, _ = _letter_masks(arr)
+    return tuple(
+        tuple((status, letters[status]) for status in reversed(allowed))
+        for letters, allowed in zip(tables, alphabets)
+    )
+
+
 def nonempty_patterns(arr, alphabets=None):
-    """The leaves of ``_pattern_masks``, without their masks."""
-    return (pattern for pattern, _ in _pattern_masks(arr, alphabets))
+    """The leaves of ``_pattern_masks`` over a letter alphabet per
+    coordinate (any BOTH-free letter when None), without their masks."""
+    rows = None if alphabets is None else walk_rows(arr, alphabets)
+    return (pattern for pattern, _ in _pattern_masks(arr, rows))
 
 
 def _eliminate(mat, rhs=None) -> tuple:
@@ -863,7 +876,8 @@ def full_walk_complement(arr, eps) -> ComplementReport:
     for chosen in _matroid(arr).realizable:
         both = {i for k in chosen for i, _ in classes[k][1]}
         alphabets = [(Status.BOTH,) if i in both else NO_BOTH_ALPHABET for i in range(arr.d)]
-        excluded.extend(p for p, kept in _pattern_masks(arr, alphabets) if not kept & chamber)
+        walk = _pattern_masks(arr, walk_rows(arr, alphabets))
+        excluded.extend(p for p, kept in walk if not kept & chamber)
     excluded.sort(key=lambda p: [_LETTER_ORDER[status] for status in p])
     return _complement_report(arr, tuple(eps), excluded)
 
