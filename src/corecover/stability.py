@@ -32,8 +32,8 @@ record (``_faces``), with the rows each walk takes its letters and masks
 from. A chart pattern holds at a vertex iff the pattern does and the
 vertex conforms to the chart's sign vector, so a chart verdict is the AND
 of a pattern's mask with its chamber's. The sweeps walk the prefixes, one
-hyperplane at a time, whose masks are nonzero. Each
-public verdict carries the exact certificate of the system it solved.
+hyperplane at a time, whose masks are nonzero. Each public verdict
+carries the exact certificate of the system it solved.
 Face record and state rows live on the arrangement, numeric set and sign
 rows on the torus data, each built on first read and freed with its owner.
 """
@@ -394,7 +394,7 @@ def _pattern_masks(arr: Arrangement, rows=None, within=None):
     everything = faces.masks[1]
     rows = faces.rows[NO_BOTH_ALPHABET] if rows is None else rows
     within = everything if within is None else within
-    last = arr.d - 1
+    last = len(rows) - 1
     final = rows[last][::-1]
     stack = [((), everything)] if everything & within else []
     while stack:
