@@ -608,19 +608,18 @@ class TestVertexMasks:
         for arr in arrangements:
             report = verify_covering(arr)
             assert quotient._covering_counts(arr) == (len(report.witness), report.counterexamples)
-        # the same guards and empty-core error, in the same order
+        # the same guards and empty-core error, in the same order: smooth
+        # input first, then the guard, then a nonempty core
         not_smooth = Arrangement(1, ((-1,), (1,), (1,)), (1, -1, 0))
-        for arr, error, match in (
-            (not_smooth, ValueError, "not smooth"),
-            (trivial_product, ValueError, "empty core"),
-        ):
-            for sweep in (verify_covering, quotient._covering_counts):
-                with pytest.raises(error, match=match):
-                    sweep(arr)
-        monkeypatch.setattr(quotient, "DEFAULT_MAX_COVER_D", 2)
         for sweep in (verify_covering, quotient._covering_counts):
+            with pytest.raises(ValueError, match="empty core"):
+                sweep(trivial_product)
+            monkeypatch.setattr(quotient, "DEFAULT_MAX_COVER_D", 2)
+            with pytest.raises(ValueError, match="not smooth"):
+                sweep(not_smooth)
             with pytest.raises(GuardError, match="covering sweep"):
                 sweep(trivial_product)
+            monkeypatch.undo()
 
     def test_counts_match_with_a_vertex_off_the_core(self, monkeypatch):
         # one more candidate ray, conforming to the first bounded chamber,
