@@ -1,0 +1,244 @@
+#!/usr/bin/env python3
+"""Mutation probe: does tier-1 catch each single-line change in the catalogue?
+
+Each entry of ``CATALOGUE`` names a file under ``src/corecover``, a line of
+it (compared without its indentation, and found exactly once), the line
+that replaces it, keeping the indentation, and why the change matters. The
+script copies the repository once into a temporary directory (``git
+archive`` of ``--ref``, or with ``--worktree`` the tracked and untracked,
+not ignored, files of the working tree); for each entry it applies that one
+change, runs the tier-1 command with ``-x`` and restores the file. A mutant
+is killed when the command fails. Bytecode is not written, so no stale
+``.pyc`` can stand in for a mutated module.
+
+An entry with ``equivalent`` set changes no behaviour, for the reason it
+states, so it is expected to survive. The script prints one line per
+mutant, with the first failing test of each killed one, and exits 1 if a
+mutant that is not marked equivalent survives, or one that is marked
+equivalent is killed (its mark is wrong, or a test reads more than
+behaviour), and 2 if an entry does not apply. Run it after a change to
+``src/``, with an entry for each line the change rewrites; a survivor is
+killed by a new test, never by dropping or weakening its entry. At 10-60
+s a mutant on 2 CPUs it is not a CI step.
+
+Usage: python scripts/mutants.py [--ref REF | --worktree] [--only NAME ...]
+"""
+
+import argparse
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+TIMEOUT_S = 900
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    why: str
+    equivalent: str | None = None
+
+
+CATALOGUE = (
+    Mutant(
+        "max-state-dim-max",
+        "quotient.py",
+        "max_dim = arr.n - min(zeros) if zeros else -1",
+        "max_dim = arr.n - max(zeros) if zeros else -1",
+        "the complement's largest state set comes from the fewest ZERO letters",
+    ),
+    Mutant(
+        "breakdown-order",
+        "quotient.py",
+        "breakdown = {k: tuple(v) for k, v in sorted(breakdown.items(), reverse=True)}",
+        "breakdown = {k: tuple(v) for k, v in sorted(breakdown.items())}",
+        "the component breakdown is listed with +1 before -1, as the CLI prints it",
+    ),
+    Mutant(
+        "closed-orbit-non-strict",
+        "stability.py",
+        "Constraint(c.coeffs, Relation.GT, c.constant) if c.relation is Relation.GE else c",
+        "Constraint(c.coeffs, Relation.GE, c.constant) if c.relation is Relation.GE else c",
+        "hk_closed_orbit is the strict variant of the semistability system",
+    ),
+    Mutant(
+        "conforming-one-sided",
+        "stability.py",
+        "_CONFORMING = {1: (1,), -1: (-1,), 0: (1, -1)}",
+        "_CONFORMING = {1: (1,), -1: (-1,), 0: (1,)}",
+        "a zero coordinate conforms to both signs",
+    ),
+    Mutant(
+        "exchange-largest-size-dropped",
+        "stability.py",
+        "for r in range(min(td.m, len(entering)) + 1):",
+        "for r in range(min(td.m, len(entering))):",
+        "the numeric chambers need exchange blocks of every size up to min(m, n)",
+    ),
+    Mutant(
+        "cramer-numerators-swapped",
+        "stability.py",
+        "nums = (t1 * a22 - a12 * t2, a11 * t2 - t1 * a21)",
+        "nums = (a11 * t2 - t1 * a21, t1 * a22 - a12 * t2)",
+        "each Cramer numerator belongs to its own entering column",
+    ),
+    Mutant(
+        "witness-first-vertex",
+        "quotient.py",
+        "if j < index:",
+        "if index == no_chamber:",
+        "a covering witness is the compact chamber of least index among the leaf's vertices",
+    ),
+    Mutant(
+        "smooth-without-regular",
+        "arrangement.py",
+        "return is_regular(arr) and is_simple(arr)",
+        "return is_simple(arr)",
+        "smoothness is regularity and simplicity",
+    ),
+    Mutant(
+        "cover-limit-13",
+        "quotient.py",
+        "DEFAULT_MAX_COVER_D = 12",
+        "DEFAULT_MAX_COVER_D = 13",
+        "README documents d = 12 as the largest sweep run without --force",
+    ),
+    Mutant(
+        "complement-limit-10",
+        "quotient.py",
+        "DEFAULT_MAX_COMPLEMENT_D = 9",
+        "DEFAULT_MAX_COMPLEMENT_D = 10",
+        "README documents d = 9 as the largest complement run without --force",
+    ),
+    Mutant(
+        "guard-non-strict",
+        "quotient.py",
+        "if arr.d > limit and not force:",
+        "if arr.d >= limit and not force:",
+        "d equal to the limit runs without --force",
+    ),
+    Mutant(
+        "criterion-always-agrees",
+        "quotient.py",
+        "agree = (not bounded_exists) == (len(trivial) > 0)",
+        "agree = True",
+        "a disagreement between the two sides must be reported",
+    ),
+    Mutant(
+        "level-drops-own-lift",
+        "arrangement.py",
+        "alpha.append(Fraction(level + nums[p], common))",
+        "alpha.append(Fraction(level, common))",
+        "row p of the read-off kernel is 1 at p, so its level adds the lift of p",
+    ),
+    Mutant(
+        "split-right-sign",
+        "arrangement.py",
+        "right = {s - c * t for s in right for t in offsets[k]}",
+        "right = {s + c * t for s in right for t in offsets[k]}",
+        "the halves meet where the sum over A is minus the sum over B",
+    ),
+    Mutant(
+        "split-at-zero",
+        "arrangement.py",
+        "half = len(support) // 2",
+        "half = 0",
+        "the split point sets only the cost",
+        equivalent=(
+            "with A empty the left set is {0}, so the test reads whether 0 is among the "
+            "negated sums over the whole support, which is the same condition"
+        ),
+    ),
+    Mutant(
+        "classes-member-sign",
+        "arrangement.py",
+        "u, member = (u, (i, -num)) if u > zero else (tuple(map(neg, u)), (i, num))",
+        "u, member = (u, (i, -num)) if u > zero else (tuple(map(neg, u)), (i, -num))",
+        "a negated normal reads its offset with the opposite sign",
+    ),
+)
+
+
+def _copy(dest: pathlib.Path, ref: str, worktree: bool) -> None:
+    archive = dest / "tree.tar"
+    with open(archive, "wb") as out:
+        if worktree:
+            listed = subprocess.run(
+                ["git", "ls-files", "-z", "-co", "--exclude-standard"],
+                cwd=ROOT, check=True, capture_output=True,
+            ).stdout.split(b"\0")
+            files = b"\0".join(name for name in listed if name and (ROOT / name.decode()).is_file())
+            subprocess.run(["tar", "-cf", "-", "--null", "-T", "-"], cwd=ROOT, check=True, input=files, stdout=out)
+        else:
+            subprocess.run(["git", "archive", ref], cwd=ROOT, check=True, stdout=out)
+    subprocess.run(["tar", "-xf", archive.name], cwd=dest, check=True)
+    archive.unlink()
+
+
+def _apply(tree: pathlib.Path, mutant: Mutant) -> str:
+    """Apply the mutant in ``tree``; return the original text of its file."""
+    path = tree / "src" / "corecover" / mutant.file
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines(keepends=True)
+    hits = [i for i, line in enumerate(lines) if line.strip() == mutant.old]
+    if len(hits) != 1:
+        raise LookupError(f"{mutant.name}: {len(hits)} lines of {mutant.file} read {mutant.old!r}")
+    line = lines[hits[0]]
+    lines[hits[0]] = line[: len(line) - len(line.lstrip())] + mutant.new + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    return text
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--ref", default="HEAD", help="commit to copy (default HEAD)")
+    source.add_argument("--worktree", action="store_true", help="copy the working tree instead")
+    parser.add_argument("--only", nargs="+", metavar="NAME", help="run these entries alone")
+    args = parser.parse_args(argv)
+    names = {m.name for m in CATALOGUE}
+    unknown = set(args.only or ()) - names
+    if unknown:
+        parser.error(f"no such entries: {', '.join(sorted(unknown))}")
+    chosen = [m for m in CATALOGUE if not args.only or m.name in args.only]
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    wrong = []
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        tree = pathlib.Path(tmp)
+        _copy(tree, args.ref, args.worktree)
+        for mutant in chosen:
+            try:
+                original = _apply(tree, mutant)
+            except LookupError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            start = time.monotonic()
+            try:
+                run = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+                failures = [line for line in run.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
+                killed = run.returncode != 0
+                note = f"by {failures[0].split(' - ')[0].split(' ', 1)[1]}" if failures else f"exit {run.returncode}"
+            except subprocess.TimeoutExpired:
+                killed, note = True, f"by the {TIMEOUT_S} s timeout"
+            finally:
+                (tree / "src" / "corecover" / mutant.file).write_text(original, encoding="utf-8")
+            if not killed:
+                note = f"equivalent: {mutant.equivalent}" if mutant.equivalent else mutant.why
+            verdict = "killed" if killed else "survived"
+            print(f"{verdict:8} {mutant.name:30} {time.monotonic() - start:6.1f} s  {note}", flush=True)
+            if killed == bool(mutant.equivalent):
+                wrong.append(mutant.name)
+    print(f"{len(chosen)} mutants, {len(wrong)} unexpected: {', '.join(wrong) or 'none'}")
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

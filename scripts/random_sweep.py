@@ -4,8 +4,9 @@
 Samples smooth arrangements from a seed and runs the full battery on each:
 the kernel lattice (the ``lattice`` column: ``torus_data``'s basis, read off
 the class record's coordinates in the draw's greedy class basis, against
-the two-HNF oracle), oracle equivalence on every BOTH-free pattern, the
-mask verdicts (the
+the two-HNF oracle, and its level ``alpha``, summed over each row's
+nonzeros, against the product of that basis with the lifts), oracle
+equivalence on every BOTH-free pattern, the mask verdicts (the
 ``verdicts`` column: ``_cone_contains``, which ANDs the vertex masks of the
 letters with no LP, against one state-set LP per pattern, on every BOTH-free
 pattern and every realizable BOTH pattern), chart equivalence (the state set of
@@ -83,6 +84,7 @@ from util import (  # noqa: E402
     enumerate_vertices,
     is_bounded,
     kernel_by_two_hnf,
+    mat_vec,
     numeric_covering,
     numeric_density,
     rank_realizable,
@@ -182,7 +184,8 @@ def check_instance(arr) -> dict:
     )
     return {
         "matroid": cold_matroid_agrees(arr),
-        "lattice": td.basis == kernel_by_two_hnf(transpose(arr.normals, ncols=arr.n), arr.d),
+        "lattice": td.basis == kernel_by_two_hnf(transpose(arr.normals, ncols=arr.n), arr.d)
+        and td.alpha == mat_vec(td.basis, arr.lifts),
         "equivalence": equivalence,
         "verdicts": verdicts,
         "chart": chart,

@@ -211,7 +211,8 @@ def _numeric_chambers(td: TorusData) -> frozenset:
       Then ``x_E = nums / det`` (``det > 0``) solves the block against
       ``t_L``, and each pivot that stays has the sign of ``det * t_i -
       sum(M[i][c] * nums_c for c in E)``. With r = 0 nothing is solved:
-      ``x_P = t / den``.
+      ``x_P = t / den``. Blocks with r <= 2 are solved from their entries,
+      by Cramer's rule for r = 2; larger ones by ``solve_integer``.
 
     Everything is done on integers, since only signs are read. Only the
     full row rank of ``A`` is used, so this is exact on input that is
@@ -239,6 +240,16 @@ def _numeric_chambers(td: TorusData) -> frozenset:
                     if not b:
                         continue
                     nums, det = ((rest,), b) if b > 0 else ((-rest,), -b)
+                elif r == 2:
+                    # Cramer's rule on the block's four entries
+                    (a11, a12), (a21, a22) = ([tableau[i][c] for c in enter] for i in leave)
+                    t1, t2 = t[leave[0]], t[leave[1]]
+                    det = a11 * a22 - a12 * a21
+                    if not det:
+                        continue
+                    nums = (t1 * a22 - a12 * t2, a11 * t2 - t1 * a21)
+                    if det < 0:
+                        nums, det = (-nums[0], -nums[1]), -det
                 elif r:
                     solved = solve_integer(
                         [[tableau[i][c] for c in enter] for i in leave], [t[i] for i in leave]

@@ -475,6 +475,29 @@ class TestSmoothness:
             arr = Arrangement(3, axes, (-a, -b, -c, -e))
             assert is_simple(arr) == (a + b + c != e)
 
+    def test_four_circuit_meets_across_the_split(self):
+        # x = a, y = b, z = c and x + y + z = e, two hyperplanes per class:
+        # of the 16 choices only a = 10, b = 100, c = 1000, e = 1110 meet,
+        # and it needs a nonzero offset on both sides of the split
+        axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+        normals = tuple(u for u in axes for _ in range(2))
+        for es, simple in (((1110, 5), False), ((1111, 5), True)):
+            values = (0, 10, 0, 100, 0, 1000, *es)
+            arr = Arrangement(3, normals, tuple(-v for v in values))
+            assert is_regular(arr)
+            assert is_simple(arr) == simple == per_arrangement_simple(arr) == subset_simple(arr)
+
+    def test_circuit_with_coefficient_two(self):
+        # x = a, y = b, z = c and x + y + 2z = e: the relation e1 + e2 + 2 e3
+        # - (1, 1, 2) = 0 has a coefficient 2, and |det(e1, e2, (1, 1, 2))|
+        # = 2, so the normals are not regular. a + b + 2c takes the values
+        # 0, 1, 3, 4, 10, 11, 13, 14, and a + b + c would take 9 but not 14
+        normals = ((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1), (1, 1, 2))
+        for e, simple in ((14, False), (9, True)):
+            arr = Arrangement(3, normals, tuple(-v for v in (0, 1, 0, 3, 0, 5, e)))
+            assert not is_regular(arr)
+            assert is_simple(arr) == simple == per_arrangement_simple(arr) == subset_simple(arr)
+
     def test_four_circuit_parallel_copies(self):
         # two or three parallel copies per class, half of them with the
         # normal negated; a meeting quadruple needs one value per class

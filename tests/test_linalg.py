@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import pathlib
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import corecover.linalg as linalg
-from corecover import Arrangement, is_regular, parse_arrangement, torus_data
+from corecover import Arrangement, TorusData, is_regular, parse_arrangement, torus_data
 import corecover.arrangement as arrangement
 from corecover.arrangement import _build_torus_data
 from corecover.feasibility import Constraint, Relation
@@ -23,6 +24,7 @@ from corecover.linalg import (
 )
 from corecover.randgen import DIRECTIONS, random_smooth_arrangement
 from util import (
+    cycling_family,
     det,
     det_by_elimination,
     hermite_normal_form,
@@ -38,6 +40,7 @@ from util import (
     row_reduce_lattice_membership,
     solve_by_elimination,
     solve_square,
+    three_class_arrangement,
 )
 
 # SHA-256 of rank/lin_solve (and det/solve_square when square) over
@@ -367,6 +370,36 @@ class TestKernelReadOff:
             counts["read off" if unit else "hnf"] += 1
             counts["fallback"] += echelons > 0
         assert counts["read off"] >= 50 and counts["hnf"] >= 50 and counts["fallback"] >= 50, counts
+
+    def test_read_off_level_matches_constructor(self, monkeypatch):
+        # the read-off sums the level over each row's n + 1 nonzeros and
+        # hands it in privately: the record must be the one the public
+        # constructor derives from the same basis and lifts, down to its
+        # field order and pickle bytes
+        rng = random.Random(4404)
+        draws = [three_class_arrangement(rng, 8) for _ in range(20)]
+        draws += [cycling_family(rng, rng.randint(24, 40)) for _ in range(6)]
+        for drawn in draws:
+            q = rng.randint(1, 7)
+            arr = Arrangement(drawn.n, drawn.normals, tuple(x / q for x in drawn.lifts))
+            assert _hnf_calls(monkeypatch, _build_torus_data, arr) == 0
+            td = _build_torus_data(arr)
+            public = TorusData(td.basis, td.lifts)
+            assert td == public and repr(td) == repr(public)
+            assert list(vars(td)) == list(vars(public)) == ["basis", "lifts", "d", "m", "alpha"]
+            assert pickle.dumps(td) == pickle.dumps(public)
+            assert td.alpha == mat_vec(td.basis, arr.lifts)
+
+    def test_read_off_path_runs_the_constructor_checks(self):
+        lifts = (Fraction(1, 2), 3, Fraction(-1, 3))
+        td = TorusData._read_off([[1, 0, 1]], lifts, (Fraction(1, 6),))
+        assert td == TorusData([[1, 0, 1]], lifts) and td.basis == ((1, 0, 1),)
+        assert all(type(x) is Fraction for x in td.lifts)
+        with pytest.raises(ValueError) as public:
+            TorusData(((1, 0, 1), (1, 0)), lifts)
+        with pytest.raises(ValueError) as private:
+            TorusData._read_off(((1, 0, 1), (1, 0)), lifts, (Fraction(1, 6), Fraction(1, 2)))
+        assert str(private.value) == str(public.value) == "kernel basis vector has wrong length"
 
     def test_non_regular_arrangement_falls_back(self, monkeypatch):
         # the last two normals have determinant 2
