@@ -7,9 +7,11 @@ that replaces it, keeping the indentation, and why the change matters. The
 script copies the repository once into a temporary directory (``git
 archive`` of ``--ref``, or with ``--worktree`` the tracked and untracked,
 not ignored, files of the working tree); for each entry it applies that one
-change, runs the tier-1 command with ``-x`` and restores the file. A mutant
-is killed when the command fails. Bytecode is not written, so no stale
-``.pyc`` can stand in for a mutated module.
+change, runs the tier-1 command with ``-x``, less ``tests/test_mutants.py``
+(which checks that every entry's line is in the source, so any mutant
+fails it), and restores the file. A mutant is killed when the command
+fails. Bytecode is not written, so no stale ``.pyc`` can stand in for a
+mutated module.
 
 An entry with ``equivalent`` set changes no behaviour, for the reason it
 states, so it is expected to survive. The script prints one line per
@@ -34,7 +36,12 @@ import time
 from typing import NamedTuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+# tests/test_mutants.py checks that each entry's line is in the source, so
+# it fails on every mutant; left in, it would kill each survivor
+TIER1 = [
+    sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors",
+    "--ignore=tests/test_mutants.py",
+]
 TIMEOUT_S = 900
 
 
@@ -163,6 +170,76 @@ CATALOGUE = (
         "u, member = (u, (i, -num)) if u > zero else (tuple(map(neg, u)), (i, num))",
         "u, member = (u, (i, -num)) if u > zero else (tuple(map(neg, u)), (i, -num))",
         "a negated normal reads its offset with the opposite sign",
+    ),
+    Mutant(
+        "row-lengths-strict",
+        "arrangement.py",
+        "if not set(map(len, basis)) <= {len(lifts)}:",
+        "if not set(map(len, basis)) < {len(lifts)}:",
+        "rows of length d are the ones the torus data accepts",
+    ),
+    Mutant(
+        "hnf-level-over-one",
+        "arrangement.py",
+        "return TorusData._read_off(basis, arr.lifts, _level(basis, arr._cleared))",
+        "return TorusData._read_off(basis, arr.lifts, _level(basis, (1, arr._cleared[1])))",
+        "the HNF path's level is summed over the lifts' common denominator",
+    ),
+    Mutant(
+        "cleared-lifts-over-one",
+        "arrangement.py",
+        "return common, tuple(nums)",
+        "return 1, tuple(nums)",
+        "the cleared lifts keep their common denominator",
+    ),
+    Mutant(
+        "record-not-stored",
+        "arrangement.py",
+        "value = instance.__dict__[self.attrname] = self.func(instance)",
+        "value = self.func(instance)",
+        "a record is built once, and later reads find it in the instance dict",
+    ),
+    Mutant(
+        "record-unnamed-unchecked",
+        "arrangement.py",
+        "if instance is None or self.attrname is None:",
+        "if instance is None:",
+        "a record without a name raises cached_property's TypeError",
+    ),
+    Mutant(
+        "scale-by-numerator",
+        "linalg.py",
+        "return common, [p * (common // q) for p, q in pairs]",
+        "return common, [p * (common // p) for p, q in pairs]",
+        "each numerator is scaled by the common denominator over its own denominator",
+    ),
+    Mutant(
+        "fractions-guard-any-sequence",
+        "linalg.py",
+        "if type(values) is tuple and set(map(type, values)) <= {Fraction}:",
+        "if set(map(type, values)) <= {Fraction}:",
+        "only a tuple is kept as it is; a list of Fractions becomes a tuple",
+    ),
+    Mutant(
+        "fractions-guard-ints",
+        "linalg.py",
+        "if type(values) is tuple and set(map(type, values)) <= {Fraction}:",
+        "if type(values) is tuple and set(map(type, values)) <= _EXACT:",
+        "a tuple that holds an int is converted to Fractions",
+    ),
+    Mutant(
+        "rational-leading-zeros",
+        "formats.py",
+        '_RATIONAL_RE = re.compile(r"(0|-?[1-9][0-9]*)(?:/([2-9]|[1-9][0-9]+))?")',
+        '_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([2-9]|[1-9][0-9]+))?")',
+        "format_rational writes no leading zero and no -0",
+    ),
+    Mutant(
+        "rational-denominator-one",
+        "formats.py",
+        '_RATIONAL_RE = re.compile(r"(0|-?[1-9][0-9]*)(?:/([2-9]|[1-9][0-9]+))?")',
+        '_RATIONAL_RE = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")',
+        "format_rational writes an integer without a denominator",
     ),
 )
 

@@ -41,9 +41,26 @@ def _fields_only(obj) -> dict:
     return {k: v for k, v in vars(obj).items() if k in names}
 
 
-def _record(module: str, builder: str) -> cached_property:
-    """A record that ``builder(self)`` of a module above this one builds on first read."""
-    return cached_property(
+class _Record(cached_property):
+    """A ``cached_property`` whose first read stores its value in the
+    instance dict without taking the lock that Python 3.10 and 3.11 take
+    (gh-87634; 3.12 dropped it). Later reads find the value in the dict and
+    never reach the descriptor. Two threads that read a record first at
+    once may each build it; the builders are deterministic, so either value
+    serves. Read on the class, the descriptor returns itself, and one
+    without a name raises ``cached_property``'s ``TypeError``."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None or self.attrname is None:
+            return super().__get__(instance, owner)
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
+def _record(module: str, builder: str) -> _Record:
+    """A record (``_Record``) that ``builder(self)`` of a module above this
+    one builds on first read, without a lock."""
+    return _Record(
         lambda self: getattr(import_module(f"{__package__}.{module}"), builder)(self)
     )
 
@@ -65,9 +82,14 @@ class Arrangement:
     only the normals up to the one that completes a basis: O(n^3) plus one
     reduction per normal read before that, not an elimination of all ``d``.
 
-    Derived data is kept on the arrangement as records, each built on first
-    read and freed with it (none refers back to it); equality, ``repr``,
-    pickling and copying see the fields alone.
+    Derived data is kept on the arrangement as records (``_Record``), each
+    built on first read, without a lock, and freed with it (none refers
+    back to it); equality, ``repr``, pickling and copying see the fields
+    alone. ``_cleared`` holds the lifts cleared to integers, ``(common,
+    nums)`` with ``lifts[i] == nums[i] / common``, from one
+    ``_common_denominator``: the direction classes, the torus data and the
+    vertices read them there, so the lifts are cleared once per
+    arrangement.
     """
 
     n: int
@@ -112,9 +134,10 @@ class Arrangement:
     __getstate__ = _fields_only
 
     # the records; each builder is looked up when it is called
-    _classes = cached_property(lambda self: _direction_classes(self))
-    _simple = cached_property(lambda self: _decide_simple(self))
-    _torus = cached_property(lambda self: _build_torus_data(self))
+    _cleared = _Record(lambda self: _clear_lifts(self))
+    _classes = _Record(lambda self: _direction_classes(self))
+    _simple = _Record(lambda self: _decide_simple(self))
+    _torus = _Record(lambda self: _build_torus_data(self))
     _state_rows = _record("stability", "_state_rows")
     _faces = _record("stability", "_faces")
     _core_walk = _record("quotient", "_core_walk")
@@ -150,12 +173,13 @@ class TorusData:
     embedding matrix of the subtorus. The record is built from ``basis``
     and ``lifts`` alone: ``d = len(lifts)``, ``m = len(basis)`` and the
     moment map level ``alpha = basis @ lifts`` are derived from them, so a
-    level that disagrees with the lifts cannot be passed in. Lifts that are
-    Fractions pass through as they are, anything else is converted; every
-    basis row must have ``d`` entries. The kernel read-off of
-    ``_build_torus_data`` sums the same integers as ``_level`` over each
-    row's nonzeros and hands them in through the private ``_read_off``,
-    which runs these checks and sets the fields in the same order.
+    level that disagrees with the lifts cannot be passed in. A tuple of
+    Fractions is kept as it is and other lifts are converted
+    (``_as_fractions``); every basis row must have ``d`` entries, which one
+    set of the row lengths checks. ``_build_torus_data`` hands in the
+    level it has summed from the arrangement's cleared lifts through the
+    private ``_read_off``, which runs these checks and sets the fields in
+    the same order.
 
     The basis choice is a convention; everything comparable across different
     bases (stability verdicts, chamber combinatorics) is basis independent
@@ -171,18 +195,21 @@ class TorusData:
     def __post_init__(self, alpha=None):
         basis = tuple(map(tuple, self.basis))
         lifts = _as_fractions(self.lifts)
-        if any(len(row) != len(lifts) for row in basis):
+        if not set(map(len, basis)) <= {len(lifts)}:
             raise ValueError("kernel basis vector has wrong length")
+        if alpha is None:
+            alpha = _level(basis, _common_denominator(lifts))
         object.__setattr__(self, "d", len(lifts))
         object.__setattr__(self, "m", len(basis))
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "alpha", _level(basis, lifts) if alpha is None else alpha)
+        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "lifts", lifts)
 
     @classmethod
     def _read_off(cls, basis, lifts, alpha) -> TorusData:
         """``TorusData(basis, lifts)`` for a caller that has summed its
-        level ``alpha == _level(basis, lifts)`` already."""
+        level ``alpha == _level(basis, _common_denominator(lifts))``
+        already."""
         td = object.__new__(cls)
         object.__setattr__(td, "basis", basis)
         object.__setattr__(td, "lifts", lifts)
@@ -200,11 +227,18 @@ class TorusData:
     _sign_rows = _record("stability", "_sign_rows")
 
 
-def _level(basis, lifts) -> tuple:
-    """``basis @ lifts`` as Fractions, summed on integers over the lifts'
-    common denominator."""
-    common, nums = _common_denominator(lifts)
+def _level(basis, cleared) -> tuple:
+    """``basis @ lifts`` as Fractions, summed on the integers ``nums`` of
+    the lifts cleared to ``cleared = (common, nums)``."""
+    common, nums = cleared
     return tuple(Fraction(sum(map(mul, row, nums)), common) for row in basis)
+
+
+def _clear_lifts(arr: Arrangement) -> tuple:
+    """``(common, nums)``: the lifts over their least common denominator,
+    ``lifts[i] == nums[i] / common``, from one ``_common_denominator``."""
+    common, nums = _common_denominator(arr.lifts)
+    return common, tuple(nums)
 
 
 def torus_data(arr: Arrangement) -> TorusData:
@@ -219,7 +253,9 @@ def _build_torus_data(arr: Arrangement) -> TorusData:
     normals ``mat``, the pinned Hermite normal form of the kernel, and is
     read off the arrangement's ``_ClassMatroid`` with no elimination
     whenever the lexicographically last independent columns N of ``mat``
-    have determinant +-1, regular input or not. Write P for the other
+    have determinant +-1, regular input or not. Either way the level is
+    summed on the lifts as the arrangement's ``_cleared`` record holds
+    them, so no path clears them again. Write P for the other
     columns and L for the kernel lattice. The columns of a kernel basis are
     dependent exactly as in the dual matroid of the columns of ``mat``,
     whose bases are the complements of the bases of ``mat``'s columns; the
@@ -257,7 +293,7 @@ def _build_torus_data(arr: Arrangement) -> TorusData:
     1 set at p.
 
     The level is read off the same way. With the lifts cleared to integers
-    ``nums`` over their common denominator L, row p has n + 1 nonzeros, so
+    ``nums`` over their common denominator L (``_cleared``), row p has n + 1 nonzeros, so
     ``L * alpha_p = nums[p] + sum(c_j * nums[j] for j in N)`` with ``c_j``
     the shared row's entries: the sum is taken once per distinct plane, at
     most 2D of them with n terms each, and each row adds its own
@@ -283,11 +319,11 @@ def _build_torus_data(arr: Arrangement) -> TorusData:
         den, coords = record.coordinates(chosen)
     if den != 1:
         basis = kernel_lattice(transpose(arr.normals, ncols=arr.n), ncols=arr.d)
-        return TorusData(basis, arr.lifts)
+        return TorusData._read_off(basis, arr.lifts, _level(basis, arr._cleared))
     planes = _orientations(arr)
     pivots = [(last[b], planes[last[b]][1]) for b in chosen]
     skip = {j for j, _ in pivots}
-    common, nums = _common_denominator(arr.lifts)
+    common, nums = arr._cleared
     shared = {}
     basis, alpha = [], []
     for p, plane in enumerate(planes):
@@ -331,14 +367,15 @@ def _direction_classes(arr: Arrangement) -> tuple:
     sign with its first nonzero entry positive, and ``members`` holds
     ``(i, t)`` for each hyperplane ``i`` of the class, in index order, with
     ``t`` an integer: the hyperplane is the set ``<r, x> = t / L``, where L
-    is the lifts' common denominator. The classes are sorted by ``r``, not
+    is the lifts' common denominator and ``t`` is read off the
+    arrangement's ``_cleared`` record, up to sign. The classes are sorted by ``r``, not
     listed in order of appearance, so arrangements that differ only in the
     order of their hyperplanes, the signs of their normals, parallel copies
     or lifts have the same representatives and share one ``_ClassMatroid``.
     """
     classes = {}
     zero = (0,) * arr.n
-    _, nums = _common_denominator(arr.lifts)
+    nums = arr._cleared[1]
     for i, (u, num) in enumerate(zip(arr.normals, nums)):
         # tuples compare lexicographically: u > zero iff its first nonzero
         # entry is positive
@@ -564,15 +601,16 @@ def _vertices(arr: Arrangement) -> tuple:
     compares with its own offset. On input that is not simple a vertex lies
     on more than n hyperplanes and is listed once: the hyperplanes through
     a vertex span, so its zero set, and hence its sign vector, determines
-    it. They are sorted on integer keys, then made Fractions; nothing is
-    kept, since the face record (``stability._faces``) lists them once.
+    it. They are sorted on integer keys, then made Fractions; the offsets
+    are the cleared lifts of the ``_cleared`` record, and nothing is kept,
+    since the face record (``stability._faces``) lists them once.
     """
     # on integers: with the offsets over L, t = T / L, the point is x = nums
     # / (den * L) with nums = inverse @ T, and <r_k, x> - t has the sign of
     # <r_k, nums> - den * T (den > 0); hyperplane i reads s * (<r_k, x> - t)
     classes = arr._classes
     reps = [r for r, _ in classes]
-    common, lifts = _common_denominator(arr.lifts)
+    common, lifts = arr._cleared
     planes = [(k, s, -s * lift) for (k, s), lift in zip(_orientations(arr), lifts)]
     offsets = [tuple(t for _, t in members) for _, members in classes]
     found = {}

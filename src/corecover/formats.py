@@ -5,13 +5,17 @@ The on-disk format is a small UTF-8 JSON document:
     {"dim": n, "normals": [[...d integer rows of length n...]],
      "lifts": ["p/q" or "p", ...], "name": "optional"}
 
-Lifts are exact rationals written in lowest terms with positive denominator;
-they are parsed strictly (a non-reduced or malformed entry is rejected with
-the offending index). Pattern strings use one character per hyperplane over
-the alphabet z / w / 0 / *; sign strings use + / -. Each alphabet has one
-table, read one way to parse and the other to format. A parser refuses
-text that is not a str with ``ParseError``; a formatter names an entry
-outside its alphabet, and its position, in a ``ValueError``.
+Lifts are exact rationals written as ``format_rational`` writes them: "p"
+for an integer and "p/q" otherwise, in lowest terms with q > 1, with no
+leading zeros, no "+" and no "-0". They are parsed strictly: a lift is
+accepted exactly when it is written that way, so every accepted lift
+survives a parse and serialize round trip byte for byte, and any other
+spelling is rejected with the offending index. Pattern strings use one
+character per hyperplane over the alphabet z / w / 0 / *; sign strings use
++ / -. Each alphabet has one table, read one way to parse and the other to
+format. A parser refuses text that is not a str with ``ParseError``; a
+formatter names an entry outside its alphabet, and its position, in a
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ from .arrangement import Arrangement
 from .errors import ParseError
 from .stability import Status
 
-_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
+# format_rational's spellings: "0" or a nonzero integer with no leading
+# zero, then possibly a denominator above 1 with no leading zero
+_RATIONAL_RE = re.compile(r"(0|-?[1-9][0-9]*)(?:/([2-9]|[1-9][0-9]+))?")
 
 # Each letter's character is its value; the tables are read both ways, the
 # characters without the Enum ``value`` descriptor.
@@ -36,7 +42,8 @@ _CHAR_SIGNS = {ch: s for s, ch in _SIGN_CHARS.items()}
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" in lowest terms with q > 0."""
+    """Parse "p", or "p/q" in lowest terms with q > 1, spelled as
+    ``format_rational`` writes them: no leading zeros, no "+", no "-0"."""
     if not isinstance(text, str):
         raise ParseError("rational values must be strings")
     match = _RATIONAL_RE.fullmatch(text)
@@ -48,7 +55,7 @@ def parse_rational(text: str) -> Fraction:
     except ValueError:
         # more digits than ``sys.get_int_max_str_digits`` allows
         raise ParseError("rational has too many digits") from None
-    if den != 1 and gcd(abs(num), den) != 1:
+    if gcd(num, den) != 1:
         raise ParseError(f"rational {text!r} is not in lowest terms")
     return Fraction(num, den)
 

@@ -190,21 +190,27 @@ def _common_denominator(values) -> tuple:
     """``(common, ints)`` with ``values == ints / common`` entrywise, where
     ``common`` is the least common denominator and ``ints`` a list. Ints
     and Fractions pass through, and all-int input comes back as is over 1;
-    any other number goes through ``Fraction``."""
+    any other number goes through ``Fraction``. Each value is read once,
+    through ``as_integer_ratio()``, which ints and Fractions both have."""
     values = list(values)
     kinds = set(map(type, values))
     if kinds == {int}:
         return 1, values
     if not kinds <= _EXACT:
         values = [x if type(x) in _EXACT else Fraction(x) for x in values]
-    common = lcm(*[x.denominator for x in values])
-    return common, [x.numerator * (common // x.denominator) for x in values]
+    pairs = [x.as_integer_ratio() for x in values]
+    common = lcm(*[q for _, q in pairs])
+    return common, [p * (common // q) for p, q in pairs]
 
 
 def _as_fractions(values) -> tuple:
-    """``values`` as a tuple of Fractions; a Fraction passes through as the
-    same object, anything else goes through ``Fraction``. A str or bytes,
-    whose characters would be read as values, raises ``ValueError``."""
+    """``values`` as a tuple of Fractions. A tuple whose entries are all
+    Fractions is returned as it is; otherwise a Fraction passes through as
+    the same object and anything else goes through ``Fraction``. A str or
+    bytes, whose characters would be read as values, raises
+    ``ValueError``."""
+    if type(values) is tuple and set(map(type, values)) <= {Fraction}:
+        return values
     if isinstance(values, (str, bytes)):
         raise ValueError("lifts must be a sequence of numbers, not a string")
     return tuple(x if type(x) is Fraction else Fraction(x) for x in values)

@@ -277,6 +277,30 @@ class TestTorusData:
         right = (F(-11, 12), F(-7, 12))
         assert TorusData(basis, lifts).alpha == right
 
+    def test_short_and_long_rows_raise_one_text(self):
+        lifts = (F(1, 2), 3, F(-1, 3))
+        for rows in (((1, 0, 1), (1, 0)), ((1, 0, 1), (1, 0, 1, 0)), ((1,),)):
+            with pytest.raises(ValueError, match="^kernel basis vector has wrong length$"):
+                TorusData(rows, lifts)
+        assert TorusData((), lifts).m == 0
+
+    def test_lifts_become_one_tuple_of_fractions(self):
+        basis = ((1, 0, 1),)
+        ints = TorusData(basis, [1, -2, 3])
+        assert type(ints.lifts) is tuple and all(type(x) is Fraction for x in ints.lifts)
+        assert ints.lifts == (1, -2, 3)
+        fractions = (F(1, 2), F(3), F(-1, 3))
+        assert TorusData(basis, fractions).lifts is fractions
+        listed = TorusData(basis, list(fractions))
+        assert type(listed.lifts) is tuple and listed.lifts == fractions
+        assert all(x is y for x, y in zip(listed.lifts, fractions))
+        mixed = (F(1, 2), 3, F(-1, 3))
+        held = TorusData(basis, mixed)
+        assert held.lifts is not mixed and all(type(x) is Fraction for x in held.lifts)
+        assert held.lifts == mixed and held == TorusData(basis, fractions)
+        with pytest.raises(ValueError, match="not a string"):
+            TorusData(basis, "123")
+
 
 class TestPinnedTorusData:
     def test_repr_digest(self):

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -98,6 +99,48 @@ class TestRationals:
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_rational(bad)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("0", F(0)), ("-3", F(-3)), ("10", F(10)), ("1/10", F(1, 10)), ("-20/3", F(-20, 3))],
+    )
+    def test_accepts_what_format_writes(self, text, value):
+        assert parse_rational(text) == value and format_rational(value) == text
+
+    @pytest.mark.parametrize(
+        "other, canonical",
+        [("007", "7"), ("-0", "0"), ("3/1", "3"), ("1/01", "1"), ("+3", "3"), ("0/5", "0"), ("-07/2", "-7/2")],
+    )
+    def test_rejects_what_format_does_not_write(self, other, canonical):
+        # each names a value that format_rational spells another way
+        assert format_rational(Fraction(other)) == canonical != other
+        with pytest.raises(ParseError):
+            parse_rational(other)
+        doc = dict(A2_DOC, lifts=["1", other, "0"])
+        with pytest.raises(ParseError, match="bad lift 2"):
+            parse_arrangement(json.dumps(doc))
+
+    def test_accepts_exactly_the_round_trips(self):
+        # every string of up to four characters over -0123456789/: accepted
+        # exactly when it is how format_rational writes the value that
+        # Fraction reads from it
+        accepted = 0
+        for size in range(1, 5):
+            for chars in itertools.product("-0123456789/", repeat=size):
+                text = "".join(chars)
+                try:
+                    value = Fraction(text)
+                except (ValueError, ZeroDivisionError):
+                    value = None
+                try:
+                    parsed = parse_rational(text)
+                except ParseError:
+                    assert value is None or format_rational(value) != text, text
+                    continue
+                assert parsed == value and format_rational(parsed) == text
+                accepted += 1
+        # 10,999 integers and 1,050 fractions
+        assert accepted == 12049
 
     def test_format(self):
         assert format_rational(F(-1, 2)) == "-1/2"

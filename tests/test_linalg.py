@@ -463,6 +463,38 @@ class TestPrimitivity:
             primitive_scale(())
 
 
+class TestCommonDenominator:
+    @staticmethod
+    def by_properties(values):
+        # the pair as the earlier code built it, from each Fraction's
+        # numerator and denominator properties
+        values = [x if type(x) in (int, Fraction) else Fraction(x) for x in values]
+        common = math.lcm(*[x.denominator for x in values])
+        return common, [x.numerator * (common // x.denominator) for x in values]
+
+    def test_all_int_input_comes_back_over_one(self):
+        assert linalg._common_denominator((3, -4, 0)) == (1, [3, -4, 0])
+        assert linalg._common_denominator(iter([7])) == (1, [7])
+        assert linalg._common_denominator(()) == (1, [])
+
+    def test_mixed_input_gives_the_earlier_pair(self):
+        rng = random.Random(4501)
+        for _ in range(300):
+            values = [
+                rng.randint(-9, 9) if rng.random() < 0.3 else Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+                for _ in range(rng.randint(1, 8))
+            ]
+            common, ints = linalg._common_denominator(values)
+            assert (common, ints) == self.by_properties(values)
+            assert all(type(x) is int for x in ints)
+            assert [Fraction(x, common) for x in ints] == values
+
+    def test_floats_and_bools_go_through_fraction(self):
+        values = (0.25, True, Fraction(1, 3), False, Decimal("-1.5"), 2)
+        assert linalg._common_denominator(values) == (12, [3, 12, 4, 0, -18, 24])
+        assert linalg._common_denominator(values) == self.by_properties(values)
+
+
 class TestRankDet:
     def test_examples(self):
         assert det(((1, 0), (0, 1))) == 1

@@ -827,6 +827,55 @@ class TestRecords:
         back = pickle.loads(torus_blob)
         assert back == td and set(vars(back)) == {f.name for f in dataclasses.fields(td)}
 
+    def test_lifts_are_cleared_once_per_arrangement(self, monkeypatch, hirzebruch):
+        # the direction classes, the torus data and the vertices read the
+        # lifts off the _cleared record; the earlier code cleared them
+        # twice on preflight's checks and a third time once _faces was read
+        rng = random.Random(4502)
+        draws = [copy.copy(hirzebruch)]
+        draws += [copy.copy(random_smooth_arrangement(rng, max_d=8)) for _ in range(20)]
+        # its last two normals have determinant 2: the HNF path
+        draws.append(Arrangement(2, ((0, 1), (1, 2), (1, 0)), (1, F(1, 2), F(-2, 3))))
+        real, calls, hnf = arrangement_module._common_denominator, [], []
+        monkeypatch.setattr(arrangement_module, "_common_denominator", lambda v: calls.append(v) or real(v))
+        real_kernel = arrangement_module.kernel_lattice
+        monkeypatch.setattr(arrangement_module, "kernel_lattice", lambda *a, **k: hnf.append(a) or real_kernel(*a, **k))
+        for arr in draws:
+            calls.clear()
+            arrangement_module.is_regular(arr)
+            arrangement_module.is_simple(arr)
+            arrangement_module.torus_data(arr)
+            arrangement_module.trivial_factors(arr)
+            assert len(calls) == 1 and calls[0] is arr.lifts
+            assert arr._faces and len(calls) == 1
+        assert len(hnf) == 1
+
+    def test_record_is_built_once_and_read_on_the_class_is_itself(self, monkeypatch, hirzebruch):
+        arr = copy.copy(hirzebruch)
+        built = []
+        real = arrangement_module._clear_lifts
+        monkeypatch.setattr(arrangement_module, "_clear_lifts", lambda a: built.append(a) or real(a))
+        first = arr._cleared
+        assert arr._cleared is first and built == [arr]
+        assert first == (1, (1, 1, 1, 1))
+        # later reads find the value in the instance dict
+        assert vars(arr)["_cleared"] is first
+        for owner in (Arrangement, arrangement_module.TorusData):
+            for name, value in vars(owner).items():
+                if isinstance(value, functools.cached_property):
+                    assert type(value) is arrangement_module._Record
+                    assert getattr(owner, name) is value
+
+    def test_record_without_a_name_raises_the_parent_error(self):
+        bare = functools.cached_property(len)
+        record = arrangement_module._Record(len)
+        with pytest.raises(TypeError) as parent:
+            bare.__get__([1], list)
+        with pytest.raises(TypeError) as ours:
+            record.__get__([1], list)
+        assert str(ours.value) == str(parent.value)
+        assert record.__get__(None, list) is record
+
     def test_records_are_freed_with_the_arrangement(self, hirzebruch):
         # no record refers back to its arrangement, so dropping the last
         # reference frees it at once, with no cycle for the collector
