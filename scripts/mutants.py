@@ -72,9 +72,79 @@ CATALOGUE = (
     Mutant(
         "closed-orbit-non-strict",
         "stability.py",
-        "Constraint(c.coeffs, Relation.GT, c.constant) if c.relation is Relation.GE else c",
-        "Constraint(c.coeffs, Relation.GE, c.constant) if c.relation is Relation.GE else c",
+        "return _refutation(td._rebuilt[0], check_pattern(pattern, td.d), strict=True) is None",
+        "return _refutation(td._rebuilt[0], check_pattern(pattern, td.d), strict=False) is None",
         "hk_closed_orbit is the strict variant of the semistability system",
+    ),
+    Mutant(
+        "scan-sum-non-negative",
+        "stability.py",
+        "return total < 0 or strict and total == 0 and any(side for (_, side, _), _ in chosen)",
+        "return total <= 0 or strict and total == 0 and any(side for (_, side, _), _ in chosen)",
+        "a circuit refutes the closed system only if sum(c_i * lift_i) < 0",
+    ),
+    Mutant(
+        "scan-zero-no-lower-bound",
+        "stability.py",
+        "if side >= 0 and (lower is None or (t, side) > lower[:2]):",
+        "if side > 0 and (lower is None or (t, side) > lower[:2]):",
+        "a ZERO letter bounds its class both ways, so c_i may take either sign on it",
+    ),
+    Mutant(
+        "scan-side-unoriented",
+        "stability.py",
+        "side = _SIGN[pattern[i]] * planes[i][1]",
+        "side = _SIGN[pattern[i]]",
+        "a letter bounds <r_k, y> below or above by its sign times the normal's orientation",
+    ),
+    Mutant(
+        "strict-tie-dropped",
+        "stability.py",
+        "return total < 0 or strict and total == 0 and any(side for (_, side, _), _ in chosen)",
+        "return total < 0",
+        "the strict system is also refuted by a zero sum with a Z or W letter (Motzkin)",
+    ),
+    Mutant(
+        "strict-tie-any-letter",
+        "stability.py",
+        "return total < 0 or strict and total == 0 and any(side for (_, side, _), _ in chosen)",
+        "return total < 0 or strict and total == 0",
+        "a zero sum over ZERO letters alone refutes nothing: their rows stay equalities",
+    ),
+    Mutant(
+        "pair-lower-least",
+        "stability.py",
+        "if side >= 0 and (lower is None or (t, side) > lower[:2]):",
+        "if side >= 0 and (lower is None or (t, side) < lower[:2]):",
+        "per class the scan takes the lower bound with the greatest offset",
+    ),
+    Mutant(
+        "pair-upper-greatest",
+        "stability.py",
+        "if side <= 0 and (upper is None or (t, side) < upper[:2]):",
+        "if side <= 0 and (upper is None or (t, side) > upper[:2]):",
+        "per class the scan takes the upper bound with the least offset",
+    ),
+    Mutant(
+        "equality-multipliers-unsigned",
+        "stability.py",
+        "multipliers = (*(-x for x in mu), *_letter_multipliers(pattern, circuit))",
+        "multipliers = (*mu, *_letter_multipliers(pattern, circuit))",
+        "the equality rows take -mu, so they cancel the letter rows' sum c",
+    ),
+    Mutant(
+        "zero-row-multiplier-dropped",
+        "stability.py",
+        "Fraction(circuit.get(i, 0) * (_SIGN[status] or 1))",
+        "Fraction(circuit.get(i, 0) * _SIGN[status])",
+        "a ZERO letter's equality row carries c_i too",
+    ),
+    Mutant(
+        "witness-times-scale",
+        "stability.py",
+        "(sum(map(mul, u, y)) + lift) / scale",
+        "(sum(map(mul, u, y)) + lift) * scale",
+        "x_i is the rebuilt hyperplane's function over its positive scale",
     ),
     Mutant(
         "conforming-one-sided",

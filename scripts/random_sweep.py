@@ -1,12 +1,26 @@
 #!/usr/bin/env python3
 """Randomized verification sweep.
 
-Samples smooth arrangements from a seed and runs the full battery on each:
+Samples smooth arrangements from a seed and runs the full battery on each.
+Every LP below is one of the test suite's Fourier-Motzkin oracle
+(``tests/fourier_motzkin.py``), never the library's vertex masks or signed
+circuits:
 the kernel lattice (the ``lattice`` column: ``torus_data``'s basis, read off
 the class record's coordinates in the draw's greedy class basis, against
 the two-HNF oracle, and its level ``alpha``, summed over each row's
 nonzeros, against the product of that basis with the lifts), oracle
-equivalence on every BOTH-free pattern, the mask verdicts (the
+equivalence on every BOTH-free pattern (``hk_semistable_numeric`` and
+``hk_semistable_geometric`` against one state-set LP each), the
+certificates (the ``certificates`` column: every numeric and geometric
+certificate of every BOTH-free pattern passes ``verify_certificate``, on
+the draw and on a companion with integer normals in [-2, 2], drawn from
+the seed and the index, that is often neither simple nor regular), the
+symmetries (the ``symmetry`` column: translating the lifts, a unimodular
+change of coordinates, permuting the hyperplanes and scaling the lifts
+keep the extended core, the covering verdict with its witnessed patterns
+and counterexamples, the empty-core criterion, one density entry and the
+numeric, geometric and closed-orbit verdicts of seeded patterns), the mask
+verdicts (the
 ``verdicts`` column: ``_cone_contains``, which ANDs the vertex masks of the
 letters with no LP, against one state-set LP per pattern, on every BOTH-free
 pattern and every realizable BOTH pattern), chart equivalence (the state set of
@@ -27,16 +41,18 @@ complement (``chart_complement`` of every compact sign vector against a 4^d
 sweep of numeric verdicts with realizability from the rank test). The
 ``matroid`` column recomputes the draw's regularity, circuits, realizable
 class subsets, ray masks, vertices and torus data on a class-matroid record
-built for that call alone, as if the record cache had been cleared, and
-compares them with the answers read off the shared record, which an earlier
-draw with the same direction classes may have built. The oracles and the
-adjacency check are the test suite's (``tests/util.py``).
+built for a fresh copy of the draw alone, as if the record cache had been
+cleared, and compares them with the answers read off the shared record,
+which an earlier draw with the same direction classes may have built. The
+oracles, the symmetries and the adjacency check are the test suite's
+(``tests/util.py``).
 Prints one line per instance and a summary.
 
 Usage: python scripts/random_sweep.py [--seed N] [--count N] [--max-d N]
 """
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import pathlib
@@ -58,6 +74,7 @@ from corecover import (
     pattern_realizable,
     theta_cpt,
     torus_data,
+    verify_certificate,
     verify_covering,
     verify_density,
 )
@@ -87,14 +104,18 @@ from util import (  # noqa: E402
     mat_vec,
     numeric_covering,
     numeric_density,
+    numeric_semistable,
+    per_pattern_verdict,
+    random_integer_arrangement,
     rank_realizable,
+    symmetries_hold,
 )
 
 
 def numeric_excluded(td, compact) -> dict:
     """Each compact sign vector's excluded patterns by the 4^d numeric sweep."""
     realizable = functools.cache(lambda both: rank_realizable(td, both))
-    semistable = functools.cache(lambda pattern: hk_semistable_numeric(td, pattern).semistable)
+    semistable = functools.cache(lambda pattern: numeric_semistable(td, pattern))
     out = {eps: [] for eps in compact}
     for pattern in itertools.product(FULL_ALPHABET, repeat=td.d):
         both = tuple(i for i, s in enumerate(pattern) if s is Status.BOTH)
@@ -111,7 +132,7 @@ def matroid_answers(arr) -> tuple:
     arrangement keeps its regularity verdict and torus data as records of
     its own, built once and kept for its lifetime, so both are built here
     from the class record (``regular``, ``_build_torus_data``) instead."""
-    record = arrangement._matroid(arr)
+    record = arr._matroid
     return (
         record.regular,
         tuple(record.circuits()),
@@ -124,33 +145,50 @@ def matroid_answers(arr) -> tuple:
 
 def cold_matroid_agrees(arr) -> bool:
     """The record's answers equal those on a record built afresh: during the
-    cold pass every lookup builds a new record and keeps none."""
+    cold pass every lookup builds a new record and keeps none, and a fresh
+    copy of the draw, which holds no record yet, makes one."""
     warm = matroid_answers(arr)
     with mock.patch.object(arrangement, "_class_matroid", arrangement._ClassMatroid):
-        cold = matroid_answers(arr)
+        cold = matroid_answers(dataclasses.replace(arr))
     return warm == cold
 
 
-def check_instance(arr) -> dict:
+def certificates_verify(arr) -> bool:
+    """Every numeric and geometric certificate of every BOTH-free pattern
+    re-proves its verdict."""
+    td = torus_data(arr)
+    verdicts = (
+        verdict(owner, p)
+        for p in itertools.product(NO_BOTH_ALPHABET, repeat=arr.d)
+        for verdict, owner in ((hk_semistable_numeric, td), (hk_semistable_geometric, arr))
+    )
+    return all(verify_certificate(v.system, v.certificate) for v in verdicts)
+
+
+def check_instance(arr, rng) -> dict:
+    """The battery on one draw; ``rng`` draws the companion of the
+    certificates column and the symmetries and their patterns."""
     td = torus_data(arr)
     patterns = list(itertools.product(NO_BOTH_ALPHABET, repeat=arr.d))
-    geometric = {p: hk_semistable_geometric(arr, p).semistable for p in patterns}
-    equivalence = all(hk_semistable_numeric(td, p).semistable == geometric[p] for p in patterns)
+    geometric = {p: per_pattern_verdict(arr, p) for p in patterns}
+    equivalence = all(
+        hk_semistable_numeric(td, p).semistable == hk_semistable_geometric(arr, p).semistable == geometric[p]
+        for p in patterns
+    )
+    companion = random_integer_arrangement(rng, rng.choice((1, 2, 3)), max_d=max(arr.d, 3))
     both_patterns = [
         p
         for p in itertools.product(FULL_ALPHABET, repeat=arr.d)
         if Status.BOTH in p and pattern_realizable(arr, p)
     ]
     verdicts = all(_cone_contains(arr, p) == geometric[p] for p in patterns) and all(
-        _cone_contains(arr, p) == hk_semistable_geometric(arr, p).semistable
-        for p in both_patterns
+        _cone_contains(arr, p) == per_pattern_verdict(arr, p) for p in both_patterns
     )
     compact = theta_cpt(arr)
     chambers = extended_core(arr)
     regions = {c.eps: chamber(arr, c.eps) for c in chambers}
     chart = all(
-        chart_semistable(arr, eps, p)
-        == hk_semistable_numeric(td, chart_pattern(eps, p)).semistable
+        chart_semistable(arr, eps, p) == numeric_semistable(td, chart_pattern(eps, p))
         for eps in compact
         for p in patterns
     )
@@ -187,6 +225,8 @@ def check_instance(arr) -> dict:
         "lattice": td.basis == kernel_by_two_hnf(transpose(arr.normals, ncols=arr.n), arr.d)
         and td.alpha == mat_vec(td.basis, arr.lifts),
         "equivalence": equivalence,
+        "certificates": certificates_verify(arr) and certificates_verify(companion),
+        "symmetry": symmetries_hold(arr, rng),
         "verdicts": verdicts,
         "chart": chart,
         "realizable": realizable,
@@ -224,13 +264,14 @@ def main() -> int:
     failures = 0
     for index in range(args.count):
         arr = random_smooth_arrangement(rng, max_d=args.max_d)
-        result = check_instance(arr)
+        result = check_instance(arr, random.Random(f"{args.seed}:{index}"))
         ok = all(v is not False for v in result.values())
         failures += not ok
         print(
             f"[{index:03d}] n={arr.n} d={arr.d} theta_cpt={result['theta_cpt']} "
             f"lattice={result['lattice']} matroid={result['matroid']} "
-            f"equivalence={result['equivalence']} verdicts={result['verdicts']} "
+            f"equivalence={result['equivalence']} certificates={result['certificates']} "
+            f"symmetry={result['symmetry']} verdicts={result['verdicts']} "
             f"chart={result['chart']} realizable={result['realizable']} "
             f"covered={result['covered']} complement={result['complement']} "
             f"adjacency={result['adjacency']} density={result['density']} "

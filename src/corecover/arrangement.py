@@ -8,8 +8,8 @@ moment map level. This module builds that torus data, reorients arrangements,
 tests smoothness and reconstructs an arrangement from its quotient data by
 cutting the affine solution space with coordinate hyperplanes. What depends
 only on the directions of the normals is kept in one ``_ClassMatroid``
-record per set of direction classes, shared across arrangements. Chambers
-are state sets of dense patterns and live in :mod:`corecover.stability`.
+record per set of direction classes, shared across arrangements; each
+arrangement keeps its own in its ``_matroid`` record. Chambers are state sets of dense patterns and live in :mod:`corecover.stability`.
 """
 
 from __future__ import annotations
@@ -89,7 +89,8 @@ class Arrangement:
     nums)`` with ``lifts[i] == nums[i] / common``, from one
     ``_common_denominator``: the direction classes, the torus data and the
     vertices read them there, so the lifts are cleared once per
-    arrangement.
+    arrangement. ``_matroid`` holds the shared ``_ClassMatroid`` of its
+    direction classes, looked up once per arrangement.
     """
 
     n: int
@@ -136,6 +137,7 @@ class Arrangement:
     # the records; each builder is looked up when it is called
     _cleared = _Record(lambda self: _clear_lifts(self))
     _classes = _Record(lambda self: _direction_classes(self))
+    _matroid = _Record(lambda self: _class_matroid(tuple([r for r, _ in self._classes])))
     _simple = _Record(lambda self: _decide_simple(self))
     _torus = _Record(lambda self: _build_torus_data(self))
     _state_rows = _record("stability", "_state_rows")
@@ -179,7 +181,8 @@ class TorusData:
     set of the row lengths checks. ``_build_torus_data`` hands in the
     level it has summed from the arrangement's cleared lifts through the
     private ``_read_off``, which runs these checks and sets the fields in
-    the same order.
+    the same order. The semistability verdicts read the arrangement rebuilt
+    from the torus data, kept as the ``_rebuilt`` record (``_rebuild``).
 
     The basis choice is a convention; everything comparable across different
     bases (stability verdicts, chamber combinatorics) is basis independent
@@ -222,7 +225,9 @@ class TorusData:
 
     __getstate__ = _fields_only
 
-    # records of :mod:`corecover.stability`, read off the torus data alone
+    # the arrangement rebuilt from the torus data alone, with its scales
+    # (``_rebuild``), and records of :mod:`corecover.stability`
+    _rebuilt = _Record(lambda self: _rebuild(self))
     _numeric_chambers = _record("stability", "_numeric_chambers")
     _sign_rows = _record("stability", "_sign_rows")
 
@@ -301,7 +306,7 @@ def _build_torus_data(arr: Arrangement) -> TorusData:
     are the integers ``_level`` sums, less its zero terms, so ``alpha`` is
     the same Fractions.
     """
-    record = _matroid(arr)
+    record = arr._matroid
     last = [members[-1][0] for _, members in arr._classes]
     order = sorted(range(len(last)), key=last.__getitem__, reverse=True)
     chosen = tuple(sorted(order[:arr.n]))
@@ -574,13 +579,10 @@ _MATROID_CACHE_SIZE = 32
 @lru_cache(maxsize=_MATROID_CACHE_SIZE)
 def _class_matroid(reps: tuple) -> _ClassMatroid:
     """The record of a tuple of sorted representatives, shared by every
-    arrangement that has them; ``cache_clear()`` drops every record."""
+    arrangement that has them; ``cache_clear()`` drops every record. Each
+    arrangement looks its record up once, on the first read of its
+    ``_matroid``, and keeps it there."""
     return _ClassMatroid(reps)
-
-
-def _matroid(arr: Arrangement) -> _ClassMatroid:
-    """The class-matroid record of an arrangement's direction classes."""
-    return _class_matroid(tuple([r for r, _ in arr._classes]))
 
 
 def _vertices(arr: Arrangement) -> tuple:
@@ -614,7 +616,7 @@ def _vertices(arr: Arrangement) -> tuple:
     planes = [(k, s, -s * lift) for (k, s), lift in zip(_orientations(arr), lifts)]
     offsets = [tuple(t for _, t in members) for _, members in classes]
     found = {}
-    for chosen, den, inverse in _matroid(arr).bases:
+    for chosen, den, inverse in arr._matroid.bases:
         for ts in itertools.product(*(offsets[k] for k in chosen)):
             nums = tuple([sum(map(mul, row, ts)) for row in inverse])
             dots = [sum(map(mul, r, nums)) for r in reps]
@@ -641,7 +643,7 @@ def is_regular(arr: Arrangement) -> bool:
     n(n+1)/2 classes (Heller, 1957), so for smooth input the cost follows
     n, not d.
     """
-    return _matroid(arr).regular
+    return arr._matroid.regular
 
 
 def is_simple(arr: Arrangement) -> bool:
@@ -686,7 +688,7 @@ def _decide_simple(arr: Arrangement) -> bool:
     offsets = [tuple([t for _, t in members]) for _, members in arr._classes]
     if any(len(set(ts)) < len(ts) for ts in offsets):
         return False
-    for support, relation in _matroid(arr).circuits():
+    for support, relation in arr._matroid.circuits():
         half = len(support) // 2
         left, right = {0}, {0}
         for i, (c, k) in enumerate(zip(relation, support)):
@@ -711,8 +713,21 @@ def arrangement_from_quotient(td: TorusData) -> Arrangement:
     the lift point it reads ``<u_i, y> + lift_i' = 0`` with a primitive
     integer normal. Different valid projections give arrangements that agree
     up to a unimodular change of coordinates, so all cross-checks are done on
-    basis-independent data.
+    basis-independent data. Raises ``ValueError`` if ``d <= m`` or if some
+    coordinate is constant on the solution plane.
     """
+    return _rebuild(td)[0]
+
+
+def _rebuild(td: TorusData) -> tuple:
+    """``(arr, scales)``: the arrangement of ``arrangement_from_quotient``
+    and, per hyperplane, the positive rational ``scales[i]`` that its
+    function ``<u_i, y> + lift_i`` is of the coordinate ``x_i`` on the
+    solution plane. With ``y`` the projection coordinates, ``x_i = <w_i, y>
+    + td.lifts[i]`` for the rational ``w_i`` that ``u_i`` scales to a
+    primitive vector, so ``x_i`` is the hyperplane's function over
+    ``scales[i]``, and ``x`` solves ``A x = alpha`` at every ``y``. Kept on
+    the torus data as its ``_rebuilt`` record."""
     if td.d <= td.m:
         raise ValueError("quotient reconstruction needs d > m")
     basis = kernel_lattice(td.basis, ncols=td.d)
@@ -722,8 +737,7 @@ def arrangement_from_quotient(td: TorusData) -> Arrangement:
     # all d coordinates
     coords = _bareiss([list(row) for row in basis], td.d)[0]
     den, inverse = _scaled_inverse([[row[t] for t in coords] for row in basis])
-    normals = []
-    lifts = []
+    normals, lifts, scales = [], [], []
     for i in range(td.d):
         col = [row[i] for row in basis]
         w = tuple(Fraction(sum(map(mul, inv_row, col)), den) for inv_row in inverse)
@@ -734,7 +748,8 @@ def arrangement_from_quotient(td: TorusData) -> Arrangement:
         prim, sigma = primitive_scale(w)
         normals.append(prim)
         lifts.append(sigma * td.lifts[i])
-    return Arrangement(len(coords), tuple(normals), tuple(lifts))
+        scales.append(sigma)
+    return Arrangement(len(coords), tuple(normals), tuple(lifts)), tuple(scales)
 
 
 def trivial_factors(arr: Arrangement) -> tuple:
@@ -752,5 +767,5 @@ def trivial_factors(arr: Arrangement) -> tuple:
     singles = [(k, members[0][0]) for k, (_, members) in enumerate(classes) if len(members) == 1]
     if not singles:
         return ()
-    coloops = _matroid(arr).coloops
+    coloops = arr._matroid.coloops
     return tuple(sorted(i for k, i in singles if k in coloops))

@@ -45,7 +45,6 @@ from operator import and_, or_
 
 from .arrangement import (
     Arrangement,
-    _matroid,
     _orientations,
     check_sign_vector,
     is_smooth,
@@ -178,7 +177,7 @@ def _core_walk(arr: Arrangement) -> _CoreWalk:
     those with ``<= 0``, and the AND of a chamber's letters' masks holds
     the rays in K: d ANDs a chamber.
     """
-    rays = _matroid(arr).ray_masks
+    rays = arr._matroid.ray_masks
     # hyperplane i, of normal s * r_k, gives the letter of sign s the rays
     # up and that of -s those down
     chamber_letters = (Status.Z, Status.W)
@@ -388,7 +387,7 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
     free, both = faces.rows[NO_BOTH_ALPHABET], faces.rows[(Status.BOTH,)]
     classes = arr._classes
     excluded = []
-    for chosen in _matroid(arr).realizable:
+    for chosen in arr._matroid.realizable:
         rows = list(free)
         for k in chosen:
             for i, _ in classes[k][1]:

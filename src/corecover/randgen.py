@@ -15,7 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arrangement import Arrangement, is_smooth
-from .feasibility import Constraint, Polyhedron, Relation
 from .quotient import core
 from .stability import FULL_ALPHABET
 
@@ -57,24 +56,10 @@ def random_smooth_arrangement(
             continue
         if not is_smooth(arr):
             continue
-        if require_core and not core(arr):
+        if require_core and not core(arr, force=True):
             continue
         return arr
     raise RuntimeError("failed to sample a smooth arrangement")
-
-
-def random_closed_polyhedron(
-    rng, max_dim: int = 4, max_constraints: int = 10
-) -> Polyhedron:
-    """A random system of GE and EQ constraints with small integer data."""
-    dim = rng.randint(1, max_dim)
-    count = rng.randint(0, max_constraints)
-    cons = []
-    for _ in range(count):
-        coeffs = tuple(rng.randint(-3, 3) for _ in range(dim))
-        rel = Relation.EQ if rng.random() < 0.2 else Relation.GE
-        cons.append(Constraint(coeffs, rel, Fraction(rng.randint(-4, 4))))
-    return Polyhedron(dim, tuple(cons))
 
 
 def random_pattern(rng, d: int) -> tuple:

@@ -1,11 +1,11 @@
-"""Semistability oracles with certificates.
+"""Semistability verdicts with certificates.
 
 Points of the flat quaternionic space upstream of the quotient are described
 only through their support pattern: which of the paired coordinates
-``(z_i, w_i)`` vanish. Two independent oracles decide semistability of a
-pattern at the moment level ``alpha``, with one letter rule (``_SIGN``):
-each BOTH-free letter is the sign it puts on its coordinate's function
-``f_i``, Z keeping ``f_i >= 0``, W ``f_i <= 0`` and ZERO ``f_i = 0``.
+``(z_i, w_i)`` vanish. Two systems describe semistability of a pattern at
+the moment level ``alpha``, with one letter rule (``_SIGN``): each
+BOTH-free letter is the sign it puts on its coordinate's function ``f_i``,
+Z keeping ``f_i >= 0``, W ``f_i <= 0`` and ZERO ``f_i = 0``.
 
 * numeric: ``f_i = x_i`` and the rows of ``A x = alpha`` in the dual of
   the acting torus, d variables (for a toric pattern, ``alpha`` is a
@@ -14,28 +14,33 @@ each BOTH-free letter is the sign it puts on its coordinate's function
   arrangement's ambient space, n variables; ``y -> f(y)`` carries it
   onto the numeric system's letter rows.
 
-That the two agree on every pattern is a theorem; the test suite checks it
-exhaustively on fixtures and randomized smooth arrangements. The numeric
-side answers single patterns with a certificate; the density check reads
-it for every dense pattern at once off the vertices of the numeric system
-(``_numeric_chambers``), with no LP. Production decides everything else on
-the geometric side, in fewer variables, and solves no LP there either:
-a pattern's state set, with BOTH letters or without, is nonempty iff all
-its letters hold at one vertex of the arrangement, because a nonempty
-BOTH-free state set is a pointed polyhedron and contains one (see
-``_letter_masks``; compare Zaslavsky, "Facing up to arrangements",
-1975). Each vertex set is an integer bitmask over the arrangement's
-vertices, one mask per (coordinate, letter), so a pattern's vertices are
-one AND per letter. The vertices, sorted on integer keys, and the masks,
-built from the columns of their sign vectors, make the arrangement's face
-record (``_faces``), with the rows each walk takes its letters and masks
-from. A chart pattern holds at a vertex iff the pattern does and the
-vertex conforms to the chart's sign vector, so a chart verdict is the AND
-of a pattern's mask with its chamber's. The sweeps walk the prefixes, one
-hyperplane at a time, whose masks are nonzero. Each public verdict
-carries the exact certificate of the system it solved.
-Face record and state rows live on the arrangement, numeric set and sign
-rows on the torus data, each built on first read and freed with its owner.
+Both are decided the same way, with no LP. A pattern's state set, with
+BOTH letters or without, is nonempty iff all its letters hold at one
+vertex of the arrangement, because a nonempty BOTH-free state set is a
+pointed polyhedron and contains one (see ``_letter_masks``; compare
+Zaslavsky, "Facing up to arrangements", 1975). Each vertex set is an
+integer bitmask over the arrangement's vertices, one mask per (coordinate,
+letter), so a pattern's vertices are one AND per letter. The vertices,
+sorted on integer keys, and the masks, built from the columns of their
+sign vectors, make the arrangement's face record (``_faces``), with the
+rows each walk takes its letters and masks from. A chart pattern holds at
+a vertex iff the pattern does and the vertex conforms to the chart's sign
+vector, so a chart verdict is the AND of a pattern's mask with its
+chamber's. The sweeps walk the prefixes, one hyperplane at a time, whose
+masks are nonzero.
+
+Each public verdict carries the exact certificate of its system: a vertex
+in the mask is the witness, and an empty state set is refuted by one
+signed circuit of the normals (``_refutation``, Farkas's lemma for
+oriented matroids), which also decides the strict system of the closed
+orbit. The numeric side reads both off the arrangement rebuilt from the
+torus data (``TorusData._rebuilt``), whose functions are the ``x_i`` up to
+positive scales. The density check reads the numeric side for every dense
+pattern at once off the vertices of the numeric system
+(``_numeric_chambers``), from the torus data's basis and level alone.
+Face record and state rows live on the arrangement, numeric set, sign
+rows and rebuilt arrangement on the torus data, each built on first read
+and freed with its owner.
 """
 
 from __future__ import annotations
@@ -47,9 +52,11 @@ from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
 
+from operator import mul
+
 from .arrangement import Arrangement, TorusData, _check_word, check_sign_vector
-from .arrangement import _matroid, _vertices
-from .feasibility import Certificate, Constraint, Polyhedron, Relation, is_feasible
+from .arrangement import _orientations, _vertices
+from .feasibility import Certificate, Constraint, Polyhedron, Relation
 from .linalg import _back_substitute, _bareiss, _common_denominator, solve_integer, unit_vector
 
 
@@ -124,11 +131,6 @@ def _pattern_rows(rows, pattern) -> tuple:
     )
 
 
-def _verdict(system: Polyhedron) -> StabilityVerdict:
-    cert = is_feasible(system)
-    return StabilityVerdict(cert.feasible, cert, system)
-
-
 def _sign_rows(td: TorusData) -> tuple:
     """The rows of every sign system of one torus: the m equality rows, then
     the letter rows on the coordinates ``x_i``."""
@@ -163,9 +165,119 @@ def toric_closed_orbit(td: TorusData, support) -> bool:
 
 
 def hk_semistable_numeric(td: TorusData, pattern) -> StabilityVerdict:
-    """Signed solvability of ``A x = alpha``; the feasible witness is the
-    classical sign-constrained solution vector."""
-    return _verdict(_sign_system(td, check_pattern(pattern, td.d)))
+    """Signed solvability of ``A x = alpha``, decided on the arrangement
+    rebuilt from the torus data (``TorusData._rebuilt``): each hyperplane's
+    function is ``x_i`` times a positive scale there, so both have the same
+    signs, and the pattern's state set is nonempty iff its vertex mask is.
+    The witness is a vertex ``y``'s ``x_i``, its function over the scale.
+    A refutation is a signed circuit ``c'`` of the rebuilt normals
+    (``_refutation``): ``c_i = c'_i * scale_i`` kills the columns of the
+    solution plane's parametrisation, so it is ``A^T mu`` for one ``mu``
+    (one solve), and the multipliers are ``-mu`` on the equality rows and
+    ``c`` on the letter rows (``_letter_multipliers``), which sum to
+    ``sum(c_i * lift_i) < 0``. Torus data that ``arrangement_from_quotient``
+    refuses raises its ``ValueError``."""
+    pattern = check_pattern(pattern, td.d)
+    system = _sign_system(td, pattern)
+    arr, scales = td._rebuilt
+    mask = _pattern_mask(arr, pattern)
+    if mask:
+        y = _vertex(arr, mask)
+        point = tuple(
+            (sum(map(mul, u, y)) + lift) / scale
+            for u, lift, scale in zip(arr.normals, arr.lifts, scales)
+        )
+        return StabilityVerdict(True, Certificate(True, point=point), system)
+    circuit = {i: c * scales[i] for i, c in _refutation(arr, pattern).items()}
+    mu = _row_combination(td.basis, [circuit.get(i, 0) for i in range(td.d)])
+    multipliers = (*(-x for x in mu), *_letter_multipliers(pattern, circuit))
+    return StabilityVerdict(False, Certificate(False, multipliers=multipliers), system)
+
+
+def _row_combination(basis, target) -> tuple:
+    """``mu`` with ``sum(mu[k] * basis[k]) == target``, for a target in
+    the row space: one ``_bareiss`` pass on the transposed rows with the
+    target cleared to integers appended, and one back substitution."""
+    common, nums = _common_denominator(target)
+    rows = [[*column, b] for column, b in zip(zip(*basis), nums)]
+    pivots, _, last = _bareiss(rows, len(basis))
+    xs = _back_substitute(rows, pivots, last, len(basis), len(basis))
+    return tuple(Fraction(x, last * common) for x in xs)
+
+
+def _vertex(arr: Arrangement, mask: int) -> tuple:
+    """The point of the first vertex in a nonzero vertex mask."""
+    return arr._faces.vertices[(mask & -mask).bit_length() - 1][0]
+
+
+def _letter_multipliers(pattern, circuit) -> tuple:
+    """The multiplier of each letter row a pattern keeps, for a circuit
+    ``{i: c_i}``: ``s * c_i`` on the row ``s * f_i >= 0`` of a letter of
+    sign ``s``, which is ``|c_i|`` since the signs conform, and ``c_i`` on
+    the row ``f_i = 0`` of ZERO. They sum the rows to ``sum(c_i * f_i)``."""
+    return tuple(
+        Fraction(circuit.get(i, 0) * (_SIGN[status] or 1))
+        for i, status in enumerate(pattern)
+        if status is not Status.BOTH
+    )
+
+
+def _refutation(arr: Arrangement, pattern, strict: bool = False):
+    """A signed circuit ``{i: c_i}`` of the normals, ``sum(c_i * u_i) ==
+    0``, that proves the pattern's state set empty, or None if there is
+    none. With ``strict``, every Z and W row is read as ``s * f_i > 0``.
+
+    Farkas's lemma for oriented matroids (Bland and Las Vergnas, 1978;
+    Bjorner et al., *Oriented Matroids*, 1993, 3.4): the state set is empty
+    iff some circuit avoids the BOTH coordinates, has ``c_i`` of the sign
+    of each Z (+1) and W (-1) letter in its support, and has ``sum(c_i *
+    lift_i) < 0``. A Farkas vector of the letter rows lies in the kernel
+    with those signs, it is a conformal sum of circuits (Rockafellar,
+    1969), and one of them carries a negative share of the sum. In the
+    strict case (Motzkin) a sum of 0 refutes too if the support holds a Z
+    or W coordinate.
+
+    A circuit of hyperplanes is a parallel pair in one direction class or
+    one hyperplane from each class of a class circuit (``_ClassMatroid.
+    circuits``). Write hyperplane i as ``s_i * (<r_k, y> - t_i / L)``, with
+    the offsets ``t_i`` of ``_direction_classes``. Its letter bounds
+    ``<r_k, y>`` below by ``t_i / L`` if its sign times ``s_i`` is +1,
+    above if -1, and both ways for ZERO. Putting ``b`` on ``r_k``, that is
+    ``c_i = b * s_i``, needs a lower bound for ``b > 0`` and an upper one
+    for ``b < 0``, and adds ``-b * t_i / L`` to the sum. The sum is
+    separable, so per class the scan takes the lower bound with the
+    greatest offset and the upper one with the least, a Z or W letter first
+    on a tie for the strict case. A parallel pair refutes iff its two
+    bounds do with ``b = +1, -1``; a class circuit, with either sign, iff
+    its chosen bounds do."""
+    planes = _orientations(arr)
+    bounds = []
+    for _, members in arr._classes:
+        lower = upper = None
+        for i, t in members:
+            if pattern[i] is not Status.BOTH:
+                side = _SIGN[pattern[i]] * planes[i][1]
+                if side >= 0 and (lower is None or (t, side) > lower[:2]):
+                    lower = (t, side, i)
+                if side <= 0 and (upper is None or (t, side) < upper[:2]):
+                    upper = (t, side, i)
+        bounds.append((lower, upper))
+
+    def refutes(chosen):
+        total = sum(-b * t for (t, _, _), b in chosen)
+        return total < 0 or strict and total == 0 and any(side for (_, side, _), _ in chosen)
+
+    pairs = (((lower, 1), (upper, -1)) for lower, upper in bounds if lower and upper)
+    # b > 0 takes the class's lower bound (index 0), b < 0 its upper one
+    circuits = (
+        [(bounds[k][sign * c < 0], sign * c) for k, c in zip(support, relation)]
+        for support, relation in arr._matroid.circuits()
+        for sign in (1, -1)
+    )
+    for chosen in itertools.chain(pairs, circuits):
+        if all(bound for bound, _ in chosen) and refutes(chosen):
+            return {i: b * planes[i][1] for (_, _, i), b in chosen}
+    return None
 
 
 # The sign vectors a coordinate of sign s conforms to: its own, or either
@@ -278,15 +390,12 @@ def hk_closed_orbit(td: TorusData, pattern) -> bool:
     """Strict variant of the signed solvability test: the system of
     ``_sign_system`` with every inequality made strict.
 
-    No worked example pins this down beyond the implication
+    Decided by the strict signed-circuit scan (``_refutation``) on the
+    arrangement rebuilt from the torus data, as ``hk_semistable_numeric``
+    is. No worked example pins this down beyond the implication
     closed-orbit => semistable, which the tests check.
     """
-    pattern = check_pattern(pattern, td.d)
-    cons = tuple(
-        Constraint(c.coeffs, Relation.GT, c.constant) if c.relation is Relation.GE else c
-        for c in _sign_system(td, pattern).constraints
-    )
-    return is_feasible(Polyhedron(td.d, cons)).feasible
+    return _refutation(td._rebuilt[0], check_pattern(pattern, td.d), strict=True) is None
 
 
 def _state_rows(arr: Arrangement) -> tuple:
@@ -307,8 +416,16 @@ def state_set(arr: Arrangement, pattern) -> Polyhedron:
 
 
 def hk_semistable_geometric(arr: Arrangement, pattern) -> StabilityVerdict:
-    """Nonemptiness of the state set, certified."""
-    return _verdict(state_set(arr, pattern))
+    """Nonemptiness of the state set, certified: a vertex in the pattern's
+    mask (``_letter_masks``) is the witness, and a signed circuit
+    (``_refutation``) with the letter rows' multipliers the refutation."""
+    pattern = check_pattern(pattern, arr.d)
+    system = state_set(arr, pattern)
+    mask = _pattern_mask(arr, pattern)
+    if mask:
+        return StabilityVerdict(True, Certificate(True, point=_vertex(arr, mask)), system)
+    multipliers = _letter_multipliers(pattern, _refutation(arr, pattern))
+    return StabilityVerdict(False, Certificate(False, multipliers=multipliers), system)
 
 
 def toric_semistable_geometric(arr: Arrangement, support) -> StabilityVerdict:
@@ -477,7 +594,7 @@ def pattern_realizable(arr: Arrangement, pattern) -> bool:
             return False
         if inside[0]:
             chosen.append(k)
-    return _matroid(arr).independent(chosen)
+    return arr._matroid.independent(chosen)
 
 
 def reorient_pattern(pattern, eps) -> tuple:

@@ -1,27 +1,24 @@
 #!/usr/bin/env python3
-"""Deep fuzz of the feasibility engine.
+"""Deep fuzz of the Fourier-Motzkin oracle (``fourier_motzkin.py``).
 
 Random constraint systems (strict inequalities included) are decided and
 every certificate is re-verified by substitution; closed systems are also
 cross-checked against the subset-enumeration oracle, eliminations against
 interval analysis of random extension points. The projection and both
-oracles are the test suite's (``tests/util.py``). Runs until the requested
-count or the first discrepancy.
+oracles are the test suite's (``util.py``, next to this script). Runs
+until the requested count or the first discrepancy.
 
-Usage: python scripts/fuzz_feasibility.py [--seed N] [--count N]
+Usage: python tests/fuzz_feasibility.py [--seed N] [--count N]
 """
 
 import argparse
-import pathlib
 import random
-import sys
 import time
 from fractions import Fraction
 
-from corecover import Constraint, Polyhedron, Relation, is_feasible, verify_certificate
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
-from util import eliminate, extension_exists, feasible_by_enumeration  # noqa: E402
+from corecover import Constraint, Polyhedron, Relation, verify_certificate
+from fourier_motzkin import is_feasible
+from util import eliminate, extension_exists, feasible_by_enumeration
 
 
 def random_system(rng, allow_strict=True):

@@ -24,7 +24,6 @@ from corecover import (
     core_empty_criterion,
     hk_semistable_geometric,
     hk_semistable_numeric,
-    is_feasible,
     reorient,
     theta_cpt,
     toric_semistable_geometric,
@@ -37,13 +36,13 @@ from corecover import (
 )
 from corecover.arrangement import all_sign_vectors
 from corecover.randgen import (
-    random_closed_polyhedron,
     random_pattern,
     random_sign_vector,
     random_smooth_arrangement,
 )
-from corecover.stability import NO_BOTH_ALPHABET, FULL_ALPHABET, reorient_pattern
-from util import adjacency_lemma_check, feasible_by_enumeration
+from corecover.stability import NO_BOTH_ALPHABET, FULL_ALPHABET, reorient_pattern, support_pattern
+from fourier_motzkin import is_feasible, random_closed_polyhedron
+from util import adjacency_lemma_check, feasible_by_enumeration, numeric_semistable
 
 SEED_TORIC = 20240501
 SEED_HK = 20240502
@@ -68,6 +67,8 @@ def covering_instances():
 
 
 def test_criterion_01_toric_oracle_equivalence(hirzebruch, a2_resolution, triangle_pair):
+    # both library sides against the Fourier-Motzkin oracle on the numeric
+    # system, so the signed-circuit scan is never compared with itself
     start = time.monotonic()
     rng = random.Random(SEED_TORIC)
     instances = [hirzebruch, a2_resolution, triangle_pair]
@@ -79,42 +80,42 @@ def test_criterion_01_toric_oracle_equivalence(hirzebruch, a2_resolution, triang
             s = frozenset(support)
             numeric = toric_semistable_numeric(td, s)
             geometric = toric_semistable_geometric(arr, s)
-            assert numeric.semistable == geometric.semistable
+            oracle = numeric_semistable(td, support_pattern(arr.d, s))
+            assert numeric.semistable == geometric.semistable == oracle
             assert verify_certificate(numeric.system, numeric.certificate)
             assert verify_certificate(geometric.system, geometric.certificate)
             checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 60
     print(
-        f"criterion 1: PASS toric numeric == geometric on {checked} supports "
+        f"criterion 1: PASS toric numeric == geometric == oracle on {checked} supports "
         f"across {len(instances)} arrangements ({elapsed:.1f}s < 60s)"
     )
 
 
 def test_criterion_02_hk_oracle_equivalence(hirzebruch, a2_resolution, triangle_pair):
+    # both library sides against the Fourier-Motzkin oracle on the numeric
+    # system, so the signed-circuit scan is never compared with itself
     start = time.monotonic()
     checked = 0
-    for arr in (hirzebruch, a2_resolution, triangle_pair):
-        td = torus_data(arr)
-        for pattern in itertools.product(FULL_ALPHABET, repeat=arr.d):
-            assert (
-                hk_semistable_numeric(td, pattern).semistable
-                == hk_semistable_geometric(arr, pattern).semistable
-            )
-            checked += 1
     rng = random.Random(SEED_HK)
-    for _ in range(100):
-        arr = random_smooth_arrangement(rng, max_d=7)
+    cases = [(arr, FULL_ALPHABET) for arr in (hirzebruch, a2_resolution, triangle_pair)]
+    cases += [(random_smooth_arrangement(rng, max_d=7), NO_BOTH_ALPHABET) for _ in range(100)]
+    for arr, alphabet in cases:
         td = torus_data(arr)
-        for pattern in itertools.product(NO_BOTH_ALPHABET, repeat=arr.d):
+        for pattern in itertools.product(alphabet, repeat=arr.d):
             assert (
                 hk_semistable_numeric(td, pattern).semistable
                 == hk_semistable_geometric(arr, pattern).semistable
+                == numeric_semistable(td, pattern)
             )
             checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 120
-    print(f"criterion 2: PASS hk numeric == geometric on {checked} patterns ({elapsed:.1f}s < 120s)")
+    print(
+        f"criterion 2: PASS hk numeric == geometric == oracle on {checked} patterns "
+        f"({elapsed:.1f}s < 120s)"
+    )
 
 
 def test_criterion_03_stability_regression(hirzebruch):

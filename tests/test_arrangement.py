@@ -18,7 +18,6 @@ from corecover import (
     chamber,
     chart_complement,
     hk_semistable_numeric,
-    is_feasible,
     is_regular,
     is_simple,
     is_smooth,
@@ -33,6 +32,7 @@ import corecover.quotient as quotient
 from corecover.linalg import transpose
 from corecover.randgen import random_smooth_arrangement
 from corecover.stability import FULL_ALPHABET
+from fourier_motzkin import is_feasible
 from util import (
     brute_force_simple,
     det,
@@ -401,9 +401,12 @@ def _distinct_directions(rng, count):
 def _count_eliminations(monkeypatch, fn, arr):
     """Calls of the incremental reduction and of the fraction-free
     elimination behind det and rank made while ``fn(arr)`` runs, with every
-    class-matroid record dropped first, so the work is not served by a
-    record built for an earlier arrangement with the same classes."""
+    class-matroid record dropped first and ``fn`` given a fresh copy of an
+    arrangement, so the work is not served by a record built for an earlier
+    arrangement with the same classes or kept by this one."""
     arrangement._class_matroid.cache_clear()
+    if isinstance(arr, Arrangement):
+        arr = dataclasses.replace(arr)
     counts = {"extend": 0, "eliminate": 0}
 
     def counting(key, inner):
@@ -757,7 +760,7 @@ class TestClassEchelon:
             rng.shuffle(subsets)
             realizable = set(per_arrangement_realizable(arr))
             for chosen in subsets:
-                verdict = arrangement._matroid(arr).independent(chosen)
+                verdict = arr._matroid.independent(chosen)
                 assert verdict == (chosen in realizable), (arr, chosen)
                 seen.add(verdict)
                 verdicts += 1
@@ -780,7 +783,7 @@ class TestClassEchelon:
         arrangement._class_matroid.cache_clear()
         arr = Arrangement(2, _fan_directions(count), (0,) * count)
         k = count // 2
-        assert arrangement._matroid(arr).independent((k,)) is False
+        assert arr._matroid.independent((k,)) is False
         reps = [r for r, _ in arrangement._direction_classes(arr)]
         others = reps[:k] + reps[k + 1:]
         assert rank(others + [reps[k]]) == rank(others)
@@ -802,14 +805,15 @@ class TestClassMatroid:
         copy = tuple(-x for x in base.normals[0])
         duplicated = Arrangement(base.n, base.normals + (copy,), base.lifts + (F(1, 7),))
         relifted = Arrangement(base.n, base.normals, tuple(lift + 1 for lift in base.lifts))
-        variants = (base, shuffled, resigned, duplicated, relifted)
+        # base has read its record already; a copy looks it up afresh
+        variants = (dataclasses.replace(base), shuffled, resigned, duplicated, relifted)
         arrangement._class_matroid.cache_clear()
-        records = {id(arrangement._matroid(arr)) for arr in variants}
+        records = {id(arr._matroid) for arr in variants}
         info = arrangement._class_matroid.cache_info()
         assert len(records) == 1 and (info.misses, info.hits, info.currsize) == (1, 4, 1)
         reps = {r for r, _ in arrangement._direction_classes(base)}
         extra = next(u for u in ((1, 2, 3), (1, -2, 3)) if u not in reps)
-        arrangement._matroid(Arrangement(base.n, base.normals + (extra,), base.lifts + (0,)))
+        Arrangement(base.n, base.normals + (extra,), base.lifts + (0,))._matroid
         assert arrangement._class_matroid.cache_info().misses == 2
 
     def test_warm_records_agree_with_per_arrangement_answers(self):
@@ -832,9 +836,10 @@ class TestClassMatroid:
             ))
         arrangement._class_matroid.cache_clear()
         complements, warm = [], 0
-        for arr in population:
+        # fresh copies, so each looks its record up once, here
+        for arr in map(dataclasses.replace, population):
             misses = arrangement._class_matroid.cache_info().misses
-            record = arrangement._matroid(arr)
+            record = arr._matroid
             warm += arrangement._class_matroid.cache_info().misses == misses
             assert is_regular(arr) == per_arrangement_regular(arr)
             assert is_simple(arr) == per_arrangement_simple(arr)
@@ -867,6 +872,8 @@ class TestClassMatroid:
         population += [three_class_arrangement(rng, k) for k in (2, 5)]
         several = 0
         for base in population:
+            # a fresh copy of base looks its record up after the clear below
+            base = dataclasses.replace(base)
             variants = [base]
             for _ in range(6):
                 flipped = reorient(base, [rng.choice((1, -1)) for _ in range(base.d)])
@@ -879,10 +886,10 @@ class TestClassMatroid:
                     base.n, tuple(u for u, _ in planes), tuple(lift for _, lift in planes)
                 ))
             arrangement._class_matroid.cache_clear()
-            record = arrangement._matroid(base)
+            record = base._matroid
             greedy = set()
             for arr in variants:
-                assert arrangement._matroid(arr) is record
+                assert arr._matroid is record
                 expected = kernel_by_two_hnf(transpose(arr.normals, ncols=arr.n), arr.d)
                 assert arrangement._build_torus_data(arr).basis == expected
                 directions = [max(u, tuple(-x for x in u)) for u in arr.normals]
@@ -910,6 +917,8 @@ class TestClassMatroid:
 
         for arr in arrangements:
             arrangement._class_matroid.cache_clear()
+            # a fresh copy looks up the record that relifted reads below
+            arr = dataclasses.replace(arr)
             arrangement._build_torus_data(arr)
             relifted = Arrangement(arr.n, arr.normals, tuple(lift + 1 for lift in arr.lifts))
             with monkeypatch.context() as patch:
@@ -926,7 +935,7 @@ class TestClassMatroid:
         arr = Arrangement(2, _fan_directions(80), (0,) * 80)
         counts = _count_eliminations(monkeypatch, arrangement._decide_simple, arr)
         assert counts["extend"] < 2 * 80
-        assert not is_simple(arr) and "_kept_circuits" not in vars(arrangement._matroid(arr))
+        assert not is_simple(arr) and "_kept_circuits" not in vars(arr._matroid)
 
     def test_cache_bounded(self):
         # one record per class configuration, at most the constant number

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from corecover import (
+    Certificate,
     ParseError,
     format_pattern,
     format_rational,
@@ -27,14 +28,21 @@ from corecover import (
     serialize_arrangement,
     theta_cpt,
     torus_data,
+    verify_certificate,
 )
 import corecover.cli as cli
 import corecover.feasibility as feasibility
 import corecover.quotient as quotient
+import corecover.stability as stability
 from corecover.cli import main
 from corecover.randgen import random_smooth_arrangement
 from corecover.stability import Status
-from util import pattern_string_by_value, rational_string_via_fraction, sign_string_by_comparison
+from util import (
+    pattern_string_by_value,
+    random_integer_arrangement,
+    rational_string_via_fraction,
+    sign_string_by_comparison,
+)
 
 F = Fraction
 # SHA-256 of the CLI's stdout on a seeded population, recorded before the
@@ -385,6 +393,33 @@ class TestCli:
         code = main(["stability", write(tmp_path, HIRZ_DOC), "--pattern", "z0zz"])
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and out["semistable"] is True
+
+    def test_printed_certificates_verify(self, tmp_path, capsys):
+        # every printed witness or Farkas vector re-proves its verdict on
+        # the numeric system, on the fixtures and on 40 seeded draws per n,
+        # simple or not
+        rng = random.Random(4605)
+        cases = [(parse_arrangement(p.read_bytes()), p) for p in sorted(FIXTURE_DIR.glob("*.json"))]
+        for index, n in enumerate((1, 2, 3) * 40):
+            arr = random_integer_arrangement(rng, n)
+            path = tmp_path / f"draw{index}.json"
+            path.write_text(serialize_arrangement(arr))
+            cases.append((arr, path))
+        verdicts = set()
+        for arr, path in cases:
+            for _ in range(4):
+                text = "".join(rng.choice("zw0*") for _ in range(arr.d))
+                code = main(["stability", str(path), "--pattern", text])
+                out = json.loads(capsys.readouterr().out)
+                system = stability._sign_system(torus_data(arr), parse_pattern(text, arr.d))
+                key = "witness" if out["semistable"] else "farkas"
+                values = tuple(parse_rational(x) for x in out[key])
+                certificate = Certificate(out["semistable"], **{
+                    "point" if out["semistable"] else "multipliers": values
+                })
+                assert verify_certificate(system, certificate) and code == (0 if out["semistable"] else 1)
+                verdicts.add(out["semistable"])
+        assert verdicts == {True, False}
 
     def test_stability_bad_pattern_exit_2(self, tmp_path, capsys):
         code = main(["stability", write(tmp_path, A2_DOC), "--pattern", "zq0"])
@@ -863,17 +898,23 @@ class TestReportBuildsNoPolyhedron:
 
 class TestPinnedOutput:
     # SHA-256 of stdout and exit code (and the SVG file for render) for every
-    # command on every fixture, recorded before the vertex-enumeration guard
-    # and the renderer's own chamber classification were folded into the
-    # quotient layer.
-    DIGEST = "6ef657654b26f738f19532f3e6d979e57bf2ace5455f6163efbca2e35babeb4b"
+    # command but stability on every fixture, recorded on the Fourier-Motzkin
+    # engine's last production tree with the stability runs left out of the
+    # same loop.
+    DIGEST = "ee5a904371741870d8895df37e152bf79b7c59e0b72e8d8f52ddc941f7c6ef64"
+    # The same over the stability runs alone: their witnesses are vertices
+    # and their Farkas vectors signed circuits.
+    STABILITY_DIGEST = "09a7c2e20085d14153ef0a24e0a9b81ce248f6a31440363d46422bb43cecfa6f"
 
-    def test_fixture_stdout_digest(self, tmp_path):
+    @staticmethod
+    def fixture_digest(tmp_path, stability: bool) -> str:
         svg = tmp_path / "pin.svg"
         digest = hashlib.sha256()
         for path in sorted(FIXTURE_DIR.glob("*.json")):
             arr = parse_arrangement(path.read_bytes())
             for command, *options in _fixture_runs(arr.d):
+                if (command == "stability") != stability:
+                    continue
                 if command == "render":
                     options = ["-o", str(svg)]
                 out = io.StringIO()
@@ -882,7 +923,13 @@ class TestPinnedOutput:
                 if command == "render":
                     options = [svg.read_text()]
                 digest.update(repr((path.name, command, options, code, out.getvalue())).encode())
-        assert digest.hexdigest() == self.DIGEST
+        return digest.hexdigest()
+
+    def test_fixture_stdout_digest(self, tmp_path):
+        assert self.fixture_digest(tmp_path, stability=False) == self.DIGEST
+
+    def test_stability_stdout_digest(self, tmp_path):
+        assert self.fixture_digest(tmp_path, stability=True) == self.STABILITY_DIGEST
 
     def test_report_population_digest(self, tmp_path):
         # SHA-256 of stdout and exit code of report --chart=EPS, core, cover

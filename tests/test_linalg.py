@@ -16,6 +16,7 @@ from corecover import Arrangement, TorusData, is_regular, parse_arrangement, tor
 import corecover.arrangement as arrangement
 from corecover.arrangement import _build_torus_data
 from corecover.feasibility import Constraint, Relation
+from fourier_motzkin import _scaled
 from corecover.linalg import (
     kernel_lattice,
     primitive_scale,
@@ -455,8 +456,8 @@ class TestPrimitivity:
         # floats and Decimals are read as Fraction(x); the expected rows were
         # recorded with the earlier per-module denominator code
         coeffs = (0.5, Decimal("1.25"), Fraction(-2, 3), 3)
-        assert Constraint(coeffs, Relation.GE, Decimal("-0.75"))._scaled == ((6, 15, -8, 36), -9, 12, 1)
-        assert Constraint((-0.5, Decimal("1.25")), Relation.EQ, 0.25)._scaled == ((2, -5), -1, -4, 1)
+        assert _scaled(Constraint(coeffs, Relation.GE, Decimal("-0.75"))) == ((6, 15, -8, 36), -9, 12, 1)
+        assert _scaled(Constraint((-0.5, Decimal("1.25")), Relation.EQ, 0.25)) == ((2, -5), -1, -4, 1)
         assert primitive_scale(coeffs) == ((6, 15, -8, 36), Fraction(12))
         assert primitive_scale((Decimal("-2.5"), 0.75)) == ((-10, 3), Fraction(4))
         with pytest.raises(ValueError):

@@ -32,6 +32,7 @@ from corecover import (
     format_sign_vector,
     hk_closed_orbit,
     hk_semistable_numeric,
+    is_regular,
     is_simple,
     is_smooth,
     parse_arrangement,
@@ -39,12 +40,12 @@ from corecover import (
     serialize_arrangement,
     theta_cpt,
     torus_data,
+    trivial_factors,
     verify_covering,
     verify_density,
 )
 import corecover.arrangement as arrangement_module
 import corecover.cli as cli
-import corecover.feasibility as feasibility
 import corecover.linalg as linalg
 import corecover.quotient as quotient
 import corecover.stability as stability
@@ -53,7 +54,6 @@ from corecover.randgen import random_sign_vector, random_smooth_arrangement
 from corecover.stability import (
     FULL_ALPHABET,
     NO_BOTH_ALPHABET,
-    StabilityVerdict,
     Status,
     chart_semistable,
     full_pattern,
@@ -87,10 +87,23 @@ from util import (
 
 F = Fraction
 
-# The records an arrangement may keep (see ``Arrangement``).
+# The records an arrangement may keep (see ``Arrangement``), listed so that
+# adding one is a deliberate change; ``_matroid`` keeps the arrangement's
+# shared class-matroid record.
 ARRANGEMENT_RECORDS = {
-    name for name, value in vars(Arrangement).items() if isinstance(value, functools.cached_property)
+    "_cleared", "_classes", "_matroid", "_simple", "_torus", "_state_rows", "_faces", "_core_walk",
 }
+
+
+def count_scans(monkeypatch) -> list:
+    """The calls of the signed-circuit refutation scan, the one place a
+    verdict's proof is searched for; ``monkeypatch.undo()`` ends the count."""
+    calls = []
+    real = stability._refutation
+    monkeypatch.setattr(
+        stability, "_refutation", lambda *args, **kw: calls.append(args) or real(*args, **kw)
+    )
+    return calls
 
 
 def held_records(arr) -> set:
@@ -186,15 +199,13 @@ class TestExtendedCore:
     def test_classification_solves_no_chamber_again(self, monkeypatch):
         # every listed chamber is a nonempty leaf of the tree and the ray
         # signs decide boundedness, so once the tree's chamber walk is done
-        # the classification solves no LP; each one is is_bounded's
+        # the classification runs no refutation scan; each one is
+        # is_bounded's, an LP of the oracle
         rng = random.Random(4669)
-        real = feasibility.is_feasible
         for _ in range(20):
             arr = random_smooth_arrangement(rng, max_d=6)
             list(nonempty_patterns(arr, ((Z, W),) * arr.d))
-            solved = []
-            for module in (feasibility, stability):
-                monkeypatch.setattr(module, "is_feasible", lambda p: solved.append(p) or real(p))
+            solved = count_scans(monkeypatch)
             components = extended_core(arr)
             monkeypatch.undo()
             assert solved == []
@@ -235,7 +246,7 @@ class TestExtendedCore:
         # The one class holds the ray (bit 0) on its up side and the
         # negation (bit 1) on its down side
         arr = Arrangement(1, ((1,), (-1,)), (0, 1))
-        assert arrangement_module._matroid(arr).ray_masks == ((0b01, 0b10),)
+        assert arr._matroid.ray_masks == ((0b01, 0b10),)
         assert mask_ray_signs(arr) == ((1, -1), (-1, 1))
         table = {c.eps: c.classification for c in extended_core(arr)}
         assert table == {(1, 1): BOUNDED, (1, -1): UNBOUNDED, (-1, 1): UNBOUNDED}
@@ -344,13 +355,15 @@ class TestChamberVertices:
             subsets = list(itertools.combinations(reps, arr.n))
             independent = sum(util.rank(sub) == arr.n for sub in subsets)
             for warm in (False, True):
-                # _vertices keeps nothing, so each list below is computed afresh
+                # _vertices keeps nothing, so each list below is computed
+                # afresh, on a copy that looks its class record up afresh
                 arrangement_module._vertices(Arrangement(1, ((1,),), (0,)))
                 if not warm:
                     arrangement_module._class_matroid.cache_clear()
+                fresh = dataclasses.replace(arr)
                 passes = []
                 monkeypatch.setattr(linalg, "_bareiss", counting)
-                vertices = arrangement_module._vertices(arr)
+                vertices = arrangement_module._vertices(fresh)
                 monkeypatch.undo()
                 if warm:
                     assert passes == []
@@ -432,7 +445,7 @@ class TestFaceRecord:
             for alphabet, rows in arr._faces.rows.items():
                 assert rows == walk_rows(arr, (alphabet,) * arr.d)
             assert set(arr._faces.rows) == {NO_BOTH_ALPHABET, (Z, W), (B,)}
-            scaled += any(den > 1 for _, den, _ in arrangement_module._matroid(arr).bases)
+            scaled += any(den > 1 for _, den, _ in arr._matroid.bases)
             not_simple += not is_simple(arr)
         assert scaled > 40 and not_simple > 10 and bounded > 200 and owned > 40
 
@@ -631,15 +644,16 @@ class TestVertexMasks:
         for _ in range(30):
             arr = random_smooth_arrangement(rng, require_core=True, max_d=7)
             eps = theta_cpt(arr)[0]
-            rays = [list(masks) for masks in arrangement_module._matroid(arr).ray_masks]
+            rays = [list(masks) for masks in arr._matroid.ray_masks]
             extra = 1 << max(mask.bit_length() for masks in rays for mask in masks)
             for (k, s), e in zip(arrangement_module._orientations(arr), eps):
                 rays[k][e != s] |= extra
-            patched = types.SimpleNamespace(ray_masks=tuple(map(tuple, rays)))
+            # a copy whose own class record holds the extra ray
+            patched = arrangement_module._ClassMatroid(arr._matroid.reps)
+            patched.__dict__["ray_masks"] = tuple(map(tuple, rays))
             copy = dataclasses.replace(arr)
-            monkeypatch.setattr(quotient, "_matroid", lambda a: patched)
+            copy.__dict__["_matroid"] = patched
             walk = quotient._extended_core_cached(copy)
-            monkeypatch.undo()
             assert eps not in {c.eps for c in walk.core if c.classification == BOUNDED}
             if not walk.masks:
                 empty += 1
@@ -731,14 +745,7 @@ class TestSharedVerdicts:
         arr = dataclasses.replace(hirzebruch)
         chart_complement(arr, (1, 1, 1, 1))
         extended_core(arr)
-        calls = []
-        real = stability.is_feasible
-
-        def counting(poly):
-            calls.append(poly)
-            return real(poly)
-
-        monkeypatch.setattr(stability, "is_feasible", counting)
+        calls = count_scans(monkeypatch)
         assert verify_covering(arr).covered
         assert len(calls) == 0
         assert all(verify_density(arr, eps) for eps in all_sign_vectors(arr.d))
@@ -751,19 +758,16 @@ class TestSharedVerdicts:
         # a fresh copy, so the covering sweep below builds its records afresh
         arr = dataclasses.replace(hirzebruch)
         proofs = []
-        for name in ("_multipliers", "_choose_value"):
-            real = getattr(feasibility, name)
+        for name in ("_vertex", "_letter_multipliers"):
+            real = getattr(stability, name)
             monkeypatch.setattr(
-                feasibility, name, lambda *args, real=real: proofs.append(args) or real(*args)
+                stability, name, lambda *args, real=real: proofs.append(args) or real(*args)
             )
         assert verify_covering(arr).covered
-        solved = []
-        real_feasible = feasibility.is_feasible
-        for module in (feasibility, stability):
-            monkeypatch.setattr(module, "is_feasible", lambda p: solved.append(p) or real_feasible(p))
+        solved = count_scans(monkeypatch)
         for eps in theta_cpt(arr):
             chart_complement(arr, eps)
-        # the complement's walks and chart verdicts solve no LP
+        # the complement's walks and chart verdicts run no refutation scan
         assert solved == []
         assert held_records(arr) <= ARRANGEMENT_RECORDS
         # neither sweep reads a witness point or a Farkas vector
@@ -865,6 +869,34 @@ class TestRecords:
                 if isinstance(value, functools.cached_property):
                     assert type(value) is arrangement_module._Record
                     assert getattr(owner, name) is value
+
+    def test_records_are_the_listed_ones(self):
+        assert ARRANGEMENT_RECORDS == {
+            name for name, value in vars(Arrangement).items() if isinstance(value, functools.cached_property)
+        }
+
+    def test_one_class_record_lookup_per_arrangement(self, monkeypatch, hirzebruch):
+        # the four preflight checks and every report section read the
+        # arrangement's _matroid record, which looks the shared record up
+        # once; a cold cache or a warm one makes no difference
+        rng = random.Random(4603)
+        population = [hirzebruch] + [random_smooth_arrangement(rng, max_d=7, require_core=True) for _ in range(20)]
+        lookups = []
+        real = arrangement_module._class_matroid
+        monkeypatch.setattr(arrangement_module, "_class_matroid", lambda reps: lookups.append(reps) or real(reps))
+        for cold in (True, False):
+            for arr in map(dataclasses.replace, population):
+                if cold:
+                    real.cache_clear()
+                lookups.clear()
+                assert is_regular(arr) and is_simple(arr) and trivial_factors(arr) == ()
+                torus_data(arr)
+                eps = theta_cpt(arr)[0]
+                args = types.SimpleNamespace(chart=format_sign_vector(eps), force=False)
+                cli._report(arr, args)
+                chart_complement(arr, eps)
+                chamber(arr, eps)
+                assert lookups == [tuple(r for r, _ in arr._classes)]
 
     def test_record_without_a_name_raises_the_parent_error(self):
         bare = functools.cached_property(len)
@@ -971,9 +1003,9 @@ class TestAdjacencyLemma:
         # a chart oracle that rejects everything must break the lemma: the
         # chart side may not be read off the intersection it is checked on
         def never(td, pattern):
-            return StabilityVerdict(False, None, None)
+            return False
 
-        monkeypatch.setattr(util, "hk_semistable_numeric", never)
+        monkeypatch.setattr(util, "numeric_semistable", never)
         assert adjacency_lemma_check(a2_resolution) is False
 
     def test_random(self):
@@ -1037,18 +1069,15 @@ class TestChartComplement:
         assert not report.all_in_extended_core
 
     def test_max_state_dim_is_counted(self, hirzebruch, a2_resolution, triangle_pair, monkeypatch):
-        # once covering has expanded the tree, the complement solves no LP:
+        # once covering has expanded the tree, the complement runs no scan:
         # max_state_dim is counted from the ZERO letters, not measured
         rng = random.Random(3141)
         arrangements = [hirzebruch, a2_resolution, triangle_pair]
         arrangements += [random_smooth_arrangement(rng, max_d=6, require_core=True) for _ in range(20)]
-        real = feasibility.is_feasible
         measured = 0
         for arr in arrangements:
             verify_covering(arr)
-            solved = []
-            for module in (feasibility, stability):
-                monkeypatch.setattr(module, "is_feasible", lambda p: solved.append(p) or real(p))
+            solved = count_scans(monkeypatch)
             reports = [chart_complement(arr, eps) for eps in theta_cpt(arr)]
             monkeypatch.undo()
             assert solved == []
@@ -1151,6 +1180,8 @@ class TestChartComplement:
             chamber = next(nonempty_patterns(arr, ((Z, W),) * arr.d))
             eps = tuple(1 if status is Z else -1 for status in chamber)
             arrangement_module._class_matroid.cache_clear()
+            # a fresh copy looks its class record up after the clear
+            arr = dataclasses.replace(arr)
             chosen, walks = [], []
             monkeypatch.setattr(
                 quotient, "_pattern_masks", lambda a, rows, within=None: walks.append(rows) or iter(())
@@ -1194,3 +1225,44 @@ class TestReorientationEquivariance:
                 for eps in theta_cpt(arr)
             }
             assert set(theta_cpt(reorient(arr, eps0))) == base
+
+
+class TestSymmetries:
+    """Four symmetries of an arrangement keep every answer: translating the
+    lifts, a unimodular change of coordinates, permuting the hyperplanes
+    (with the answers permuted alike) and scaling the lifts by a positive
+    rational (``util.symmetries_hold``)."""
+
+    def test_seeded_draws(self):
+        rng = random.Random(31)
+        draws = [random_smooth_arrangement(rng, max_d=7, require_core=True) for _ in range(150)]
+        check = random.Random(32)
+        assert all(util.symmetries_hold(arr, check) for arr in draws)
+
+    def test_a_wrong_order_is_seen(self):
+        # read back through no permutation, the permuted copy's answers differ
+        rng = random.Random(33)
+        differ = 0
+        for _ in range(20):
+            arr = random_smooth_arrangement(rng, max_d=7, require_core=True)
+            patterns = [tuple(rng.choice(FULL_ALPHABET) for _ in range(arr.d)) for _ in range(8)]
+            eps = tuple(rng.choice((1, -1)) for _ in range(arr.d))
+            expected = util.symmetry_answers(arr, tuple(range(arr.d)), patterns, eps)
+            permuted, order = util.symmetric_copies(arr, rng)[2]
+            assert util.symmetry_answers(permuted, order, patterns, eps) == expected
+            differ += util.symmetry_answers(permuted, tuple(range(arr.d)), patterns, eps) != expected
+        assert differ > 10
+
+
+class TestRandomDraws:
+    def test_draws_with_a_core_past_the_cover_guard(self):
+        # the generator's own core call lifts the guard, so draws with a
+        # core come out at every d, not only up to the covering limit
+        rng = random.Random(4604)
+        for n in (1, 2, 3):
+            for d in range(13, 17):
+                arr = random_smooth_arrangement(rng, n=n, d=d, require_core=True)
+                assert (arr.n, arr.d) == (n, d) and is_smooth(arr)
+                assert core(arr, force=True)
+                with pytest.raises(GuardError):
+                    core(arr)

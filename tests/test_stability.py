@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -10,6 +11,8 @@ import pytest
 
 from corecover import (
     Arrangement,
+    Polyhedron,
+    Relation,
     TorusData,
     all_sign_vectors,
     both_reduction,
@@ -19,7 +22,6 @@ from corecover import (
     hk_closed_orbit,
     hk_semistable_geometric,
     hk_semistable_numeric,
-    is_feasible,
     is_regular,
     is_simple,
     is_smooth,
@@ -42,14 +44,18 @@ import corecover.quotient as quotient
 import corecover.stability as stability
 from corecover.randgen import random_pattern, random_sign_vector, random_smooth_arrangement
 from corecover.stability import FULL_ALPHABET, NO_BOTH_ALPHABET, Status
+from fourier_motzkin import is_feasible
+import util
 from util import (
     affine_dimension,
     chart_pattern,
     enumerate_vertices,
     nonempty_patterns,
     numeric_density,
+    numeric_semistable,
     per_pattern_verdict,
     per_subset_numeric_chambers,
+    random_integer_arrangement,
     rank_realizable,
     walk_rows,
 )
@@ -118,9 +124,24 @@ class TestToricClosedOrbit:
         assert toric_closed_orbit(td, {0, 2, 3})
 
     def test_cone_boundary(self):
-        td = TorusData(basis=((1,),), lifts=(0,))
-        assert toric_semistable_numeric(td, {0}).semistable
-        assert not toric_closed_orbit(td, {0})
+        # x_0 + x_1 = 0 with both nonnegative: only at 0, never strictly
+        td = TorusData(basis=((1, 1),), lifts=(0, 0))
+        assert toric_semistable_numeric(td, {0, 1}).semistable
+        assert not toric_closed_orbit(td, {0, 1})
+
+    def test_torus_data_without_a_solution_plane_is_refused(self):
+        # the verdicts read the arrangement rebuilt from the torus data, so
+        # torus data that arrangement_from_quotient refuses raises its error
+        point = TorusData(basis=((1,),), lifts=(0,))
+        fixed = TorusData(basis=((1, 0),), lifts=(1, 2))
+        for td, text in ((point, "needs d > m"), (fixed, "coordinate 1 is constant")):
+            for call in (
+                lambda: toric_semistable_numeric(td, {0}),
+                lambda: hk_semistable_numeric(td, (B,) * td.d),
+                lambda: hk_closed_orbit(td, (Z,) * td.d),
+            ):
+                with pytest.raises(ValueError, match=text):
+                    call()
 
     def test_requires_semistable(self, hirzebruch):
         with pytest.raises(ValueError):
@@ -152,6 +173,88 @@ class TestHkNumeric:
             for pattern in itertools.product(FULL_ALPHABET, repeat=arr.d):
                 if hk_closed_orbit(td, pattern):
                     assert hk_semistable_numeric(td, pattern).semistable
+
+
+def strictly_semistable(td, pattern) -> bool:
+    """The oracle's strict system: ``_sign_system`` with every inequality strict."""
+    rows = tuple(
+        dataclasses.replace(c, relation=Relation.GT) if c.relation is Relation.GE else c
+        for c in stability._sign_system(td, pattern).constraints
+    )
+    return is_feasible(Polyhedron(td.d, rows)).feasible
+
+
+class TestRefutationScan:
+    """Every verdict is the mask's, every refutation a signed circuit: both
+    agree with the Fourier-Motzkin oracle, strict and not, and every
+    certificate verifies, on input that is simple or not, regular or not."""
+
+    def test_matches_the_oracle_and_certifies(self, hirzebruch, a2_resolution, triangle_pair):
+        rng = random.Random(4601)
+        cases = [(arr, list(itertools.product(FULL_ALPHABET, repeat=arr.d)))
+                 for arr in (hirzebruch, a2_resolution, triangle_pair)]
+        draws = [random_integer_arrangement(rng, n) for n in (1, 2, 3) for _ in range(40)]
+        draws += [random_smooth_arrangement(rng, max_d=7) for _ in range(40)]
+        draws += [arrangement_with_parallel_normals(rng) for _ in range(20)]
+        for arr in draws:
+            patterns = [tuple(rng.choice(FULL_ALPHABET) for _ in range(arr.d)) for _ in range(12)]
+            patterns += [tuple(rng.choice(NO_BOTH_ALPHABET) for _ in range(arr.d)) for _ in range(12)]
+            cases.append((arr, patterns))
+        assert sum(not is_simple(arr) for arr in draws) > 30
+        assert sum(not is_regular(arr) for arr in draws) > 30
+        counts = collections.Counter()
+        for arr, patterns in cases:
+            td = torus_data(arr)
+            for pattern in patterns:
+                numeric = hk_semistable_numeric(td, pattern)
+                geometric = hk_semistable_geometric(arr, pattern)
+                closed = hk_closed_orbit(td, pattern)
+                assert numeric.semistable == geometric.semistable == numeric_semistable(td, pattern)
+                assert closed == strictly_semistable(td, pattern)
+                assert verify_certificate(numeric.system, numeric.certificate)
+                assert verify_certificate(geometric.system, geometric.certificate)
+                counts[numeric.semistable, closed] += 1
+        # refutations, closed orbits, and semistable points whose orbit is
+        # not closed, which only the strict tie refutes
+        assert min(counts[False, False], counts[True, True], counts[True, False]) > 100
+
+    def test_strict_ties(self):
+        # a hyperplane listed twice: z on one copy and w on the other meet
+        # at the hyperplane, never strictly; two ZERO copies keep their
+        # equalities, so the tie refutes nothing
+        arr = Arrangement(1, ((1,), (1,), (-1,)), (0, 0, 1))
+        td = torus_data(arr)
+        for pattern, closed in (((Z, W, B), False), ((O, O, B), True), ((Z, O, B), False)):
+            assert hk_semistable_numeric(td, pattern).semistable
+            assert hk_closed_orbit(td, pattern) is closed == strictly_semistable(td, pattern)
+
+    def test_parallel_pairs_bound_each_other(self):
+        # x <= t_1 and x >= t_2 on one class, z or w by orientation: the
+        # pair refutes exactly when the interval is empty
+        for lifts in itertools.product(range(-2, 3), repeat=3):
+            arr = Arrangement(1, ((1,), (-1,), (1,)), lifts)
+            td = torus_data(arr)
+            for pattern in itertools.product(NO_BOTH_ALPHABET, repeat=3):
+                verdict = hk_semistable_geometric(arr, pattern)
+                assert verdict.semistable == numeric_semistable(td, pattern)
+                assert verify_certificate(verdict.system, verdict.certificate)
+                assert hk_closed_orbit(td, pattern) == strictly_semistable(td, pattern)
+
+    def test_witnesses_are_vertices(self):
+        # the geometric witness is a vertex of the arrangement, and the
+        # numeric one that vertex's values on the rebuilt arrangement
+        rng = random.Random(4602)
+        for _ in range(20):
+            arr = random_integer_arrangement(rng, rng.choice((1, 2, 3)))
+            td = torus_data(arr)
+            vertices = {point for point, _ in arr._faces.vertices}
+            for pattern in itertools.product(NO_BOTH_ALPHABET, repeat=min(arr.d, 4)):
+                pattern += (B,) * (arr.d - len(pattern))
+                verdict = hk_semistable_geometric(arr, pattern)
+                if verdict.semistable:
+                    assert verdict.certificate.point in vertices
+                    numeric = hk_semistable_numeric(td, pattern).certificate.point
+                    assert util.mat_vec(td.basis, numeric) == td.alpha
 
 
 class TestStateSet:
@@ -455,13 +558,14 @@ class TestLetterRows:
 class TestPrefixTree:
     """``_cone_contains`` and the walk of ``_pattern_masks`` keep the
     prefixes whose letters hold at some vertex of the arrangement, with no
-    LP, on simple input and on input that is not simple alike."""
+    refutation scan, on simple input and on input that is not simple
+    alike."""
 
     @staticmethod
-    def count_lps(monkeypatch):
+    def count_scans(monkeypatch):
         calls = []
-        real = stability.is_feasible
-        monkeypatch.setattr(stability, "is_feasible", lambda poly: calls.append(poly) or real(poly))
+        real = stability._refutation
+        monkeypatch.setattr(stability, "_refutation", lambda *args, **kw: calls.append(args) or real(*args, **kw))
         return calls
 
     def test_matches_per_pattern_oracle(self, monkeypatch):
@@ -481,7 +585,7 @@ class TestPrefixTree:
         parallel += [triple_point, coincident]
         assert any(not is_simple(arr) for arr in parallel)
         for arr in arrangements + parallel:
-            calls = self.count_lps(monkeypatch)
+            calls = self.count_scans(monkeypatch)
             nonempty = []
             for pattern in itertools.product(NO_BOTH_ALPHABET, repeat=arr.d):
                 verdict = per_pattern_verdict(arr, pattern)
@@ -540,7 +644,7 @@ class TestPrefixTree:
         for arr in arrangements:
             given = []
             monkeypatch.setattr(quotient, "_pattern_masks", recording_walk)
-            calls = self.count_lps(monkeypatch)
+            calls = self.count_scans(monkeypatch)
             extended_core(arr)
             monkeypatch.undo()
             assert len(given) == 1 and len(given[0]) == arr.d
@@ -551,7 +655,7 @@ class TestPrefixTree:
 
     def test_covering_lp_budget(self, monkeypatch):
         arr = random_smooth_arrangement(random.Random(10), n=2, d=10, require_core=True)
-        calls = self.count_lps(monkeypatch)
+        calls = self.count_scans(monkeypatch)
         assert verify_covering(arr).covered
         assert calls == []
 
@@ -565,7 +669,7 @@ class TestPrefixTree:
         arrangements += [random_smooth_arrangement(rng, max_d=7) for _ in range(20)]
         swept = 0
         for arr in arrangements:
-            calls = self.count_lps(monkeypatch)
+            calls = self.count_scans(monkeypatch)
             components = extended_core(arr)
             if any(c.classification == quotient.BOUNDED for c in components):
                 assert verify_covering(arr).covered
@@ -599,7 +703,7 @@ class TestNumericChambers:
         checked = 0
         for arr in arrangements + other:
             td = torus_data(arr)
-            calls = TestPrefixTree.count_lps(monkeypatch)
+            calls = TestPrefixTree.count_scans(monkeypatch)
             numeric = stability._numeric_chambers(td)
             monkeypatch.undo()
             assert calls == []
@@ -658,7 +762,7 @@ class TestNumericChambers:
         assert changed >= 28
 
     def test_reads_only_basis_and_alpha(self, hirzebruch, monkeypatch):
-        # no arrangement, lifts, vertex or LP: the numeric side stays
+        # no arrangement, lifts, vertex or circuit: the numeric side stays
         # independent of the chamber side it is checked against
         td = torus_data(hirzebruch)
         expected = numeric_density(td)
@@ -666,7 +770,7 @@ class TestNumericChambers:
         def forbidden(*args):
             raise AssertionError("the numeric side read the chamber side")
 
-        for name in ("_faces", "_vertices", "_letter_masks", "_cone_contains", "is_feasible"):
+        for name in ("_faces", "_vertices", "_letter_masks", "_cone_contains", "_refutation"):
             monkeypatch.setattr(stability, name, forbidden)
         bare = types.SimpleNamespace(d=td.d, m=td.m, basis=td.basis, alpha=td.alpha)
         assert stability._numeric_chambers(bare) == expected

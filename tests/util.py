@@ -8,7 +8,9 @@ solvers, subset scans
 over the hyperplanes instead of the direction classes for regularity,
 simplicity and trivial factors, full subset enumeration instead of the
 (n + 1)-bounded simplicity scan, interval analysis instead of elimination,
-the numeric d-variable stability system instead of state sets, one numeric
+LPs decided by the Fourier-Motzkin oracle (``fourier_motzkin``) instead of
+vertex masks and signed circuits, the numeric d-variable stability system
+(``numeric_semistable``) instead of state sets, one numeric
 LP per sign vector instead of the numeric vertices for density, a rank test
 in R^d on index subsets instead of one on the direction classes for
 realizability, one LP on a whole state set instead of the vertex walk, every
@@ -64,18 +66,21 @@ from corecover import (
     all_sign_vectors,
     chamber,
     core,
+    core_empty_criterion,
+    extended_core,
     full_pattern,
+    hk_closed_orbit,
     hk_semistable_geometric,
     hk_semistable_numeric,
-    is_feasible,
     is_simple,
     state_set,
     theta_cpt,
     torus_data,
+    verify_covering,
+    verify_density,
 )
-from corecover.feasibility import _dedup, _eliminate_column, _integerize
 from corecover.formats import _decimal
-from corecover.arrangement import _circuits, _direction_classes, _matroid
+from corecover.arrangement import _circuits, _direction_classes
 from corecover.linalg import (
     _back_substitute,
     _bareiss,
@@ -101,8 +106,10 @@ from corecover.stability import (
     _letter_masks,
     _pattern_mask,
     _pattern_masks,
+    _sign_system,
     chart_semistable,
 )
+from fourier_motzkin import _dedup, _eliminate_column, _integerize, is_feasible
 
 
 # The chart letter of each (orientation, letter): Z where the orientation
@@ -515,7 +522,7 @@ def mask_ray_signs(arr) -> tuple:
     ``<u_i, ray> >= 0`` and in the second iff ``<= 0``. Bit j is cofactor
     j and bit j + R its negation, so each cofactor is read before its
     negation, and repeated sign vectors are dropped."""
-    masks = _matroid(arr).ray_masks
+    masks = arr._matroid.ray_masks
     reps = [r for r, _ in _direction_classes(arr)]
     sides = []
     for u in arr.normals:
@@ -710,7 +717,7 @@ def adjacency_lemma_check(arr) -> bool:
             meet = Polyhedron(arr.n, st.constraints + walls)
             if not is_feasible(meet).feasible:
                 continue
-            if not hk_semistable_numeric(td, chart_pattern(eps, pattern)).semistable:
+            if not numeric_semistable(td, chart_pattern(eps, pattern)):
                 return False
     return True
 
@@ -769,6 +776,13 @@ def rank_realizable(td, both) -> bool:
     return all(rank(stack + [unit_vector(td.d, i)]) > base for i in both)
 
 
+def numeric_semistable(td, pattern) -> bool:
+    """Signed solvability of ``A x = alpha``: the numeric system of a
+    pattern decided by one d-variable LP, where the library reads a vertex
+    mask and a signed circuit of the rebuilt arrangement."""
+    return is_feasible(_sign_system(td, pattern)).feasible
+
+
 def per_pattern_verdict(arr, pattern) -> bool:
     """Nonemptiness of a BOTH-free state set by one LP on all of its d rows."""
     return is_feasible(state_set(arr, pattern)).feasible
@@ -780,7 +794,7 @@ def numeric_density(td) -> frozenset:
     return frozenset(
         eps
         for eps in all_sign_vectors(td.d)
-        if hk_semistable_numeric(td, full_pattern(eps)).semistable
+        if numeric_semistable(td, full_pattern(eps))
     )
 
 
@@ -807,7 +821,7 @@ def per_subset_numeric_chambers(td) -> frozenset:
 def numeric_chart_semistable(td, eps, pattern) -> bool:
     """Chart membership decided numerically: is alpha in the cone of the
     active signed characters?"""
-    return hk_semistable_numeric(td, chart_pattern(eps, pattern)).semistable
+    return numeric_semistable(td, chart_pattern(eps, pattern))
 
 
 def numeric_covering(arr) -> CoverReport:
@@ -817,7 +831,7 @@ def numeric_covering(arr) -> CoverReport:
     witness = {}
     counterexamples = []
     for pattern in itertools.product(NO_BOTH_ALPHABET, repeat=arr.d):
-        if not hk_semistable_numeric(td, pattern).semistable:
+        if not numeric_semistable(td, pattern):
             continue
         for eps in compact:
             if numeric_chart_semistable(td, eps, pattern):
@@ -873,7 +887,7 @@ def full_walk_complement(arr, eps) -> ComplementReport:
     chamber = _pattern_mask(arr, full_pattern(eps))
     classes = _direction_classes(arr)
     excluded = []
-    for chosen in _matroid(arr).realizable:
+    for chosen in arr._matroid.realizable:
         both = {i for k in chosen for i, _ in classes[k][1]}
         alphabets = [(Status.BOTH,) if i in both else NO_BOTH_ALPHABET for i in range(arr.d)]
         walk = _pattern_masks(arr, walk_rows(arr, alphabets))
@@ -912,7 +926,7 @@ def numeric_complement(arr, eps) -> ComplementReport:
         pattern
         for pattern in itertools.product(FULL_ALPHABET, repeat=arr.d)
         if realizable(tuple(i for i, status in enumerate(pattern) if status is Status.BOTH))
-        and hk_semistable_numeric(td, pattern).semistable
+        and numeric_semistable(td, pattern)
         and not numeric_chart_semistable(td, eps, pattern)
     ]
     return oracle_complement_report(arr, eps, excluded)
@@ -934,7 +948,7 @@ def candidate_complement(arr, eps) -> ComplementReport:
             for fill in itertools.product(NO_BOTH_ALPHABET, repeat=len(free)):
                 for i, status in zip(free, fill):
                     pattern[i] = status
-                if not hk_semistable_geometric(arr, pattern).semistable:
+                if not is_feasible(state_set(arr, pattern)).feasible:
                     continue
                 if not chart_semistable(arr, eps, pattern):
                     excluded.append(tuple(pattern))
@@ -1012,3 +1026,96 @@ def polygon_order_by_comparison(points) -> list:
         return -1 if cross > 0 else 1 if cross < 0 else 0
 
     return sorted(points, key=functools.cmp_to_key(compare))
+
+
+def random_integer_arrangement(rng, n: int, max_d: int = 7) -> Arrangement:
+    """Primitive normals with entries in [-2, 2] and small lifts: often
+    neither simple nor regular, with parallel and concurrent hyperplanes."""
+    while True:
+        normals = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(n, max_d))]
+        lifts = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in normals]
+        try:
+            return Arrangement(n, tuple(normals), tuple(lifts))
+        except ValueError:
+            continue
+
+
+def symmetric_copies(arr, rng) -> list:
+    """``(copy, order)`` for four symmetries of an arrangement, hyperplane j
+    of the copy being hyperplane ``order[j]`` of ``arr``: the lifts
+    translated by a rational point v (``lift_i + <u_i, v>``, the functions
+    read at y + v), the normals under a random unimodular change of
+    coordinates M (``M^T u_i``, the functions read at M y), the hyperplanes
+    permuted, and the lifts scaled by a positive rational c (the functions
+    c times those at y / c)."""
+    n, identity = arr.n, tuple(range(arr.d))
+    shift = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+    translated = [lift + sum(a * b for a, b in zip(u, shift)) for u, lift in zip(arr.normals, arr.lifts)]
+    # M as a product of elementary row additions and sign flips: det +-1
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        factor = rng.choice((-2, -1, 1, 2)) if i != j else -1
+        m[i] = [a + factor * b for a, b in zip(m[i], m[j])] if i != j else [-a for a in m[i]]
+    changed = [tuple(sum(m[k][j] * u[k] for k in range(n)) for j in range(n)) for u in arr.normals]
+    order = tuple(rng.sample(identity, arr.d))
+    scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    return [
+        (Arrangement(n, arr.normals, tuple(translated)), identity),
+        (Arrangement(n, tuple(changed), arr.lifts), identity),
+        (Arrangement(n, tuple(arr.normals[i] for i in order), tuple(arr.lifts[i] for i in order)), order),
+        (Arrangement(n, arr.normals, tuple(scale * lift for lift in arr.lifts)), identity),
+    ]
+
+
+def symmetry_answers(arr, order, patterns, eps) -> tuple:
+    """The answers a symmetry must keep, each word read back through
+    ``order`` into the indices of the original arrangement: the extended
+    core, the covering verdict with its witnessed patterns and its
+    counterexamples (None and empty with no compact chamber),
+    ``core_empty_criterion``, the density entry of ``eps``
+    and the numeric, geometric and closed-orbit verdicts of ``patterns``."""
+
+    def back(word):
+        out = [None] * len(order)
+        for j, i in enumerate(order):
+            out[i] = word[j]
+        return tuple(out)
+
+    def forward(word):
+        return tuple(word[i] for i in order)
+
+    td = torus_data(arr)
+    # verify_covering needs a compact chamber
+    report = verify_covering(arr) if theta_cpt(arr) else CoverReport(None, {}, ())
+    criterion = core_empty_criterion(arr)
+    return (
+        frozenset((back(c.eps), c.classification) for c in extended_core(arr)),
+        report.covered,
+        frozenset(map(back, report.witness)),
+        frozenset(map(back, report.counterexamples)),
+        criterion.bounded_exists,
+        criterion.agree,
+        frozenset(order[i] for i in criterion.trivial_indices),
+        verify_density(arr, forward(eps)),
+        tuple(
+            (
+                hk_semistable_numeric(td, forward(p)).semistable,
+                hk_semistable_geometric(arr, forward(p)).semistable,
+                hk_closed_orbit(td, forward(p)),
+            )
+            for p in patterns
+        ),
+    )
+
+
+def symmetries_hold(arr, rng, count: int = 8) -> bool:
+    """Do all four ``symmetric_copies`` keep ``symmetry_answers`` on
+    ``count`` seeded four-letter patterns and one seeded sign vector?"""
+    patterns = [tuple(rng.choice(FULL_ALPHABET) for _ in range(arr.d)) for _ in range(count)]
+    eps = tuple(rng.choice((1, -1)) for _ in range(arr.d))
+    expected = symmetry_answers(arr, tuple(range(arr.d)), patterns, eps)
+    return all(
+        symmetry_answers(copy, order, patterns, eps) == expected
+        for copy, order in symmetric_copies(arr, rng)
+    )
