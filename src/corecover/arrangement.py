@@ -9,7 +9,8 @@ tests smoothness and reconstructs an arrangement from its quotient data by
 cutting the affine solution space with coordinate hyperplanes. What depends
 only on the directions of the normals is kept in one ``_ClassMatroid``
 record per set of direction classes, shared across arrangements; each
-arrangement keeps its own in its ``_matroid`` record. Chambers are state sets of dense patterns and live in :mod:`corecover.stability`.
+arrangement keeps its own in its ``_matroid`` record. Chambers are state
+sets of dense patterns and live in :mod:`corecover.stability`.
 """
 
 from __future__ import annotations
@@ -721,13 +722,12 @@ def arrangement_from_quotient(td: TorusData) -> Arrangement:
 
 def _rebuild(td: TorusData) -> tuple:
     """``(arr, scales)``: the arrangement of ``arrangement_from_quotient``
-    and, per hyperplane, the positive rational ``scales[i]`` that its
-    function ``<u_i, y> + lift_i`` is of the coordinate ``x_i`` on the
-    solution plane. With ``y`` the projection coordinates, ``x_i = <w_i, y>
-    + td.lifts[i]`` for the rational ``w_i`` that ``u_i`` scales to a
-    primitive vector, so ``x_i`` is the hyperplane's function over
-    ``scales[i]``, and ``x`` solves ``A x = alpha`` at every ``y``. Kept on
-    the torus data as its ``_rebuilt`` record."""
+    and, per hyperplane, the positive rational ``scales[i]`` with ``<u_i,
+    y> + lift_i == scales[i] * x_i``. Here ``y`` are the projection
+    coordinates and ``x_i = <w_i, y> + td.lifts[i]``, for the rational
+    ``w_i`` that ``primitive_scale`` turns into ``u_i``, so ``x`` solves
+    ``A x = alpha`` at every ``y``. Kept on the torus data as its
+    ``_rebuilt`` record."""
     if td.d <= td.m:
         raise ValueError("quotient reconstruction needs d > m")
     basis = kernel_lattice(td.basis, ncols=td.d)
