@@ -168,6 +168,55 @@ CATALOGUE = (
         "each Cramer numerator belongs to its own entering column",
     ),
     Mutant(
+        "core-walk-ray-and-dropped",
+        "quotient.py",
+        "stack.append((eps + (e,), mask, cone & ray))",
+        "stack.append((eps + (e,), mask, ray))",
+        "a chamber's rays in its recession cone are the AND of all its letters' ray masks, made along its path",
+    ),
+    Mutant(
+        "core-walk-leaf-ray-dropped",
+        "quotient.py",
+        "if cone & ray:",
+        "if cone:",
+        "the last letter's ray mask takes part in the chamber's classification",
+    ),
+    Mutant(
+        "complement-keeps-leaves-in-chamber",
+        "quotient.py",
+        "excluded.extend(p for p, _ in _pattern_masks(arr, rows, outside, chamber))",
+        "excluded.extend(p for p, _ in _pattern_masks(arr, rows, chamber, outside))",
+        "the complement lists the leaves whose vertex mask misses the chamber's",
+    ),
+    Mutant(
+        "cover-count-empty-leaves",
+        "quotient.py",
+        "if kept & letter:",
+        "if kept | letter:",
+        "the covering count counts the nonempty leaves alone",
+    ),
+    Mutant(
+        "counterexamples-within-core",
+        "quotient.py",
+        "counterexamples = tuple(p for p, _ in _pattern_masks(arr, within=off, avoid=compact))",
+        "counterexamples = tuple(p for p, _ in _pattern_masks(arr, within=compact, avoid=compact))",
+        "a counterexample's vertices all lie off every compact chamber",
+    ),
+    Mutant(
+        "walk-avoid-ignored",
+        "stability.py",
+        "if mask & within and not mask & avoid:",
+        "if mask & within:",
+        "the pattern walk drops the leaves whose mask meets avoid",
+    ),
+    Mutant(
+        "row-combination-common-dropped",
+        "stability.py",
+        "mu[k] = Fraction(sum(map(mul, row, nums)), den * common)",
+        "mu[k] = Fraction(sum(map(mul, row, nums)), den)",
+        "the target is cleared to integers over its common denominator before the product",
+    ),
+    Mutant(
         "witness-first-vertex",
         "quotient.py",
         "if j < index:",

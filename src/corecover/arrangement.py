@@ -231,6 +231,7 @@ class TorusData:
     _rebuilt = _Record(lambda self: _rebuild(self))
     _numeric_chambers = _record("stability", "_numeric_chambers")
     _sign_rows = _record("stability", "_sign_rows")
+    _row_solver = _record("stability", "_row_solver")
 
 
 def _level(basis, cleared) -> tuple:

@@ -4,32 +4,38 @@ Each sign vector ``eps`` reorients the arrangement and contributes a chamber
 ``Delta_eps``. The bounded nonempty chambers index the compact components of
 the core; the main verification confirms that each semistable pattern lands
 in the chart of some compact-core sign vector, so those charts cover the
-whole quotient. Chambers, swept patterns and chart patterns are state sets,
-each decided by its vertex mask: the bitmask of the arrangement's vertices
-at which all its letters hold, nonzero iff it is nonempty. A walk over the
-hyperplanes keeps the prefixes with a nonzero mask; the chamber, covering
-and complement sweeps list its leaves, with their masks, instead of
-testing 2^d, 3^d or 4^d candidates, and solve no LP. A leaf lies in the
-chart of a chamber iff its mask meets the chamber's, so every chart verdict
-is one AND: the covering reads each vertex's first compact chamber, which
-the chamber walk assigns as it yields the bounded chambers, and the CLI's
-count of it ANDs each leaf's mask with the OR of the bounded chambers'
-masks, which the walk keeps (``_covering_counts``); the complement keeps
-the leaves that miss one chamber's mask, walking only the prefixes with a
-vertex outside it, once per realizable BOTH set, with BOTH letters on it.
-The vertices, sorted on integer keys, their masks and the walks' rows of
-letters make one face record per arrangement (``stability._faces``), the
-chamber walk's results one more (``_core_walk``); both live on the
-arrangement, built on first read and freed with it.
-A chamber is bounded iff the AND of its letters' ray masks, which the class
-record keeps per direction class (``_ClassMatroid.ray_masks``), is zero:
-no LP. A chamber's vertices are those of its mask. Density compares each
-chamber's verdict with the numeric side, the dense patterns whose numeric
-system has a vertex conforming to them: the C(d, n) square systems of the
-torus data are solved once, in d variables, from one elimination and an
-exchange block each, and no sweep solves an LP. Nothing here builds a
-polyhedron either: a core component is its sign vector and classification,
-and the chamber as inequalities is ``stability.chamber(arr, eps)``.
+whole quotient. Chambers, swept patterns and chart patterns are state
+sets, each decided by its vertex mask: the bitmask of the arrangement's
+vertices at which all its letters hold, nonzero iff it is nonempty. A walk
+over the hyperplanes keeps the prefixes with a nonzero mask; the chamber,
+covering and complement sweeps list its leaves, with their masks, instead
+of testing 2^d, 3^d or 4^d candidates, and solve no LP. A leaf lies in the
+chart of a chamber iff its mask meets the chamber's, so every chart
+verdict is one AND: the covering reads each vertex's first compact
+chamber, which the chamber walk assigns as it reaches the bounded
+chambers, and the CLI's count of it counts the nonempty leaves and lists
+those whose masks miss the OR of the bounded chambers' masks, which the
+walk keeps (``_covering_counts``); the complement keeps the leaves that
+miss one chamber's mask, walking only the prefixes with a vertex outside
+it, once per realizable BOTH set, with BOTH letters on it. Each walk costs
+one AND a prefix and, at a leaf, only what its sweep needs: the chamber
+walk and the covering count are loops of their own over the same rows, and
+``stability._pattern_masks``, the one walk that yields patterns, tests the
+complement's chamber at each leaf itself. The vertices, sorted on integer
+keys, their masks and the walks' rows of letters make one face record per
+arrangement (``stability._faces``), the chamber walk's results one more
+(``_core_walk``); both live on the arrangement, built on first read and
+freed with it. A chamber is bounded iff the AND of its letters' ray masks,
+which the class record keeps per direction class
+(``_ClassMatroid.ray_masks``), is zero: the chamber walk carries that AND
+down its path, and solves no LP. A chamber's vertices are those of its
+mask. Density compares each chamber's verdict with the numeric side, the
+dense patterns whose numeric system has a vertex conforming to them: the
+C(d, n) square systems of the torus data are solved once, in d variables,
+from one elimination and an exchange block each, and no sweep solves an
+LP. Nothing here builds a polyhedron either: a core component is its sign
+vector and classification, and the chamber as inequalities is
+``stability.chamber(arr, eps)``.
 
 Everything is exhaustive and exact, guarded against exponential blowup by a
 hyperplane-count limit that can be forced off.
@@ -41,7 +47,7 @@ import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial, reduce
-from operator import and_, or_
+from operator import or_
 
 from .arrangement import (
     Arrangement,
@@ -175,31 +181,56 @@ def _core_walk(arr: Arrangement) -> _CoreWalk:
     keeps, per class, the masks of the rays on each side (``ray_masks``):
     Z's mask at hyperplane i holds the rays with ``<u_i, ray> >= 0``, W's
     those with ``<= 0``, and the AND of a chamber's letters' masks holds
-    the rays in K: d ANDs a chamber.
+    the rays in K.
+
+    The walk is a loop of its own over the face record's Z and W rows, not
+    ``stability._pattern_masks``: each stack entry carries, with its
+    prefix's signs and vertex mask, the AND of its letters' ray masks, so
+    a chamber's rays in K are the AND its path has made, one more per
+    prefix, and its sign vector is built as it is walked. ``corecover
+    report`` runs this walk on every instance; a ``reduce`` over d ray
+    masks per yielded chamber, the route ``tests/util.py`` keeps as an
+    oracle, cost more there.
     """
     rays = arr._matroid.ray_masks
+    faces = arr._faces
     # hyperplane i, of normal s * r_k, gives the letter of sign s the rays
-    # up and that of -s those down
-    chamber_letters = (Status.Z, Status.W)
-    conform = [
-        {status: rays[k][_SIGN[status] != s] for status in chamber_letters}
-        for k, s in _orientations(arr)
+    # up and that of -s those down; rows reversed for the stack, as the
+    # face record's are
+    rows = [
+        ((-1, w, rays[k][s > 0]), (1, z, rays[k][s < 0]))
+        for ((_, w), (_, z)), (k, s) in zip(faces.rows[(Status.Z, Status.W)], _orientations(arr))
     ]
-    unassigned = arr._faces.masks[1]
+    last = len(rows) - 1
+    final = rows[last][::-1]
+    unassigned = faces.masks[1]
     components, first, masks = [], [None] * unassigned.bit_length(), []
-    for pattern, kept in _pattern_masks(arr, arr._faces.rows[chamber_letters]):
-        eps = tuple(map(_SIGN.__getitem__, pattern))
-        # a leaf of the tree is nonempty: bounded iff no ray lies in K
-        unbounded = reduce(and_, map(dict.__getitem__, conform, pattern))
-        components.append(CoreComponent(eps, UNBOUNDED if unbounded else BOUNDED))
-        if not unbounded:
-            group = kept & unassigned
+    # the rays in the cone so far; -1 holds every ray until the first AND
+    stack = [((), unassigned, -1)]
+    while stack:
+        eps, kept, cone = stack.pop()
+        if len(eps) < last:
+            for e, letter, ray in rows[len(eps)]:
+                mask = kept & letter
+                if mask:
+                    stack.append((eps + (e,), mask, cone & ray))
+            continue
+        for e, letter, ray in final:
+            mask = kept & letter
+            if not mask:
+                continue
+            # a nonempty chamber: bounded iff no ray lies in K
+            if cone & ray:
+                components.append(CoreComponent(eps + (e,), UNBOUNDED))
+                continue
+            components.append(CoreComponent(eps + (e,), BOUNDED))
+            group = mask & unassigned
             unassigned ^= group
             while group:
                 low = group & -group
                 first[low.bit_length() - 1] = len(masks)
                 group ^= low
-            masks.append(kept)
+            masks.append(mask)
     first = tuple(len(masks) if j is None else j for j in first)
     return _CoreWalk(tuple(components), first, tuple(masks))
 
@@ -312,20 +343,42 @@ def _covering_counts(arr: Arrangement, force: bool = False) -> tuple:
     """``(len(witness), counterexamples)`` of ``verify_covering``, behind
     the same guards and empty-core error, with no witness dict. A leaf has
     a witness iff one of its vertices lies on a compact chamber, that is,
-    iff its mask meets the OR of the bounded chambers' masks (``_CoreWalk``)."""
+    iff its mask meets the OR of the bounded chambers' masks (``_CoreWalk``).
+
+    So the counterexamples are the leaves whose masks lie among the
+    vertices off every compact chamber: the pattern walk restricted to
+    them (``within``) and kept off the compact ones (``avoid``). On
+    covered input every vertex lies on a compact chamber (the gluing of
+    ``verify_covering``), so that walk stops at its root. The other
+    leaves are counted
+    from their masks alone, by a loop of its own over the BOTH-free rows
+    that builds no pattern: a leaf costs one AND and a test."""
     _require_smooth(arr)
     _check_guard(arr, force, "covering sweep")
     masks = _extended_core_cached(arr).masks
     if not masks:
         raise ValueError("covering theorem hypothesis violated: empty core")
+    faces = arr._faces
     compact = reduce(or_, masks)
-    witnessed, counterexamples = 0, []
-    for pattern, kept in _pattern_masks(arr):
-        if kept & compact:
-            witnessed += 1
-        else:
-            counterexamples.append(pattern)
-    return witnessed, tuple(counterexamples)
+    off = faces.masks[1] ^ compact
+    counterexamples = tuple(p for p, _ in _pattern_masks(arr, within=off, avoid=compact))
+    rows = faces.rows[NO_BOTH_ALPHABET]
+    last = len(rows) - 1
+    final = [letter for _, letter in rows[last]]
+    leaves = 0
+    stack = [(0, faces.masks[1])]
+    while stack:
+        k, kept = stack.pop()
+        if k < last:
+            for _, letter in rows[k]:
+                mask = kept & letter
+                if mask:
+                    stack.append((k + 1, mask))
+            continue
+        for letter in final:
+            if kept & letter:
+                leaves += 1
+    return leaves - len(counterexamples), counterexamples
 
 
 def verify_density(arr: Arrangement, eps) -> bool:
@@ -369,7 +422,11 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
     the only verdict read is the chamber check, and nothing solves an LP.
     The walks reach only the leaves with a vertex outside the chamber
     (``within``): masks only shrink along a walk, so every leaf below a
-    prefix whose mask lies inside the chamber's meets it.
+    prefix whose mask lies inside the chamber's meets it. The walk tests
+    each leaf against the chamber itself (``avoid``), so it builds and
+    yields only the excluded ones. A loop of its own, as the chamber walk
+    and the covering count have, saved about 1 % of ``corecover report``'s
+    CPU time over this one, too little to show on its latency.
     Reports whether every excluded pattern is BOTH-free (hence in the
     extended core) and how large the excluded state sets get.
     """
@@ -383,7 +440,7 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
     # complemented within the vertices, since ANDs with a negative mask
     # are slower on large arrangements
     faces = arr._faces
-    outside = faces.masks[1] & ~chamber
+    outside = faces.masks[1] ^ chamber
     free, both = faces.rows[NO_BOTH_ALPHABET], faces.rows[(Status.BOTH,)]
     classes = arr._classes
     excluded = []
@@ -392,10 +449,14 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
         for k in chosen:
             for i, _ in classes[k][1]:
                 rows[i] = both[i]
-        walk = _pattern_masks(arr, rows, outside)
-        excluded.extend(p for p, kept in walk if not kept & chamber)
-    excluded.sort(key=lambda p: [_LETTER_ORDER[status] for status in p])
+        excluded.extend(p for p, _ in _pattern_masks(arr, rows, outside, chamber))
+    excluded.sort(key=lambda p: tuple(map(_LETTER_ORDER.__getitem__, p)))
     return _complement_report(arr, eps, excluded)
+
+
+# The chambers' signs a BOTH-free letter's state set meets: its own, or
+# either for ZERO
+_CONFORMS = {status: _CONFORMING[s] for status, s in _SIGN.items()}
 
 
 def _complement_report(arr: Arrangement, eps, excluded) -> ComplementReport:
@@ -419,7 +480,7 @@ def _complement_report(arr: Arrangement, eps, excluded) -> ComplementReport:
     for pattern in both_free:
         # the chambers that meet its state set: those whose signs its
         # letters' signs conform to
-        for comp_eps in itertools.product(*(_CONFORMING[_SIGN[status]] for status in pattern)):
+        for comp_eps in itertools.product(*map(_CONFORMS.__getitem__, pattern)):
             breakdown.setdefault(comp_eps, []).append(pattern)
     breakdown = {k: tuple(v) for k, v in sorted(breakdown.items(), reverse=True)}
     return ComplementReport(

@@ -39,8 +39,8 @@ positive scales. The density check reads the numeric side for every dense
 pattern at once off the vertices of the numeric system
 (``_numeric_chambers``), from the torus data's basis and level alone.
 Face record and state rows live on the arrangement, numeric set, sign
-rows and rebuilt arrangement on the torus data, each built on first read
-and freed with its owner.
+rows, row solver and rebuilt arrangement on the torus data, each built on
+first read and freed with its owner.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ from operator import mul
 from .arrangement import Arrangement, TorusData, _check_word, check_sign_vector
 from .arrangement import _orientations, _vertices
 from .feasibility import Certificate, Constraint, Polyhedron, Relation
-from .linalg import _back_substitute, _bareiss, _common_denominator, solve_integer, unit_vector
+from .linalg import _back_substitute, _bareiss, _common_denominator, _scaled_inverse
+from .linalg import solve_integer, unit_vector
 
 
 class Status(Enum):
@@ -173,10 +174,11 @@ def hk_semistable_numeric(td: TorusData, pattern) -> StabilityVerdict:
     A refutation is a signed circuit ``c'`` of the rebuilt normals
     (``_refutation``): ``c_i = c'_i * scale_i`` kills the columns of the
     solution plane's parametrisation, so it is ``A^T mu`` for one ``mu``
-    (one solve), and the multipliers are ``-mu`` on the equality rows and
-    ``c`` on the letter rows (``_letter_multipliers``), which sum to
-    ``sum(c_i * lift_i) < 0``. Torus data that ``arrangement_from_quotient``
-    refuses raises its ``ValueError``."""
+    (``_row_combination``, one product), and the multipliers are ``-mu``
+    on the equality rows and ``c`` on the letter rows
+    (``_letter_multipliers``), which sum to ``sum(c_i * lift_i) < 0``.
+    Torus data that ``arrangement_from_quotient`` refuses raises its
+    ``ValueError``."""
     pattern = check_pattern(pattern, td.d)
     system = _sign_system(td, pattern)
     arr, scales = td._rebuilt
@@ -189,20 +191,37 @@ def hk_semistable_numeric(td: TorusData, pattern) -> StabilityVerdict:
         )
         return StabilityVerdict(True, Certificate(True, point=point), system)
     circuit = {i: c * scales[i] for i, c in _refutation(arr, pattern).items()}
-    mu = _row_combination(td.basis, [circuit.get(i, 0) for i in range(td.d)])
+    mu = _row_combination(td, [circuit.get(i, 0) for i in range(td.d)])
     multipliers = (*(-x for x in mu), *_letter_multipliers(pattern, circuit))
     return StabilityVerdict(False, Certificate(False, multipliers=multipliers), system)
 
 
-def _row_combination(basis, target) -> tuple:
-    """``mu`` with ``sum(mu[k] * basis[k]) == target``, for a target in
-    the row space: one ``_bareiss`` pass on the transposed rows with the
-    target cleared to integers appended, and one back substitution."""
-    common, nums = _common_denominator(target)
-    rows = [[*column, b] for column, b in zip(zip(*basis), nums)]
-    pivots, _, last = _bareiss(rows, len(basis))
-    xs = _back_substitute(rows, pivots, last, len(basis), len(basis))
-    return tuple(Fraction(x, last * common) for x in xs)
+def _row_solver(td: TorusData) -> tuple:
+    """``(rows, columns, den, inverse)`` for ``_row_combination``: the
+    lexicographically first independent rows of the basis, as many
+    independent columns of those rows, and ``den`` and ``inverse = den *
+    M^{-1}`` of the square block ``M[j][k] = basis[rows[k]][columns[j]]``
+    (``_scaled_inverse``). A kernel basis has full row rank, so ``rows``
+    is all m of them. Kept on the torus data as its ``_row_solver``
+    record, so each solve is one product."""
+    basis = td.basis
+    rows = _bareiss([list(column) for column in zip(*basis)], td.m)[0]
+    columns = _bareiss([list(basis[k]) for k in rows], td.d)[0]
+    den, inverse = _scaled_inverse([[basis[k][c] for k in rows] for c in columns])
+    return tuple(rows), tuple(columns), den, inverse
+
+
+def _row_combination(td: TorusData, target) -> tuple:
+    """``mu`` with ``sum(mu[k] * td.basis[k]) == target``, for a target in
+    the row space, 0 off the independent rows of ``_row_solver``: on its
+    columns the system is ``M mu = target``, so ``den * mu = inverse @
+    target`` there, one product on the target cleared to integers."""
+    rows, columns, den, inverse = td._row_solver
+    common, nums = _common_denominator([target[c] for c in columns])
+    mu = [Fraction(0)] * td.m
+    for k, row in zip(rows, inverse):
+        mu[k] = Fraction(sum(map(mul, row, nums)), den * common)
+    return tuple(mu)
 
 
 def _vertex(arr: Arrangement, mask: int) -> tuple:
@@ -439,10 +458,13 @@ def _faces(arr: Arrangement) -> SimpleNamespace:
     of the vertices' signs as ``pos``, ``neg`` and ``zero = all ^ pos ^
     neg``, and ``rows``, the walk rows of ``_pattern_masks`` for the
     BOTH-free letters, the chamber letters Z and W, and BOTH alone: per
-    coordinate, its letters with their masks, reversed for the stack."""
+    coordinate, its letters with their masks, reversed for the stack. Each
+    coordinate's four masks and three rows are written out from its
+    ``pos`` and ``neg``, with no comprehension over the letters."""
     vertices = _vertices(arr)
     every = (1 << len(vertices)) - 1
-    tables = []
+    tables, free, dense, both = [], [], [], []
+    Z, W, ZERO, BOTH = FULL_ALPHABET
     for column in zip(*[sigma for _, sigma in vertices]):
         pos = neg = 0
         for j, s in enumerate(column):
@@ -452,12 +474,12 @@ def _faces(arr: Arrangement) -> SimpleNamespace:
                 neg |= 1 << j
         # a letter of sign s holds where the vertex's sign is 0 or s; BOTH
         # holds everywhere
-        holds = {1: every ^ neg, -1: every ^ pos, 0: every ^ pos ^ neg, None: every}
-        tables.append({status: holds[_SIGN.get(status)] for status in FULL_ALPHABET})
-    rows = {
-        alphabet: tuple(tuple((s, letters[s]) for s in reversed(alphabet)) for letters in tables)
-        for alphabet in (NO_BOTH_ALPHABET, (Status.Z, Status.W), (Status.BOTH,))
-    }
+        z, w, zero = every ^ neg, every ^ pos, every ^ pos ^ neg
+        tables.append({Z: z, W: w, ZERO: zero, BOTH: every})
+        free.append(((ZERO, zero), (W, w), (Z, z)))
+        dense.append(((W, w), (Z, z)))
+        both.append(((BOTH, every),))
+    rows = {NO_BOTH_ALPHABET: tuple(free), (Z, W): tuple(dense), (BOTH,): tuple(both)}
     return SimpleNamespace(vertices=vertices, masks=(tuple(tables), every), rows=rows)
 
 
@@ -505,19 +527,32 @@ def _pattern_mask(arr: Arrangement, pattern) -> int:
     return kept
 
 
-def _pattern_masks(arr: Arrangement, rows=None, within=None):
+def _pattern_masks(arr: Arrangement, rows=None, within=None, avoid=0):
     """The nonempty state sets with a letter of ``rows[i]`` at each
     coordinate ``i``, each with its vertex mask (see ``_letter_masks``),
-    keeping only those whose mask meets ``within`` (every vertex when None).
-    ``rows`` are walk rows of the face record (``_faces``), its BOTH-free
-    ones when None: per coordinate, its letters with their masks, reversed,
-    so the leaves come in ``itertools.product`` order. A depth-first walk
-    over the prefixes whose masks meet ``within``: each stack entry carries
-    its prefix's mask. A child's mask is its parent's AND its letter's, so
-    masks only shrink along the walk, and a prefix whose mask misses
-    ``within`` has no leaf below it that meets it: the walk prunes it
-    there, and the leaves it keeps are exactly those that meet ``within``.
-    Nothing is cached, so a walk's memory is its stack."""
+    keeping only those whose mask meets ``within`` (every vertex when None)
+    and misses ``avoid``. ``rows`` are walk rows of the face record
+    (``_faces``), its BOTH-free ones when None: per coordinate, its letters
+    with their masks, reversed, so the leaves come in ``itertools.product``
+    order. A depth-first walk over the prefixes whose masks meet
+    ``within``: each stack entry carries its prefix's mask. A child's mask
+    is its parent's AND its letter's, so masks only shrink along the walk,
+    and a prefix whose mask misses ``within`` has no leaf below it that
+    meets it: the walk prunes it there, and the leaves it keeps are exactly
+    those that meet ``within``. ``avoid`` is tested at the leaves alone.
+    Nothing is cached, so a walk's memory is its stack.
+
+    This is the one walk that yields patterns: ``verify_covering``, the
+    covering counterexamples (``quotient._covering_counts``), the
+    complement (``quotient.chart_complement``, which ``avoid``s its
+    chamber, so only the excluded leaves are built) and the tests read it.
+    Two sweeps that ``corecover report`` runs on every instance keep a
+    loop of their own over the face record's rows, each doing at a leaf
+    only what its answer needs, which saves more than a yielded pattern
+    costs there: the chamber walk (``quotient._core_walk``) carries the
+    recession-ray masks down with the vertex mask and builds sign vectors,
+    and the covering count (``quotient._covering_counts``) builds no
+    pattern."""
     faces = arr._faces
     everything = faces.masks[1]
     rows = faces.rows[NO_BOTH_ALPHABET] if rows is None else rows
@@ -532,7 +567,7 @@ def _pattern_masks(arr: Arrangement, rows=None, within=None):
             # the children are leaves: yield them in order, unstacked
             for status, letter in final:
                 mask = kept & letter
-                if mask & within:
+                if mask & within and not mask & avoid:
                     yield prefix + (status,), mask
             continue
         for status, letter in rows[k]:

@@ -106,6 +106,24 @@ def count_scans(monkeypatch) -> list:
     return calls
 
 
+def complement_walk_ands(arr, eps) -> collections.Counter:
+    """The ``(coordinate, letter)`` of each AND with a letter mask that the
+    complement's walks take: per realizable class set, each letter of the
+    row at coordinate k for each prefix of length k that they keep, the
+    root and those whose mask has a vertex outside the chamber."""
+    every = stability._letter_masks(arr)[1]
+    outside = every ^ stability._pattern_mask(arr, full_pattern(eps))
+    classes = arr._classes
+    ands = collections.Counter()
+    for chosen in arr._matroid.realizable:
+        both = {i for k in chosen for i, _ in classes[k][1]}
+        rows = walk_rows(arr, [(B,) if i in both else NO_BOTH_ALPHABET for i in range(arr.d)])
+        kept = [()] if outside else []
+        kept += [p for k in range(1, arr.d) for p, _ in stability._pattern_masks(arr, rows[:k], outside)]
+        ands.update((len(p), status) for p in kept for status, _ in rows[len(p)])
+    return ands
+
+
 def held_records(arr) -> set:
     """The records an arrangement keeps: its attributes beyond the fields."""
     return set(vars(arr)) - {f.name for f in dataclasses.fields(arr)}
@@ -620,7 +638,11 @@ class TestVertexMasks:
         arrangements += [random_smooth_arrangement(rng, require_core=True, max_d=8) for _ in range(40)]
         for arr in arrangements:
             report = verify_covering(arr)
-            assert quotient._covering_counts(arr) == (len(report.witness), report.counterexamples)
+            counts = quotient._covering_counts(arr)
+            assert counts == (len(report.witness), report.counterexamples)
+            # the count from masks alone equals the count over the leaves
+            # the pattern walk yields
+            assert counts == util.walk_leaf_counts(arr)
         # the same guards and empty-core error, in the same order: smooth
         # input first, then the guard, then a nonempty core
         not_smooth = Arrangement(1, ((-1,), (1,), (1,)), (1, -1, 0))
@@ -662,7 +684,9 @@ class TestVertexMasks:
                 continue
             report = verify_covering(copy)
             assert report == per_leaf_covering(copy)
-            assert quotient._covering_counts(copy) == (len(report.witness), report.counterexamples)
+            counts = quotient._covering_counts(copy)
+            assert counts == (len(report.witness), report.counterexamples)
+            assert counts == util.walk_leaf_counts(copy)
             counterexamples += len(report.counterexamples)
         assert counterexamples > 100 and empty < 25
 
@@ -952,46 +976,39 @@ class TestComplementSweep:
         # where all 4^d patterns are semistable and realizable
         axes = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
         coordinate = Arrangement(6, axes, (0, 1, -1, 2, F(1, 2), -3))
-        reads, yielded = [], []
-        real_contains, real_walk = quotient._cone_contains, quotient._pattern_masks
-        real_mask = quotient._chamber_mask
-
-        def walk(a, rows, within=None):
-            for pattern, kept in real_walk(a, rows, within):
-                yielded.append(pattern)
-                yield pattern, kept
-
+        eps = (1, -1, 1, -1, 1, -1)
+        reads, log = [], []
+        real_contains, real_mask = quotient._cone_contains, quotient._chamber_mask
         monkeypatch.setattr(quotient, "_cone_contains", lambda a, p: reads.append(p) or real_contains(a, p))
         monkeypatch.setattr(
             quotient, "_chamber_mask", lambda a, e: reads.append(full_pattern(e)) or real_mask(a, e)
         )
-        monkeypatch.setattr(quotient, "_pattern_masks", walk)
-        chart_complement(coordinate, (1, -1, 1, -1, 1, -1))
-        # the walks reach exactly the patterns with a vertex outside the
-        # chamber; here the one vertex lies on every chamber, so none
-        chamber = stability._pattern_mask(coordinate, full_pattern((1, -1, 1, -1, 1, -1)))
-        outside = [
-            p
-            for p in itertools.product(FULL_ALPHABET, repeat=coordinate.d)
-            if stability._pattern_mask(coordinate, p) & ~chamber
-        ]
-        assert len(yielded) == len(outside)
+        # the letter masks of a recording copy log each AND a walk takes
+        copy = util.recording_copy(coordinate, log)
+        chart_complement(copy, eps)
+        # the chamber's mask reads its d letters; the walks then form
+        # exactly the prefixes with a vertex outside the chamber, and here
+        # the one vertex lies on every chamber, so none
+        assert log == list(enumerate(full_pattern(eps)))
+        assert complement_walk_ands(coordinate, eps) == collections.Counter()
         # the chamber check is the one verdict read; every chart verdict is
         # an AND with the chamber's vertex mask
-        assert reads == [full_pattern((1, -1, 1, -1, 1, -1))]
-        assert all(B not in p for p in reads)
-        records = held_records(coordinate)
+        assert reads == [full_pattern(eps)]
+        records = held_records(copy)
         assert "_faces" in records and records <= ARRANGEMENT_RECORDS
         # n = 2, d = 16: the realizable class set of 8 hyperplanes once left
-        # 3^8 fills; now the walks yield fewer patterns, with one read in all
+        # 3^8 fills; now the walks test fewer leaves, with one read in all
         arr = random_smooth_arrangement(random.Random(3), n=2, d=16)
         chamber = next(nonempty_patterns(arr, ((Z, W),) * arr.d))
         eps = tuple(1 if status is Z else -1 for status in chamber)
         reads.clear()
-        yielded.clear()
-        chart_complement(arr, eps, force=True)
+        log.clear()
+        chart_complement(util.recording_copy(arr, log), eps, force=True)
         monkeypatch.undo()
-        assert reads == [full_pattern(eps)] and len(yielded) < 3**8
+        walks = collections.Counter(log[arr.d:])
+        assert walks == complement_walk_ands(arr, eps)
+        leaves = sum(count for (i, _), count in walks.items() if i == arr.d - 1)
+        assert reads == [full_pattern(eps)] and 0 < leaves < 3**8
 
 
 class TestAdjacencyLemma:
@@ -1126,45 +1143,40 @@ class TestChartComplement:
         assert chart_complement(arr, eps) == candidate_complement(arr, eps)
 
     def test_reads_one_verdict_per_leaf(self, hirzebruch, triangle_pair, monkeypatch):
-        # the chamber check is the one verdict read; each pattern the walks
-        # yield, over every realizable BOTH set, is tested against the
-        # chamber's vertex mask instead of each candidate of the 3^(d - |B|)
-        # fills of each
+        # the chamber check is the one verdict read; the walks, over every
+        # realizable BOTH set, form the prefixes with a vertex outside the
+        # chamber, and test each leaf below them against the chamber's
+        # vertex mask, one AND at the last coordinate, instead of each
+        # candidate of the 3^(d - |B|) fills of each
         rng = random.Random(1414)
         arrangements = [hirzebruch, triangle_pair]
         arrangements += [random_smooth_arrangement(rng, max_d=6) for _ in range(10)]
         read = candidates = 0
+        real_contains, real_mask = quotient._cone_contains, quotient._chamber_mask
         for arr in arrangements:
             eps = extended_core(arr)[0].eps
-            reads, yielded, both_sizes = [], [], []
-            real_contains, real_walk = quotient._cone_contains, quotient._pattern_masks
-            real_mask = quotient._chamber_mask
-
-            def walk(a, rows, within=None):
-                both_sizes.append(sum(row[0][0] is B for row in rows))
-                for pattern, kept in real_walk(a, rows, within):
-                    yielded.append(pattern)
-                    yield pattern, kept
-
+            reads, log = [], []
             monkeypatch.setattr(
                 quotient, "_cone_contains", lambda a, p: reads.append(p) or real_contains(a, p)
             )
             monkeypatch.setattr(
                 quotient, "_chamber_mask", lambda a, e: reads.append(full_pattern(e)) or real_mask(a, e)
             )
-            monkeypatch.setattr(quotient, "_pattern_masks", walk)
-            chart_complement(arr, eps)
+            # the letter masks of a recording copy log each AND it takes
+            report = chart_complement(util.recording_copy(arr, log), eps)
             monkeypatch.undo()
+            assert report == chart_complement(arr, eps)
             assert reads == [full_pattern(eps)]
-            # the BOTH-free walk comes first and yields the tree's leaves
-            # with a vertex outside the chamber
-            assert both_sizes[0] == 0
-            chamber = stability._pattern_mask(arr, full_pattern(eps))
-            leaves = [p for p in nonempty_patterns(arr) if stability._pattern_mask(arr, p) & ~chamber]
-            assert yielded[: len(leaves)] == leaves
-            read += len(yielded)
-            candidates += sum(3 ** (arr.d - size) for size in both_sizes)
-        assert read < candidates / 2
+            # the chamber's mask reads its d letters first, then the walks
+            # form the prefixes that keep a vertex outside it, and no other
+            assert log[: arr.d] == list(enumerate(full_pattern(eps)))
+            walks = collections.Counter(log[arr.d:])
+            assert walks == complement_walk_ands(arr, eps)
+            read += sum(count for (i, _), count in walks.items() if i == arr.d - 1)
+            classes = arr._classes
+            for chosen in arr._matroid.realizable:
+                candidates += 3 ** (arr.d - sum(len(classes[k][1]) for k in chosen))
+        assert 0 < read < candidates / 2
 
     def test_scans_class_subsets(self, monkeypatch):
         # the realizability candidates are the 2^D subsets of the D direction
@@ -1180,19 +1192,20 @@ class TestChartComplement:
             chamber = next(nonempty_patterns(arr, ((Z, W),) * arr.d))
             eps = tuple(1 if status is Z else -1 for status in chamber)
             arrangement_module._class_matroid.cache_clear()
-            # a fresh copy looks its class record up after the clear
-            arr = dataclasses.replace(arr)
-            chosen, walks = [], []
-            monkeypatch.setattr(
-                quotient, "_pattern_masks", lambda a, rows, within=None: walks.append(rows) or iter(())
-            )
+            # a fresh copy looks its class record up after the clear; its
+            # letter masks log each AND a sweep takes with them
+            log = []
+            arr = util.recording_copy(arr, log)
+            chosen = []
             monkeypatch.setattr(
                 arrangement_module._ClassMatroid,
                 "independent",
                 lambda self, c: chosen.append(c) or False,
             )
             report = chart_complement(arr, eps, force=True)
-            assert report.excluded_patterns == () and walks == []
+            # the chamber's mask reads its d letters, and no walk forms a
+            # prefix
+            assert report.excluded_patterns == () and log == list(enumerate(full_pattern(eps)))
             classes = len(arr._classes)
             assert len(chosen) == len(set(chosen)) == 2**classes == 8
             assert () in chosen

@@ -218,6 +218,50 @@ class TestRefutationScan:
         # not closed, which only the strict tie refutes
         assert min(counts[False, False], counts[True, True], counts[True, False]) > 100
 
+    def test_row_combination_is_one_product(self, hirzebruch, a2_resolution, triangle_pair, monkeypatch):
+        # criterion 02's draws: each refutation's equality multipliers come
+        # from one product with the torus data's row solver and equal the
+        # solve by one elimination each; every Farkas vector the stability
+        # command prints verifies. A hand-built basis with a repeated row
+        # takes the first independent rows, as the elimination does
+        rng = random.Random(20240502)
+        cases = [(arr, FULL_ALPHABET) for arr in (hirzebruch, a2_resolution, triangle_pair)]
+        cases += [(random_smooth_arrangement(rng, max_d=7), NO_BOTH_ALPHABET) for _ in range(100)]
+        real = stability._row_combination
+        solved = []
+
+        def recording(td, target):
+            mu = real(td, target)
+            solved.append((td.basis, target, mu))
+            return mu
+
+        monkeypatch.setattr(stability, "_row_combination", recording)
+        pick = random.Random(4603)
+        tds = [torus_data(arr) for arr, _ in cases]
+        hand = tds[0]
+        tds.append(arrangement.TorusData(hand.basis + hand.basis[:1], hand.lifts))
+        alphabets = [alphabet for _, alphabet in cases] + [FULL_ALPHABET]
+        refuted = 0
+        for td, alphabet in zip(tds, alphabets):
+            patterns = list(itertools.product(alphabet, repeat=td.d))
+            if len(patterns) > 60:
+                patterns = pick.sample(patterns, 60)
+            for pattern in patterns:
+                verdict = hk_semistable_numeric(td, pattern)
+                assert verify_certificate(verdict.system, verdict.certificate)
+                refuted += not verdict.semistable
+        monkeypatch.undo()
+        assert len(solved) == refuted > 2000
+        for basis, target, mu in solved:
+            assert mu == util.row_combination_by_elimination(basis, target)
+        assert all(td._row_solver[0] == tuple(range(td.m)) for td in tds[:-1])
+        assert tds[-1]._row_solver[0] == tuple(range(hand.m))
+        # targets with denominators: the combination's own coefficients
+        for td in tds[:-1]:
+            coefficients = tuple(F(pick.randint(-9, 9), pick.randint(1, 9)) for _ in range(td.m))
+            target = [sum(c * row[i] for c, row in zip(coefficients, td.basis)) for i in range(td.d)]
+            assert stability._row_combination(td, target) == coefficients
+
     def test_strict_ties(self):
         # a hyperplane listed twice: z on one copy and w on the other meet
         # at the hyperplane, never strictly; two ZERO copies keep their
@@ -611,7 +655,7 @@ class TestPrefixTree:
         arrangements = [random_smooth_arrangement(rng, max_d=7) for _ in range(20)]
         arrangements += [arrangement_with_parallel_normals(rng) for _ in range(10)]
         alphabets = [None, (Z, W), FULL_ALPHABET, (B,)]
-        pruned = 0
+        pruned = avoided = 0
         for arr in arrangements:
             everything = stability._letter_masks(arr)[1]
             for letters in alphabets:
@@ -624,34 +668,60 @@ class TestPrefixTree:
                     kept = list(stability._pattern_masks(arr, rows, within))
                     assert kept == [(p, mask) for p, mask in full if mask & within]
                     pruned += len(full) - len(kept)
-        assert pruned > 1000
+                    # ``avoid`` drops the leaves that meet it, and only those
+                    avoid = rng.getrandbits(everything.bit_length()) & everything
+                    kept = list(stability._pattern_masks(arr, rows, within, avoid))
+                    assert kept == [(p, mask) for p, mask in full if mask & within and not mask & avoid]
+                    avoided += sum(1 for _, mask in full if mask & within and mask & avoid)
+                assert list(stability._pattern_masks(arr, rows, avoid=everything)) == []
+                assert list(stability._pattern_masks(arr, rows, avoid=0)) == full
+        assert pruned > 1000 and avoided > 1000
 
     def test_extended_core_expands_dense_prefixes_only(self, hirzebruch, triangle_pair, monkeypatch):
-        # every letter the walk tries comes off the rows it is given: the
-        # chamber walk's rows hold Z and W only, each with its letter mask,
-        # so it never forms a ZERO prefix
+        # every letter the chamber walk reads a mask of is Z or W, so it
+        # never forms a ZERO prefix, and it forms the two children of each
+        # nonempty dense prefix shorter than d and of nothing else: the
+        # letter masks of a recording copy log each AND the walk takes
         rng = random.Random(31)
-        # fresh copies: the session fixtures keep the records earlier tests
-        # built, and a walk already kept would not run
-        arrangements = [dataclasses.replace(hirzebruch), dataclasses.replace(triangle_pair)]
+        arrangements = [hirzebruch, triangle_pair]
         arrangements += [random_smooth_arrangement(rng, n=n, d=d) for n in (2, 3) for d in (4, 6, 8)]
-        real_walk = quotient._pattern_masks
-
-        def recording_walk(a, rows=None, within=None):
-            given.append(rows)
-            return real_walk(a, rows, within)
-
         for arr in arrangements:
-            given = []
-            monkeypatch.setattr(quotient, "_pattern_masks", recording_walk)
+            log = []
+            # a fresh copy: the walk runs on it, not on a kept record
+            copy = util.recording_copy(arr, log)
             calls = self.count_scans(monkeypatch)
-            extended_core(arr)
+            assert extended_core(copy) == extended_core(arr)
             monkeypatch.undo()
-            assert len(given) == 1 and len(given[0]) == arr.d
-            tables, _ = stability._letter_masks(arr)
-            for row, letters in zip(given[0], tables):
-                assert row == ((W, letters[W]), (Z, letters[Z]))
+            dense = walk_rows(arr, [(Z, W)] * arr.d)
+            expanded = [()] + [p for k in range(1, arr.d) for p in nonempty_patterns(arr, [(Z, W)] * k)]
+            assert collections.Counter(log) == collections.Counter(
+                (len(p), status) for p in expanded for status, _ in dense[len(p)]
+            )
+            assert {status for _, status in log} == {Z, W}
             assert calls == []
+
+    def test_chamber_walk_matches_the_reduce_oracle(self):
+        # the walk's classification, the AND its path has made, equals one
+        # reduce over each chamber's d ray masks, and each bounded
+        # chamber's mask is its dense pattern's: on smooth draws and on
+        # draws that are not smooth, which render reads the walk on
+        rng = random.Random(4811)
+        arrangements = [random_smooth_arrangement(rng, max_d=8) for _ in range(40)]
+        arrangements += [arrangement_with_parallel_normals(rng) for _ in range(40)]
+        arrangements += [random_integer_arrangement(rng, n) for n in (1, 2, 3) for _ in range(15)]
+        assert sum(not is_smooth(arr) for arr in arrangements) > 40
+        bounded = unbounded = 0
+        for arr in arrangements:
+            walk = quotient._core_walk(arr)
+            assert walk.core == util.reduce_classified_core(arr)
+            assert walk.masks == tuple(
+                stability._pattern_mask(arr, full_pattern(c.eps))
+                for c in walk.core
+                if c.classification == quotient.BOUNDED
+            )
+            bounded += len(walk.masks)
+            unbounded += len(walk.core) - len(walk.masks)
+        assert bounded > 300 and unbounded > 300
 
     def test_covering_lp_budget(self, monkeypatch):
         arr = random_smooth_arrangement(random.Random(10), n=2, d=10, require_core=True)

@@ -40,7 +40,13 @@ in R^d); the face record's parts by other routes: the ray sign vectors
 that the class record's ray masks encode (``mask_ray_signs``), the letter
 masks vertex by vertex (``by_sign_letter_masks``) and each vertex's first
 compact chamber from one chamber mask per bounded chamber
-(``first_compact_indices``); polyhedral oracles (projection, affine
+(``first_compact_indices``), each chamber's classification by one
+``reduce`` over its letters' ray masks (``reduce_classified_core``), the
+covering counts from every leaf the pattern walk yields
+(``walk_leaf_counts``) and a refutation's equality multipliers by one
+elimination per solve (``row_combination_by_elimination``); a copy of an
+arrangement whose letter masks log each AND a sweep takes with them
+(``recording_copy``); polyhedral oracles (projection, affine
 dimension, boundedness, vertices, brute-force feasibility), the covering
 proof's adjacency step, the constraint shorthands ``ge``, ``gt`` and
 ``eq``, the format helpers' strings built the plain way
@@ -51,18 +57,24 @@ pseudo-angle key (``polygon_order_by_comparison``), a generator of arrangements 
 direction classes and one of the simple n = 3 family whose normals cycle
 through four. The scripts put this directory on ``sys.path``."""
 
+import dataclasses
 import functools
 import itertools
 from fractions import Fraction
 from math import gcd
+from operator import and_, or_
+from types import SimpleNamespace
 
 from corecover import (
     Arrangement,
+    BOUNDED,
     ComplementReport,
+    CoreComponent,
     Constraint,
     CoverReport,
     Polyhedron,
     Relation,
+    UNBOUNDED,
     all_sign_vectors,
     chamber,
     core,
@@ -80,7 +92,7 @@ from corecover import (
     verify_density,
 )
 from corecover.formats import _decimal
-from corecover.arrangement import _circuits, _direction_classes
+from corecover.arrangement import _circuits, _direction_classes, _orientations
 from corecover.linalg import (
     _back_substitute,
     _bareiss,
@@ -93,7 +105,6 @@ from corecover.linalg import (
     unit_vector,
 )
 from corecover.quotient import (
-    BOUNDED,
     _LETTER_ORDER,
     _chamber_mask,
     _complement_report,
@@ -103,6 +114,7 @@ from corecover.stability import (
     FULL_ALPHABET,
     NO_BOTH_ALPHABET,
     Status,
+    _SIGN,
     _letter_masks,
     _pattern_mask,
     _pattern_masks,
@@ -577,6 +589,94 @@ def first_compact_indices(arr) -> tuple:
             first[low.bit_length() - 1] = index
             group ^= low
     return tuple(first)
+
+
+def reduce_classified_core(arr) -> tuple:
+    """The extended core as the pattern walk over Z and W lists it, each
+    chamber classified by one ``reduce`` over the ray masks its d letters
+    conform to: unbounded iff some candidate ray lies in every letter's
+    half-space."""
+    rays = arr._matroid.ray_masks
+    conform = [
+        {status: rays[k][_SIGN[status] != s] for status in (Status.Z, Status.W)}
+        for k, s in _orientations(arr)
+    ]
+    components = []
+    for pattern, _ in _pattern_masks(arr, walk_rows(arr, [(Status.Z, Status.W)] * arr.d)):
+        unbounded = functools.reduce(and_, map(dict.__getitem__, conform, pattern))
+        eps = tuple(map(_SIGN.__getitem__, pattern))
+        components.append(CoreComponent(eps, UNBOUNDED if unbounded else BOUNDED))
+    return tuple(components)
+
+
+def walk_leaf_counts(arr) -> tuple:
+    """``(witnessed, counterexamples)`` of the covering sweep from every
+    leaf the pattern walk yields: witnessed iff its mask meets the OR of
+    the bounded chambers' masks."""
+    masks = _extended_core_cached(arr).masks
+    compact = functools.reduce(or_, masks)
+    witnessed, counterexamples = 0, []
+    for pattern, kept in _pattern_masks(arr):
+        if kept & compact:
+            witnessed += 1
+        else:
+            counterexamples.append(pattern)
+    return witnessed, tuple(counterexamples)
+
+
+def row_combination_by_elimination(basis, target) -> tuple:
+    """``mu`` with ``sum(mu[k] * basis[k]) == target``, 0 on the rows that
+    depend on earlier ones: one ``_bareiss`` pass on the transposed rows
+    with the target cleared to integers appended, and one back
+    substitution."""
+    common, nums = _common_denominator(target)
+    rows = [[*column, b] for column, b in zip(zip(*basis), nums)]
+    pivots, _, last = _bareiss(rows, len(basis))
+    xs = _back_substitute(rows, pivots, last, len(basis), len(basis))
+    return tuple(Fraction(x, last * common) for x in xs)
+
+
+class _LoggedMask(int):
+    """A letter's vertex mask that logs its tag, ``(coordinate, letter)``,
+    each time it is ANDed: a walk forms one child prefix per AND with a
+    letter's mask. As the right operand of ``&`` under a plain int it is
+    asked first, since it subclasses int."""
+
+    def __new__(cls, value, tag, log):
+        mask = super().__new__(cls, value)
+        mask.tag, mask.log = tag, log
+        return mask
+
+    def __and__(self, other):
+        self.log.append(self.tag)
+        return int.__and__(self, other)
+
+    __rand__ = __and__
+
+
+def recording_copy(arr, log):
+    """A fresh copy of the arrangement whose face record holds the
+    original's, with every letter mask, in the tables and in the walk rows,
+    replaced by one that appends ``(coordinate, letter)`` to ``log`` on
+    each AND (``_LoggedMask``). The log lists, in order, each letter a
+    sweep on the copy reads a mask of, and so each prefix its walks form."""
+    faces = arr._faces
+    tables, every = faces.masks
+    logged = [
+        {status: _LoggedMask(mask, (i, status), log) for status, mask in letters.items()}
+        for i, letters in enumerate(tables)
+    ]
+    rows = {
+        alphabet: tuple(
+            tuple((status, logged[i][status]) for status, _ in row) for i, row in enumerate(walk)
+        )
+        for alphabet, walk in faces.rows.items()
+    }
+    copy = dataclasses.replace(arr)
+    copy.__dict__["_faces"] = SimpleNamespace(
+        vertices=faces.vertices, masks=(tuple(logged), every), rows=rows
+    )
+    return copy
 
 
 def brute_force_simple(arr) -> bool:
