@@ -224,6 +224,34 @@ CATALOGUE = (
         "a covering witness is the compact chamber of least index among the leaf's vertices",
     ),
     Mutant(
+        "witness-index-last-chamber",
+        "quotient.py",
+        "group = mask & unassigned",
+        "group = mask",
+        "a vertex's index is the first compact chamber holding it, not the last",
+    ),
+    Mutant(
+        "witness-walk-everywhere",
+        "quotient.py",
+        "for pattern, kept in _pattern_masks(arr, within=compact):",
+        "for pattern, kept in _pattern_masks(arr):",
+        "the witness walk reaches only the leaves that meet a compact chamber",
+    ),
+    Mutant(
+        "counterexamples-avoid-dropped",
+        "quotient.py",
+        "counterexamples = tuple(p for p, _ in _pattern_masks(arr, within=off, avoid=compact))",
+        "counterexamples = tuple(p for p, _ in _pattern_masks(arr, within=off))",
+        "a counterexample's mask misses every compact chamber, not only meets a vertex off them",
+    ),
+    Mutant(
+        "exchange-inverse-transposed",
+        "stability.py",
+        "nums = [sum(map(mul, row, [t[i] for i in leave])) for row in inverse]",
+        "nums = [sum(map(mul, row, [t[i] for i in leave])) for row in zip(*inverse)]",
+        "a block of size 3 or more is solved by the rows of its scaled inverse against t_L",
+    ),
+    Mutant(
         "smooth-without-regular",
         "arrangement.py",
         "return is_regular(arr) and is_simple(arr)",

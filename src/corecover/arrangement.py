@@ -536,7 +536,7 @@ class _ClassMatroid:
     @cached_property
     def ray_masks(self) -> tuple:
         """Per class k, the masks ``(up, down)`` of the candidate rays (see
-        ``quotient._extended_core_cached``): each nonzero integer cofactor
+        ``quotient._core_walk``): each nonzero integer cofactor
         ``c`` of n - 1 representatives (``c = (1,)`` for n = 1) at bit j and
         ``-c`` at bit j + R, with R cofactors; ``up`` holds the rays with
         ``<r_k, ray> >= 0``, ``down`` those with ``<= 0``. One integer

@@ -9,12 +9,13 @@ and its kernel rows in one pass in ``kernel_lattice``. An arrangement's
 torus data reads the same basis off its class-matroid record where it can
 (see :mod:`corecover.arrangement`). One fraction-free (Bareiss) forward
 elimination, with one fraction-free back substitution, is behind the
-integer determinant, the scaled integer inverse and the one square solver,
-``solve_integer``; ``rank`` and the rational ``solve_square`` are test
-oracles and live with the tests. Rational rows are first cleared of their
-denominators, which is done only in ``_common_denominator``. There is no
-floating point anywhere in this module: every downstream verdict is an
-exact feasibility question and rounding would corrupt it.
+integer determinant and the scaled integer inverse, the one square solver:
+a system ``mat x = b`` is then one product of the inverse with ``b``.
+``rank`` and the rational ``solve_square`` are test oracles and live with
+the tests. Rational rows are first cleared of their denominators, which is
+done only in ``_common_denominator``. There is no floating point anywhere
+in this module: every downstream verdict is an exact feasibility question
+and rounding would corrupt it.
 """
 
 from __future__ import annotations
@@ -301,25 +302,3 @@ def _scaled_inverse(mat) -> tuple | None:
     columns = [_back_substitute(rows, pivots, sign * last, n, n + i) for i in range(n)]
     return sign * last, tuple(zip(*columns))
 
-
-def solve_integer(mat, rhs) -> tuple | None:
-    """Unique solution of a square integer system without fractions, or
-    None if singular.
-
-    Returns ``(nums, den)`` with integers ``den > 0`` and ``x_i = nums[i] /
-    den``: ``den`` is ``|det|`` and ``nums`` are the Cramer numerators, up
-    to one common sign, from ``_bareiss`` and ``_back_substitute``. The sign
-    of a coordinate is thus read off the integers, and a caller that needs
-    only signs builds no ``Fraction``. Not in lowest terms.
-    """
-    n = len(mat)
-    if any(len(r) != n for r in mat) or len(rhs) != n:
-        raise ValueError("solve_integer requires an n x n matrix and n right-hand sides")
-    rows = [[*r, b] for r, b in zip(mat, rhs)]
-    pivots, _, last = _bareiss(rows, n)
-    if len(pivots) < n:
-        return None
-    nums = _back_substitute(rows, pivots, last, n, n)
-    if last < 0:
-        return tuple(-x for x in nums), -last
-    return tuple(nums), last

@@ -11,11 +11,11 @@ over the hyperplanes keeps the prefixes with a nonzero mask; the chamber,
 covering and complement sweeps list its leaves, with their masks, instead
 of testing 2^d, 3^d or 4^d candidates, and solve no LP. A leaf lies in the
 chart of a chamber iff its mask meets the chamber's, so every chart
-verdict is one AND: the covering reads each vertex's first compact
-chamber, which the chamber walk assigns as it reaches the bounded
-chambers, and the CLI's count of it counts the nonempty leaves and lists
-those whose masks miss the OR of the bounded chambers' masks, which the
-walk keeps (``_covering_counts``); the complement keeps the leaves that
+verdict is one AND: both covering answers list as counterexamples the
+leaves whose masks miss the OR of the bounded chambers' masks, which the
+chamber walk keeps, from one prologue (``_covering``); the witnesses read
+each vertex's first compact chamber off those masks, and the CLI's count
+counts the nonempty leaves instead; the complement keeps the leaves that
 miss one chamber's mask, walking only the prefixes with a vertex outside
 it, once per realizable BOTH set, with BOTH letters on it. Each walk costs
 one AND a prefix and, at a leaf, only what its sweep needs: the chamber
@@ -145,7 +145,7 @@ def _check_guard(arr: Arrangement, force: bool, what: str, limit: int | None = N
         )
 
 
-_CoreWalk = namedtuple("_CoreWalk", "core first masks")
+_CoreWalk = namedtuple("_CoreWalk", "core masks")
 
 _core_reads = [0, 0]
 
@@ -162,10 +162,10 @@ _extended_core_cached.cache_info = partial(tuple, _core_reads)
 
 def _core_walk(arr: Arrangement) -> _CoreWalk:
     """The core walk: ``core``, the nonempty chambers, the leaves of the
-    walk over Z and W, each classified; ``first``, per vertex the index in
-    ``core``'s bounded chambers of the first whose mask holds it, or their
-    number; and ``masks``, the bounded chambers' vertex masks in ``core``
-    order, which are their leaves' masks.
+    walk over Z and W, each classified; and ``masks``, the bounded
+    chambers' vertex masks in ``core`` order, which are their leaves'
+    masks. The covering builds what it needs of them (``_covering``,
+    ``verify_covering``), so this walk does nothing per vertex.
 
     A nonempty chamber of ``eps`` is unbounded iff its recession cone ``K =
     {x : eps_i <u_i, x> >= 0}`` is nontrivial. K is pointed, since the
@@ -203,10 +203,9 @@ def _core_walk(arr: Arrangement) -> _CoreWalk:
     ]
     last = len(rows) - 1
     final = rows[last][::-1]
-    unassigned = faces.masks[1]
-    components, first, masks = [], [None] * unassigned.bit_length(), []
+    components, masks = [], []
     # the rays in the cone so far; -1 holds every ray until the first AND
-    stack = [((), unassigned, -1)]
+    stack = [((), faces.masks[1], -1)]
     while stack:
         eps, kept, cone = stack.pop()
         if len(eps) < last:
@@ -222,17 +221,10 @@ def _core_walk(arr: Arrangement) -> _CoreWalk:
             # a nonempty chamber: bounded iff no ray lies in K
             if cone & ray:
                 components.append(CoreComponent(eps + (e,), UNBOUNDED))
-                continue
-            components.append(CoreComponent(eps + (e,), BOUNDED))
-            group = mask & unassigned
-            unassigned ^= group
-            while group:
-                low = group & -group
-                first[low.bit_length() - 1] = len(masks)
-                group ^= low
-            masks.append(mask)
-    first = tuple(len(masks) if j is None else j for j in first)
-    return _CoreWalk(tuple(components), first, tuple(masks))
+            else:
+                components.append(CoreComponent(eps + (e,), BOUNDED))
+                masks.append(mask)
+    return _CoreWalk(tuple(components), tuple(masks))
 
 
 def extended_core(arr: Arrangement, force: bool = False) -> tuple:
@@ -283,13 +275,39 @@ def core_empty_criterion(arr: Arrangement, force: bool = False) -> CoreEmptyRepo
     return CoreEmptyReport(bounded_exists, trivial, agree)
 
 
+def _covering(arr: Arrangement, force: bool) -> tuple:
+    """What both covering answers share: the smooth-input check, the guard
+    and the empty-core error, in that order, then ``(walk, compact,
+    counterexamples)``: the core walk record (``_CoreWalk``), the OR of its
+    bounded chambers' masks and the counterexamples.
+
+    A leaf lies in the chart of a compact chamber iff its vertex mask meets
+    the chamber's (``_chamber_mask``), so it has a witness iff its mask
+    meets ``compact``. The counterexamples are the other leaves, whose
+    masks lie among the vertices off every compact chamber: the pattern
+    walk restricted to those (``within``) and kept off the compact ones
+    (``avoid``), in product order. On covered input every vertex lies on a
+    compact chamber (the gluing of ``verify_covering``), so that walk stops
+    at its root."""
+    _require_smooth(arr)
+    _check_guard(arr, force, "covering sweep")
+    walk = _extended_core_cached(arr)
+    if not walk.masks:
+        raise ValueError("covering theorem hypothesis violated: empty core")
+    compact = reduce(or_, walk.masks)
+    off = arr._faces.masks[1] ^ compact
+    counterexamples = tuple(p for p, _ in _pattern_masks(arr, within=off, avoid=compact))
+    return walk, compact, counterexamples
+
+
 def verify_covering(arr: Arrangement, force: bool = False) -> CoverReport:
     """Witness every semistable BOTH-free pattern in a compact chart.
 
     The sweep lists the vertex walk's leaves, not all 3^d patterns. BOTH
     coordinates are covered by the reduction property (resolving BOTH to the
     witness sign only shrinks charts), so the sweep decides the full
-    statement. Requires a nonempty core.
+    statement. Requires a nonempty core; the guards and the counterexamples
+    are ``_covering``'s.
 
     A leaf lies in the chart of ``eps`` iff its vertex mask meets the
     chamber's (``_chamber_mask``), so its witness, the first compact chamber
@@ -300,10 +318,13 @@ def verify_covering(arr: Arrangement, force: bool = False) -> CoverReport:
     lies on no earlier compact chamber, since such a one would meet the
     mask at v, so v has the index of ``eps``; a vertex of the mask with a
     smaller index lies on that earlier chamber, which then meets the mask.)
-    A leaf none of whose vertices lies on a compact chamber is a
-    counterexample. The chamber walk assigns the indices, and its one
-    record (``_extended_core_cached``) gives them with the chambers, so
-    a leaf costs one step per vertex of its mask and no chamber mask.
+    The index is built once from the core walk's bounded masks, each
+    assigning the vertices of its mask not assigned before, and sized by
+    every vertex: a leaf that meets a compact chamber may also hold
+    vertices off them all, whose index is the number of compact chambers.
+    The witnesses are then the leaves of the pattern walk restricted to
+    the compact vertices (``within``), each costing one step per vertex of
+    its mask and no chamber mask.
 
     Gluing: covering holds iff every vertex lies on a bounded chamber. If
     each does, every leaf keeps a vertex with an index. If a vertex v lies
@@ -312,15 +333,20 @@ def verify_covering(arr: Arrangement, force: bool = False) -> CoverReport:
     the meet of its ZERO hyperplanes, which is v alone since their normals
     span. So it is a leaf whose mask is v's bit alone, and v has no index.
     """
-    _require_smooth(arr)
-    _check_guard(arr, force, "covering sweep")
-    walk = _extended_core_cached(arr)
-    compact = [c.eps for c in walk.core if c.classification == BOUNDED]
-    if not compact:
-        raise ValueError("covering theorem hypothesis violated: empty core")
-    no_chamber, first = len(compact), walk.first
-    witness, counterexamples = {}, []
-    for pattern, kept in _pattern_masks(arr):
+    walk, compact, counterexamples = _covering(arr, force)
+    chambers = [c.eps for c in walk.core if c.classification == BOUNDED]
+    no_chamber = len(chambers)
+    first = [no_chamber] * arr._faces.masks[1].bit_length()
+    unassigned = compact
+    for j, mask in enumerate(walk.masks):
+        group = mask & unassigned
+        unassigned ^= group
+        while group:
+            low = group & -group
+            first[low.bit_length() - 1] = j
+            group ^= low
+    witness = {}
+    for pattern, kept in _pattern_masks(arr, within=compact):
         index = no_chamber
         while kept:
             low = kept & -kept
@@ -328,40 +354,18 @@ def verify_covering(arr: Arrangement, force: bool = False) -> CoverReport:
             if j < index:
                 index = j
             kept ^= low
-        if index < no_chamber:
-            witness[pattern] = compact[index]
-        else:
-            counterexamples.append(pattern)
-    return CoverReport(
-        covered=not counterexamples,
-        witness=witness,
-        counterexamples=tuple(counterexamples),
-    )
+        witness[pattern] = chambers[index]
+    return CoverReport(covered=not counterexamples, witness=witness, counterexamples=counterexamples)
 
 
 def _covering_counts(arr: Arrangement, force: bool = False) -> tuple:
-    """``(len(witness), counterexamples)`` of ``verify_covering``, behind
-    the same guards and empty-core error, with no witness dict. A leaf has
-    a witness iff one of its vertices lies on a compact chamber, that is,
-    iff its mask meets the OR of the bounded chambers' masks (``_CoreWalk``).
-
-    So the counterexamples are the leaves whose masks lie among the
-    vertices off every compact chamber: the pattern walk restricted to
-    them (``within``) and kept off the compact ones (``avoid``). On
-    covered input every vertex lies on a compact chamber (the gluing of
-    ``verify_covering``), so that walk stops at its root. The other
-    leaves are counted
-    from their masks alone, by a loop of its own over the BOTH-free rows
-    that builds no pattern: a leaf costs one AND and a test."""
-    _require_smooth(arr)
-    _check_guard(arr, force, "covering sweep")
-    masks = _extended_core_cached(arr).masks
-    if not masks:
-        raise ValueError("covering theorem hypothesis violated: empty core")
+    """``(len(witness), counterexamples)`` of ``verify_covering``, from the
+    same prologue (``_covering``), with no witness dict. The leaves are
+    counted from their masks alone, by a loop of its own over the
+    BOTH-free rows that builds no pattern: a leaf costs one AND and a
+    test, and every leaf but a counterexample has a witness."""
+    _, _, counterexamples = _covering(arr, force)
     faces = arr._faces
-    compact = reduce(or_, masks)
-    off = faces.masks[1] ^ compact
-    counterexamples = tuple(p for p, _ in _pattern_masks(arr, within=off, avoid=compact))
     rows = faces.rows[NO_BOTH_ALPHABET]
     last = len(rows) - 1
     final = [letter for _, letter in rows[last]]

@@ -57,8 +57,7 @@ from operator import mul
 from .arrangement import Arrangement, TorusData, _check_word, check_sign_vector
 from .arrangement import _orientations, _vertices
 from .feasibility import Certificate, Constraint, Polyhedron, Relation
-from .linalg import _back_substitute, _bareiss, _common_denominator, _scaled_inverse
-from .linalg import solve_integer, unit_vector
+from .linalg import _back_substitute, _bareiss, _common_denominator, _scaled_inverse, unit_vector
 
 
 class Status(Enum):
@@ -343,7 +342,8 @@ def _numeric_chambers(td: TorusData) -> frozenset:
       ``t_L``, and each pivot that stays has the sign of ``det * t_i -
       sum(M[i][c] * nums_c for c in E)``. With r = 0 nothing is solved:
       ``x_P = t / den``. Blocks with r <= 2 are solved from their entries,
-      by Cramer's rule for r = 2; larger ones by ``solve_integer``.
+      by Cramer's rule for r = 2; a larger one by one product of its
+      ``_scaled_inverse`` with ``t_L``.
 
     Everything is done on integers, since only signs are read. Only the
     full row rank of ``A`` is used, so this is exact on input that is
@@ -382,12 +382,11 @@ def _numeric_chambers(td: TorusData) -> frozenset:
                     if det < 0:
                         nums, det = (-nums[0], -nums[1]), -det
                 elif r:
-                    solved = solve_integer(
-                        [[tableau[i][c] for c in enter] for i in leave], [t[i] for i in leave]
-                    )
+                    solved = _scaled_inverse([[tableau[i][c] for c in enter] for i in leave])
                     if solved is None:
                         continue
-                    nums, det = solved
+                    det, inverse = solved
+                    nums = [sum(map(mul, row, [t[i] for i in leave])) for row in inverse]
                 else:
                     nums, det = (), 1
                 sigma = [0] * td.d
@@ -542,10 +541,11 @@ def _pattern_masks(arr: Arrangement, rows=None, within=None, avoid=0):
     those that meet ``within``. ``avoid`` is tested at the leaves alone.
     Nothing is cached, so a walk's memory is its stack.
 
-    This is the one walk that yields patterns: ``verify_covering``, the
-    covering counterexamples (``quotient._covering_counts``), the
-    complement (``quotient.chart_complement``, which ``avoid``s its
-    chamber, so only the excluded leaves are built) and the tests read it.
+    This is the one walk that yields patterns: the covering witnesses
+    (``quotient.verify_covering``, ``within`` the compact chambers'
+    vertices) and counterexamples (``quotient._covering``), the complement
+    (``quotient.chart_complement``, which ``avoid``s its chamber, so only
+    the excluded leaves are built) and the tests read it.
     Two sweeps that ``corecover report`` runs on every instance keep a
     loop of their own over the face record's rows, each doing at a leaf
     only what its answer needs, which saves more than a yielded pattern

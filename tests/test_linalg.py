@@ -20,7 +20,6 @@ from fourier_motzkin import _scaled
 from corecover.linalg import (
     kernel_lattice,
     primitive_scale,
-    solve_integer,
     transpose,
 )
 from corecover.randgen import DIRECTIONS, random_smooth_arrangement
@@ -512,9 +511,8 @@ class TestRankDet:
         ids=["non-square matrix", "rhs length"],
     )
     def test_solve_square_requires_square(self, mat, rhs):
-        for solve in (solve_square, solve_integer):
-            with pytest.raises(ValueError):
-                solve(mat, rhs)
+        with pytest.raises(ValueError):
+            solve_square(mat, rhs)
 
     @given(small_matrix(max_rows=4, max_cols=4))
     def test_rank_transpose_invariant(self, m):
@@ -552,30 +550,6 @@ class TestSolvers:
     def test_solve_square(self):
         assert solve_square(((2, 0), (0, 4)), (6, 8)) == (Fraction(3), Fraction(2))
         assert solve_square(((1, 1), (2, 2)), (1, 2)) is None
-
-    def test_solve_integer_matches_rational_elimination(self):
-        # x = nums / den with den = |det| > 0, on regular and singular
-        # systems, the empty one included, against the elimination over
-        # Fractions
-        rng = random.Random(1957)
-        singular = 0
-        for _ in range(2000):
-            n = rng.randint(0, 5)
-            mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-            if n >= 2 and rng.random() < 0.3:
-                mat[-1] = [2 * x - y for x, y in zip(mat[0], mat[1])]
-            rhs = [rng.randint(-9, 9) for _ in range(n)]
-            expected = solve_by_elimination(mat, rhs) if rank_by_elimination(mat) == n else None
-            solved = solve_integer(mat, rhs)
-            if expected is None:
-                assert solved is None
-                singular += 1
-            else:
-                nums, den = solved
-                assert den == abs(det(mat)) > 0
-                assert tuple(Fraction(x, den) for x in nums) == expected
-        assert singular > 300
-        assert solve_integer((), ()) == ((), 1)
 
     def test_scaled_inverse(self):
         # mat @ inverse == den * I with den = |det| > 0, and None exactly on

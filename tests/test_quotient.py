@@ -70,7 +70,6 @@ from util import (
     candidate_complement,
     cycling_family,
     enumerate_vertices,
-    first_compact_indices,
     full_walk_complement,
     is_bounded,
     mask_ray_signs,
@@ -444,7 +443,6 @@ class TestFaceRecord:
                 assert c.classification == (UNBOUNDED if expected else BOUNDED)
                 bounded += not expected
             walk = quotient._extended_core_cached(arr)
-            assert walk.first == first_compact_indices(arr)
             # the walk keeps each bounded chamber's vertex mask, in core order
             assert walk.masks == tuple(
                 quotient._chamber_mask(arr, c.eps) for c in walk.core if c.classification == BOUNDED
@@ -575,8 +573,8 @@ class TestVertexMasks:
         # d <= 7; then with every bounded chamber but the first relabelled
         # unbounded, so that vertices lose their index and leaves become
         # counterexamples, listed as the oracle lists them. The patched walk
-        # record agrees with itself: the vertices of the first chamber's
-        # mask have index 0, all others none (1)
+        # record agrees with itself: its one bounded mask is the first
+        # chamber's
         rng = random.Random(2719)
         arrangements = [random_smooth_arrangement(rng, require_core=True, max_d=7) for _ in range(30)]
         counterexamples = 0
@@ -587,9 +585,7 @@ class TestVertexMasks:
             fewer = tuple(
                 c if c is first else quotient.CoreComponent(c.eps, UNBOUNDED) for c in walk.core
             )
-            mask = quotient._chamber_mask(arr, first.eps)
-            indices = tuple(0 if mask >> j & 1 else 1 for j in range(len(walk.first)))
-            patched = walk._replace(core=fewer, first=indices)
+            patched = walk._replace(core=fewer, masks=walk.masks[:1])
             monkeypatch.setattr(quotient, "_extended_core_cached", lambda a: patched)
             report, expected = verify_covering(arr), per_leaf_covering(arr)
             monkeypatch.undo()

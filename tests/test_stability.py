@@ -782,14 +782,22 @@ class TestNumericChambers:
         assert checked > 5000
         assert stability._numeric_chambers(torus_data(other[-2])) == set(all_sign_vectors(4))
 
-    def test_matches_per_subset_solves(self):
+    def test_matches_per_subset_solves(self, monkeypatch):
         # one elimination and one exchange block per column set give the
         # set that one square solve per column set gives: on 400 draws, the
         # fixtures, input that is not regular (its basis comes from
-        # kernel_lattice) and bases whose leading columns are dependent
+        # kernel_lattice) and bases whose leading columns are dependent.
+        # Blocks of size 2 take Cramer's rule, those of size 3 one product
+        # with their scaled inverse, which more than 50 nonsingular ones reach
         rng = random.Random(5)
         tds = [torus_data(random_smooth_arrangement(rng, max_d=8)) for _ in range(400)]
         assert sum(min(td.m, td.n) >= 2 for td in tds) > 100
+        assert sum(min(td.m, td.n) >= 3 for td in tds) > 50
+        inverses = []
+        inner = stability._scaled_inverse
+        monkeypatch.setattr(
+            stability, "_scaled_inverse", lambda mat: inverses.append(inner(mat)) or inverses[-1]
+        )
         fixtures = [parse_arrangement(p.read_text()) for p in sorted(FIXTURE_DIR.glob("*.json"))]
         assert len(fixtures) == 5
         tds += [torus_data(arr) for arr in fixtures]
@@ -808,6 +816,7 @@ class TestNumericChambers:
         )
         for td in tds:
             assert stability._numeric_chambers(td) == per_subset_numeric_chambers(td)
+        assert sum(solved is not None for solved in inverses) > 50
 
     def test_basis_independent(self):
         # a unimodular change of the kernel basis (elementary row operations

@@ -38,10 +38,9 @@ replace, computed afresh for each arrangement (``per_arrangement_regular``,
 realizable class subsets, ``per_arrangement_realizable``, by the rank test
 in R^d); the face record's parts by other routes: the ray sign vectors
 that the class record's ray masks encode (``mask_ray_signs``), the letter
-masks vertex by vertex (``by_sign_letter_masks``) and each vertex's first
-compact chamber from one chamber mask per bounded chamber
-(``first_compact_indices``), each chamber's classification by one
-``reduce`` over its letters' ray masks (``reduce_classified_core``), the
+masks vertex by vertex (``by_sign_letter_masks``), each chamber's
+classification by one ``reduce`` over its letters' ray masks
+(``reduce_classified_core``), the
 covering counts from every leaf the pattern walk yields
 (``walk_leaf_counts``) and a refutation's equality multipliers by one
 elimination per solve (``row_combination_by_elimination``); a copy of an
@@ -100,13 +99,11 @@ from corecover.linalg import (
     _hnf,
     _int_det,
     as_matrix,
-    solve_integer,
     transpose,
     unit_vector,
 )
 from corecover.quotient import (
     _LETTER_ORDER,
-    _chamber_mask,
     _complement_report,
     _extended_core_cached,
 )
@@ -258,8 +255,11 @@ def lin_solve(mat, rhs) -> tuple | None:
 
 def solve_square(mat, rhs) -> tuple | None:
     """Unique rational solution of a square system, or None if singular:
-    the rational oracle that ``SOLVER_DIGEST`` pins. The library solves
-    square blocks through ``solve_integer`` and ``_scaled_inverse``."""
+    the rational oracle that ``SOLVER_DIGEST`` pins, and the one square
+    solve per system of ``per_arrangement_vertices`` and
+    ``per_subset_numeric_chambers``. The library has no such solver: it
+    multiplies by a ``_scaled_inverse`` or solves blocks of size 1 and 2
+    from their entries."""
     n = len(mat)
     if any(len(r) != n for r in mat) or len(rhs) != n:
         raise ValueError("solve_square requires an n x n matrix and n right-hand sides")
@@ -502,28 +502,22 @@ def per_arrangement_ray_signs(arr) -> tuple:
 
 
 def per_arrangement_vertices(arr) -> tuple:
-    """The vertices with their sign vectors, one ``solve_integer`` per
-    n-subset of hyperplanes from distinct classes, each class n-subset
+    """The vertices with their sign vectors, one rational ``solve_square``
+    per n-subset of hyperplanes from distinct classes, each class n-subset
     dropped at its first singular system."""
-    common, lifts = _common_denominator(arr.lifts)
     found = {}
     for chosen in itertools.combinations(_direction_classes(arr), arr.n):
         for members in itertools.product(*(m for _, m in chosen)):
             zeros = [i for i, _ in members]
-            solved = solve_integer([arr.normals[i] for i in zeros], [-lifts[i] for i in zeros])
-            if solved is None:
+            point = solve_square([arr.normals[i] for i in zeros], [-arr.lifts[i] for i in zeros])
+            if point is None:
                 break
-            nums, den = solved
             values = (
-                sum(a * x for a, x in zip(u, nums)) + den * lift
-                for u, lift in zip(arr.normals, lifts)
+                sum(a * x for a, x in zip(u, point)) + lift
+                for u, lift in zip(arr.normals, arr.lifts)
             )
-            found.setdefault(tuple((v > 0) - (v < 0) for v in values), solved)
-    points = (
-        (tuple(Fraction(x, den * common) for x in nums), sigma)
-        for sigma, (nums, den) in found.items()
-    )
-    return tuple(sorted(points))
+            found.setdefault(tuple((v > 0) - (v < 0) for v in values), point)
+    return tuple(sorted((point, sigma) for sigma, point in found.items()))
 
 
 def mask_ray_signs(arr) -> tuple:
@@ -571,24 +565,6 @@ def by_sign_letter_masks(vertices, d) -> tuple:
             by_sign[sigma[k]] |= 1 << j
         tables.append({status: sum(by_sign[s] for s in holds) for status, holds in _HOLDS.items()})
     return tuple(tables), (1 << len(vertices)) - 1
-
-
-def first_compact_indices(arr) -> tuple:
-    """Per vertex, the index of the first bounded chamber of the extended
-    core whose vertex mask holds it, or the number of bounded chambers if
-    none does: one ``_chamber_mask`` per bounded chamber, each assigning
-    the vertices of its mask not assigned before."""
-    compact = [c.eps for c in _extended_core_cached(arr).core if c.classification == BOUNDED]
-    unassigned = _letter_masks(arr)[1]
-    first = [len(compact)] * unassigned.bit_length()
-    for index, eps in enumerate(compact):
-        group = _chamber_mask(arr, eps) & unassigned
-        unassigned ^= group
-        while group:
-            low = group & -group
-            first[low.bit_length() - 1] = index
-            group ^= low
-    return tuple(first)
 
 
 def reduce_classified_core(arr) -> tuple:
@@ -899,17 +875,16 @@ def numeric_density(td) -> frozenset:
 
 
 def per_subset_numeric_chambers(td) -> frozenset:
-    """The numerically semistable dense patterns from one ``solve_integer``
-    per m-subset T of columns: each nonsingular ``A_T x_T = alpha``, with
-    ``x = 0`` off T, contributes the sign vectors its solution conforms
-    to."""
-    _, rhs = _common_denominator(td.alpha)
+    """The numerically semistable dense patterns from one rational
+    ``solve_square`` per m-subset T of columns: each nonsingular ``A_T x_T
+    = alpha``, with ``x = 0`` off T, contributes the sign vectors its
+    solution conforms to."""
     signs = set()
     for columns in itertools.combinations(range(td.d), td.m):
-        solved = solve_integer([[row[j] for j in columns] for row in td.basis], rhs)
+        solved = solve_square([[row[j] for j in columns] for row in td.basis], td.alpha)
         if solved is not None:
             sigma = [0] * td.d
-            for j, x in zip(columns, solved[0]):
+            for j, x in zip(columns, solved):
                 sigma[j] = (x > 0) - (x < 0)
             signs.add(tuple(sigma))
     allowed = {1: (1,), -1: (-1,), 0: (1, -1)}
