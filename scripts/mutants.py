@@ -388,6 +388,34 @@ CATALOGUE = (
         '_RATIONAL_RE = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")',
         "format_rational writes an integer without a denominator",
     ),
+    Mutant(
+        "render-vertex-index-shifted",
+        "render.py",
+        "vertices = [p for j, p in enumerate(crossings) if mask >> j & 1]",
+        "vertices = [p for j, p in enumerate(crossings, 1) if mask >> j & 1]",
+        "bit j of a chamber's mask is the j-th vertex of the face record",
+    ),
+    Mutant(
+        "render-first-chamber-dropped",
+        "render.py",
+        "for mask in _extended_core_cached(arr).masks:",
+        "for mask in _extended_core_cached(arr).masks[1:]:",
+        "every bounded chamber with three or more vertices is shaded",
+    ),
+    Mutant(
+        "pattern-mask-last-vertex-dropped",
+        "stability.py",
+        "tables, kept = arr._faces.masks",
+        "tables, kept = arr._faces.masks[0], arr._faces.masks[1] >> 1",
+        "a pattern's mask starts from every vertex of the face record",
+    ),
+    Mutant(
+        "reconstruction-rebuilt-afresh",
+        "arrangement.py",
+        "return td._rebuilt[0]",
+        "return _rebuild(td)[0]",
+        "the API returns the arrangement the verdicts read, rebuilt once per torus",
+    ),
 )
 
 

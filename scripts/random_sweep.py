@@ -82,7 +82,7 @@ import corecover.arrangement as arrangement
 import corecover.cli as cli
 from corecover.arrangement import all_sign_vectors
 from corecover.linalg import transpose
-from corecover.quotient import BOUNDED, UNBOUNDED, _chamber_vertices
+from corecover.quotient import BOUNDED, UNBOUNDED
 from corecover.randgen import random_smooth_arrangement
 from corecover.stability import (
     FULL_ALPHABET,
@@ -97,6 +97,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests")
 from util import (  # noqa: E402
     adjacency_lemma_check,
     affine_dimension,
+    chamber_vertices,
     chart_pattern,
     enumerate_vertices,
     is_bounded,
@@ -244,7 +245,7 @@ def check_instance(arr, rng) -> dict:
             for c in chambers
         )
         and all(
-            _chamber_vertices(arr, c.eps) == enumerate_vertices(regions[c.eps])
+            chamber_vertices(arr, c.eps) == enumerate_vertices(regions[c.eps])
             for c in chambers
             if c.classification == BOUNDED
         ),

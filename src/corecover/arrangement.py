@@ -716,9 +716,10 @@ def arrangement_from_quotient(td: TorusData) -> Arrangement:
     integer normal. Different valid projections give arrangements that agree
     up to a unimodular change of coordinates, so all cross-checks are done on
     basis-independent data. Raises ``ValueError`` if ``d <= m`` or if some
-    coordinate is constant on the solution plane.
+    coordinate is constant on the solution plane. The arrangement is the
+    torus data's ``_rebuilt`` record, which the verdicts read too.
     """
-    return _rebuild(td)[0]
+    return td._rebuilt[0]
 
 
 def _rebuild(td: TorusData) -> tuple:

@@ -5,37 +5,15 @@ Each sign vector ``eps`` reorients the arrangement and contributes a chamber
 the core; the main verification confirms that each semistable pattern lands
 in the chart of some compact-core sign vector, so those charts cover the
 whole quotient. Chambers, swept patterns and chart patterns are state
-sets, each decided by its vertex mask: the bitmask of the arrangement's
-vertices at which all its letters hold, nonzero iff it is nonempty. A walk
-over the hyperplanes keeps the prefixes with a nonzero mask; the chamber,
-covering and complement sweeps list its leaves, with their masks, instead
-of testing 2^d, 3^d or 4^d candidates, and solve no LP. A leaf lies in the
-chart of a chamber iff its mask meets the chamber's, so every chart
-verdict is one AND: both covering answers list as counterexamples the
-leaves whose masks miss the OR of the bounded chambers' masks, which the
-chamber walk keeps, from one prologue (``_covering``); the witnesses read
-each vertex's first compact chamber off those masks, and the CLI's count
-counts the nonempty leaves instead; the complement keeps the leaves that
-miss one chamber's mask, walking only the prefixes with a vertex outside
-it, once per realizable BOTH set, with BOTH letters on it. Each walk costs
-one AND a prefix and, at a leaf, only what its sweep needs: the chamber
-walk and the covering count are loops of their own over the same rows, and
-``stability._pattern_masks``, the one walk that yields patterns, tests the
-complement's chamber at each leaf itself. The vertices, sorted on integer
-keys, their masks and the walks' rows of letters make one face record per
-arrangement (``stability._faces``), the chamber walk's results one more
-(``_core_walk``); both live on the arrangement, built on first read and
-freed with it. A chamber is bounded iff the AND of its letters' ray masks,
-which the class record keeps per direction class
-(``_ClassMatroid.ray_masks``), is zero: the chamber walk carries that AND
-down its path, and solves no LP. A chamber's vertices are those of its
-mask. Density compares each chamber's verdict with the numeric side, the
-dense patterns whose numeric system has a vertex conforming to them: the
-C(d, n) square systems of the torus data are solved once, in d variables,
-from one elimination and an exchange block each, and no sweep solves an
-LP. Nothing here builds a polyhedron either: a core component is its sign
-vector and classification, and the chamber as inequalities is
-``stability.chamber(arr, eps)``.
+sets, each decided by its vertex mask (``stability._pattern_mask``), and a
+pattern lies in the chart of a chamber iff its mask meets the chamber's
+(``stability._chamber_mask``). The sweeps walk the prefixes with a nonzero
+mask instead of testing 2^d, 3^d or 4^d candidates (``_core_walk``,
+``_covering``, ``chart_complement``), and density compares each chamber
+with the numeric side (``verify_density``). No sweep solves an LP or builds
+a polyhedron: a core component is its sign vector and classification, and
+the chamber as inequalities is ``stability.chamber(arr, eps)``. The face
+record and the core walk record live on the arrangement.
 
 Everything is exhaustive and exact, guarded against exponential blowup by a
 hyperplane-count limit that can be forced off.
@@ -164,8 +142,13 @@ def _core_walk(arr: Arrangement) -> _CoreWalk:
     """The core walk: ``core``, the nonempty chambers, the leaves of the
     walk over Z and W, each classified; and ``masks``, the bounded
     chambers' vertex masks in ``core`` order, which are their leaves'
-    masks. The covering builds what it needs of them (``_covering``,
-    ``verify_covering``), so this walk does nothing per vertex.
+    masks (``stability._chamber_mask``). A chamber's vertices are the
+    arrangement's vertices in its mask: such a vertex lies in the closed
+    chamber on hyperplanes with spanning normals, so it is a basic feasible
+    point of the chamber, and every basic feasible point is such a vertex;
+    in an arrangement that is not simple, more than n hyperplanes may pass
+    through a vertex, which is listed once. The covering and render build
+    what they need of the masks, so this walk does nothing per vertex.
 
     A nonempty chamber of ``eps`` is unbounded iff its recession cone ``K =
     {x : eps_i <u_i, x> >= 0}`` is nontrivial. K is pointed, since the
@@ -187,10 +170,7 @@ def _core_walk(arr: Arrangement) -> _CoreWalk:
     ``stability._pattern_masks``: each stack entry carries, with its
     prefix's signs and vertex mask, the AND of its letters' ray masks, so
     a chamber's rays in K are the AND its path has made, one more per
-    prefix, and its sign vector is built as it is walked. ``corecover
-    report`` runs this walk on every instance; a ``reduce`` over d ray
-    masks per yielded chamber, the route ``tests/util.py`` keeps as an
-    oracle, cost more there.
+    prefix, and its sign vector is built as it is walked.
     """
     rays = arr._matroid.ray_masks
     faces = arr._faces
@@ -244,18 +224,6 @@ def core(arr: Arrangement, force: bool = False) -> tuple:
     at once: every nonempty chamber has interior points.
     """
     return tuple(c for c in extended_core(arr, force=force) if c.classification == BOUNDED)
-
-
-def _chamber_vertices(arr: Arrangement, eps) -> list:
-    """The vertices of a chamber, sorted: the arrangement's vertices (see
-    ``_vertices``) in its mask (``_chamber_mask``). Such a vertex lies in
-    the closed chamber on hyperplanes with spanning normals, so it is a
-    basic feasible point of the chamber, and every basic feasible point is
-    such a vertex. Exact on any arrangement; in one that is not simple, more
-    than n hyperplanes may pass through a vertex, which is listed once.
-    """
-    mask = _chamber_mask(arr, eps)
-    return [p for j, (p, _) in enumerate(arr._faces.vertices) if mask >> j & 1]
 
 
 def theta_cpt(arr: Arrangement, force: bool = False) -> tuple:
@@ -396,8 +364,7 @@ def verify_density(arr: Arrangement, eps) -> bool:
     chamber by its vertex mask over the arrangement's vertices in n
     variables (``_cone_contains``). Neither solves an LP. The set lives on
     the torus data, kept with the face record on the arrangement, so calls
-    interleaved over arrangements build each once. The CLI's density
-    section reads the same two sides as two sets, once each.
+    interleaved over arrangements build each once.
     """
     _require_smooth(arr)
     eps = check_sign_vector(eps, arr.d)
@@ -428,9 +395,7 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
     (``within``): masks only shrink along a walk, so every leaf below a
     prefix whose mask lies inside the chamber's meets it. The walk tests
     each leaf against the chamber itself (``avoid``), so it builds and
-    yields only the excluded ones. A loop of its own, as the chamber walk
-    and the covering count have, saved about 1 % of ``corecover report``'s
-    CPU time over this one, too little to show on its latency.
+    yields only the excluded ones.
     Reports whether every excluded pattern is BOTH-free (hence in the
     extended core) and how large the excluded state sets get.
     """

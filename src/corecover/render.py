@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arrangement import Arrangement
-from .quotient import BOUNDED, _chamber_vertices, _check_guard, _extended_core_cached
+from .quotient import _check_guard, _extended_core_cached
 
 SIZE = 560
 MARGIN = 40
@@ -182,12 +182,11 @@ def _render_plane(arr: Arrangement) -> str:
 
     parts = _svg_header(SIZE, SIZE)
 
-    for component in _extended_core_cached(arr).core:
-        if component.classification != BOUNDED:
-            continue
+    # the bounded chambers' vertex masks, in extended-core order
+    for mask in _extended_core_cached(arr).masks:
         # the input need not be smooth, so a bounded chamber may be flat; a
         # bounded planar polyhedron is 2-dimensional iff it has 3+ vertices
-        vertices = _chamber_vertices(arr, component.eps)
+        vertices = [p for j, p in enumerate(crossings) if mask >> j & 1]
         if len(vertices) < 3:
             continue
         outline = map(to_screen, _sort_polygon(vertices))

@@ -17,17 +17,13 @@ Z keeping ``f_i >= 0``, W ``f_i <= 0`` and ZERO ``f_i = 0``.
 Both are decided the same way, with no LP. A pattern's state set, with
 BOTH letters or without, is nonempty iff all its letters hold at one
 vertex of the arrangement, because a nonempty BOTH-free state set is a
-pointed polyhedron and contains one (see ``_letter_masks``; compare
+pointed polyhedron and contains one (see ``_pattern_mask``; compare
 Zaslavsky, "Facing up to arrangements", 1975). Each vertex set is an
 integer bitmask over the arrangement's vertices, one mask per (coordinate,
-letter), so a pattern's vertices are one AND per letter. The vertices,
-sorted on integer keys, and the masks, built from the columns of their
-sign vectors, make the arrangement's face record (``_faces``), with the
-rows each walk takes its letters and masks from. A chart pattern holds at
-a vertex iff the pattern does and the vertex conforms to the chart's sign
-vector, so a chart verdict is the AND of a pattern's mask with its
-chamber's. The sweeps walk the prefixes, one hyperplane at a time, whose
-masks are nonzero.
+letter) in the face record (``_faces``), so a pattern's vertices are one
+AND per letter, and a chart verdict is the AND of a pattern's mask with
+its chamber's (``_chamber_mask``). The sweeps walk the prefixes, one
+hyperplane at a time, whose masks are nonzero.
 
 Each public verdict carries the exact certificate of its system: a vertex
 in the mask is the witness, and an empty state set is refuted by one
@@ -88,7 +84,9 @@ def check_pattern(pattern, d: int) -> tuple:
 
 
 def support_pattern(d: int, support) -> tuple:
-    """The toric pattern: Z on the support, ZERO elsewhere (w identically 0)."""
+    """The toric pattern: Z on the support, ZERO elsewhere (w identically
+    0). The ``hk_*`` verdicts on it are the toric criteria: alpha lies in
+    the cone of the support's characters, strictly for a closed orbit."""
     support = frozenset(support)
     if any(not (0 <= i < d) for i in support):
         raise ValueError("support index out of range")
@@ -146,22 +144,6 @@ def _sign_system(td: TorusData, pattern) -> Polyhedron:
     letter rows on ``x`` (``_letter_rows``); BOTH leaves ``x_i`` free."""
     equalities, signs = td._sign_rows
     return Polyhedron(td.d, equalities + _pattern_rows(signs, pattern))
-
-
-def toric_semistable_numeric(td: TorusData, support) -> StabilityVerdict:
-    """Cone membership test: is alpha a nonnegative combination of the
-    characters indexed by the support? This is the signed solvability test
-    of the support pattern (``x >= 0`` on the support, ``x = 0`` off it)."""
-    return hk_semistable_numeric(td, support_pattern(td.d, support))
-
-
-def toric_closed_orbit(td: TorusData, support) -> bool:
-    """Strict cone membership; decides closedness of the orbit through a
-    semistable point with the given support."""
-    pattern = support_pattern(td.d, support)
-    if not hk_semistable_numeric(td, pattern).semistable:
-        raise ValueError("closed-orbit test requires a semistable support")
-    return hk_closed_orbit(td, pattern)
 
 
 def hk_semistable_numeric(td: TorusData, pattern) -> StabilityVerdict:
@@ -435,7 +417,7 @@ def state_set(arr: Arrangement, pattern) -> Polyhedron:
 
 def hk_semistable_geometric(arr: Arrangement, pattern) -> StabilityVerdict:
     """Nonemptiness of the state set, certified: a vertex in the pattern's
-    mask (``_letter_masks``) is the witness, and a signed circuit
+    mask (``_pattern_mask``) is the witness, and a signed circuit
     (``_refutation``) with the letter rows' multipliers the refutation."""
     pattern = check_pattern(pattern, arr.d)
     system = state_set(arr, pattern)
@@ -446,20 +428,16 @@ def hk_semistable_geometric(arr: Arrangement, pattern) -> StabilityVerdict:
     return StabilityVerdict(False, Certificate(False, multipliers=multipliers), system)
 
 
-def toric_semistable_geometric(arr: Arrangement, support) -> StabilityVerdict:
-    """Nonemptiness of the toric state set (w identically zero)."""
-    return hk_semistable_geometric(arr, support_pattern(arr.d, support))
-
-
 def _faces(arr: Arrangement) -> SimpleNamespace:
     """The face record every sweep reads, written here alone: ``vertices``
-    (``_vertices``), ``masks`` (``_letter_masks``), built from each column
-    of the vertices' signs as ``pos``, ``neg`` and ``zero = all ^ pos ^
-    neg``, and ``rows``, the walk rows of ``_pattern_masks`` for the
-    BOTH-free letters, the chamber letters Z and W, and BOTH alone: per
-    coordinate, its letters with their masks, reversed for the stack. Each
-    coordinate's four masks and three rows are written out from its
-    ``pos`` and ``neg``, with no comprehension over the letters."""
+    (``_vertices``); ``masks``, per coordinate each letter's vertex mask
+    (bit j set iff the letter holds at the j-th vertex, see
+    ``_pattern_mask``), and the mask of all vertices; and ``rows``, the
+    walk rows of ``_pattern_masks`` for the BOTH-free letters, the chamber
+    letters Z and W, and BOTH alone: per coordinate, its letters with their
+    masks, reversed for the stack. All are written out from each column of
+    the vertices' signs as ``pos``, ``neg`` and ``zero = all ^ pos ^
+    neg``."""
     vertices = _vertices(arr)
     every = (1 << len(vertices)) - 1
     tables, free, dense, both = [], [], [], []
@@ -482,11 +460,10 @@ def _faces(arr: Arrangement) -> SimpleNamespace:
     return SimpleNamespace(vertices=vertices, masks=(tuple(tables), every), rows=rows)
 
 
-def _letter_masks(arr: Arrangement) -> tuple:
-    """Per coordinate, each letter's vertex mask (kept by ``_faces``): bit
-    j is set iff the letter holds at the j-th vertex of ``_vertices``. A
-    pattern's mask, the AND of its letters', lists the vertices at which
-    every letter holds, and is zero iff its state set is empty, no LP:
+def _pattern_mask(arr: Arrangement, pattern) -> int:
+    """The vertices at which every letter of the pattern holds, the AND of
+    its letters' masks in the face record, stopping at the first empty
+    prefix. It is zero iff the pattern's state set is empty, no LP:
 
     * State sets are closed: a letter of sign s keeps ``s * (<u_i, x> +
       lift_i) >= 0`` (``= 0`` for ZERO), so it holds at the signs 0 and s;
@@ -509,16 +486,9 @@ def _letter_masks(arr: Arrangement) -> tuple:
     BOTH coordinate needs no case of its own: its state set is the union of
     those of its Z/W resolutions, and the vertices it keeps are those of
     the resolutions. Only convexity and spanning normals are used, so this
-    is exact on input that is not simple too. Returns the per-coordinate
-    tables and the mask of all vertices.
+    is exact on input that is not simple too.
     """
-    return arr._faces.masks
-
-
-def _pattern_mask(arr: Arrangement, pattern) -> int:
-    """The vertices at which every letter of the pattern holds (see
-    ``_letter_masks``), stopping at the first empty prefix."""
-    tables, kept = _letter_masks(arr)
+    tables, kept = arr._faces.masks
     for letters, status in zip(tables, pattern):
         kept &= letters[status]
         if not kept:
@@ -528,7 +498,7 @@ def _pattern_mask(arr: Arrangement, pattern) -> int:
 
 def _pattern_masks(arr: Arrangement, rows=None, within=None, avoid=0):
     """The nonempty state sets with a letter of ``rows[i]`` at each
-    coordinate ``i``, each with its vertex mask (see ``_letter_masks``),
+    coordinate ``i``, each with its vertex mask (see ``_pattern_mask``),
     keeping only those whose mask meets ``within`` (every vertex when None)
     and misses ``avoid``. ``rows`` are walk rows of the face record
     (``_faces``), its BOTH-free ones when None: per coordinate, its letters
@@ -539,20 +509,8 @@ def _pattern_masks(arr: Arrangement, rows=None, within=None, avoid=0):
     and a prefix whose mask misses ``within`` has no leaf below it that
     meets it: the walk prunes it there, and the leaves it keeps are exactly
     those that meet ``within``. ``avoid`` is tested at the leaves alone.
-    Nothing is cached, so a walk's memory is its stack.
-
-    This is the one walk that yields patterns: the covering witnesses
-    (``quotient.verify_covering``, ``within`` the compact chambers'
-    vertices) and counterexamples (``quotient._covering``), the complement
-    (``quotient.chart_complement``, which ``avoid``s its chamber, so only
-    the excluded leaves are built) and the tests read it.
-    Two sweeps that ``corecover report`` runs on every instance keep a
-    loop of their own over the face record's rows, each doing at a leaf
-    only what its answer needs, which saves more than a yielded pattern
-    costs there: the chamber walk (``quotient._core_walk``) carries the
-    recession-ray masks down with the vertex mask and builds sign vectors,
-    and the covering count (``quotient._covering_counts``) builds no
-    pattern."""
+    Nothing is cached, so a walk's memory is its stack. This is the one
+    walk that yields patterns."""
     faces = arr._faces
     everything = faces.masks[1]
     rows = faces.rows[NO_BOTH_ALPHABET] if rows is None else rows
@@ -581,7 +539,7 @@ def _pattern_masks(arr: Arrangement, rows=None, within=None, avoid=0):
 @lru_cache(maxsize=0)
 def _cone_contains(arr: Arrangement, pattern) -> bool:
     """Is the state set of a pattern nonempty? The verdict behind chambers
-    (dense patterns): its vertex mask is nonzero (see ``_letter_masks``),
+    (dense patterns): its vertex mask is nonzero (see ``_pattern_mask``),
     with no LP."""
     return _pattern_mask(arr, pattern) != 0
 

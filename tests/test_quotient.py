@@ -68,6 +68,7 @@ from util import (
     affine_dimension,
     by_sign_letter_masks,
     candidate_complement,
+    chamber_vertices,
     cycling_family,
     enumerate_vertices,
     full_walk_complement,
@@ -110,7 +111,7 @@ def complement_walk_ands(arr, eps) -> collections.Counter:
     complement's walks take: per realizable class set, each letter of the
     row at coordinate k for each prefix of length k that they keep, the
     root and those whose mask has a vertex outside the chamber."""
-    every = stability._letter_masks(arr)[1]
+    every = arr._faces.masks[1]
     outside = every ^ stability._pattern_mask(arr, full_pattern(eps))
     classes = arr._classes
     ands = collections.Counter()
@@ -346,7 +347,7 @@ class TestChamberVertices:
         listed = 0
         for arr in arrangements:
             for c in quotient._extended_core_cached(arr).core:
-                assert quotient._chamber_vertices(arr, c.eps) == enumerate_vertices(chamber(arr, c.eps))
+                assert chamber_vertices(arr, c.eps) == enumerate_vertices(chamber(arr, c.eps))
                 listed += 1
         assert listed > 1000
 
@@ -390,7 +391,7 @@ class TestChamberVertices:
             passes = []
             monkeypatch.setattr(linalg, "_bareiss", counting)
             for c in components:
-                quotient._chamber_vertices(arr, c.eps)
+                chamber_vertices(arr, c.eps)
             monkeypatch.undo()
             assert passes == []
             if is_simple(arr):

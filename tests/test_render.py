@@ -1,12 +1,43 @@
+import functools
 import hashlib
 import random
 
 import pytest
 
 from corecover import Arrangement, GuardError, is_simple, render_svg
-from corecover.quotient import BOUNDED, _chamber_vertices, _extended_core_cached
+from corecover.quotient import BOUNDED, _extended_core_cached
 from corecover.render import _sort_polygon
-from util import polygon_order_by_comparison
+from util import chamber_vertices, polygon_order_by_comparison
+
+
+@functools.cache
+def random_line_chambers() -> tuple:
+    """150 seeded draws of small integer lines, many of them with three or
+    more through a point: ``(arrangements, polygons)``, the draws the
+    constructor accepts (149) and the vertices of each 2-dimensional
+    bounded chamber, shuffled."""
+    directions = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1))
+    rng = random.Random(4)
+    arrangements, polygons = [], []
+    for _ in range(150):
+        d = rng.randint(3, 7)
+        normals = tuple(
+            tuple(rng.choice((1, -1)) * x for x in rng.choice(directions)) for _ in range(d)
+        )
+        try:
+            arr = Arrangement(2, normals, tuple(rng.randint(-2, 2) for _ in range(d)))
+        except ValueError:
+            continue
+        arrangements.append(arr)
+        for component in _extended_core_cached(arr).core:
+            if component.classification != BOUNDED:
+                continue
+            vertices = chamber_vertices(arr, component.eps)
+            if len(vertices) < 3:
+                continue
+            rng.shuffle(vertices)
+            polygons.append(vertices)
+    return tuple(arrangements), tuple(polygons)
 
 
 class TestRenderPlane:
@@ -70,31 +101,24 @@ class TestPinnedSvg:
             digest.update(render_svg(arr).encode())
         assert digest.hexdigest() == self.DIGEST
 
+    # SHA-256 of render_svg over the seeded random integer lines, more than
+    # 50 of them not simple, where a bounded chamber may be flat: the
+    # shading reads the core walk's masks, each its chamber's
+    # ``_chamber_mask``
+    RANDOM_DIGEST = "310558bf79f29860443f513a2c8cb28ec2b0a41579888a509d529cf63c66c210"
+
+    def test_svg_digest_on_lines_that_are_not_simple(self):
+        digest = hashlib.sha256()
+        for arr in random_line_chambers()[0]:
+            digest.update(render_svg(arr).encode())
+        assert digest.hexdigest() == self.RANDOM_DIGEST
+
 
 class TestPolygonOrder:
     def test_matches_comparison_on_random_chambers(self):
-        # every bounded chamber of seeded random arrangements of small
-        # integer lines, many of them with three or more through a point
-        directions = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1))
-        rng = random.Random(4)
-        polygons = not_simple = 0
-        for _ in range(150):
-            d = rng.randint(3, 7)
-            normals = tuple(
-                tuple(rng.choice((1, -1)) * x for x in rng.choice(directions)) for _ in range(d)
-            )
-            try:
-                arr = Arrangement(2, normals, tuple(rng.randint(-2, 2) for _ in range(d)))
-            except ValueError:
-                continue
-            not_simple += not is_simple(arr)
-            for component in _extended_core_cached(arr).core:
-                if component.classification != BOUNDED:
-                    continue
-                vertices = _chamber_vertices(arr, component.eps)
-                if len(vertices) < 3:
-                    continue
-                rng.shuffle(vertices)
-                assert _sort_polygon(vertices) == polygon_order_by_comparison(vertices)
-                polygons += 1
-        assert polygons > 600 and not_simple > 50
+        # every bounded chamber of the seeded random integer lines
+        arrangements, polygons = random_line_chambers()
+        for vertices in polygons:
+            assert _sort_polygon(vertices) == polygon_order_by_comparison(vertices)
+        not_simple = sum(not is_simple(arr) for arr in arrangements)
+        assert len(polygons) > 600 and not_simple > 50

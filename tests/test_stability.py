@@ -32,9 +32,6 @@ from corecover import (
     state_set,
     support_pattern,
     theta_cpt,
-    toric_closed_orbit,
-    toric_semistable_geometric,
-    toric_semistable_numeric,
     torus_data,
     verify_certificate,
     verify_covering,
@@ -92,13 +89,13 @@ def all_supports(d):
 class TestToricNumeric:
     def test_stable_support(self, hirzebruch):
         td = torus_data(hirzebruch)
-        verdict = toric_semistable_numeric(td, {0, 2, 3})
+        verdict = hk_semistable_numeric(td, support_pattern(td.d, {0, 2, 3}))
         assert verdict.semistable
         assert verify_certificate(verdict.system, verdict.certificate)
 
     def test_unstable_support(self, hirzebruch):
         td = torus_data(hirzebruch)
-        verdict = toric_semistable_numeric(td, {1, 3})
+        verdict = hk_semistable_numeric(td, support_pattern(td.d, {1, 3}))
         assert not verdict.semistable
         assert verify_certificate(verdict.system, verdict.certificate)
 
@@ -106,28 +103,29 @@ class TestToricNumeric:
         arr = Arrangement(1, ((1,), (-1,)), (0, 0))
         td = torus_data(arr)
         assert td.alpha in ((F(0),),)
-        verdict = toric_semistable_numeric(td, {0, 1})
+        verdict = hk_semistable_numeric(td, support_pattern(td.d, {0, 1}))
         assert verdict.semistable
 
     def test_out_of_range_support(self, hirzebruch):
         with pytest.raises(ValueError):
-            toric_semistable_numeric(torus_data(hirzebruch), {7})
+            hk_semistable_numeric(torus_data(hirzebruch), support_pattern(hirzebruch.d, {7}))
 
 
 class TestToricClosedOrbit:
     def test_full_support(self, hirzebruch):
         td = torus_data(hirzebruch)
-        assert toric_closed_orbit(td, {0, 1, 2, 3})
+        assert hk_closed_orbit(td, support_pattern(td.d, {0, 1, 2, 3}))
 
     def test_partial_support(self, hirzebruch):
         td = torus_data(hirzebruch)
-        assert toric_closed_orbit(td, {0, 2, 3})
+        assert hk_closed_orbit(td, support_pattern(td.d, {0, 2, 3}))
 
     def test_cone_boundary(self):
         # x_0 + x_1 = 0 with both nonnegative: only at 0, never strictly
         td = TorusData(basis=((1, 1),), lifts=(0, 0))
-        assert toric_semistable_numeric(td, {0, 1}).semistable
-        assert not toric_closed_orbit(td, {0, 1})
+        pattern = support_pattern(td.d, {0, 1})
+        assert hk_semistable_numeric(td, pattern).semistable
+        assert not hk_closed_orbit(td, pattern)
 
     def test_torus_data_without_a_solution_plane_is_refused(self):
         # the verdicts read the arrangement rebuilt from the torus data, so
@@ -136,16 +134,12 @@ class TestToricClosedOrbit:
         fixed = TorusData(basis=((1, 0),), lifts=(1, 2))
         for td, text in ((point, "needs d > m"), (fixed, "coordinate 1 is constant")):
             for call in (
-                lambda: toric_semistable_numeric(td, {0}),
+                lambda: hk_semistable_numeric(td, support_pattern(td.d, {0})),
                 lambda: hk_semistable_numeric(td, (B,) * td.d),
                 lambda: hk_closed_orbit(td, (Z,) * td.d),
             ):
                 with pytest.raises(ValueError, match=text):
                     call()
-
-    def test_requires_semistable(self, hirzebruch):
-        with pytest.raises(ValueError):
-            toric_closed_orbit(torus_data(hirzebruch), {1, 3})
 
 
 class TestHkNumeric:
@@ -323,10 +317,10 @@ class TestOracleEquivalence:
         for arr in (hirzebruch, a2_resolution, triangle_pair):
             td = torus_data(arr)
             for support in all_supports(arr.d):
-                s = frozenset(support)
+                pattern = support_pattern(arr.d, support)
                 assert (
-                    toric_semistable_numeric(td, s).semistable
-                    == toric_semistable_geometric(arr, s).semistable
+                    hk_semistable_numeric(td, pattern).semistable
+                    == hk_semistable_geometric(arr, pattern).semistable
                 )
 
     def test_hk_fixtures_exhaustive(self, hirzebruch, a2_resolution, triangle_pair):
@@ -464,10 +458,10 @@ class TestMonotonicity:
             td = torus_data(arr)
             for support in all_supports(arr.d):
                 s = frozenset(support)
-                if not toric_semistable_numeric(td, s).semistable:
+                if not hk_semistable_numeric(td, support_pattern(arr.d, s)).semistable:
                     continue
                 for extra in range(arr.d):
-                    assert toric_semistable_numeric(td, s | {extra}).semistable
+                    assert hk_semistable_numeric(td, support_pattern(arr.d, s | {extra})).semistable
 
     def test_hk_both_replacement(self, a2_resolution):
         td = torus_data(a2_resolution)
@@ -657,7 +651,7 @@ class TestPrefixTree:
         alphabets = [None, (Z, W), FULL_ALPHABET, (B,)]
         pruned = avoided = 0
         for arr in arrangements:
-            everything = stability._letter_masks(arr)[1]
+            everything = arr._faces.masks[1]
             for letters in alphabets:
                 rows = None if letters is None else walk_rows(arr, [letters] * arr.d)
                 full = list(stability._pattern_masks(arr, rows))
@@ -849,7 +843,7 @@ class TestNumericChambers:
         def forbidden(*args):
             raise AssertionError("the numeric side read the chamber side")
 
-        for name in ("_faces", "_vertices", "_letter_masks", "_cone_contains", "_refutation"):
+        for name in ("_faces", "_vertices", "_pattern_mask", "_cone_contains", "_refutation"):
             monkeypatch.setattr(stability, name, forbidden)
         bare = types.SimpleNamespace(d=td.d, m=td.m, basis=td.basis, alpha=td.alpha)
         assert stability._numeric_chambers(bare) == expected

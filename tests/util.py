@@ -38,7 +38,8 @@ replace, computed afresh for each arrangement (``per_arrangement_regular``,
 realizable class subsets, ``per_arrangement_realizable``, by the rank test
 in R^d); the face record's parts by other routes: the ray sign vectors
 that the class record's ray masks encode (``mask_ray_signs``), the letter
-masks vertex by vertex (``by_sign_letter_masks``), each chamber's
+masks vertex by vertex (``by_sign_letter_masks``), a chamber's vertices
+from its own mask (``chamber_vertices``), each chamber's
 classification by one ``reduce`` over its letters' ray masks
 (``reduce_classified_core``), the
 covering counts from every leaf the pattern walk yields
@@ -112,7 +113,7 @@ from corecover.stability import (
     NO_BOTH_ALPHABET,
     Status,
     _SIGN,
-    _letter_masks,
+    _chamber_mask,
     _pattern_mask,
     _pattern_masks,
     _sign_system,
@@ -150,11 +151,18 @@ def eq(coeffs, constant=0) -> Constraint:
     return Constraint(tuple(coeffs), Relation.EQ, constant)
 
 
+def chamber_vertices(arr, eps) -> list:
+    """A chamber's vertices, sorted: the arrangement's vertices in its own
+    mask (``_chamber_mask``), where render reads the core walk's masks."""
+    mask = _chamber_mask(arr, eps)
+    return [p for j, (p, _) in enumerate(arr._faces.vertices) if mask >> j & 1]
+
+
 def walk_rows(arr, alphabets) -> tuple:
     """The rows ``_pattern_masks`` walks for a letter alphabet per
     coordinate, built from the letter masks: each letter with its mask,
     reversed, so that the leaves come in ``itertools.product`` order."""
-    tables, _ = _letter_masks(arr)
+    tables, _ = arr._faces.masks
     return tuple(
         tuple((status, letters[status]) for status in reversed(allowed))
         for letters, allowed in zip(tables, alphabets)
@@ -555,7 +563,7 @@ _HOLDS = {
 
 
 def by_sign_letter_masks(vertices, d) -> tuple:
-    """The letter masks of ``_letter_masks`` built vertex by vertex: per
+    """The face record's letter masks built vertex by vertex: per
     coordinate one mask per sign, and each letter's mask the sum of those of
     the signs it holds at."""
     tables = []
