@@ -191,9 +191,23 @@ CATALOGUE = (
     Mutant(
         "cover-count-empty-leaves",
         "quotient.py",
-        "if kept & letter:",
-        "if kept | letter:",
-        "the covering count counts the nonempty leaves alone",
+        "leaves = sum(2 ** len(s) * prod(sizes[k] for k in s) for s in independent)",
+        "leaves = sum(3 ** len(s) * prod(sizes[k] for k in s) for s in independent)",
+        "the covering count counts the nonempty leaves alone: a face in the flat of T has 2^|T| signs off it",
+    ),
+    Mutant(
+        "cover-count-top-size-dropped",
+        "quotient.py",
+        "for size in range(arr.n + 1)",
+        "for size in range(arr.n)",
+        "the independent class sets of the face count include the bases themselves, whose faces are the vertices",
+    ),
+    Mutant(
+        "cover-count-class-sizes-dropped",
+        "quotient.py",
+        "leaves = sum(2 ** len(s) * prod(sizes[k] for k in s) for s in independent)",
+        "leaves = sum(2 ** len(s) for s in independent)",
+        "an independent class set stands for one hyperplane set per choice of a hyperplane in each class",
     ),
     Mutant(
         "counterexamples-within-core",
@@ -285,6 +299,13 @@ CATALOGUE = (
         "agree = (not bounded_exists) == (len(trivial) > 0)",
         "agree = True",
         "a disagreement between the two sides must be reported",
+    ),
+    Mutant(
+        "trivial-factors-independent-negated",
+        "arrangement.py",
+        "return tuple(sorted(i for k, i in singles if arr._matroid.independent((k,))))",
+        "return tuple(sorted(i for k, i in singles if not arr._matroid.independent((k,))))",
+        "a trivial factor is a singleton class outside the span of the others",
     ),
     Mutant(
         "level-drops-own-lift",

@@ -45,7 +45,10 @@ built for a fresh copy of the draw alone, as if the record cache had been
 cleared, and compares them with the answers read off the shared record,
 which an earlier draw with the same direction classes may have built. The
 oracles, the symmetries and the adjacency check are the test suite's
-(``tests/util.py``).
+(``tests/util.py``). The ``counts`` column checks Zaslavsky's counts
+from the independent k-subsets of hyperplanes, by rank: the chambers, the
+bounded ones, the vertices and, on a draw with a core, the covering's
+leaves as the pattern walk yields them.
 Prints one line per instance and a summary.
 
 Usage: python scripts/random_sweep.py [--seed N] [--count N] [--max-d N]
@@ -100,6 +103,7 @@ from util import (  # noqa: E402
     chamber_vertices,
     chart_pattern,
     enumerate_vertices,
+    independent_counts,
     is_bounded,
     kernel_by_two_hnf,
     mat_vec,
@@ -110,6 +114,7 @@ from util import (  # noqa: E402
     random_integer_arrangement,
     rank_realizable,
     symmetries_hold,
+    walk_leaf_counts,
 )
 
 
@@ -213,6 +218,11 @@ def check_instance(arr, rng) -> dict:
                 "counterexamples": list(map(format_pattern, report.counterexamples)),
             }
         )
+    counts = independent_counts(arr)
+    leaves = None
+    if compact:
+        witnessed, counterexamples = walk_leaf_counts(arr)
+        leaves = witnessed + len(counterexamples)
     complement = (
         all(
             chart_complement(arr, eps).excluded_patterns == excluded
@@ -233,6 +243,10 @@ def check_instance(arr, rng) -> dict:
         "realizable": realizable,
         "covered": covered,
         "complement": complement,
+        "counts": sum(counts) == len(chambers)
+        and (-1) ** arr.n * sum((-1) ** k * count for k, count in enumerate(counts)) == len(compact)
+        and counts[arr.n] == len(arr._faces.vertices)
+        and leaves in (None, sum(2**k * count for k, count in enumerate(counts))),
         "adjacency": adjacency_lemma_check(arr),
         "density": all(verify_density(arr, eps) for eps in all_sign_vectors(arr.d))
         and _numeric_chambers(td) == numeric_density(td),
@@ -275,7 +289,7 @@ def main() -> int:
             f"symmetry={result['symmetry']} verdicts={result['verdicts']} "
             f"chart={result['chart']} realizable={result['realizable']} "
             f"covered={result['covered']} complement={result['complement']} "
-            f"adjacency={result['adjacency']} density={result['density']} "
+            f"counts={result['counts']} adjacency={result['adjacency']} density={result['density']} "
             f"criterion={result['criterion_agrees']} chambers={result['chambers']} "
             f"{'ok' if ok else 'FAIL'}"
         )

@@ -431,8 +431,9 @@ def _circuits(vectors):
 class _ClassMatroid:
     """The matroid of one tuple of direction-class representatives.
 
-    Regularity, the circuits, realizability, the coloops, the masks of the
-    chambers' candidate rays, the vertex systems and, per class basis, its
+    Regularity, the circuits, independence (hence realizability and the
+    coloops), the masks of the chambers' candidate rays, the bases behind
+    the vertex systems and the face count and, per class basis, its
     determinant and the coordinates behind the kernel basis depend on the
     representatives alone, not on the order of the hyperplanes, the signs
     of their normals, parallel copies or the lifts. So one record serves
@@ -512,26 +513,6 @@ class _ClassMatroid:
             itertools.combinations(range(count), size) for size in range(count + 1)
         )
         return tuple(chosen for chosen in subsets if self.independent(chosen))
-
-    @cached_property
-    def coloops(self) -> frozenset:
-        """The classes outside the span of all the others, from one echelon
-        pass over the representatives: D reductions. The classes the pass
-        keeps form a basis, and each other class's relation is its
-        fundamental circuit. A class outside the basis lies in its span. A
-        basis class b lies in the span of the others iff some fundamental
-        circuit uses it, since solving that relation for b does it, and if
-        none does, every class but b lies in the span of the basis without
-        b, which misses b."""
-        form, basis, used = (), [], set()
-        for k, r in enumerate(self.reps):
-            grown, relation = _extend_echelon(form, r)
-            if grown is None:
-                used.update(b for b, c in zip(basis, relation) if c)
-            else:
-                form = grown
-                basis.append(k)
-        return frozenset(basis) - used
 
     @cached_property
     def ray_masks(self) -> tuple:
@@ -761,13 +742,9 @@ def trivial_factors(arr: Arrangement) -> tuple:
     is empty exactly when such indices exist (reported, not assumed). A
     hyperplane with a parallel partner never qualifies, since the partner
     spans its direction, so these are the singleton direction classes (see
-    ``_direction_classes``) that are coloops of the class matroid, read off
-    the record's ``coloops``: one echelon pass over the classes, D
-    reductions, shared by every arrangement with the same classes.
+    ``_direction_classes``) that the class matroid's ``independent``
+    places outside the span of the others: D reductions each.
     """
     classes = arr._classes
     singles = [(k, members[0][0]) for k, (_, members) in enumerate(classes) if len(members) == 1]
-    if not singles:
-        return ()
-    coloops = arr._matroid.coloops
-    return tuple(sorted(i for k, i in singles if k in coloops))
+    return tuple(sorted(i for k, i in singles if arr._matroid.independent((k,))))

@@ -9,11 +9,13 @@ sets, each decided by its vertex mask (``stability._pattern_mask``), and a
 pattern lies in the chart of a chamber iff its mask meets the chamber's
 (``stability._chamber_mask``). The sweeps walk the prefixes with a nonzero
 mask instead of testing 2^d, 3^d or 4^d candidates (``_core_walk``,
-``_covering``, ``chart_complement``), and density compares each chamber
-with the numeric side (``verify_density``). No sweep solves an LP or builds
-a polyhedron: a core component is its sign vector and classification, and
-the chamber as inequalities is ``stability.chamber(arr, eps)``. The face
-record and the core walk record live on the arrangement.
+``_covering``, ``chart_complement``), the covering count reads the leaves
+off the class record's bases with no walk (``_covering_counts``), and
+density compares each chamber with the numeric side (``verify_density``).
+No sweep solves an LP or builds a polyhedron: a core component is its sign
+vector and classification, and the chamber as inequalities is
+``stability.chamber(arr, eps)``. The face record and the core walk record
+live on the arrangement.
 
 Everything is exhaustive and exact, guarded against exponential blowup by a
 hyperplane-count limit that can be forced off.
@@ -25,6 +27,7 @@ import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial, reduce
+from math import prod
 from operator import or_
 
 from .arrangement import (
@@ -328,28 +331,33 @@ def verify_covering(arr: Arrangement, force: bool = False) -> CoverReport:
 
 def _covering_counts(arr: Arrangement, force: bool = False) -> tuple:
     """``(len(witness), counterexamples)`` of ``verify_covering``, from the
-    same prologue (``_covering``), with no witness dict. The leaves are
-    counted from their masks alone, by a loop of its own over the
-    BOTH-free rows that builds no pattern: a leaf costs one AND and a
-    test, and every leaf but a counterexample has a witness."""
+    same prologue (``_covering``), with no witness dict: every leaf but a
+    counterexample has a witness, and the leaves are counted with no walk.
+
+    Leaves are faces: on smooth input the BOTH-free patterns with a
+    nonempty state set are the faces' sign vectors, ZERO read as 0. Such a
+    sign vector holds on its face. Conversely, the relative interior of a
+    nonempty state set P lies in one face F, whose signs are the letters
+    off F's hyperplanes. A letter on one of them is tight at a relative
+    interior point, hence on all of P; a Z or W letter is not, since the
+    hyperplanes through F have independent normals, so a point of F can
+    leave that one alone and stay in P. So each letter there is ZERO.
+    Zaslavsky ("Facing up to arrangements", 1975) counts the faces of
+    simple input: each is a chamber of the flat of one independent set S
+    of hyperplanes, which has as many chambers as S has independent
+    supersets, so there are sum(2^|T|) faces over the independent sets T.
+    Independent hyperplanes lie in distinct direction classes, so T is one
+    hyperplane in each class of an independent class set, a subset of one
+    of the record's ``bases``."""
     _, _, counterexamples = _covering(arr, force)
-    faces = arr._faces
-    rows = faces.rows[NO_BOTH_ALPHABET]
-    last = len(rows) - 1
-    final = [letter for _, letter in rows[last]]
-    leaves = 0
-    stack = [(0, faces.masks[1])]
-    while stack:
-        k, kept = stack.pop()
-        if k < last:
-            for _, letter in rows[k]:
-                mask = kept & letter
-                if mask:
-                    stack.append((k + 1, mask))
-            continue
-        for letter in final:
-            if kept & letter:
-                leaves += 1
+    sizes = [len(members) for _, members in arr._classes]
+    independent = {
+        s
+        for chosen, _, _ in arr._matroid.bases
+        for size in range(arr.n + 1)
+        for s in itertools.combinations(chosen, size)
+    }
+    leaves = sum(2 ** len(s) * prod(sizes[k] for k in s) for s in independent)
     return leaves - len(counterexamples), counterexamples
 
 

@@ -780,8 +780,8 @@ class TestClassEchelon:
 
     def test_trivial_factors_memo_quadratic(self):
         # 40 direction classes at n = 2, far from regular: trivial factors
-        # are read off the record's coloops, one echelon pass over the
-        # classes, not a scan of the 2^D class subsets
+        # ask the record's independent of each singleton class, D queries
+        # of D reductions each, not a scan of the 2^D class subsets
         arrangement._class_matroid.cache_clear()
         arr = Arrangement(2, _fan_directions(40), tuple(range(40)))
         assert len(arrangement._direction_classes(arr)) == 40 and not is_regular(arr)

@@ -687,6 +687,29 @@ class TestVertexMasks:
             counterexamples += len(report.counterexamples)
         assert counterexamples > 100 and empty < 25
 
+    def test_counts_match_independent_sets(self):
+        # Zaslavsky's counts from the independent k-subsets of hyperplanes,
+        # by rank: the chambers, the bounded ones, the vertices and the
+        # faces, which are the covering's leaves
+        rng = random.Random(5)
+        population = [random_smooth_arrangement(rng, max_d=8) for _ in range(300)]
+        population += [cycling_family(random.Random(1), d) for d in (24, 40)]
+        with_core = 0
+        for arr in population:
+            counts = util.independent_counts(arr)
+            assert sum(counts) == len(extended_core(arr, force=True))
+            bounded = (-1) ** arr.n * sum((-1) ** k * count for k, count in enumerate(counts))
+            assert bounded == len(core(arr, force=True))
+            assert counts[arr.n] == len(arr._faces.vertices)
+            if bounded:
+                with_core += 1
+                faces = sum(2**k * count for k, count in enumerate(counts))
+                witnessed, counterexamples = util.walk_leaf_counts(arr)
+                assert faces == witnessed + len(counterexamples)
+                witnessed, counterexamples = quotient._covering_counts(arr, force=True)
+                assert faces == witnessed + len(counterexamples)
+        assert with_core > 100
+
     def test_pruned_complement_matches_oracles(self):
         # the walks skip the prefixes inside the chamber; the exclusions
         # equal one chart LP per leaf and the filter after the full walk

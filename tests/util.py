@@ -43,7 +43,8 @@ from its own mask (``chamber_vertices``), each chamber's
 classification by one ``reduce`` over its letters' ray masks
 (``reduce_classified_core``), the
 covering counts from every leaf the pattern walk yields
-(``walk_leaf_counts``) and a refutation's equality multipliers by one
+(``walk_leaf_counts``), the independent k-subsets of hyperplanes by rank
+(``independent_counts``) and a refutation's equality multipliers by one
 elimination per solve (``row_combination_by_elimination``); a copy of an
 arrangement whose letter masks log each AND a sweep takes with them
 (``recording_copy``); polyhedral oracles (projection, affine
@@ -606,6 +607,17 @@ def walk_leaf_counts(arr) -> tuple:
         else:
             counterexamples.append(pattern)
     return witnessed, tuple(counterexamples)
+
+
+def independent_counts(arr) -> tuple:
+    """``(I_0, ..., I_n)``: ``I_k`` counts the k-subsets of hyperplanes
+    whose normals are independent, by one ``rank`` per subset. Zaslavsky
+    (1975) counts the faces of simple input from them, as
+    ``quotient._covering_counts`` does from the class record's bases."""
+    return tuple(
+        sum(rank([arr.normals[i] for i in chosen]) == k for chosen in itertools.combinations(range(arr.d), k))
+        for k in range(arr.n + 1)
+    )
 
 
 def row_combination_by_elimination(basis, target) -> tuple:
