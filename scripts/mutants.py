@@ -170,16 +170,16 @@ CATALOGUE = (
     Mutant(
         "core-walk-ray-and-dropped",
         "quotient.py",
-        "stack.append((eps + (e,), mask, cone & ray))",
-        "stack.append((eps + (e,), mask, ray))",
-        "a chamber's rays in its recession cone are the AND of all its letters' ray masks, made along its path",
+        "tuple((e, letters[_LETTER[e]] | rays[k][e * s < 0] << shift) for e in (-1, 1))",
+        "tuple((e, letters[_LETTER[e]] | (rays[k][e * s < 0] if e > 0 else -1) << shift) for e in (-1, 1))",
+        "a chamber's rays in its recession cone are the AND of all its letters' ray masks, W's as Z's",
     ),
     Mutant(
         "core-walk-leaf-ray-dropped",
         "quotient.py",
-        "if cone & ray:",
-        "if cone:",
-        "the last letter's ray mask takes part in the chamber's classification",
+        "if mask >> shift:",
+        "if mask >> shift + 1:",
+        "every ray bit a leaf keeps above its vertex bits, the first too, takes part in its classification",
     ),
     Mutant(
         "complement-keeps-leaves-in-chamber",
@@ -233,22 +233,22 @@ CATALOGUE = (
     Mutant(
         "witness-first-vertex",
         "quotient.py",
-        "if j < index:",
-        "if index == no_chamber:",
+        "pattern: chambers[min(map(first.__getitem__, _indices(kept)))]",
+        "pattern: chambers[next(j for j in map(first.__getitem__, _indices(kept)) if j < len(chambers))]",
         "a covering witness is the compact chamber of least index among the leaf's vertices",
     ),
     Mutant(
         "witness-index-last-chamber",
         "quotient.py",
-        "group = mask & unassigned",
-        "group = mask",
+        "for j in reversed(range(len(chambers))):",
+        "for j in range(len(chambers)):",
         "a vertex's index is the first compact chamber holding it, not the last",
     ),
     Mutant(
         "witness-walk-everywhere",
         "quotient.py",
-        "for pattern, kept in _pattern_masks(arr, within=compact):",
-        "for pattern, kept in _pattern_masks(arr):",
+        "for pattern, kept in _pattern_masks(arr, within=compact)",
+        "for pattern, kept in _pattern_masks(arr)",
         "the witness walk reaches only the leaves that meet a compact chamber",
     ),
     Mutant(
@@ -412,8 +412,8 @@ CATALOGUE = (
     Mutant(
         "render-vertex-index-shifted",
         "render.py",
-        "vertices = [p for j, p in enumerate(crossings) if mask >> j & 1]",
-        "vertices = [p for j, p in enumerate(crossings, 1) if mask >> j & 1]",
+        "vertices = [crossings[j] for j in _indices(mask)]",
+        "vertices = [crossings[j - 1] for j in _indices(mask)]",
         "bit j of a chamber's mask is the j-th vertex of the face record",
     ),
     Mutant(
@@ -436,6 +436,27 @@ CATALOGUE = (
         "return td._rebuilt[0]",
         "return _rebuild(td)[0]",
         "the API returns the arrangement the verdicts read, rebuilt once per torus",
+    ),
+    Mutant(
+        "pattern-walk-root-vertices",
+        "stability.py",
+        "stack = [((), -1)] if within else []",
+        "stack = [((), faces.masks[1])] if within else []",
+        "the pattern walk's root keeps every bit, so the core walk's ray bits above the vertices ride down it",
+    ),
+    Mutant(
+        "core-walk-shift-short",
+        "quotient.py",
+        "shift = every.bit_length()",
+        "shift = every.bit_length() - 1",
+        "a letter's ray mask sits above all V vertex bits, clear of the last vertex",
+    ),
+    Mutant(
+        "indices-off-by-one",
+        "stability.py",
+        "yield low.bit_length() - 1",
+        "yield low.bit_length()",
+        "bit j of a mask is the j-th vertex, counted from 0",
     ),
 )
 

@@ -517,11 +517,12 @@ class _ClassMatroid:
     @cached_property
     def ray_masks(self) -> tuple:
         """Per class k, the masks ``(up, down)`` of the candidate rays (see
-        ``quotient._core_walk``): each nonzero integer cofactor
-        ``c`` of n - 1 representatives (``c = (1,)`` for n = 1) at bit j and
-        ``-c`` at bit j + R, with R cofactors; ``up`` holds the rays with
-        ``<r_k, ray> >= 0``, ``down`` those with ``<= 0``. One integer
-        elimination (``_int_det``) per minor."""
+        ``quotient._core_walk``, whose walk rows put them above the vertex
+        bits): each nonzero integer cofactor ``c`` of n - 1
+        representatives (``c = (1,)`` for n = 1) at bit j and ``-c`` at bit
+        j + R, with R cofactors; ``up`` holds the rays with ``<r_k, ray> >=
+        0``, ``down`` those with ``<= 0``. One integer elimination
+        (``_int_det``) per minor."""
         minors = (
             [(-1) ** j * _int_det([r[:j] + r[j + 1:] for r in subset]) for j in range(self.n)]
             for subset in itertools.combinations(self.reps, self.n - 1)

@@ -47,7 +47,7 @@ from .formats import (
 from .quotient import BOUNDED, _check_guard, _covering_counts, _extended_core_cached
 from .quotient import chart_complement, extended_core
 from .render import render_svg
-from .stability import hk_semistable_numeric, pattern_realizable
+from .stability import _indices, hk_semistable_numeric, pattern_realizable
 
 
 def _load_arrangement(path):
@@ -118,7 +118,7 @@ def _core(arr, args):
         data = dict(eps=format_sign_vector(c.eps), classification=c.classification, dimension=arr.n)
         if c.classification == BOUNDED:
             mask = next(masks)
-            data["vertices"] = [points[j] for j in range(mask.bit_length()) if mask >> j & 1]
+            data["vertices"] = [points[j] for j in _indices(mask)]
         listed.append(data)
     compact = sum(c["classification"] == BOUNDED for c in listed)
     return {"components": listed, "theta_cpt_count": compact}

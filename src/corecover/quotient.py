@@ -7,11 +7,14 @@ in the chart of some compact-core sign vector, so those charts cover the
 whole quotient. Chambers, swept patterns and chart patterns are state
 sets, each decided by its vertex mask (``stability._pattern_mask``), and a
 pattern lies in the chart of a chamber iff its mask meets the chamber's
-(``stability._chamber_mask``). The sweeps walk the prefixes with a nonzero
-mask instead of testing 2^d, 3^d or 4^d candidates (``_core_walk``,
-``_covering``, ``chart_complement``), the covering count reads the leaves
-off the class record's bases with no walk (``_covering_counts``), and
-density compares each chamber with the numeric side (``verify_density``).
+(``stability._chamber_mask``). The sweeps take the leaves of one walk over
+the prefixes with a nonzero mask (``stability._pattern_masks``) instead of
+testing 2^d, 3^d or 4^d candidates (``_core_walk``, whose rows carry the
+recession rays above the vertex bits, ``_covering``, ``chart_complement``),
+and every vertex list is read off its mask by ``stability._indices``. The
+covering count reads the leaves off the class record's bases with no walk
+(``_covering_counts``), and density compares each chamber with the
+numeric side (``verify_density``).
 No sweep solves an LP or builds a polyhedron: a core component is its sign
 vector and classification, and the chamber as inequalities is
 ``stability.chamber(arr, eps)``. The face record and the core walk record
@@ -44,9 +47,11 @@ from .stability import (
     FULL_ALPHABET,
     Status,
     _CONFORMING,
+    _LETTER,
     _SIGN,
     _chamber_mask,
     _cone_contains,
+    _indices,
     _pattern_masks,
     full_pattern,
 )
@@ -143,9 +148,10 @@ _extended_core_cached.cache_info = partial(tuple, _core_reads)
 
 def _core_walk(arr: Arrangement) -> _CoreWalk:
     """The core walk: ``core``, the nonempty chambers, the leaves of the
-    walk over Z and W, each classified; and ``masks``, the bounded
-    chambers' vertex masks in ``core`` order, which are their leaves'
-    masks (``stability._chamber_mask``). A chamber's vertices are the
+    pattern walk (``stability._pattern_masks``) over Z and W, each
+    classified; and ``masks``, the bounded chambers' vertex masks in
+    ``core`` order, which are their leaves' masks
+    (``stability._chamber_mask``). A chamber's vertices are the
     arrangement's vertices in its mask: such a vertex lies in the closed
     chamber on hyperplanes with spanning normals, so it is a basic feasible
     point of the chamber, and every basic feasible point is such a vertex;
@@ -169,44 +175,29 @@ def _core_walk(arr: Arrangement) -> _CoreWalk:
     those with ``<= 0``, and the AND of a chamber's letters' masks holds
     the rays in K.
 
-    The walk is a loop of its own over the face record's Z and W rows, not
-    ``stability._pattern_masks``: each stack entry carries, with its
-    prefix's signs and vertex mask, the AND of its letters' ray masks, so
-    a chamber's rays in K are the AND its path has made, one more per
-    prefix, and its sign vector is built as it is walked.
+    So each letter's row mask is its vertex mask with its ray mask above
+    the V vertex bits, and a leaf is its sign vector, labelled by sign,
+    with the AND of both: its low V bits are the chamber's vertex mask, and
+    it is bounded iff no bit above them is left. The walk prunes on the
+    vertex bits alone, and the rays ride along, one AND per prefix.
     """
+    tables, every = arr._faces.masks
     rays = arr._matroid.ray_masks
-    faces = arr._faces
-    # hyperplane i, of normal s * r_k, gives the letter of sign s the rays
-    # up and that of -s those down; rows reversed for the stack, as the
-    # face record's are
+    shift = every.bit_length()
+    # hyperplane i, of normal s * r_k, gives the letter of sign e the rays
+    # up if e * s > 0 and those down if not; the signs reversed for the stack
     rows = [
-        ((-1, w, rays[k][s > 0]), (1, z, rays[k][s < 0]))
-        for ((_, w), (_, z)), (k, s) in zip(faces.rows[(Status.Z, Status.W)], _orientations(arr))
+        tuple((e, letters[_LETTER[e]] | rays[k][e * s < 0] << shift) for e in (-1, 1))
+        for letters, (k, s) in zip(tables, _orientations(arr))
     ]
-    last = len(rows) - 1
-    final = rows[last][::-1]
     components, masks = [], []
-    # the rays in the cone so far; -1 holds every ray until the first AND
-    stack = [((), faces.masks[1], -1)]
-    while stack:
-        eps, kept, cone = stack.pop()
-        if len(eps) < last:
-            for e, letter, ray in rows[len(eps)]:
-                mask = kept & letter
-                if mask:
-                    stack.append((eps + (e,), mask, cone & ray))
-            continue
-        for e, letter, ray in final:
-            mask = kept & letter
-            if not mask:
-                continue
-            # a nonempty chamber: bounded iff no ray lies in K
-            if cone & ray:
-                components.append(CoreComponent(eps + (e,), UNBOUNDED))
-            else:
-                components.append(CoreComponent(eps + (e,), BOUNDED))
-                masks.append(mask)
+    for eps, mask in _pattern_masks(arr, rows):
+        # a nonempty chamber: bounded iff no ray lies in K
+        if mask >> shift:
+            components.append(CoreComponent(eps, UNBOUNDED))
+        else:
+            components.append(CoreComponent(eps, BOUNDED))
+            masks.append(mask)
     return _CoreWalk(tuple(components), tuple(masks))
 
 
@@ -290,9 +281,10 @@ def verify_covering(arr: Arrangement, force: bool = False) -> CoverReport:
     mask at v, so v has the index of ``eps``; a vertex of the mask with a
     smaller index lies on that earlier chamber, which then meets the mask.)
     The index is built once from the core walk's bounded masks, each
-    assigning the vertices of its mask not assigned before, and sized by
-    every vertex: a leaf that meets a compact chamber may also hold
-    vertices off them all, whose index is the number of compact chambers.
+    writing its index at the vertices of its mask, the last first, so the
+    first chamber on a vertex writes last; it is sized by every vertex: a
+    leaf that meets a compact chamber may also hold vertices off them all,
+    whose index is the number of compact chambers.
     The witnesses are then the leaves of the pattern walk restricted to
     the compact vertices (``within``), each costing one step per vertex of
     its mask and no chamber mask.
@@ -306,26 +298,14 @@ def verify_covering(arr: Arrangement, force: bool = False) -> CoverReport:
     """
     walk, compact, counterexamples = _covering(arr, force)
     chambers = [c.eps for c in walk.core if c.classification == BOUNDED]
-    no_chamber = len(chambers)
-    first = [no_chamber] * arr._faces.masks[1].bit_length()
-    unassigned = compact
-    for j, mask in enumerate(walk.masks):
-        group = mask & unassigned
-        unassigned ^= group
-        while group:
-            low = group & -group
-            first[low.bit_length() - 1] = j
-            group ^= low
-    witness = {}
-    for pattern, kept in _pattern_masks(arr, within=compact):
-        index = no_chamber
-        while kept:
-            low = kept & -kept
-            j = first[low.bit_length() - 1]
-            if j < index:
-                index = j
-            kept ^= low
-        witness[pattern] = chambers[index]
+    first = [len(chambers)] * arr._faces.masks[1].bit_length()
+    for j in reversed(range(len(chambers))):
+        for v in _indices(walk.masks[j]):
+            first[v] = j
+    witness = {
+        pattern: chambers[min(map(first.__getitem__, _indices(kept)))]
+        for pattern, kept in _pattern_masks(arr, within=compact)
+    }
     return CoverReport(covered=not counterexamples, witness=witness, counterexamples=counterexamples)
 
 
@@ -414,8 +394,9 @@ def chart_complement(arr: Arrangement, eps, force: bool = False) -> ComplementRe
     if not chamber:
         raise ValueError("complement is defined for sign vectors with nonempty chamber")
     # the walks prune the prefixes whose vertices all lie in the chamber;
-    # complemented within the vertices, since ANDs with a negative mask
-    # are slower on large arrangements
+    # complemented within the vertices, not as ~chamber, since ANDs with a
+    # negative mask are slower on large arrangements: the walk's one
+    # negative mask is its root's -1, gone at the first AND
     faces = arr._faces
     outside = faces.masks[1] ^ chamber
     free, both = faces.rows[NO_BOTH_ALPHABET], faces.rows[(Status.BOTH,)]

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .arrangement import Arrangement
 from .quotient import _check_guard, _extended_core_cached
+from .stability import _indices
 
 SIZE = 560
 MARGIN = 40
@@ -186,7 +187,7 @@ def _render_plane(arr: Arrangement) -> str:
     for mask in _extended_core_cached(arr).masks:
         # the input need not be smooth, so a bounded chamber may be flat; a
         # bounded planar polyhedron is 2-dimensional iff it has 3+ vertices
-        vertices = [p for j, p in enumerate(crossings) if mask >> j & 1]
+        vertices = [crossings[j] for j in _indices(mask)]
         if len(vertices) < 3:
             continue
         outline = map(to_screen, _sort_polygon(vertices))

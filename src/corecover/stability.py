@@ -205,9 +205,18 @@ def _row_combination(td: TorusData, target) -> tuple:
     return tuple(mu)
 
 
+def _indices(mask: int):
+    """The set bits of a mask, low to high, one step per bit set: the
+    vertices of a vertex mask, as indices into the face record's."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _vertex(arr: Arrangement, mask: int) -> tuple:
     """The point of the first vertex in a nonzero vertex mask."""
-    return arr._faces.vertices[(mask & -mask).bit_length() - 1][0]
+    return arr._faces.vertices[next(_indices(mask))][0]
 
 
 def _letter_multipliers(pattern, circuit) -> tuple:
@@ -433,14 +442,14 @@ def _faces(arr: Arrangement) -> SimpleNamespace:
     (``_vertices``); ``masks``, per coordinate each letter's vertex mask
     (bit j set iff the letter holds at the j-th vertex, see
     ``_pattern_mask``), and the mask of all vertices; and ``rows``, the
-    walk rows of ``_pattern_masks`` for the BOTH-free letters, the chamber
-    letters Z and W, and BOTH alone: per coordinate, its letters with their
-    masks, reversed for the stack. All are written out from each column of
-    the vertices' signs as ``pos``, ``neg`` and ``zero = all ^ pos ^
-    neg``."""
+    walk rows of ``_pattern_masks`` for the BOTH-free letters and for BOTH
+    alone: per coordinate, its letters with their masks, reversed for the
+    stack. The core walk builds its Z and W rows from the tables. All are
+    written out from each column of the vertices' signs as ``pos``,
+    ``neg`` and ``zero = all ^ pos ^ neg``."""
     vertices = _vertices(arr)
     every = (1 << len(vertices)) - 1
-    tables, free, dense, both = [], [], [], []
+    tables, free, both = [], [], []
     Z, W, ZERO, BOTH = FULL_ALPHABET
     for column in zip(*[sigma for _, sigma in vertices]):
         pos = neg = 0
@@ -454,9 +463,8 @@ def _faces(arr: Arrangement) -> SimpleNamespace:
         z, w, zero = every ^ neg, every ^ pos, every ^ pos ^ neg
         tables.append({Z: z, W: w, ZERO: zero, BOTH: every})
         free.append(((ZERO, zero), (W, w), (Z, z)))
-        dense.append(((W, w), (Z, z)))
         both.append(((BOTH, every),))
-    rows = {NO_BOTH_ALPHABET: tuple(free), (Z, W): tuple(dense), (BOTH,): tuple(both)}
+    rows = {NO_BOTH_ALPHABET: tuple(free), (BOTH,): tuple(both)}
     return SimpleNamespace(vertices=vertices, masks=(tuple(tables), every), rows=rows)
 
 
@@ -509,15 +517,21 @@ def _pattern_masks(arr: Arrangement, rows=None, within=None, avoid=0):
     and a prefix whose mask misses ``within`` has no leaf below it that
     meets it: the walk prunes it there, and the leaves it keeps are exactly
     those that meet ``within``. ``avoid`` is tested at the leaves alone.
-    Nothing is cached, so a walk's memory is its stack. This is the one
-    walk that yields patterns."""
+    Nothing is cached, so a walk's memory is its stack.
+
+    The root's mask is -1, every bit, so a leaf's mask is the AND of its
+    letters' masks and nothing else: bits a caller keeps above the
+    vertices' ride down the walk untested, as the core walk's recession
+    rays do (``quotient._core_walk``); for letters inside the vertices the
+    root acts as every vertex. This is the one walk in the package:
+    the core, the covering witnesses and counterexamples, the complement
+    and the tests all take its leaves."""
     faces = arr._faces
-    everything = faces.masks[1]
     rows = faces.rows[NO_BOTH_ALPHABET] if rows is None else rows
-    within = everything if within is None else within
+    within = faces.masks[1] if within is None else within
     last = len(rows) - 1
     final = rows[last][::-1]
-    stack = [((), everything)] if everything & within else []
+    stack = [((), -1)] if within else []
     while stack:
         prefix, kept = stack.pop()
         k = len(prefix)

@@ -38,6 +38,8 @@ from corecover.cli import main
 from corecover.randgen import random_smooth_arrangement
 from corecover.stability import Status
 from util import (
+    chamber_vertices,
+    cycling_family,
     pattern_string_by_value,
     random_integer_arrangement,
     rational_string_via_fraction,
@@ -509,6 +511,22 @@ class TestCli:
         }
         bounded = [c for c in out["components"] if c["classification"] == "bounded"]
         assert bounded[0]["vertices"] == [["1/2"], ["1"]]
+
+    def test_core_vertex_lists_match_the_chamber_masks(self, tmp_path, capsys):
+        # d = 24 of the cycling family, past the guard: every bounded
+        # component lists the vertices of its chamber's own mask, in
+        # vertex order, formatted as the CLI formats points
+        arr = cycling_family(random.Random(1), 24)
+        path = tmp_path / "d24.json"
+        path.write_text(serialize_arrangement(arr))
+        assert main(["core", str(path), "--force"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        bounded = [c for c in out["components"] if c["classification"] == "bounded"]
+        assert len(bounded) == out["theta_cpt_count"] > 100
+        for component in bounded:
+            eps = parse_sign_vector(component["eps"], arr.d)
+            expected = chamber_vertices(arr, eps)
+            assert component["vertices"] == [[format_rational(x) for x in p] for p in expected]
 
     def test_density(self, tmp_path, capsys):
         code = main(["density", write(tmp_path, A2_DOC)])

@@ -461,7 +461,8 @@ class TestFaceRecord:
             assert arr._faces == stability._faces(arr)
             for alphabet, rows in arr._faces.rows.items():
                 assert rows == walk_rows(arr, (alphabet,) * arr.d)
-            assert set(arr._faces.rows) == {NO_BOTH_ALPHABET, (Z, W), (B,)}
+            # the core walk builds its Z and W rows from the tables
+            assert set(arr._faces.rows) == {NO_BOTH_ALPHABET, (B,)}
             scaled += any(den > 1 for _, den, _ in arr._matroid.bases)
             not_simple += not is_simple(arr)
         assert scaled > 40 and not_simple > 10 and bounded > 200 and owned > 40

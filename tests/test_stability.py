@@ -1,7 +1,9 @@
 import collections
 import dataclasses
+import functools
 import hashlib
 import itertools
+import operator
 import pathlib
 import random
 import types
@@ -671,21 +673,76 @@ class TestPrefixTree:
                 assert list(stability._pattern_masks(arr, rows, avoid=0)) == full
         assert pruned > 1000 and avoided > 1000
 
+    def test_walk_keeps_letter_bits_above_the_vertices(self):
+        # the root keeps every bit, so bits a caller puts above the vertex
+        # mask ride down the walk: a leaf's high bits are the AND of its
+        # letters' own, and the leaves and their vertex bits are the plain
+        # walk's, since only the vertex bits are tested
+        rng = random.Random(5203)
+        arrangements = [random_smooth_arrangement(rng, max_d=7) for _ in range(20)]
+        arrangements += [arrangement_with_parallel_normals(rng) for _ in range(10)]
+        kept = 0
+        for arr in arrangements:
+            everything = arr._faces.masks[1]
+            shift = everything.bit_length()
+            for letters in (NO_BOTH_ALPHABET, (Z, W), FULL_ALPHABET):
+                rows = walk_rows(arr, [letters] * arr.d)
+                high = [{status: rng.getrandbits(12) for status, _ in row} for row in rows]
+                tagged = [
+                    tuple((status, mask | high[i][status] << shift) for status, mask in row)
+                    for i, row in enumerate(rows)
+                ]
+                within = rng.getrandbits(shift) & everything
+                for args in ((), (within,), (within, rng.getrandbits(shift) & everything)):
+                    plain = list(stability._pattern_masks(arr, rows, *args))
+                    leaves = list(stability._pattern_masks(arr, tagged, *args))
+                    assert [(p, mask & everything) for p, mask in leaves] == plain
+                    for pattern, mask in leaves:
+                        bits = functools.reduce(operator.and_, (high[i][x] for i, x in enumerate(pattern)))
+                        assert mask >> shift == bits
+                        kept += bits != 0
+        assert kept > 100
+
+    def test_indices_read_the_set_bits_low_to_high(self):
+        # the one decoder of a vertex mask against shift-and-test, 0 too
+        rng = random.Random(77)
+        masks = [0, 1, 2, 3, 1 << 200, (1 << 200) - 1]
+        masks += [rng.getrandbits(rng.randint(1, 300)) for _ in range(200)]
+        for mask in masks:
+            assert list(stability._indices(mask)) == [j for j in range(mask.bit_length()) if mask >> j & 1]
+
     def test_extended_core_expands_dense_prefixes_only(self, hirzebruch, triangle_pair, monkeypatch):
-        # every letter the chamber walk reads a mask of is Z or W, so it
-        # never forms a ZERO prefix, and it forms the two children of each
-        # nonempty dense prefix shorter than d and of nothing else: the
-        # letter masks of a recording copy log each AND the walk takes
+        # the chamber walk hands _pattern_masks one Z and one W letter per
+        # coordinate, each its letter table's vertex mask below the ray
+        # bits, so it never forms a ZERO prefix, and it forms the two
+        # children of each nonempty dense prefix shorter than d and of
+        # nothing else: the rows, wrapped in logging masks, log each AND
+        # the walk takes
         rng = random.Random(31)
         arrangements = [hirzebruch, triangle_pair]
         arrangements += [random_smooth_arrangement(rng, n=n, d=d) for n in (2, 3) for d in (4, 6, 8)]
+        real = quotient._pattern_masks
         for arr in arrangements:
-            log = []
-            # a fresh copy: the walk runs on it, not on a kept record
-            copy = util.recording_copy(arr, log)
+            log, walks = [], []
+            tables, every = arr._faces.masks
+
+            def logged(a, rows, *args):
+                walks.append(args)
+                for i, row in enumerate(rows):
+                    assert [(e, mask & every) for e, mask in row] == [(-1, tables[i][W]), (1, tables[i][Z])]
+                rows = [
+                    tuple((e, util._LoggedMask(mask, (i, stability._LETTER[e]), log)) for e, mask in row)
+                    for i, row in enumerate(rows)
+                ]
+                return real(a, rows, *args)
+
+            monkeypatch.setattr(quotient, "_pattern_masks", logged)
             calls = self.count_scans(monkeypatch)
-            assert extended_core(copy) == extended_core(arr)
+            # the walk runs afresh, not on a kept record, in one walk
+            core = quotient._core_walk(arr).core
             monkeypatch.undo()
+            assert core == extended_core(arr)
+            assert walks == [()]
             dense = walk_rows(arr, [(Z, W)] * arr.d)
             expanded = [()] + [p for k in range(1, arr.d) for p in nonempty_patterns(arr, [(Z, W)] * k)]
             assert collections.Counter(log) == collections.Counter(
