@@ -458,6 +458,69 @@ CATALOGUE = (
         "yield low.bit_length()",
         "bit j of a mask is the j-th vertex, counted from 0",
     ),
+    Mutant(
+        "class-factor-not-kept",
+        "arrangement.py",
+        "found = self._factors[basis] = _scaled_inverse([self.reps[k] for k in basis]) or (0, None)",
+        "found = _scaled_inverse([self.reps[k] for k in basis]) or (0, None)",
+        "each class n-subset is factored once per record, whichever part reads it",
+    ),
+    Mutant(
+        "class-regular-det-two",
+        "arrangement.py",
+        "return all(self.factor(chosen)[0] <= 1 for chosen in subsets)",
+        "return all(self.factor(chosen)[0] <= 2 for chosen in subsets)",
+        "a class basis of |det| 2 makes the arrangement irregular",
+    ),
+    Mutant(
+        "ray-cofactor-sign-kept",
+        "arrangement.py",
+        "max(c, tuple(map(neg, c))) for _, _, inverse in self.bases for c in zip(*inverse)",
+        "c for _, _, inverse in self.bases for c in zip(*inverse)",
+        "two bases can give one cofactor with opposite signs; it is one ray pair",
+    ),
+    Mutant(
+        "bases-dependent-kept",
+        "arrangement.py",
+        "return tuple(entry for entry in factored if entry[1] > 0)",
+        "return tuple(entry for entry in factored if entry[1] >= 0)",
+        "a dependent class n-subset is no basis and has no inverse",
+    ),
+    Mutant(
+        "greedy-basis-unimodular",
+        "arrangement.py",
+        "chosen = next(c for c in subsets if record.coordinates(c)[0])",
+        "chosen = next(c for c in subsets if record.coordinates(c)[1])",
+        "the greedy class basis is the first independent one, unimodular or not",
+    ),
+    Mutant(
+        "certificate-length-unchecked",
+        "feasibility.py",
+        "if y is None or len(y) != len(poly.constraints):",
+        "if y is None:",
+        "a multiplier vector of the wrong length proves nothing, even with a trailing 0",
+    ),
+    Mutant(
+        "certificate-combination-any",
+        "feasibility.py",
+        "if any(v != 0 for v in combo):",
+        "if all(v != 0 for v in combo):",
+        "the multipliers must cancel every coordinate, not just one",
+    ),
+    Mutant(
+        "certificate-sign-unchecked",
+        "feasibility.py",
+        "if con.relation is not Relation.EQ and mult < 0:",
+        "if con.relation is Relation.GT and mult < 0:",
+        "a negative multiplier on a non-strict inequality reverses it",
+    ),
+    Mutant(
+        "render-line-rows-short",
+        "render.py",
+        "extra = 14 * max(arr.d - 8, 0)",
+        "extra = 14 * max(arr.d - 9, 0)",
+        "eight arrow rows fit above the axis, and the ninth needs a row more",
+    ),
 )
 
 

@@ -28,7 +28,6 @@ from .linalg import (
     _bareiss,
     _common_denominator,
     _extend_echelon,
-    _int_det,
     _scaled_inverse,
     kernel_lattice,
     primitive_scale,
@@ -285,10 +284,11 @@ def _build_torus_data(arr: Arrangement) -> TorusData:
     occurrence is skipped is in that span, and so are its earlier members;
     so N is the last occurrence of each class of one class basis B, the
     greedy basis of the classes ordered by descending last occurrence, and
-    ``|det mat_N| = |det B|``. If the first n classes of that order are
-    independent, B is those n, found by one lookup in the record's per-basis
-    memo (``coordinates``); only otherwise does one ``_extend_echelon`` walk
-    over the order find it. If ``|det B| != 1``, which a regular
+    ``|det mat_N| = |det B|``. The greedy basis of a matroid is its
+    lexicographically first basis, so B is the first n-subset of the order,
+    as ``itertools.combinations`` lists them, whose ``den`` in the record's
+    per-basis memo (``coordinates``) is nonzero: one lookup when the first n
+    classes are independent. If ``|det B| != 1``, which a regular
     arrangement never has, ``kernel_lattice`` runs its HNF pass. Otherwise
     let ``y_k`` hold the coordinates of ``r_k`` in B, ``r_k = sum_b y_k[b]
     r_b``, integral since B has determinant +-1. Then ``u_p = s_p sum_b
@@ -311,19 +311,9 @@ def _build_torus_data(arr: Arrangement) -> TorusData:
     record = arr._matroid
     last = [members[-1][0] for _, members in arr._classes]
     order = sorted(range(len(last)), key=last.__getitem__, reverse=True)
-    chosen = tuple(sorted(order[:arr.n]))
+    subsets = (tuple(sorted(chosen)) for chosen in itertools.combinations(order, arr.n))
+    chosen = next(c for c in subsets if record.coordinates(c)[0])
     den, coords = record.coordinates(chosen)
-    if not den:
-        form, taken = (), []
-        for k in order:
-            grown = _extend_echelon(form, record.reps[k])[0]
-            if grown is not None:
-                form = grown
-                taken.append(k)
-                if len(taken) == arr.n:
-                    break
-        chosen = tuple(sorted(taken))
-        den, coords = record.coordinates(chosen)
     if den != 1:
         basis = kernel_lattice(transpose(arr.normals, ncols=arr.n), ncols=arr.d)
         return TorusData._read_off(basis, arr.lifts, _level(basis, arr._cleared))
@@ -439,23 +429,36 @@ class _ClassMatroid:
     of their normals, parallel copies or the lifts. So one record serves
     every arrangement with the same sorted representatives (see
     ``_direction_classes``), and each of its parts is computed on first
-    use. Records are kept by ``_class_matroid``; class
+    use. Every determinant question is read off one factorisation per class
+    n-subset (``factor``), which regularity, the bases, the rays and the
+    coordinates share. Records are kept by ``_class_matroid``; class
     indices below are positions in ``reps``.
     """
 
     def __init__(self, reps: tuple):
         self.reps = reps
         self.n = len(reps[0])
+        self._factors = {}
         self._coordinates = {}
+
+    def factor(self, basis: tuple) -> tuple:
+        """``(den, inverse)`` for n classes in increasing order, with M the
+        matrix of their representatives: ``den = |det M|`` and ``inverse =
+        den * M^{-1}``, from one ``_bareiss`` pass on ``[M | I]``
+        (``_scaled_inverse``), or ``(0, None)`` if they are dependent. Kept
+        per n-subset asked for, at most C(D, n) of them; the record's one
+        factorisation."""
+        found = self._factors.get(basis)
+        if found is None:
+            found = self._factors[basis] = _scaled_inverse([self.reps[k] for k in basis]) or (0, None)
+        return found
 
     @cached_property
     def regular(self) -> bool:
-        """Every n representatives have determinant 0 or +-1: one integer
-        elimination (``_int_det``) per n-subset, stopping at the first that
-        has not."""
-        return all(
-            abs(_int_det(chosen)) <= 1 for chosen in itertools.combinations(self.reps, self.n)
-        )
+        """Every n representatives have determinant 0 or +-1: one
+        ``factor`` per n-subset, stopping at the first that has not."""
+        subsets = itertools.combinations(range(len(self.reps)), self.n)
+        return all(self.factor(chosen)[0] <= 1 for chosen in subsets)
 
     def coordinates(self, basis: tuple) -> tuple:
         """``(den, coords)`` for n classes in increasing order: ``den`` is
@@ -463,12 +466,12 @@ class _ClassMatroid:
         ``coords``, None unless ``den`` is 1, holds the coordinates ``y_k``
         of every representative in them, ``r_k = sum(y_k[j] *
         r_{basis[j]})``: the representatives times the inverse of the basis
-        matrix, which is integral, from one ``_scaled_inverse`` and one
-        product per representative. Kept per n-subset asked for, at most
-        C(D, n) of them."""
+        matrix, which is integral, from its ``factor`` and one product per
+        representative. Kept per n-subset asked for, at most C(D, n) of
+        them."""
         found = self._coordinates.get(basis)
         if found is None:
-            den, inverse = _scaled_inverse([self.reps[k] for k in basis]) or (0, None)
+            den, inverse = self.factor(basis)
             coords = None
             if den == 1:
                 columns = tuple(zip(*inverse))
@@ -518,16 +521,19 @@ class _ClassMatroid:
     def ray_masks(self) -> tuple:
         """Per class k, the masks ``(up, down)`` of the candidate rays (see
         ``quotient._core_walk``, whose walk rows put them above the vertex
-        bits): each nonzero integer cofactor ``c`` of n - 1
-        representatives (``c = (1,)`` for n = 1) at bit j and ``-c`` at bit
-        j + R, with R cofactors; ``up`` holds the rays with ``<r_k, ray> >=
-        0``, ``down`` those with ``<= 0``. One integer elimination
-        (``_int_det``) per minor."""
-        minors = (
-            [(-1) ** j * _int_det([r[:j] + r[j + 1:] for r in subset]) for j in range(self.n)]
-            for subset in itertools.combinations(self.reps, self.n - 1)
-        )
-        cofactors = [c for c in minors if any(c)]
+        bits): each integer cofactor ``c`` of n - 1 independent
+        representatives at bit j and ``-c`` at bit j + R, with R cofactors;
+        ``up`` holds the rays with ``<r_k, ray> >= 0``, ``down`` those with
+        ``<= 0``. They are read off the ``bases``, with no minor computed:
+        column j of ``den * M^{-1}`` is, up to sign, the cofactor of the
+        rows of M but j (it is orthogonal to them, and ``den * M^{-1}`` is
+        the adjugate up to sign), and every independent (n - 1)-subset lies
+        in some basis. Each cofactor is kept once, as the larger of it and
+        its negation, and they are sorted (for n = 1 the one class basis
+        gives ``c = (1,)``)."""
+        cofactors = sorted({
+            max(c, tuple(map(neg, c))) for _, _, inverse in self.bases for c in zip(*inverse)
+        })
         count, every = len(cofactors), (1 << len(cofactors)) - 1
         out = []
         for r in self.reps:
@@ -541,22 +547,17 @@ class _ClassMatroid:
     @cached_property
     def bases(self) -> tuple:
         """``(chosen, den, inverse)`` for each independent n-subset of
-        classes, in lexicographic order: ``den`` and ``inverse = den *
-        M^{-1}`` of the matrix M of their representatives, from one
-        ``_bareiss`` pass on ``[M | I]`` (``_scaled_inverse``)."""
-        out = []
-        for chosen in itertools.combinations(range(len(self.reps)), self.n):
-            solved = _scaled_inverse([self.reps[k] for k in chosen])
-            if solved is not None:
-                out.append((chosen, *solved))
-        return tuple(out)
+        classes, in lexicographic order, as ``factor`` has them."""
+        subsets = itertools.combinations(range(len(self.reps)), self.n)
+        factored = ((chosen, *self.factor(chosen)) for chosen in subsets)
+        return tuple(entry for entry in factored if entry[1] > 0)
 
 
 # Records kept at once. The populations this serves repeat a few class
-# configurations. A record of D classes keeps C(D, n) bases with their
-# inverses, and per class n-subset a torus read-off asked for, at most
-# C(D, n) of them, its |det| and, if that is 1, the coordinates of its
-# representatives in it.
+# configurations. A record of D classes keeps, per class n-subset it has
+# factored, at most C(D, n) of them, its |det| and scaled inverse, which
+# its bases share, and per n-subset a torus read-off asked for its
+# coordinates if its |det| is 1.
 _MATROID_CACHE_SIZE = 32
 
 
@@ -619,11 +620,12 @@ def is_regular(arr: Arrangement) -> bool:
     Decided on the D direction classes (see ``_direction_classes``) instead
     of the d hyperplanes: an n-subset that holds a parallel pair has
     determinant 0, and flipping a normal's sign does not change |det|, so
-    the C(D, n) determinants of the class representatives decide. They are
-    integer matrices, so each determinant is one integer elimination
-    (``_int_det``), with no denominators to clear, the sweep stops at the
-    first that is not 0 or +-1, and the verdict is kept in the
-    arrangement's ``_ClassMatroid``. A regular arrangement has at most
+    the C(D, n) determinants of the class representatives decide. Each is
+    the ``den`` of the record's ``factor`` of its n-subset, one integer
+    elimination with no denominators to clear, which the bases, the rays
+    and the torus read-off share; the sweep stops at the first that is not
+    0 or +-1, and the verdict is kept in the arrangement's
+    ``_ClassMatroid``. A regular arrangement has at most
     n(n+1)/2 classes (Heller, 1957), so for smooth input the cost follows
     n, not d.
     """

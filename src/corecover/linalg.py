@@ -2,20 +2,21 @@
 
 Matrices are immutable tuples of row tuples, vectors are plain tuples.
 Integer work (Hermite normal form, saturated kernels, primitive scaling,
-integer determinants, the incremental echelon form that walks subsets of
-vectors and proves that an arrangement's normals span) stays in arbitrary
-precision integers. The one HNF routine, ``_hnf``, reduces the transpose
-and its kernel rows in one pass in ``kernel_lattice``. An arrangement's
-torus data reads the same basis off its class-matroid record where it can
-(see :mod:`corecover.arrangement`). One fraction-free (Bareiss) forward
+the incremental echelon form that walks subsets of vectors and proves that
+an arrangement's normals span) stays in arbitrary precision integers. The
+one HNF routine, ``_hnf``, reduces the transpose and its kernel rows in one
+pass in ``kernel_lattice``. An arrangement's torus data reads the same
+basis off its class-matroid record where it can (see
+:mod:`corecover.arrangement`). One fraction-free (Bareiss) forward
 elimination, with one fraction-free back substitution, is behind the
-integer determinant and the scaled integer inverse, the one square solver:
-a system ``mat x = b`` is then one product of the inverse with ``b``.
-``rank`` and the rational ``solve_square`` are test oracles and live with
-the tests. Rational rows are first cleared of their denominators, which is
-done only in ``_common_denominator``. There is no floating point anywhere
-in this module: every downstream verdict is an exact feasibility question
-and rounding would corrupt it.
+scaled integer inverse, the one square solver; there is no separate
+integer determinant, since the inverse's ``den`` is ``|det mat|``, and a
+system ``mat x = b`` is one product of the inverse with ``b``. ``rank``,
+the determinants and the rational ``solve_square`` are test oracles and
+live with the tests. Rational rows are first cleared of their
+denominators, which is done only in ``_common_denominator``. There is no
+floating point anywhere in this module: every downstream verdict is an
+exact feasibility question and rounding would corrupt it.
 """
 
 from __future__ import annotations
@@ -273,15 +274,6 @@ def _back_substitute(rows, pivots, last, width: int, column: int) -> list:
             rest -= row[j] * xs[j]
         xs[col] = rest // row[col]
     return xs
-
-
-def _int_det(rows) -> int:
-    """Determinant of a square integer matrix by one ``_bareiss`` pass on
-    copies of its rows: ``sign * last``, or 0 if it is singular. Integer
-    input needs no denominators cleared and no ``Fraction`` built."""
-    rows = [list(row) for row in rows]
-    pivots, sign, last = _bareiss(rows, len(rows))
-    return sign * last if len(pivots) == len(rows) else 0
 
 
 def _scaled_inverse(mat) -> tuple | None:

@@ -89,12 +89,16 @@ def _render_line(arr: Arrangement) -> str:
     pad = span / 5 if span > 0 else Fraction(1)
     lo, hi = lo - pad, hi + pad
     scale = Fraction(SIZE - 2 * MARGIN, 1) / (hi - lo)
-    axis_y = Fraction(LINE_HEIGHT, 2) + 30
+    # the arrows stack 14 px apart above the axis, and eight fit: each
+    # hyperplane past the eighth adds a row to the height and moves the
+    # axis down by it
+    extra = 14 * max(arr.d - 8, 0)
+    axis_y = Fraction(LINE_HEIGHT, 2) + 30 + extra
 
     def sx(x):
         return MARGIN + (x - lo) * scale
 
-    parts = _svg_header(SIZE, LINE_HEIGHT)
+    parts = _svg_header(SIZE, LINE_HEIGHT + extra)
     parts.append(_line((MARGIN, axis_y), (SIZE - MARGIN, axis_y), AXIS_COLOR, "1"))
     for i, (point, u) in enumerate(zip(points, arr.normals)):
         px = sx(point)

@@ -36,6 +36,7 @@ from fourier_motzkin import is_feasible
 from util import (
     brute_force_simple,
     det,
+    det_by_elimination,
     enumerate_vertices,
     is_primitive,
     kernel_by_two_hnf,
@@ -856,7 +857,7 @@ class TestClassMatroid:
             assert is_simple(arr) == per_arrangement_simple(arr)
             assert trivial_factors(arr) == subset_trivial_factors(arr)
             assert tuple(record.circuits()) == per_arrangement_circuits(arr)
-            assert mask_ray_signs(arr) == per_arrangement_ray_signs(arr)
+            assert set(mask_ray_signs(arr)) == set(per_arrangement_ray_signs(arr))
             assert arrangement._vertices(arr) == per_arrangement_vertices(arr)
             assert record.realizable == per_arrangement_realizable(arr)
             assert arrangement._build_torus_data(arr) == TorusData(
@@ -911,6 +912,60 @@ class TestClassMatroid:
             assert kept == greedy
             several += len(greedy) > 1
         assert several > 15, several
+
+    def test_one_factorisation_per_class_subset(self, monkeypatch):
+        # on a cold record, regularity, the bases, the rays and the torus
+        # read-off, asked in any order, factor each class n-subset they
+        # read once between them: the bases read all C(D, n) of them
+        rng = random.Random(31)
+        population = [random_smooth_arrangement(rng, n=n, d=d) for n in (2, 3) for d in (5, 8)]
+        population += [three_class_arrangement(rng, 6)] + _oracle_population(rng, 40)
+        readers = [
+            is_regular,
+            lambda arr: arr._matroid.bases,
+            lambda arr: arr._matroid.ray_masks,
+            arrangement._build_torus_data,
+        ]
+        non_regular = 0
+        for arr in population:
+            rng.shuffle(readers)
+            records = []
+
+            def read_all(arr):
+                records.append(arr._matroid)
+                for reader in readers:
+                    reader(arr)
+
+            counts = _count_eliminations(monkeypatch, read_all, arr)
+            record = records[0]
+            classes = len(record.reps)
+            assert counts["eliminate"] == len(record._factors) == math.comb(classes, arr.n)
+            non_regular += not record.regular
+        assert non_regular > 5, non_regular
+
+    def test_regular_stops_at_the_first_large_determinant(self, monkeypatch):
+        # is_regular factors the class n-subsets in lexicographic order up
+        # to the first whose |det| (by elimination over Fractions) exceeds
+        # 1, and no further
+        rng = random.Random(32)
+        pool = [u for u in itertools.product(range(-3, 4), repeat=4) if math.gcd(*u) == 1]
+        early = 0
+        for n in (3, 4):
+            for _ in range(15):
+                normals = [tuple(u[:n]) for u in rng.sample(pool, 3 * n)]
+                try:
+                    arr = Arrangement(n, tuple(normals), (0,) * len(normals))
+                except ValueError:
+                    continue
+                reps = [r for r, _ in arrangement._direction_classes(arr)]
+                subsets = list(itertools.combinations(reps, n))
+                first = next(
+                    (j for j, sub in enumerate(subsets) if abs(det_by_elimination(sub)) > 1), None
+                )
+                counts = _count_eliminations(monkeypatch, is_regular, arr)
+                assert counts["eliminate"] == (len(subsets) if first is None else first + 1)
+                early += first is not None and first + 1 < len(subsets) / 2
+        assert early > 15, early
 
     def test_warm_torus_data_runs_no_elimination(self, monkeypatch):
         # once the record has read off a kernel for a class basis, another

@@ -256,6 +256,29 @@ class TestArrangementFile:
             parse_arrangement(json.dumps(dict(A2_DOC, **change)))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "top level must be an object"),
+            (dict(A2_DOC, dim=True), "dim must be a positive integer"),
+            (dict(A2_DOC, normals=[]), "normals must be a nonempty array"),
+            (dict(A2_DOC, normals=[5, [1], [1]]), "normal 1 must be an array of length 1"),
+            (dict(A2_DOC, lifts="0"), "lifts must be an array"),
+            (dict(A2_DOC, lifts=[0, "-1/2", "0"]), "bad lift 1"),
+        ],
+        ids=["top level array", "bool dim", "no normals", "normal not an array", "lifts a string", "lift a number"],
+    )
+    def test_structural_refusal_message(self, doc, message):
+        with pytest.raises(ParseError) as info:
+            parse_arrangement(json.dumps(doc))
+        assert str(info.value) == message
+
+    def test_structural_refusal_exit_2(self, tmp_path, capsys):
+        code = main(["check", write(tmp_path, dict(A2_DOC, lifts="0"))])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.splitlines() == ["error: lifts must be an array"]
+
     def test_invalid_json(self):
         with pytest.raises(ParseError, match="invalid JSON"):
             parse_arrangement(b"{nope")
@@ -422,6 +445,50 @@ class TestCli:
                 assert verify_certificate(system, certificate) and code == (0 if out["semistable"] else 1)
                 verdicts.add(out["semistable"])
         assert verdicts == {True, False}
+
+    def test_checker_rejects_broken_certificates(self, tmp_path, capsys):
+        # zwzw on the trapezoid is refuted by the printed Farkas vector
+        # (0, 1, 0, 1, 0, 1): two equality rows, then x_1 >= 0, -x_2 >= 0,
+        # x_3 >= 0, -x_4 >= 0. Every change to it is refused: any single
+        # multiplier moved by 1/2 leaves a nonzero combination, a negative
+        # one on an inequality is refused even where the combination is 0
+        # and the sum negative, and the wrong length is refused before any
+        # sum, also when the extra multiplier is 0
+        code = main(["stability", write(tmp_path, HIRZ_DOC), "--pattern", "zwzw"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1 and not out["semistable"]
+        system = stability._sign_system(
+            torus_data(parse_arrangement(json.dumps(HIRZ_DOC))), parse_pattern("zwzw", 4)
+        )
+        farkas = tuple(parse_rational(x) for x in out["farkas"])
+        assert farkas == (0, 1, 0, 1, 0, 1)
+        assert verify_certificate(system, Certificate(False, multipliers=farkas))
+        broken = [
+            farkas[:k] + (farkas[k] + step,) + farkas[k + 1:]
+            for k in range(len(farkas))
+            for step in (Fraction(1, 2), Fraction(-1, 2))
+        ]
+        broken += [farkas[:-1], farkas + (0,), None, (1, 0, -1, 0, -1, -1)]
+        for multipliers in broken:
+            assert not verify_certificate(system, Certificate(False, multipliers=multipliers))
+        # the sign-free vector does cancel and sum below 0
+        negative = (1, 0, -1, 0, -1, -1)
+        combo = [sum(y * c.coeffs[j] for y, c in zip(negative, system.constraints)) for j in range(4)]
+        assert combo == [0] * 4 and sum(y * c.constant for y, c in zip(negative, system.constraints)) < 0
+        # the printed witness of z0zz, cut short or lengthened, is refused,
+        # and contains raises on it; a system of the wrong width is not built
+        main(["stability", write(tmp_path, HIRZ_DOC), "--pattern", "z0zz"])
+        witness = tuple(parse_rational(x) for x in json.loads(capsys.readouterr().out)["witness"])
+        system = stability._sign_system(
+            torus_data(parse_arrangement(json.dumps(HIRZ_DOC))), parse_pattern("z0zz", 4)
+        )
+        assert verify_certificate(system, Certificate(True, point=witness))
+        for point in (witness[:-1], witness + (0,)):
+            assert not verify_certificate(system, Certificate(True, point=point))
+            with pytest.raises(ValueError, match="point dimension mismatch"):
+                system.contains(point)
+        with pytest.raises(ValueError, match="constraint has 4 coefficients, ambient dimension is 3"):
+            feasibility.Polyhedron(3, system.constraints)
 
     def test_stability_bad_pattern_exit_2(self, tmp_path, capsys):
         code = main(["stability", write(tmp_path, A2_DOC), "--pattern", "zq0"])

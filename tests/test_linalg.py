@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 
 import corecover.linalg as linalg
 from corecover import Arrangement, TorusData, is_regular, parse_arrangement, torus_data
-import corecover.arrangement as arrangement
 from corecover.arrangement import _build_torus_data
 from corecover.feasibility import Constraint, Relation
 from fourier_motzkin import _scaled
@@ -330,8 +329,8 @@ class TestKernelReadOff:
         # independent normals have |det| 1. About two draws in three end in
         # three coplanar directions a, b and a + b, so the first n classes
         # of the descending last-occurrence order are dependent and the
-        # greedy walk runs; in half of those a and b are unit vectors, so
-        # the basis it finds is often unimodular.
+        # greedy search reads past them; in half of those a and b are unit
+        # vectors, so the basis it finds is often unimodular.
         rng = random.Random(2011)
         pool = [u for u in itertools.product(range(-2, 3), repeat=3) if math.gcd(*u) == 1]
         units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -350,17 +349,7 @@ class TestKernelReadOff:
             if is_regular(arr):
                 continue
             counts["drawn"] += 1
-            echelons = 0
-            inner = arrangement._extend_echelon
-
-            def counting(*args):
-                nonlocal echelons
-                echelons += 1
-                return inner(*args)
-
-            with monkeypatch.context() as patch:
-                patch.setattr(arrangement, "_extend_echelon", counting)
-                hnf = _hnf_calls(monkeypatch, _build_torus_data, arr)
+            hnf = _hnf_calls(monkeypatch, _build_torus_data, arr)
             assert _build_torus_data(arr).basis == kernel_by_two_hnf(
                 transpose(arr.normals, ncols=3), arr.d
             )
@@ -368,8 +357,15 @@ class TestKernelReadOff:
             unit = abs(det([arr.normals[j] for j in last])) == 1
             assert (hnf == 0) == unit
             counts["read off" if unit else "hnf"] += 1
-            counts["fallback"] += echelons > 0
-        assert counts["read off"] >= 50 and counts["hnf"] >= 50 and counts["fallback"] >= 50, counts
+            # the directions by descending last occurrence, first three
+            directions = []
+            for u in reversed(arr.normals):
+                u = max(u, tuple(-x for x in u))
+                if u not in directions:
+                    directions.append(u)
+            counts["dependent prefix"] += rank(directions[:3]) < 3
+        assert counts["read off"] >= 50 and counts["hnf"] >= 50, counts
+        assert counts["dependent prefix"] >= 50, counts
 
     def test_read_off_level_matches_constructor(self, monkeypatch):
         # the read-off sums the level over each row's n + 1 nonzeros and

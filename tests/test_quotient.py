@@ -271,10 +271,11 @@ class TestExtendedCore:
 
     def test_ray_signs_independent_of_d(self, monkeypatch):
         # 3 direction classes of 10 or 20 hyperplanes in the plane: one
-        # cofactor per class, so at most 2 * C(3, 1) sign vectors either way,
-        # and one integer elimination per minor, n = 2 minors per cofactor.
-        # Both sizes have the same classes, so each count starts from a cold
-        # record
+        # cofactor per class, so one bit pair each and at most 2 * C(3, 1)
+        # sign vectors either way, the same set as the minors give, and one
+        # factorisation per class basis, C(3, 2) of them, each basis giving
+        # two of the cofactors. Both sizes have the same classes, so each
+        # count starts from a cold record
         rng = random.Random(60)
         counts = []
         for arr in (three_class_arrangement(rng, k) for k in (10, 20)):
@@ -285,8 +286,10 @@ class TestExtendedCore:
             signs = mask_ray_signs(arr)
             monkeypatch.undo()
             assert len(signs) <= 2 * math.comb(3, arr.n - 1)
-            counts.append((len(signs), len(eliminations)))
-        assert counts[0] == counts[1] == (6, 6)
+            assert set(signs) == set(per_arrangement_ray_signs(arr))
+            bits = max(mask.bit_length() for masks in arr._matroid.ray_masks for mask in masks)
+            counts.append((len(signs), len(eliminations), bits))
+        assert counts[0] == counts[1] == (6, 3, 6)
 
     def test_requires_smooth(self):
         bad = Arrangement(1, ((-1,), (1,), (1,)), (1, -1, 0))

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -72,6 +73,31 @@ class TestRenderLine:
         assert svg.count("<circle") == 3
         assert ">H1</text>" in svg and ">H3</text>" in svg
         assert render_svg(a2_resolution) == svg
+
+    @pytest.mark.parametrize("d", [12, 30])
+    def test_every_arrow_inside_the_canvas(self, d):
+        # the arrow rows stack upward from the axis, one per hyperplane:
+        # past the eighth the canvas grows, and every drawn y stays on it
+        svg = render_svg(Arrangement(1, ((1,),) * d, tuple(range(d))))
+        height = int(re.search(r'<svg [^>]*height="(\d+)"', svg).group(1))
+        ys = [float(y) for y in re.findall(r' (?:y|cy|y1|y2)="([-0-9.]+)"', svg)]
+        assert height == 200 + 14 * (d - 8) and len(ys) > 4 * d
+        assert all(0 <= y <= height for y in ys)
+        assert f">H{d}</text>" in svg
+
+    # SHA-256 of render_svg over seeded lines of 1 to 8 points, recorded
+    # before the canvas grew with the hyperplanes past the eighth
+    DIGEST = "0b5c43a32a3b8de6854483898bbea7cc16d4979fd8466bbd99c15c121a8afffe"
+
+    def test_eight_or_fewer_points_keep_their_bytes(self):
+        rng = random.Random(5)
+        digest = hashlib.sha256()
+        for d in range(1, 9):
+            for _ in range(20):
+                normals = tuple((rng.choice((1, -1)),) for _ in range(d))
+                lifts = tuple(rng.randint(-5, 5) for _ in range(d))
+                digest.update(render_svg(Arrangement(1, normals, lifts)).encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestRenderErrors:

@@ -99,7 +99,6 @@ from corecover.linalg import (
     _bareiss,
     _common_denominator,
     _hnf,
-    _int_det,
     as_matrix,
     transpose,
     unit_vector,
@@ -420,9 +419,10 @@ def row_reduce_lattice_membership(basis, vector) -> bool:
 
 def subset_regular(arr) -> bool:
     """Regularity by the determinant of every n-subset of hyperplanes, not
-    of the direction classes."""
+    of the direction classes, each by elimination over Fractions, not the
+    library's fraction-free pass."""
     for subset in itertools.combinations(range(arr.d), arr.n):
-        value = det([arr.normals[i] for i in subset])
+        value = det_by_elimination([arr.normals[i] for i in subset])
         if value != 0 and abs(value) != 1:
             return False
     return True
@@ -455,9 +455,10 @@ def subset_trivial_factors(arr) -> tuple:
 
 def per_arrangement_regular(arr) -> bool:
     """Regularity by the C(D, n) determinants of the representatives,
-    taken afresh for each arrangement."""
+    taken afresh for each arrangement by elimination over Fractions, not
+    the library's fraction-free pass."""
     reps = [r for r, _ in _direction_classes(arr)]
-    return all(abs(_int_det(sub)) <= 1 for sub in itertools.combinations(reps, arr.n))
+    return all(abs(det_by_elimination(sub)) <= 1 for sub in itertools.combinations(reps, arr.n))
 
 
 def per_arrangement_circuits(arr) -> tuple:
@@ -498,11 +499,12 @@ def per_arrangement_realizable(arr) -> tuple:
 
 def per_arrangement_ray_signs(arr) -> tuple:
     """The candidate ray sign vectors by the cofactors of each (n - 1)-subset
-    of representatives, dotted with every normal of the arrangement."""
+    of representatives, each minor by elimination over Fractions, dotted
+    with every normal of the arrangement."""
     reps = [r for r, _ in _direction_classes(arr)]
     signs = {}
     for subset in itertools.combinations(reps, arr.n - 1):
-        c = [(-1) ** j * _int_det([row[:j] + row[j + 1:] for row in subset]) for j in range(arr.n)]
+        c = [(-1) ** j * det_by_elimination([row[:j] + row[j + 1:] for row in subset]) for j in range(arr.n)]
         if any(c):
             dots = (sum(a * b for a, b in zip(u, c)) for u in arr.normals)
             sigma = tuple((x > 0) - (x < 0) for x in dots)
@@ -531,8 +533,9 @@ def per_arrangement_vertices(arr) -> tuple:
 
 def mask_ray_signs(arr) -> tuple:
     """The ray sign vectors that the class record's ``ray_masks`` encode
-    for the arrangement, in the order of ``per_arrangement_ray_signs``.
-    Hyperplane i of normal ``s * r_k`` reads class k's ``(up, down)`` when s
+    for the arrangement, in the order of its bits: the same set as
+    ``per_arrangement_ray_signs``, whose order follows the (n - 1)-subsets
+    instead of the sorted cofactors. Hyperplane i of normal ``s * r_k`` reads class k's ``(up, down)`` when s
     = +1 and ``(down, up)`` when s = -1; a ray's bit is in the first iff
     ``<u_i, ray> >= 0`` and in the second iff ``<= 0``. Bit j is cofactor
     j and bit j + R its negation, so each cofactor is read before its
